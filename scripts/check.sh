@@ -47,6 +47,10 @@
 #      must still satisfy its pinned ratio contract, and smoke replays
 #      of the exec/parallel/profile workloads must land inside the
 #      tolerance bands around the committed ratios
+#  16. the end-to-end benchmark's own smoke (benchmarks/e2e, outside
+#      tier-1): a change to the entry surface that breaks the
+#      benchmark's pinned call syntax, counter names or span names
+#      (execute, parallel, partition) fails here, not in a benchmark run
 #
 # Missing optional tools are skipped with a notice, not an error, so
 # the script works in minimal containers.
@@ -131,6 +135,9 @@ run_step "profile overhead smoke" env PYTHONPATH=src \
 
 run_step "perf gate" env PYTHONPATH=src \
     python scripts/check_perf.py
+
+run_step "e2e benchmark smoke" env PYTHONPATH=src \
+    python -m pytest -q benchmarks/e2e
 
 if [ "${failures}" -ne 0 ]; then
     echo "${failures} check(s) failed"

@@ -54,6 +54,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence as PySequence
 
 from repro.errors import ParseError, ReproError, SemanticError, StorageError
@@ -65,15 +66,7 @@ from repro.analysis import (
     verify_query,
 )
 from repro.catalog import Catalog
-from repro.execution import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_WORKERS,
-    EXECUTION_MODES,
-    PARALLEL_MODES,
-    POOL_KINDS,
-    QueryGuard,
-    run_query_detailed,
-)
+from repro.execution import ExecOptions, QueryGuard, run_query_detailed
 from repro.analysis.partition import PartitionCounters, analyze_partition
 from repro.io import read_csv
 from repro.lang import compile_query
@@ -98,6 +91,42 @@ _EXIT_CODE_HELP = (
     "(including parse errors); 2 = usage errors (bad --load/--span or "
     "unreadable file)."
 )
+
+
+#: The ``ExecOptions`` fields that have a command-line flag (a field
+#: declared without help text is an API-only knob).
+_EXEC_FLAGS = [spec for spec in fields(ExecOptions) if spec.metadata["help"] is not None]
+
+
+def add_exec_options(parser: argparse.ArgumentParser) -> None:
+    """Add the execution flags: one per CLI-visible ``ExecOptions`` field.
+
+    Every run-style subcommand (``run``, ``trace``, ``profile``,
+    ``stats``) calls this, so they accept the identical set; choices and
+    defaults come from the field declarations.
+    """
+    for spec in _EXEC_FLAGS:
+        rule = spec.metadata
+        flag = "--" + spec.name.replace("_", "-")
+        if rule["kind"] is bool:
+            parser.add_argument(flag, action="store_true", help=rule["help"])
+            continue
+        text = rule["help"]
+        if spec.default is not None:
+            text += f" (default {spec.default})"
+        if rule["choices"]:
+            parser.add_argument(
+                flag, choices=rule["choices"], default=spec.default, help=text
+            )
+        else:
+            parser.add_argument(
+                flag, type=rule["kind"], default=spec.default, metavar="N", help=text
+            )
+
+
+def exec_options(args: argparse.Namespace) -> dict:
+    """The parsed execution flags, as ``run_query_detailed`` keywords."""
+    return {spec.name: getattr(args, spec.name) for spec in _EXEC_FLAGS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,39 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the naive reference evaluator and verify agreement",
     )
-    parser.add_argument(
-        "--mode",
-        choices=EXECUTION_MODES,
-        default="batch",
-        help="execution mode: columnar batches (default) or "
-        "record-at-a-time rows",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=DEFAULT_BATCH_SIZE,
-        metavar="N",
-        help=f"positions per column batch in batch mode (default {DEFAULT_BATCH_SIZE})",
-    )
-    parser.add_argument(
-        "--parallel",
-        choices=[m for m in PARALLEL_MODES if m != "off"],
-        help="run partition-certified plans on the parallel supervisor: "
-        "'auto' degrades to sequential execution on refusal or runtime "
-        "failure, 'force' raises the typed error instead",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        help=f"parallel worker lanes (default {DEFAULT_WORKERS}: one per CPU)",
-    )
-    parser.add_argument(
-        "--pool",
-        choices=POOL_KINDS,
-        default="thread",
-        help="parallel worker pool kind (default thread)",
-    )
+    add_exec_options(parser)
     parser.add_argument(
         "--limit",
         type=int,
@@ -209,12 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="store loaded sequences on a fault-injecting disk, e.g. "
         "'seed=7,transient=0.05,corrupt=0.01' "
         f"(rates for {', '.join(FAULT_KINDS)}; plus latency_ticks)",
-    )
-    parser.add_argument(
-        "--fallback",
-        action="store_true",
-        help="on a batch-path internal failure, re-run the query on the "
-        "row-path oracle instead of failing",
     )
     return parser
 
@@ -631,19 +622,7 @@ def build_trace_parser() -> argparse.ArgumentParser:
         metavar="START:END",
         help="evaluation span (default: the query's own)",
     )
-    parser.add_argument(
-        "--mode",
-        choices=EXECUTION_MODES,
-        default="batch",
-        help="execution mode to trace (default batch)",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=DEFAULT_BATCH_SIZE,
-        metavar="N",
-        help="positions per column batch in batch mode",
-    )
+    add_exec_options(parser)
     parser.add_argument(
         "--out",
         required=True,
@@ -681,9 +660,8 @@ def _trace_main(argv: PySequence[str], out) -> int:
             query,
             span=span,
             catalog=catalog,
-            mode=args.mode,
-            batch_size=args.batch_size,
             tracer=tracer,
+            **exec_options(args),
         )
         metrics = None
         if args.with_metrics:
@@ -724,36 +702,7 @@ def _add_profile_run_options(parser: argparse.ArgumentParser) -> None:
         metavar="START:END",
         help="evaluation span (default: the query's own)",
     )
-    parser.add_argument(
-        "--mode",
-        choices=EXECUTION_MODES,
-        default="batch",
-        help="execution mode (default batch)",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=DEFAULT_BATCH_SIZE,
-        metavar="N",
-        help="positions per column batch in batch mode",
-    )
-    parser.add_argument(
-        "--parallel",
-        choices=[m for m in PARALLEL_MODES if m != "off"],
-        help="run partition-certified plans on the parallel supervisor",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        help=f"parallel worker lanes (default {DEFAULT_WORKERS}: one per CPU)",
-    )
-    parser.add_argument(
-        "--pool",
-        choices=POOL_KINDS,
-        default="thread",
-        help="parallel worker pool kind (default thread)",
-    )
+    add_exec_options(parser)
     parser.add_argument(
         "--repeat",
         type=int,
@@ -880,12 +829,8 @@ def _profile_main(argv: PySequence[str], out) -> int:
                 query,
                 span=span,
                 catalog=catalog,
-                mode=args.mode,
-                batch_size=args.batch_size,
-                parallel=args.parallel or "off",
-                workers=args.workers,
-                pool=args.pool,
                 recorder=recorder,
+                **exec_options(args),
             )
         except ReproError as error:
             # Typed failures are profiled by the engine before the raise;
@@ -996,12 +941,8 @@ def _stats_main(argv: PySequence[str], out) -> int:
                 query,
                 span=span,
                 catalog=catalog,
-                mode=args.mode,
-                batch_size=args.batch_size,
-                parallel=args.parallel or "off",
-                workers=args.workers,
-                pool=args.pool,
                 recorder=recorder,
+                **exec_options(args),
             )
         except ReproError as error:
             failures += 1
@@ -1154,14 +1095,9 @@ def main(argv: Optional[PySequence[str]] = None, out=None) -> int:
             query,
             span=span,
             catalog=catalog,
-            mode=args.mode,
-            batch_size=args.batch_size,
             guard=guard,
-            fallback=args.fallback,
             analyze=args.analyze,
-            parallel=args.parallel or "off",
-            workers=args.workers,
-            pool=args.pool,
+            **exec_options(args),
         )
 
         if args.analyze:
@@ -1178,8 +1114,8 @@ def main(argv: Optional[PySequence[str]] = None, out=None) -> int:
             else:
                 mode_line = "execution mode: row (record-at-a-time)"
             print(mode_line, file=out)
-            if args.parallel:
-                lanes = args.workers if args.workers is not None else DEFAULT_WORKERS
+            if args.parallel != "off":
+                lanes = ExecOptions(workers=args.workers).lanes
                 print(
                     f"parallel: {args.parallel} ({lanes} {args.pool} worker(s), "
                     f"{result.counters.partitions_executed} partition(s) "

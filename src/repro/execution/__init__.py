@@ -4,15 +4,10 @@ from repro.execution.batch_streams import DEFAULT_BATCH_SIZE, build_batch_stream
 from repro.execution.cache import FifoCache
 from repro.execution.counters import ExecutionCounters
 from repro.execution.engine import (
-    DEFAULT_WORKERS,
-    EXECUTION_MODES,
-    PARALLEL_MODES,
-    POOL_KINDS,
     RunResult,
     execute_plan,
     run_query,
     run_query_detailed,
-    validate_execution_args,
 )
 from repro.execution.guard import (
     DEFAULT_CHECK_STRIDE,
@@ -20,9 +15,19 @@ from repro.execution.guard import (
     QueryGuard,
 )
 from repro.execution.naive import OperatorView, build_views, evaluate_naive
-from repro.execution.parallel import DEFAULT_PARTITION_RETRY, execute_parallel
-from repro.execution.partition import (
+from repro.execution.options import (
+    DEFAULT_WORKERS,
+    EXECUTION_MODES,
+    PARALLEL_MODES,
+    POOL_KINDS,
+    ExecOptions,
+)
+from repro.execution.parallel import (
+    DEFAULT_PARTITION_RETRY,
+    execute_parallel,
     execute_partitioned,
+)
+from repro.execution.partition import (
     merge_partitions,
     partition_plan,
     slice_sequence,
@@ -47,6 +52,7 @@ __all__ = [
     "EXECUTION_MODES",
     "PARALLEL_MODES",
     "POOL_KINDS",
+    "ExecOptions",
     "ExecutionCounters",
     "FifoCache",
     "QueryGuard",
@@ -71,5 +77,4 @@ __all__ = [
     "slice_sequence",
     "run_query",
     "run_query_detailed",
-    "validate_execution_args",
 ]

@@ -6,353 +6,170 @@ the answer.  ``run_query`` is the one-call entry point: optimize, then
 execute, optionally returning the optimizer output and the execution
 counters alongside the answer.
 
-Robustness hooks (DESIGN §9): both entry points validate their knobs
-before any work or counter mutation happens, accept a
+Robustness hooks (DESIGN §9): both entry points build one validated
+:class:`~repro.execution.options.ExecOptions` from their knobs before
+any work or counter mutation happens, accept a
 :class:`~repro.execution.guard.QueryGuard` for per-query deadlines,
-cancellation, and resource budgets, and offer an opt-in graceful
-degradation — a batch-path internal failure re-runs the query on the
-row-path oracle, counted in ``ExecutionCounters.fallbacks_taken``.
+cancellation, and resource budgets, and walk one degradation ladder —
+parallel supervisor → requested mode on the calling thread → row-path
+oracle — whose every step down is counted
+(``parallel_fallbacks`` / ``fallbacks_taken``) and traced.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from repro.errors import (
     ExecutionError,
+    ParallelExecutionError,
+    PartitionSoundnessError,
     QueryGuardError,
     ReproError,
     StorageError,
 )
-from repro.model.base import BaseSequence, ColumnarAnswer
+from repro.model.base import BaseSequence
 from repro.model.span import Span
 from repro.algebra.graph import Query
-from repro.algebra.leaves import SequenceLeaf
-from repro.analysis import hooks
+from repro.analysis.partition import certify
 from repro.catalog.catalog import Catalog
 from repro.optimizer.costmodel import CostParams
 from repro.optimizer.optimizer import OptimizationResult, optimize
 from repro.optimizer.plans import PhysicalPlan
-from repro.execution.batch_streams import DEFAULT_BATCH_SIZE, build_batch_stream
-from repro.model.batch import column_to_list, vector_backend
 from repro.execution.counters import ExecutionCounters
 from repro.execution.guard import QueryGuard
-from repro.execution.streams import build_stream
+from repro.execution.lane import materialize, started
+from repro.execution.options import ExecOptions
+from repro.execution.parallel import supervise
+from repro.obs.analyze import render_analyze
 from repro.obs.hist import HistogramSet
+from repro.obs.instrument import stored_leaf_counters
 from repro.obs.metrics import counters_restore, counters_snapshot
 from repro.obs.profile import FlightRecorder, QueryProfile, fingerprint_query
-from repro.obs.tracer import CATEGORY_ENGINE, Tracer, active, trace_summary
-from repro.storage.counters import StorageCounters
-
-#: Execution modes understood by :func:`execute_plan`.
-EXECUTION_MODES = ("batch", "row")
-
-#: Parallel-execution modes: ``"off"`` (default), ``"auto"`` (parallel
-#: when certifiable, degrading down the ladder on runtime failure), and
-#: ``"force"`` (parallel or a typed refusal/failure — no ladder).
-PARALLEL_MODES = ("off", "auto", "force")
-
-#: Worker-pool kinds the parallel supervisor can spawn.
-POOL_KINDS = ("thread", "process")
-
-#: Default worker count when ``parallel`` is requested without
-#: ``workers``: one lane per visible CPU.
-DEFAULT_WORKERS = max(1, os.cpu_count() or 1)
+from repro.obs.tracer import Tracer, active, trace_summary
 
 
-def validate_execution_args(
-    mode: str,
-    batch_size: int,
-    guard: Optional[QueryGuard],
-    parallel: str = "off",
-    workers: Optional[int] = None,
-    pool: str = "thread",
-    straggler_timeout: Optional[float] = None,
-) -> None:
-    """Reject bad execution knobs at the entry-point boundary.
+class _Rung(NamedTuple):
+    """One rung of the degradation ladder (DESIGN §9).
 
-    Called by :func:`execute_plan` and :func:`run_query_detailed`
-    *before* any optimization, work, or counter mutation, so a bad knob
-    can never leave partial state behind.
-
-    Raises:
-        ExecutionError: for an unknown mode, a non-positive or
-            non-integer batch size, a guard with nonsensical budgets,
-            or bad parallel knobs (unknown parallel mode or pool kind,
-            non-positive worker count or straggler timeout).
+    ``recoverable`` are the failures that move the ladder to the next
+    rung; leaving the rung charges the ``charge`` counter once and
+    records the ``event`` on the root span.  The last rung of a ladder
+    is never left, so it uses none of the three.
     """
-    if mode not in EXECUTION_MODES:
-        raise ExecutionError(
-            f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}"
-        )
-    if isinstance(batch_size, bool) or not isinstance(batch_size, int):
-        raise ExecutionError(
-            f"batch size must be a positive integer, got {batch_size!r}"
-        )
-    if batch_size < 1:
-        raise ExecutionError(f"batch size must be >= 1, got {batch_size}")
-    if parallel not in PARALLEL_MODES:
-        raise ExecutionError(
-            f"unknown parallel mode {parallel!r}; expected one of {PARALLEL_MODES}"
-        )
-    if workers is not None and (
-        isinstance(workers, bool) or not isinstance(workers, int) or workers < 1
-    ):
-        raise ExecutionError(
-            f"parallel workers must be a positive integer, got {workers!r}"
-        )
-    if pool not in POOL_KINDS:
-        raise ExecutionError(
-            f"unknown worker pool {pool!r}; expected one of {POOL_KINDS}"
-        )
-    if straggler_timeout is not None and not (
-        isinstance(straggler_timeout, (int, float))
-        and not isinstance(straggler_timeout, bool)
-        and straggler_timeout > 0
-    ):
-        raise ExecutionError(
-            f"straggler timeout must be > 0 seconds, got {straggler_timeout!r}"
-        )
-    if guard is not None:
-        guard.validate()
+
+    name: str
+    run: Callable[[], BaseSequence]
+    recoverable: tuple = ()
+    charge: str = ""
+    event: str = ""
 
 
-def _watch_plan_storage(plan: PhysicalPlan, guard: QueryGuard) -> None:
-    """Register every stored base sequence's disk counters with the guard."""
-    leaf = plan.node
-    if isinstance(leaf, SequenceLeaf):
-        counters = getattr(leaf.sequence, "counters", None)
-        if isinstance(counters, StorageCounters):
-            guard.watch_storage(counters)
-    for child in plan.children:
-        _watch_plan_storage(child, guard)
+#: Failures the parallel rung degrades on: infrastructure failures, a
+#: refused or rejected certificate, internal execution errors — never a
+#: typed storage fault, which is an answer.
+_PARALLEL_RECOVERABLE = (ParallelExecutionError, PartitionSoundnessError, ExecutionError)
+
+#: Failures a batch-mode run degrades to the row oracle on.
+_BATCH_RECOVERABLE = (ExecutionError, StorageError)
 
 
-def _plan_storage_counters(
-    plan: PhysicalPlan, found: Optional[list[StorageCounters]] = None
-) -> list[StorageCounters]:
-    """Every distinct stored-leaf :class:`StorageCounters` in the plan.
-
-    The flight recorder's pages-read accounting: snapshot each disk's
-    ``page_reads`` before execution, delta afterwards (the same leaves
-    :func:`_watch_plan_storage` registers with the guard).
-    """
-    if found is None:
-        found = []
-    leaf = plan.node
-    if isinstance(leaf, SequenceLeaf):
-        counters = getattr(leaf.sequence, "counters", None)
-        if isinstance(counters, StorageCounters) and all(
-            existing is not counters for existing in found
-        ):
-            found.append(counters)
-    for child in plan.children:
-        _plan_storage_counters(child, found)
-    return found
-
-
-def _run_batch(
+def _start(
     plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    batch_size: int,
-    guard: Optional[QueryGuard],
-    tracer: Optional[Tracer] = None,
-) -> ColumnarAnswer:
-    """Materialize the batch-mode answer, keeping it columnar.
-
-    Each batch's columns are compacted to the valid positions (a fancy
-    index on vector buffers, ``compress`` on lists) and concatenated;
-    the answer never transposes to per-record objects here — the
-    returned :class:`~repro.model.base.ColumnarAnswer` materializes
-    records lazily if and when a consumer asks for them row-wise.
-    """
-    schema = plan.schema
-    np = vector_backend()
-    positions: list[int] = []
-    parts: list[list] = []
-    for batch in build_batch_stream(plan, window, counters, batch_size, guard, tracer):
-        emitted = batch.count_valid()
-        counters.records_emitted += emitted
-        if guard is not None:
-            guard.note_records(emitted)
-        if not emitted:
-            continue
-        valid = batch.valid
-        if valid.all():
-            positions.extend(range(batch.start, batch.start + len(valid)))
-            parts.append(list(batch.columns))
-            continue
-        selected = valid.indices()
-        index_array = None
-        compacted: list = []
-        for column in batch.columns:
-            if np is not None and isinstance(column, np.ndarray):
-                if index_array is None:
-                    index_array = np.asarray(selected, dtype="int64")
-                compacted.append(column[index_array])
-            else:
-                compacted.append([column[i] for i in selected])
-        start = batch.start
-        positions.extend(start + i for i in selected)
-        parts.append(compacted)
-    columns = [_concat_column(pieces, np) for pieces in zip(*parts)] if parts else [
-        [] for _ in schema.attributes
-    ]
-    return ColumnarAnswer(schema, window, positions, columns)
-
-
-def _concat_column(pieces: tuple, np) -> object:
-    """Concatenate per-batch column pieces into one answer buffer."""
-    if len(pieces) == 1:
-        return pieces[0]
-    if np is not None and all(isinstance(piece, np.ndarray) for piece in pieces):
-        return np.concatenate(pieces)
-    merged: list = []
-    for piece in pieces:
-        merged.extend(column_to_list(piece))
-    return merged
-
-
-def _run_row(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    guard: Optional[QueryGuard],
-    tracer: Optional[Tracer] = None,
-) -> list:
-    """Materialize the row-mode answer as ``(position, record)`` pairs."""
-    pairs: list = []
-    for position, record in build_stream(plan, window, counters, guard, tracer):
-        counters.records_emitted += 1
-        if guard is not None:
-            guard.note_records(1)
-        pairs.append((position, record))
-    return pairs
-
-
-def _parallel_ladder(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    *,
-    mode: str,
-    batch_size: int,
+    span: Optional[Span],
+    counters: Optional[ExecutionCounters],
+    options: ExecOptions,
     guard: Optional[QueryGuard],
     tracer: Optional[Tracer],
-    root_span,
-    parallel: str,
-    workers: Optional[int],
-    pool: str,
-    straggler_timeout: Optional[float],
-    hists: Optional[HistogramSet] = None,
-) -> Optional[BaseSequence]:
-    """The parallel degradation ladder (DESIGN §14).
+    hists: Optional[HistogramSet],
+) -> BaseSequence:
+    """The Start operator over already-validated ``options``.
 
-    Rung 0: certify the plan for ``workers`` partitions.  A refusal in
-    ``auto`` mode returns None — the caller runs the plain single-thread
-    path — while ``force`` raises the typed
-    :class:`~repro.errors.PartitionSoundnessError`.
+    Builds the ordered rung list the options ask for —
 
-    Rung 1: the parallel supervisor
-    (:func:`repro.execution.parallel.execute_parallel`).  An
-    infrastructure failure (:class:`~repro.errors.ParallelExecutionError`)
-    or internal execution error in ``auto`` mode rewinds the counters
-    and guard accounting and drops to
+    * ``parallel`` (iff ``parallel != "off"``): certify the plan for
+      the lane count and run it under the supervisor; ``force`` makes
+      nothing recoverable, so the typed refusal or failure escapes;
+    * ``single-thread``: the requested ``mode`` on the calling thread;
+    * ``row-oracle`` (iff batch mode with ``fallback``)
 
-    Rung 2: sequential certified execution
-    (:func:`~repro.execution.partition.execute_partitioned`), and on a
-    further internal failure to
-
-    Rung 3: the row-path oracle.
-
-    Guard verdicts and typed storage faults are never swallowed at any
-    rung — they are answers, not infrastructure failures.  Every rung
-    taken charges ``parallel_fallbacks`` and records a
-    ``parallel:fallback`` event (the ``kernel:fallback`` pattern).
+    — and walks it with one body: for every rung with one left below,
+    snapshot the counters and the guard's record count, try the rung,
+    and on one of *its* recoverable errors rewind both, charge the
+    rung's counter once, record its event naming the rung moved to, and
+    go on; the last rung's error is the query's error.  The snapshot
+    is re-taken per rung, so a later rewind never erases an earlier
+    rung's fallback charge.  Guard verdicts are never recoverable — a
+    timeout is a timeout, not a reason to try again slower — storage
+    counters keep their real I/O, the guard's clock keeps running, and
+    histograms are never rewound.
     """
-    from repro.analysis.partition import analyze_partition, certify
-    from repro.errors import ParallelExecutionError, PartitionSoundnessError
-    from repro.execution.parallel import execute_parallel
-    from repro.execution.partition import execute_partitioned
+    counters = counters if counters is not None else ExecutionCounters()
+    with started(plan, span, counters, options, guard, tracer) as (
+        window,
+        tracer,
+        root_span,
+    ):
+        rungs: list[_Rung] = []
+        if options.parallel != "off":
+            rungs.append(
+                _Rung(
+                    "parallel",
+                    lambda: supervise(
+                        plan,
+                        certify(plan, options.lanes, window, tracer=tracer),
+                        options,
+                        counters,
+                        guard,
+                        tracer,
+                        hists,
+                    ),
+                    () if options.parallel == "force" else _PARALLEL_RECOVERABLE,
+                    "parallel_fallbacks",
+                    "parallel:fallback",
+                )
+            )
 
-    lanes = workers if workers is not None else DEFAULT_WORKERS
+        def drain(mode: str) -> Callable[[], BaseSequence]:
+            return lambda: materialize(
+                plan, window, counters, mode, options.batch_size, guard, tracer
+            )
 
-    def note_fallback(rung: str, error: Optional[BaseException]) -> None:
-        counters.parallel_fallbacks += 1
-        if tracer is not None and root_span is not None:
-            attrs = {"rung": rung}
-            if error is not None:
-                attrs["error"] = type(error).__name__
-                attrs["message"] = str(error)[:200]
-            tracer.event(root_span, "parallel:fallback", **attrs)
-
-    if parallel == "force":
-        certificate = certify(plan, lanes, window, tracer=tracer)
-    else:
-        certificate, _report = analyze_partition(plan, lanes, window, tracer=tracer)
-        if certificate is None:
-            note_fallback("single-thread", None)
-            return None
-    snapshot = counters_snapshot(counters)
-    guard_records = guard.records_emitted if guard is not None else 0
-
-    def rewind() -> None:
-        counters_restore(counters, snapshot)
-        if guard is not None:
-            guard.rewind_records(guard_records)
-
-    try:
-        return execute_parallel(
-            plan,
-            certificate,
-            workers=lanes,
-            pool=pool,
-            mode=mode,
-            batch_size=batch_size,
-            counters=counters,
-            guard=guard,
-            tracer=tracer,
-            straggler_timeout=straggler_timeout,
-            verify=False,
-            hists=hists,
+        rungs.append(
+            _Rung(
+                "single-thread",
+                drain(options.mode),
+                _BATCH_RECOVERABLE,
+                "fallbacks_taken",
+                "fallback",
+            )
         )
-    except QueryGuardError:
-        raise
-    except StorageError:
-        raise
-    except (ParallelExecutionError, PartitionSoundnessError, ExecutionError) as error:
-        if parallel == "force":
-            raise
-        rewind()
-        note_fallback("sequential-partitioned", error)
-        # Re-anchor the rewind point so a rung-2 failure forgets only
-        # rung 2's accounting, not the fallback charge just recorded.
-        snapshot = counters_snapshot(counters)
-        guard_records = guard.records_emitted if guard is not None else 0
-    try:
-        return execute_partitioned(
-            plan,
-            certificate,
-            mode=mode,
-            batch_size=batch_size,
-            counters=counters,
-            guard=guard,
-            tracer=tracer,
-            verify=False,
-        )
-    except QueryGuardError:
-        raise
-    except StorageError:
-        raise
-    except ExecutionError as error:
-        rewind()
-        note_fallback("row-oracle", error)
-    pairs = _run_row(plan, window, counters, guard, tracer)
-    return BaseSequence.unchecked(plan.schema, pairs, span=window)
+        if options.mode == "batch" and options.fallback:
+            rungs.append(_Rung("row-oracle", drain("row")))
+        for rung, below in zip(rungs, rungs[1:]):
+            snapshot = counters_snapshot(counters)
+            guard_records = guard.records_emitted if guard is not None else 0
+            try:
+                return rung.run()
+            except QueryGuardError:
+                raise
+            except rung.recoverable as error:
+                counters_restore(counters, snapshot)
+                if guard is not None:
+                    guard.rewind_records(guard_records)
+                setattr(counters, rung.charge, getattr(counters, rung.charge) + 1)
+                if tracer is not None:
+                    tracer.event(
+                        root_span,
+                        rung.event,
+                        rung=below.name,
+                        error=type(error).__name__,
+                        message=str(error)[:200],
+                    )
+        # The last rung's error is the query's error.
+        return rungs[-1].run()
 
 
 def execute_plan(
@@ -360,16 +177,10 @@ def execute_plan(
     span: Optional[Span] = None,
     counters: Optional[ExecutionCounters] = None,
     *,
-    mode: str = "batch",
-    batch_size: int = DEFAULT_BATCH_SIZE,
     guard: Optional[QueryGuard] = None,
-    fallback: bool = False,
     tracer: Optional[Tracer] = None,
-    parallel: str = "off",
-    workers: Optional[int] = None,
-    pool: str = "thread",
-    straggler_timeout: Optional[float] = None,
     hists: Optional[HistogramSet] = None,
+    **options: Any,
 ) -> BaseSequence:
     """Run a stream-mode plan and materialize its output.
 
@@ -377,133 +188,35 @@ def execute_plan(
         plan: the root physical plan (stream mode).
         span: output window; defaults to the plan's own span.
         counters: counters to charge (a fresh set if omitted).
-        mode: ``"batch"`` (default) runs the columnar batch executor;
-            ``"row"`` runs the record-at-a-time executor, kept as the
-            semantics oracle.  Both produce identical answers.
-        batch_size: positions covered per batch in batch mode.
         guard: per-query governor (deadline, cancellation, budgets);
-            checked at batch boundaries and row-loop checkpoints.
-        fallback: opt-in graceful degradation — if the batch path fails
-            with an internal :class:`~repro.errors.ExecutionError` or a
-            :class:`~repro.errors.StorageError`, restore the execution
-            counters, charge one ``fallbacks_taken``, and re-run on the
-            row-path oracle.  Guard verdicts are never swallowed, and
-            the guard's clock keeps running across the rerun.
+            checked at batch boundaries and row-loop checkpoints.  Its
+            verdicts are never swallowed by the degradation ladder, and
+            its clock keeps running across a degraded rerun.
         tracer: optional span tracer.  When active the run is wrapped
             in an ``execute`` span, every operator gets its own span
-            (:mod:`repro.obs.instrument`), a fallback rerun is recorded
-            as a ``fallback`` event, and the tracer is finalized when
-            the run ends so probe-side spans close.
-        parallel: ``"off"`` (default) executes single-threaded;
-            ``"auto"`` runs partition-certified plans on the parallel
-            supervisor and degrades down the ladder (parallel →
-            sequential-partitioned → row oracle) on refusal or runtime
-            infrastructure failure; ``"force"`` demands parallel
-            execution and raises the typed refusal or failure instead
-            of degrading.
-        workers: parallel worker lanes (default: one per visible CPU).
-        pool: ``"thread"`` (default) or ``"process"`` worker pool.
-        straggler_timeout: soft per-partition seconds before the
-            supervisor speculatively re-dispatches a straggler.
+            (:mod:`repro.obs.instrument`), every rung the ladder leaves
+            is recorded as a ``parallel:fallback`` / ``fallback``
+            event, and the tracer is finalized when the run ends so
+            probe-side spans close.
         hists: optional :class:`~repro.obs.hist.HistogramSet` the
             parallel supervisor folds per-partition lane observations
             into.  Histograms are observational — they record work
             actually performed and are *not* rewound when the
             degradation ladder forgets a failed rung's counters.
+        **options: the execution knobs —
+            ``mode``, ``batch_size``, ``fallback``, ``parallel``,
+            ``workers``, ``pool``, ``straggler_timeout`` — declared,
+            defaulted and documented on
+            :class:`~repro.execution.options.ExecOptions`.
+
+    Raises:
+        ExecutionError: for an invalid or unknown knob or a guard with
+            nonsensical budgets — before any work, counter mutation or
+            storage access — or for an unbounded window.
     """
-    validate_execution_args(
-        mode, batch_size, guard, parallel, workers, pool, straggler_timeout
+    return _start(
+        plan, span, counters, ExecOptions.of(options, guard), guard, tracer, hists
     )
-    window = plan.span if span is None else span.intersect(plan.span)
-    if not window.is_bounded:
-        raise ExecutionError(f"cannot execute over unbounded span {window}")
-    # Opt-in self-check (REPRO_VERIFY=1): refuse to run a plan that
-    # violates the cache-finiteness or cost-sanity invariants.
-    hooks.verify_plan_hook(plan)
-    counters = counters if counters is not None else ExecutionCounters()
-    if guard is not None:
-        guard.start()
-        guard.watch_execution(counters)
-        _watch_plan_storage(plan, guard)
-    if not active(tracer):
-        tracer = None
-    root_span = None
-    if tracer is not None:
-        root_span = tracer.begin(
-            "execute",
-            CATEGORY_ENGINE,
-            attrs={
-                "mode": mode,
-                "batch_size": batch_size if mode == "batch" else None,
-                "window": str(window),
-                "fallback_enabled": fallback,
-                "parallel": parallel,
-            },
-        )
-        tracer.push(root_span)
-    answer: Optional[BaseSequence] = None
-    pairs: Optional[list] = None
-    try:
-        if parallel != "off":
-            answer = _parallel_ladder(
-                plan,
-                window,
-                counters,
-                mode=mode,
-                batch_size=batch_size,
-                guard=guard,
-                tracer=tracer,
-                root_span=root_span,
-                parallel=parallel,
-                workers=workers,
-                pool=pool,
-                straggler_timeout=straggler_timeout,
-                hists=hists,
-            )
-        if answer is not None:
-            pass
-        elif mode == "batch":
-            # The fallback rewind goes through the one generic
-            # snapshot/restore implementation in repro.obs.metrics.
-            snapshot = counters_snapshot(counters)
-            guard_records = guard.records_emitted if guard is not None else 0
-            try:
-                answer = _run_batch(plan, window, counters, batch_size, guard, tracer)
-            except QueryGuardError:
-                raise
-            except (ExecutionError, StorageError) as error:
-                if not fallback:
-                    raise
-                # Graceful degradation: forget the failed attempt's engine
-                # accounting (the storage counters keep their real I/O) and
-                # re-run on the row-path oracle.
-                counters_restore(counters, snapshot)
-                counters.fallbacks_taken += 1
-                if guard is not None:
-                    guard.rewind_records(guard_records)
-                if tracer is not None and root_span is not None:
-                    tracer.event(
-                        root_span,
-                        "fallback",
-                        error=type(error).__name__,
-                        message=str(error)[:200],
-                    )
-                pairs = _run_row(plan, window, counters, guard, tracer)
-        else:
-            pairs = _run_row(plan, window, counters, guard, tracer)
-    finally:
-        if tracer is not None and root_span is not None:
-            root_span.attrs["records_emitted"] = counters.records_emitted
-            tracer.pop()
-            tracer.end(root_span)
-            tracer.finalize()
-    if answer is not None:
-        # The batch path finished columnar; keep it that way (records
-        # materialize lazily inside the ColumnarAnswer if needed).
-        return answer
-    # Stream evaluations emit unique ascending positions with records of
-    # the plan's schema, so the output skips per-item revalidation.
-    return BaseSequence.unchecked(plan.schema, pairs or [], span=window)
 
 
 @dataclass
@@ -536,8 +249,6 @@ class RunResult:
                 "no trace recorded: run the query with analyze=True "
                 "(or pass an enabled tracer) before rendering"
             )
-        from repro.obs.analyze import render_analyze
-
         return render_analyze(self.optimization.plan, self.tracer)
 
 
@@ -545,10 +256,7 @@ def _build_profile(
     *,
     fingerprint: str,
     query: Query,
-    mode: str,
-    parallel: str,
-    workers: Optional[int],
-    batch_size: int,
+    options: ExecOptions,
     duration_us: float,
     counters: ExecutionCounters,
     pages_read: int,
@@ -570,10 +278,10 @@ def _build_profile(
     return QueryProfile(
         fingerprint=fingerprint,
         query=repr(query)[:200],
-        mode=mode,
-        parallel=parallel,
-        workers=workers,
-        batch_size=batch_size,
+        mode=options.mode,
+        parallel=options.parallel,
+        workers=options.workers,
+        batch_size=options.batch_size,
         duration_us=duration_us,
         records_emitted=counters.records_emitted,
         pages_read=pages_read,
@@ -598,25 +306,26 @@ def run_query_detailed(
     rewrite: bool = True,
     consider_materialize: bool = True,
     restrict_spans: bool = True,
-    mode: str = "batch",
-    batch_size: int = DEFAULT_BATCH_SIZE,
+    *,
     guard: Optional[QueryGuard] = None,
-    fallback: bool = False,
     tracer: Optional[Tracer] = None,
     analyze: bool = False,
-    parallel: str = "off",
-    workers: Optional[int] = None,
-    pool: str = "thread",
-    straggler_timeout: Optional[float] = None,
     recorder: Optional[FlightRecorder] = None,
+    **options: Any,
 ) -> RunResult:
     """Optimize and execute ``query``, returning answer + diagnostics.
 
+    ``**options`` are the execution knobs of
+    :class:`~repro.execution.options.ExecOptions` (``mode``,
+    ``batch_size``, ``fallback``, ``parallel``, ``workers``, ``pool``,
+    ``straggler_timeout``; see :func:`execute_plan`); a bad one raises
+    :class:`~repro.errors.ExecutionError` before the optimizer runs, so
+    no plan, no counters and no storage access happen for a query that
+    could never execute.
+
     ``analyze=True`` records a full trace (creating a
     :class:`~repro.obs.tracer.Tracer` if none was passed) so the result
-    supports :meth:`RunResult.render_analyze`.  The ``parallel`` /
-    ``workers`` / ``pool`` / ``straggler_timeout`` knobs select the
-    parallel partitioned runtime (see :func:`execute_plan`).
+    supports :meth:`RunResult.render_analyze`.
 
     ``recorder`` attaches the flight recorder: the run is timed,
     fingerprinted, and recorded as a compact
@@ -627,11 +336,7 @@ def run_query_detailed(
     operator-sampling hit, executes with full span capture even when
     the caller passed no tracer.
     """
-    # Fail on bad knobs before the optimizer runs: no plan, no counters,
-    # no storage access happen for a query that could never execute.
-    validate_execution_args(
-        mode, batch_size, guard, parallel, workers, pool, straggler_timeout
-    )
+    checked = ExecOptions.of(options, guard)
     fingerprint = None
     if recorder is not None:
         fingerprint = fingerprint_query(query)
@@ -641,17 +346,11 @@ def run_query_detailed(
     if analyze and tracer is None:
         tracer = Tracer()
     clock = recorder.clock if recorder is not None else time.perf_counter
-    started = clock()
+    started_at = clock()
     counters = ExecutionCounters()
     query_hists = HistogramSet() if recorder is not None else None
-    storage_watch: list[tuple[StorageCounters, int]] = []
-
-    def pages_read() -> int:
-        return sum(
-            max(disk.page_reads - baseline, 0)
-            for disk, baseline in storage_watch
-        )
-
+    storage_watch: list = []
+    failure: Optional[ReproError] = None
     try:
         optimization = optimize(
             query,
@@ -666,63 +365,40 @@ def run_query_detailed(
         if recorder is not None:
             storage_watch = [
                 (disk, disk.page_reads)
-                for disk in _plan_storage_counters(optimization.plan.plan)
+                for disk in stored_leaf_counters(optimization.plan.plan)
             ]
-        output = execute_plan(
+        output = _start(
             optimization.plan.plan,
             optimization.plan.output_span,
             counters,
-            mode=mode,
-            batch_size=batch_size,
-            guard=guard,
-            fallback=fallback,
-            tracer=tracer,
-            parallel=parallel,
-            workers=workers,
-            pool=pool,
-            straggler_timeout=straggler_timeout,
-            hists=query_hists,
+            checked,
+            guard,
+            tracer,
+            query_hists,
         )
     except ReproError as error:
-        if recorder is not None:
-            assert fingerprint is not None
-            recorder.record(
-                _build_profile(
-                    fingerprint=fingerprint,
-                    query=query,
-                    mode=mode,
-                    parallel=parallel,
-                    workers=workers,
-                    batch_size=batch_size,
-                    duration_us=max((clock() - started) * 1e6, 0.0),
-                    counters=counters,
-                    pages_read=pages_read(),
-                    guard=guard,
-                    tracer=tracer,
-                    error=error,
-                ),
-                hists=query_hists,
-            )
-        raise
+        failure = error
     if recorder is not None:
         assert fingerprint is not None
         recorder.record(
             _build_profile(
                 fingerprint=fingerprint,
                 query=query,
-                mode=mode,
-                parallel=parallel,
-                workers=workers,
-                batch_size=batch_size,
-                duration_us=max((clock() - started) * 1e6, 0.0),
+                options=checked,
+                duration_us=max((clock() - started_at) * 1e6, 0.0),
                 counters=counters,
-                pages_read=pages_read(),
+                pages_read=sum(
+                    max(disk.page_reads - baseline, 0)
+                    for disk, baseline in storage_watch
+                ),
                 guard=guard,
                 tracer=tracer,
-                error=None,
+                error=failure,
             ),
             hists=query_hists,
         )
+    if failure is not None:
+        raise failure
     return RunResult(
         output=output,
         optimization=optimization,
@@ -731,53 +407,14 @@ def run_query_detailed(
     )
 
 
-def run_query(
-    query: Query,
-    span: Optional[Span] = None,
-    catalog: Optional[Catalog] = None,
-    params: Optional[CostParams] = None,
-    rewrite: bool = True,
-    consider_materialize: bool = True,
-    restrict_spans: bool = True,
-    mode: str = "batch",
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    guard: Optional[QueryGuard] = None,
-    fallback: bool = False,
-    tracer: Optional[Tracer] = None,
-    analyze: bool = False,
-    parallel: str = "off",
-    workers: Optional[int] = None,
-    pool: str = "thread",
-    straggler_timeout: Optional[float] = None,
-    recorder: Optional[FlightRecorder] = None,
-):
+def run_query(query: Query, *args: Any, analyze: bool = False, **kwargs: Any):
     """Optimize and execute ``query``, returning just the answer.
 
-    With ``analyze=True`` the run is traced and the full
-    :class:`RunResult` is returned instead, so the caller can render
-    the EXPLAIN ANALYZE tree (:meth:`RunResult.render_analyze`) or
-    export the trace alongside the answer (``result.output``).
+    Takes exactly the arguments of :func:`run_query_detailed`.  With
+    ``analyze=True`` the run is traced and the full :class:`RunResult`
+    is returned instead, so the caller can render the EXPLAIN ANALYZE
+    tree (:meth:`RunResult.render_analyze`) or export the trace
+    alongside the answer (``result.output``).
     """
-    result = run_query_detailed(
-        query,
-        span=span,
-        catalog=catalog,
-        params=params,
-        rewrite=rewrite,
-        consider_materialize=consider_materialize,
-        restrict_spans=restrict_spans,
-        mode=mode,
-        batch_size=batch_size,
-        guard=guard,
-        fallback=fallback,
-        tracer=tracer,
-        analyze=analyze,
-        parallel=parallel,
-        workers=workers,
-        pool=pool,
-        straggler_timeout=straggler_timeout,
-        recorder=recorder,
-    )
-    if analyze:
-        return result
-    return result.output
+    result = run_query_detailed(query, *args, analyze=analyze, **kwargs)
+    return result if analyze else result.output

@@ -1,0 +1,188 @@
+"""One lane of execution: the inner half of the Start operator.
+
+The Start operator (Figure 6) induces a stream access on the plan root
+and materializes the answer.  :func:`started` is its frame — window,
+self-check hook, guard arming, the ``execute`` span — and
+:func:`materialize` is the one-mode drain inside that frame.  The
+engine's degradation ladder runs its single-thread rungs in one such
+frame; the parallel supervisor opens one per partition.  Keeping both
+below :mod:`repro.execution.engine` and
+:mod:`repro.execution.parallel` is what lets the engine call the
+supervisor and the supervisor's lanes execute subplans without an
+import cycle.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Iterator, Optional
+
+from repro.analysis import hooks
+from repro.errors import ExecutionError
+from repro.execution.batch_streams import build_batch_stream
+from repro.execution.counters import ExecutionCounters
+from repro.execution.guard import QueryGuard
+from repro.execution.options import ExecOptions
+from repro.execution.streams import build_stream
+from repro.model.base import BaseSequence, ColumnarAnswer
+from repro.model.batch import column_to_list, vector_backend
+from repro.model.span import Span
+from repro.obs.instrument import stored_leaf_counters
+from repro.obs.tracer import CATEGORY_ENGINE, Tracer, TraceSpan, active
+from repro.optimizer.plans import PhysicalPlan
+
+
+@contextmanager
+def started(
+    plan: PhysicalPlan,
+    span: Optional[Span],
+    counters: ExecutionCounters,
+    options: ExecOptions,
+    guard: Optional[QueryGuard],
+    tracer: Optional[Tracer],
+) -> Iterator[tuple[Span, Optional[Tracer], Optional[TraceSpan]]]:
+    """Frame one execution of ``plan``; yields ``(window, tracer, root_span)``.
+
+    The window is ``span`` clipped to the plan's own span.  The guard's
+    clock is started (idempotently — reruns and lanes share it) and
+    every stored leaf's disk counters are registered with it.  When the
+    tracer is active the run is wrapped in an ``execute`` span that is
+    closed, and the tracer finalized so probe-side spans close, however
+    the body ends; an inactive tracer is yielded as None.
+
+    Raises:
+        ExecutionError: when the window is unbounded.
+        VerificationError: under ``REPRO_VERIFY=1``, for a plan that
+            violates the cache-finiteness or cost-sanity invariants.
+    """
+    window = plan.span if span is None else span.intersect(plan.span)
+    if not window.is_bounded:
+        raise ExecutionError(f"cannot execute over unbounded span {window}")
+    hooks.verify_plan_hook(plan)
+    if guard is not None:
+        guard.start()
+        guard.watch_execution(counters)
+        for disk in stored_leaf_counters(plan):
+            guard.watch_storage(disk)
+    if not active(tracer):
+        yield window, None, None
+        return
+    assert tracer is not None
+    root_span = tracer.begin(
+        "execute",
+        CATEGORY_ENGINE,
+        attrs={
+            "mode": options.mode,
+            "batch_size": options.batch_size if options.mode == "batch" else None,
+            "window": str(window),
+            "fallback_enabled": options.fallback,
+            "parallel": options.parallel,
+        },
+    )
+    tracer.push(root_span)
+    try:
+        yield window, tracer, root_span
+    finally:
+        root_span.attrs["records_emitted"] = counters.records_emitted
+        tracer.pop()
+        tracer.end(root_span)
+        tracer.finalize()
+
+
+def materialize(
+    plan: PhysicalPlan,
+    window: Span,
+    counters: ExecutionCounters,
+    mode: str,
+    batch_size: int,
+    guard: Optional[QueryGuard],
+    tracer: Optional[Tracer],
+) -> BaseSequence:
+    """Drain ``plan`` over ``window`` in one execution mode."""
+    if mode == "batch":
+        return _run_batch(plan, window, counters, batch_size, guard, tracer)
+    return _run_row(plan, window, counters, guard, tracer)
+
+
+def _run_batch(
+    plan: PhysicalPlan,
+    window: Span,
+    counters: ExecutionCounters,
+    batch_size: int,
+    guard: Optional[QueryGuard],
+    tracer: Optional[Tracer] = None,
+) -> ColumnarAnswer:
+    """Materialize the batch-mode answer, keeping it columnar.
+
+    Each batch's columns are compacted to the valid positions (a fancy
+    index on vector buffers, ``compress`` on lists) and concatenated;
+    the answer never transposes to per-record objects here — the
+    returned :class:`~repro.model.base.ColumnarAnswer` materializes
+    records lazily if and when a consumer asks for them row-wise.
+    """
+    schema = plan.schema
+    np = vector_backend()
+    positions: list[int] = []
+    parts: list[list] = []
+    for batch in build_batch_stream(plan, window, counters, batch_size, guard, tracer):
+        emitted = batch.count_valid()
+        counters.records_emitted += emitted
+        if guard is not None:
+            guard.note_records(emitted)
+        if not emitted:
+            continue
+        valid = batch.valid
+        if valid.all():
+            positions.extend(range(batch.start, batch.start + len(valid)))
+            parts.append(list(batch.columns))
+            continue
+        selected = valid.indices()
+        index_array = None
+        compacted: list = []
+        for column in batch.columns:
+            if np is not None and isinstance(column, np.ndarray):
+                if index_array is None:
+                    index_array = np.asarray(selected, dtype="int64")
+                compacted.append(column[index_array])
+            else:
+                compacted.append([column[i] for i in selected])
+        start = batch.start
+        positions.extend(start + i for i in selected)
+        parts.append(compacted)
+    columns = [_concat_column(pieces, np) for pieces in zip(*parts)] if parts else [
+        [] for _ in schema.attributes
+    ]
+    return ColumnarAnswer(schema, window, positions, columns)
+
+
+def _concat_column(pieces: tuple, np) -> object:
+    """Concatenate per-batch column pieces into one answer buffer."""
+    if len(pieces) == 1:
+        return pieces[0]
+    if np is not None and all(isinstance(piece, np.ndarray) for piece in pieces):
+        return np.concatenate(pieces)
+    merged: list = []
+    for piece in pieces:
+        merged.extend(column_to_list(piece))
+    return merged
+
+
+def _run_row(
+    plan: PhysicalPlan,
+    window: Span,
+    counters: ExecutionCounters,
+    guard: Optional[QueryGuard],
+    tracer: Optional[Tracer] = None,
+) -> BaseSequence:
+    """Materialize the row-mode answer.
+
+    Stream evaluations emit unique ascending positions with records of
+    the plan's schema, so the output skips per-item revalidation.
+    """
+    pairs: list = []
+    for position, record in build_stream(plan, window, counters, guard, tracer):
+        counters.records_emitted += 1
+        if guard is not None:
+            guard.note_records(1)
+        pairs.append((position, record))
+    return BaseSequence.unchecked(plan.schema, pairs, span=window)

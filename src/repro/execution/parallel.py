@@ -1,12 +1,13 @@
 """Fault-tolerant parallel partitioned execution (DESIGN §14).
 
 The supervisor half of the partitioned runtime: PR 6's analysis issues
-a :class:`~repro.analysis.partition.PartitionCertificate` and its
-sequential harness (:mod:`repro.execution.partition`) proved the
-per-partition subplans answer-equal to the row oracle;
-:func:`execute_parallel` executes those same certified subplans across
-a worker pool — threads by default, processes opt-in — and merges the
-outputs in position order exactly as :func:`merge_partitions` does.
+a :class:`~repro.analysis.partition.PartitionCertificate`,
+:mod:`repro.execution.partition` narrows the plan to each certified
+range, and :func:`execute_parallel` executes those subplans across a
+worker pool — threads by default, processes opt-in, the calling thread
+itself for one lane — and merges the outputs in position order with
+:func:`merge_partitions`.  :func:`execute_partitioned`, the
+differential harness's sequential form, is the same call with one lane.
 
 Robustness is the headline contract, not a bolt-on.  Under any fault
 the supervisor returns either the exact answer or a typed error:
@@ -36,9 +37,8 @@ the supervisor returns either the exact answer or a typed error:
   :class:`~repro.errors.QueryTimeoutError`;
 * **typed infrastructure failures** — pool-spawn failures, worker
   death outside the typed hierarchy, and broken process pools surface
-  as :class:`~repro.errors.ParallelExecutionError`, the exact class
-  the engine's degradation ladder (parallel → sequential-partitioned →
-  row oracle) catches.
+  as :class:`~repro.errors.ParallelExecutionError`, the class the
+  engine's degradation ladder leaves its parallel rung on.
 
 Determinism under faults is load-bearing for the chaos suite: partition
 *preparation* — the only phase that touches the shared simulated disk —
@@ -62,7 +62,9 @@ EXPLAIN ANALYZE see one coherent query.
 
 from __future__ import annotations
 
+import dataclasses
 import time
+from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     Executor,
@@ -72,7 +74,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.analysis.base import plan_paths
 from repro.analysis.partition import (
@@ -82,7 +84,6 @@ from repro.analysis.partition import (
     require_certificate,
 )
 from repro.errors import (
-    ExecutionError,
     ParallelExecutionError,
     QueryGuardError,
     QueryTimeoutError,
@@ -91,17 +92,14 @@ from repro.errors import (
     TransientStorageError,
 )
 from repro.execution.counters import ExecutionCounters
-from repro.execution.engine import (
-    DEFAULT_BATCH_SIZE,
-    POOL_KINDS,
-    _watch_plan_storage,
-    execute_plan,
-)
 from repro.execution.guard import CancellationToken, QueryGuard
+from repro.execution.lane import materialize, started
+from repro.execution.options import ExecOptions
 from repro.execution.partition import merge_partitions, partition_plan
 from repro.model.base import BaseSequence
 from repro.model.span import Span
 from repro.obs.hist import HistogramSet
+from repro.obs.instrument import stored_leaf_counters
 from repro.obs.tracer import CATEGORY_ENGINE, Tracer, TraceSpan, active
 from repro.optimizer.plans import OptimizedPlan, PhysicalPlan
 from repro.storage.faults import RetryPolicy
@@ -121,41 +119,29 @@ _WAIT_TICK = 0.02
 def _execute_partition(
     subplan: PhysicalPlan,
     window: Span,
-    mode: str,
-    batch_size: int,
+    options: ExecOptions,
     guard: Optional[QueryGuard],
     tracer: Optional[Tracer],
 ) -> tuple[BaseSequence, ExecutionCounters]:
-    """One worker's unit of work: execute a prepared partition subplan.
+    """One lane's unit of work: execute a prepared partition subplan.
 
     Runs with private counters (merged by the supervisor on success)
-    and, in thread mode, the shared thread-safe guard plus a forked
-    tracer.  Module-level so the chaos tests can intercept it and so
-    the process pool can import it by reference.
+    under the supervisor's already-validated lane ``options`` and —
+    except in a process pool, whose children can share neither — the
+    thread-safe query guard plus a forked tracer.  Module-level so the
+    chaos tests can intercept it and so the process pool can import it
+    by reference.
     """
     counters = ExecutionCounters()
-    output = execute_plan(
-        subplan,
+    with started(subplan, window, counters, options, guard, tracer) as (
         window,
-        counters,
-        mode=mode,
-        batch_size=batch_size,
-        guard=guard,
-        tracer=tracer,
-    )
+        tracer,
+        _root_span,
+    ):
+        output = materialize(
+            subplan, window, counters, options.mode, options.batch_size, guard, tracer
+        )
     return output, counters
-
-
-def _execute_partition_process(
-    subplan: PhysicalPlan, window: Span, mode: str, batch_size: int
-) -> tuple[BaseSequence, ExecutionCounters]:
-    """The process-pool entry point: guardless, tracerless execution.
-
-    A child process cannot share the supervisor's guard, token, or
-    tracer objects; the supervisor enforces budgets at partition
-    completion instead and records the partition span itself.
-    """
-    return _execute_partition(subplan, window, mode, batch_size, None, None)
 
 
 @dataclass
@@ -169,14 +155,36 @@ class _Attempt:
     fork: Optional[Tracer]
 
 
+class _InlineExecutor(Executor):
+    """The one-lane pool: runs each submission on the calling thread.
+
+    A single lane needs no thread, but it needs everything else the
+    supervisor does with a future — retry containment, counter absorb,
+    span adoption, lane histograms — so it hands back a future that is
+    already resolved and the one partition loop serves every lane count.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as error:
+            future.set_exception(error)
+        return future
+
+
 def _spawn_pool(pool: str, lanes: int) -> Executor:
-    """Create the worker pool, or raise the typed infrastructure error.
+    """Create the executor for ``lanes`` lanes, or raise the typed error.
+
+    One lane runs in the calling thread; more spawn the requested pool.
 
     Raises:
         ParallelExecutionError: the pool could not be created (e.g. the
             platform refuses new threads/processes) — the degradation
-            ladder's cue to fall back to sequential execution.
+            ladder's cue to leave the parallel rung.
     """
+    if lanes == 1:
+        return _InlineExecutor()
     try:
         if pool == "process":
             return ProcessPoolExecutor(max_workers=lanes)
@@ -190,9 +198,9 @@ def _spawn_pool(pool: str, lanes: int) -> Executor:
 
 
 class _Supervisor:
-    """State machine for one parallel partitioned run.
+    """State machine for one partitioned run.
 
-    Single-threaded by construction: only worker bodies run on pool
+    Single-threaded by construction: only lane bodies run on pool
     threads, and they touch nothing but their private counters, their
     forked tracer, and the (thread-safe) shared guard.  Every other
     mutation — dispatch, retry, straggler re-dispatch, counter merge,
@@ -203,34 +211,32 @@ class _Supervisor:
         self,
         root: PhysicalPlan,
         certificate: PartitionCertificate,
-        *,
-        workers: int,
-        pool: str,
-        mode: str,
-        batch_size: int,
+        options: ExecOptions,
         counters: ExecutionCounters,
         guard: Optional[QueryGuard],
         tracer: Optional[Tracer],
+        hists: Optional[HistogramSet],
         retry: RetryPolicy,
-        straggler_timeout: Optional[float],
         clock: Callable[[], float],
-        hists: Optional[HistogramSet] = None,
     ):
         self.root = root
         self.certificate = certificate
-        self.workers = workers
-        self.pool = pool
-        self.mode = mode
-        self.batch_size = batch_size
+        self.partitions = certificate.partitions
+        self.options = options
+        # What each lane runs: the requested mode, single-threaded, with
+        # no ladder of its own (a lane's failure is the supervisor's).
+        self.lane_options = dataclasses.replace(options, parallel="off", fallback=False)
+        self.lanes = min(options.lanes, len(self.partitions))
+        # Process lanes share no object with the supervisor: they get
+        # physically sliced leaves, no guard and no tracer.
+        self.in_process = options.pool == "process" and self.lanes > 1
         self.counters = counters
         self.guard = guard
         self.tracer = tracer if active(tracer) else None
-        self.retry = retry
-        self.straggler_timeout = straggler_timeout
-        self.clock = clock
         self.hists = hists
+        self.retry = retry
+        self.clock = clock
         self.paths = plan_paths(root)
-        self.partitions = certificate.partitions
         self.subplans: dict[int, PhysicalPlan] = {}
         self.parallel_span: Optional[TraceSpan] = None
 
@@ -280,9 +286,9 @@ class _Supervisor:
         :class:`HistogramSet` is observed and then merged — never
         written concurrently — so histogram accounting follows the
         same single-owner discipline as ``counters.merge_from``.
-        Called only at the two success sites (inline and pooled
-        absorb), so discarded speculative losers and failed attempts
-        contribute nothing, just like their counters.
+        Called only where a winning attempt is absorbed, so discarded
+        speculative losers and failed attempts contribute nothing,
+        just like their counters.
         """
         if self.hists is None:
             return
@@ -306,7 +312,9 @@ class _Supervisor:
         that is what makes seeded fault traces identical across worker
         counts — and a transient fault that survived the buffer pool's
         own retries earns this partition a bounded rebuild before the
-        typed error escapes to the query.
+        typed error escapes to the query.  A single-partition run keeps
+        the original leaf sequences: the slice would be a full copy of
+        the input for no isolation gain.
 
         Raises:
             TransientStorageError: the retry budget was exhausted.
@@ -314,7 +322,6 @@ class _Supervisor:
             CorruptPageError: never retried; fails the query fast.
         """
         partition = self.partitions[index]
-        copy_leaves = len(self.partitions) > 1 or self.pool == "process"
         last: Optional[TransientStorageError] = None
         for attempt in range(1, self.retry.max_attempts + 1):
             if attempt > 1:
@@ -327,7 +334,10 @@ class _Supervisor:
                 )
             try:
                 subplan = partition_plan(
-                    self.root, partition, self.paths, copy_leaves=copy_leaves
+                    self.root,
+                    partition,
+                    self.paths,
+                    copy_leaves=len(self.partitions) > 1,
                 )
                 self.subplans[index] = subplan
                 return subplan
@@ -336,76 +346,111 @@ class _Supervisor:
         assert last is not None
         raise last
 
-    # -- inline execution (workers == 1: no pool, full containment) ----------
+    # -- the one partition loop ----------------------------------------------
 
-    def run_inline(self) -> BaseSequence:
-        """Execute every partition on the supervising thread.
+    def run(self) -> BaseSequence:
+        """Prepare, execute, absorb and merge every certified partition.
 
-        The degenerate lane count keeps the supervisor semantics —
-        per-partition spans, retry containment, counter merge — without
-        paying for a pool, which is what holds the ``workers=1``
-        overhead to the benchmark's ≤5% budget.
+        With more than one lane every thread worker observes (through
+        the shared guard) a child token linked under the caller's, so
+        the supervisor can stop what is still in flight without ever
+        marking the caller's token; the guard's own token is restored
+        however the run ends.
+
+        Raises:
+            ParallelExecutionError: pool spawn/submit failure or worker
+                death outside the typed hierarchy (the ladder's cue).
+            QueryTimeoutError: a straggler stayed unanswered one soft
+                timeout past its speculative re-dispatch, or the shared
+                guard's deadline passed.
+            ReproError: any typed verdict a lane raised (guard
+                verdicts and storage faults pass through untouched).
         """
-        outputs: list[BaseSequence] = []
-        for index in range(len(self.partitions)):
-            subplan = self.prepare(index)
-            last: Optional[TransientStorageError] = None
-            output: Optional[BaseSequence] = None
-            for attempt in range(1, self.retry.max_attempts + 1):
-                if attempt > 1:
-                    self.counters.partition_retries += 1
-                    self._event(
-                        "parallel:retry",
-                        partition=index,
-                        attempt=attempt,
-                        phase="execute",
-                    )
-                    subplan = self.prepare(index)
-                span = self._begin_partition_span(self.partitions[index], attempt)
-                fork = self.tracer.fork() if self.tracer is not None else None
-                dispatched_at = self.clock()
-                try:
-                    output, worker_counters = _execute_partition(
-                        subplan,
-                        self.partitions[index].window,
-                        self.mode,
-                        self.batch_size,
-                        self.guard,
-                        fork,
-                    )
-                except TransientStorageError as error:
-                    last = error
-                    self._close_span(span, fork, error=type(error).__name__)
-                    continue
-                except Exception as error:
-                    self._close_span(span, fork, error=type(error).__name__)
-                    raise
-                self.counters.merge_from(worker_counters)
-                self.counters.partitions_executed += 1
-                self._observe_lane(worker_counters, dispatched_at)
-                self._close_span(
-                    span, fork, records=worker_counters.records_emitted
+        if self.tracer is not None:
+            self.parallel_span = self.tracer.begin(
+                "parallel",
+                CATEGORY_ENGINE,
+                attrs={
+                    "workers": self.options.lanes,
+                    "parts": len(self.partitions),
+                    "pool": self.options.pool,
+                    "mode": self.options.mode,
+                },
+            )
+        caller_guard = self.guard
+        siblings = CancellationToken(
+            parent=caller_guard.cancellation if caller_guard is not None else None
+        )
+        try:
+            for index in range(len(self.partitions)):
+                self.prepare(index)
+            if self.lanes > 1:
+                if caller_guard is None:
+                    self.guard = QueryGuard(cancellation=siblings)
+                    self.guard.start()
+                else:
+                    caller_guard.cancellation = siblings
+            outputs = self._drive(siblings)
+        finally:
+            if caller_guard is not None:
+                caller_guard.cancellation = siblings.parent
+            if self.tracer is not None and self.parallel_span is not None:
+                self.parallel_span.attrs["partitions_executed"] = (
+                    self.counters.partitions_executed
                 )
-                break
-            if output is None:
-                assert last is not None
-                raise last
-            outputs.append(output)
-        return self._merge(outputs)
-
-    def _merge(self, outputs: list[BaseSequence]) -> BaseSequence:
-        """Position-order merge; a single partition is already merged.
-
-        For one partition the certificate's cover proof makes its
-        window the root span, so the output *is* the answer — skipping
-        the re-copy is what holds the ``workers=1`` inline path inside
-        the benchmark's overhead budget.
-        """
-        if len(outputs) == 1 and len(self.certificate.partitions) == 1:
+                self.tracer.end(self.parallel_span)
+        # For one partition the certificate's cover proof makes its
+        # window the root span, so the output *is* the answer —
+        # skipping the re-copy is what holds the one-lane path inside
+        # the benchmark's overhead budget.
+        if len(outputs) == 1:
             return outputs[0]
         return merge_partitions(outputs, self.certificate)
 
-    # -- pooled execution ----------------------------------------------------
+    def _drive(self, siblings: CancellationToken) -> list[BaseSequence]:
+        """Dispatch partitions onto the lanes until each has one answer.
+
+        At most ``lanes`` attempts are kept in flight, topped up in
+        partition order, so one lane executes the partitions strictly
+        in sequence and fails at the first failure.
+        """
+        parts = len(self.partitions)
+        executor = _spawn_pool(self.options.pool, self.lanes)
+        backlog = deque(range(parts))
+        pending: dict[Future, _Attempt] = {}
+        results: dict[int, BaseSequence] = {}
+        speculated: set[int] = set()
+        failure: Optional[BaseException] = None
+        try:
+            while failure is None and len(results) < parts:
+                while backlog and len(pending) < self.lanes:
+                    self._submit(executor, backlog.popleft(), 1, pending)
+                done, _ = wait(
+                    set(pending), timeout=_WAIT_TICK, return_when=FIRST_COMPLETED
+                )
+                for future in [future for future in pending if future in done]:
+                    attempt = pending.pop(future)
+                    failure = self._absorb(executor, future, attempt, pending, results)
+                    if failure is not None:
+                        break
+                if failure is None:
+                    failure = self._police(executor, pending, results, speculated)
+            if failure is not None:
+                raise failure
+        finally:
+            # Fan-out: whatever is still in flight — the siblings of a
+            # failed partition, or the loser of a straggler race whose
+            # partition is already answered — stops at its next guard
+            # checkpoint.  Threads cannot be killed, so the shutdown
+            # does not wait on them; they die with a
+            # QueryCancelledError nobody reads, and their forks are
+            # never adopted.
+            if pending:
+                siblings.cancel()
+            executor.shutdown(wait=False, cancel_futures=True)
+            for attempt in pending.values():
+                self._close_span(attempt.span, None, discarded=True)
+        return [results[index] for index in range(parts)]
 
     def _submit(
         self,
@@ -414,7 +459,7 @@ class _Supervisor:
         attempt_number: int,
         pending: dict[Future, _Attempt],
     ) -> None:
-        """Dispatch one attempt of one partition onto the pool.
+        """Dispatch one attempt of one partition onto a lane.
 
         Raises:
             ParallelExecutionError: the pool refused the submission
@@ -422,29 +467,21 @@ class _Supervisor:
                 failure, so it wears the ladder's class.
         """
         partition = self.partitions[index]
-        subplan = self.subplans[index]
         span = self._begin_partition_span(partition, attempt_number)
-        fork = None
+        guard = fork = None
+        if not self.in_process:
+            guard = self.guard
+            fork = self.tracer.fork() if self.tracer is not None else None
+        dispatched_at = self.clock()
         try:
-            if self.pool == "process":
-                future = executor.submit(
-                    _execute_partition_process,
-                    subplan,
-                    partition.window,
-                    self.mode,
-                    self.batch_size,
-                )
-            else:
-                fork = self.tracer.fork() if self.tracer is not None else None
-                future = executor.submit(
-                    _execute_partition,
-                    subplan,
-                    partition.window,
-                    self.mode,
-                    self.batch_size,
-                    self.guard,
-                    fork,
-                )
+            future = executor.submit(
+                _execute_partition,
+                self.subplans[index],
+                partition.window,
+                self.lane_options,
+                guard,
+                fork,
+            )
         except RuntimeError as error:
             self._close_span(span, fork, error=type(error).__name__)
             raise ParallelExecutionError(
@@ -454,64 +491,10 @@ class _Supervisor:
         pending[future] = _Attempt(
             index=index,
             number=attempt_number,
-            dispatched_at=self.clock(),
+            dispatched_at=dispatched_at,
             span=span,
             fork=fork,
         )
-
-    def run_pooled(self, siblings: CancellationToken) -> BaseSequence:
-        """Execute the prepared partitions across the worker pool.
-
-        ``siblings`` is the child token every thread worker observes
-        (through the shared guard); the supervisor cancels it on the
-        first failure so surviving partitions stop at their next guard
-        checkpoint instead of running to completion.
-
-        Raises:
-            ParallelExecutionError: pool spawn/submit failure or worker
-                death outside the typed hierarchy (the ladder's cue).
-            QueryTimeoutError: a straggler stayed unanswered one soft
-                timeout past its speculative re-dispatch, or the shared
-                guard's deadline passed.
-            ReproError: any typed verdict a worker raised (guard
-                verdicts and storage faults pass through untouched).
-        """
-        parts = len(self.partitions)
-        lanes = min(self.workers, parts)
-        for index in range(parts):
-            self.prepare(index)
-        executor = _spawn_pool(self.pool, lanes)
-        pending: dict[Future, _Attempt] = {}
-        results: dict[int, tuple[BaseSequence, ExecutionCounters]] = {}
-        speculated: set[int] = set()
-        failure: Optional[BaseException] = None
-        try:
-            for index in range(parts):
-                self._submit(executor, index, 1, pending)
-            while pending and failure is None:
-                done, _ = wait(
-                    set(pending), timeout=_WAIT_TICK, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    attempt = pending.pop(future)
-                    failure = self._absorb(executor, future, attempt, pending, results)
-                    if failure is not None:
-                        break
-                if failure is None:
-                    failure = self._police(executor, pending, results, speculated)
-            if failure is not None:
-                raise failure
-        except BaseException:
-            # Fan-out: stop the surviving siblings at their next guard
-            # checkpoint.  Threads cannot be killed, so the shutdown
-            # below does not wait on them; they observe the cancelled
-            # token and die with a QueryCancelledError nobody reads.
-            siblings.cancel()
-            raise
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-        outputs = [results[index][0] for index in range(parts)]
-        return self._merge(outputs)
 
     def _absorb(
         self,
@@ -519,7 +502,7 @@ class _Supervisor:
         future: Future,
         attempt: _Attempt,
         pending: dict[Future, _Attempt],
-        results: dict[int, tuple[BaseSequence, ExecutionCounters]],
+        results: dict[int, BaseSequence],
     ) -> Optional[BaseException]:
         """Fold one completed attempt into the run; classify failures.
 
@@ -540,12 +523,12 @@ class _Supervisor:
         error = future.exception()
         if error is None:
             output, worker_counters = future.result()
-            results[index] = (output, worker_counters)
+            results[index] = output
             self.counters.merge_from(worker_counters)
             self.counters.partitions_executed += 1
             self._observe_lane(worker_counters, attempt.dispatched_at)
-            if self.guard is not None and self.pool == "process":
-                # Process workers cannot share the guard object; charge
+            if self.guard is not None and self.in_process:
+                # Process lanes cannot share the guard object; charge
                 # their emissions at the partition boundary instead.
                 self.guard.note_records(worker_counters.records_emitted)
             self._close_span(
@@ -585,7 +568,7 @@ class _Supervisor:
         self,
         executor: Executor,
         pending: dict[Future, _Attempt],
-        results: dict[int, tuple[BaseSequence, ExecutionCounters]],
+        results: dict[int, BaseSequence],
         speculated: set[int],
     ) -> Optional[BaseException]:
         """Between completions: guard checkpoint + straggler watch.
@@ -599,7 +582,8 @@ class _Supervisor:
                 self.guard.checkpoint()
             except QueryGuardError as verdict:
                 return verdict
-        if self.straggler_timeout is None:
+        soft_timeout = self.options.straggler_timeout
+        if soft_timeout is None:
             return None
         now = self.clock()
         youngest: dict[int, float] = {}
@@ -610,15 +594,13 @@ class _Supervisor:
             if known is None or attempt.dispatched_at > known:
                 youngest[attempt.index] = attempt.dispatched_at
         for index, dispatched_at in sorted(youngest.items()):
-            if now - dispatched_at <= self.straggler_timeout:
+            if now - dispatched_at <= soft_timeout:
                 continue
             if index not in speculated:
                 speculated.add(index)
                 self.counters.stragglers_redispatched += 1
                 self._event(
-                    "parallel:straggler",
-                    partition=index,
-                    soft_timeout=self.straggler_timeout,
+                    "parallel:straggler", partition=index, soft_timeout=soft_timeout
                 )
                 try:
                     self._submit(executor, index, 2, pending)
@@ -626,74 +608,82 @@ class _Supervisor:
                     return error
             else:
                 return QueryTimeoutError(
-                    f"partition {index} missed its {self.straggler_timeout:g}s "
+                    f"partition {index} missed its {soft_timeout:g}s "
                     "straggler deadline twice (original and speculative "
                     "re-dispatch); declaring the query timed out",
-                    timeout_seconds=self.straggler_timeout,
+                    timeout_seconds=soft_timeout,
                     elapsed_seconds=now - dispatched_at,
                 )
         return None
+
+
+def supervise(
+    root: PhysicalPlan,
+    certificate: PartitionCertificate,
+    options: ExecOptions,
+    counters: ExecutionCounters,
+    guard: Optional[QueryGuard] = None,
+    tracer: Optional[Tracer] = None,
+    hists: Optional[HistogramSet] = None,
+    *,
+    retry: RetryPolicy = DEFAULT_PARTITION_RETRY,
+    clock: Callable[[], float] = time.monotonic,
+) -> BaseSequence:
+    """Run a checked certificate's partitions under already-validated options.
+
+    What :func:`execute_parallel` and the engine's parallel rung share:
+    the caller has validated ``options``, vouches for the
+    (plan, certificate) pair, and has armed the guard.
+    """
+    return _Supervisor(
+        root, certificate, options, counters, guard, tracer, hists, retry, clock
+    ).run()
 
 
 def execute_parallel(
     plan: "PhysicalPlan | OptimizedPlan",
     certificate: PartitionCertificate,
     *,
-    workers: int,
-    pool: str = "thread",
-    mode: str = "batch",
-    batch_size: int = DEFAULT_BATCH_SIZE,
     counters: Optional[ExecutionCounters] = None,
     partition_counters: Optional[PartitionCounters] = None,
     guard: Optional[QueryGuard] = None,
     tracer: Optional[Tracer] = None,
-    retry: Optional[RetryPolicy] = None,
-    straggler_timeout: Optional[float] = None,
+    retry: RetryPolicy = DEFAULT_PARTITION_RETRY,
     clock: Callable[[], float] = time.monotonic,
     verify: bool = True,
     hists: Optional[HistogramSet] = None,
+    **options: Any,
 ) -> BaseSequence:
-    """Execute a certified plan across a worker pool, merging in order.
+    """Execute a certified plan across worker lanes, merging in order.
 
-    The parallel counterpart of
-    :func:`~repro.execution.partition.execute_partitioned`: identical
-    answers, identical refusal discipline (unchecked certificates are
-    re-verified first), plus the supervisor's fault containment,
-    cancellation fan-out, shared budgets, and straggler handling (see
-    the module docstring for the full contract).
+    Unchecked certificates are re-verified first; on top of that come
+    the supervisor's fault containment, cancellation fan-out, shared
+    budgets, and straggler handling (see the module docstring for the
+    full contract).
 
     Args:
         plan: the stream-mode physical plan (or optimizer output) the
             certificate was issued for.
         certificate: a checked :class:`PartitionCertificate`; its
-            partition count is independent of ``workers`` (more
-            partitions than workers queue onto free lanes).
-        workers: worker-lane count; ``1`` executes inline on the
-            calling thread with the same supervisor semantics.
-        pool: ``"thread"`` (default) or ``"process"``.  Process workers
-            cannot share the guard, token, or tracer; budgets are
-            enforced at partition granularity and per-partition spans
-            carry no operator children.
-        mode: per-partition execution mode (``"batch"`` or ``"row"``).
-        batch_size: positions per batch in batch mode.
-        counters: execution counters; workers merge into them through
+            partition count is independent of the lane count (more
+            partitions than lanes queue onto free lanes).
+        counters: execution counters; lanes merge into them through
             private per-attempt sets.
         partition_counters: partition-analysis counters charged by the
             certificate re-verification.
-        guard: shared query governor.  Thread workers observe it at
+        guard: shared query governor.  Thread lanes observe it at
             every checkpoint (it is thread-safe); for the parallel
             section its cancellation token is *linked*, not replaced,
-            so caller cancellation reaches workers while sibling
-            fan-out never marks the caller's token.
+            so caller cancellation reaches lanes while sibling
+            fan-out never marks the caller's token.  Process lanes
+            cannot share it: their budgets are enforced at partition
+            granularity.
         tracer: optional span tracer; the run records a ``parallel``
             span with one ``partition`` child span per attempt and
-            ``parallel:retry`` / ``parallel:straggler`` events.
+            ``parallel:retry`` / ``parallel:straggler`` events (process
+            lanes' partition spans carry no operator children).
         retry: per-partition containment budget (default: the first
             dispatch plus one retry).
-        straggler_timeout: soft per-partition seconds before one
-            speculative re-dispatch; a partition still unanswered one
-            soft timeout later raises
-            :class:`~repro.errors.QueryTimeoutError`.  None disables.
         clock: injectable time source for the straggler watch.
         verify: re-verify the certificate first (default).  Disable
             only when the caller just checked this exact pair.
@@ -703,82 +693,54 @@ def execute_parallel(
             ``partition.batches``), mirroring the counter merge: one
             private set per winning attempt, merged on the supervising
             thread only.
+        **options: the execution knobs of
+            :class:`~repro.execution.options.ExecOptions`.  ``mode`` and
+            ``batch_size`` apply per partition; ``workers`` lanes
+            (one lane executes on the calling thread) of the ``pool``
+            kind; ``straggler_timeout`` arms the speculative
+            re-dispatch, after which a partition still unanswered one
+            soft timeout later raises
+            :class:`~repro.errors.QueryTimeoutError`.
 
     Raises:
-        ExecutionError: for invalid knobs (unknown pool, non-positive
-            workers or straggler timeout).
+        ExecutionError: for an invalid or unknown knob, before the
+            certificate is checked or any page is read.
         PartitionSoundnessError: when ``verify`` finds the certificate
             unsound — never silently partitioned.
         ParallelExecutionError: pool-spawn failure or untyped worker
             death (the degradation ladder catches exactly this).
-        ReproError: any typed verdict from a worker, unchanged.
+        ReproError: any typed verdict from a lane, unchanged.
     """
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ExecutionError(
-            f"parallel workers must be a positive integer, got {workers!r}"
-        )
-    if pool not in POOL_KINDS:
-        raise ExecutionError(
-            f"unknown worker pool {pool!r}; expected one of {POOL_KINDS}"
-        )
-    if straggler_timeout is not None and not straggler_timeout > 0:
-        raise ExecutionError(
-            f"straggler timeout must be > 0 seconds, got {straggler_timeout!r}"
-        )
+    checked = ExecOptions.of(options, guard)
     root = plan.plan if isinstance(plan, OptimizedPlan) else plan
     if verify:
         require_certificate(root, certificate, counters=partition_counters)
     counters = counters if counters is not None else ExecutionCounters()
-    if not active(tracer):
-        tracer = None
     if guard is not None:
         guard.start()
-        _watch_plan_storage(root, guard)
-    supervisor = _Supervisor(
-        root,
-        certificate,
-        workers=workers,
-        pool=pool,
-        mode=mode,
-        batch_size=batch_size,
-        counters=counters,
-        guard=guard,
-        tracer=tracer,
-        retry=retry if retry is not None else DEFAULT_PARTITION_RETRY,
-        straggler_timeout=straggler_timeout,
-        clock=clock,
-        hists=hists,
+        for disk in stored_leaf_counters(root):
+            guard.watch_storage(disk)
+    return supervise(
+        root, certificate, checked, counters, guard, tracer, hists, retry=retry, clock=clock
     )
-    parallel_span = None
-    if tracer is not None:
-        parallel_span = tracer.begin(
-            "parallel",
-            CATEGORY_ENGINE,
-            attrs={
-                "workers": workers,
-                "parts": len(certificate.partitions),
-                "pool": pool,
-                "mode": mode,
-            },
-        )
-        supervisor.parallel_span = parallel_span
-    try:
-        if workers == 1 or len(certificate.partitions) == 1:
-            return supervisor.run_inline()
-        siblings = CancellationToken(
-            parent=guard.cancellation if guard is not None else None
-        )
-        if guard is not None:
-            original = guard.cancellation
-            guard.cancellation = siblings
-            try:
-                return supervisor.run_pooled(siblings)
-            finally:
-                guard.cancellation = original
-        supervisor.guard = QueryGuard(cancellation=siblings)
-        supervisor.guard.start()
-        return supervisor.run_pooled(siblings)
-    finally:
-        if tracer is not None and parallel_span is not None:
-            parallel_span.attrs["partitions_executed"] = counters.partitions_executed
-            tracer.end(parallel_span)
+
+
+def execute_partitioned(
+    plan: "PhysicalPlan | OptimizedPlan",
+    certificate: PartitionCertificate,
+    **kwargs: Any,
+) -> BaseSequence:
+    """Execute a certified plan partition by partition on one lane.
+
+    The differential harness's engine half: :func:`execute_parallel`
+    with ``workers`` defaulting to 1, so the partitions run strictly in
+    sequence on the calling thread.  It is deliberately hostile to
+    unsound certificates — the certificate is re-verified before
+    anything opens, every subplan node is narrowed to its certified
+    span and every stored leaf of a multi-partition run is physically
+    sliced (:func:`~repro.execution.partition.partition_plan`), so an
+    understated halo shows up as a wrong boundary answer instead of
+    silently reading the neighbour partition's data.
+    """
+    kwargs.setdefault("workers", 1)
+    return execute_parallel(plan, certificate, **kwargs)

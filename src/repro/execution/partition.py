@@ -1,11 +1,12 @@
-"""Certified partitioned execution: the differential harness's engine half.
+"""Certified partitioning: narrow a plan to one range, merge the answers.
 
 This module consumes :class:`~repro.analysis.partition.PartitionCertificate`
-artifacts and executes a plan partition by partition, *sequentially* —
-it exists to prove the analysis sound before any parallel runtime does,
-and to be the span-bounded subplan open path that runtime will reuse.
+artifacts: :func:`partition_plan` is the span-bounded subplan open path
+the supervisor (:mod:`repro.execution.parallel`) prepares every
+partition with, and :func:`merge_partitions` is its position-ordered
+merge.
 
-The execution of one partition is deliberately hostile to unsound
+The subplan of one partition is deliberately hostile to unsound
 certificates:
 
 * every plan node of the per-partition subplan has its span narrowed to
@@ -24,8 +25,8 @@ unpartitioned answer; if they are understated, boundary outputs see
 nulls where records should be and the differential tests fail loudly.
 
 Uncertified plans are never silently partitioned:
-:func:`execute_partitioned` re-verifies the certificate through the
-independent checker before opening anything.
+:func:`~repro.execution.parallel.execute_partitioned` re-verifies the
+certificate through the independent checker before opening anything.
 """
 
 from __future__ import annotations
@@ -35,22 +36,13 @@ from typing import Optional
 
 from repro.algebra.leaves import SequenceLeaf
 from repro.analysis.base import plan_paths
-from repro.analysis.partition import (
-    PartitionCertificate,
-    PartitionCounters,
-    PartitionRange,
-    require_certificate,
-)
+from repro.analysis.partition import PartitionCertificate, PartitionRange
 from repro.errors import ExecutionError
-from repro.execution.counters import ExecutionCounters
-from repro.execution.engine import DEFAULT_BATCH_SIZE, execute_plan
-from repro.execution.guard import QueryGuard
 from repro.model.base import BaseSequence
 from repro.model.record import Record
 from repro.model.span import Span
 from repro.model.sequence import Sequence
-from repro.obs.tracer import CATEGORY_ENGINE, Tracer, maybe_span
-from repro.optimizer.plans import OptimizedPlan, PhysicalPlan
+from repro.optimizer.plans import PhysicalPlan
 
 
 def slice_sequence(sequence: Sequence, span: Span) -> BaseSequence:
@@ -156,69 +148,3 @@ def merge_partitions(
     if schema is None:
         raise ExecutionError("cannot merge zero partition outputs")
     return BaseSequence.unchecked(schema, pairs, span=certificate.root_span)
-
-
-def execute_partitioned(
-    plan: "PhysicalPlan | OptimizedPlan",
-    certificate: PartitionCertificate,
-    *,
-    mode: str = "batch",
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    counters: Optional[ExecutionCounters] = None,
-    partition_counters: Optional[PartitionCounters] = None,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-    verify: bool = True,
-) -> BaseSequence:
-    """Execute a plan partition by partition and merge in position order.
-
-    Args:
-        plan: the stream-mode physical plan (or optimizer output) the
-            certificate was issued for.
-        certificate: a :class:`PartitionCertificate` for ``plan``.
-        mode: per-partition execution mode (``"batch"`` or ``"row"``).
-        batch_size: positions per batch in batch mode.
-        counters: execution counters shared across all partitions.
-        partition_counters: partition-analysis counters charged by the
-            certificate check.
-        guard: per-query governor, enforced inside every partition's
-            execution (one budget for the whole query, not one per
-            partition).
-        tracer: optional span tracer; each partition runs under its own
-            ``partition`` span.
-        verify: re-verify the certificate through the independent
-            checker first (default).  Disable only when the caller has
-            already checked this exact (plan, certificate) pair.
-
-    Raises:
-        PartitionSoundnessError: when ``verify`` is set and the
-            certificate fails re-verification — the plan is rejected,
-            never silently partitioned.
-    """
-    root = plan.plan if isinstance(plan, OptimizedPlan) else plan
-    if verify:
-        require_certificate(root, certificate, counters=partition_counters)
-    counters = counters if counters is not None else ExecutionCounters()
-    paths = plan_paths(root)
-    outputs: list[BaseSequence] = []
-    for partition in certificate.partitions:
-        subplan = partition_plan(root, partition, paths)
-        with maybe_span(
-            tracer,
-            "partition",
-            CATEGORY_ENGINE,
-            index=partition.index,
-            window=str(partition.window),
-        ):
-            outputs.append(
-                execute_plan(
-                    subplan,
-                    partition.window,
-                    counters,
-                    mode=mode,
-                    batch_size=batch_size,
-                    guard=guard,
-                    tracer=tracer,
-                )
-            )
-    return merge_partitions(outputs, certificate)

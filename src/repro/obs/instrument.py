@@ -31,6 +31,7 @@ from typing import Iterator, Optional
 from repro.errors import QueryGuardError
 from repro.obs.tracer import CATEGORY_OPERATOR, Tracer, TraceSpan
 from repro.optimizer.plans import PhysicalPlan
+from repro.storage.counters import StorageCounters
 
 _SENTINEL = object()
 
@@ -57,14 +58,26 @@ def operator_attrs(plan: PhysicalPlan) -> dict:
     }
 
 
-def leaf_storage(plan: PhysicalPlan):
-    """The storage counters behind a leaf plan node, if it is stored."""
-    node = plan.node
-    sequence = getattr(node, "sequence", None)
-    counters = getattr(sequence, "counters", None)
-    if counters is not None and hasattr(counters, "page_reads"):
-        return counters
-    return None
+def stored_leaf_counters(plan: PhysicalPlan) -> Iterator[StorageCounters]:
+    """The distinct disk counters behind ``plan``'s stored leaves, in plan order.
+
+    The one walk every consumer shares: the guard's ``max_pages``
+    registration, the flight recorder's pages-read delta, and — on a
+    single leaf node — the operator span's storage watch.
+    """
+    seen: list[StorageCounters] = []
+
+    def walk(node: PhysicalPlan) -> Iterator[StorageCounters]:
+        counters = getattr(getattr(node.node, "sequence", None), "counters", None)
+        if isinstance(counters, StorageCounters) and all(
+            counters is not known for known in seen
+        ):
+            seen.append(counters)
+            yield counters
+        for child in node.children:
+            yield from walk(child)
+
+    return walk(plan)
 
 
 def _fault_trace(plan: PhysicalPlan):
@@ -81,7 +94,11 @@ class _StorageWatch:
     __slots__ = ("counters", "fault_trace", "_pages", "_hits", "_retries", "_faults")
 
     def __init__(self, plan: PhysicalPlan):
-        self.counters = leaf_storage(plan)
+        # Only a leaf has disk counters of its own; an inner operator's
+        # I/O is its leaves', attributed once, on their spans.
+        self.counters = (
+            None if plan.children else next(stored_leaf_counters(plan), None)
+        )
         self.fault_trace = _fault_trace(plan)
         self._pages = self._hits = self._retries = 0
         self._faults = 0

@@ -1,10 +1,21 @@
 """Tests for the command-line interface."""
 
+import argparse
 import io
 
 import pytest
 
-from repro.cli import main
+from dataclasses import fields
+
+from repro.cli import (
+    add_exec_options,
+    build_parser,
+    build_profile_parser,
+    build_stats_parser,
+    build_trace_parser,
+    main,
+)
+from repro.execution import ExecOptions
 from repro.io import write_csv
 from repro.workloads import StockSpec, WeatherSpec, generate_stock, generate_weather
 from repro.model import Span
@@ -108,6 +119,44 @@ class TestCli:
         code, text = run_cli("--load", f"prices={path}", "select(prices,")
         assert code == 1
         assert "error:" in text
+
+
+class TestExecutionFlagParity:
+    """run/trace/profile/stats take the same execution flags (ExecOptions)."""
+
+    PARSERS = {
+        "run": build_parser,
+        "trace": build_trace_parser,
+        "profile": build_profile_parser,
+        "stats": build_stats_parser,
+    }
+
+    @staticmethod
+    def flags_of(parser):
+        words = parser.format_help().split()
+        return {word.rstrip(",") for word in words if word.startswith("--")}
+
+    def test_run_style_subcommands_share_the_execution_flags(self):
+        knobs = {"--" + spec.name.replace("_", "-") for spec in fields(ExecOptions)}
+        bare = argparse.ArgumentParser(add_help=False)
+        add_exec_options(bare)
+        shared = self.flags_of(bare)
+        # Every execution flag is an ExecOptions field ...
+        assert shared and shared <= knobs
+        # ... and each run-style subcommand exposes exactly that set, so
+        # a knob cannot be added (by hand) to one subcommand only.
+        for command, build in self.PARSERS.items():
+            assert self.flags_of(build()) & knobs == shared, command
+
+    def test_trace_accepts_the_parallel_flags(self, prices_csv, tmp_path):
+        path, _sequence = prices_csv
+        code, text = run_cli(
+            "trace", "--load", f"prices={path}", "--out", str(tmp_path / "t.json"),
+            "--parallel", "force", "--workers", "2",
+            "window(prices, avg, close, 6)",
+        )
+        assert code == 0, text
+        assert "traced" in text
 
 
 class TestCheckCli:

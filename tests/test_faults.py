@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-import repro.execution.engine as engine_module
+import repro.execution.lane as lane_module
 from repro.errors import (
     CorruptPageError,
     ExecutionError,
@@ -22,15 +22,20 @@ from repro.errors import (
 )
 from repro.algebra import base, col
 from repro.catalog import Catalog
+from repro.analysis.partition import certify
 from repro.execution import (
     CancellationToken,
+    ExecOptions,
     ExecutionCounters,
     QueryGuard,
+    execute_parallel,
+    execute_partitioned,
+    execute_plan,
     run_query,
     run_query_detailed,
-    validate_execution_args,
 )
 from repro.model import Span
+from repro.optimizer import optimize
 from repro.storage import (
     BufferPool,
     FaultPlan,
@@ -433,40 +438,103 @@ class TestQueryGuard:
         assert info.value.records_emitted == guard.records_emitted > 0
 
 
+# The one table of bad knobs (DESIGN §9): the ``ExecOptions``
+# constructor refuses every row, and so does every entry point that
+# takes execution knobs — with a typed error, before any work.
+BAD_MODE_OR_BATCH_SIZE = [
+    dict(mode="turbo"),
+    dict(batch_size=0),
+    dict(batch_size=-3),
+    dict(batch_size=True),
+    dict(batch_size=2.5),
+]
+BAD_PARALLEL_KNOBS = [
+    dict(parallel="sideways"),
+    dict(pool="fiber"),
+    dict(workers=0),
+    dict(workers=-1),
+    dict(workers=True),
+    dict(workers=1.0),
+    dict(straggler_timeout="1"),
+    dict(straggler_timeout=True),
+    dict(straggler_timeout=-1.0),
+    dict(straggler_timeout=0),
+    dict(turbo=True),  # an unknown option name
+]
+BAD_GUARD_BUDGETS = [
+    dict(timeout=0),
+    dict(timeout=-1.0),
+    dict(max_pages=0),
+    dict(max_records=-5),
+    dict(max_cache_entries=True),
+    dict(check_stride=0),
+]
+BAD_KNOBS = (
+    [(bad, None) for bad in BAD_MODE_OR_BATCH_SIZE + BAD_PARALLEL_KNOBS]
+    + [({}, budgets) for budgets in BAD_GUARD_BUDGETS]
+)
+
+
+def _knob_id(case):
+    options, budgets = case
+    ((name, value),) = (budgets or options).items()
+    return f"{'guard.' if budgets else ''}{name}={value!r}"
+
+
+@pytest.fixture(scope="module")
+def knob_target():
+    """A stored, certifiable workload every entry point can be aimed at."""
+    stored = make_stored()
+    catalog = Catalog()
+    catalog.register(stored.name, stored)
+    query = window_query(stored)
+    plan = optimize(query, catalog=catalog).plan
+    return stored, catalog, query, plan, certify(plan, 2)
+
+
+ENTRY_POINTS = {
+    "execute_plan": lambda t, counters, **kw: execute_plan(
+        t[3].plan, t[3].output_span, counters, **kw
+    ),
+    "run_query": lambda t, counters, **kw: run_query(t[2], catalog=t[1], **kw),
+    "run_query_detailed": lambda t, counters, **kw: run_query_detailed(
+        t[2], catalog=t[1], **kw
+    ),
+    "execute_parallel": lambda t, counters, **kw: execute_parallel(
+        t[3], t[4], counters=counters, **kw
+    ),
+    "execute_partitioned": lambda t, counters, **kw: execute_partitioned(
+        t[3], t[4], counters=counters, **kw
+    ),
+}
+
+
 class TestBoundaryValidation:
     """Bad knobs fail fast, before the optimizer or executor runs."""
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(mode="turbo"),
-            dict(batch_size=0),
-            dict(batch_size=-3),
-            dict(batch_size=True),
-            dict(batch_size=2.5),
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", BAD_MODE_OR_BATCH_SIZE)
     def test_bad_mode_or_batch_size(self, kwargs):
-        merged = dict(mode="batch", batch_size=64, guard=None)
-        merged.update(kwargs)
         with pytest.raises(ExecutionError):
-            validate_execution_args(**merged)
+            ExecOptions(**kwargs)
 
-    @pytest.mark.parametrize(
-        "guard_kwargs",
-        [
-            dict(timeout=0),
-            dict(timeout=-1.0),
-            dict(max_pages=0),
-            dict(max_records=-5),
-            dict(max_cache_entries=True),
-            dict(check_stride=0),
-        ],
-    )
+    @pytest.mark.parametrize("guard_kwargs", BAD_GUARD_BUDGETS)
     def test_bad_guard_budgets(self, guard_kwargs):
-        guard = QueryGuard(**guard_kwargs)
         with pytest.raises(ExecutionError):
-            validate_execution_args("batch", 64, guard)
+            ExecOptions.of({}, QueryGuard(**guard_kwargs))
+
+    @pytest.mark.parametrize("case", BAD_KNOBS, ids=_knob_id)
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_typed_error_closure(self, knob_target, entry, case):
+        """Every entry point × every bad knob: typed, and before any work."""
+        options, budgets = case
+        stored = knob_target[0]
+        counters = ExecutionCounters()
+        guard = QueryGuard(**budgets) if budgets else None
+        pages_before = stored.counters.page_reads
+        with pytest.raises(ExecutionError):
+            ENTRY_POINTS[entry](knob_target, counters, guard=guard, **options)
+        assert stored.counters.page_reads == pages_before
+        assert counters.as_dict() == ExecutionCounters().as_dict()
 
     def test_run_query_rejects_before_any_work(self):
         stored = make_stored()
@@ -485,7 +553,7 @@ class TestFallback:
         def explode(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(engine_module, "build_batch_stream", explode)
+        monkeypatch.setattr(lane_module, "build_batch_stream", explode)
 
     def test_falls_back_to_row_oracle(self, monkeypatch, reference_answers):
         self._broken_batch(monkeypatch, ExecutionError("synthetic batch bug"))
@@ -503,6 +571,14 @@ class TestFallback:
         self._broken_batch(monkeypatch, ExecutionError("synthetic batch bug"))
         with pytest.raises(ExecutionError):
             run_on(make_stored(), mode="batch")
+
+    def test_row_mode_has_no_rung_below(self, monkeypatch):
+        def explode(*args, **kwargs):
+            raise ExecutionError("synthetic row bug")
+
+        monkeypatch.setattr(lane_module, "build_stream", explode)
+        with pytest.raises(ExecutionError, match="synthetic row bug"):
+            run_on(make_stored(), mode="row", fallback=True)
 
     def test_guard_verdicts_are_never_swallowed(self, monkeypatch):
         self._broken_batch(
@@ -534,7 +610,7 @@ class TestFallback:
             raise ExecutionError("mid-flight batch bug")
             yield  # pragma: no cover
 
-        monkeypatch.setattr(engine_module, "build_batch_stream", partial_failure)
+        monkeypatch.setattr(lane_module, "build_batch_stream", partial_failure)
         stored = make_stored()
         catalog = Catalog()
         catalog.register(stored.name, stored)

@@ -19,7 +19,7 @@ import json
 
 import pytest
 
-import repro.execution.engine as engine_module
+import repro.execution.lane as lane_module
 from repro.errors import ExecutionError, ReproError, TraceFormatError
 from repro.algebra import base, col, lit
 from repro.catalog import Catalog
@@ -442,7 +442,7 @@ class TestTracedExecution:
             raise ExecutionError("synthetic batch bug")
             yield  # pragma: no cover
 
-        monkeypatch.setattr(engine_module, "build_batch_stream", broken)
+        monkeypatch.setattr(lane_module, "build_batch_stream", broken)
         query, catalog, _ = make_stored_query()
         tracer = Tracer()
         result = run_query_detailed(
@@ -458,6 +458,7 @@ class TestTracedExecution:
         fallback_events = [e for e in root_span.events if e.name == "fallback"]
         assert len(fallback_events) == 1
         assert fallback_events[0].attrs["error"] == "ExecutionError"
+        assert fallback_events[0].attrs["rung"] == "row-oracle"
 
 
 # -- EXPLAIN ANALYZE ---------------------------------------------------------

@@ -18,10 +18,12 @@ Five halves:
   (exact answer or typed error, never a wrong answer), and seeded
   fault traces are identical across worker counts because partition
   preparation is serial;
-* **the ladder** — ``parallel="auto"`` degrades parallel →
-  sequential-partitioned → row oracle on infrastructure failures,
-  charging ``parallel_fallbacks`` and tracing ``parallel:fallback``,
-  while ``force`` raises the typed refusal instead.
+* **the ladder** — ``parallel="auto"`` degrades parallel → the
+  requested mode on the calling thread → (with ``fallback``) the row
+  oracle, charging ``parallel_fallbacks`` / ``fallbacks_taken`` and
+  tracing ``parallel:fallback`` / ``fallback``, while ``force`` raises
+  the typed refusal instead.  (Bad knobs: the closure table in
+  ``tests/test_faults.py``.)
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ import threading
 
 import pytest
 
+import repro.execution.lane as lane
 import repro.execution.parallel as par
-import repro.execution.partition as part
 from repro.algebra import base
 from repro.analysis.partition import PartitionSoundnessError, certify
 from repro.catalog import Catalog
@@ -51,7 +53,6 @@ from repro.execution import (
     execute_parallel,
     execute_plan,
     run_query,
-    validate_execution_args,
 )
 from repro.lang import compile_query
 from repro.model import Span
@@ -141,26 +142,6 @@ class TestEquivalence:
         with pytest.raises(PartitionSoundnessError):
             execute_parallel(other, certificate, workers=2)
 
-    def test_knob_validation(self, certified):
-        plan, certificate, _oracle = certified
-        for workers in (0, -1, True, 1.5):
-            with pytest.raises(ExecutionError):
-                execute_parallel(plan, certificate, workers=workers)
-        with pytest.raises(ExecutionError):
-            execute_parallel(plan, certificate, workers=2, pool="fiber")
-        with pytest.raises(ExecutionError):
-            execute_parallel(plan, certificate, workers=2, straggler_timeout=0)
-
-    def test_engine_knob_validation(self):
-        with pytest.raises(ExecutionError):
-            validate_execution_args("batch", 64, None, "sideways")
-        with pytest.raises(ExecutionError):
-            validate_execution_args("batch", 64, None, "auto", 0)
-        with pytest.raises(ExecutionError):
-            validate_execution_args("batch", 64, None, "auto", 2, "fiber")
-        with pytest.raises(ExecutionError):
-            validate_execution_args("batch", 64, None, "auto", 2, "thread", -1.0)
-
 
 class TestContainment:
     """Per-partition fault containment and the retry accounting."""
@@ -171,14 +152,14 @@ class TestContainment:
         lock = threading.Lock()
         failed: list[int] = []
 
-        def flaky(subplan, window, mode, batch_size, guard, tracer):
+        def flaky(subplan, window, options, guard, tracer):
             with lock:
                 inject = not failed and window.start not in failed
                 if inject:
                     failed.append(window.start)
             if inject:
                 raise TransientStorageError("injected transient worker fault")
-            return real(subplan, window, mode, batch_size, guard, tracer)
+            return real(subplan, window, options, guard, tracer)
 
         monkeypatch.setattr(par, "_execute_partition", flaky)
         answer, counters = run_parallel(certified, workers=workers)
@@ -188,7 +169,7 @@ class TestContainment:
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_transient_budget_exhausted_raises(self, certified, workers, monkeypatch):
-        def always(subplan, window, mode, batch_size, guard, tracer):
+        def always(subplan, window, options, guard, tracer):
             raise TransientStorageError("injected persistent transient fault")
 
         monkeypatch.setattr(par, "_execute_partition", always)
@@ -202,7 +183,7 @@ class TestContainment:
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_permanent_fault_fails_fast(self, certified, workers, monkeypatch):
-        def doomed(subplan, window, mode, batch_size, guard, tracer):
+        def doomed(subplan, window, options, guard, tracer):
             raise PermanentStorageError("injected lost page")
 
         monkeypatch.setattr(par, "_execute_partition", doomed)
@@ -214,10 +195,10 @@ class TestContainment:
     def test_untyped_worker_death_is_typed(self, certified, monkeypatch):
         real = par._execute_partition
 
-        def dying(subplan, window, mode, batch_size, guard, tracer):
+        def dying(subplan, window, options, guard, tracer):
             if window.start == certified[1].partitions[1].window.start:
                 raise ValueError("worker bug, not a typed fault")
-            return real(subplan, window, mode, batch_size, guard, tracer)
+            return real(subplan, window, options, guard, tracer)
 
         monkeypatch.setattr(par, "_execute_partition", dying)
         with pytest.raises(ParallelExecutionError) as excinfo:
@@ -244,14 +225,14 @@ class TestSupervision:
         lock = threading.Lock()
         attempts: list[int] = []
 
-        def stub(subplan, window, mode, batch_size, guard, tracer):
+        def stub(subplan, window, options, guard, tracer):
             if window.start == slow_start:
                 with lock:
                     attempts.append(window.start)
                     first = len(attempts) == 1
                 if first:
                     gate.wait(10.0)
-            return real(subplan, window, mode, batch_size, guard, tracer)
+            return real(subplan, window, options, guard, tracer)
 
         monkeypatch.setattr(par, "_execute_partition", stub)
         try:
@@ -270,10 +251,10 @@ class TestSupervision:
         gate = threading.Event()
         real = par._execute_partition
 
-        def stub(subplan, window, mode, batch_size, guard, tracer):
+        def stub(subplan, window, options, guard, tracer):
             if window.start == slow_start:
                 gate.wait(10.0)
-            return real(subplan, window, mode, batch_size, guard, tracer)
+            return real(subplan, window, options, guard, tracer)
 
         monkeypatch.setattr(par, "_execute_partition", stub)
         counters = ExecutionCounters()
@@ -294,10 +275,10 @@ class TestSupervision:
         real = par._execute_partition
         bad_start = certified[1].partitions[1].window.start
 
-        def dying(subplan, window, mode, batch_size, guard, tracer):
+        def dying(subplan, window, options, guard, tracer):
             if window.start == bad_start:
                 raise ValueError("boom")
-            return real(subplan, window, mode, batch_size, guard, tracer)
+            return real(subplan, window, options, guard, tracer)
 
         monkeypatch.setattr(par, "_execute_partition", dying)
         token = CancellationToken()
@@ -428,9 +409,11 @@ class TestChaosParallel:
 
 
 class TestLadder:
-    """The engine's parallel degradation ladder (DESIGN §14)."""
+    """The engine's one degradation ladder (DESIGN §9)."""
 
-    def ladder_run(self, table1, source, **kwargs):
+    SOURCE = "window(ibm, avg, close, 6, ma6)"
+
+    def ladder_run(self, table1, source, guard=None, **kwargs):
         catalog, _sequences = table1
         plan = optimized(source, catalog)
         counters = ExecutionCounters()
@@ -440,24 +423,52 @@ class TestLadder:
             plan.output_span,
             counters,
             tracer=tracer,
+            guard=guard,
             workers=2,
             **kwargs,
         )
         return plan, answer, counters, tracer
 
-    def fallback_events(self, tracer):
-        # Degraded rungs open nested per-partition "execute" spans;
-        # the ladder's events land on the parentless root.
+    def clean_run(self, table1, mode):
+        """Counters and guard record count of an undegraded run."""
+        catalog, _sequences = table1
+        plan = optimized(self.SOURCE, catalog)
+        counters, guard = ExecutionCounters(), QueryGuard()
+        execute_plan(plan.plan, plan.output_span, counters, mode=mode, guard=guard)
+        return counters, guard.records_emitted
+
+    def events(self, tracer, name="parallel:fallback"):
+        # Partition lanes open nested "execute" spans; the ladder's
+        # events land on the parentless root.
         root = next(s for s in tracer.find("execute") if s.parent_id is None)
-        return [e for e in root.events if e.name == "parallel:fallback"]
+        return [e for e in root.events if e.name == name]
+
+    def break_pool(self, monkeypatch):
+        """Make the parallel rung fail with an infrastructure error."""
+
+        def refuse(*args, **kwargs):
+            raise OSError("cannot allocate thread")
+
+        monkeypatch.setattr(par, "ThreadPoolExecutor", refuse)
+
+    def break_batch(self, monkeypatch):
+        """Make every batch-mode drain fail after charging some work."""
+
+        def broken(plan, window, counters, batch_size, guard=None, tracer=None):
+            counters.batches_built += 3
+            raise ExecutionError("synthetic batch bug")
+            yield  # pragma: no cover
+
+        monkeypatch.setattr(lane, "build_batch_stream", broken)
 
     def test_auto_runs_parallel_when_certifiable(self, table1):
-        plan, answer, counters, _tracer = self.ladder_run(
-            table1, "window(ibm, avg, close, 6, ma6)", parallel="auto"
+        plan, answer, counters, tracer = self.ladder_run(
+            table1, self.SOURCE, parallel="auto"
         )
         assert list(answer.iter_nonnull()) == row_oracle(plan)
         assert counters.partitions_executed == 2
-        assert counters.parallel_fallbacks == 0
+        assert counters.parallel_fallbacks == counters.fallbacks_taken == 0
+        assert not self.events(tracer) and not self.events(tracer, "fallback")
 
     def test_auto_refusal_degrades_to_single_thread(self, table1):
         plan, answer, counters, tracer = self.ladder_run(
@@ -466,8 +477,9 @@ class TestLadder:
         assert list(answer.iter_nonnull()) == row_oracle(plan)
         assert counters.partitions_executed == 0
         assert counters.parallel_fallbacks == 1
-        events = self.fallback_events(tracer)
+        events = self.events(tracer)
         assert [e.attrs["rung"] for e in events] == ["single-thread"]
+        assert events[0].attrs["error"] == "PartitionSoundnessError"
 
     def test_force_refusal_raises_typed(self, table1):
         with pytest.raises(PartitionSoundnessError) as excinfo:
@@ -475,52 +487,73 @@ class TestLadder:
         assert "not parallel-decomposable" in str(excinfo.value)
 
     def test_infrastructure_failure_degrades_sequential(self, table1, monkeypatch):
-        def broken(*args, **kwargs):
-            raise ParallelExecutionError("pool lost")
-
-        monkeypatch.setattr(par, "execute_parallel", broken)
-        plan, answer, counters, tracer = self.ladder_run(
-            table1, "window(ibm, avg, close, 6, ma6)", parallel="auto"
-        )
-        assert list(answer.iter_nonnull()) == row_oracle(plan)
-        assert counters.parallel_fallbacks == 1
-        events = self.fallback_events(tracer)
-        assert [e.attrs["rung"] for e in events] == ["sequential-partitioned"]
-        assert events[0].attrs["error"] == "ParallelExecutionError"
+        self.break_pool(monkeypatch)
+        for mode in ("batch", "row"):
+            guard = QueryGuard()
+            plan, answer, counters, tracer = self.ladder_run(
+                table1, self.SOURCE, guard=guard, parallel="auto", mode=mode
+            )
+            assert list(answer.iter_nonnull()) == row_oracle(plan)
+            events = self.events(tracer)
+            assert [e.attrs["rung"] for e in events] == ["single-thread"]
+            assert events[0].attrs["error"] == "ParallelExecutionError"
+            # The degraded run's accounting is a clean run of the rung
+            # that answered plus exactly one fallback charge.
+            clean, clean_records = self.clean_run(table1, mode)
+            clean.parallel_fallbacks += 1
+            assert counters.as_dict() == clean.as_dict()
+            assert guard.records_emitted == clean_records
 
     def test_double_failure_degrades_to_row_oracle(self, table1, monkeypatch):
-        def broken(*args, **kwargs):
-            raise ParallelExecutionError("pool lost")
-
-        def also_broken(*args, **kwargs):
-            raise ExecutionError("sequential partitioning bug")
-
-        monkeypatch.setattr(par, "execute_parallel", broken)
-        monkeypatch.setattr(part, "execute_partitioned", also_broken)
+        self.break_pool(monkeypatch)
+        self.break_batch(monkeypatch)
+        guard = QueryGuard()
         plan, answer, counters, tracer = self.ladder_run(
-            table1, "window(ibm, avg, close, 6, ma6)", parallel="auto"
+            table1, self.SOURCE, guard=guard, parallel="auto", fallback=True
         )
         assert list(answer.iter_nonnull()) == row_oracle(plan)
-        assert counters.parallel_fallbacks == 2
-        rungs = [e.attrs["rung"] for e in self.fallback_events(tracer)]
-        assert rungs == ["sequential-partitioned", "row-oracle"]
+        assert [e.attrs["rung"] for e in self.events(tracer)] == ["single-thread"]
+        (event,) = self.events(tracer, "fallback")
+        assert event.attrs["rung"] == "row-oracle"
+        assert event.attrs["error"] == "ExecutionError"
+        # Both charges intact: the second rewind did not erase the first.
+        clean, clean_records = self.clean_run(table1, "row")
+        clean.parallel_fallbacks += 1
+        clean.fallbacks_taken += 1
+        assert counters.as_dict() == clean.as_dict()
+        assert guard.records_emitted == clean_records
+
+    def test_double_failure_without_fallback_raises_typed(self, table1, monkeypatch):
+        self.break_pool(monkeypatch)
+        self.break_batch(monkeypatch)
+        catalog, _sequences = table1
+        plan = optimized(self.SOURCE, catalog)
+        counters = ExecutionCounters()
+        with pytest.raises(ExecutionError, match="synthetic batch bug"):
+            execute_plan(
+                plan.plan, plan.output_span, counters, parallel="auto", workers=2
+            )
+        assert counters.parallel_fallbacks == 1
+        assert counters.fallbacks_taken == 0
 
     def test_force_infrastructure_failure_raises(self, table1, monkeypatch):
-        def broken(*args, **kwargs):
-            raise ParallelExecutionError("pool lost")
-
-        monkeypatch.setattr(par, "execute_parallel", broken)
+        self.break_pool(monkeypatch)
         with pytest.raises(ParallelExecutionError):
-            self.ladder_run(
-                table1, "window(ibm, avg, close, 6, ma6)", parallel="force"
-            )
+            self.ladder_run(table1, self.SOURCE, parallel="force")
 
     def test_ladder_never_swallows_guard_verdicts(self, table1, monkeypatch):
         def verdict(*args, **kwargs):
             raise QueryCancelledError("cancelled mid-flight")
 
-        monkeypatch.setattr(par, "execute_parallel", verdict)
-        with pytest.raises(QueryCancelledError):
-            self.ladder_run(
-                table1, "window(ibm, avg, close, 6, ma6)", parallel="auto"
-            )
+        monkeypatch.setattr(par, "_execute_partition", verdict)
+        for parallel in ("auto", "force"):
+            with pytest.raises(QueryCancelledError):
+                self.ladder_run(table1, self.SOURCE, parallel=parallel, fallback=True)
+
+    def test_storage_fault_in_parallel_rung_is_an_answer(self, table1, monkeypatch):
+        def lost(*args, **kwargs):
+            raise PermanentStorageError("injected lost page")
+
+        monkeypatch.setattr(par, "_execute_partition", lost)
+        with pytest.raises(PermanentStorageError):
+            self.ladder_run(table1, self.SOURCE, parallel="auto", fallback=True)

@@ -1,9 +1,12 @@
 """The README's code blocks must actually run."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from repro.execution.options import ExecOptions, valid_values
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -42,3 +45,10 @@ def test_readme_commands_reference_real_paths():
     assert "pytest benchmarks/ --benchmark-only" in text
     assert (README.parent / "DESIGN.md").exists()
     assert (README.parent / "EXPERIMENTS.md").exists()
+
+
+def test_readme_knob_table_matches_exec_options():
+    text = README.read_text()
+    for spec in fields(ExecOptions):
+        row = f"| `{spec.name}` | `{spec.default!r}` | {valid_values(spec)} |"
+        assert row in text, row
