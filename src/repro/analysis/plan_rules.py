@@ -23,25 +23,14 @@ from repro.algebra.offsets import ValueOffset
 from repro.algebra.aggregate import WindowAggregate
 from repro.analysis.base import PlanContext, plan_rule
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.execution.streams import _BUILDERS
+from repro.execution.context import OPERATORS
 from repro.optimizer.plans import PROBE, STREAM, PhysicalPlan
 
-#: Plan kinds ``build_stream`` can execute (the builder table itself).
-STREAMABLE_KINDS = frozenset(_BUILDERS)
+#: Plan kinds the operator table can open as a stream.
+STREAMABLE_KINDS = frozenset(kind for kind, op in OPERATORS.items() if op.stream is not None)
 
-#: Plan kinds ``build_prober`` can execute (its dispatch chain).
-PROBEABLE_KINDS = frozenset(
-    {
-        "probe-source",
-        "chain",
-        "probe-join",
-        "window-agg",
-        "value-offset",
-        "cumulative-agg",
-        "global-agg",
-        "materialize",
-    }
-)
+#: Plan kinds the operator table can open as a prober.
+PROBEABLE_KINDS = frozenset(kind for kind, op in OPERATORS.items() if op.probe is not None)
 
 #: Required child modes per plan kind, where they are fixed.  ``None``
 #: means "same as the parent"; global-agg and materialize always

@@ -1,7 +1,8 @@
 """Plan execution: streams, probers, caches, and the naive oracle."""
 
-from repro.execution.batch_streams import DEFAULT_BATCH_SIZE, build_batch_stream
+from repro.execution.batch_streams import DEFAULT_BATCH_SIZE
 from repro.execution.cache import FifoCache
+from repro.execution.context import build_batch_stream, build_prober, build_stream
 from repro.execution.counters import ExecutionCounters
 from repro.execution.engine import (
     RunResult,
@@ -32,7 +33,7 @@ from repro.execution.partition import (
     partition_plan,
     slice_sequence,
 )
-from repro.execution.probers import Prober, ProberSequence, build_prober
+from repro.execution.probers import Prober, ProberSequence
 from repro.execution.sliding import (
     CumulativeAggregator,
     MonotonicAggregator,
@@ -40,7 +41,6 @@ from repro.execution.sliding import (
     SlidingAggregator,
     make_sliding,
 )
-from repro.execution.streams import build_stream
 
 __all__ = [
     "CancellationToken",

@@ -33,19 +33,25 @@ Every kernel that cannot run — no numpy, unsafe effect spec, untyped
 dtype, or an exactness guard refusing the batch — degrades to the
 existing scalar path with identical answers, observably: the
 ``kernels_fallback`` counter and ``kernel:fallback`` trace event fire
-(see :func:`repro.execution.streams.kernel_observer`).
+(see :meth:`repro.execution.context.ExecContext.kernel_fallback`).
 
-Stream contract: ``build_batch_stream(plan, window, ...)`` yields
-batches whose covered ranges are ascending and disjoint and lie within
-``window`` intersected with the plan's span.  Positions not covered by
-any batch are Null.  All-Null batches may be skipped entirely.
+Every operator is ``op(ctx, plan, window)`` and opens its children
+through the execution context (``ctx.batches`` / ``ctx.prober``).
+Stream contract: ``ctx.batches(plan, window)`` yields batches of at
+most ``ctx.batch_size`` positions whose covered ranges are ascending
+and disjoint and lie within ``window`` intersected with the plan's
+span.  Positions not covered by any batch are Null.  All-Null batches
+may be skipped entirely.  The guard is checked at every batch boundary
+(and per tile in the position-looping operators).  The same top-down
+span discipline as row mode applies: child streams are opened over the
+*children's plan spans*, and the window bounds emission at each node.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from typing import Any, Callable, Iterator, Optional, cast
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, cast
 
 from repro.errors import ExecutionError
 from repro.model.batch import (
@@ -73,60 +79,17 @@ from repro.algebra.offsets import ValueOffset
 from repro.analysis.effects import node_effect_specs
 from repro.execution.counters import ExecutionCounters
 from repro.execution.guard import QueryGuard
-from repro.execution.probers import ProberSequence, build_prober
-from repro.execution.streams import interpret_observer, kernel_observer
+from repro.execution.probers import ProberSequence
 from repro.execution.sliding import CumulativeAggregator, make_sliding
-from repro.obs.instrument import traced_batches
-from repro.obs.tracer import Tracer, active
 from repro.optimizer.plans import PhysicalPlan
+
+if TYPE_CHECKING:
+    from repro.execution.context import ExecContext
 
 #: Positions covered by one batch (the vectorization granularity).
 DEFAULT_BATCH_SIZE = 1024
 
 BatchStream = Iterator[ColumnBatch]
-
-
-def build_batch_stream(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> BatchStream:
-    """Construct the batch iterator for a stream-mode plan node.
-
-    Args:
-        plan: the plan node (must be executable in stream mode).
-        window: the output window this node must emit within;
-            intersected with the plan's own span.
-        counters: execution counters charged as work happens.
-        batch_size: maximum positions covered per emitted batch.
-        guard: optional per-query resource governor, checked at every
-            batch boundary (and per tile in the position-looping
-            operators) so deadline, cancellation, and budgets are
-            observed between batches.
-        tracer: optional span tracer; when active every node of the
-            plan tree is wrapped in an operator span with per-batch
-            time and counter attribution (:mod:`repro.obs.instrument`).
-
-    The same top-down span discipline as row mode applies: child
-    streams are opened over the *children's plan spans* (the optimizer's
-    span restriction is the only mechanism that narrows what lower
-    operators read), and the window bounds emission at each node, so
-    executing a plan over a narrower window than it was optimized for
-    stays correct.
-    """
-    if batch_size < 1:
-        raise ExecutionError(f"batch size must be >= 1, got {batch_size}")
-    window = window.intersect(plan.span)
-    builder = _BUILDERS.get(plan.kind)
-    if builder is None:
-        raise ExecutionError(f"plan kind {plan.kind!r} cannot run in batch mode")
-    stream = builder(plan, window, counters, batch_size, guard, tracer)
-    if active(tracer):
-        return traced_batches(tracer, plan, counters, stream)
-    return stream
 
 
 def _finish(
@@ -293,14 +256,8 @@ class _BatchCursor:
 # -- leaf access -------------------------------------------------------------
 
 
-def _scan(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    batch_size: int,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> BatchStream:
+def scan(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BatchStream:
+    """Carve a base or constant sequence into column batches over ``window``."""
     leaf = plan.node
     if isinstance(leaf, SequenceLeaf):
         source = leaf.sequence
@@ -308,6 +265,9 @@ def _scan(
         source = leaf.constant
     else:
         raise ExecutionError(f"scan plan without a leaf node: {plan.kind}")
+    counters = ctx.counters
+    batch_size = ctx.batch_size
+    guard = ctx.guard
     counters.scans_opened += 1
     schema = plan.schema
     ncols = len(schema)
@@ -317,39 +277,7 @@ def _scan(
         # scan answers every batch with O(columns) buffer slices (dense
         # runs) or one vectorized scatter (sparse runs) — no per-record
         # Python objects at all.
-        yield from _scan_columnar(
-            columnar, schema, window, counters, batch_size, guard
-        )
-        return
-    bulk = getattr(source, "nonnull_items", None)
-    if bulk is not None:
-        # In-memory sequences expose their items as parallel lists; the
-        # scan then carves those with slices instead of a per-record
-        # generator hop.
-        positions, records = bulk(window)
-        total = len(positions)
-        i = 0
-        while i < total:
-            start = positions[i]
-            j = bisect_right(positions, start + batch_size - 1, i)
-            n = positions[j - 1] - start + 1
-            rows = [record.values for record in records[i:j]]
-            if j - i == n:
-                valid = [True] * n
-                columns = [
-                    typed_column(list(column), attribute.atype)
-                    for column, attribute in zip(zip(*rows), schema.attributes)
-                ]
-            else:
-                valid = [False] * n
-                columns = [[None] * n for _ in range(ncols)]
-                for position, values in zip(positions[i:j], rows):
-                    index = position - start
-                    valid[index] = True
-                    for c in range(ncols):
-                        columns[c][index] = values[c]
-            i = j
-            yield _finish(counters, ColumnBatch(schema, start, columns, valid), guard)
+        yield from _scan_columnar(columnar, schema, window, counters, batch_size, guard)
         return
     items = source.iter_nonnull(window)
     item = next(items, None)
@@ -433,14 +361,10 @@ def _scan_columnar(
 # -- unit-operation chains ---------------------------------------------------
 
 
-def _chain(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    batch_size: int,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> BatchStream:
+def chain(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BatchStream:
+    """Apply a run of unit-scope steps as mask refinement and column selection."""
+    counters = ctx.counters
+    guard = ctx.guard
     shift = sum(step.offset for step in plan.steps if step.kind == "shift")
     child_plan = plan.children[0]
     child_window = window.shift(shift).intersect(child_plan.span)
@@ -452,8 +376,6 @@ def _chain(
     ops: list[tuple[str, Any]] = []
     schema = child_plan.schema
     specs = node_effect_specs(plan)
-    observe = interpret_observer(counters, tracer)
-    observe_kernel = kernel_observer(counters, tracer)
     for index, step in enumerate(plan.steps):
         if step.kind == "select":
             ops.append(
@@ -463,8 +385,8 @@ def _chain(
                         step.predicate,
                         schema,
                         spec=specs.get(f"step{index}"),
-                        on_fallback=observe,
-                        on_kernel_fallback=observe_kernel,
+                        on_fallback=ctx.interpreted,
+                        on_kernel_fallback=ctx.kernel_fallback,
                     ),
                 )
             )
@@ -474,7 +396,7 @@ def _chain(
         elif step.kind == "rename":
             schema = step.schema
     out_schema = plan.schema
-    for batch in build_batch_stream(child_plan, child_window, counters, batch_size, guard, tracer):
+    for batch in ctx.batches(child_plan, child_window):
         columns = batch.columns
         valid = batch.valid
         for kind, payload in ops:
@@ -494,14 +416,22 @@ def _chain(
 # -- join strategies ---------------------------------------------------------
 
 
-def _lockstep(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    batch_size: int,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> BatchStream:
+def _join_predicate(
+    ctx: ExecContext, plan: PhysicalPlan
+) -> Optional[Callable[..., Any]]:
+    """Compile a join's predicate to a mask refiner over the combined columns."""
+    if plan.predicate is None:
+        return None
+    return compile_filter(
+        plan.predicate,
+        plan.schema,
+        spec=node_effect_specs(plan).get("predicate"),
+        on_fallback=ctx.interpreted,
+        on_kernel_fallback=ctx.kernel_fallback,
+    )
+
+
+def lockstep(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BatchStream:
     """Join-Strategy-B: merge both inputs in lock step, batch-aligned.
 
     The pairing itself is one packed-bitmask AND per batch: the right
@@ -509,23 +439,14 @@ def _lockstep(
     numpy buffers across segment boundaries) and positions survive iff
     both sides are valid — no per-row probe.
     """
+    counters = ctx.counters
+    guard = ctx.guard
     left_plan, right_plan = plan.children
-    left_stream = build_batch_stream(left_plan, left_plan.span, counters, batch_size, guard, tracer)
+    left_stream = ctx.batches(left_plan, left_plan.span)
     right_cursor = _BatchCursor(
-        build_batch_stream(right_plan, right_plan.span, counters, batch_size, guard, tracer),
-        right_plan.schema,
+        ctx.batches(right_plan, right_plan.span), right_plan.schema
     )
-    predicate = (
-        compile_filter(
-            plan.predicate,
-            plan.schema,
-            spec=node_effect_specs(plan).get("predicate"),
-            on_fallback=interpret_observer(counters, tracer),
-            on_kernel_fallback=kernel_observer(counters, tracer),
-        )
-        if plan.predicate is not None
-        else None
-    )
+    predicate = _join_predicate(ctx, plan)
     for left in left_stream:
         rcols, rvalid = right_cursor.fetch(left.start, left.end)
         valid = left.valid & rvalid
@@ -551,34 +472,21 @@ def _lockstep(
             return
 
 
-def _probe_side(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    batch_size: int,
-    guard: Optional[QueryGuard],
-    tracer: Optional[Tracer],
-    driver_index: int,
-) -> BatchStream:
-    """Join-Strategy-A: stream one input in batches, probe the other."""
+def probed_join(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BatchStream:
+    """Join-Strategy-A: stream one input in batches, probe the other.
+
+    ``stream-probe`` drives from the left child and probes the right;
+    ``probe-stream`` is the converse.
+    """
+    driver_index = 0 if plan.kind == "stream-probe" else 1
+    counters = ctx.counters
+    guard = ctx.guard
     probed_index = 1 - driver_index
-    prober = build_prober(plan.children[probed_index], counters, guard, tracer)
+    prober = ctx.prober(plan.children[probed_index])
     driver_plan = plan.children[driver_index]
     probed_ncols = len(plan.children[probed_index].schema)
-    predicate = (
-        compile_filter(
-            plan.predicate,
-            plan.schema,
-            spec=node_effect_specs(plan).get("predicate"),
-            on_fallback=interpret_observer(counters, tracer),
-            on_kernel_fallback=kernel_observer(counters, tracer),
-        )
-        if plan.predicate is not None
-        else None
-    )
-    driver_stream = build_batch_stream(
-        driver_plan, driver_plan.span, counters, batch_size, guard
-    )
+    predicate = _join_predicate(ctx, plan)
+    driver_stream = ctx.batches(driver_plan, driver_plan.span)
     for raw in driver_stream:
         # Probe only in-window driver positions, exactly as row mode
         # skips out-of-window records before issuing the probe.
@@ -612,52 +520,18 @@ def _probe_side(
             yield _finish(counters, ColumnBatch(plan.schema, start, columns, valid), guard)
 
 
-def _stream_probe(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    batch_size: int,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> BatchStream:
-    """Join-Strategy-A: stream the left input, probe the right."""
-    return _probe_side(
-        plan, window, counters, batch_size, guard, tracer, driver_index=0
-    )
-
-
-def _probe_stream(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    batch_size: int,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> BatchStream:
-    """Join-Strategy-A, converse: stream the right input, probe the left."""
-    return _probe_side(
-        plan, window, counters, batch_size, guard, tracer, driver_index=1
-    )
-
-
 # -- non-unit-scope unary operators ------------------------------------------
 
 
-def _naive_unary(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    batch_size: int,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> BatchStream:
+def _naive_unary(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BatchStream:
     """Forced-naive strategy: the operator's ``value_at`` over a prober."""
-    prober = build_prober(plan.children[0], counters, guard, tracer)
-    source = ProberSequence(prober)
+    counters = ctx.counters
+    guard = ctx.guard
+    source = ProberSequence(ctx.prober(plan.children[0]))
     op = plan.node
     schema = plan.schema
     ncols = len(schema)
-    for lo, hi in _tiles(window, batch_size):
+    for lo, hi in _tiles(window, ctx.batch_size):
         if guard is not None:
             guard.checkpoint()
         n = hi - lo + 1
@@ -676,20 +550,16 @@ def _naive_unary(
             yield _finish(counters, ColumnBatch(schema, lo, columns, valid), guard)
 
 
-def _window_agg(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    batch_size: int,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> BatchStream:
+def window_agg(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BatchStream:
+    """Sliding-window aggregate: vector kernel, Cache-Strategy-A, or forced naive."""
     op = plan.node
     if not isinstance(op, WindowAggregate):
         raise ExecutionError("window-agg plan without a WindowAggregate node")
     if plan.strategy == "naive":
-        yield from _naive_unary(plan, window, counters, batch_size, guard, tracer)
+        yield from _naive_unary(ctx, plan, window)
         return
+    counters = ctx.counters
+    guard = ctx.guard
     child_plan = plan.children[0]
     attr_index = child_plan.schema.index_of(op.attr)
     as_float = plan.schema.attributes[0].atype is AtomType.FLOAT
@@ -706,9 +576,7 @@ def _window_agg(
         first, last = window.start, window.end
         fetch_lo = min(child_start, first)
         cursor = _BatchCursor(
-            build_batch_stream(
-                child_plan, child_plan.span, counters, batch_size, guard, tracer
-            ),
+            ctx.batches(child_plan, child_plan.span),
             child_plan.schema,
             pick=(attr_index,),
         )
@@ -723,7 +591,7 @@ def _window_agg(
         if vectorized is not None:
             out, out_valid = vectorized
             _charge_window_counters(np, counters, mask, fetch_lo, first, last, width)
-            for lo, hi in _tiles(window, batch_size):
+            for lo, hi in _tiles(window, ctx.batch_size):
                 if guard is not None:
                     guard.checkpoint()
                 a, b = lo - first, hi - first + 1
@@ -740,7 +608,7 @@ def _window_agg(
         # kernel is unavailable (no numpy, untyped buffer, exactness
         # guard) — an observable degradation.
         if op.func in ("sum", "avg", "count"):
-            kernel_observer(counters, tracer)(op)
+            ctx.kernel_fallback(op)
         values = column if isinstance(column, list) else column_to_list(column)
         items = iter(
             [(fetch_lo + i, values[i]) for i in mask.indices()]
@@ -748,18 +616,13 @@ def _window_agg(
     else:
         # Unbounded window or child span: the original streaming loop
         # (an unbounded window still raises in _tiles, as in row mode).
-        kernel_observer(counters, tracer)(op)
-        items = _iter_column(
-            build_batch_stream(
-                child_plan, child_plan.span, counters, batch_size, guard, tracer
-            ),
-            attr_index,
-        )
+        ctx.kernel_fallback(op)
+        items = _iter_column(ctx.batches(child_plan, child_plan.span), attr_index)
     # Cache-Strategy-A per batch: one pass over the input column with a
     # scope-sized cache; only the aggregated attribute is flattened.
     pending = next(items, None)
     aggregator = make_sliding(op.func, counters)
-    for lo, hi in _tiles(window, batch_size):
+    for lo, hi in _tiles(window, ctx.batch_size):
         if guard is not None:
             guard.checkpoint()
         n = hi - lo + 1
@@ -934,20 +797,16 @@ def _charge_window_counters(
     counters.note_occupancy(int(counts.max()))
 
 
-def _value_offset(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    batch_size: int,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> BatchStream:
+def value_offset(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BatchStream:
+    """Previous/Next/±k value offset: Cache-Strategy-B per tile, or forced naive."""
     op = plan.node
     if not isinstance(op, ValueOffset):
         raise ExecutionError("value-offset plan without a ValueOffset node")
     if plan.strategy == "naive":
-        yield from _naive_unary(plan, window, counters, batch_size, guard, tracer)
+        yield from _naive_unary(ctx, plan, window)
         return
+    counters = ctx.counters
+    guard = ctx.guard
     # Cache-Strategy-B per batch: the reach-sized deque slides over
     # flattened value tuples instead of records.
     child_plan = plan.children[0]
@@ -956,12 +815,10 @@ def _value_offset(
     reach = op.reach
 
     if op.looks_back:
-        items = _iter_values(
-            build_batch_stream(child_plan, child_plan.span, counters, batch_size, guard, tracer)
-        )
+        items = _iter_values(ctx.batches(child_plan, child_plan.span))
         pending = next(items, None)
         buffer: deque[tuple[int, tuple]] = deque()
-        for lo, hi in _tiles(window, batch_size):
+        for lo, hi in _tiles(window, ctx.batch_size):
             if guard is not None:
                 guard.checkpoint()
             n = hi - lo + 1
@@ -986,12 +843,10 @@ def _value_offset(
         return
 
     # Looking forward (Next and +k offsets): a reach-sized lookahead.
-    items = _iter_values(
-        build_batch_stream(child_plan, child_plan.span, counters, batch_size, guard, tracer)
-    )
+    items = _iter_values(ctx.batches(child_plan, child_plan.span))
     buffer = deque()
     exhausted = False
-    for lo, hi in _tiles(window, batch_size):
+    for lo, hi in _tiles(window, ctx.batch_size):
         if guard is not None:
             guard.checkpoint()
         n = hi - lo + 1
@@ -1020,30 +875,23 @@ def _value_offset(
             yield _finish(counters, ColumnBatch(schema, lo, columns, valid), guard)
 
 
-def _cumulative(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    batch_size: int,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> BatchStream:
+def cumulative(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BatchStream:
+    """Running aggregate over everything up to each position, per tile."""
     op = plan.node
     if not isinstance(op, CumulativeAggregate):
         raise ExecutionError("cumulative-agg plan without a CumulativeAggregate node")
     if plan.strategy == "naive":
-        yield from _naive_unary(plan, window, counters, batch_size, guard, tracer)
+        yield from _naive_unary(ctx, plan, window)
         return
+    counters = ctx.counters
+    guard = ctx.guard
     child_plan = plan.children[0]
     attr_index = child_plan.schema.index_of(op.attr)
-    items = _iter_column(
-        build_batch_stream(child_plan, child_plan.span, counters, batch_size, guard, tracer),
-        attr_index,
-    )
+    items = _iter_column(ctx.batches(child_plan, child_plan.span), attr_index)
     pending = next(items, None)
     running = CumulativeAggregator(op.func)
     as_float = plan.schema.attributes[0].atype is AtomType.FLOAT
-    for lo, hi in _tiles(window, batch_size):
+    for lo, hi in _tiles(window, ctx.batch_size):
         if guard is not None:
             guard.checkpoint()
         n = hi - lo + 1
@@ -1063,21 +911,17 @@ def _cumulative(
             yield _finish(counters, ColumnBatch(plan.schema, lo, [out], valid), guard)
 
 
-def _global_agg(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    batch_size: int,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> BatchStream:
+def global_agg(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BatchStream:
+    """Whole-sequence aggregate, emitted as constant batches over ``window``."""
     op = plan.node
     if not isinstance(op, GlobalAggregate):
         raise ExecutionError("global-agg plan without a GlobalAggregate node")
+    counters = ctx.counters
+    guard = ctx.guard
     child_plan = plan.children[0]
     attr_index = child_plan.schema.index_of(op.attr)
     values: list = []
-    for batch in build_batch_stream(child_plan, child_plan.span, counters, batch_size, guard, tracer):
+    for batch in ctx.batches(child_plan, child_plan.span):
         column = batch.column_values(attr_index)
         if batch.valid.all():
             values.extend(column)
@@ -1090,7 +934,7 @@ def _global_agg(
     if plan.schema.attributes[0].atype is AtomType.FLOAT:
         result = float(result)
     out_atype = plan.schema.attributes[0].atype
-    for lo, hi in _tiles(window, batch_size):
+    for lo, hi in _tiles(window, ctx.batch_size):
         if guard is not None:
             guard.checkpoint()
         n = hi - lo + 1
@@ -1103,27 +947,6 @@ def _global_agg(
         )
 
 
-def _materialize(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    batch_size: int,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> BatchStream:
+def materialize(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BatchStream:
     """A materialize node in a stream context simply forwards its child."""
-    yield from build_batch_stream(plan.children[0], window, counters, batch_size, guard, tracer)
-
-
-_BUILDERS = {
-    "scan": _scan,
-    "chain": _chain,
-    "lockstep": _lockstep,
-    "stream-probe": _stream_probe,
-    "probe-stream": _probe_stream,
-    "window-agg": _window_agg,
-    "value-offset": _value_offset,
-    "cumulative-agg": _cumulative,
-    "global-agg": _global_agg,
-    "materialize": _materialize,
-}
+    yield from ctx.batches(plan.children[0], window)

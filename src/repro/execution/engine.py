@@ -109,9 +109,10 @@ def _start(
     counters = counters if counters is not None else ExecutionCounters()
     with started(plan, span, counters, options, guard, tracer) as (
         window,
-        tracer,
+        ctx,
         root_span,
     ):
+        tracer = ctx.tracer
         rungs: list[_Rung] = []
         if options.parallel != "off":
             rungs.append(
@@ -133,9 +134,7 @@ def _start(
             )
 
         def drain(mode: str) -> Callable[[], BaseSequence]:
-            return lambda: materialize(
-                plan, window, counters, mode, options.batch_size, guard, tracer
-            )
+            return lambda: materialize(ctx, plan, window, mode)
 
         rungs.append(
             _Rung(

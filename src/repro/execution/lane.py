@@ -2,8 +2,9 @@
 
 The Start operator (Figure 6) induces a stream access on the plan root
 and materializes the answer.  :func:`started` is its frame — window,
-self-check hook, guard arming, the ``execute`` span — and
-:func:`materialize` is the one-mode drain inside that frame.  The
+self-check hook, guard arming, the lane's
+:class:`~repro.execution.context.ExecContext`, the ``execute`` span —
+and :func:`materialize` is the one-mode drain inside that frame.  The
 engine's degradation ladder runs its single-thread rungs in one such
 frame; the parallel supervisor opens one per partition.  Keeping both
 below :mod:`repro.execution.engine` and
@@ -19,16 +20,15 @@ from typing import Iterator, Optional
 
 from repro.analysis import hooks
 from repro.errors import ExecutionError
-from repro.execution.batch_streams import build_batch_stream
+from repro.execution.context import ExecContext
 from repro.execution.counters import ExecutionCounters
 from repro.execution.guard import QueryGuard
 from repro.execution.options import ExecOptions
-from repro.execution.streams import build_stream
 from repro.model.base import BaseSequence, ColumnarAnswer
 from repro.model.batch import column_to_list, vector_backend
 from repro.model.span import Span
 from repro.obs.instrument import stored_leaf_counters
-from repro.obs.tracer import CATEGORY_ENGINE, Tracer, TraceSpan, active
+from repro.obs.tracer import CATEGORY_ENGINE, Tracer, TraceSpan
 from repro.optimizer.plans import PhysicalPlan
 
 
@@ -40,15 +40,17 @@ def started(
     options: ExecOptions,
     guard: Optional[QueryGuard],
     tracer: Optional[Tracer],
-) -> Iterator[tuple[Span, Optional[Tracer], Optional[TraceSpan]]]:
-    """Frame one execution of ``plan``; yields ``(window, tracer, root_span)``.
+) -> Iterator[tuple[Span, ExecContext, Optional[TraceSpan]]]:
+    """Frame one execution of ``plan``; yields ``(window, ctx, root_span)``.
 
     The window is ``span`` clipped to the plan's own span.  The guard's
     clock is started (idempotently — reruns and lanes share it) and
-    every stored leaf's disk counters are registered with it.  When the
-    tracer is active the run is wrapped in an ``execute`` span that is
-    closed, and the tracer finalized so probe-side spans close, however
-    the body ends; an inactive tracer is yielded as None.
+    every stored leaf's disk counters are registered with it.  ``ctx``
+    is the lane's execution context over ``counters``, the guard, the
+    tracer (``ctx.tracer`` is None when it is inactive) and the
+    validated batch size.  When the tracer is active the run is wrapped
+    in an ``execute`` span that is closed, and the tracer finalized so
+    probe-side spans close, however the body ends.
 
     Raises:
         ExecutionError: when the window is unbounded.
@@ -64,10 +66,11 @@ def started(
         guard.watch_execution(counters)
         for disk in stored_leaf_counters(plan):
             guard.watch_storage(disk)
-    if not active(tracer):
-        yield window, None, None
+    ctx = ExecContext(counters, guard, tracer, options.batch_size)
+    tracer = ctx.tracer
+    if tracer is None:
+        yield window, ctx, None
         return
-    assert tracer is not None
     root_span = tracer.begin(
         "execute",
         CATEGORY_ENGINE,
@@ -81,7 +84,7 @@ def started(
     )
     tracer.push(root_span)
     try:
-        yield window, tracer, root_span
+        yield window, ctx, root_span
     finally:
         root_span.attrs["records_emitted"] = counters.records_emitted
         tracer.pop()
@@ -90,28 +93,15 @@ def started(
 
 
 def materialize(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    mode: str,
-    batch_size: int,
-    guard: Optional[QueryGuard],
-    tracer: Optional[Tracer],
+    ctx: ExecContext, plan: PhysicalPlan, window: Span, mode: str
 ) -> BaseSequence:
     """Drain ``plan`` over ``window`` in one execution mode."""
     if mode == "batch":
-        return _run_batch(plan, window, counters, batch_size, guard, tracer)
-    return _run_row(plan, window, counters, guard, tracer)
+        return _run_batch(ctx, plan, window)
+    return _run_row(ctx, plan, window)
 
 
-def _run_batch(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    batch_size: int,
-    guard: Optional[QueryGuard],
-    tracer: Optional[Tracer] = None,
-) -> ColumnarAnswer:
+def _run_batch(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> ColumnarAnswer:
     """Materialize the batch-mode answer, keeping it columnar.
 
     Each batch's columns are compacted to the valid positions (a fancy
@@ -120,11 +110,13 @@ def _run_batch(
     returned :class:`~repro.model.base.ColumnarAnswer` materializes
     records lazily if and when a consumer asks for them row-wise.
     """
+    counters = ctx.counters
+    guard = ctx.guard
     schema = plan.schema
     np = vector_backend()
     positions: list[int] = []
     parts: list[list] = []
-    for batch in build_batch_stream(plan, window, counters, batch_size, guard, tracer):
+    for batch in ctx.batches(plan, window):
         emitted = batch.count_valid()
         counters.records_emitted += emitted
         if guard is not None:
@@ -167,20 +159,16 @@ def _concat_column(pieces: tuple, np) -> object:
     return merged
 
 
-def _run_row(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    guard: Optional[QueryGuard],
-    tracer: Optional[Tracer] = None,
-) -> BaseSequence:
+def _run_row(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BaseSequence:
     """Materialize the row-mode answer.
 
     Stream evaluations emit unique ascending positions with records of
     the plan's schema, so the output skips per-item revalidation.
     """
+    counters = ctx.counters
+    guard = ctx.guard
     pairs: list = []
-    for position, record in build_stream(plan, window, counters, guard, tracer):
+    for position, record in ctx.stream(plan, window):
         counters.records_emitted += 1
         if guard is not None:
             guard.note_records(1)

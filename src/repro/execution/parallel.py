@@ -135,12 +135,10 @@ def _execute_partition(
     counters = ExecutionCounters()
     with started(subplan, window, counters, options, guard, tracer) as (
         window,
-        tracer,
+        ctx,
         _root_span,
     ):
-        output = materialize(
-            subplan, window, counters, options.mode, options.batch_size, guard, tracer
-        )
+        output = materialize(ctx, subplan, window, options.mode)
     return output, counters
 
 

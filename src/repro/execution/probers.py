@@ -6,12 +6,20 @@ implement the naive algorithms of Section 4.1.2 by reusing the logical
 operators' denotational ``value_at`` over a prober-backed sequence
 view, so probed semantics are identical to the reference semantics by
 construction.
+
+Every prober is constructed as ``Prober(ctx, plan)`` and opens its
+children through the execution context (``ctx.prober`` for probed
+inputs, ``ctx.stream`` for the inputs global-agg and materialize
+consume whole) — see :mod:`repro.execution.context`.  The guard (when
+the context has one) is observed at the probe sites: source probes
+tick it, and the materialize prober charges its table against the
+cache-entries budget.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.errors import ExecutionError
 from repro.model.record import NULL, Record, RecordOrNull
@@ -19,11 +27,10 @@ from repro.model.schema import RecordSchema
 from repro.model.sequence import Sequence
 from repro.model.span import Span
 from repro.algebra.leaves import ConstantLeaf, SequenceLeaf
-from repro.execution.counters import ExecutionCounters
-from repro.execution.guard import QueryGuard
-from repro.obs.instrument import TracedProber
-from repro.obs.tracer import Tracer, active
-from repro.optimizer.plans import PROBE, ChainStep, PhysicalPlan
+from repro.optimizer.plans import PhysicalPlan
+
+if TYPE_CHECKING:
+    from repro.execution.context import ExecContext
 
 
 class Prober(abc.ABC):
@@ -70,12 +77,7 @@ class ProberSequence(Sequence):
 class SourceProber(Prober):
     """Probe a base or constant sequence directly."""
 
-    def __init__(
-        self,
-        plan: PhysicalPlan,
-        counters: ExecutionCounters,
-        guard: Optional[QueryGuard] = None,
-    ):
+    def __init__(self, ctx: ExecContext, plan: PhysicalPlan):
         super().__init__(plan.schema, plan.span)
         leaf = plan.node
         if isinstance(leaf, SequenceLeaf):
@@ -84,8 +86,8 @@ class SourceProber(Prober):
             self._sequence = leaf.constant
         else:
             raise ExecutionError(f"probe-source plan without a leaf node: {plan.kind}")
-        self._counters = counters
-        self._guard = guard
+        self._counters = ctx.counters
+        self._guard = ctx.guard
 
     def get(self, position: int) -> RecordOrNull:
         if self._guard is not None:
@@ -97,12 +99,12 @@ class SourceProber(Prober):
 class ChainProber(Prober):
     """Apply unit-scope steps on top of a child prober."""
 
-    def __init__(self, plan: PhysicalPlan, child: Prober, counters: ExecutionCounters):
+    def __init__(self, ctx: ExecContext, plan: PhysicalPlan):
         super().__init__(plan.schema, plan.span)
-        self._child = child
+        self._child = ctx.prober(plan.children[0])
         self._steps = plan.steps
         self._shift = sum(step.offset for step in plan.steps if step.kind == "shift")
-        self._counters = counters
+        self._counters = ctx.counters
 
     def get(self, position: int) -> RecordOrNull:
         record = self._child.get(position + self._shift)
@@ -124,19 +126,13 @@ class ChainProber(Prober):
 class JoinProber(Prober):
     """Probed-mode positional join (Section 4.1.3's probed formula)."""
 
-    def __init__(
-        self,
-        plan: PhysicalPlan,
-        left: Prober,
-        right: Prober,
-        counters: ExecutionCounters,
-    ):
+    def __init__(self, ctx: ExecContext, plan: PhysicalPlan):
         super().__init__(plan.schema, plan.span)
-        self._left = left
-        self._right = right
+        self._left = ctx.prober(plan.children[0])
+        self._right = ctx.prober(plan.children[1])
         self._predicate = plan.predicate
         self._right_first = plan.strategy == "probe-right-first"
-        self._counters = counters
+        self._counters = ctx.counters
 
     def get(self, position: int) -> RecordOrNull:
         if self._right_first:
@@ -169,13 +165,12 @@ class NaiveUnaryProber(Prober):
     strategies improve on.
     """
 
-    def __init__(self, plan: PhysicalPlan, child: Prober, counters: ExecutionCounters):
+    def __init__(self, ctx: ExecContext, plan: PhysicalPlan):
         super().__init__(plan.schema, plan.span)
         if plan.node is None:
             raise ExecutionError(f"{plan.kind} plan missing its logical node")
         self._node = plan.node
-        self._source = ProberSequence(child)
-        self._counters = counters
+        self._source = ProberSequence(ctx.prober(plan.children[0]))
 
     def get(self, position: int) -> RecordOrNull:
         return self._node.value_at([self._source], position)
@@ -184,34 +179,20 @@ class NaiveUnaryProber(Prober):
 class GlobalAggProber(Prober):
     """Whole-sequence aggregate: computed once on first probe."""
 
-    def __init__(
-        self,
-        plan: PhysicalPlan,
-        counters: ExecutionCounters,
-        guard: Optional[QueryGuard] = None,
-        tracer: Optional[Tracer] = None,
-    ):
+    def __init__(self, ctx: ExecContext, plan: PhysicalPlan):
         super().__init__(plan.schema, plan.span)
+        self._ctx = ctx
         self._plan = plan
-        self._counters = counters
-        self._guard = guard
-        self._tracer = tracer
         self._computed = False
         self._value: RecordOrNull = NULL
 
     def _compute(self) -> None:
-        from repro.execution.streams import build_stream
-
         node = self._plan.node
         if node is None:
             raise ExecutionError("global-agg plan missing its logical node")
         child_plan = self._plan.children[0]
         records = [
-            record
-            for _pos, record in build_stream(
-                child_plan, child_plan.span, self._counters, self._guard,
-                self._tracer,
-            )
+            record for _pos, record in self._ctx.stream(child_plan, child_plan.span)
         ]
         self._value = node._aggregate(records)  # noqa: SLF001 - engine-internal
         self._computed = True
@@ -231,29 +212,18 @@ class MaterializeProber(Prober):
     is a dictionary lookup (charged as a cache operation).
     """
 
-    def __init__(
-        self,
-        plan: PhysicalPlan,
-        counters: ExecutionCounters,
-        guard: Optional[QueryGuard] = None,
-        tracer: Optional[Tracer] = None,
-    ):
+    def __init__(self, ctx: ExecContext, plan: PhysicalPlan):
         super().__init__(plan.schema, plan.span)
+        self._ctx = ctx
         self._plan = plan
-        self._counters = counters
-        self._guard = guard
-        self._tracer = tracer
+        self._counters = ctx.counters
         self._table: Optional[dict[int, Record]] = None
 
     def _build(self) -> None:
-        from repro.execution.streams import build_stream
-
         child_plan = self._plan.children[0]
         self._table = {}
-        guard = self._guard
-        for position, record in build_stream(
-            child_plan, child_plan.span, self._counters, guard, self._tracer
-        ):
+        guard = self._ctx.guard
+        for position, record in self._ctx.stream(child_plan, child_plan.span):
             self._table[position] = record
             self._counters.cache_ops += 1
             if guard is not None:
@@ -268,53 +238,3 @@ class MaterializeProber(Prober):
         if self._table is None:
             raise ExecutionError("materialize prober failed to build its table")
         return self._table.get(position, NULL)
-
-
-def build_prober(
-    plan: PhysicalPlan,
-    counters: ExecutionCounters,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> Prober:
-    """Construct the prober for a probe-mode plan node.
-
-    The guard (when given) is observed at the probe sites: source
-    probes tick it, and the materialize prober charges its table
-    against the cache-entries budget.  When the tracer is active every
-    prober is wrapped in an operator span; probe-side spans are closed
-    by the tracer's finalizers when execution ends.
-    """
-    prober = _build_prober(plan, counters, guard, tracer)
-    if active(tracer):
-        return TracedProber(tracer, plan, counters, prober)
-    return prober
-
-
-def _build_prober(
-    plan: PhysicalPlan,
-    counters: ExecutionCounters,
-    guard: Optional[QueryGuard],
-    tracer: Optional[Tracer],
-) -> Prober:
-    if plan.kind == "probe-source":
-        return SourceProber(plan, counters, guard)
-    if plan.kind == "chain":
-        return ChainProber(
-            plan, build_prober(plan.children[0], counters, guard, tracer), counters
-        )
-    if plan.kind == "probe-join":
-        return JoinProber(
-            plan,
-            build_prober(plan.children[0], counters, guard, tracer),
-            build_prober(plan.children[1], counters, guard, tracer),
-            counters,
-        )
-    if plan.kind in ("window-agg", "value-offset", "cumulative-agg"):
-        return NaiveUnaryProber(
-            plan, build_prober(plan.children[0], counters, guard, tracer), counters
-        )
-    if plan.kind == "global-agg":
-        return GlobalAggProber(plan, counters, guard, tracer)
-    if plan.kind == "materialize":
-        return MaterializeProber(plan, counters, guard, tracer)
-    raise ExecutionError(f"plan kind {plan.kind!r} cannot run in probe mode")

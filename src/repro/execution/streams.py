@@ -1,130 +1,51 @@
 """Stream-mode plan execution.
 
-Each builder returns a generator of ``(position, record)`` pairs in
-increasing position order — the paper's stream access.  The join
-strategies of Section 3.3 and the caching strategies of Section 3.5
-live here: lock-step merging (Join-Strategy-B), stream×probe joins
-(Join-Strategy-A), scope-sized window caches (Cache-Strategy-A) and
-incremental value-offset caches (Cache-Strategy-B).
+Each operator here is ``op(ctx, plan, window)`` and returns a generator
+of ``(position, record)`` pairs in increasing position order — the
+paper's stream access.  The join strategies of Section 3.3 and the
+caching strategies of Section 3.5 live here: lock-step merging
+(Join-Strategy-B), stream×probe joins (Join-Strategy-A), scope-sized
+window caches (Cache-Strategy-A) and incremental value-offset caches
+(Cache-Strategy-B).
+
+Operators never name each other: children are opened through the
+execution context (``ctx.stream`` / ``ctx.prober``), which owns the
+operator table and the tracing adapter
+(:mod:`repro.execution.context`).  Child streams are opened over the
+*children's plan spans* — the optimizer's top-down span restriction
+(Step 2.b) is the only mechanism that narrows what lower operators
+read, exactly as in the paper's architecture.  The window bounds
+emission at each node, so executing a plan over a narrower window than
+it was optimized for stays correct (the extra records are dropped
+here).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import ExecutionError
 from repro.model.record import NULL, Record
 from repro.model.span import Span
 from repro.model.types import AtomType
 from repro.algebra.aggregate import CumulativeAggregate, GlobalAggregate, WindowAggregate
-from repro.algebra.expressions import Expr, FallbackObserver, compile_rowwise
+from repro.algebra.expressions import compile_rowwise
 from repro.algebra.leaves import ConstantLeaf, SequenceLeaf
 from repro.algebra.offsets import ValueOffset
 from repro.execution.counters import ExecutionCounters
-from repro.execution.guard import QueryGuard
-from repro.execution.probers import ProberSequence, build_prober
+from repro.execution.probers import ProberSequence
 from repro.execution.sliding import CumulativeAggregator, make_sliding
-from repro.obs.instrument import traced_stream
-from repro.obs.tracer import Tracer, active
 from repro.optimizer.plans import PhysicalPlan
+
+if TYPE_CHECKING:
+    from repro.execution.context import ExecContext
 
 StreamItem = tuple[int, Record]
 
 
-def interpret_observer(
-    counters: ExecutionCounters, tracer: Optional[Tracer]
-) -> FallbackObserver:
-    """An observer making interpreted-eval codegen fallbacks visible.
-
-    Passed as ``on_fallback`` to the expression compilers by both
-    executors: each expression that cannot be lowered to a fused
-    closure bumps ``exprs_interpreted`` (surfaced in ``--explain``
-    metrics) and, when tracing, attaches an ``expr:interpreted`` event
-    to the innermost open span — degraded codegen can't hide.
-    """
-
-    def observe(expr: Expr) -> None:
-        counters.exprs_interpreted += 1
-        if active(tracer) and tracer is not None:
-            span = tracer.current
-            if span is not None:
-                tracer.event(span, "expr:interpreted", expr=repr(expr))
-
-    return observe
-
-
-def kernel_observer(
-    counters: ExecutionCounters, tracer: Optional[Tracer]
-) -> Callable[[object], None]:
-    """An observer making vector-kernel fallbacks visible.
-
-    Passed as ``on_kernel_fallback`` to the expression compilers — and
-    invoked directly by batch operators with kernel shapes of their own
-    (window aggregate, lockstep join) — whenever whole-column execution
-    degrades to the fused-closure/aggregator path: the effect spec
-    withheld vectorization safety, numpy is absent, a dtype is
-    non-numeric, or an exactness guard refused the lowering.  Bumps
-    ``kernels_fallback`` and, when tracing, attaches a
-    ``kernel:fallback`` event to the innermost open span.
-    """
-
-    def observe(subject: object) -> None:
-        counters.kernels_fallback += 1
-        if active(tracer) and tracer is not None:
-            span = tracer.current
-            if span is not None:
-                tracer.event(span, "kernel:fallback", subject=repr(subject))
-
-    return observe
-
-
-def build_stream(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> Iterator[StreamItem]:
-    """Construct the stream iterator for a stream-mode plan node.
-
-    Args:
-        plan: the plan node (must be executable as a stream).
-        window: the output window this node must emit within;
-            intersected with the plan's own span.
-        counters: execution counters charged as work happens.
-        guard: optional per-query resource governor; ticked at loop
-            checkpoints so a guarded query observes its deadline,
-            cancellation, and budgets mid-stream.
-        tracer: optional span tracer; when active every node of the
-            plan tree is wrapped in an operator span that attributes
-            rows, time, and counter deltas to it (row-mode timing is
-            stride-sampled, see :mod:`repro.obs.instrument`).
-
-    Child streams are opened over the *children's plan spans* — the
-    optimizer's top-down span restriction (Step 2.b) is the only
-    mechanism that narrows what lower operators read, exactly as in the
-    paper's architecture.  The window bounds emission at each node, so
-    executing a plan over a narrower window than it was optimized for
-    stays correct (the extra records are dropped here).
-    """
-    window = window.intersect(plan.span)
-    builder = _BUILDERS.get(plan.kind)
-    if builder is None:
-        raise ExecutionError(f"plan kind {plan.kind!r} cannot run in stream mode")
-    stream = builder(plan, window, counters, guard, tracer)
-    if active(tracer):
-        return traced_stream(tracer, plan, counters, stream)
-    return stream
-
-
-def _scan(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> Iterator[StreamItem]:
+def scan(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[StreamItem]:
+    """Stream a base or constant sequence's non-Null records in ``window``."""
     leaf = plan.node
     if isinstance(leaf, SequenceLeaf):
         source = leaf.sequence
@@ -132,8 +53,9 @@ def _scan(
         source = leaf.constant
     else:
         raise ExecutionError(f"scan plan without a leaf node: {plan.kind}")
+    counters = ctx.counters
     counters.scans_opened += 1
-    tick = guard.tick if guard is not None else None
+    tick = ctx.guard.tick if ctx.guard is not None else None
     for position, record in source.iter_nonnull(window):
         if tick is not None:
             tick()
@@ -141,13 +63,9 @@ def _scan(
         yield position, record
 
 
-def _chain(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> Iterator[StreamItem]:
+def chain(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[StreamItem]:
+    """Apply a run of unit-scope steps (select/project/rename/shift) per record."""
+    counters = ctx.counters
     shift = sum(step.offset for step in plan.steps if step.kind == "shift")
     child_plan = plan.children[0]
     child_window = window.shift(shift).intersect(child_plan.span)
@@ -156,11 +74,13 @@ def _chain(
     # at each step), renames a trusted re-type of already-valid values.
     ops: list[tuple[str, object]] = []
     schema = child_plan.schema
-    observe = interpret_observer(counters, tracer)
     for step in plan.steps:
         if step.kind == "select":
             ops.append(
-                ("select", compile_rowwise(step.predicate, schema, on_fallback=observe))
+                (
+                    "select",
+                    compile_rowwise(step.predicate, schema, on_fallback=ctx.interpreted),
+                )
             )
         elif step.kind == "project":
             ops.append(("project", step.names))
@@ -168,7 +88,7 @@ def _chain(
         elif step.kind == "rename":
             ops.append(("rename", step.schema))
             schema = step.schema
-    for position, record in build_stream(child_plan, child_window, counters, guard, tracer):
+    for position, record in ctx.stream(child_plan, child_window):
         out_position = position - shift
         if out_position not in window:
             continue
@@ -188,19 +108,11 @@ def _chain(
             yield out_position, record
 
 
-def _join_predicate(
-    plan: PhysicalPlan,
-    counters: ExecutionCounters,
-    tracer: Optional[Tracer] = None,
-):
+def _join_predicate(ctx: ExecContext, plan: PhysicalPlan):
     """Compile a join's predicate to a closure over the combined values."""
     if plan.predicate is None:
         return None
-    return compile_rowwise(
-        plan.predicate,
-        plan.schema,
-        on_fallback=interpret_observer(counters, tracer),
-    )
+    return compile_rowwise(plan.predicate, plan.schema, on_fallback=ctx.interpreted)
 
 
 def _combine(
@@ -222,17 +134,12 @@ def _combine(
     yield position, Record.unchecked(plan.schema, values)
 
 
-def _lockstep(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> Iterator[StreamItem]:
+def lockstep(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[StreamItem]:
     """Join-Strategy-B: merge both input streams in lock step."""
-    predicate = _join_predicate(plan, counters, tracer)
-    left_iter = build_stream(plan.children[0], plan.children[0].span, counters, guard, tracer)
-    right_iter = build_stream(plan.children[1], plan.children[1].span, counters, guard, tracer)
+    counters = ctx.counters
+    predicate = _join_predicate(ctx, plan)
+    left_iter = ctx.stream(plan.children[0], plan.children[0].span)
+    right_iter = ctx.stream(plan.children[1], plan.children[1].span)
     left = next(left_iter, None)
     right = next(right_iter, None)
     while left is not None and right is not None:
@@ -247,44 +154,28 @@ def _lockstep(
             right = next(right_iter, None)
 
 
-def _stream_probe(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> Iterator[StreamItem]:
-    """Join-Strategy-A: stream the left input, probe the right."""
-    predicate = _join_predicate(plan, counters, tracer)
-    prober = build_prober(plan.children[1], counters, guard, tracer)
-    driver = plan.children[0]
-    for position, left in build_stream(driver, driver.span, counters, guard, tracer):
+def probed_join(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[StreamItem]:
+    """Join-Strategy-A: stream one input, probe the other.
+
+    ``stream-probe`` drives from the left child and probes the right;
+    ``probe-stream`` is the converse.  Composed records are left.right
+    regardless of which side drove.
+    """
+    driver_index = 0 if plan.kind == "stream-probe" else 1
+    counters = ctx.counters
+    predicate = _join_predicate(ctx, plan)
+    prober = ctx.prober(plan.children[1 - driver_index])
+    driver = plan.children[driver_index]
+    for position, streamed in ctx.stream(driver, driver.span):
         if position not in window:
             continue
-        right = prober.get(position)
-        if right is NULL:
+        probed = prober.get(position)
+        if probed is NULL:
             continue
-        yield from _combine(plan, position, left, right, predicate, counters)
-
-
-def _probe_stream(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> Iterator[StreamItem]:
-    """Join-Strategy-A, converse: stream the right input, probe the left."""
-    predicate = _join_predicate(plan, counters, tracer)
-    prober = build_prober(plan.children[0], counters, guard, tracer)
-    driver = plan.children[1]
-    for position, right in build_stream(driver, driver.span, counters, guard, tracer):
-        if position not in window:
-            continue
-        left = prober.get(position)
-        if left is NULL:
-            continue
-        yield from _combine(plan, position, left, right, predicate, counters)
+        if driver_index == 0:
+            yield from _combine(plan, position, streamed, probed, predicate, counters)
+        else:
+            yield from _combine(plan, position, probed, streamed, predicate, counters)
 
 
 def _cast(plan: PhysicalPlan, value: object) -> object:
@@ -293,32 +184,35 @@ def _cast(plan: PhysicalPlan, value: object) -> object:
     return value
 
 
-def _window_agg(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> Iterator[StreamItem]:
+def _naive_unary(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[StreamItem]:
+    """Forced-naive strategy: probe the child per output position (no cache)."""
+    op = plan.node
+    source = ProberSequence(ctx.prober(plan.children[0]))
+    counters = ctx.counters
+    guard = ctx.guard
+    for position in window.positions():
+        if guard is not None:
+            guard.tick()
+        record = op.value_at([source], position)
+        if record is not NULL:
+            counters.operator_records += 1
+            yield position, record
+
+
+def window_agg(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[StreamItem]:
+    """Sliding-window aggregate: Cache-Strategy-A, or naive when forced."""
     op = plan.node
     if not isinstance(op, WindowAggregate):
         raise ExecutionError("window-agg plan without a WindowAggregate node")
     if plan.strategy == "naive":
-        # Probe the child w times per output position (no cache).
-        prober = build_prober(plan.children[0], counters, guard, tracer)
-        source = ProberSequence(prober)
-        for position in window.positions():
-            if guard is not None:
-                guard.tick()
-            record = op.value_at([source], position)
-            if record is not NULL:
-                counters.operator_records += 1
-                yield position, record
+        yield from _naive_unary(ctx, plan, window)
         return
 
     # Cache-Strategy-A: one pass over the input with a scope-sized cache.
+    counters = ctx.counters
+    guard = ctx.guard
     child_plan = plan.children[0]
-    child_iter = build_stream(child_plan, child_plan.span, counters, guard, tracer)
+    child_iter = ctx.stream(child_plan, child_plan.span)
     pending = next(child_iter, None)
     aggregator = make_sliding(op.func, counters)
     for position in window.positions():
@@ -335,33 +229,22 @@ def _window_agg(
             yield position, Record(plan.schema, (_cast(plan, aggregator.result()),))
 
 
-def _value_offset(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> Iterator[StreamItem]:
+def value_offset(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[StreamItem]:
+    """Previous/Next/±k value offset: Cache-Strategy-B, or naive when forced."""
     op = plan.node
     if not isinstance(op, ValueOffset):
         raise ExecutionError("value-offset plan without a ValueOffset node")
     if plan.strategy == "naive":
-        prober = build_prober(plan.children[0], counters, guard, tracer)
-        source = ProberSequence(prober)
-        for position in window.positions():
-            if guard is not None:
-                guard.tick()
-            record = op.value_at([source], position)
-            if record is not NULL:
-                counters.operator_records += 1
-                yield position, record
+        yield from _naive_unary(ctx, plan, window)
         return
 
     # Cache-Strategy-B: incremental caches of reach-many records.
+    counters = ctx.counters
+    guard = ctx.guard
     child_plan = plan.children[0]
     reach = op.reach
     if op.looks_back:
-        child_iter = build_stream(child_plan, child_plan.span, counters, guard, tracer)
+        child_iter = ctx.stream(child_plan, child_plan.span)
         pending = next(child_iter, None)
         buffer: deque[StreamItem] = deque()
         for position in window.positions():
@@ -380,7 +263,7 @@ def _value_offset(
         return
 
     # Looking forward (Next and +k offsets): a reach-sized lookahead.
-    child_iter = build_stream(child_plan, child_plan.span, counters, guard, tracer)
+    child_iter = ctx.stream(child_plan, child_plan.span)
     buffer = deque()
     exhausted = False
     for position in window.positions():
@@ -403,29 +286,18 @@ def _value_offset(
             yield position, buffer[reach - 1][1]
 
 
-def _cumulative(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> Iterator[StreamItem]:
+def cumulative(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[StreamItem]:
+    """Running aggregate over everything up to each position."""
     op = plan.node
     if not isinstance(op, CumulativeAggregate):
         raise ExecutionError("cumulative-agg plan without a CumulativeAggregate node")
     if plan.strategy == "naive":
-        prober = build_prober(plan.children[0], counters, guard, tracer)
-        source = ProberSequence(prober)
-        for position in window.positions():
-            if guard is not None:
-                guard.tick()
-            record = op.value_at([source], position)
-            if record is not NULL:
-                counters.operator_records += 1
-                yield position, record
+        yield from _naive_unary(ctx, plan, window)
         return
+    counters = ctx.counters
+    guard = ctx.guard
     child_plan = plan.children[0]
-    child_iter = build_stream(child_plan, child_plan.span, counters, guard, tracer)
+    child_iter = ctx.stream(child_plan, child_plan.span)
     pending = next(child_iter, None)
     running = CumulativeAggregator(op.func)
     for position in window.positions():
@@ -440,23 +312,18 @@ def _cumulative(
             yield position, Record(plan.schema, (_cast(plan, running.result()),))
 
 
-def _global_agg(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> Iterator[StreamItem]:
+def global_agg(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[StreamItem]:
+    """Whole-sequence aggregate, emitted at every position of ``window``."""
     op = plan.node
     if not isinstance(op, GlobalAggregate):
         raise ExecutionError("global-agg plan without a GlobalAggregate node")
     child_plan = plan.children[0]
-    records = [
-        record for _pos, record in build_stream(child_plan, child_plan.span, counters, guard, tracer)
-    ]
+    records = [record for _pos, record in ctx.stream(child_plan, child_plan.span)]
     value = op._aggregate(records)  # noqa: SLF001 - engine-internal
     if value is NULL:
         return
+    counters = ctx.counters
+    guard = ctx.guard
     for position in window.positions():
         if guard is not None:
             guard.tick()
@@ -464,26 +331,6 @@ def _global_agg(
         yield position, value
 
 
-def _materialize_stream(
-    plan: PhysicalPlan,
-    window: Span,
-    counters: ExecutionCounters,
-    guard: Optional[QueryGuard] = None,
-    tracer: Optional[Tracer] = None,
-) -> Iterator[StreamItem]:
-    # A materialize node in a stream context simply forwards its child.
-    yield from build_stream(plan.children[0], window, counters, guard, tracer)
-
-
-_BUILDERS = {
-    "scan": _scan,
-    "chain": _chain,
-    "lockstep": _lockstep,
-    "stream-probe": _stream_probe,
-    "probe-stream": _probe_stream,
-    "window-agg": _window_agg,
-    "value-offset": _value_offset,
-    "cumulative-agg": _cumulative,
-    "global-agg": _global_agg,
-    "materialize": _materialize_stream,
-}
+def materialize(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[StreamItem]:
+    """A materialize node in a stream context simply forwards its child."""
+    yield from ctx.stream(plan.children[0], window)

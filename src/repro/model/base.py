@@ -157,34 +157,12 @@ class BaseSequence(Sequence):
         for position in self._positions[lo:hi]:
             yield position, self._records[position]
 
-    def nonnull_items(
-        self, within: Optional[Span] = None
-    ) -> tuple[list[int], list[Record]]:
-        """All items in ``within`` as parallel position/record lists.
-
-        The bulk counterpart of :meth:`iter_nonnull` for batch scans:
-        one index slice and one lookup pass instead of a per-record
-        generator hop.
-        """
-        window = self._span if within is None else self._span.intersect(within)
-        if window.is_empty:
-            return [], []
-        lo = 0 if window.start is None else bisect.bisect_left(self._positions, window.start)
-        hi = (
-            len(self._positions)
-            if window.end is None
-            else bisect.bisect_right(self._positions, window.end)
-        )
-        positions = self._positions[lo:hi]
-        records = self._records
-        return positions, [records[position] for position in positions]
-
     def nonnull_columns(
         self, within: Optional[Span] = None
     ) -> tuple[list[int], tuple[object, ...]]:
         """All items in ``within`` as positions plus per-attribute columns.
 
-        The columnar counterpart of :meth:`nonnull_items` for batch
+        The columnar counterpart of :meth:`iter_nonnull` for batch
         scans: the full sequence is transposed into typed column
         buffers once (cached — the sequence is immutable) and window
         requests are answered with O(columns) buffer slices, so a scan

@@ -1,10 +1,9 @@
 """Operator-level instrumentation for the executors.
 
-The stream dispatchers (:func:`repro.execution.streams.build_stream`,
-:func:`repro.execution.batch_streams.build_batch_stream`) and the
-prober dispatcher wrap every physical plan node with one of the
-adapters here when a tracer is active.  Each adapter owns exactly one
-span and attributes to it:
+The execution context (:class:`repro.execution.context.ExecContext`)
+wraps every physical plan node it opens with one of the adapters here
+when a tracer is active.  Each adapter owns exactly one
+:class:`OperatorSpan` and attributes to it:
 
 * ``rows_emitted`` / ``batches_emitted`` — exact output counts;
 * ``busy_us`` — time spent inside the operator's pulls, *inclusive*
@@ -26,7 +25,7 @@ so full measurement is already cheap.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.errors import QueryGuardError
 from repro.obs.tracer import CATEGORY_OPERATOR, Tracer, TraceSpan
@@ -150,11 +149,88 @@ class _StorageWatch:
         span.attrs["buffer_hits"] = counters.buffer_hits - self._hits
 
 
-def _guard_event(tracer: Tracer, span: TraceSpan, error: Exception) -> None:
-    prefix = "guard" if isinstance(error, QueryGuardError) else "error"
-    tracer.event(
-        span, f"{prefix}:{type(error).__name__}", message=str(error)[:200]
+class OperatorSpan:
+    """One operator's span and the one routine that measures a pull.
+
+    The row, batch and prober adapters below each own one of these:
+    they decide *which* pulls to measure (row and prober sample every
+    ``stride``-th, batch measures all) and what they count (rows,
+    batches, probes); the push/snapshot/clock/pull/accumulate/pop/pulse
+    block itself exists once, in :meth:`measured`.
+    """
+
+    __slots__ = (
+        "tracer",
+        "span",
+        "stride",
+        "sampled",
+        "_counters",
+        "_watch",
+        "_busy",
+        "_d_pred",
+        "_d_cache",
     )
+
+    def __init__(self, tracer: Tracer, plan: PhysicalPlan, counters):
+        self.tracer = tracer
+        self.span = tracer.begin(
+            operator_name(plan), CATEGORY_OPERATOR, attrs=operator_attrs(plan)
+        )
+        self.stride = tracer.row_stride
+        self.sampled = 0
+        self._counters = counters
+        self._watch = _StorageWatch(plan)
+        self._watch.open()
+        self._busy = 0.0
+        self._d_pred = self._d_cache = 0
+
+    def measured(self, pull: Callable, *args):
+        """Run ``pull(*args)`` attributed to this span.
+
+        The pull runs with the span on the tracer stack, so spans begun
+        downstream (children begin lazily on *their* first pull, which
+        happens inside our first pull — always measured) parent
+        correctly; its wall time and the ``predicate_evals`` /
+        ``cache_ops`` deltas accumulate here, and new storage retries or
+        fault injections become span events.
+        """
+        tracer = self.tracer
+        counters = self._counters
+        self.sampled += 1
+        tracer.push(self.span)
+        pred0 = counters.predicate_evals
+        cache0 = counters.cache_ops
+        started = tracer.clock()
+        try:
+            result = pull(*args)
+        finally:
+            self._busy += tracer.clock() - started
+            self._d_pred += counters.predicate_evals - pred0
+            self._d_cache += counters.cache_ops - cache0
+            tracer.pop()
+        if self._watch.present:
+            self._watch.pulse(tracer, self.span)
+        return result
+
+    def failed(self, error: Exception) -> None:
+        """Record the error that ended the operator as a span event."""
+        prefix = "guard" if isinstance(error, QueryGuardError) else "error"
+        self.tracer.event(
+            self.span, f"{prefix}:{type(error).__name__}", message=str(error)[:200]
+        )
+
+    def close(self, pulls: int, /, **counts: int) -> None:
+        """End the span: exact ``counts``, measured totals scaled to ``pulls``."""
+        span = self.span
+        if self._watch.present:
+            # Catch retries/faults from unmeasured tail pulls.
+            self._watch.pulse(self.tracer, span)
+        scale = pulls / self.sampled if self.sampled else 1.0
+        span.attrs.update(counts)
+        span.attrs["predicate_evals"] = int(round(self._d_pred * scale))
+        span.attrs["cache_ops"] = int(round(self._d_cache * scale))
+        self._watch.close(span)
+        self.tracer.end(span, busy_us=self._busy * 1e6 * scale)
 
 
 def traced_stream(
@@ -164,47 +240,15 @@ def traced_stream(
     inner: Iterator,
 ) -> Iterator:
     """Wrap a row-mode operator stream in its span (sampled timing)."""
-    span: Optional[TraceSpan] = None
-    clock = tracer.clock
-    stride = tracer.row_stride
-    watch = _StorageWatch(plan)
-    watching = watch.present
-    # The per-row loop below is the tracing hot path; bind the stack's
-    # list methods once so an unmeasured pull costs two C-level list
-    # operations, not two Python method calls.
-    stack_push = tracer._stack.append
-    stack_pop = tracer._stack.pop
-    calls = sampled = rows = 0
-    busy = 0.0
-    d_pred = d_cache = 0
+    op: Optional[OperatorSpan] = None
+    calls = rows = 0
     try:
-        span = tracer.begin(
-            operator_name(plan), CATEGORY_OPERATOR, attrs=operator_attrs(plan)
-        )
-        watch.open()
+        op = OperatorSpan(tracer, plan, counters)
+        stride = op.stride
         while True:
             calls += 1
             if stride == 1 or calls % stride == 1:
-                # Sampled pull: measured, and run with this span on the
-                # tracer stack so spans begun downstream (children begin
-                # lazily on *their* first pull, which happens inside our
-                # first pull — always sampled) parent correctly.
-                sampled += 1
-                stack_push(span)
-                try:
-                    pred0 = counters.predicate_evals
-                    cache0 = counters.cache_ops
-                    started = clock()
-                    try:
-                        item = next(inner, _SENTINEL)
-                    finally:
-                        busy += clock() - started
-                        d_pred += counters.predicate_evals - pred0
-                        d_cache += counters.cache_ops - cache0
-                finally:
-                    stack_pop()
-                if watching:
-                    watch.pulse(tracer, span)
+                item = op.measured(next, inner, _SENTINEL)
             else:
                 item = next(inner, _SENTINEL)
             if item is _SENTINEL:
@@ -212,22 +256,12 @@ def traced_stream(
             rows += 1
             yield item
     except Exception as error:
-        if span is not None:
-            _guard_event(tracer, span, error)
+        if op is not None:
+            op.failed(error)
         raise
     finally:
-        if span is not None:
-            if watching:
-                # Catch retries/faults from unsampled tail pulls.
-                watch.pulse(tracer, span)
-            scale = calls / sampled if sampled else 1.0
-            span.attrs["rows_emitted"] = rows
-            span.attrs["pulls"] = calls
-            span.attrs["sampled_pulls"] = sampled
-            span.attrs["predicate_evals"] = int(round(d_pred * scale))
-            span.attrs["cache_ops"] = int(round(d_cache * scale))
-            watch.close(span)
-            tracer.end(span, busy_us=busy * 1e6 * scale)
+        if op is not None:
+            op.close(calls, rows_emitted=rows, pulls=calls, sampled_pulls=op.sampled)
 
 
 def traced_batches(
@@ -237,48 +271,25 @@ def traced_batches(
     inner: Iterator,
 ) -> Iterator:
     """Wrap a batch-mode operator stream in its span (full timing)."""
-    span: Optional[TraceSpan] = None
-    clock = tracer.clock
-    watch = _StorageWatch(plan)
-    batches = rows = 0
-    busy = 0.0
-    d_pred = d_cache = 0
+    op: Optional[OperatorSpan] = None
+    pulls = batches = rows = 0
     try:
-        span = tracer.begin(
-            operator_name(plan), CATEGORY_OPERATOR, attrs=operator_attrs(plan)
-        )
-        watch.open()
+        op = OperatorSpan(tracer, plan, counters)
         while True:
-            tracer.push(span)
-            pred0 = counters.predicate_evals
-            cache0 = counters.cache_ops
-            started = clock()
-            try:
-                batch = next(inner, _SENTINEL)
-            finally:
-                busy += clock() - started
-                d_pred += counters.predicate_evals - pred0
-                d_cache += counters.cache_ops - cache0
-                tracer.pop()
-            if watch.present:
-                watch.pulse(tracer, span)
+            pulls += 1
+            batch = op.measured(next, inner, _SENTINEL)
             if batch is _SENTINEL:
                 break
             batches += 1
             rows += batch.count_valid()
             yield batch
     except Exception as error:
-        if span is not None:
-            _guard_event(tracer, span, error)
+        if op is not None:
+            op.failed(error)
         raise
     finally:
-        if span is not None:
-            span.attrs["rows_emitted"] = rows
-            span.attrs["batches_emitted"] = batches
-            span.attrs["predicate_evals"] = d_pred
-            span.attrs["cache_ops"] = d_cache
-            watch.close(span)
-            tracer.end(span, busy_us=busy * 1e6)
+        if op is not None:
+            op.close(pulls, rows_emitted=rows, batches_emitted=batches)
 
 
 class TracedProber:
@@ -290,80 +301,32 @@ class TracedProber:
     stride-sampled like the row wrapper; probe counts stay exact.
     """
 
-    __slots__ = (
-        "schema",
-        "span",
-        "_inner",
-        "_tracer",
-        "_span",
-        "_counters",
-        "_watch",
-        "_calls",
-        "_sampled",
-        "_busy",
-        "_d_pred",
-        "_d_cache",
-    )
+    __slots__ = ("schema", "span", "_inner", "_op", "_calls")
 
     def __init__(self, tracer: Tracer, plan: PhysicalPlan, counters, inner):
         self.schema = inner.schema
         self.span = inner.span
         self._inner = inner
-        self._tracer = tracer
-        self._counters = counters
-        self._span = tracer.begin(
-            operator_name(plan), CATEGORY_OPERATOR, attrs=operator_attrs(plan)
-        )
-        self._watch = _StorageWatch(plan)
-        self._watch.open()
-        self._calls = self._sampled = 0
-        self._busy = 0.0
-        self._d_pred = self._d_cache = 0
+        self._op = OperatorSpan(tracer, plan, counters)
+        self._calls = 0
         tracer.add_finalizer(self._finalize)
 
     def get(self, position: int):
         """Probe the wrapped prober, attributing the work to its span."""
-        tracer = self._tracer
-        span = self._span
+        op = self._op
         self._calls += 1
-        stride = tracer.row_stride
-        if stride == 1 or self._calls % stride == 1:
-            tracer.push(span)
+        if op.stride == 1 or self._calls % op.stride == 1:
             try:
-                self._sampled += 1
-                counters = self._counters
-                pred0 = counters.predicate_evals
-                cache0 = counters.cache_ops
-                started = tracer.clock()
-                try:
-                    record = self._inner.get(position)
-                finally:
-                    self._busy += tracer.clock() - started
-                    self._d_pred += counters.predicate_evals - pred0
-                    self._d_cache += counters.cache_ops - cache0
+                return op.measured(self._inner.get, position)
             except Exception as error:
-                _guard_event(tracer, span, error)
+                op.failed(error)
                 raise
-            finally:
-                tracer.pop()
-            if self._watch.present:
-                self._watch.pulse(tracer, span)
-        else:
-            record = self._inner.get(position)
-        return record
+        return self._inner.get(position)
 
     def _finalize(self) -> None:
-        span = self._span
-        if span.end_us is not None:
+        if self._op.span.end_us is not None:
             return
-        if self._watch.present:
-            # Catch retries/faults from unsampled tail probes.
-            self._watch.pulse(self._tracer, span)
-        scale = self._calls / self._sampled if self._sampled else 1.0
-        span.attrs["probes"] = self._calls
-        span.attrs["rows_emitted"] = self._calls
-        span.attrs["sampled_pulls"] = self._sampled
-        span.attrs["predicate_evals"] = int(round(self._d_pred * scale))
-        span.attrs["cache_ops"] = int(round(self._d_cache * scale))
-        self._watch.close(span)
-        self._tracer.end(span, busy_us=self._busy * 1e6 * scale)
+        calls = self._calls
+        self._op.close(
+            calls, probes=calls, rows_emitted=calls, sampled_pulls=self._op.sampled
+        )

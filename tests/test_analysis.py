@@ -13,6 +13,7 @@ Two halves:
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +35,7 @@ from repro.analysis import (
 from repro.analysis.plan_rules import PROBEABLE_KINDS, STREAMABLE_KINDS
 from repro.catalog import Catalog
 from repro.errors import VerificationError
+from repro.execution.context import OPERATORS
 from repro.execution.engine import execute_plan
 from repro.model import AtomType, BaseSequence, Record, RecordSchema, Span
 from repro.optimizer import AccessCosts, optimize
@@ -418,6 +420,18 @@ class TestCleanPass:
             result = optimize(query, catalog=catalog)
             seen.update(p.kind for p in result.plan.plan.walk())
         assert seen <= (STREAMABLE_KINDS | PROBEABLE_KINDS)
+
+    def test_operator_table_matches_benchmark_metric_names(self):
+        """A renamed or added plan kind cannot silently zero a benchmark metric."""
+        declared = json.loads(
+            (Path(__file__).parents[1] / "BENCHMARK.json").read_text()
+        )
+        metric_kinds = {
+            m["name"][len("execution.op.") : -len(".self_ms")]
+            for m in declared["per_layer"]
+            if m["name"].startswith("execution.op.") and m["name"].endswith(".self_ms")
+        }
+        assert metric_kinds == set(OPERATORS) == STREAMABLE_KINDS | PROBEABLE_KINDS
 
     def test_construction_patch_installed(self):
         assert getattr(Query, "_analysis_verified", False)

@@ -81,7 +81,7 @@ from repro.errors import (
     UnknownEffectError,
 )
 from repro.execution import ExecutionCounters, execute_plan
-from repro.execution.streams import interpret_observer
+from repro.execution.context import ExecContext
 from repro.lang import compile_query
 from repro.model import AtomType, Record, RecordSchema
 from repro.obs.tracer import Tracer
@@ -669,17 +669,16 @@ class TestFallbackObservability:
     def test_observer_counts_and_traces(self):
         counters = ExecutionCounters()
         tracer = Tracer()
-        observe = interpret_observer(counters, tracer)
+        ctx = ExecContext(counters, tracer=tracer)
         with tracer.span("op:select") as span:
-            compile_rowwise(OpaquePredicate(), SCHEMA, on_fallback=observe)
+            compile_rowwise(OpaquePredicate(), SCHEMA, on_fallback=ctx.interpreted)
         assert counters.exprs_interpreted == 1
         assert [e.name for e in span.events] == ["expr:interpreted"]
         assert "OpaquePredicate" in span.events[0].attrs["expr"]
 
     def test_observer_without_tracer_still_counts(self):
         counters = ExecutionCounters()
-        observe = interpret_observer(counters, None)
-        observe(OpaquePredicate())
+        ExecContext(counters).interpreted(OpaquePredicate())
         assert counters.exprs_interpreted == 1
 
     @pytest.mark.parametrize("mode", ["row", "batch"])

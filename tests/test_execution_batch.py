@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import OptimizerError
+from repro.errors import ExecutionError, OptimizerError
 
 from repro.algebra import base, col, lit
 from repro.lang import compile_query
@@ -341,3 +341,8 @@ class TestColumnBatch:
             for b in build_batch_stream(plan, window, ExecutionCounters(), 16)
         )
         assert total == len(row)
+
+    def test_entry_point_rejects_bad_batch_size(self, data):
+        plan = optimize(base(data, "s").query()).plan.plan
+        with pytest.raises(ExecutionError, match="batch size must be >= 1"):
+            build_batch_stream(plan, plan.span, ExecutionCounters(), 0)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-import repro.execution.lane as lane_module
 from repro.errors import (
     CorruptPageError,
     ExecutionError,
@@ -34,6 +33,7 @@ from repro.execution import (
     run_query,
     run_query_detailed,
 )
+from repro.execution.context import ExecContext
 from repro.model import Span
 from repro.optimizer import optimize
 from repro.storage import (
@@ -553,7 +553,7 @@ class TestFallback:
         def explode(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(lane_module, "build_batch_stream", explode)
+        monkeypatch.setattr(ExecContext, "batches", explode)
 
     def test_falls_back_to_row_oracle(self, monkeypatch, reference_answers):
         self._broken_batch(monkeypatch, ExecutionError("synthetic batch bug"))
@@ -576,7 +576,7 @@ class TestFallback:
         def explode(*args, **kwargs):
             raise ExecutionError("synthetic row bug")
 
-        monkeypatch.setattr(lane_module, "build_stream", explode)
+        monkeypatch.setattr(ExecContext, "stream", explode)
         with pytest.raises(ExecutionError, match="synthetic row bug"):
             run_on(make_stored(), mode="row", fallback=True)
 
@@ -604,13 +604,13 @@ class TestFallback:
         snapshots = ExecutionCounters()
         snapshots.probes_issued = 3
 
-        def partial_failure(plan, window, counters, batch_size, guard=None, tracer=None):
-            counters.batches_built += 7
-            counters.operator_records += 100
+        def partial_failure(ctx, plan, window):
+            ctx.counters.batches_built += 7
+            ctx.counters.operator_records += 100
             raise ExecutionError("mid-flight batch bug")
             yield  # pragma: no cover
 
-        monkeypatch.setattr(lane_module, "build_batch_stream", partial_failure)
+        monkeypatch.setattr(ExecContext, "batches", partial_failure)
         stored = make_stored()
         catalog = Catalog()
         catalog.register(stored.name, stored)

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
-import repro.execution.lane as lane_module
 from repro.errors import ExecutionError, ReproError, TraceFormatError
 from repro.algebra import base, col, lit
 from repro.catalog import Catalog
@@ -29,6 +29,7 @@ from repro.execution import (
     run_query,
     run_query_detailed,
 )
+from repro.execution.context import ExecContext
 from repro.model import Span
 from repro.obs import (
     CATEGORY_ENGINE,
@@ -52,6 +53,7 @@ from repro.obs import (
     write_trace,
 )
 from repro.optimizer import optimize
+from repro.optimizer.plans import PROBE
 from repro.storage import FaultPlan, RetryPolicy, StoredSequence
 from repro.workloads import StockSpec, generate_stock
 
@@ -261,6 +263,68 @@ class TestMetricsRegistry:
 # -- schema + exporters ------------------------------------------------------
 
 
+def forced_plans():
+    """Plans the optimizer rarely picks, built by hand, keyed by shape.
+
+    Join-Strategy-A in both directions over a chain-over-scan driver,
+    the forced-naive strategy of every non-unit-scope operator, and a
+    streamed materialize — each as ``(plan, window)``.
+    """
+    stock = generate_stock(StockSpec("s", SPAN, 0.9, seed=5))
+    other = generate_stock(StockSpec("o", SPAN, 0.5, seed=6))
+    selected = base(stock, "s").select(col("volume") > lit(2000)).project("close")
+    joined = optimize(
+        selected.compose(base(other, "o").project("volume")).query()
+    )
+    join = joined.plan.plan
+    while join.kind not in ("lockstep", "stream-probe", "probe-stream"):
+        join = join.children[0]
+    left, right = join.children
+
+    def probed(plan):
+        if plan.kind == "scan":
+            return replace(plan, kind="probe-source", mode=PROBE)
+        return replace(
+            plan, mode=PROBE, children=tuple(probed(c) for c in plan.children)
+        )
+
+    window = joined.plan.output_span
+    plans = {
+        "stream-probe": (
+            replace(join, kind="stream-probe", children=(left, probed(right))),
+            window,
+        ),
+        "probe-stream": (
+            replace(join, kind="probe-stream", children=(probed(left), right)),
+            window,
+        ),
+    }
+    for shape, query in (
+        ("window-agg", selected.window("avg", "close", 5).query()),
+        ("value-offset", selected.value_offset(-2).query()),
+        ("cumulative-agg", selected.cumulative("sum", "close").query()),
+    ):
+        result = optimize(query)
+        plan = result.plan.plan
+        assert plan.kind == shape
+        plans[f"{shape}(naive)"] = (
+            replace(
+                plan,
+                strategy="naive",
+                cache_size=None,
+                children=(probed(plan.children[0]),),
+            ),
+            result.plan.output_span,
+        )
+    result = optimize(selected.query())
+    plan = result.plan.plan
+    plans["materialize"] = (
+        replace(plan, kind="materialize", node=None, steps=(), children=(plan,)),
+        result.plan.output_span,
+    )
+    return plans
+
+
 def traced_run(mode="row", **tracer_kwargs):
     tracer = Tracer(**tracer_kwargs)
     result = run_query_detailed(make_query(), mode=mode, tracer=tracer)
@@ -346,11 +410,15 @@ class TestTracedExecution:
     @pytest.mark.parametrize("mode", ["row", "batch"])
     def test_every_operator_gets_a_span(self, mode):
         tracer, result = traced_run(mode=mode)
-        plan_ids = {id(node) for node in result.optimization.plan.plan.walk()}
-        span_plan_ids = {
-            s.attrs.get("plan_id") for s in tracer.operator_spans()
-        }
-        assert plan_ids <= span_plan_ids
+        traced = [("optimized", result.optimization.plan.plan, tracer)]
+        for shape, (plan, window) in forced_plans().items():
+            tracer = Tracer()
+            execute_plan(plan, window, mode=mode, tracer=tracer)
+            traced.append((shape, plan, tracer))
+        for shape, plan, tracer in traced:
+            spanned = {s.attrs.get("plan_id") for s in tracer.operator_spans()}
+            missing = [n.kind for n in plan.walk() if id(n) not in spanned]
+            assert not missing, f"{shape}: no span for {missing}"
 
     def test_operator_spans_nest_under_execute_root(self):
         tracer, _ = traced_run(mode="row")
@@ -437,12 +505,12 @@ class TestTracedExecution:
         assert any(name.startswith("fault:") for name in names)
 
     def test_fallback_emits_event_and_keeps_answer(self, monkeypatch):
-        def broken(plan, window, counters, batch_size, guard=None, tracer=None):
-            counters.batches_built += 2
+        def broken(ctx, plan, window):
+            ctx.counters.batches_built += 2
             raise ExecutionError("synthetic batch bug")
             yield  # pragma: no cover
 
-        monkeypatch.setattr(lane_module, "build_batch_stream", broken)
+        monkeypatch.setattr(ExecContext, "batches", broken)
         query, catalog, _ = make_stored_query()
         tracer = Tracer()
         result = run_query_detailed(

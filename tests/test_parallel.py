@@ -32,7 +32,6 @@ import threading
 
 import pytest
 
-import repro.execution.lane as lane
 import repro.execution.parallel as par
 from repro.algebra import base
 from repro.analysis.partition import PartitionSoundnessError, certify
@@ -54,6 +53,7 @@ from repro.execution import (
     execute_plan,
     run_query,
 )
+from repro.execution.context import ExecContext
 from repro.lang import compile_query
 from repro.model import Span
 from repro.obs.tracer import Tracer
@@ -454,12 +454,12 @@ class TestLadder:
     def break_batch(self, monkeypatch):
         """Make every batch-mode drain fail after charging some work."""
 
-        def broken(plan, window, counters, batch_size, guard=None, tracer=None):
-            counters.batches_built += 3
+        def broken(ctx, plan, window):
+            ctx.counters.batches_built += 3
             raise ExecutionError("synthetic batch bug")
             yield  # pragma: no cover
 
-        monkeypatch.setattr(lane, "build_batch_stream", broken)
+        monkeypatch.setattr(ExecContext, "batches", broken)
 
     def test_auto_runs_parallel_when_certifiable(self, table1):
         plan, answer, counters, tracer = self.ladder_run(

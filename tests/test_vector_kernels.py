@@ -33,7 +33,7 @@ import repro.model.batch as batch_module
 from repro.algebra import base, col, lit
 from repro.algebra.expressions import And, Not, Or
 from repro.execution import ExecutionCounters, run_query, run_query_detailed
-from repro.execution.streams import kernel_observer
+from repro.execution.context import ExecContext
 from repro.model import AtomType, BaseSequence, Record, RecordSchema, Span
 from repro.model.batch import typed_column, vector_backend
 from repro.model.bitmask import Bitmask
@@ -313,17 +313,16 @@ class TestKernelFallbackObservability:
     def test_observer_counts_and_traces(self):
         counters = ExecutionCounters()
         tracer = Tracer()
-        observe = kernel_observer(counters, tracer)
+        ctx = ExecContext(counters, tracer=tracer)
         with tracer.span("op:select") as span:
-            observe("subject")
+            ctx.kernel_fallback("subject")
         assert counters.kernels_fallback == 1
         assert [e.name for e in span.events] == ["kernel:fallback"]
         assert "subject" in span.events[0].attrs["subject"]
 
     def test_observer_without_tracer_still_counts(self):
         counters = ExecutionCounters()
-        observe = kernel_observer(counters, None)
-        observe("x")
+        ExecContext(counters).kernel_fallback("x")
         assert counters.kernels_fallback == 1
 
     @pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
