@@ -6,9 +6,11 @@ Two questions, one baseline file:
    every expression site in every plan it emits (the ``effects``
    phase), so the abstract interpretation rides the hot planning path
    and must stay cheap: the budget enforced here is that the phase
-   costs **<=5% of total optimize wall clock**, as a mean across the
-   shapes (per-shape noise on CI machines makes a per-shape bound
-   flaky; the mean is stable).
+   costs **<=20 us per plan**, as a mean across the shapes (per-shape
+   noise on CI machines makes a per-shape bound flaky; the mean is
+   stable).  Absolute, not a share of optimize time: the phase walks
+   the plan's expression sites, so its cost does not move when the
+   rest of ``optimize`` gets cheaper (measured mean ~7 us).
 
 2. **Dense-loop payoff.**  ``compile_filter``/``compile_columnwise``
    emit an unguarded dense loop for fully-valid batches when handed a
@@ -59,8 +61,8 @@ SMOKE_ITERATIONS = 40
 #: Repetitions per shape; the best (minimum) rate is kept.
 REPETITIONS = 5
 
-#: Maximum acceptable mean effects-phase share of optimize time.
-ANALYSIS_BUDGET = 0.05
+#: Maximum acceptable mean effects-phase cost per plan, in us.
+ANALYSIS_BUDGET_US = 20.0
 
 #: Dense codegen must at minimum not regress the guarded loop; the
 #: actual speedup is informational and recorded in the baseline.
@@ -118,13 +120,12 @@ def measure_overhead(iterations: int) -> dict:
                 "shape": name,
                 "optimize_seconds": round(optimize_seconds, 9),
                 "effects_seconds": round(effects_seconds, 9),
-                "effects_share": round(effects_seconds / optimize_seconds, 4),
                 "sites": summary["sites"],
                 "vector_safe": summary["vector_safe"],
             }
         )
-    mean = sum(r["effects_share"] for r in rows) / len(rows)
-    return {"shapes": rows, "mean_effects_share": round(mean, 4)}
+    mean = sum(r["effects_seconds"] for r in rows) / len(rows) * 1e6
+    return {"shapes": rows, "mean_effects_us": round(mean, 2)}
 
 
 def measure_dense(iterations: int) -> dict:
@@ -176,7 +177,7 @@ def measure(iterations: int) -> dict:
             "iterations": iterations,
             "repetitions": REPETITIONS,
             "batch_rows": BATCH_ROWS,
-            "budget": ANALYSIS_BUDGET,
+            "budget_us": ANALYSIS_BUDGET_US,
             "dense_floor": DENSE_FLOOR,
         },
         **overhead,
@@ -202,13 +203,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     iterations = SMOKE_ITERATIONS if args.smoke else FULL_ITERATIONS
     payload = measure(iterations)
     print_table(
-        ["shape", "optimize us", "effects us", "share", "sites", "safe"],
+        ["shape", "optimize us", "effects us", "sites", "safe"],
         [
             [
                 r["shape"],
                 f'{r["optimize_seconds"] * 1e6:.1f}',
                 f'{r["effects_seconds"] * 1e6:.2f}',
-                f'{r["effects_share"] * 100:.1f}%',
                 str(r["sites"]),
                 str(r["vector_safe"]),
             ]
@@ -231,10 +231,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         title=f"Certified dense loop vs guarded loop "
         f"({BATCH_ROWS} fully-valid rows)",
     )
-    mean = payload["mean_effects_share"]
+    mean = payload["mean_effects_us"]
     print(
-        f"mean effects share of optimize time: {mean * 100:.2f}% "
-        f"(budget {ANALYSIS_BUDGET * 100:.0f}%)"
+        f"mean effects phase per plan: {mean:.2f} us "
+        f"(budget {ANALYSIS_BUDGET_US:.0f} us)"
     )
     if args.out:
         with open(args.out, "w") as handle:
@@ -242,8 +242,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             handle.write("\n")
         print(f"wrote {args.out}")
     failed = False
-    if mean > ANALYSIS_BUDGET:
-        print(f"FAIL: mean effects share {mean * 100:.2f}% over budget")
+    if mean > ANALYSIS_BUDGET_US:
+        print(f"FAIL: mean effects phase {mean:.2f} us over budget")
         failed = True
     for r in payload["kernels"]:
         if r["dense_speedup"] < DENSE_FLOOR:
@@ -277,7 +277,7 @@ def test_effect_annotation(benchmark, planned, shape):
 
 def test_effects_report(benchmark):
     payload = measure(SMOKE_ITERATIONS)
-    assert payload["mean_effects_share"] <= ANALYSIS_BUDGET
+    assert payload["mean_effects_us"] <= ANALYSIS_BUDGET_US
     for r in payload["kernels"]:
         assert r["dense_speedup"] >= DENSE_FLOOR
     benchmark(lambda: None)

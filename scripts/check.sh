@@ -28,11 +28,11 @@
 #   9. a smoke-sized run of the tracer-overhead benchmark (a disabled
 #      tracer must cost <2% mean wall clock, an active one <10%)
 #  10. a smoke-sized run of the partition-analysis benchmark (the
-#      contract derivation embedded in optimize() must cost <5% of
-#      mean optimize wall clock)
+#      contract derivation embedded in optimize() must cost <=50 us
+#      per plan, mean over the shapes)
 #  11. a smoke-sized run of the effect-analysis benchmark (the effects
-#      phase embedded in optimize() must cost <5% of mean optimize
-#      wall clock; dense codegen must not regress the guarded loop)
+#      phase embedded in optimize() must cost <=20 us per plan, mean
+#      over the shapes; dense codegen must not regress the guarded loop)
 #  12. a smoke-sized run of the parallel-speedup benchmark (modeled
 #      critical-path speedup >=1.5x at 4 workers on the row-path
 #      shapes; supervisor overhead <=5% at workers=1)

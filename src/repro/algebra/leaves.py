@@ -14,6 +14,7 @@ from repro.model.span import Span
 from repro.algebra.expressions import StatsLookup
 from repro.algebra.node import Operator
 from repro.algebra.scope import ScopeSpec
+from repro.catalog.catalog import leaf_meta
 
 
 class SequenceLeaf(Operator):
@@ -55,13 +56,7 @@ class SequenceLeaf(Operator):
         input_infos: list[SequenceInfo],
         stats: Optional[StatsLookup] = None,
     ) -> float:
-        length = self.sequence.span.length()
-        if length is None or length == 0:
-            return 1.0
-        try:
-            return self.sequence.density()
-        except Exception:  # pragma: no cover - defensive
-            return 1.0
+        return leaf_meta(self.sequence).density
 
     def describe(self) -> str:
         return f"base({self.alias})"

@@ -1,6 +1,12 @@
 """Catalog and statistics (the paper's sequence meta-information)."""
 
-from repro.catalog.catalog import Catalog, CatalogEntry, DEFAULT_PAGE_CAPACITY
+from repro.catalog.catalog import (
+    Catalog,
+    CatalogEntry,
+    DEFAULT_PAGE_CAPACITY,
+    LeafMeta,
+    leaf_meta,
+)
 from repro.catalog.histogram import EquiWidthHistogram
 from repro.catalog.stats import (
     ColumnStats,
@@ -15,7 +21,9 @@ __all__ = [
     "ColumnStats",
     "DEFAULT_PAGE_CAPACITY",
     "EquiWidthHistogram",
+    "LeafMeta",
     "SequenceStats",
     "collect_stats",
+    "leaf_meta",
     "null_correlation",
 ]

@@ -10,11 +10,12 @@ estimates from here.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from repro.errors import CatalogError
 from repro.model.info import SequenceInfo
 from repro.model.sequence import Sequence
+from repro.model.span import Span
 from repro.storage.organizations import AccessProfile
 from repro.storage.stored import StoredSequence
 from repro.catalog.stats import SequenceStats, collect_stats, null_correlation
@@ -22,6 +23,49 @@ from repro.catalog.stats import SequenceStats, collect_stats, null_correlation
 #: Default records-per-page assumed for in-memory sequences that have no
 #: physical organization (they behave like a clustered store).
 DEFAULT_PAGE_CAPACITY = 32
+
+
+class LeafMeta(NamedTuple):
+    """The Table 1 meta-information of one base sequence.
+
+    Attributes:
+        span: the declared span.
+        count: exact number of non-Null positions (0 if unbounded).
+        density: ``count / span length``; 1.0 where that is undefined
+            (unbounded or empty span).
+        profile: stream/probe access costs (the paper's A and a).
+    """
+
+    span: Span
+    count: int
+    density: float
+    profile: AccessProfile
+
+
+def leaf_meta(sequence: Sequence) -> LeafMeta:
+    """Look up a leaf's meta-information without reading its data.
+
+    The one place planning asks a sequence how many records it holds:
+    ``count_nonnull()`` is a bisection over the sorted positions for
+    in-memory sequences, the window length for constants and the
+    load-time record count for stored ones, so the cost is O(log n) at
+    worst and no record, page or column is touched.  In-memory
+    sequences are costed like a clustered store of
+    :data:`DEFAULT_PAGE_CAPACITY` records per page.
+    """
+    span = sequence.span
+    length = span.length()
+    if length:
+        count = sequence.count_nonnull()
+        density = count / length
+    else:
+        count, density = 0, 1.0
+    if isinstance(sequence, StoredSequence):
+        profile = sequence.access_profile()
+    else:
+        pages = max(1, -(-count // DEFAULT_PAGE_CAPACITY))
+        profile = AccessProfile(stream_total=float(pages), probe_unit=1.0)
+    return LeafMeta(span, count, density, profile)
 
 
 class CatalogEntry:
@@ -44,19 +88,13 @@ class CatalogEntry:
             return SequenceInfo(
                 span=self.stats.span, density=self.stats.density, stats=self.stats
             )
-        span = self.sequence.span
-        length = span.length()
-        density = self.sequence.density() if length else 1.0
-        return SequenceInfo(span=span, density=density, stats=None)
+        meta = leaf_meta(self.sequence)
+        return SequenceInfo(span=meta.span, density=meta.density, stats=None)
 
     @property
     def profile(self) -> AccessProfile:
         """Estimated stream/probe access costs (the paper's A and a)."""
-        if isinstance(self.sequence, StoredSequence):
-            return self.sequence.access_profile()
-        count = self.sequence.count_nonnull() if self.sequence.span.is_bounded else 0
-        pages = max(1, -(-count // DEFAULT_PAGE_CAPACITY))
-        return AccessProfile(stream_total=float(pages), probe_unit=1.0)
+        return leaf_meta(self.sequence).profile
 
 
 class Catalog:
@@ -64,6 +102,9 @@ class Catalog:
 
     def __init__(self):
         self._entries: dict[str, CatalogEntry] = {}
+        # id(sequence) -> the first entry registered for that object; the
+        # entry keeps the sequence alive, so the id cannot be reused.
+        self._by_sequence: dict[int, CatalogEntry] = {}
         self._correlations: dict[tuple[str, str], float] = {}
 
     # -- registration ------------------------------------------------------
@@ -92,6 +133,7 @@ class Catalog:
         stats = collect_stats(sequence, buckets=buckets) if collect else None
         entry = CatalogEntry(name, sequence, stats)
         self._entries[name] = entry
+        self._by_sequence.setdefault(id(sequence), entry)
         return entry
 
     def analyze_correlation(self, first: str, second: str) -> float:
@@ -138,12 +180,19 @@ class Catalog:
         """The recorded null-position correlation of a pair (default 1.0)."""
         return self._correlations.get(self._pair_key(first, second), 1.0)
 
-    def entry_for_sequence(self, sequence: Sequence) -> Optional[CatalogEntry]:
-        """The entry holding exactly this sequence object, if registered."""
-        for entry in self._entries.values():
-            if entry.sequence is sequence:
-                return entry
-        return None
+    def entry_for_sequence(
+        self, sequence: Sequence, alias: Optional[str] = None
+    ) -> Optional[CatalogEntry]:
+        """The entry holding exactly this sequence object, if registered.
+
+        An object registered under several names resolves to the entry
+        named ``alias`` when that is one of them, else to the first
+        registered.
+        """
+        named = self._entries.get(alias) if alias is not None else None
+        if named is not None and named.sequence is sequence:
+            return named
+        return self._by_sequence.get(id(sequence))
 
     def describe(self) -> str:
         """A Table 1-style rendering of the catalog."""

@@ -9,9 +9,12 @@ disk-resident variant lives in :mod:`repro.storage`.
 from __future__ import annotations
 
 import bisect
+from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Optional, Sequence as PySequence
 
 from repro.errors import SchemaError, SpanError
+from repro.model.batch import column_to_list, typed_column
 from repro.model.record import NULL, Record, RecordOrNull
 from repro.model.schema import RecordSchema
 from repro.model.sequence import Sequence
@@ -144,18 +147,28 @@ class BaseSequence(Sequence):
     def at(self, position: int) -> RecordOrNull:
         return self._records.get(position, NULL)
 
-    def iter_nonnull(self, within: Optional[Span] = None) -> Iterator[tuple[int, Record]]:
+    def _index_range(self, within: Optional[Span]) -> tuple[int, int]:
+        """The slice of ``_positions`` lying inside ``within`` (and the span)."""
         window = self._span if within is None else self._span.intersect(within)
         if window.is_empty:
-            return
+            return 0, 0
         lo = 0 if window.start is None else bisect.bisect_left(self._positions, window.start)
         hi = (
             len(self._positions)
             if window.end is None
             else bisect.bisect_right(self._positions, window.end)
         )
+        return lo, hi
+
+    def iter_nonnull(self, within: Optional[Span] = None) -> Iterator[tuple[int, Record]]:
+        lo, hi = self._index_range(within)
         for position in self._positions[lo:hi]:
             yield position, self._records[position]
+
+    def count_nonnull(self, within: Optional[Span] = None) -> int:
+        """Number of non-Null positions, by bisection: no record is touched."""
+        lo, hi = self._index_range(within)
+        return hi - lo
 
     def nonnull_columns(
         self, within: Optional[Span] = None
@@ -174,8 +187,6 @@ class BaseSequence(Sequence):
         """
         cache = getattr(self, "_column_cache", None)
         if cache is None:
-            from repro.model.batch import typed_column
-
             attributes = self._schema.attributes
             positions = self._positions
             records = self._records
@@ -189,15 +200,7 @@ class BaseSequence(Sequence):
                 for values, attribute in zip(raw, attributes)
             )
             self._column_cache = cache
-        window = self._span if within is None else self._span.intersect(within)
-        if window.is_empty:
-            return [], tuple(column[0:0] for column in cache)
-        lo = 0 if window.start is None else bisect.bisect_left(self._positions, window.start)
-        hi = (
-            len(self._positions)
-            if window.end is None
-            else bisect.bisect_right(self._positions, window.end)
-        )
+        lo, hi = self._index_range(within)
         if lo == 0 and hi == len(self._positions):
             return self._positions, cache
         return self._positions[lo:hi], tuple(column[lo:hi] for column in cache)
@@ -248,9 +251,11 @@ class ColumnarAnswer(BaseSequence):
     This subclass stores the columnar form instead: columnar consumers
     (:meth:`BaseSequence.nonnull_columns` — and therefore a follow-up
     batch query over the answer) are served O(columns) slices of the
-    stored buffers, while the position→record mapping that row-wise
-    access needs (``at``, ``iter_nonnull``, equality) is materialized
-    lazily, once, on first use.
+    stored buffers, while the records that row-wise access needs are
+    materialized lazily, once, on first use: a list parallel to the
+    positions, which ``iter_nonnull`` zips in one pass, and — only when
+    ``at`` or equality ask for it — the position→record mapping over
+    the same :class:`Record` objects.
 
     Instances are built only by the engine; ``positions`` must be
     unique and ascending inside ``span`` and ``columns`` must hold one
@@ -273,24 +278,24 @@ class ColumnarAnswer(BaseSequence):
         # buffers without ever re-transposing records.
         self._column_cache = self._columns
 
-    @property
+    @cached_property
+    def _record_list(self) -> list[Record]:
+        """One :class:`Record` per position, parallel to ``_positions``."""
+        rows: Iterable[tuple]
+        if self._columns:
+            rows = zip(*(column_to_list(column) for column in self._columns))
+        else:
+            rows = repeat((), len(self._positions))
+        return list(map(Record.unchecked, repeat(self._schema), rows))
+
+    @cached_property
     def _records(self) -> dict[int, Record]:
-        cache = self.__dict__.get("_materialized")
-        if cache is None:
-            from itertools import repeat
+        """The position → record mapping ``at`` and equality read."""
+        return dict(zip(self._positions, self._record_list))
 
-            from repro.model.batch import column_to_list
-
-            rows: Iterable[tuple]
-            if self._columns:
-                rows = zip(*(column_to_list(column) for column in self._columns))
-            else:
-                rows = repeat((), len(self._positions))
-            cache = dict(
-                zip(
-                    self._positions,
-                    map(Record.unchecked, repeat(self._schema), rows),
-                )
-            )
-            self.__dict__["_materialized"] = cache
-        return cache
+    def iter_nonnull(self, within: Optional[Span] = None) -> Iterator[tuple[int, Record]]:
+        lo, hi = self._index_range(within)
+        records = self._record_list
+        if lo == 0 and hi == len(records):
+            return zip(self._positions, records)
+        return zip(self._positions[lo:hi], records[lo:hi])

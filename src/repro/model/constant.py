@@ -65,6 +65,10 @@ class ConstantSequence(Sequence):
         for position in window.positions():
             yield position, self._record
 
+    def count_nonnull(self, within: Optional[Span] = None) -> int:
+        """Every position of the (bounded) window holds the record."""
+        return self.effective_window(within).length()
+
     def density(self) -> float:
         """Constant sequences are fully dense (paper Section 4.1.1)."""
         return 1.0

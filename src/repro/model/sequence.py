@@ -47,7 +47,13 @@ class Sequence(abc.ABC):
     # -- convenience ------------------------------------------------------
 
     def count_nonnull(self, within: Optional[Span] = None) -> int:
-        """Number of non-Null positions (optionally within a span)."""
+        """Number of non-Null positions (optionally within a span).
+
+        This generator walk is only the protocol default: base,
+        constant and (unwindowed) stored sequences answer without
+        touching a record, which is what keeps planning independent of
+        the data size (see :func:`repro.catalog.leaf_meta`).
+        """
         return sum(1 for _ in self.iter_nonnull(within))
 
     def density(self) -> float:

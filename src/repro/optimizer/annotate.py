@@ -20,7 +20,7 @@ from repro.algebra.graph import Query
 from repro.algebra.leaves import ConstantLeaf, SequenceLeaf
 from repro.algebra.node import Operator
 from repro.algebra.project import Project
-from repro.catalog.catalog import Catalog
+from repro.catalog.catalog import Catalog, CatalogEntry, leaf_meta
 from repro.catalog.stats import ColumnStats
 
 
@@ -89,6 +89,13 @@ class AnnotatedQuery:
             ) from None
 
 
+def leaf_entry(node: Operator, catalog: Optional[Catalog]) -> Optional[CatalogEntry]:
+    """The catalog entry of a direct leaf node, if registered."""
+    if not isinstance(node, SequenceLeaf) or catalog is None:
+        return None
+    return catalog.entry_for_sequence(node.sequence, alias=node.alias)
+
+
 def _leaf_annotation(node: Operator, catalog: Optional[Catalog]) -> Annotation:
     """Bottom-up metadata for a leaf, preferring catalog statistics."""
     if isinstance(node, ConstantLeaf):
@@ -98,21 +105,13 @@ def _leaf_annotation(node: Operator, catalog: Optional[Catalog]) -> Annotation:
             f"leaf annotation needs a sequence or constant leaf, got "
             f"{node.describe()!r}"
         )
-    entry = None
-    if catalog is not None:
-        if node.alias in catalog:
-            candidate = catalog.get(node.alias)
-            if candidate.sequence is node.sequence:
-                entry = candidate
-        if entry is None:
-            entry = catalog.entry_for_sequence(node.sequence)
+    entry = leaf_entry(node, catalog)
     if entry is not None:
         info = entry.info
         colstats = dict(entry.stats.columns) if entry.stats is not None else {}
         return Annotation(span=info.span, density=info.density, colstats=colstats)
-    span = node.sequence.span
-    density = node.sequence.density() if span.is_bounded and span.length() else 1.0
-    return Annotation(span=span, density=density)
+    meta = leaf_meta(node.sequence)
+    return Annotation(span=meta.span, density=meta.density)
 
 
 def _propagate_colstats(node: Operator, child_stats: list[dict[str, ColumnStats]]) -> dict[str, ColumnStats]:
@@ -137,16 +136,6 @@ def _propagate_colstats(node: Operator, child_stats: list[dict[str, ColumnStats]
     if node.arity == 1 and node.schema == node.inputs[0].schema:
         return dict(child_stats[0])
     return {}
-
-
-def _leaf_names(node: Operator, catalog: Optional[Catalog]) -> Optional[str]:
-    """The catalog name of a direct leaf node, if registered."""
-    if not isinstance(node, SequenceLeaf) or catalog is None:
-        return None
-    if node.alias in catalog and catalog.get(node.alias).sequence is node.sequence:
-        return node.alias
-    entry = catalog.entry_for_sequence(node.sequence)
-    return entry.name if entry is not None else None
 
 
 def annotate(
@@ -185,10 +174,10 @@ def annotate(
             merged = _propagate_colstats(node, child_stats)
             density = node.infer_density(infos, stats=lambda n: merged.get(n))
             if isinstance(node, Compose) and catalog is not None:
-                left_name = _leaf_names(node.inputs[0], catalog)
-                right_name = _leaf_names(node.inputs[1], catalog)
-                if left_name and right_name:
-                    density *= catalog.correlation(left_name, right_name)
+                left = leaf_entry(node.inputs[0], catalog)
+                right = leaf_entry(node.inputs[1], catalog)
+                if left is not None and right is not None:
+                    density *= catalog.correlation(left.name, right.name)
             annotation = Annotation(
                 span=out_span,
                 density=max(0.0, min(1.0, density)),

@@ -26,12 +26,12 @@ from repro.model.schema import RecordSchema
 from repro.model.span import Span
 from repro.algebra.aggregate import CumulativeAggregate, GlobalAggregate, WindowAggregate
 from repro.algebra.expressions import Expr, conjoin
-from repro.algebra.leaves import ConstantLeaf, SequenceLeaf
+from repro.algebra.leaves import ConstantLeaf
 from repro.algebra.offsets import PositionalOffset, ValueOffset
 from repro.algebra.project import Project
 from repro.algebra.select import Select
-from repro.catalog.catalog import Catalog, CatalogEntry
-from repro.optimizer.annotate import AnnotatedQuery
+from repro.catalog.catalog import Catalog, leaf_meta
+from repro.optimizer.annotate import AnnotatedQuery, leaf_entry
 from repro.optimizer.blocks import Block, BlockInput, JoinBlock, UnaryBlock
 from repro.optimizer.costmodel import AccessCosts, CostModel
 from repro.optimizer.plans import PROBE, STREAM, ChainStep, PhysicalPlan
@@ -52,6 +52,19 @@ class PlanStats:
 class PlannedOutput:
     """The two retained plans for a block (or block input) output."""
 
+    schema: RecordSchema
+    span: Span
+    density: float
+    costs: AccessCosts
+    stream_plan: PhysicalPlan
+    probe_plan: PhysicalPlan
+
+
+@dataclass(slots=True)
+class JoinEntry:
+    """The retained plan pair for one subset of a join block's inputs."""
+
+    indices: frozenset[int]
     schema: RecordSchema
     span: Span
     density: float
@@ -85,29 +98,15 @@ class BlockPlanner:
 
     # -- leaf and input planning -----------------------------------------------
 
-    def _catalog_entry(self, leaf: SequenceLeaf) -> Optional[CatalogEntry]:
-        if self.catalog is None:
-            return None
-        if leaf.alias in self.catalog:
-            entry = self.catalog.get(leaf.alias)
-            if entry.sequence is leaf.sequence:
-                return entry
-        return self.catalog.entry_for_sequence(leaf.sequence)
-
     def _leaf_output(self, leaf) -> PlannedOutput:
         annotation = self.annotated.of(leaf)
         if isinstance(leaf, ConstantLeaf):
             costs = self.model.constant_costs()
         else:
-            entry = self._catalog_entry(leaf)
-            if entry is not None:
-                profile = entry.profile
-            else:
-                from repro.catalog.catalog import CatalogEntry as _Entry
-
-                profile = _Entry(leaf.alias, leaf.sequence, None).profile
             costs = self.model.base_costs(
-                profile, annotation.span, annotation.restricted_span
+                leaf_meta(leaf.sequence).profile,
+                annotation.span,
+                annotation.restricted_span,
             )
         common = dict(
             node=leaf,
@@ -237,17 +236,7 @@ class BlockPlanner:
         considered_before = self.stats.plans_considered
         peak_before_block = 0
 
-        @dataclass
-        class Entry:
-            indices: frozenset[int]
-            schema: RecordSchema
-            span: Span
-            density: float
-            costs: AccessCosts
-            stream_plan: PhysicalPlan
-            probe_plan: PhysicalPlan
-
-        def singleton(j: int) -> Entry:
+        def singleton(j: int) -> JoinEntry:
             self.stats.plans_considered += 1
             planned = inputs[j]
             density = planned.density
@@ -277,7 +266,7 @@ class BlockPlanner:
                 probe_plan = PhysicalPlan(
                     kind="chain", mode=PROBE, children=(probe_plan,), **common
                 )
-            return Entry(
+            return JoinEntry(
                 indices=frozenset((j,)),
                 schema=planned.schema,
                 span=span,
@@ -287,17 +276,12 @@ class BlockPlanner:
                 probe_plan=probe_plan,
             )
 
-        def leaf_pair_correlation(s_entry: Entry, j: int) -> float:
+        def leaf_pair_correlation(s_entry: JoinEntry, j: int) -> float:
             if self.catalog is None or len(s_entry.indices) != 1:
                 return 1.0
             (i,) = s_entry.indices
-            left_input, right_input = block.inputs[i], block.inputs[j]
-            if not isinstance(left_input.leaf, SequenceLeaf):
-                return 1.0
-            if not isinstance(right_input.leaf, SequenceLeaf):
-                return 1.0
-            left_entry = self._catalog_entry(left_input.leaf)
-            right_entry = self._catalog_entry(right_input.leaf)
+            left_entry = leaf_entry(block.inputs[i].leaf, self.catalog)
+            right_entry = leaf_entry(block.inputs[j].leaf, self.catalog)
             if left_entry is None or right_entry is None:
                 return 1.0
             return self.catalog.correlation(left_entry.name, right_entry.name)
@@ -328,7 +312,7 @@ class BlockPlanner:
                 steps=(ChainStep("project", names=tuple(schema.names)),),
             )
 
-        def join(s_entry: Entry, j: int) -> Entry:
+        def join(s_entry: JoinEntry, j: int) -> JoinEntry:
             self.stats.plans_considered += 1
             # Extend with the *singleton entry* (not the raw input): it
             # carries any single-input predicates already applied, with
@@ -425,7 +409,7 @@ class BlockPlanner:
             )
             stream_plan.costs = costs
             canonical = canonical_schema(union)
-            return Entry(
+            return JoinEntry(
                 indices=union,
                 schema=canonical,
                 span=out_span,
@@ -436,14 +420,14 @@ class BlockPlanner:
             )
 
         singleton_entries = [singleton(j) for j in range(n)]
-        level: dict[frozenset[int], Entry] = {
+        level: dict[frozenset[int], JoinEntry] = {
             entry.indices: entry for entry in singleton_entries
         }
         singletons = dict(level)
         peak_before_block = max(peak_before_block, len(level))
 
         for _size in range(2, n + 1):
-            next_level: dict[frozenset[int], Entry] = {}
+            next_level: dict[frozenset[int], JoinEntry] = {}
             for subset, entry in level.items():
                 for j in range(n):
                     if j in subset:
@@ -455,7 +439,7 @@ class BlockPlanner:
                     else:
                         merged = best
                         if candidate.costs.stream_total < best.costs.stream_total:
-                            merged = Entry(
+                            merged = JoinEntry(
                                 indices=best.indices,
                                 schema=best.schema,
                                 span=best.span,
@@ -469,7 +453,7 @@ class BlockPlanner:
                                 probe_plan=best.probe_plan,
                             )
                         if candidate.costs.probe_unit < merged.costs.probe_unit:
-                            merged = Entry(
+                            merged = JoinEntry(
                                 indices=merged.indices,
                                 schema=merged.schema,
                                 span=merged.span,
@@ -496,7 +480,7 @@ class BlockPlanner:
 
         return self._finish_join_block(block, final)
 
-    def _finish_join_block(self, block: JoinBlock, final) -> PlannedOutput:
+    def _finish_join_block(self, block: JoinBlock, final: JoinEntry) -> PlannedOutput:
         """Apply the post-shift and the final projection to the root schema."""
         annotation = self.annotated.of(block.root)
         root_schema = block.root.schema

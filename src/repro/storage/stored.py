@@ -202,6 +202,13 @@ class StoredSequence(Sequence):
             self._counters.records_streamed += 1
             yield position, Record(self._schema, values)
 
+    def count_nonnull(self, within: Optional[Span] = None) -> int:
+        """The load-time record count when no window is given (no page
+        is read); a windowed count scans, like any stream access."""
+        if within is None:
+            return self.record_count()
+        return super().count_nonnull(within)
+
     def density(self) -> float:
         length = self._span.length()
         if not length:
