@@ -13,9 +13,10 @@ share would start failing for that reason alone (measured mean
 
 Full certification — :func:`~repro.analysis.partition.analyze_partition`
 at a concrete partition count, with per-partition span assignment and
-halo obligations — is an on-demand operation (``repro partition-check``
-or a future parallel scheduler), not an optimizer phase.  Its cost is
-measured and reported here for visibility but carries no budget.
+halo obligations — is an on-demand operation (``repro partition-check``,
+or the parallel engine before a partitioned run), not an optimizer
+phase.  Its cost is measured and reported here for visibility but
+carries no budget.
 
 Run as a script to (re)generate the committed perf baseline::
 

@@ -1,56 +1,57 @@
 #!/usr/bin/env bash
 # Repository check script: static checks + tier-1 tests.
 #
-# Runs, in order:
+# Runs, in order (17 steps; 1-2 are skipped when the tool is absent):
 #   1. ruff  (if installed — `pip install .[lint]`)
 #   2. mypy  (if installed)
 #   3. a byte-compilation pass over src/ (always; catches syntax errors
 #      even when the optional linters are absent)
-#   4. the query lint: semantic analysis of every query text shipped
-#      in examples/ and workloads/ (scripts/check_queries.py), then
-#      the partition check: every shipped query either certifies as
-#      parallel-decomposable or is rejected with a typed PART* finding
-#      (scripts/check_partition.py), then the effects check: every
-#      shipped query either receives an effect certificate the
-#      independent checker re-verifies or is rejected with a typed
-#      EFX* finding (scripts/check_effects.py)
+#   4. the corpus gate (scripts/check_corpus.py): every query text
+#      shipped in examples/ and workloads/ must analyze clean, and
+#      must either certify — as parallel-decomposable, and as
+#      effect-safe, each certificate re-verified by its independent
+#      checker — or be rejected with a typed PART* / EFX* finding
 #   5. the tier-1 test suite (with per-test timeouts when the
 #      pytest-timeout plugin is installed; a SIGALRM watchdog in
 #      tests/conftest.py covers minimal containers without it)
 #   6. a smoke-sized run of the batch-vs-row execution benchmark
 #      (asserts identical answers and a minimum batch speedup)
-#   7. the chaos smoke job: every storage fault class x both executors
-#      (plus the parallel supervisor) must yield the exact answer or a
-#      typed error, never a wrong one — run at the default 2 workers
-#      and again at 4 to exercise the DESIGN §14 contract
-#   8. a smoke-sized run of the guard-overhead benchmark (an attached
+#   7-8. the chaos smoke job: every storage fault class x both
+#      executors (plus the parallel supervisor) must yield the exact
+#      answer or a typed error, never a wrong one — run at the default
+#      2 workers and again at 4 to exercise the DESIGN §14 contract
+#   9. a smoke-sized run of the guard-overhead benchmark (an attached
 #      but idle QueryGuard must cost <5% mean wall clock)
-#   9. a smoke-sized run of the tracer-overhead benchmark (a disabled
+#  10. a smoke-sized run of the tracer-overhead benchmark (a disabled
 #      tracer must cost <2% mean wall clock, an active one <10%)
-#  10. a smoke-sized run of the partition-analysis benchmark (the
+#  11. a smoke-sized run of the partition-analysis benchmark (the
 #      contract derivation embedded in optimize() must cost <=50 us
 #      per plan, mean over the shapes)
-#  11. a smoke-sized run of the effect-analysis benchmark (the effects
+#  12. a smoke-sized run of the effect-analysis benchmark (the effects
 #      phase embedded in optimize() must cost <=20 us per plan, mean
 #      over the shapes; dense codegen must not regress the guarded loop)
-#  12. a smoke-sized run of the parallel-speedup benchmark (modeled
+#  13. a smoke-sized run of the parallel-speedup benchmark (modeled
 #      critical-path speedup >=1.5x at 4 workers on the row-path
 #      shapes; supervisor overhead <=5% at workers=1)
-#  13. the trace round-trip check: traced runs exported as JSON Lines
+#  14. the trace round-trip check: traced runs exported as JSON Lines
 #      and Chrome trace_event must re-parse and validate against the
 #      pinned schemas in src/repro/obs/schema.py — with and without an
 #      embedded metrics block
-#  14. a smoke-sized run of the profile-overhead benchmark (the
+#  15. a smoke-sized run of the profile-overhead benchmark (the
 #      always-on flight recorder must stay within its overhead budget;
 #      the full-size contract is <=2% recorder, <=10% with tracing)
-#  15. the perf-regression gate: every committed BENCH_*.json baseline
+#  16. the perf-regression gate: every committed BENCH_*.json baseline
 #      must still satisfy its pinned ratio contract, and smoke replays
 #      of the exec/parallel/profile workloads must land inside the
 #      tolerance bands around the committed ratios
-#  16. the end-to-end benchmark's own smoke (benchmarks/e2e, outside
+#  17. the end-to-end benchmark's own smoke (benchmarks/e2e, outside
 #      tier-1): a change to the entry surface that breaks the
 #      benchmark's pinned call syntax, counter names or span names
 #      (execute, parallel, partition) fails here, not in a benchmark run
+#
+# Steps 9, 10 and 13 are wall-clock ratio gates and flake under machine
+# load, on an unchanged tree too (ROADMAP item 3 owns them); re-run one
+# alone on a quiet machine before reading its failure as a regression.
 #
 # Missing optional tools are skipped with a notice, not an error, so
 # the script works in minimal containers.
@@ -86,11 +87,7 @@ fi
 
 run_step "compileall" python -m compileall -q src
 
-run_step "query lint" python scripts/check_queries.py
-
-run_step "partition check" python scripts/check_partition.py
-
-run_step "effects check" python scripts/check_effects.py
+run_step "corpus gate" python scripts/check_corpus.py
 
 # Per-test timeouts guard against hangs in the chaos suite; only pass
 # the flag when the plugin is importable (pip install .[test]).

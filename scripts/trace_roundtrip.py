@@ -29,7 +29,6 @@ from repro.algebra import base, col, lit
 from repro.model import Span
 from repro.obs import (
     CATEGORY_OPERATOR,
-    MetricsRegistry,
     Tracer,
     parse_jsonl,
     to_chrome,
@@ -37,6 +36,7 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.execution import run_query_detailed
+from repro.obs.metrics import collect
 from repro.workloads import StockSpec, generate_stock
 
 
@@ -51,9 +51,7 @@ def _traced_run(mode: str) -> tuple[Tracer, dict]:
     )
     tracer = Tracer()
     result = run_query_detailed(query, mode=mode, tracer=tracer)
-    registry = MetricsRegistry()
-    registry.attach("execution", result.counters)
-    return tracer, registry.collect()
+    return tracer, collect(execution=result.counters)
 
 
 def check_mode(mode: str) -> None:

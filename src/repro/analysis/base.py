@@ -8,21 +8,37 @@ context, runs every registered rule and collects the findings into a
 report.  Rules never raise on a bad graph — they *report*; a rule that
 itself crashes is converted into an ``ERROR`` finding so one broken
 invariant cannot hide another.
+
+Also here: what the partition and effect certificate analyses share —
+unwrapping a plan argument, raising a typed soundness error from a
+report, and the typed parsing of certificates that arrive from outside
+the process.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NoReturn,
+    Optional,
+    Union,
+)
 
-from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.analysis.diagnostics import Diagnostic, Severity, VerificationReport
+from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.algebra.graph import Query
     from repro.algebra.node import Operator
     from repro.optimizer.annotate import AnnotatedQuery
-    from repro.optimizer.plans import PhysicalPlan
+    from repro.optimizer.plans import OptimizedPlan, PhysicalPlan
     from repro.optimizer.rewrite import RewriteTrace
 
 
@@ -91,6 +107,43 @@ def plan_paths(root: "PhysicalPlan") -> dict[int, str]:
 
     visit(root, f"root:{root.kind}")
     return paths
+
+
+def root_plan(plan: "Union[PhysicalPlan, OptimizedPlan]") -> "PhysicalPlan":
+    """The root physical plan of either accepted plan type."""
+    root = getattr(plan, "plan", None)
+    if root is not None:
+        return root  # type: ignore[no-any-return]
+    return plan  # type: ignore[return-value]
+
+
+def raise_unsound(
+    error_type: type[ReproError], headline: str, report: VerificationReport
+) -> NoReturn:
+    """Raise a typed soundness error naming the report's first finding."""
+    raise error_type(f"{headline}: {report.error_summary()}", report=report)
+
+
+# -- certificates from outside the process ------------------------------------
+
+
+def json_object(text: str, what: str) -> dict:
+    """Parse JSON text that must hold one object; anything else is typed."""
+    try:
+        data = json.loads(text)
+    except ValueError as error:
+        raise ReproError(f"{what} is not valid JSON: {error}") from None
+    if not isinstance(data, dict):
+        raise ReproError(f"{what} JSON must be an object")
+    return data
+
+
+def object_entries(items: list, what: str) -> list[Mapping[str, object]]:
+    """``items`` unchanged once every entry is known to be an object."""
+    for item in items:
+        if not isinstance(item, Mapping):
+            raise ReproError(f"{what} entries must be objects, got {item!r}")
+    return items
 
 
 @dataclass(frozen=True)

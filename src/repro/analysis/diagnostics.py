@@ -172,15 +172,18 @@ class VerificationReport:
     def raise_if_errors(self) -> "VerificationReport":
         """Raise :class:`~repro.errors.VerificationError` on error findings."""
         if not self.ok:
-            first = self.errors[0]
-            extra = len(self.errors) - 1
-            suffix = f" (+{extra} more)" if extra else ""
             raise VerificationError(
                 f"static verification of {self.subject} failed: "
-                f"{first.render()}{suffix}",
+                f"{self.error_summary()}",
                 report=self,
             )
         return self
+
+    def error_summary(self) -> str:
+        """The first error finding, plus how many more there are."""
+        errors = self.errors
+        suffix = f" (+{len(errors) - 1} more)" if len(errors) > 1 else ""
+        return f"{errors[0].render()}{suffix}"
 
     # -- rendering ------------------------------------------------------------------
 

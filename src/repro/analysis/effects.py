@@ -39,13 +39,20 @@ safe.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Union
 
 from repro.algebra.expressions import And, Arith, Cmp, Col, Expr, Lit, Not, Or
-from repro.analysis.base import plan_paths
+from repro.analysis.base import (
+    json_object,
+    object_entries,
+    plan_paths,
+    raise_unsound,
+    root_plan,
+)
 from repro.analysis.diagnostics import Diagnostic, Severity, VerificationReport
 from repro.analysis.partition import plan_fingerprint
+from repro.counters import CounterSet
 from repro.errors import EffectSoundnessError, ReproError, UnknownEffectError
 from repro.model.schema import RecordSchema
 from repro.model.types import AtomType
@@ -86,8 +93,8 @@ EXCEPTION_TAGS = (EXC_DIV_ZERO, EXC_TYPE, EXC_UNKNOWN)
 
 
 @dataclass
-class EffectCounters:
-    """Counters of effect-analysis work, for the metrics registry.
+class EffectCounters(CounterSet):
+    """Counters of effect-analysis work.
 
     Attributes:
         specs_derived: per-expression specs computed bottom-up.
@@ -106,19 +113,9 @@ class EffectCounters:
     checks_run: int = 0
     checks_failed: int = 0
 
-    def reset(self) -> None:
-        """Zero every counter."""
-        for spec in fields(self):
-            setattr(self, spec.name, 0)
 
-    def as_dict(self) -> dict[str, int]:
-        """All counters as a plain dict (the metrics-registry source shape)."""
-        return {spec.name: int(getattr(self, spec.name)) for spec in fields(self)}
-
-
-#: Module-level default counters; attach to a
-#: :class:`~repro.obs.metrics.MetricsRegistry` under an ``effects``
-#: prefix to surface certification numbers.
+#: Module-level default counters; read them out with
+#: ``repro.obs.metrics.collect(effects=EFFECT_COUNTERS)``.
 EFFECT_COUNTERS = EffectCounters()
 
 
@@ -569,21 +566,13 @@ def plan_expression_sites(
     paths: Optional[Mapping[int, str]] = None,
 ) -> list[tuple[str, Expr, RecordSchema]]:
     """Every expression site of a plan tree, keyed ``<path>#<local>``."""
-    root = _root_of(plan)
+    root = root_plan(plan)
     resolved = plan_paths(root) if paths is None else paths
     sites: list[tuple[str, Expr, RecordSchema]] = []
     for node in root.walk():
         for local, expr, schema in node_expression_sites(node):
             sites.append((f"{resolved[id(node)]}#{local}", expr, schema))
     return sites
-
-
-def _root_of(plan: "Union[PhysicalPlan, OptimizedPlan]") -> "PhysicalPlan":
-    """The root physical plan of either accepted plan type."""
-    root = getattr(plan, "plan", None)
-    if root is not None:
-        return root  # type: ignore[no-any-return]
-    return plan  # type: ignore[return-value]
 
 
 def annotate_effects(plan: "Union[PhysicalPlan, OptimizedPlan]") -> dict[str, int]:
@@ -596,7 +585,7 @@ def annotate_effects(plan: "Union[PhysicalPlan, OptimizedPlan]") -> dict[str, in
     ``EFX*`` lint rules stay quiet on optimizer output.  Returns
     summary counts for span attribution.
     """
-    root = _root_of(plan)
+    root = root_plan(plan)
     total = unknown = safe = 0
     for node in root.walk():
         sites = node_expression_sites(node)
@@ -719,8 +708,7 @@ class EffectCertificate:
             fingerprint=fingerprint,
             sites=tuple(
                 EffectSite.from_dict(site)
-                for site in sites
-                if isinstance(site, Mapping)
+                for site in object_entries(sites, "effect certificate sites")
             ),
             version=version if isinstance(version, int) else 1,
         )
@@ -732,10 +720,7 @@ class EffectCertificate:
     @staticmethod
     def from_json(text: str) -> "EffectCertificate":
         """Parse a certificate from :meth:`to_json` output."""
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ReproError("effect certificate JSON must be an object")
-        return EffectCertificate.from_dict(data)
+        return EffectCertificate.from_dict(json_object(text, "effect certificate"))
 
 
 # -- the prover ---------------------------------------------------------------
@@ -764,7 +749,7 @@ def analyze_effects(
     from repro.obs.tracer import CATEGORY_ANALYSIS, maybe_span
 
     counters = counters if counters is not None else EFFECT_COUNTERS
-    root = _root_of(plan)
+    root = root_plan(plan)
     report = VerificationReport(subject="effects", rules_run=list(EFX_RULES))
     with maybe_span(tracer, "effects-certify", CATEGORY_ANALYSIS):
         paths = plan_paths(root)
@@ -813,13 +798,7 @@ def certify_effects(
     """
     certificate, report = analyze_effects(plan, counters=counters, tracer=tracer)
     if certificate is None:
-        first = report.errors[0]
-        extra = len(report.errors) - 1
-        suffix = f" (+{extra} more)" if extra else ""
-        raise EffectSoundnessError(
-            f"plan is not effect-certifiable: {first.render()}{suffix}",
-            report=report,
-        )
+        raise_unsound(EffectSoundnessError, "plan is not effect-certifiable", report)
     return certificate
 
 
@@ -844,7 +823,7 @@ def check_effect_certificate(
     from repro.obs.tracer import CATEGORY_ANALYSIS, maybe_span
 
     counters = counters if counters is not None else EFFECT_COUNTERS
-    root = _root_of(plan)
+    root = root_plan(plan)
     report = VerificationReport(
         subject="effect-certificate", rules_run=list(EFX_RULES)
     )
@@ -970,13 +949,7 @@ def require_effect_certificate(
     """
     report = check_effect_certificate(plan, cert, counters=counters, tracer=tracer)
     if not report.ok:
-        first = report.errors[0]
-        extra = len(report.errors) - 1
-        suffix = f" (+{extra} more)" if extra else ""
-        raise EffectSoundnessError(
-            f"effect certificate rejected: {first.render()}{suffix}",
-            report=report,
-        )
+        raise_unsound(EffectSoundnessError, "effect certificate rejected", report)
     return cert
 
 

@@ -35,12 +35,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Union
 
 from repro.algebra.scope import ScopeSpec
-from repro.analysis.base import plan_paths
+from repro.analysis.base import (
+    json_object,
+    object_entries,
+    plan_paths,
+    raise_unsound,
+    root_plan,
+)
 from repro.analysis.diagnostics import Diagnostic, Severity, VerificationReport
+from repro.counters import CounterSet
 from repro.errors import PartitionSoundnessError, ReproError
 from repro.model.span import Span
 
@@ -76,8 +83,8 @@ CONTRACT_KINDS = (POINTWISE, WINDOWED, ORDER_SENSITIVE, BLOCKING)
 
 
 @dataclass
-class PartitionCounters:
-    """Counters of partition-analysis work, for the metrics registry.
+class PartitionCounters(CounterSet):
+    """Counters of partition-analysis work.
 
     Attributes:
         certificates_issued: certificates the prover produced.
@@ -95,19 +102,9 @@ class PartitionCounters:
     checks_run: int = 0
     checks_failed: int = 0
 
-    def reset(self) -> None:
-        """Zero every counter."""
-        for spec in fields(self):
-            setattr(self, spec.name, 0)
 
-    def as_dict(self) -> dict[str, int]:
-        """All counters as a plain dict (the metrics-registry source shape)."""
-        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
-
-
-#: Module-level default counters; attach to a
-#: :class:`~repro.obs.metrics.MetricsRegistry` under a ``partition``
-#: prefix to surface certificate numbers in ``--explain`` blocks.
+#: Module-level default counters; read them out with
+#: ``repro.obs.metrics.collect(partition=PARTITION_COUNTERS)``.
 PARTITION_COUNTERS = PartitionCounters()
 
 
@@ -123,6 +120,8 @@ def span_to_json(span: Span) -> dict[str, object]:
 
 def span_from_json(data: Mapping[str, object]) -> Span:
     """Rebuild a span from :func:`span_to_json` output."""
+    if not isinstance(data, Mapping):
+        raise ReproError(f"span must be an object, got {data!r}")
     if data.get("empty"):
         return Span.EMPTY
     start = data.get("start")
@@ -346,7 +345,7 @@ def derive_contract(plan: "Union[PhysicalPlan, OptimizedPlan]") -> PartitionCont
     Unknown plan kinds classify as blocking — the analysis never
     certifies what it cannot model.
     """
-    root = _root_of(plan)
+    root = root_plan(plan)
     try:
         scopes = _leaf_scope_values(root, _edge_scopes(root))
     except ReproError:
@@ -590,22 +589,22 @@ class PartitionCertificate:
             or not isinstance(merge, Mapping)
         ):
             raise ReproError("certificate lists/merge proof are malformed")
+        if not all(isinstance(point, int) for point in cut_points):
+            raise ReproError(f"certificate cut points must be ints, got {cut_points!r}")
         version = data.get("version")
         return PartitionCertificate(
             fingerprint=fingerprint,
             parts=parts,
             root_span=span_from_json(root_span),
-            cut_points=tuple(int(point) for point in cut_points),
+            cut_points=tuple(cut_points),
             contract=PartitionContract.from_dict(contract),
             partitions=tuple(
                 PartitionRange.from_dict(partition)
-                for partition in partitions
-                if isinstance(partition, Mapping)
+                for partition in object_entries(partitions, "certificate partitions")
             ),
             halo_obligations=tuple(
                 HaloObligation.from_dict(ob)
-                for ob in obligations
-                if isinstance(ob, Mapping)
+                for ob in object_entries(obligations, "certificate halo obligations")
             ),
             merge=MergeProof.from_dict(merge),
             version=version if isinstance(version, int) else 1,
@@ -618,10 +617,7 @@ class PartitionCertificate:
     @staticmethod
     def from_json(text: str) -> "PartitionCertificate":
         """Parse a certificate from :meth:`to_json` output."""
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ReproError("certificate JSON must be an object")
-        return PartitionCertificate.from_dict(data)
+        return PartitionCertificate.from_dict(json_object(text, "certificate"))
 
 
 def plan_fingerprint(plan: "Union[PhysicalPlan, OptimizedPlan]") -> str:
@@ -633,7 +629,7 @@ def plan_fingerprint(plan: "Union[PhysicalPlan, OptimizedPlan]") -> str:
     deliberately excluded — re-costing a plan does not invalidate its
     certificate.
     """
-    root = _root_of(plan)
+    root = root_plan(plan)
     paths = plan_paths(root)
     lines: list[str] = []
     for node in root.walk():
@@ -655,14 +651,6 @@ def plan_fingerprint(plan: "Union[PhysicalPlan, OptimizedPlan]") -> str:
         )
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     return f"sha256:{digest}"
-
-
-def _root_of(plan: "Union[PhysicalPlan, OptimizedPlan]") -> "PhysicalPlan":
-    """The root physical plan of either accepted plan type."""
-    root = getattr(plan, "plan", None)
-    if root is not None:
-        return root  # type: ignore[no-any-return]
-    return plan  # type: ignore[return-value]
 
 
 # -- the prover ---------------------------------------------------------------
@@ -824,7 +812,7 @@ def analyze_partition(
     from repro.obs.tracer import CATEGORY_ANALYSIS, maybe_span
 
     counters = counters if counters is not None else PARTITION_COUNTERS
-    root = _root_of(plan)
+    root = root_plan(plan)
     report = VerificationReport(subject="partition", rules_run=list(PART_RULES))
     with maybe_span(tracer, "partition-certify", CATEGORY_ANALYSIS, parts=parts):
         paths = plan_paths(root)
@@ -945,12 +933,8 @@ def certify(
         plan, parts, span, counters=counters, tracer=tracer
     )
     if certificate is None:
-        first = report.errors[0]
-        extra = len(report.errors) - 1
-        suffix = f" (+{extra} more)" if extra else ""
-        raise PartitionSoundnessError(
-            f"plan is not parallel-decomposable: {first.render()}{suffix}",
-            report=report,
+        raise_unsound(
+            PartitionSoundnessError, "plan is not parallel-decomposable", report
         )
     return certificate
 
@@ -1171,7 +1155,7 @@ def check_certificate(
     from repro.obs.tracer import CATEGORY_ANALYSIS, maybe_span
 
     counters = counters if counters is not None else PARTITION_COUNTERS
-    root = _root_of(plan)
+    root = root_plan(plan)
     report = VerificationReport(
         subject="partition-certificate", rules_run=list(PART_RULES)
     )
@@ -1266,12 +1250,8 @@ def require_certificate(
     """
     report = check_certificate(plan, cert, counters=counters, tracer=tracer)
     if not report.ok:
-        first = report.errors[0]
-        extra = len(report.errors) - 1
-        suffix = f" (+{extra} more)" if extra else ""
-        raise PartitionSoundnessError(
-            f"partition certificate rejected: {first.render()}{suffix}",
-            report=report,
+        raise_unsound(
+            PartitionSoundnessError, "partition certificate rejected", report
         )
     return cert
 

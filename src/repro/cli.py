@@ -12,41 +12,17 @@ Examples (a leading ``run`` is accepted and ignored)::
 EXPLAIN ANALYZE tree: each operator's estimated cost next to its actual
 time, rows, and pages, plus the estimate/actual error factor.
 
-Tracing subcommand::
+Every subcommand is a row of :data:`SUBCOMMANDS` — its description
+there is its ``--help`` text, and ``repro --help`` lists them — over
+one shared front half, :func:`_prepare`: ``--load`` specs → catalog,
+``--span`` → span, query text → query → optimized plan, as far as the
+subcommand needs.
 
-    python -m repro trace --load prices=prices.csv --out t.json \\
-        "window(prices, avg, close, 6)"
-
-writes a Chrome ``trace_event`` file loadable in Perfetto
-(https://ui.perfetto.dev) or ``about://tracing``; ``--format jsonl``
-writes the JSON Lines span format instead; ``--with-metrics`` embeds
-the run's execution counters in the exported trace.
-
-Profiling subcommands::
-
-    python -m repro profile --load prices=prices.csv --repeat 20 \\
-        --slow-threshold-ms 5 "window(prices, avg, close, 6)"
-    python -m repro stats --load prices=prices.csv --repeat 20 \\
-        "window(prices, avg, close, 6)"
-
-``profile`` runs the query under the flight recorder and reports the
-captured per-run profiles (``--json`` for the machine-readable form,
-``--out`` for a JSON Lines artifact); ``stats`` renders the metrics
-block with histogram percentiles (p50/p90/p99) folded in.
-
-Static-analysis subcommands::
-
-    python -m repro check --load prices=prices.csv "select(prices, close > 100)"
-    python -m repro lint --load prices=prices.csv "next(select(prices, close > 100))"
-    python -m repro verify-plan --json --load prices=prices.csv "window(prices, avg, close, 6)"
-
-All three share one exit-code contract and one JSON report shape:
-
-* ``0`` — analysis ran and produced no error-severity findings;
-* ``1`` — error-severity findings (parse errors are reported as a
-  ``parse-error`` diagnostic, semantic errors under their SEM* codes);
-* ``2`` — usage errors: bad ``--load``/``--span`` syntax or an
-  unreadable input file (argparse uses 2 for bad flags as well).
+Static analysis (``check``, ``lint``, ``verify-plan``,
+``partition-check``, ``effects-check``) shares one JSON report shape
+and one exit-code contract (:data:`_EXIT_CODE_HELP`; :func:`main` is
+where failures become exit codes): a bad query text is itself a finding
+— a ``parse-error`` diagnostic, or the analyzer's SEM* codes.
 """
 
 from __future__ import annotations
@@ -54,9 +30,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
-from typing import Optional, Sequence as PySequence
+import textwrap
+from dataclasses import dataclass, fields
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Sequence as PySequence
 
+from repro.algebra import Query
 from repro.errors import ParseError, ReproError, SemanticError, StorageError
 from repro.analysis import (
     Severity,
@@ -65,24 +44,35 @@ from repro.analysis import (
     verify_optimization,
     verify_query,
 )
+from repro.analysis.effects import (
+    EffectCounters,
+    analyze_effects,
+    check_effect_certificate,
+)
+from repro.analysis.partition import (
+    PartitionCounters,
+    analyze_partition,
+    check_certificate,
+    derive_contract,
+)
 from repro.catalog import Catalog
 from repro.execution import ExecOptions, QueryGuard, run_query_detailed
-from repro.analysis.partition import PartitionCounters, analyze_partition
 from repro.io import read_csv
-from repro.lang import compile_query
+from repro.lang import analyze, compile_query, render_diagnostics
 from repro.model import Span
 from repro.obs import (
     PROFILE_FORMAT_VERSION,
     TRACE_FORMATS,
     FlightRecorder,
-    MetricsRegistry,
     Tracer,
+    metrics,
     profiles_to_jsonl,
     validate_profile_record,
     write_trace,
 )
 from repro.obs.profile import DEFAULT_CAPACITY as PROFILE_CAPACITY
 from repro.optimizer import optimize
+from repro.optimizer.optimizer import OptimizationResult
 from repro.storage import FAULT_KINDS, FaultPlan, StoredSequence
 
 #: --help epilog shared by every static-analysis subcommand.
@@ -92,6 +82,18 @@ _EXIT_CODE_HELP = (
     "unreadable file)."
 )
 
+#: --help epilog shared by ``profile`` and ``stats``.
+_REPEAT_EXIT_HELP = (
+    "exit status: 0 = at least one run completed; 1 = every run failed "
+    "(failures are still profiled); 2 = usage errors."
+)
+
+
+class _UsageError(ReproError):
+    """A bad command-line argument (exit code 2; 1 under ``run``)."""
+
+
+# -- flags declared once -------------------------------------------------------
 
 #: The ``ExecOptions`` fields that have a command-line flag (a field
 #: declared without help text is an API-only knob).
@@ -129,22 +131,11 @@ def exec_options(args: argparse.Namespace) -> dict:
     return {spec.name: getattr(args, spec.name) for spec in _EXEC_FLAGS}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser for ``python -m repro``."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Run a sequence query (SIGMOD '94 style) over CSV data.",
-        epilog=(
-            "exit status: 0 = success; 1 = any error (bad query, missing "
-            "file); 2 = answer mismatch against --naive. "
-            "Subcommands check/lint/verify-plan have their own contract: "
-            + _EXIT_CODE_HELP
-        ),
-    )
-    parser.add_argument(
-        "query",
-        help="query text, e.g. \"window(prices, avg, close, 6)\"",
-    )
+def _add_inputs(
+    parser: argparse.ArgumentParser, query_help: str, span: bool = True
+) -> None:
+    """The query text, ``--load`` and ``--span``: what :func:`_prepare` reads."""
+    parser.add_argument("query", help=query_help)
     parser.add_argument(
         "--load",
         action="append",
@@ -153,11 +144,191 @@ def build_parser() -> argparse.ArgumentParser:
         help="register a CSV file as a base sequence (repeatable); "
         "POSCOL defaults to 'position'",
     )
+    if span:
+        parser.add_argument(
+            "--span",
+            metavar="START:END",
+            help="evaluation span, e.g. 200:350 (default: the query's own)",
+        )
+
+
+def _add_json(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument("--json", action="store_true", help=f"emit {what}")
+
+
+def _add_cert_out(parser: argparse.ArgumentParser, what: str) -> None:
     parser.add_argument(
-        "--span",
-        metavar="START:END",
-        help="evaluation span, e.g. 200:350 (default: the query's own)",
+        "--cert-out", metavar="FILE", help=f"write the issued {what}"
     )
+
+
+def _add_repeat(parser: argparse.ArgumentParser) -> None:
+    """Everything ``repro stats`` takes; ``repro profile`` adds to it."""
+    _add_inputs(parser, "query text to run repeatedly")
+    add_exec_options(parser)
+    parser.add_argument(
+        "--repeat",
+        type=int,
+        default=8,
+        metavar="N",
+        help="run the query this many times (default 8)",
+    )
+    parser.add_argument(
+        "--op-sample",
+        type=int,
+        default=0,
+        metavar="N",
+        help="trace every Nth run for per-operator self-times "
+        "(default 0: never)",
+    )
+
+
+# -- the shared front half -----------------------------------------------------
+
+
+def _parse_load(spec: str) -> tuple[str, str, str]:
+    name, _, rest = spec.partition("=")
+    path, _, poscol = rest.partition(":")
+    if not name or not path:
+        raise _UsageError(f"--load needs NAME=FILE, got {spec!r}")
+    return name, path, poscol or "position"
+
+
+def _parse_span(spec: Optional[str]) -> Optional[Span]:
+    if spec is None:
+        return None
+    start_text, _, end_text = spec.partition(":")
+    try:
+        return Span(int(start_text), int(end_text))
+    except ValueError:
+        raise _UsageError(f"--span needs START:END integers, got {spec!r}") from None
+
+
+def _load_catalog(args: argparse.Namespace, out) -> Catalog:
+    """Build a catalog from ``--load`` specs; failures are usage errors.
+
+    Under ``run`` each loaded sequence is announced, and ``--fault-plan``
+    (a flag only ``run`` has) stores it on a fault-injecting disk.
+    """
+    fault_spec = getattr(args, "fault_plan", None)
+    catalog = Catalog()
+    for spec in args.load:
+        name, path, poscol = _parse_load(spec)
+        try:
+            sequence = read_csv(path, position_column=poscol)
+        except (ReproError, OSError) as error:
+            raise _UsageError(f"--load {spec}: {error}") from error
+        if fault_spec is not None:
+            # Every sequence gets its own plan so fault traces stay
+            # per-disk; the shared spec keeps them one-seed-reproducible.
+            try:
+                plan = FaultPlan.parse(fault_spec)
+            except StorageError as error:
+                raise _UsageError(f"--fault-plan: {error}") from error
+            sequence = StoredSequence.from_sequence(name, sequence, fault_plan=plan)
+        catalog.register(name, sequence)
+        if args.command == "run":
+            info = catalog.get(name).info
+            print(
+                f"loaded {name}: span {info.span}, density {info.density:.3f}",
+                file=out,
+            )
+    return catalog
+
+
+def _emit_report(report: VerificationReport, as_json: bool, out) -> int:
+    """Shared report emitter: JSON or text, exit 0/1 by ``report.ok``."""
+    print(report.render_json() if as_json else report.render_text(), file=out)
+    return 0 if report.ok else 1
+
+
+def _compile_error_report(error: ParseError) -> VerificationReport:
+    """A compile failure as a ``source`` report.
+
+    A :class:`SemanticError` already carries its SEM* diagnostics; a
+    plain :class:`ParseError` becomes one ``parse-error`` finding.
+    """
+    if isinstance(error, SemanticError):
+        report = VerificationReport(subject="source", rules_run=["semantic-analysis"])
+        report.diagnostics.extend(error.diagnostics)
+        return report
+    report = VerificationReport(subject="source", rules_run=["parse-error"])
+    message = str(error).splitlines()[0]
+    location = f" (line {error.line}, column {error.column})"
+    if error.line and message.endswith(location):
+        message = message[: -len(location)]
+    report.add(
+        SourceDiagnostic(
+            rule="parse-error",
+            severity=Severity.ERROR,
+            path="root",
+            message=message,
+            line=error.line,
+            column=error.column,
+            excerpt=error.excerpt,
+        )
+    )
+    return report
+
+
+class _Prepared(NamedTuple):
+    """What :func:`_prepare` built; later stages are ``None`` if not asked for."""
+
+    catalog: Catalog
+    span: Optional[Span]
+    query: Optional[Query] = None
+    optimization: Optional[OptimizationResult] = None
+
+
+def _prepare(args: argparse.Namespace, out, upto: str) -> _Prepared:
+    """The front half every subcommand shares, as far as ``upto``.
+
+    ``"catalog"``: ``--load`` → catalog and ``--span`` → span;
+    ``"query"``: plus query text → :class:`Query`; ``"plan"``: plus the
+    optimizer.  Failures leave as exceptions that :func:`main` maps onto
+    the exit-code contract: :class:`_UsageError` for bad
+    ``--load``/``--span``, :class:`ParseError` (and its
+    :class:`SemanticError` subclass) for a bad query text, any other
+    :class:`ReproError` from the optimizer.
+    """
+    catalog = _load_catalog(args, out)
+    span = _parse_span(getattr(args, "span", None))
+    if upto == "catalog":
+        return _Prepared(catalog, span)
+    query = compile_query(args.query, catalog)
+    if upto == "query":
+        return _Prepared(catalog, span, query)
+    return _Prepared(catalog, span, query, optimize(query, catalog=catalog, span=span))
+
+
+def _write_file(flag: str, path: str, text: str) -> None:
+    """Write an output artifact; an unwritable path is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as error:
+        raise _UsageError(f"{flag} {path}: {error}") from error
+
+
+def _print_metrics(out, header: str = "metrics:", **sources) -> None:
+    """A metrics block: ``header``, then every counter of ``sources``, name-sorted."""
+    print(header, file=out)
+    print(metrics.render(metrics.collect(**sources), indent="  "), file=out)
+
+
+# -- run -----------------------------------------------------------------------
+
+
+#: The ``QueryGuard`` budgets ``run`` exposes: name → (type, metavar, help).
+_GUARD_FLAGS = {
+    "timeout": (float, "SECONDS", "this much wall-clock time"),
+    "max_pages": (int, "N", "reading more than N disk pages"),
+    "max_records": (int, "N", "emitting more than N records"),
+}
+
+
+def _run_flags(parser: argparse.ArgumentParser) -> None:
+    _add_inputs(parser, "query text, e.g. \"window(prices, avg, close, 6)\"")
     parser.add_argument(
         "--explain",
         action="store_true",
@@ -182,24 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=20,
         help="print at most this many answer rows (default 20; 0 = all)",
     )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        metavar="SECONDS",
-        help="abort the query after this much wall-clock time",
-    )
-    parser.add_argument(
-        "--max-pages",
-        type=int,
-        metavar="N",
-        help="abort the query after reading more than N disk pages",
-    )
-    parser.add_argument(
-        "--max-records",
-        type=int,
-        metavar="N",
-        help="abort the query after emitting more than N records",
-    )
+    for name, (kind, metavar, what) in _GUARD_FLAGS.items():
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            type=kind,
+            metavar=metavar,
+            help=f"abort the query after {what}",
+        )
     parser.add_argument(
         "--fault-plan",
         metavar="SPEC",
@@ -207,164 +367,130 @@ def build_parser() -> argparse.ArgumentParser:
         "'seed=7,transient=0.05,corrupt=0.01' "
         f"(rates for {', '.join(FAULT_KINDS)}; plus latency_ticks)",
     )
-    return parser
 
 
-class _UsageError(ReproError):
-    """A bad command-line argument (exit code 2)."""
+def _run_main(args: argparse.Namespace, out) -> int:
+    """Run ``repro [run]``: execute the query and print the answer."""
+    front = _prepare(args, out, upto="query")
+    limits = {name: getattr(args, name) for name in _GUARD_FLAGS}
+    guard = QueryGuard(**limits) if any(v is not None for v in limits.values()) else None
+    result = run_query_detailed(
+        front.query,
+        span=front.span,
+        catalog=front.catalog,
+        guard=guard,
+        analyze=args.analyze,
+        **exec_options(args),
+    )
+
+    if args.analyze:
+        print("\n" + result.render_analyze(), file=out)
+    elif args.explain:
+        print("\n" + result.optimization.explain(), file=out)
+    if args.explain:
+        if args.mode == "batch":
+            mode_line = (
+                f"execution mode: batch (columnar, "
+                f"{args.batch_size} positions/batch, "
+                f"{result.counters.batches_built} batches built)"
+            )
+        else:
+            mode_line = "execution mode: row (record-at-a-time)"
+        print(mode_line, file=out)
+        if args.parallel != "off":
+            lanes = ExecOptions(workers=args.workers).lanes
+            print(
+                f"parallel: {args.parallel} ({lanes} {args.pool} worker(s), "
+                f"{result.counters.partitions_executed} partition(s) "
+                f"executed, {result.counters.parallel_fallbacks} "
+                f"fallback(s))",
+                file=out,
+            )
+        sources = {"execution": result.counters}
+        for entry in front.catalog.entries():
+            if isinstance(entry.sequence, StoredSequence):  # under --fault-plan
+                sources[f"storage.{entry.name}"] = entry.sequence.counters
+        if guard is not None:
+            print(f"guard: {guard!r}", file=out)
+            sources["guard"] = guard.metrics()
+        _print_metrics(out, **sources)
+
+    if args.naive:
+        reference = front.query.run_naive(result.optimization.plan.output_span)
+        if reference.to_pairs() != result.output.to_pairs():
+            print("MISMATCH against the naive reference!", file=out)
+            return 2
+        print("naive reference evaluation agrees.", file=out)
+
+    names = front.query.schema.names
+    print(f"\n{'position':>10}  " + "  ".join(names), file=out)
+    for shown, (position, record) in enumerate(result.output.iter_nonnull()):
+        if args.limit and shown >= args.limit:
+            print(f"... ({len(result.output) - shown} more rows)", file=out)
+            break
+        values = "  ".join(str(value) for value in record.values)
+        print(f"{position:>10}  {values}", file=out)
+    print(f"\n{len(result.output)} records over {result.output.span}", file=out)
+    return 0
 
 
-def _parse_load(spec: str) -> tuple[str, str, str]:
-    if "=" not in spec:
-        raise _UsageError(f"--load needs NAME=FILE, got {spec!r}")
-    name, _, rest = spec.partition("=")
-    path, _, poscol = rest.partition(":")
-    if not name or not path:
-        raise _UsageError(f"--load needs NAME=FILE, got {spec!r}")
-    return name, path, poscol or "position"
+# -- check / lint / verify-plan ------------------------------------------------
 
 
-def _parse_span(spec: Optional[str]) -> Optional[Span]:
-    if spec is None:
-        return None
-    start_text, _, end_text = spec.partition(":")
-    try:
-        return Span(int(start_text), int(end_text))
-    except ValueError:
-        raise _UsageError(
-            f"--span needs START:END integers, got {spec!r}"
-        ) from None
+def _verify_flags(parser: argparse.ArgumentParser, span: bool = True) -> None:
+    _add_inputs(parser, "query text to analyze", span=span)
+    _add_json(parser, "the report as JSON instead of text")
 
 
-def _load_catalog(specs: PySequence[str]) -> Catalog:
-    """Build a catalog from ``--load`` specs; failures are usage errors."""
-    catalog = Catalog()
-    for spec in specs:
-        name, path, poscol = _parse_load(spec)
-        try:
-            catalog.register(name, read_csv(path, position_column=poscol))
-        except (ReproError, OSError) as error:
-            raise _UsageError(f"--load {spec}: {error}") from error
-    return catalog
-
-
-def _emit_report(report: VerificationReport, as_json: bool, out) -> int:
-    """Shared report emitter: JSON or text, exit 0/1 by ``report.ok``."""
-    print(report.render_json() if as_json else report.render_text(), file=out)
+def _check_main(args: argparse.Namespace, out) -> int:
+    """Run ``repro check``: the front-end semantic analyzer."""
+    result = analyze(args.query, _prepare(args, out, upto="catalog").catalog)
+    report = result.report
+    if args.json:
+        return _emit_report(report, True, out)
+    print(
+        f"checked source: {len(report.rules_run)} rule(s), "
+        f"{len(report.errors)} error(s), {len(report.warnings)} warning(s)",
+        file=out,
+    )
+    if report.diagnostics:
+        print(render_diagnostics(args.query, report), file=out)
+    if result.root is not None:
+        stream = "yes" if result.sequential else "no"
+        print(
+            f"schema: {result.schema!r}  span: {result.span!r}  "
+            f"stream-friendly: {stream}",
+            file=out,
+        )
     return 0 if report.ok else 1
 
 
-def _parse_error_report(error: ParseError) -> VerificationReport:
-    """Wrap a :class:`ParseError` as a one-finding source report."""
-    report = VerificationReport(subject="source", rules_run=["parse-error"])
-    message = str(error).splitlines()[0]
-    location = f" (line {error.line}, column {error.column})"
-    if error.line and message.endswith(location):
-        message = message[: -len(location)]
-    report.add(
-        SourceDiagnostic(
-            rule="parse-error",
-            severity=Severity.ERROR,
-            path="root",
-            message=message,
-            line=error.line,
-            column=error.column,
-            excerpt=error.excerpt,
-        )
-    )
-    return report
+def _lint_main(args: argparse.Namespace, out) -> int:
+    """Run ``repro lint``: the logical-graph rules."""
+    front = _prepare(args, out, upto="query")
+    report = verify_query(front.query, catalog=front.catalog, span=front.span)
+    return _emit_report(report, args.json, out)
 
 
-def build_verify_parser(command: str) -> argparse.ArgumentParser:
-    """The argument parser for the static-analysis subcommands."""
-    if command == "check":
-        description = (
-            "Semantically analyze a query text without running it: name "
-            "resolution, schema/type inference, operator signatures, and "
-            "span/scope lints, each finding a stable SEM* code with "
-            "line:col and a caret excerpt."
-        )
-    elif command == "lint":
-        description = (
-            "Statically verify a query graph: scope closure (Prop 2.1), "
-            "span propagation (Sec 3.2 Step 2) and schema flow (Sec 2.2)."
-        )
-    else:
-        description = (
-            "Optimize a query and verify the full pipeline: the query "
-            "rules plus rewrite legality (Prop 3.1), cache finiteness "
-            "(Thm 3.1) and cost sanity (Sec 4.1) of the chosen plan."
-        )
-    parser = argparse.ArgumentParser(
-        prog=f"repro {command}",
-        description=description,
-        epilog=_EXIT_CODE_HELP,
-    )
-    parser.add_argument("query", help="query text to analyze")
-    parser.add_argument(
-        "--load",
-        action="append",
-        default=[],
-        metavar="NAME=FILE[:POSCOL]",
-        help="register a CSV file as a base sequence (repeatable)",
-    )
-    if command != "check":
-        parser.add_argument(
-            "--span",
-            metavar="START:END",
-            help="evaluation span (default: the query's own)",
-        )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the report as JSON instead of text",
-    )
-    return parser
+def _verify_plan_main(args: argparse.Namespace, out) -> int:
+    """Run ``repro verify-plan``: the query rules plus the plan rules."""
+    front = _prepare(args, out, upto="plan")
+    return _emit_report(verify_optimization(front.optimization), args.json, out)
 
 
-def build_partition_check_parser() -> argparse.ArgumentParser:
-    """The argument parser for ``repro partition-check``."""
-    parser = argparse.ArgumentParser(
-        prog="repro partition-check",
-        description=(
-            "Certify a query's plan as parallel-decomposable: derive its "
-            "partitioning contract (pointwise / windowed / order-sensitive "
-            "/ blocking), compute exact halo widths per cut, and verify "
-            "the resulting certificate through the independent checker. "
-            "Uncertifiable plans are rejected with typed PART* findings."
-        ),
-        epilog=_EXIT_CODE_HELP,
-    )
-    parser.add_argument("query", help="query text to certify")
-    parser.add_argument(
-        "--load",
-        action="append",
-        default=[],
-        metavar="NAME=FILE[:POSCOL]",
-        help="register a CSV file as a base sequence (repeatable)",
-    )
-    parser.add_argument(
-        "--span",
-        metavar="START:END",
-        help="evaluation span (default: the query's own)",
-    )
+# -- partition-check / effects-check -------------------------------------------
+
+
+def _partition_check_flags(parser: argparse.ArgumentParser) -> None:
+    _add_inputs(parser, "query text to certify")
     parser.add_argument(
         "--parts",
         default="2,3,8",
         metavar="N[,N...]",
         help="partition counts to certify (default 2,3,8)",
     )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the report (plus contract and certificates) as JSON",
-    )
-    parser.add_argument(
-        "--cert-out",
-        metavar="FILE",
-        help="write the issued certificates to this file as a JSON array",
-    )
-    return parser
+    _add_json(parser, "the report (plus contract and certificates) as JSON")
+    _add_cert_out(parser, "certificates to this file as a JSON array")
 
 
 def _parse_parts(spec: str) -> list[int]:
@@ -376,39 +502,47 @@ def _parse_parts(spec: str) -> list[int]:
             f"--parts needs comma-separated integers, got {spec!r}"
         ) from None
     if not parts or any(count < 1 for count in parts):
-        raise _UsageError(
-            f"--parts needs positive partition counts, got {spec!r}"
-        )
+        raise _UsageError(f"--parts needs positive partition counts, got {spec!r}")
     return parts
 
 
-def _partition_check_main(argv: PySequence[str], out) -> int:
-    """Run ``repro partition-check``: prove a plan parallel-decomposable."""
-    from repro.analysis.partition import check_certificate, derive_contract
+def _emit_verdict(
+    args: argparse.Namespace,
+    out,
+    report: VerificationReport,
+    extra: dict,
+    lines: list[str],
+    **counters,
+) -> int:
+    """The tail of both ``*-check`` subcommands.
 
-    args = build_partition_check_parser().parse_args(argv)
-    try:
-        catalog = _load_catalog(args.load)
-        span = _parse_span(args.span)
-        parts_list = _parse_parts(args.parts)
-    except _UsageError as error:
-        print(f"error: {error}", file=out)
-        return 2
-    try:
-        query = compile_query(args.query, catalog)
-    except SemanticError as error:
-        report = VerificationReport(
-            subject="source", rules_run=["semantic-analysis"]
-        )
-        report.diagnostics.extend(error.diagnostics)
-        return _emit_report(report, args.json, out)
-    except ParseError as error:
-        return _emit_report(_parse_error_report(error), args.json, out)
-    try:
-        optimized = optimize(query, catalog=catalog, span=span).plan
-    except ReproError as error:
-        print(f"error: {error}", file=out)
-        return 1
+    ``--json``: the report plus the ``extra`` keys; otherwise the report
+    text, the summary ``lines`` and the metrics block of ``counters``.
+    """
+    if args.json:
+        print(json.dumps({**report.to_dict(), **extra}, indent=2), file=out)
+    else:
+        print(report.render_text(), file=out)
+        for line in lines:
+            print(line, file=out)
+        _print_metrics(out, **counters)
+    return 0 if report.ok else 1
+
+
+def _merge_report(report: VerificationReport, other: VerificationReport) -> None:
+    """Fold ``other``'s rules and findings into ``report``, without repeats."""
+    for rule in other.rules_run:
+        if rule not in report.rules_run:
+            report.rules_run.append(rule)
+    for diagnostic in other.diagnostics:
+        if diagnostic not in report.diagnostics:
+            report.add(diagnostic)
+
+
+def _partition_check_main(args: argparse.Namespace, out) -> int:
+    """Run ``repro partition-check``: prove a plan parallel-decomposable."""
+    parts_list = _parse_parts(args.parts)
+    optimized = _prepare(args, out, upto="plan").optimization.plan
 
     counters = PartitionCounters()
     contract = derive_contract(optimized)
@@ -418,130 +552,41 @@ def _partition_check_main(argv: PySequence[str], out) -> int:
         certificate, part_report = analyze_partition(
             optimized, parts, counters=counters
         )
-        for rule in part_report.rules_run:
-            if rule not in report.rules_run:
-                report.rules_run.append(rule)
-        for diagnostic in part_report.diagnostics:
-            if diagnostic not in report.diagnostics:
-                report.add(diagnostic)
+        _merge_report(report, part_report)
         if certificate is not None:
             # The prover's output is only trusted after the independent
-            # checker re-verifies it — the same discipline the future
-            # parallel engine will follow.
-            check = check_certificate(optimized, certificate, counters=counters)
-            for diagnostic in check.diagnostics:
-                if diagnostic not in report.diagnostics:
-                    report.add(diagnostic)
+            # checker re-verifies it — the same discipline the parallel
+            # engine follows before it runs a partitioned plan.
+            _merge_report(
+                report, check_certificate(optimized, certificate, counters=counters)
+            )
             certificates.append(certificate)
 
+    payloads = [certificate.to_dict() for certificate in certificates]
     if args.cert_out:
-        try:
-            with open(args.cert_out, "w", encoding="utf-8") as handle:
-                json.dump(
-                    [certificate.to_dict() for certificate in certificates],
-                    handle,
-                    indent=2,
-                )
-        except OSError as error:
-            print(f"error: --cert-out {args.cert_out}: {error}", file=out)
-            return 2
+        _write_file("--cert-out", args.cert_out, json.dumps(payloads, indent=2))
 
-    if args.json:
-        payload = report.to_dict()
-        payload["contract"] = contract.to_dict()
-        payload["certificates"] = [
-            certificate.to_dict() for certificate in certificates
-        ]
-        print(json.dumps(payload, indent=2), file=out)
-        return 0 if report.ok else 1
-
-    print(report.render_text(), file=out)
     halo = f"halo(below={contract.halo_below}, above={contract.halo_above})"
-    print(f"contract: {contract.kind} {halo}", file=out)
+    lines = [f"contract: {contract.kind} {halo}"]
     for certificate in certificates:
         cuts = ", ".join(str(cut) for cut in certificate.cut_points)
-        print(
+        lines.append(
             f"certified parts={certificate.parts} over "
-            f"{certificate.root_span}: cuts [{cuts}]",
-            file=out,
+            f"{certificate.root_span}: cuts [{cuts}]"
         )
-    registry = MetricsRegistry()
-    registry.attach("partition", counters)
-    print("metrics:", file=out)
-    print(registry.render(indent="  "), file=out)
-    return 0 if report.ok else 1
+    extra = {"contract": contract.to_dict(), "certificates": payloads}
+    return _emit_verdict(args, out, report, extra, lines, partition=counters)
 
 
-def build_effects_check_parser() -> argparse.ArgumentParser:
-    """The argument parser for ``repro effects-check``."""
-    parser = argparse.ArgumentParser(
-        prog="repro effects-check",
-        description=(
-            "Certify a query's plan expressions as effect-safe: derive a "
-            "per-expression EffectSpec (purity, determinism, escaping "
-            "exceptions, null-strictness, value domain), emit an "
-            "EffectCertificate, and re-verify it through the independent "
-            "checker. Plans containing expressions outside the modeled "
-            "language are refused with typed EFX* findings."
-        ),
-        epilog=_EXIT_CODE_HELP,
-    )
-    parser.add_argument("query", help="query text to certify")
-    parser.add_argument(
-        "--load",
-        action="append",
-        default=[],
-        metavar="NAME=FILE[:POSCOL]",
-        help="register a CSV file as a base sequence (repeatable)",
-    )
-    parser.add_argument(
-        "--span",
-        metavar="START:END",
-        help="evaluation span (default: the query's own)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the report (plus the certificate) as JSON",
-    )
-    parser.add_argument(
-        "--cert-out",
-        metavar="FILE",
-        help="write the issued certificate to this file as JSON",
-    )
-    return parser
+def _effects_check_flags(parser: argparse.ArgumentParser) -> None:
+    _add_inputs(parser, "query text to certify")
+    _add_json(parser, "the report (plus the certificate) as JSON")
+    _add_cert_out(parser, "certificate to this file as JSON")
 
 
-def _effects_check_main(argv: PySequence[str], out) -> int:
+def _effects_check_main(args: argparse.Namespace, out) -> int:
     """Run ``repro effects-check``: certify a plan's expression effects."""
-    from repro.analysis.effects import (
-        EffectCounters,
-        analyze_effects,
-        check_effect_certificate,
-    )
-
-    args = build_effects_check_parser().parse_args(argv)
-    try:
-        catalog = _load_catalog(args.load)
-        span = _parse_span(args.span)
-    except _UsageError as error:
-        print(f"error: {error}", file=out)
-        return 2
-    try:
-        query = compile_query(args.query, catalog)
-    except SemanticError as error:
-        report = VerificationReport(
-            subject="source", rules_run=["semantic-analysis"]
-        )
-        report.diagnostics.extend(error.diagnostics)
-        return _emit_report(report, args.json, out)
-    except ParseError as error:
-        return _emit_report(_parse_error_report(error), args.json, out)
-    try:
-        optimized = optimize(query, catalog=catalog, span=span).plan
-    except ReproError as error:
-        print(f"error: {error}", file=out)
-        return 1
+    optimized = _prepare(args, out, upto="plan").optimization.plan
 
     counters = EffectCounters()
     certificate, report = analyze_effects(optimized, counters=counters)
@@ -549,79 +594,36 @@ def _effects_check_main(argv: PySequence[str], out) -> int:
         # The prover's output is only trusted after the independent
         # checker re-verifies it — the same discipline the batch
         # codegen's metadata consumers follow.
-        check = check_effect_certificate(optimized, certificate, counters=counters)
-        for diagnostic in check.diagnostics:
-            if diagnostic not in report.diagnostics:
-                report.add(diagnostic)
+        _merge_report(
+            report, check_effect_certificate(optimized, certificate, counters=counters)
+        )
 
     if args.cert_out:
         if certificate is None:
-            print(
-                f"error: --cert-out {args.cert_out}: no certificate was "
-                "issued (the plan was refused)",
-                file=out,
+            raise ReproError(
+                f"--cert-out {args.cert_out}: no certificate was issued "
+                "(the plan was refused)"
             )
-            return 1
-        try:
-            with open(args.cert_out, "w", encoding="utf-8") as handle:
-                handle.write(certificate.to_json())
-        except OSError as error:
-            print(f"error: --cert-out {args.cert_out}: {error}", file=out)
-            return 2
+        _write_file("--cert-out", args.cert_out, certificate.to_json())
 
-    if args.json:
-        payload = report.to_dict()
-        payload["certificate"] = (
-            certificate.to_dict() if certificate is not None else None
-        )
-        print(json.dumps(payload, indent=2), file=out)
-        return 0 if report.ok else 1
-
-    print(report.render_text(), file=out)
+    lines = []
     if certificate is not None:
         safe = len(certificate.vectorization_safe_sites)
-        print(
+        lines.append(
             f"certified {len(certificate.sites)} expression site(s); "
-            f"{safe} vectorization-safe",
-            file=out,
+            f"{safe} vectorization-safe"
         )
         for site in certificate.sites:
-            print(f"  {site.path}: {site.expression} -> {site.spec.describe()}", file=out)
-    registry = MetricsRegistry()
-    registry.attach("effects", counters)
-    print("metrics:", file=out)
-    print(registry.render(indent="  "), file=out)
-    return 0 if report.ok else 1
+            lines.append(f"  {site.path}: {site.expression} -> {site.spec.describe()}")
+    extra = {"certificate": certificate.to_dict() if certificate is not None else None}
+    return _emit_verdict(args, out, report, extra, lines, effects=counters)
 
 
-def build_trace_parser() -> argparse.ArgumentParser:
-    """The argument parser for ``repro trace``."""
-    parser = argparse.ArgumentParser(
-        prog="repro trace",
-        description=(
-            "Run a query with the span tracer on and export the trace: "
-            "optimizer steps, one span per physical operator with "
-            "attributed rows/time/pages, and fault/retry/guard events."
-        ),
-        epilog=(
-            "The chrome format loads directly in Perfetto "
-            "(https://ui.perfetto.dev) or about://tracing; jsonl is the "
-            "line-oriented span format for scripts."
-        ),
-    )
-    parser.add_argument("query", help="query text to run under the tracer")
-    parser.add_argument(
-        "--load",
-        action="append",
-        default=[],
-        metavar="NAME=FILE[:POSCOL]",
-        help="register a CSV file as a base sequence (repeatable)",
-    )
-    parser.add_argument(
-        "--span",
-        metavar="START:END",
-        help="evaluation span (default: the query's own)",
-    )
+# -- trace ---------------------------------------------------------------------
+
+
+def _trace_flags(parser: argparse.ArgumentParser) -> None:
+    _add_inputs(parser, "query text to run under the tracer")
     add_exec_options(parser)
     parser.add_argument(
         "--out",
@@ -641,37 +643,21 @@ def build_trace_parser() -> argparse.ArgumentParser:
         help="embed the run's execution counters in the exported trace "
         "(a 'metrics' record in jsonl, otherData.metrics in chrome)",
     )
-    return parser
 
 
-def _trace_main(argv: PySequence[str], out) -> int:
+def _trace_main(args: argparse.Namespace, out) -> int:
     """Run ``repro trace``: execute under the tracer and export."""
-    args = build_trace_parser().parse_args(argv)
-    try:
-        catalog = _load_catalog(args.load)
-        span = _parse_span(args.span)
-    except _UsageError as error:
-        print(f"error: {error}", file=out)
-        return 2
-    try:
-        query = compile_query(args.query, catalog)
-        tracer = Tracer()
-        result = run_query_detailed(
-            query,
-            span=span,
-            catalog=catalog,
-            tracer=tracer,
-            **exec_options(args),
-        )
-        metrics = None
-        if args.with_metrics:
-            registry = MetricsRegistry()
-            registry.attach("execution", result.counters)
-            metrics = registry.collect()
-        write_trace(tracer, args.out, fmt=args.format, metrics=metrics)
-    except ReproError as error:
-        print(f"error: {error}", file=out)
-        return 1
+    front = _prepare(args, out, upto="query")
+    tracer = Tracer()
+    result = run_query_detailed(
+        front.query,
+        span=front.span,
+        catalog=front.catalog,
+        tracer=tracer,
+        **exec_options(args),
+    )
+    embedded = metrics.collect(execution=result.counters) if args.with_metrics else None
+    write_trace(tracer, args.out, fmt=args.format, metrics=embedded)
     operators = len(tracer.operator_spans())
     with_metrics = " +metrics" if args.with_metrics else ""
     print(
@@ -688,55 +674,11 @@ def _trace_main(argv: PySequence[str], out) -> int:
     return 0
 
 
-def _add_profile_run_options(parser: argparse.ArgumentParser) -> None:
-    """Run-shape knobs shared by ``repro profile`` and ``repro stats``."""
-    parser.add_argument(
-        "--load",
-        action="append",
-        default=[],
-        metavar="NAME=FILE[:POSCOL]",
-        help="register a CSV file as a base sequence (repeatable)",
-    )
-    parser.add_argument(
-        "--span",
-        metavar="START:END",
-        help="evaluation span (default: the query's own)",
-    )
-    add_exec_options(parser)
-    parser.add_argument(
-        "--repeat",
-        type=int,
-        default=8,
-        metavar="N",
-        help="run the query this many times (default 8)",
-    )
-    parser.add_argument(
-        "--op-sample",
-        type=int,
-        default=0,
-        metavar="N",
-        help="trace every Nth run for per-operator self-times "
-        "(default 0: never)",
-    )
+# -- profile / stats -----------------------------------------------------------
 
 
-def build_profile_parser() -> argparse.ArgumentParser:
-    """The argument parser for ``repro profile``."""
-    parser = argparse.ArgumentParser(
-        prog="repro profile",
-        description=(
-            "Run a query repeatedly under the flight recorder and report "
-            "the captured per-run profiles: duration percentiles from the "
-            "log-scale histograms, rows/pages/retry/fallback counters, "
-            "and — for traced runs — top operator self-times."
-        ),
-        epilog=(
-            "exit status: 0 = at least one run completed; 1 = every run "
-            "failed (failures are still profiled); 2 = usage errors."
-        ),
-    )
-    parser.add_argument("query", help="query text to profile")
-    _add_profile_run_options(parser)
+def _profile_flags(parser: argparse.ArgumentParser) -> None:
+    _add_repeat(parser)
     parser.add_argument(
         "--capacity",
         type=int,
@@ -758,29 +700,47 @@ def build_profile_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="list the N slowest profiled runs (default 3; 0 = none)",
     )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit summary, profiles, and histograms as one JSON object",
-    )
+    _add_json(parser, "summary, profiles, and histograms as one JSON object")
     parser.add_argument(
         "--out",
         metavar="FILE",
         help="also write the retained profiles to FILE as JSON Lines",
     )
-    return parser
+
+
+def _run_repeatedly(args: argparse.Namespace, out, **recorder_options):
+    """``--repeat`` runs of the query through one :class:`FlightRecorder`.
+
+    Returns ``(recorder, result, error)``: the last successful run's
+    result (``None`` when every run failed) and the last typed failure.
+    Typed failures are profiled by the engine before the raise; the loop
+    keeps going so the error rate shows up in the summary.
+    """
+    if args.repeat < 1:
+        raise _UsageError(f"--repeat must be >= 1, got {args.repeat}")
+    try:
+        recorder = FlightRecorder(op_sample=args.op_sample, **recorder_options)
+    except ReproError as error:
+        raise _UsageError(str(error)) from error
+    front = _prepare(args, out, upto="query")
+    result = last_error = None
+    for _ in range(args.repeat):
+        try:
+            result = run_query_detailed(
+                front.query,
+                span=front.span,
+                catalog=front.catalog,
+                recorder=recorder,
+                **exec_options(args),
+            )
+        except ReproError as error:
+            last_error = error
+    return recorder, result, last_error
 
 
 def _format_profile_row(profile) -> str:
     """One table row for the ``repro profile`` slowest listing."""
-    flags = "".join(
-        label
-        for label, on in (
-            ("[slow]", profile.slow),
-            ("[traced]", profile.traced),
-        )
-        if on
-    )
+    flags = ("[slow]" if profile.slow else "") + ("[traced]" if profile.traced else "")
     line = (
         f"{profile.fingerprint}  {profile.duration_us / 1000.0:>10.3f}ms  "
         f"{profile.records_emitted:>8} rows  {profile.pages_read:>6} pages"
@@ -792,84 +752,42 @@ def _format_profile_row(profile) -> str:
     return line
 
 
-def _profile_main(argv: PySequence[str], out) -> int:
+def _profile_main(args: argparse.Namespace, out) -> int:
     """Run ``repro profile``: repeated runs through the flight recorder."""
-    args = build_profile_parser().parse_args(argv)
-    try:
-        catalog = _load_catalog(args.load)
-        span = _parse_span(args.span)
-        if args.repeat < 1:
-            raise _UsageError(f"--repeat must be >= 1, got {args.repeat}")
-        try:
-            recorder = FlightRecorder(
-                args.capacity,
-                slow_threshold_us=(
-                    args.slow_threshold_ms * 1000.0
-                    if args.slow_threshold_ms is not None
-                    else None
-                ),
-                op_sample=args.op_sample,
-            )
-        except ReproError as error:
-            raise _UsageError(str(error)) from error
-    except _UsageError as error:
-        print(f"error: {error}", file=out)
-        return 2
-    try:
-        query = compile_query(args.query, catalog)
-    except ReproError as error:
-        print(f"error: {error}", file=out)
-        return 1
-
-    failures = 0
-    last_error: Optional[ReproError] = None
-    for _ in range(args.repeat):
-        try:
-            run_query_detailed(
-                query,
-                span=span,
-                catalog=catalog,
-                recorder=recorder,
-                **exec_options(args),
-            )
-        except ReproError as error:
-            # Typed failures are profiled by the engine before the raise;
-            # keep going so the error rate shows up in the summary.
-            failures += 1
-            last_error = error
-
+    threshold = args.slow_threshold_ms
+    recorder, result, last_error = _run_repeatedly(
+        args,
+        out,
+        capacity=args.capacity,
+        slow_threshold_us=threshold * 1000.0 if threshold is not None else None,
+    )
     profiles = recorder.profiles()
     records = [profile.to_dict() for profile in profiles]
     for record in records:
         validate_profile_record(record)
-
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(profiles_to_jsonl(profiles))
-        except OSError as error:
-            print(f"error: --out {args.out}: {error}", file=out)
-            return 2
+        _write_file("--out", args.out, profiles_to_jsonl(profiles))
 
+    summary = recorder.summary()
     if args.json:
         payload = {
             "version": PROFILE_FORMAT_VERSION,
-            "summary": recorder.summary(),
+            "summary": summary,
             "profiles": records,
             "histograms": recorder.hists.as_dict(),
         }
         print(json.dumps(payload, indent=2), file=out)
-        return 1 if failures == args.repeat else 0
+        return 1 if result is None else 0
 
-    summary = recorder.summary()
     print(
         f"profiled {summary['recorded']} run(s): "
         f"{summary['errors']} error(s), {summary['slow']} slow, "
         f"{summary['traced']} traced, {summary['evicted']} evicted",
         file=out,
     )
+    # No histogram at all when every run was refused before it started.
     duration = summary["duration_us"]
-    if duration["count"]:
+    if duration is not None and duration["count"]:
         print(
             "duration: "
             + "  ".join(
@@ -884,285 +802,173 @@ def _profile_main(argv: PySequence[str], out) -> int:
             print(f"  {_format_profile_row(profile)}", file=out)
     if args.out:
         print(f"wrote {len(profiles)} profile(s) -> {args.out}", file=out)
-    if failures == args.repeat:
-        assert last_error is not None
-        print(f"error: every run failed: {last_error}", file=out)
-        return 1
+    if result is None:
+        raise ReproError(f"every run failed: {last_error}")
     return 0
 
 
-def build_stats_parser() -> argparse.ArgumentParser:
-    """The argument parser for ``repro stats``."""
-    parser = argparse.ArgumentParser(
-        prog="repro stats",
-        description=(
-            "Run a query repeatedly and render the full metrics block: "
-            "execution counters plus the flight recorder's log-scale "
-            "histograms (count/mean/min/max and p50/p90/p99) for query "
-            "durations, rows, pages, and per-partition lane times."
-        ),
+def _stats_main(args: argparse.Namespace, out) -> int:
+    """Run ``repro stats``: histogram-backed percentile rendering."""
+    recorder, result, last_error = _run_repeatedly(args, out)
+    if result is None:
+        raise ReproError(f"every run failed: {last_error}")
+    header = f"stats over {args.repeat} run(s) ({len(result.output)} records per run):"
+    _print_metrics(out, header, execution=result.counters, flight=recorder.hists)
+    return 0
+
+
+# -- dispatch ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Subcommand:
+    """One row of the CLI: its ``--help`` text, its flags, what it runs."""
+
+    description: str
+    add_flags: Callable[[argparse.ArgumentParser], None]
+    handler: Callable[[argparse.Namespace, object], int]
+    epilog: str = _EXIT_CODE_HELP
+    #: Whether a bad query text is emitted as a ``source`` report (text or
+    #: ``--json``) like any other finding, or as a plain ``error:`` line.
+    reports: bool = False
+
+
+#: Every subcommand.  ``run`` is also what a bare ``repro QUERY`` means.
+SUBCOMMANDS: dict[str, Subcommand] = {
+    "run": Subcommand(
+        "Run a sequence query (SIGMOD '94 style) over CSV data.",
+        _run_flags,
+        _run_main,
         epilog=(
-            "exit status: 0 = at least one run completed; 1 = every run "
-            "failed; 2 = usage errors."
+            "subcommands: {subcommands} (a bare query means run; "
+            "`repro NAME --help` describes each).\n\n"
+            "exit status: 0 = success; 1 = any error (bad query, missing "
+            "file); 2 = answer mismatch against --naive. "
+            "The static-analysis subcommands have their own contract: "
+            + _EXIT_CODE_HELP
         ),
+    ),
+    "check": Subcommand(
+        "Semantically analyze a query text without running it: name "
+        "resolution, schema/type inference, operator signatures, and "
+        "span/scope lints, each finding a stable SEM* code with "
+        "line:col and a caret excerpt.",
+        partial(_verify_flags, span=False),
+        _check_main,
+        reports=True,
+    ),
+    "lint": Subcommand(
+        "Statically verify a query graph: scope closure (Prop 2.1), "
+        "span propagation (Sec 3.2 Step 2) and schema flow (Sec 2.2).",
+        _verify_flags,
+        _lint_main,
+        reports=True,
+    ),
+    "verify-plan": Subcommand(
+        "Optimize a query and verify the full pipeline: the query "
+        "rules plus rewrite legality (Prop 3.1), cache finiteness "
+        "(Thm 3.1) and cost sanity (Sec 4.1) of the chosen plan.",
+        _verify_flags,
+        _verify_plan_main,
+        reports=True,
+    ),
+    "trace": Subcommand(
+        "Run a query with the span tracer on and export the trace: "
+        "optimizer steps, one span per physical operator with "
+        "attributed rows/time/pages, and fault/retry/guard events.",
+        _trace_flags,
+        _trace_main,
+        epilog=(
+            "The chrome format loads directly in Perfetto "
+            "(https://ui.perfetto.dev) or about://tracing; jsonl is the "
+            "line-oriented span format for scripts."
+        ),
+    ),
+    "profile": Subcommand(
+        "Run a query repeatedly under the flight recorder and report "
+        "the captured per-run profiles: duration percentiles from the "
+        "log-scale histograms, rows/pages/retry/fallback counters, "
+        "and — for traced runs — top operator self-times.",
+        _profile_flags,
+        _profile_main,
+        epilog=_REPEAT_EXIT_HELP,
+    ),
+    "stats": Subcommand(
+        "Run a query repeatedly and render the full metrics block: "
+        "execution counters plus the flight recorder's log-scale "
+        "histograms (count/mean/min/max and p50/p90/p99) for query "
+        "durations, rows, pages, and per-partition lane times.",
+        _add_repeat,
+        _stats_main,
+        epilog=_REPEAT_EXIT_HELP,
+    ),
+    "partition-check": Subcommand(
+        "Certify a query's plan as parallel-decomposable: derive its "
+        "partitioning contract (pointwise / windowed / order-sensitive "
+        "/ blocking), compute exact halo widths per cut, and verify "
+        "the resulting certificate through the independent checker. "
+        "Uncertifiable plans are rejected with typed PART* findings.",
+        _partition_check_flags,
+        _partition_check_main,
+        reports=True,
+    ),
+    "effects-check": Subcommand(
+        "Certify a query's plan expressions as effect-safe: derive a "
+        "per-expression EffectSpec (purity, determinism, escaping "
+        "exceptions, null-strictness, value domain), emit an "
+        "EffectCertificate, and re-verify it through the independent "
+        "checker. Plans containing expressions outside the modeled "
+        "language are refused with typed EFX* findings.",
+        _effects_check_flags,
+        _effects_check_main,
+        reports=True,
+    ),
+}
+
+
+def _fill(text: str) -> str:
+    """Wrap help paragraphs without splitting ``partition-check`` at its hyphen."""
+    return "\n\n".join(
+        textwrap.fill(paragraph, width=78, break_on_hyphens=False)
+        for paragraph in text.split("\n\n")
     )
-    parser.add_argument("query", help="query text to measure")
-    _add_profile_run_options(parser)
+
+
+def build_parser(name: str = "run") -> argparse.ArgumentParser:
+    """The argument parser of one subcommand (``run``: of bare ``repro``)."""
+    command = SUBCOMMANDS[name]
+    parser = argparse.ArgumentParser(
+        prog="repro" if name == "run" else f"repro {name}",
+        description=_fill(command.description),
+        epilog=_fill(command.epilog.format(subcommands=", ".join(SUBCOMMANDS))),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    command.add_flags(parser)
     return parser
 
 
-def _stats_main(argv: PySequence[str], out) -> int:
-    """Run ``repro stats``: histogram-backed percentile rendering."""
-    args = build_stats_parser().parse_args(argv)
-    try:
-        catalog = _load_catalog(args.load)
-        span = _parse_span(args.span)
-        if args.repeat < 1:
-            raise _UsageError(f"--repeat must be >= 1, got {args.repeat}")
-        try:
-            recorder = FlightRecorder(op_sample=args.op_sample)
-        except ReproError as error:
-            raise _UsageError(str(error)) from error
-    except _UsageError as error:
-        print(f"error: {error}", file=out)
-        return 2
-    try:
-        query = compile_query(args.query, catalog)
-    except ReproError as error:
-        print(f"error: {error}", file=out)
-        return 1
-
-    failures = 0
-    last_error: Optional[ReproError] = None
-    result = None
-    for _ in range(args.repeat):
-        try:
-            result = run_query_detailed(
-                query,
-                span=span,
-                catalog=catalog,
-                recorder=recorder,
-                **exec_options(args),
-            )
-        except ReproError as error:
-            failures += 1
-            last_error = error
-    if result is None:
-        assert last_error is not None
-        print(f"error: every run failed: {last_error}", file=out)
-        return 1
-
-    registry = MetricsRegistry()
-    registry.attach("execution", result.counters)
-    registry.attach_histograms("flight", recorder.hists)
-    print(
-        f"stats over {args.repeat} run(s) "
-        f"({len(result.output)} records per run):",
-        file=out,
-    )
-    print(registry.render(indent="  "), file=out)
-    return 0
-
-
-def _check_main(argv: PySequence[str], out) -> int:
-    """Run ``repro check``: the front-end semantic analyzer."""
-    from repro.lang import analyze, render_diagnostics
-
-    args = build_verify_parser("check").parse_args(argv)
-    try:
-        catalog = _load_catalog(args.load)
-    except _UsageError as error:
-        print(f"error: {error}", file=out)
-        return 2
-    try:
-        result = analyze(args.query, catalog)
-    except ParseError as error:
-        return _emit_report(_parse_error_report(error), args.json, out)
-    report = result.report
-    if args.json:
-        return _emit_report(report, True, out)
-    header = (
-        f"checked source: {len(report.rules_run)} rule(s), "
-        f"{len(report.errors)} error(s), {len(report.warnings)} warning(s)"
-    )
-    print(header, file=out)
-    if report.diagnostics:
-        print(render_diagnostics(args.query, report), file=out)
-    if result.root is not None:
-        stream = "yes" if result.sequential else "no"
-        print(
-            f"schema: {result.schema!r}  span: {result.span!r}  "
-            f"stream-friendly: {stream}",
-            file=out,
-        )
-    return 0 if report.ok else 1
-
-
-def _verify_main(command: str, argv: PySequence[str], out) -> int:
-    """Run ``repro lint`` or ``repro verify-plan``."""
-    args = build_verify_parser(command).parse_args(argv)
-    try:
-        catalog = _load_catalog(args.load)
-        span = _parse_span(args.span)
-    except _UsageError as error:
-        print(f"error: {error}", file=out)
-        return 2
-    try:
-        query = compile_query(args.query, catalog)
-    except SemanticError as error:
-        report = VerificationReport(
-            subject="source", rules_run=["semantic-analysis"]
-        )
-        report.diagnostics.extend(error.diagnostics)
-        return _emit_report(report, args.json, out)
-    except ParseError as error:
-        return _emit_report(_parse_error_report(error), args.json, out)
-    try:
-        if command == "verify-plan":
-            report = verify_optimization(optimize(query, catalog=catalog, span=span))
-        else:
-            report = verify_query(query, catalog=catalog, span=span)
-    except ReproError as error:
-        print(f"error: {error}", file=out)
-        return 1
-    return _emit_report(report, args.json, out)
-
-
 def main(argv: Optional[PySequence[str]] = None, out=None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    The one place failures become exit codes: 2 for a usage error (1
+    under ``run``, whose 2 is the ``--naive`` mismatch), 1 for a bad
+    query text or any other typed :class:`ReproError`.
+    """
     out = out if out is not None else sys.stdout
     arguments = list(sys.argv[1:] if argv is None else argv)
-    if arguments and arguments[0] == "check":
-        return _check_main(arguments[1:], out)
-    if arguments and arguments[0] in ("lint", "verify-plan"):
-        return _verify_main(arguments[0], arguments[1:], out)
-    if arguments and arguments[0] == "trace":
-        return _trace_main(arguments[1:], out)
-    if arguments and arguments[0] == "profile":
-        return _profile_main(arguments[1:], out)
-    if arguments and arguments[0] == "stats":
-        return _stats_main(arguments[1:], out)
-    if arguments and arguments[0] == "partition-check":
-        return _partition_check_main(arguments[1:], out)
-    if arguments and arguments[0] == "effects-check":
-        return _effects_check_main(arguments[1:], out)
-    if arguments and arguments[0] == "run":
-        # "repro run ..." is an explicit alias for the default command.
-        arguments = arguments[1:]
-    parser = build_parser()
-    args = parser.parse_args(arguments)
-
+    name = "run"
+    if arguments and arguments[0] in SUBCOMMANDS:
+        name = arguments.pop(0)
+    command = SUBCOMMANDS[name]
+    args = build_parser(name).parse_args(arguments)
+    args.command = name
     try:
-        catalog = Catalog()
-        stored: list[StoredSequence] = []
-        for spec in args.load:
-            name, path, poscol = _parse_load(spec)
-            sequence = read_csv(path, position_column=poscol)
-            if args.fault_plan is not None:
-                # Every sequence gets its own plan so fault traces stay
-                # per-disk; the shared spec keeps them one-seed-reproducible.
-                try:
-                    plan = FaultPlan.parse(args.fault_plan)
-                except StorageError as error:
-                    raise _UsageError(f"--fault-plan: {error}") from error
-                faulty = StoredSequence.from_sequence(
-                    name, sequence, fault_plan=plan
-                )
-                stored.append(faulty)
-                sequence = faulty
-            catalog.register(name, sequence)
-            info = catalog.get(name).info
-            print(
-                f"loaded {name}: span {info.span}, density {info.density:.3f}",
-                file=out,
-            )
-
-        guard = None
-        if (
-            args.timeout is not None
-            or args.max_pages is not None
-            or args.max_records is not None
-        ):
-            guard = QueryGuard(
-                timeout=args.timeout,
-                max_pages=args.max_pages,
-                max_records=args.max_records,
-            )
-
-        query = compile_query(args.query, catalog)
-        span = _parse_span(args.span)
-        result = run_query_detailed(
-            query,
-            span=span,
-            catalog=catalog,
-            guard=guard,
-            analyze=args.analyze,
-            **exec_options(args),
-        )
-
-        if args.analyze:
-            print("\n" + result.render_analyze(), file=out)
-        elif args.explain:
-            print("\n" + result.optimization.explain(), file=out)
-        if args.explain:
-            if args.mode == "batch":
-                mode_line = (
-                    f"execution mode: batch (columnar, "
-                    f"{args.batch_size} positions/batch, "
-                    f"{result.counters.batches_built} batches built)"
-                )
-            else:
-                mode_line = "execution mode: row (record-at-a-time)"
-            print(mode_line, file=out)
-            if args.parallel != "off":
-                lanes = ExecOptions(workers=args.workers).lanes
-                print(
-                    f"parallel: {args.parallel} ({lanes} {args.pool} worker(s), "
-                    f"{result.counters.partitions_executed} partition(s) "
-                    f"executed, {result.counters.parallel_fallbacks} "
-                    f"fallback(s))",
-                    file=out,
-                )
-            if guard is not None:
-                print(f"guard: {guard!r}", file=out)
-            # One source of truth for every counter: the metrics
-            # registry renders the execution, storage, and guard numbers
-            # as a stable-ordered, golden-test-diffable block.
-            registry = MetricsRegistry()
-            registry.attach("execution", result.counters)
-            for seq in stored:
-                registry.attach(f"storage.{seq.name}", seq.counters)
-            if guard is not None:
-                registry.attach_gauges("guard", guard.metrics)
-            print("metrics:", file=out)
-            print(registry.render(indent="  "), file=out)
-
-        if args.naive:
-            reference = query.run_naive(result.optimization.plan.output_span)
-            if reference.to_pairs() != result.output.to_pairs():
-                print("MISMATCH against the naive reference!", file=out)
-                return 2
-            print("naive reference evaluation agrees.", file=out)
-
-        names = query.schema.names
-        print(f"\n{'position':>10}  " + "  ".join(names), file=out)
-        shown = 0
-        for position, record in result.output.iter_nonnull():
-            if args.limit and shown >= args.limit:
-                remaining = len(result.output) - shown
-                print(f"... ({remaining} more rows)", file=out)
-                break
-            print(
-                f"{position:>10}  "
-                + "  ".join(str(value) for value in record.values),
-                file=out,
-            )
-            shown += 1
-        print(f"\n{len(result.output)} records over {result.output.span}", file=out)
-        return 0
+        return command.handler(args, out)
     except ReproError as error:
+        if isinstance(error, ParseError) and command.reports:
+            return _emit_report(_compile_error_report(error), args.json, out)
         print(f"error: {error}", file=out)
-        return 1
+        return 2 if isinstance(error, _UsageError) and name != "run" else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from repro.counters import CounterSet
+
 
 @dataclass
-class ExecutionCounters:
+class ExecutionCounters(CounterSet):
     """Mutable counters of engine work during one plan execution.
 
     Attributes:
@@ -54,9 +56,11 @@ class ExecutionCounters:
             buffer pool's own read-level retries.
         stragglers_redispatched: speculative duplicates dispatched for
             partitions that exceeded their soft straggler timeout.
-        parallel_fallbacks: rungs taken down the parallel degradation
-            ladder (parallel → sequential-partitioned → row oracle),
-            mirrored by ``parallel:fallback`` trace events.
+        parallel_fallbacks: steps down from the parallel supervisor to
+            the requested mode on the calling thread — the first rung
+            of the degradation ladder (parallel → requested mode → row
+            oracle; the last step is ``fallbacks_taken``) — mirrored by
+            ``parallel:fallback`` trace events.
     """
 
     scans_opened: int = 0
@@ -75,22 +79,6 @@ class ExecutionCounters:
     partition_retries: int = 0
     stragglers_redispatched: int = 0
     parallel_fallbacks: int = 0
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
-    def snapshot(self) -> "ExecutionCounters":
-        """An immutable copy of the current counts.
-
-        Restoring a snapshot goes through the one generic implementation
-        in :func:`repro.obs.metrics.counters_restore` — there is no
-        bespoke restore method here.
-        """
-        from repro.obs.metrics import counters_snapshot
-
-        return ExecutionCounters(**counters_snapshot(self))
 
     def note_occupancy(self, occupancy: int) -> None:
         """Record a cache occupancy observation."""
@@ -113,7 +101,3 @@ class ExecutionCounters:
                 self.note_occupancy(other.max_cache_occupancy)
             else:
                 setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-    def as_dict(self) -> dict[str, int]:
-        """All counters as a plain dictionary."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}

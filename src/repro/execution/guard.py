@@ -236,9 +236,8 @@ class QueryGuard:
     def metrics(self) -> dict[str, float]:
         """The guard's progress numbers as a gauge mapping.
 
-        Shaped for :meth:`repro.obs.metrics.MetricsRegistry.attach_gauges`,
-        so ``--explain`` and benchmarks read guard progress from the
-        same registry as every other counter.
+        Shaped for :func:`repro.obs.metrics.collect`, so ``--explain``
+        reads guard progress out of the same block as every counter.
         """
         return {
             "elapsed_seconds": round(self.elapsed(), 6),

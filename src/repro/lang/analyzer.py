@@ -1,8 +1,10 @@
 """Front-end semantic analyzer for the sequence query language.
 
-Runs between :func:`repro.lang.parser.parse` and compilation and
-produces *typed, source-located* diagnostics with stable ``SEM*`` rule
-codes instead of the compiler's raise-on-first-error behaviour.  The
+Runs on the output of :func:`repro.lang.parser.parse`, builds the
+operator tree :func:`repro.lang.compile_query` wraps — this is the only
+module that constructs algebra operators from AST nodes — and reports
+every problem it meets as a *typed, source-located* diagnostic with a
+stable ``SEM*`` rule code rather than raising on the first.  The
 analyzer performs, in one bottom-up walk over the AST:
 
 * **name resolution** — sequence names against the environment

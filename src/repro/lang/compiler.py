@@ -1,4 +1,4 @@
-"""Compiler from the language AST to the operator algebra.
+"""The one text → query path (the paper's Step 1, "query specification").
 
 Operator signatures (first argument is always a sequence expression)::
 
@@ -14,201 +14,32 @@ Operator signatures (first argument is always a sequence expression)::
 Bare names in sequence positions resolve against the environment (a
 name → Sequence mapping, or a :class:`~repro.catalog.Catalog`); bare
 names in value positions are column references.
+
+:mod:`repro.lang.analyzer` is the only module that builds algebra
+operators from AST nodes; :func:`compile_query` wraps the tree it
+built.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Union
-
-from repro.errors import ParseError
-from repro.model.sequence import Sequence
-from repro.algebra.aggregate import (
-    AGGREGATE_FUNCS,
-    CumulativeAggregate,
-    GlobalAggregate,
-    WindowAggregate,
-)
-from repro.algebra.compose import Compose
-from repro.algebra.expressions import And, Arith, Cmp, Col, Expr, Lit, Not, Or
 from repro.algebra.graph import Query
-from repro.algebra.leaves import SequenceLeaf
-from repro.algebra.node import Operator
-from repro.algebra.offsets import PositionalOffset, ValueOffset
-from repro.algebra.project import Project
-from repro.algebra.select import Select
-from repro.catalog.catalog import Catalog
-from repro.lang.ast_nodes import Binary, Call, ColumnRef, Literal, Unary
-from repro.lang.parser import parse
+from repro.lang.analyzer import Environment, analyze
 
-Environment = Union[Mapping[str, Sequence], Catalog]
-
-#: Lazily bound analyzer entry point (the analyzer imports this module,
-#: so the import cannot happen at module load).
-_analyze = None
-
-_SEQ_OPERATORS = frozenset(
-    (
-        "select",
-        "project",
-        "shift",
-        "previous",
-        "next",
-        "voffset",
-        "window",
-        "cumulative",
-        "global_agg",
-        "compose",
-    )
-)
+__all__ = ["Environment", "compile_query"]
 
 
-def _resolve(env: Environment, name: str) -> Sequence:
-    if isinstance(env, Catalog):
-        if name not in env:
-            raise ParseError(
-                f"unknown sequence {name!r}; registered: {env.names()}"
-            )
-        return env.get(name).sequence
-    try:
-        return env[name]
-    except KeyError:
-        raise ParseError(f"unknown sequence {name!r}") from None
-
-
-def _compile_value(node) -> Expr:
-    """Compile a value-expression AST node to an algebra expression."""
-    if isinstance(node, ColumnRef):
-        return Col(node.name)
-    if isinstance(node, Literal):
-        return Lit(node.value)
-    if isinstance(node, Unary):
-        if node.op == "not":
-            return Not(_compile_value(node.operand))
-        # unary minus: 0 - operand
-        return Arith("-", Lit(0), _compile_value(node.operand))
-    if isinstance(node, Binary):
-        left = _compile_value(node.left)
-        right = _compile_value(node.right)
-        if node.op == "and":
-            return And(left, right)
-        if node.op == "or":
-            return Or(left, right)
-        if node.op in (">", ">=", "<", "<=", "==", "!="):
-            return Cmp(node.op, left, right)
-        return Arith(node.op, left, right)
-    if isinstance(node, Call):
-        raise ParseError(
-            f"operator {node.func!r} cannot appear inside a predicate"
-        )
-    raise ParseError(f"cannot compile value expression {node!r}")
-
-
-def _expect_name(node, what: str) -> str:
-    if isinstance(node, ColumnRef):
-        return node.name
-    raise ParseError(f"expected {what}, got {node!r}")
-
-
-def _expect_int(node, what: str) -> int:
-    if isinstance(node, Literal) and isinstance(node.value, int):
-        return node.value
-    if (
-        isinstance(node, Unary)
-        and node.op == "-"
-        and isinstance(node.operand, Literal)
-        and isinstance(node.operand.value, int)
-    ):
-        return -node.operand.value
-    raise ParseError(f"expected {what} (an integer), got {node!r}")
-
-
-def _arity(call: Call, minimum: int, maximum: int) -> None:
-    if not minimum <= len(call.args) <= maximum:
-        raise ParseError(
-            f"{call.func} takes {minimum}..{maximum} arguments, "
-            f"got {len(call.args)}"
-        )
-
-
-def _compile_seq(node, env: Environment) -> Operator:
-    """Compile a sequence-expression AST node to an operator tree."""
-    if isinstance(node, ColumnRef):
-        # A bare name in sequence position is a base-sequence reference.
-        return SequenceLeaf(_resolve(env, node.name), node.name)
-    if not isinstance(node, Call):
-        raise ParseError(f"expected a sequence expression, got {node!r}")
-    func = node.func
-    if func not in _SEQ_OPERATORS:
-        raise ParseError(f"unknown operator {func!r}")
-
-    if func == "compose":
-        _arity(node, 2, 3)
-        left = _compile_seq(node.args[0], env)
-        right = _compile_seq(node.args[1], env)
-        predicate = _compile_value(node.args[2]) if len(node.args) == 3 else None
-        prefixes = (node.aliases[0], node.aliases[1])
-        return Compose(left, right, predicate, prefixes)
-
-    child = _compile_seq(node.args[0], env)
-    if func == "select":
-        _arity(node, 2, 2)
-        return Select(child, _compile_value(node.args[1]))
-    if func == "project":
-        _arity(node, 2, 64)
-        names = [_expect_name(a, "an attribute name") for a in node.args[1:]]
-        return Project(child, names)
-    if func == "shift":
-        _arity(node, 2, 2)
-        return PositionalOffset(child, _expect_int(node.args[1], "an offset"))
-    if func == "previous":
-        _arity(node, 1, 1)
-        return ValueOffset.previous(child)
-    if func == "next":
-        _arity(node, 1, 1)
-        return ValueOffset.next(child)
-    if func == "voffset":
-        _arity(node, 2, 2)
-        return ValueOffset(child, _expect_int(node.args[1], "an offset"))
-
-    # the three aggregate shapes share a signature
-    _arity(node, 4 if func == "window" else 3, 5 if func == "window" else 4)
-    agg = _expect_name(node.args[1], "an aggregate function")
-    if agg not in AGGREGATE_FUNCS:
-        raise ParseError(
-            f"unknown aggregate {agg!r}; expected one of {sorted(AGGREGATE_FUNCS)}"
-        )
-    attr = _expect_name(node.args[2], "an attribute name")
-    if func == "window":
-        width = _expect_int(node.args[3], "a window width")
-        name = (
-            _expect_name(node.args[4], "an output name")
-            if len(node.args) > 4
-            else None
-        )
-        return WindowAggregate(child, agg, attr, width, name)
-    name = (
-        _expect_name(node.args[3], "an output name") if len(node.args) > 3 else None
-    )
-    if func == "cumulative":
-        return CumulativeAggregate(child, agg, attr, name)
-    return GlobalAggregate(child, agg, attr, name)
-
-
-def compile_query(source: str, env: Environment, *, analyze: bool = True) -> Query:
+def compile_query(source: str, env: Environment) -> Query:
     """Parse, semantically analyze, and compile a query text.
 
-    With ``analyze=True`` (the default) the front-end analyzer
-    (:mod:`repro.lang.analyzer`) runs between parsing and compilation:
-    error diagnostics raise :class:`~repro.errors.SemanticError` (a
+    The front-end analyzer (:mod:`repro.lang.analyzer`) runs on the
+    parsed text: error diagnostics raise
+    :class:`~repro.errors.SemanticError` (a
     :class:`~repro.errors.ParseError` subclass) aggregating *all*
     findings with source positions and caret excerpts, and the
     resulting :class:`Query` carries the report on ``query.analysis``
     (warnings on ``query.warnings``).  The analyzer's operator tree —
     schema caches already warm — is wrapped directly, so compilation
     does not re-derive schemas or spans.
-
-    With ``analyze=False`` the legacy raise-on-first-error path runs
-    instead (no warnings, positions only for syntax errors).
 
     Args:
         source: the query text.
@@ -218,17 +49,7 @@ def compile_query(source: str, env: Environment, *, analyze: bool = True) -> Que
         ParseError: on syntax errors, or (as :class:`SemanticError`)
             on semantic errors.
     """
-    if not analyze:
-        ast = parse(source)
-        return Query(_compile_seq(ast, env))
-    global _analyze
-    if _analyze is None:
-        # Imported on first use: the analyzer imports this module.
-        from repro.lang.analyzer import analyze as _analyzer_entry
-
-        _analyze = _analyzer_entry
-
-    result = _analyze(source, env).raise_if_errors()
+    result = analyze(source, env).raise_if_errors()
     assert result.root is not None  # no errors => tree was built
     query = Query._from_analysis(result.root)
     query.analysis = result.report

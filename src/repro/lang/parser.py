@@ -18,12 +18,12 @@ Grammar (informal)::
     primary   := NAME | NUMBER | STRING | 'true' | 'false' | '(' valueexpr ')'
 
 Whether an argument is a sequence expression or a value expression is
-decided by the compiler per operator signature; the parser produces a
+decided by the analyzer per operator signature; the parser produces a
 uniform tree where a bare ``NAME`` is a :class:`ColumnRef` inside value
 positions and a :class:`SequenceRef` in sequence positions.  To keep
 the grammar unambiguous, the parser parses each argument as a *value*
 expression, except that a name directly followed by ``(`` becomes a
-nested :class:`Call`; the compiler reinterprets plain names by
+nested :class:`Call`; the analyzer reinterprets plain names by
 position.
 
 Every produced node carries the :class:`~repro.lang.source.Pos` of the

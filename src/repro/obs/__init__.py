@@ -4,8 +4,10 @@ The subsystem has six layers, each usable on its own:
 
 * :mod:`repro.obs.tracer` — the span tracer the optimizer and both
   executors thread through themselves;
-* :mod:`repro.obs.metrics` — the unified counter/gauge/histogram
-  registry (and the generic counter snapshot/restore/delta helpers);
+* :mod:`repro.obs.metrics` — the read-out over the counter
+  dataclasses, gauges and histogram sets (``metrics.collect`` +
+  ``metrics.render``; use it as a module), and the generic counter
+  snapshot/restore/delta helpers;
 * :mod:`repro.obs.hist` — fixed-bucket log-scale histograms with
   p50/p90/p99 estimation, mergeable across parallel lanes;
 * :mod:`repro.obs.profile` — the flight recorder: a bounded ring of
@@ -38,15 +40,7 @@ from repro.obs.hist import (
     LogHistogram,
     bucket_index,
 )
-from repro.obs.metrics import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    MetricsSnapshot,
-    counters_delta,
-    counters_restore,
-    counters_snapshot,
-)
+from repro.obs.metrics import counters_delta, counters_restore, counters_snapshot
 from repro.obs.profile import (
     DEFAULT_CAPACITY,
     FlightRecorder,
@@ -85,17 +79,13 @@ __all__ = [
     "CATEGORY_OPERATOR",
     "CATEGORY_OPTIMIZER",
     "CHROME_SCHEMA",
-    "Counter",
     "DEFAULT_CAPACITY",
     "DEFAULT_ROW_STRIDE",
     "FACTOR_EPSILON",
     "FlightRecorder",
-    "Histogram",
     "HistogramSet",
     "JSONL_SCHEMA",
     "LogHistogram",
-    "MetricsRegistry",
-    "MetricsSnapshot",
     "OperatorReport",
     "PROFILE_FORMAT_VERSION",
     "PROFILE_SCHEMA",

@@ -77,8 +77,7 @@ def _span_records(tracer: Tracer) -> list[dict]:
 def to_jsonl(tracer: Tracer, metrics: Optional[Mapping] = None) -> str:
     """Serialize a trace as JSON Lines (header + spans + events).
 
-    ``metrics`` (e.g. a
-    :meth:`~repro.obs.metrics.MetricsRegistry.collect` mapping) is
+    ``metrics`` (e.g. a :func:`repro.obs.metrics.collect` mapping) is
     appended as one trailing ``metrics`` record, so a single artifact
     carries the span tree *and* the run's counter block.
     """

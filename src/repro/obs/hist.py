@@ -157,7 +157,7 @@ class LogHistogram:
     def summary(self) -> dict[str, float]:
         """Count/sum/mean/min/max plus the standard quantiles.
 
-        Shaped for :meth:`repro.obs.metrics.MetricsRegistry.collect`.
+        Shaped for :func:`repro.obs.metrics.collect`.
         """
         values: dict[str, float] = {
             "count": self.count,

@@ -1,36 +1,26 @@
-"""The unified metrics registry.
+"""The metrics read-out.
 
-Before this module, the engine's work counters lived in three ad-hoc
-dataclasses (:class:`~repro.execution.counters.ExecutionCounters`,
-:class:`~repro.storage.counters.StorageCounters`, and the guard's
-progress numbers), each with its own snapshot/reset conventions.  A
-:class:`MetricsRegistry` puts one read path in front of all of them:
-sources *attach* under a prefix, :meth:`MetricsRegistry.collect`
-returns every metric as a flat, stable-ordered ``name -> number``
-mapping, and :meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.delta`
-give difference semantics without each caller re-implementing them.
-``--explain``, EXPLAIN ANALYZE, and the benchmarks all read from this
-one source.
-
-The module also hosts the *generic* counter snapshot helpers the
-dataclass counters and the engine's batch→row fallback use
+The counter dataclasses (:class:`~repro.counters.CounterSet` subclasses)
+are the source of truth for every count the engine keeps; hot paths and
+the benchmark read their fields directly.  This module only *reads them
+out*: :func:`collect` flattens named sources into one stable-ordered
+``name -> number`` mapping and :func:`render` prints it as the
+``name = value`` block of ``--explain``, ``repro stats`` and the
+``*-check`` subcommands.  It also hosts the one implementation of
+"copy / roll back / difference all fields of a counter object"
 (:func:`counters_snapshot` / :func:`counters_restore` /
-:func:`counters_delta`), so there is exactly one implementation of
-"copy all integer fields of a counter object" in the codebase.
+:func:`counters_delta`) that the engine's degradation ladder uses.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Mapping, Optional
+from typing import Mapping
 
 from repro.errors import ReproError
-from repro.obs.hist import HistogramSet, LogHistogram
+from repro.obs.hist import HistogramSet
 
 Number = float  # metrics are ints or floats; ints pass through unchanged
-
-
-# -- generic dataclass-counter helpers ---------------------------------------
 
 
 def counters_snapshot(source: object) -> dict[str, Number]:
@@ -56,9 +46,9 @@ def counters_snapshot(source: object) -> dict[str, Number]:
 def counters_restore(source: object, snapshot: Mapping[str, Number]) -> None:
     """Set every field named in ``snapshot`` back onto ``source``.
 
-    This is the registry-blessed way to roll a counter object back to
-    a snapshot (e.g. the engine's batch→row fallback forgetting the
-    failed attempt's accounting).
+    This is how a counter object is rolled back to a snapshot (e.g. the
+    engine's batch→row fallback forgetting the failed attempt's
+    accounting).
     """
     for name, value in snapshot.items():
         if not hasattr(source, name):
@@ -76,194 +66,34 @@ def counters_delta(
     return {name: value - before.get(name, 0) for name, value in now.items()}
 
 
-# -- named instruments -------------------------------------------------------
+def collect(**sources: object) -> dict[str, Number]:
+    """Every metric of the named sources, as a name-sorted flat mapping.
 
-
-class Counter:
-    """A monotonically increasing named counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        """Add ``amount`` (must be non-negative)."""
-        if amount < 0:
-            raise ReproError(f"counter {self.name}: negative increment {amount}")
-        self.value += amount
-
-
-class Histogram:
-    """A streaming summary (count/total/min/max) of observations."""
-
-    __slots__ = ("name", "count", "total", "minimum", "maximum")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.minimum: Optional[float] = None
-        self.maximum: Optional[float] = None
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        self.count += 1
-        self.total += value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
-
-    @property
-    def mean(self) -> float:
-        """The running mean (0.0 before any observation)."""
-        return self.total / self.count if self.count else 0.0
-
-    def summary(self) -> dict[str, Number]:
-        """The summary fields, for :meth:`MetricsRegistry.collect`."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "min": self.minimum if self.minimum is not None else 0.0,
-            "max": self.maximum if self.maximum is not None else 0.0,
-        }
-
-
-class MetricsSnapshot(Mapping[str, Number]):
-    """A frozen view of a registry's metrics at one moment."""
-
-    def __init__(self, values: dict[str, Number]):
-        self._values = dict(values)
-
-    def __getitem__(self, key: str) -> Number:
-        return self._values[key]
-
-    def __iter__(self):
-        return iter(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def as_dict(self) -> dict[str, Number]:
-        """A mutable copy of the snapshot values."""
-        return dict(self._values)
-
-
-class MetricsRegistry:
-    """One read path over all counters, gauges, and histograms.
-
-    Sources attach under a dot-separated prefix:
-
-    * :meth:`attach` — a counter dataclass (anything
-      :func:`counters_snapshot` accepts), read live at collect time;
-    * :meth:`attach_gauges` — a callable returning ``name -> number``
-      (e.g. the guard's progress numbers);
-    * :meth:`attach_histograms` — a
-      :class:`~repro.obs.hist.HistogramSet` (e.g. the flight
-      recorder's lifetime distributions), each histogram's summary
-      read live under ``prefix.<name>.<quantile>``;
-    * :meth:`counter` / :meth:`histogram` / :meth:`log_histogram` —
-      registry-owned named instruments for code without a dataclass
-      home (``log_histogram`` is the quantile-capable
-      :class:`~repro.obs.hist.LogHistogram`; plain ``histogram``
-      remains the cheaper count/total/min/max summary).
-
-    ``collect()`` is sorted by metric name, so rendered output is
-    stable across runs and diffable by golden tests.
+    Each keyword is a dot-separated prefix (pass ``**{"storage.ibm": c}``
+    for a dotted one) and its value one of: a counter object (anything
+    :func:`counters_snapshot` accepts) → ``prefix.<field>``; a mapping
+    of gauges (e.g. ``guard.metrics()``) → ``prefix.<key>``; a
+    :class:`~repro.obs.hist.HistogramSet` → ``prefix.<name>.<stat>``
+    for each histogram's count/sum/mean/min/max/p50/p90/p99.
     """
-
-    def __init__(self) -> None:
-        self._sources: list[tuple[str, object]] = []
-        self._gauges: list[tuple[str, Callable[[], Mapping[str, Number]]]] = []
-        self._counters: dict[str, Counter] = {}
-        self._histograms: dict[str, Histogram] = {}
-        self._log_histograms: dict[str, LogHistogram] = {}
-        self._histogram_sets: list[tuple[str, HistogramSet]] = []
-
-    # -- attachment ----------------------------------------------------------
-
-    def attach(self, prefix: str, source: object) -> None:
-        """Mirror a counter object's fields under ``prefix.<field>``."""
-        counters_snapshot(source)  # fail fast on unsupported sources
-        self._sources.append((prefix, source))
-
-    def attach_gauges(
-        self, prefix: str, fn: Callable[[], Mapping[str, Number]]
-    ) -> None:
-        """Mirror a callable's mapping under ``prefix.<key>``."""
-        self._gauges.append((prefix, fn))
-
-    def counter(self, name: str) -> Counter:
-        """Get or create a registry-owned counter."""
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self._counters[name] = Counter(name)
-        return counter
-
-    def histogram(self, name: str) -> Histogram:
-        """Get or create a registry-owned histogram."""
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self._histograms[name] = Histogram(name)
-        return histogram
-
-    def log_histogram(self, name: str) -> LogHistogram:
-        """Get or create a registry-owned log-scale histogram.
-
-        Collects as ``<name>.count/sum/mean/min/max/p50/p90/p99``.
-        """
-        histogram = self._log_histograms.get(name)
-        if histogram is None:
-            histogram = self._log_histograms[name] = LogHistogram(name)
-        return histogram
-
-    def attach_histograms(self, prefix: str, hists: HistogramSet) -> None:
-        """Mirror a histogram set's summaries under ``prefix.<name>.<key>``."""
-        self._histogram_sets.append((prefix, hists))
-
-    # -- reading -------------------------------------------------------------
-
-    def collect(self) -> dict[str, Number]:
-        """Every metric, live, as a name-sorted flat mapping."""
-        values: dict[str, Number] = {}
-        for prefix, source in self._sources:
-            for name, value in counters_snapshot(source).items():
-                values[f"{prefix}.{name}"] = value
-        for prefix, fn in self._gauges:
-            for name, value in fn().items():
-                values[f"{prefix}.{name}"] = value
-        for name, counter in self._counters.items():
-            values[name] = counter.value
-        for name, histogram in self._histograms.items():
-            for key, value in histogram.summary().items():
-                values[f"{name}.{key}"] = value
-        for name, log_histogram in self._log_histograms.items():
-            for key, value in log_histogram.summary().items():
-                values[f"{name}.{key}"] = value
-        for prefix, hists in self._histogram_sets:
-            for histogram in hists:
+    values: dict[str, Number] = {}
+    for prefix, source in sources.items():
+        if isinstance(source, HistogramSet):
+            for histogram in source:
                 for key, value in histogram.summary().items():
                     values[f"{prefix}.{histogram.name}.{key}"] = value
-        return dict(sorted(values.items()))
+            continue
+        flat = source if isinstance(source, Mapping) else counters_snapshot(source)
+        for name, value in flat.items():
+            values[f"{prefix}.{name}"] = value
+    return dict(sorted(values.items()))
 
-    def snapshot(self) -> MetricsSnapshot:
-        """Freeze the current values."""
-        return MetricsSnapshot(self.collect())
 
-    def delta(self, since: MetricsSnapshot) -> dict[str, Number]:
-        """Per-metric change since ``since`` (new metrics count from 0)."""
-        return counters_delta(self.collect(), since)
-
-    def render(self, indent: str = "") -> str:
-        """Stable-ordered ``name = value`` lines (the --explain block)."""
-        lines = []
-        for name, value in self.collect().items():
-            if isinstance(value, float):
-                text = f"{value:.6g}"
-            else:
-                text = str(value)
-            lines.append(f"{indent}{name} = {text}")
-        return "\n".join(lines)
+def render(metrics: Mapping[str, Number], indent: str = "") -> str:
+    """``name = value`` lines in the mapping's order (floats as ``%.6g``)."""
+    return "\n".join(
+        f"{indent}{name} = {value:.6g}"
+        if isinstance(value, float)
+        else f"{indent}{name} = {value}"
+        for name, value in metrics.items()
+    )

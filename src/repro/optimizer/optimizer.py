@@ -132,10 +132,11 @@ def optimize(
                 )
 
         with maybe_span(tracer, "partition-contract", CATEGORY_ANALYSIS) as part_span:
-            # Derive and attach the partitioning contract so downstream
-            # consumers (the PART* lint rules, `repro partition-check`,
-            # a future parallel engine) see the plan's decomposability
-            # claim.  Derived, not asserted: the metadata is correct by
+            # Derive and attach the partitioning contract so the PART*
+            # lint rules and plan readers see the plan's decomposability
+            # claim.  (The parallel engine does not read it: `certify`
+            # re-derives the contract before any partitioned run.)
+            # Derived, not asserted: the metadata is correct by
             # construction, so the lint rules stay quiet on our plans.
             contract = derive_contract(output.stream_plan)
             output.stream_plan.extras["partition"] = {

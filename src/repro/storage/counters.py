@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from repro.counters import CounterSet
+
 
 @dataclass
-class StorageCounters:
+class StorageCounters(CounterSet):
     """Mutable counters of storage-level work.
 
     Attributes:
@@ -53,17 +55,6 @@ class StorageCounters:
     retries_exhausted: int = 0
     corrupt_pages_detected: int = 0
 
-    def reset(self) -> None:
-        """Zero all counters."""
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
-    def snapshot(self) -> "StorageCounters":
-        """An immutable copy of the current counts."""
-        from repro.obs.metrics import counters_snapshot
-
-        return StorageCounters(**counters_snapshot(self))
-
     def __sub__(self, other: "StorageCounters") -> "StorageCounters":
         return StorageCounters(
             **{
@@ -83,7 +74,3 @@ class StorageCounters:
     def total_page_accesses(self) -> int:
         """Pages fetched from disk — the paper's primary cost unit."""
         return self.page_reads
-
-    def as_dict(self) -> dict[str, int]:
-        """All counters as a plain dictionary (for reports)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}

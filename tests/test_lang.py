@@ -260,5 +260,3 @@ class TestCompiler:
         catalog, _ = table1
         with pytest.raises(ParseError, match="arguments"):
             compile_query("window(ibm, avg, close)", catalog)
-        with pytest.raises(ParseError, match="arguments"):
-            compile_query("window(ibm, avg, close)", catalog, analyze=False)

@@ -266,12 +266,6 @@ class TestAnnotations:
         result = analyze("select(ibm, clse > 7.0)", dict(sequences))
         assert [d.rule for d in result.errors] == ["SEM002"]
 
-    def test_legacy_path_skips_analysis(self, table1):
-        catalog, _ = table1
-        query = compile_query("select(ibm, true)", catalog, analyze=False)
-        assert query.analysis is None
-        assert query.warnings == []
-
 
 class TestRegistry:
     def test_rules_have_distinct_codes_and_names(self):

@@ -35,13 +35,14 @@ from repro.obs import (
     CATEGORY_ENGINE,
     CATEGORY_OPERATOR,
     CATEGORY_OPTIMIZER,
-    MetricsRegistry,
+    HistogramSet,
     Tracer,
     active,
     counters_delta,
     counters_restore,
     counters_snapshot,
     maybe_span,
+    metrics,
     operator_reports,
     parse_jsonl,
     render_analyze,
@@ -209,55 +210,32 @@ class TestCounterHelpers:
         assert counters.predicate_evals == 4  # independent copy
 
 
-class TestMetricsRegistry:
+class TestMetricsReadOut:
     def test_collect_is_stable_sorted(self):
-        registry = MetricsRegistry()
         counters = ExecutionCounters()
         counters.records_emitted = 7
-        registry.attach("execution", counters)
-        registry.attach_gauges("guard", lambda: {"elapsed_seconds": 0.5})
-        registry.counter("z.custom").inc(3)
-        names = list(registry.collect())
+        hists = HistogramSet()
+        hists.observe("lat", 4.0)
+        collected = metrics.collect(
+            guard={"elapsed_seconds": 0.5}, flight=hists, execution=counters
+        )
+        names = list(collected)
         assert names == sorted(names)
-        assert registry.collect()["execution.records_emitted"] == 7
-        assert registry.collect()["guard.elapsed_seconds"] == 0.5
-        assert registry.collect()["z.custom"] == 3
+        assert collected["execution.records_emitted"] == 7
+        assert collected["guard.elapsed_seconds"] == 0.5
+        assert collected["flight.lat.count"] == 1
+        # The read-out copies: the dataclass stays the source of truth.
+        counters.records_emitted += 1
+        assert collected["execution.records_emitted"] == 7
+        assert metrics.collect(execution=counters)["execution.records_emitted"] == 8
 
-    def test_attach_rejects_unsupported_sources(self):
+    def test_collect_rejects_unsupported_sources(self):
         with pytest.raises(ReproError):
-            MetricsRegistry().attach("x", object())
-
-    def test_snapshot_delta(self):
-        registry = MetricsRegistry()
-        counters = ExecutionCounters()
-        registry.attach("execution", counters)
-        before = registry.snapshot()
-        counters.records_emitted += 5
-        delta = registry.delta(before)
-        assert delta["execution.records_emitted"] == 5
-        assert delta["execution.batches_built"] == 0
-
-    def test_counter_monotone(self):
-        counter = MetricsRegistry().counter("c")
-        with pytest.raises(ReproError):
-            counter.inc(-1)
-
-    def test_histogram_summary(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("lat")
-        for value in (2.0, 4.0, 6.0):
-            histogram.observe(value)
-        collected = registry.collect()
-        assert collected["lat.count"] == 3
-        assert collected["lat.mean"] == pytest.approx(4.0)
-        assert collected["lat.min"] == 2.0
-        assert collected["lat.max"] == 6.0
+            metrics.collect(x=object())
 
     def test_render_lines(self):
-        registry = MetricsRegistry()
-        registry.counter("a").inc(2)
-        registry.attach_gauges("b", lambda: {"ratio": 0.25})
-        assert registry.render(indent="  ") == "  a = 2\n  b.ratio = 0.25"
+        collected = metrics.collect(a={"n": 2}, b={"ratio": 0.25})
+        assert metrics.render(collected, indent="  ") == "  a.n = 2\n  b.ratio = 0.25"
 
 
 # -- schema + exporters ------------------------------------------------------

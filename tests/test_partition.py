@@ -21,6 +21,7 @@ Four halves:
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -46,7 +47,8 @@ from repro.analysis.partition import (
     plan_fingerprint,
     require_certificate,
 )
-from repro.errors import ExecutionError, PartitionSoundnessError
+from repro.analysis.effects import EffectCertificate, certify_effects
+from repro.errors import ExecutionError, PartitionSoundnessError, ReproError
 from repro.execution import (
     ExecutionCounters,
     execute_partitioned,
@@ -291,6 +293,90 @@ class TestCertificates:
         assert snapshot["certificates_rejected"] == 1
         assert snapshot["checks_run"] == 1
         assert snapshot["checks_failed"] == 0
+
+
+def set_path(payload, path, value):
+    """A deep copy of ``payload`` with the entry at ``path`` replaced."""
+    clone = copy.deepcopy(payload)
+    node = clone
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return clone
+
+
+#: (path into ``to_dict()`` output, replacement) — one per malformed
+#: shape a certificate from an untrusted producer has been seen with.
+MALFORMED_PARTITION = [
+    (("cut_points", 0), "x"),
+    (("cut_points", 0), None),
+    (("cut_points",), [7, "junk"]),
+    (("partitions",), [7, "junk"]),
+    (("partitions", 0), "junk"),
+    (("partitions", 0, "window"), 7),
+    (("partitions", 0, "node_spans"), [7]),
+    (("partitions", 0, "leaf_spans"), {"root:scan": "junk"}),
+    (("halo_obligations",), [7, "junk"]),
+    (("halo_obligations", 0), None),
+    (("merge",), "junk"),
+    (("merge", "windows"), [7, "junk"]),
+    (("merge", "covers"), []),
+    (("contract",), "junk"),
+    (("contract", "kind"), "no-such-kind"),
+    (("root_span",), 7),
+    (("fingerprint",), 7),
+    (("parts",), "3"),
+]
+
+MALFORMED_EFFECTS = [
+    (("sites",), [1, 2]),
+    (("sites",), "junk"),
+    (("sites", 0), 7),
+    (("sites", 0, "spec"), "junk"),
+    (("sites", 0, "spec", "exceptions"), [7]),
+    (("sites", 0, "spec", "domain"), "junk"),
+    (("sites", 0, "path"), None),
+    (("fingerprint",), None),
+]
+
+MALFORMED_JSON = ["", "{", "[1, 2]", "7", "null", '{"sites": []}']
+
+
+class TestMalformedCertificates:
+    """Certificates from outside: every bad shape is a ``ReproError``.
+
+    Never an untyped exception, and never an accepted certificate with
+    the offending entries silently dropped.
+    """
+
+    @pytest.fixture(scope="class")
+    def plan(self, table1):
+        catalog, _sequences = table1
+        return optimized(
+            "window(select(ibm, close > 115.0), avg, close, 6, ma6)", catalog
+        )
+
+    @pytest.mark.parametrize("path, junk", MALFORMED_PARTITION)
+    def test_partition_payload(self, plan, path, junk):
+        payload = set_path(certify(plan, 3).to_dict(), path, junk)
+        with pytest.raises(ReproError):
+            PartitionCertificate.from_dict(payload)
+        with pytest.raises(ReproError):
+            PartitionCertificate.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("path, junk", MALFORMED_EFFECTS)
+    def test_effects_payload(self, plan, path, junk):
+        payload = set_path(certify_effects(plan).to_dict(), path, junk)
+        with pytest.raises(ReproError):
+            EffectCertificate.from_dict(payload)
+        with pytest.raises(ReproError):
+            EffectCertificate.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("text", MALFORMED_JSON)
+    @pytest.mark.parametrize("kind", [PartitionCertificate, EffectCertificate])
+    def test_json_text(self, kind, text):
+        with pytest.raises(ReproError):
+            kind.from_json(text)
 
 
 class TestPartitionedExecution:

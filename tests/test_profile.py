@@ -45,7 +45,7 @@ from repro.obs import (
     FlightRecorder,
     HistogramSet,
     LogHistogram,
-    MetricsRegistry,
+    metrics,
     QueryProfile,
     Tracer,
     bucket_index,
@@ -380,10 +380,9 @@ class TestParallelDeterminism:
         answer = execute_parallel(
             plan, certificate, workers=workers, counters=counters, hists=hists
         )
-        registry = MetricsRegistry()
-        registry.attach("execution", counters)
-        registry.attach_histograms("flight", hists)
-        return list(answer.iter_nonnull()), registry.collect()
+        return list(answer.iter_nonnull()), metrics.collect(
+            execution=counters, flight=hists
+        )
 
     @pytest.mark.parametrize(
         "source",
