@@ -12,11 +12,11 @@ Two questions, one baseline file:
    the plan's expression sites, so its cost does not move when the
    rest of ``optimize`` gets cheaper (measured mean ~7 us).
 
-2. **Dense-loop payoff.**  ``compile_filter``/``compile_columnwise``
-   emit an unguarded dense loop for fully-valid batches when handed a
-   certified vectorization-safe :class:`EffectSpec`.  The benchmark
-   times the certified kernel against the always-guarded one on a
-   scan-select-project shape and reports the speedup.  The smoke gate
+2. **Dense-loop payoff.**  ``compile_filter`` emits an unguarded
+   dense loop for fully-valid batches when handed a certified
+   vectorization-safe :class:`EffectSpec`.  The benchmark times the
+   certified kernel against the always-guarded one on a select
+   predicate and reports the speedup.  The smoke gate
    only requires that dense codegen does not *regress* the guarded
    loop (``dense_speedup >= 0.95``); the payoff itself is recorded in
    the committed baseline for the README.
@@ -39,14 +39,7 @@ from typing import Callable, Optional
 
 import pytest
 
-from repro.algebra.expressions import (
-    Arith,
-    Cmp,
-    Col,
-    Lit,
-    compile_columnwise,
-    compile_filter,
-)
+from repro.algebra.expressions import Cmp, Col, Lit, compile_filter
 from repro.analysis.effects import analyze_expr, annotate_effects
 from repro.bench import print_table
 from repro.lang import compile_query
@@ -83,12 +76,11 @@ SHAPES = {
     ),
 }
 
-#: Scan-select-project expressions for the kernel measurement, over a
-#: (close FLOAT, volume INT) schema: the Table 1 select predicate and
-#: a projection arithmetic both certify vectorization-safe.
+#: The expression of the kernel measurement, over a (close FLOAT,
+#: volume INT) schema: the Table 1 select predicate, which certifies
+#: vectorization-safe.
 _KERNEL_SCHEMA = RecordSchema.of(close=AtomType.FLOAT, volume=AtomType.INT)
 _KERNEL_FILTER = Cmp(">", Col("close"), Lit(115.0))
-_KERNEL_PROJECT = Arith("*", Col("close"), Lit(2.0))
 
 
 def _best_rate(fn: Callable[[], object], iterations: int) -> float:
@@ -129,7 +121,7 @@ def measure_overhead(iterations: int) -> dict:
 
 
 def measure_dense(iterations: int) -> dict:
-    """Time certified dense kernels against the always-guarded loop.
+    """Time the certified dense kernel against the always-guarded loop.
 
     The batch is fully valid — the case the dense fast path exists
     for.  Both variants are checked for identical output before being
@@ -143,29 +135,22 @@ def measure_dense(iterations: int) -> dict:
     ]
     valid = [True] * BATCH_ROWS
 
-    rows = []
-    for name, expr, compiler in (
-        ("filter", _KERNEL_FILTER, compile_filter),
-        ("project", _KERNEL_PROJECT, compile_columnwise),
-    ):
-        spec = analyze_expr(expr, _KERNEL_SCHEMA)
-        assert spec.vectorization_safe, spec.describe()
-        guarded = compiler(expr, _KERNEL_SCHEMA)
-        dense = compiler(expr, _KERNEL_SCHEMA, spec=spec)
-        assert dense(columns, valid) == guarded(columns, valid)
+    spec = analyze_expr(_KERNEL_FILTER, _KERNEL_SCHEMA)
+    assert spec.vectorization_safe, spec.describe()
+    guarded = compile_filter(_KERNEL_FILTER, _KERNEL_SCHEMA)
+    dense = compile_filter(_KERNEL_FILTER, _KERNEL_SCHEMA, spec=spec)
+    assert dense(columns, valid) == guarded(columns, valid)
 
-        guarded_seconds = _best_rate(lambda: guarded(columns, valid), iterations)
-        dense_seconds = _best_rate(lambda: dense(columns, valid), iterations)
-        rows.append(
-            {
-                "kernel": name,
-                "expression": repr(expr),
-                "guarded_seconds": round(guarded_seconds, 9),
-                "dense_seconds": round(dense_seconds, 9),
-                "dense_speedup": round(guarded_seconds / dense_seconds, 4),
-            }
-        )
-    return {"kernels": rows}
+    guarded_seconds = _best_rate(lambda: guarded(columns, valid), iterations)
+    dense_seconds = _best_rate(lambda: dense(columns, valid), iterations)
+    row = {
+        "kernel": "filter",
+        "expression": repr(_KERNEL_FILTER),
+        "guarded_seconds": round(guarded_seconds, 9),
+        "dense_seconds": round(dense_seconds, 9),
+        "dense_speedup": round(guarded_seconds / dense_seconds, 4),
+    }
+    return {"kernels": [row]}
 
 
 def measure(iterations: int) -> dict:

@@ -44,20 +44,9 @@ def forced_naive_plan(query, catalog):
         plan,
         strategy="naive",
         cache_size=None,
-        children=(_probe_version(result, plan),),
+        children=result.planned.probe_plan.children,
     )
     return naive, result
-
-
-def _probe_version(result, plan):
-    """Rebuild the aggregate's child as a probe-mode plan."""
-    from repro.optimizer.blocks import block_tree
-    from repro.optimizer.joinenum import BlockPlanner
-
-    blocks = block_tree(result.rewritten.root)
-    planner = BlockPlanner(result.annotated, catalog=None)
-    planned = planner.plan(blocks.child)
-    return planned.probe_plan
 
 
 @pytest.mark.parametrize("window", WINDOWS)

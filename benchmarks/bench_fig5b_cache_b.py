@@ -41,16 +41,13 @@ def forced_naive_plan(query, catalog):
     """The value offset forced to the naive (probing) algorithm."""
     from dataclasses import replace
 
-    from repro.optimizer.blocks import block_tree
-    from repro.optimizer.joinenum import BlockPlanner
-
     result = optimize(query, catalog=catalog)
     plan = result.plan.plan
     assert plan.kind == "value-offset"
-    blocks = block_tree(result.rewritten.root)
-    planner = BlockPlanner(result.annotated, catalog=catalog)
-    child_probe = planner.plan(blocks.child).probe_plan
-    naive = replace(plan, strategy="naive", cache_size=None, children=(child_probe,))
+    naive = replace(
+        plan, strategy="naive", cache_size=None,
+        children=result.planned.probe_plan.children,
+    )
     return naive, result
 
 

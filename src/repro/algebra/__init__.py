@@ -21,7 +21,6 @@ from repro.algebra.expressions import (
     Not,
     Or,
     col,
-    compile_columnwise,
     compile_filter,
     compile_rowwise,
     conjoin,
@@ -64,7 +63,6 @@ __all__ = [
     "apply_aggregate",
     "base",
     "col",
-    "compile_columnwise",
     "compile_filter",
     "compile_rowwise",
     "conjoin",

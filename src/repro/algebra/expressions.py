@@ -530,7 +530,7 @@ def compile_rowwise(
 def _compile_batch(
     expr: Expr, schema: RecordSchema, template: str
 ) -> Optional[Callable[[list[list[object]], list[bool]], list[object]]]:
-    """Shared column-wise codegen; None when ``expr`` cannot be lowered."""
+    """Column-wise filter codegen; None when ``expr`` cannot be lowered."""
     lowerer = _Lowerer(schema, lambda index: f"_c{index}[_i]")
     try:
         fragment = lowerer.lower(expr)
@@ -548,16 +548,6 @@ def _compile_batch(
     )
 
 
-_COLUMNWISE_TEMPLATE = """\
-def _compiled(_columns, _valid):
-{preamble}\
-    _out = [None] * len(_valid)
-    for _i, _ok in enumerate(_valid):
-        if _ok:
-            _out[_i] = {fragment}
-    return _out
-"""
-
 _FILTER_TEMPLATE = """\
 def _compiled(_columns, _valid):
 {preamble}\
@@ -568,25 +558,13 @@ def _compiled(_columns, _valid):
     return _out
 """
 
-# Dense variants, emitted only under a certified vectorization-safe
+# Dense variant, emitted only under a certified vectorization-safe
 # EffectSpec (pure + deterministic + total + null-strict): on a fully
 # valid batch the per-row ``_ok`` guard is dropped entirely — one
 # branch-free comprehension instead of a test per row.  Safe exactly
 # because the certificate proves the expression cannot raise and masked
 # positions cannot influence outputs; sparse batches keep the guarded
 # loop (invalid cells hold None, which the expression must never see).
-
-_DENSE_COLUMNWISE_TEMPLATE = """\
-def _compiled(_columns, _valid):
-{preamble}\
-    if False not in _valid:
-        return [{fragment} for _i in range(len(_valid))]
-    _out = [None] * len(_valid)
-    for _i, _ok in enumerate(_valid):
-        if _ok:
-            _out[_i] = {fragment}
-    return _out
-"""
 
 _DENSE_FILTER_TEMPLATE = """\
 def _compiled(_columns, _valid):
@@ -604,78 +582,6 @@ def _compiled(_columns, _valid):
 def _vectorization_safe(spec: "Optional[EffectSpec]") -> bool:
     """Whether ``spec`` certifies dropping the per-row validity guard."""
     return spec is not None and spec.vectorization_safe
-
-
-def _scalar_columnwise(
-    expr: Expr,
-    schema: RecordSchema,
-    template: str,
-    on_fallback: Optional[FallbackObserver],
-) -> Callable[[list[ColumnArg], list[bool]], list[Any]]:
-    """The fused-loop (scalar) column evaluator, with interpreted fallback."""
-    compiled = _compile_batch(expr, schema, template)
-    if compiled is not None:
-        return compiled
-    if on_fallback is not None:
-        on_fallback(expr)
-    rowwise = compile_rowwise(expr, schema)
-
-    def fallback(columns: list[ColumnArg], valid: list[bool]) -> list[Any]:
-        out: list[Any] = [None] * len(valid)
-        for i, ok in enumerate(valid):
-            if ok:
-                out[i] = rowwise(tuple(column[i] for column in columns))
-        return out
-
-    return fallback
-
-
-def compile_columnwise(
-    expr: Expr,
-    schema: RecordSchema,
-    *,
-    spec: "Optional[EffectSpec]" = None,
-    on_fallback: Optional[FallbackObserver] = None,
-    on_kernel_fallback: Optional[FallbackObserver] = None,
-) -> Callable[[list[ColumnArg], Mask], list[Any]]:
-    """Compile ``expr`` to a whole-batch evaluator over column buffers.
-
-    The returned function takes ``(columns, valid)`` — per-attribute
-    buffers in ``schema`` order plus a validity mask (packed
-    :class:`~repro.model.bitmask.Bitmask` or legacy bool list) — and
-    returns the list of expression values, ``None`` at invalid
-    positions.  A certified vectorization-safe ``spec`` licenses the
-    whole-column numpy kernel (when the backend and dtypes allow) and,
-    failing that, the unguarded dense loop on fully valid batches.
-    ``on_fallback`` observes the interpreted fallback, as in
-    :func:`compile_rowwise`; ``on_kernel_fallback`` observes — once, at
-    compile time — that no vector kernel could be built (spec withheld
-    safety, no numpy, or a non-vectorizable dtype/operator).
-    """
-    vector = None
-    if _vectorization_safe(spec):
-        from repro.algebra.kernels import lower_vector_map
-
-        vector = lower_vector_map(expr, schema)
-    if vector is None and on_kernel_fallback is not None:
-        on_kernel_fallback(expr)
-    template = (
-        _DENSE_COLUMNWISE_TEMPLATE
-        if _vectorization_safe(spec)
-        else _COLUMNWISE_TEMPLATE
-    )
-    scalar = _scalar_columnwise(expr, schema, template, on_fallback)
-
-    def evaluate(columns: list[ColumnArg], valid: Mask) -> list[Any]:
-        if isinstance(valid, Bitmask):
-            if vector is not None:
-                values = vector(columns, valid)
-                if values is not None:
-                    return values
-            return scalar(columns, valid.tolist())
-        return scalar(columns, valid)
-
-    return evaluate
 
 
 def compile_filter(

@@ -102,31 +102,6 @@ class Query:
 
     # -- spans --------------------------------------------------------------------
 
-    def inferred_spans(self) -> dict[int, Span]:
-        """Bottom-up inferred output span of every operator (Step 2.a).
-
-        Returns a mapping keyed by ``id()`` of each node — the
-        compile-time mirror of the optimizer's span annotation pass,
-        usable without running the optimizer.  Analyzed queries return
-        the annotations the front end already inferred.
-        """
-        annotations = self.annotations
-        if (
-            annotations is not None
-            and annotations.root is self.root
-            and annotations.spans
-        ):
-            return annotations.spans
-        spans: dict[int, Span] = {}
-
-        def infer(node: Operator) -> Span:
-            span = node.infer_span([infer(child) for child in node.inputs])
-            spans[id(node)] = span
-            return span
-
-        infer(self.root)
-        return spans
-
     def leaf_scopes(self) -> dict[int, "ScopeSpec"]:
         """The composed scope of the whole query on each leaf (Prop 2.1).
 

@@ -43,7 +43,7 @@ from repro.model.bitmask import Bitmask
 from repro.model.schema import RecordSchema
 from repro.model.types import AtomType
 
-__all__ = ["VectorFilter", "VectorMap", "lower_vector_filter", "lower_vector_map"]
+__all__ = ["VectorFilter", "lower_vector_filter"]
 
 #: Runtime magnitude guard on INT columns feeding arithmetic.  2**31
 #: keeps one int64 product of two columns below 2**62 (no wraparound)
@@ -59,10 +59,6 @@ _INT64_SAFE = float(2**62)
 #: A vector predicate: ``(columns, valid) -> refined mask`` or ``None``
 #: when this batch cannot be handled (non-vector buffer, guard tripped).
 VectorFilter = Callable[[list[Column], Bitmask], Optional[Bitmask]]
-
-#: A vector evaluator: ``(columns, valid) -> value list`` (``None`` at
-#: invalid positions) or ``None`` when the batch cannot be handled.
-VectorMap = Callable[[list[Column], Bitmask], Optional[list[Any]]]
 
 _ARITH_OPS: dict[str, Callable[[Any, Any], Any]] = {
     "+": operator.add,
@@ -287,33 +283,3 @@ def lower_vector_filter(expr: Expr, schema: RecordSchema) -> Optional[VectorFilt
 
     return kernel
 
-
-def lower_vector_map(expr: Expr, schema: RecordSchema) -> Optional[VectorMap]:
-    """A whole-column evaluation kernel, or ``None`` if not lowerable.
-
-    The kernel returns the expression's value list (``None`` at invalid
-    positions, matching :func:`~repro.algebra.expressions.compile_columnwise`)
-    or ``None`` for batches it cannot handle exactly.
-    """
-    lowered = _lower(expr, schema)
-    if lowered is None:
-        return None
-    np, fn, _atype, used, guards = lowered
-
-    def kernel(columns: list[Column], valid: Bitmask) -> Optional[list[Any]]:
-        if not _batch_ready(np, columns, used, guards):
-            return None
-        with np.errstate(all="ignore"):
-            result = fn(columns)
-        length = len(valid)
-        if isinstance(result, np.ndarray):
-            values: list[Any] = result.tolist()
-        else:
-            value = result.item() if hasattr(result, "item") else result
-            values = [value] * length
-        if not valid.all():
-            for index in (~valid).indices():
-                values[index] = None
-        return values
-
-    return kernel

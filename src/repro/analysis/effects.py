@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 from repro.algebra.expressions import And, Arith, Cmp, Col, Expr, Lit, Not, Or
 from repro.analysis.base import (
@@ -952,7 +952,3 @@ def require_effect_certificate(
         raise_unsound(EffectSoundnessError, "effect certificate rejected", report)
     return cert
 
-
-def iter_efx_rule_ids() -> Iterator[str]:
-    """The registered ``EFX*`` rule identifiers, in triage order."""
-    return iter(EFX_RULES)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 from repro.algebra.scope import ScopeSpec
 from repro.analysis.base import (
@@ -351,27 +351,6 @@ def derive_contract(plan: "Union[PhysicalPlan, OptimizedPlan]") -> PartitionCont
     except ReproError:
         return PartitionContract(BLOCKING, None, None)
     return PartitionContract.of_scopes(scopes)
-
-
-def node_contracts(
-    plan: "PhysicalPlan", paths: Optional[Mapping[int, str]] = None
-) -> dict[str, PartitionContract]:
-    """Per-subtree contracts, keyed by plan path (pre-order)."""
-    resolved_paths = plan_paths(plan) if paths is None else paths
-    contracts: dict[str, PartitionContract] = {}
-
-    def visit(node: "PhysicalPlan") -> None:
-        try:
-            scopes = leaf_scopes(node, resolved_paths)
-            contract = PartitionContract.of_scopes(list(scopes.values()))
-        except ReproError:
-            contract = PartitionContract(BLOCKING, None, None)
-        contracts[resolved_paths[id(node)]] = contract
-        for child in node.children:
-            visit(child)
-
-    visit(plan)
-    return contracts
 
 
 # -- certificates -------------------------------------------------------------
@@ -1255,7 +1234,3 @@ def require_certificate(
         )
     return cert
 
-
-def iter_part_rule_ids() -> Iterator[str]:
-    """The registered ``PART*`` rule identifiers, in triage order."""
-    return iter(PART_RULES)

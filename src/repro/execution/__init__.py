@@ -1,7 +1,6 @@
 """Plan execution: streams, probers, caches, and the naive oracle."""
 
 from repro.execution.batch_streams import DEFAULT_BATCH_SIZE
-from repro.execution.cache import FifoCache
 from repro.execution.context import build_batch_stream, build_prober, build_stream
 from repro.execution.counters import ExecutionCounters
 from repro.execution.engine import (
@@ -54,7 +53,6 @@ __all__ = [
     "POOL_KINDS",
     "ExecOptions",
     "ExecutionCounters",
-    "FifoCache",
     "QueryGuard",
     "MonotonicAggregator",
     "OperatorView",

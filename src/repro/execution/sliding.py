@@ -1,8 +1,11 @@
 """Sliding-window aggregate state (Cache-Strategy-A machinery).
 
-Each aggregator maintains the trailing window incrementally so a
-moving aggregate costs O(1) amortized per position: running sums for
-sum/avg/count, monotonic deques for min/max.
+Each aggregator maintains the trailing window incrementally, so a
+moving aggregate reads each input record once (one cache insertion and
+one eviction per position): sum/avg/count keep the window's records in
+a FIFO and recompute the aggregate from them — O(window) arithmetic per
+position, what Cache-Strategy-A saves is input *accesses* — and min/max
+keep a monotonic deque, O(1) amortized.
 """
 
 from __future__ import annotations

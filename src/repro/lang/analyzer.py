@@ -290,8 +290,6 @@ class AnalysisResult:
             no error diagnostics, else None.
         schema: the inferred output schema of the query (None on error).
         span: the inferred output span of the root (Step 2.a mirror).
-        spans: inferred output span of every operator, keyed by
-            ``id()`` of the operator node.
         leaf_scopes: the query's composed scope on each leaf
             (Proposition 2.1), keyed by ``id()`` of the leaf.  Computed
             on first access so that plain compiles never pay for it.
@@ -307,7 +305,6 @@ class AnalysisResult:
     root: Optional[Operator] = None
     schema: Optional[RecordSchema] = None
     span: Optional[Span] = None
-    spans: dict[int, Span] = field(default_factory=dict)
     _leaf_scopes: Optional[dict[int, ScopeSpec]] = field(
         default=None, repr=False
     )
@@ -532,9 +529,6 @@ class _Analyzer:
         # Per-AST-node annotations for the top-down dead-column pass.
         self._schemas: dict[int, RecordSchema] = {}
         self._predicates: dict[int, Expr] = {}
-        # Per-operator spans, recorded as the walk derives them so the
-        # result annotations need no second inference pass.
-        self._op_spans: dict[int, Span] = {}
         # SEM012 can only fire on a projection below the root; skip the
         # whole top-down pass when there is none.
         self._has_inner_project = False
@@ -608,23 +602,7 @@ class _Analyzer:
         if self._report.ok and sub.op is not None:
             result.root = sub.op
             result.schema = sub.schema
-            result.spans = self._infer_op_spans(sub.op)
         return result
-
-    def _infer_op_spans(self, root: Operator) -> dict[int, Span]:
-        """Op-keyed span annotations; the walk recorded most already."""
-        spans = self._op_spans
-
-        def infer(node: Operator) -> Span:
-            cached = spans.get(id(node))
-            if cached is not None:
-                return cached
-            span = node.infer_span([infer(child) for child in node.inputs])
-            spans[id(node)] = span
-            return span
-
-        infer(root)
-        return spans
 
     # -- sequence expressions ----------------------------------------------
 
@@ -659,7 +637,6 @@ class _Analyzer:
             schema=sequence.schema,
             span=sequence.span,
         )
-        self._op_spans[id(sub.op)] = sequence.span
         self._annotate(node, sub)
         return sub
 
@@ -979,7 +956,6 @@ class _Analyzer:
         span: Optional[Span] = None
         if left.span is not None and right.span is not None:
             span = op.infer_span([left.span, right.span])
-            self._op_spans[id(op)] = span
             if (
                 span.is_empty
                 and not left.span.is_empty
@@ -1014,7 +990,6 @@ class _Analyzer:
         span = None
         if child.span is not None:
             span = op.infer_span([child.span])
-            self._op_spans[id(op)] = span
         return _Sub(op=op, schema=op.schema, span=span)
 
     # -- argument shapes ---------------------------------------------------

@@ -167,16 +167,6 @@ def column_to_list(column: Column) -> list[Any]:
     return list(column)
 
 
-def empty_column(length: int, atype: AtomType) -> Column:
-    """A zero/None-filled writable buffer for scatter assembly."""
-    np = vector_backend()
-    if np is not None:
-        dtype = NP_DTYPES.get(atype)
-        if dtype is not None:
-            return np.zeros(length, dtype=dtype)
-    return [None] * length
-
-
 class ColumnBatch:
     """A contiguous position range in columnar layout with a validity mask.
 

@@ -48,11 +48,6 @@ class Annotation:
         """The node metadata as a :class:`SequenceInfo`."""
         return SequenceInfo(span=self.span, density=self.density)
 
-    @property
-    def restricted_info(self) -> SequenceInfo:
-        """Metadata over the restricted span."""
-        return SequenceInfo(span=self.restricted_span, density=self.density)
-
     def expected_records(self) -> float:
         """Estimated non-null records within the restricted span."""
         length = self.restricted_span.length()

@@ -24,7 +24,7 @@ with a local chain of unit operators over its source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.errors import OptimizerError

@@ -6,11 +6,13 @@ cache operations, per-record handling) is charged small constant
 fractions of a unit, mirroring the paper's constant ``K`` for "a single
 application of the join predicates".
 
-The formulas of Section 4.1.3 are implemented verbatim:
+The formulas of Section 4.1.3 are implemented verbatim, and they are the
+ones the optimizer runs — :mod:`repro.optimizer.joinenum` calls them for
+every join it enumerates:
 
 * stream access to a positional join of S1, S2::
 
-      min(A1 + n1*a2,  A2 + n2*a1,  A1 + A2)  +  d1*d2*L*K
+      min(A1 + A2,  A1 + n1*a2,  A2 + n2*a1)  +  d1*d2*L*K
 
 * probed access (per position)::
 
@@ -19,11 +21,20 @@ The formulas of Section 4.1.3 are implemented verbatim:
 where ``A`` is a full stream cost, ``a`` a per-probe cost, ``d`` a
 density, ``L`` the output span length and ``n = d*L`` the expected
 record count.
+
+Every formula *and* every strategy choice of Step 5 lives here: a
+*chooser* (:meth:`CostModel.join_stream_cost`, :meth:`~CostModel.join_probe_cost`,
+:meth:`~CostModel.window_agg_costs`, :meth:`~CostModel.value_offset_costs`,
+:meth:`~CostModel.prober_costs`) returns ``(costs, strategy)``, so the
+enumerator never reads a :class:`CostParams` constant and compares two
+costs only when it retains the best plan per subset.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from numbers import Real
 
 from repro.errors import OptimizerError
 from repro.model.span import Span
@@ -45,6 +56,24 @@ class CostParams:
     predicate_cost: float = 0.01
     cache_op_cost: float = 0.002
     record_cost: float = 0.001
+
+    def __post_init__(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            try:
+                valid = (
+                    isinstance(value, Real)
+                    and not isinstance(value, bool)
+                    and math.isfinite(value)
+                    and value >= 0
+                )
+            except OverflowError:  # an int too large for a float
+                valid = False
+            if not valid:
+                raise OptimizerError(
+                    f"CostParams.{spec.name} must be a finite number >= 0, "
+                    f"got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -89,6 +118,8 @@ class CostModel:
     """Estimates access costs for base sequences and operators."""
 
     def __init__(self, params: CostParams | None = None):
+        if params is not None and not isinstance(params, CostParams):
+            raise OptimizerError(f"params must be a CostParams, got {params!r}")
         self.params = params or CostParams()
 
     # -- base sequences (Section 4.1.1) ------------------------------------
@@ -143,18 +174,23 @@ class CostModel:
         right_density: float,
         out_length: int,
         conjuncts: int,
+        right_probed: AccessCosts | None = None,
     ) -> tuple[float, str]:
         """Cheapest stream plan for one positional join; returns (cost, strategy).
 
-        The three candidates are Join-Strategy-A in both directions and
-        Join-Strategy-B (Section 3.3).
+        The three candidates are Join-Strategy-B (lock-step) and
+        Join-Strategy-A in both directions (Section 3.3).  A tie goes to
+        the earlier of lockstep, stream-probe, probe-stream.
+        ``right_probed`` is the cost of probing the inner when that is
+        not ``right`` itself (a materialized inner, :meth:`prober_costs`).
         """
+        probed = right if right_probed is None else right_probed
         n_left = left_density * out_length
         n_right = right_density * out_length
         candidates = {
-            "stream-probe": left.stream_total + right.probes(n_left),
-            "probe-stream": right.stream_total + left.probes(n_right),
             "lockstep": left.stream_total + right.stream_total,
+            "stream-probe": left.stream_total + probed.probes(n_left),
+            "probe-stream": right.stream_total + left.probes(n_right),
         }
         strategy = min(candidates, key=lambda k: candidates[k])
         predicate_cost = (
@@ -182,6 +218,21 @@ class CostModel:
         )
         return candidates[strategy] + predicate_cost, strategy
 
+    def prober_costs(
+        self,
+        native: AccessCosts,
+        expected_records: float,
+    ) -> tuple[AccessCosts, str]:
+        """The cheaper way to probe a join input: (costs, "materialize" | "native").
+
+        Compared at roughly one probe per output position, setup included.
+        """
+        materialized = self.materialize_costs(native.stream_total, expected_records)
+        probes = max(1.0, expected_records)
+        if materialized.probes(probes) < native.probes(probes):
+            return materialized, "materialize"
+        return native, "native"
+
     # -- non-unit-scope operators (Section 4.1.2) -------------------------------------
 
     def window_agg_costs(
@@ -190,24 +241,23 @@ class CostModel:
         width: int,
         out_length: int,
         child_density: float,
-    ) -> tuple[AccessCosts, float]:
-        """(costs, naive_stream_cost) of a moving aggregate.
+    ) -> tuple[AccessCosts, str]:
+        """(costs, "cache-a" | "naive") of a moving aggregate.
 
-        The stream cost uses Cache-Strategy-A: one pass over the input
-        with a scope-sized cache, two cache operations plus one
-        aggregate update per position.  The naive stream alternative
-        probes the input ``width`` times per output position.  The
-        probed cost is the naive one (the incremental algorithm is not
-        usable with probed access, Section 4.1.2).
+        Cache-Strategy-A streams the input once with a scope-sized
+        cache: two cache operations plus one aggregate update per
+        position.  The naive stream alternative probes the input
+        ``width`` times per output position; Cache-Strategy-A wins a
+        tie.  The probed cost is the naive one (the incremental
+        algorithm is not usable with probed access, Section 4.1.2).
         """
         per_position_cpu = 2 * self.params.cache_op_cost + self.params.record_cost
         cache_a = child.stream_total + out_length * per_position_cpu
         naive_stream = out_length * width * (child.probe_unit + self.params.record_cost)
         probe_unit = width * (child.probe_unit + self.params.record_cost)
-        return (
-            AccessCosts(stream_total=min(cache_a, naive_stream), probe_unit=probe_unit),
-            naive_stream,
-        )
+        if cache_a <= naive_stream:
+            return AccessCosts(stream_total=cache_a, probe_unit=probe_unit), "cache-a"
+        return AccessCosts(stream_total=naive_stream, probe_unit=probe_unit), "naive"
 
     def value_offset_costs(
         self,
@@ -215,18 +265,21 @@ class CostModel:
         reach: int,
         out_length: int,
         child_density: float,
-    ) -> AccessCosts:
-        """Costs of a value offset (Previous/Next and friends).
+    ) -> tuple[AccessCosts, str]:
+        """(costs, "incremental" | "naive") of a value offset (Previous/Next).
 
         Stream: Cache-Strategy-B — one pass over the input, a
         reach-sized incremental cache.  Probe: the naive algorithm scans
         an expected ``reach / density`` input positions (Section 4.1.2's
-        "reasonable estimate ... made from the density").
+        "reasonable estimate ... made from the density").  The stream
+        total is the Cache-Strategy-B one under either strategy; naive
+        is chosen only when probing every output position is cheaper.
         """
         stream = child.stream_total + out_length * 2 * self.params.cache_op_cost
         expected_scan = reach / max(child_density, 1e-9)
         probe_unit = expected_scan * (child.probe_unit + self.params.record_cost)
-        return AccessCosts(stream_total=stream, probe_unit=probe_unit)
+        strategy = "incremental" if stream <= out_length * probe_unit else "naive"
+        return AccessCosts(stream_total=stream, probe_unit=probe_unit), strategy
 
     def cumulative_costs(
         self,

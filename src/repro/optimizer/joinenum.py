@@ -10,6 +10,12 @@ Join-Strategy-B (lock-step).  Non-unit-scope blocks choose between the
 naive algorithm and the applicable caching strategy (Cache-Strategy-A
 for fixed scopes, Cache-Strategy-B for value offsets).
 
+Every formula and every strategy choice is the cost model's
+(:mod:`repro.optimizer.costmodel`): this module asks a chooser for
+``(costs, strategy)`` and builds the plan pair that goes with the
+answer.  The one place it compares two costs itself is the dynamic
+program's retention step (:func:`_retain`).
+
 The enumeration counts the join plans it evaluates and the peak number
 of retained candidates, which the benchmarks check against Property
 4.1: time O(N * 2^(N-1)) and space C(N, ceil(N/2)).
@@ -17,9 +23,8 @@ of retained candidates, which the benchmarks check against Property
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 from repro.errors import OptimizerError
 from repro.model.schema import RecordSchema
@@ -27,6 +32,7 @@ from repro.model.span import Span
 from repro.algebra.aggregate import CumulativeAggregate, GlobalAggregate, WindowAggregate
 from repro.algebra.expressions import Expr, conjoin
 from repro.algebra.leaves import ConstantLeaf
+from repro.algebra.node import Operator
 from repro.algebra.offsets import PositionalOffset, ValueOffset
 from repro.algebra.project import Project
 from repro.algebra.select import Select
@@ -44,33 +50,125 @@ class PlanStats:
     plans_considered: int = 0
     peak_plans_stored: int = 0
     blocks_planned: int = 0
-    per_block: list[tuple[int, int, int]] = field(default_factory=list)
-    """(inputs, considered, peak) per join block."""
-
-
-@dataclass
-class PlannedOutput:
-    """The two retained plans for a block (or block input) output."""
-
-    schema: RecordSchema
-    span: Span
-    density: float
-    costs: AccessCosts
-    stream_plan: PhysicalPlan
-    probe_plan: PhysicalPlan
 
 
 @dataclass(slots=True)
-class JoinEntry:
-    """The retained plan pair for one subset of a join block's inputs."""
+class PlannedOutput:
+    """The two retained plans for the output of a block, a block input
+    or (inside the join enumeration) a subset of a block's inputs."""
 
-    indices: frozenset[int]
     schema: RecordSchema
     span: Span
     density: float
     costs: AccessCosts
     stream_plan: PhysicalPlan
     probe_plan: PhysicalPlan
+
+    @classmethod
+    def of(
+        cls,
+        kind: str,
+        node: Optional[Operator],
+        schema: RecordSchema,
+        span: Span,
+        density: float,
+        costs: AccessCosts,
+        stream_children: tuple[PhysicalPlan, ...],
+        probe_children: tuple[PhysicalPlan, ...],
+        *,
+        probe_kind: Optional[str] = None,
+        strategy: str = "",
+        probe_strategy: str = "",
+        steps: tuple[ChainStep, ...] = (),
+        predicate: Optional[Expr] = None,
+        cache_size: Optional[int] = None,
+    ) -> "PlannedOutput":
+        """Both access modes of one operator, from one set of estimates.
+
+        The two plans share everything but their children, the strategy
+        tag, the declared cache (stream mode only) and — for leaves and
+        joins — the plan kind.
+        """
+        return cls(
+            schema, span, density, costs,
+            PhysicalPlan(
+                kind, STREAM, node, stream_children, schema, span, density,
+                costs, strategy, steps, predicate, cache_size,
+            ),
+            PhysicalPlan(
+                probe_kind or kind, PROBE, node, probe_children, schema, span,
+                density, costs, probe_strategy, steps, predicate,
+            ),
+        )
+
+    def chained(
+        self,
+        node: Optional[Operator],
+        schema: RecordSchema,
+        span: Span,
+        density: float,
+        costs: AccessCosts,
+        steps: tuple[ChainStep, ...],
+    ) -> "PlannedOutput":
+        """Unit-scope ``steps`` applied over both plans of this pair."""
+        return PlannedOutput.of(
+            "chain", node, schema, span, density, costs,
+            (self.stream_plan,), (self.probe_plan,), steps=steps,
+        )
+
+
+@dataclass(frozen=True)
+class UnaryRule:
+    """How Step 5 plans one non-unit-scope operator class (Section 4.1.2).
+
+    The planning-side mirror of ``execution.context.OPERATORS``.
+
+    Attributes:
+        kind: the plan kind of both access modes.
+        choose: ``(model, child costs, op, output length, child density)
+            -> (costs, stream strategy)``, asked of the cost model.
+        cache_size: the scope-sized cache (Theorem 3.1) a caching stream
+            strategy declares, from the operator; None if it keeps none.
+        probe_child: the access mode the *probed* plan reads its child
+            in.  PROBE means the naive algorithm; STREAM means the
+            probed plan replays the stream strategy's one computation.
+    """
+
+    kind: str
+    choose: Callable[[CostModel, AccessCosts, Any, int, float], tuple[AccessCosts, str]]
+    cache_size: Optional[Callable[[Any], int]] = None
+    probe_child: str = PROBE
+
+
+UNARY_RULES: dict[type, UnaryRule] = {
+    WindowAggregate: UnaryRule(
+        "window-agg",
+        lambda model, child, op, length, density: model.window_agg_costs(
+            child, op.width, length, density
+        ),
+        cache_size=lambda op: op.width,
+    ),
+    ValueOffset: UnaryRule(
+        "value-offset",
+        lambda model, child, op, length, density: model.value_offset_costs(
+            child, op.reach, length, density
+        ),
+        cache_size=lambda op: op.reach,
+    ),
+    CumulativeAggregate: UnaryRule(
+        "cumulative-agg",
+        lambda model, child, op, length, density: (
+            model.cumulative_costs(child, length), "running",
+        ),
+    ),
+    GlobalAggregate: UnaryRule(
+        "global-agg",
+        lambda model, child, op, length, density: (
+            model.global_agg_costs(child, length), "compute-once",
+        ),
+        probe_child=STREAM,
+    ),
+}
 
 
 def _span_length(span: Span) -> int:
@@ -78,6 +176,31 @@ def _span_length(span: Span) -> int:
     if length is None:
         raise OptimizerError(f"planner needs bounded spans, got {span}")
     return length
+
+
+def _retain(
+    level: dict[frozenset[int], PlannedOutput],
+    subset: frozenset[int],
+    candidate: PlannedOutput,
+) -> None:
+    """DP retention: per subset keep the cheapest stream plan and the
+    cheapest probed plan, independently (an earlier candidate wins a
+    tie).  The only comparison of two costs in this module."""
+    best = level.get(subset)
+    if best is None:
+        level[subset] = candidate
+        return
+    stream = candidate if candidate.costs.stream_total < best.costs.stream_total else best
+    probe = candidate if candidate.costs.probe_unit < best.costs.probe_unit else best
+    if stream is best and probe is best:
+        return
+    costs = AccessCosts(
+        stream.costs.stream_total, probe.costs.probe_unit, probe.costs.setup
+    )
+    level[subset] = PlannedOutput(
+        best.schema, best.span, best.density, costs,
+        stream.stream_plan, probe.probe_plan,
+    )
 
 
 class BlockPlanner:
@@ -108,21 +231,9 @@ class BlockPlanner:
                 annotation.span,
                 annotation.restricted_span,
             )
-        common = dict(
-            node=leaf,
-            children=(),
-            schema=leaf.schema,
-            span=annotation.restricted_span,
-            density=annotation.density,
-            costs=costs,
-        )
-        return PlannedOutput(
-            schema=leaf.schema,
-            span=annotation.restricted_span,
-            density=annotation.density,
-            costs=costs,
-            stream_plan=PhysicalPlan(kind="scan", mode=STREAM, **common),
-            probe_plan=PhysicalPlan(kind="probe-source", mode=PROBE, **common),
+        return PlannedOutput.of(
+            "scan", leaf, leaf.schema, annotation.restricted_span,
+            annotation.density, costs, (), (), probe_kind="probe-source",
         )
 
     def _chain_steps(self, block_input: BlockInput) -> tuple[tuple[ChainStep, ...], int]:
@@ -158,53 +269,28 @@ class BlockPlanner:
             return source
 
         annotation = self.annotated.of(block_input.top)
-        schema = block_input.block_schema()
         costs = self.model.chain_costs(
             source.costs, annotation.expected_records(), conjunct_count
         )
-        common = dict(
-            node=block_input.top,
-            schema=schema,
-            span=annotation.restricted_span,
-            density=annotation.density,
-            costs=costs,
-            steps=steps,
-        )
-        return PlannedOutput(
-            schema=schema,
-            span=annotation.restricted_span,
-            density=annotation.density,
-            costs=costs,
-            stream_plan=PhysicalPlan(
-                kind="chain", mode=STREAM, children=(source.stream_plan,), **common
-            ),
-            probe_plan=PhysicalPlan(
-                kind="chain", mode=PROBE, children=(source.probe_plan,), **common
-            ),
+        return source.chained(
+            block_input.top, block_input.block_schema(),
+            annotation.restricted_span, annotation.density, costs, steps,
         )
 
-    def _maybe_materialized(self, output: PlannedOutput) -> PhysicalPlan:
-        """The cheaper prober for an input: native or materialized stream."""
+    def _prober(self, output: PlannedOutput) -> PhysicalPlan:
+        """What a Join-Strategy-A driver probes for ``output``: its own
+        probed plan, or its stream materialized (the Section 5.3
+        extension) where the cost model prefers that."""
         if not self.consider_materialize:
             return output.probe_plan
         expected = output.density * _span_length(output.span)
-        mat_costs = self.model.materialize_costs(
-            output.costs.stream_total, expected
+        costs, choice = self.model.prober_costs(output.costs, expected)
+        if choice == "native":
+            return output.probe_plan
+        return PhysicalPlan(
+            "materialize", PROBE, None, (output.stream_plan,),
+            output.schema, output.span, output.density, costs,
         )
-        # Compare assuming roughly one probe per output position.
-        probes = max(1.0, expected)
-        if mat_costs.probes(probes) < output.costs.probes(probes):
-            return PhysicalPlan(
-                kind="materialize",
-                mode=PROBE,
-                node=None,
-                children=(output.stream_plan,),
-                schema=output.schema,
-                span=output.span,
-                density=output.density,
-                costs=mat_costs,
-            )
-        return output.probe_plan
 
     # -- join block enumeration ----------------------------------------------------
 
@@ -214,275 +300,141 @@ class BlockPlanner:
             return self._plan_unary(block)
         return self._plan_join(block)
 
+    def _block_colstats(self, block: JoinBlock) -> dict[str, object]:
+        """Column statistics of a join block's inputs, under the
+        (prefixed) names the block's predicates use."""
+        colstats: dict[str, object] = {}
+        for block_input in block.inputs:
+            prefix = block_input.prefix
+            for key, stat in self.annotated.of(block_input.top).colstats.items():
+                colstats[f"{prefix}_{key}" if prefix else key] = stat
+        return colstats
+
+    def _leaf_pair_correlation(
+        self, block: JoinBlock, subset: frozenset[int], j: int
+    ) -> float:
+        """The catalog's correlation of two base sequences joined directly."""
+        if self.catalog is None or len(subset) != 1:
+            return 1.0
+        (i,) = subset
+        left_entry = leaf_entry(block.inputs[i].leaf, self.catalog)
+        right_entry = leaf_entry(block.inputs[j].leaf, self.catalog)
+        if left_entry is None or right_entry is None:
+            return 1.0
+        return self.catalog.correlation(left_entry.name, right_entry.name)
+
     def _plan_join(self, block: JoinBlock) -> PlannedOutput:
         self.stats.blocks_planned += 1
         inputs = [self._plan_input(block_input) for block_input in block.inputs]
         names = [frozenset(planned.schema.names) for planned in inputs]
         n = len(inputs)
-
-        colstats: dict[str, object] = {}
-        for block_input in block.inputs:
-            annotation = self.annotated.of(block_input.top)
-            prefix = block_input.prefix
-            for key, stat in annotation.colstats.items():
-                colstats[f"{prefix}_{key}" if prefix else key] = stat
-        stats_lookup = colstats.get
+        stats_lookup = self._block_colstats(block).get
 
         def applied(cover: frozenset[str]) -> list[Expr]:
             return [
                 p for p in block.predicates if p.columns() and p.columns() <= cover
             ]
 
-        considered_before = self.stats.plans_considered
-        peak_before_block = 0
-
-        def singleton(j: int) -> JoinEntry:
+        def singleton(j: int) -> PlannedOutput:
+            """Input ``j`` with the predicates over it alone applied."""
             self.stats.plans_considered += 1
             planned = inputs[j]
-            density = planned.density
-            span = planned.span
             preds = applied(names[j])
-            costs = planned.costs
-            stream_plan, probe_plan = planned.stream_plan, planned.probe_plan
-            if preds:
-                predicate = conjoin(preds)
-                selectivity = predicate.selectivity(stats_lookup)
-                density = density * selectivity
-                step = (ChainStep("select", predicate=predicate),)
-                costs = self.model.chain_costs(
-                    costs, planned.density * _span_length(span), len(preds)
-                )
-                common = dict(
-                    node=None,
-                    schema=planned.schema,
-                    span=span,
-                    density=density,
-                    costs=costs,
-                    steps=step,
-                )
-                stream_plan = PhysicalPlan(
-                    kind="chain", mode=STREAM, children=(stream_plan,), **common
-                )
-                probe_plan = PhysicalPlan(
-                    kind="chain", mode=PROBE, children=(probe_plan,), **common
-                )
-            return JoinEntry(
-                indices=frozenset((j,)),
-                schema=planned.schema,
-                span=span,
-                density=density,
-                costs=costs,
-                stream_plan=stream_plan,
-                probe_plan=probe_plan,
+            if not preds:
+                return planned
+            predicate = conjoin(preds)
+            costs = self.model.chain_costs(
+                planned.costs, planned.density * _span_length(planned.span), len(preds)
+            )
+            return planned.chained(
+                None, planned.schema, planned.span,
+                planned.density * predicate.selectivity(stats_lookup), costs,
+                (ChainStep("select", predicate=predicate),),
             )
 
-        def leaf_pair_correlation(s_entry: JoinEntry, j: int) -> float:
-            if self.catalog is None or len(s_entry.indices) != 1:
-                return 1.0
-            (i,) = s_entry.indices
-            left_entry = leaf_entry(block.inputs[i].leaf, self.catalog)
-            right_entry = leaf_entry(block.inputs[j].leaf, self.catalog)
-            if left_entry is None or right_entry is None:
-                return 1.0
-            return self.catalog.correlation(left_entry.name, right_entry.name)
-
-        def canonical_schema(indices: frozenset[int]) -> RecordSchema:
-            """Subset schemas are canonicalized to ascending input index
-            so entries for the same subset are interchangeable however
-            the DP reached them."""
-            combined = inputs[min(indices)].schema
-            for i in sorted(indices)[1:]:
-                combined = combined.concat(inputs[i].schema)
-            return combined
-
-        def reordered(plan: PhysicalPlan, schema: RecordSchema) -> PhysicalPlan:
-            """Wrap a plan in a (free) reorder projection if its column
-            order is not canonical."""
-            if tuple(plan.schema.names) == tuple(schema.names):
-                return plan
-            return PhysicalPlan(
-                kind="chain",
-                mode=plan.mode,
-                node=None,
-                children=(plan,),
-                schema=schema,
-                span=plan.span,
-                density=plan.density,
-                costs=plan.costs,
-                steps=(ChainStep("project", names=tuple(schema.names)),),
-            )
-
-        def join(s_entry: JoinEntry, j: int) -> JoinEntry:
+        def join(subset: frozenset[int], left: PlannedOutput, j: int) -> PlannedOutput:
+            """``left`` (the retained pair of ``subset``) joined with input ``j``."""
             self.stats.plans_considered += 1
             # Extend with the *singleton entry* (not the raw input): it
             # carries any single-input predicates already applied, with
             # the matching density and cost adjustments.
-            right = singleton_entries[j]
-            union = s_entry.indices | {j}
-            cover = frozenset().union(*(names[i] for i in union))
+            right = singletons[j]
+            left_names = frozenset().union(*(names[i] for i in subset))
             new_preds = [
                 p
-                for p in applied(cover)
-                if not (p.columns() <= frozenset().union(*(names[i] for i in s_entry.indices)))
-                and not (p.columns() <= names[j])
+                for p in applied(left_names | names[j])
+                if not (p.columns() <= left_names) and not (p.columns() <= names[j])
             ]
-            out_span = s_entry.span.intersect(right.span)
+            out_span = left.span.intersect(right.span)
             length = _span_length(out_span)
             selectivity = 1.0
             for pred in new_preds:
                 selectivity *= pred.selectivity(stats_lookup)
             density = (
-                s_entry.density
+                left.density
                 * right.density
                 * selectivity
-                * leaf_pair_correlation(s_entry, j)
+                * self._leaf_pair_correlation(block, subset, j)
             )
             density = max(0.0, min(1.0, density))
-            schema = s_entry.schema.concat(right.schema)
-            predicate = conjoin(new_preds) if new_preds else None
 
-            # -- stream-mode candidates (Section 4.1.3 stream formula) --
-            right_prober = self._maybe_materialized(right)
-            left_prober_costs = s_entry.costs
-            n_left = s_entry.density * length
-            n_right = right.density * length
-            pred_cost = (
-                s_entry.density
-                * right.density
-                * length
-                * max(1, len(new_preds))
-                * self.model.params.predicate_cost
+            # Section 4.1.3, both access modes, from the one cost model.
+            stream_cost, strategy = self.model.join_stream_cost(
+                left.costs, right.costs, left.density, right.density, length,
+                len(new_preds), right_probed=probers[j].costs,
             )
-            stream_candidates = {
-                "lockstep": (
-                    s_entry.costs.stream_total + right.costs.stream_total,
-                    (s_entry.stream_plan, right.stream_plan),
-                ),
-                "stream-probe": (
-                    s_entry.costs.stream_total + right_prober.costs.probes(n_left),
-                    (s_entry.stream_plan, right_prober),
-                ),
-                "probe-stream": (
-                    right.costs.stream_total + left_prober_costs.probes(n_right),
-                    (s_entry.probe_plan, right.stream_plan),
-                ),
-            }
-            strategy = min(stream_candidates, key=lambda k: stream_candidates[k][0])
-            stream_cost = stream_candidates[strategy][0] + pred_cost
-            stream_children = stream_candidates[strategy][1]
-            stream_plan = PhysicalPlan(
-                kind=strategy,
-                mode=STREAM,
-                node=None,
-                children=stream_children,
-                schema=schema,
-                span=out_span,
-                density=density,
-                costs=AccessCosts(stream_total=stream_cost, probe_unit=0.0),
-                predicate=predicate,
-            )
-
-            # -- probed-mode candidates (Section 4.1.3 probed formula) --
             probe_unit, probe_strategy = self.model.join_probe_cost(
-                s_entry.costs, right.costs, s_entry.density, right.density,
-                len(new_preds),
+                left.costs, right.costs, left.density, right.density, len(new_preds)
             )
-            probe_setup = s_entry.costs.setup + right.costs.setup
-            probe_costs = AccessCosts(
-                stream_total=stream_cost, probe_unit=probe_unit, setup=probe_setup
-            )
-            probe_plan = PhysicalPlan(
-                kind="probe-join",
-                mode=PROBE,
-                node=None,
-                children=(s_entry.probe_plan, right.probe_plan),
-                schema=schema,
-                span=out_span,
-                density=density,
-                costs=probe_costs,
-                strategy=probe_strategy,
-                predicate=predicate,
-            )
-
             costs = AccessCosts(
-                stream_total=stream_cost, probe_unit=probe_unit, setup=probe_setup
+                stream_cost, probe_unit, left.costs.setup + right.costs.setup
             )
-            stream_plan.costs = costs
-            canonical = canonical_schema(union)
-            return JoinEntry(
-                indices=union,
-                schema=canonical,
-                span=out_span,
-                density=density,
-                costs=costs,
-                stream_plan=reordered(stream_plan, canonical),
-                probe_plan=reordered(probe_plan, canonical),
+            stream_children = {
+                "lockstep": (left.stream_plan, right.stream_plan),
+                "stream-probe": (left.stream_plan, probers[j]),
+                "probe-stream": (left.probe_plan, right.stream_plan),
+            }[strategy]
+            joined = PlannedOutput.of(
+                strategy, None, left.schema.concat(right.schema), out_span,
+                density, costs, stream_children, (left.probe_plan, right.probe_plan),
+                probe_kind="probe-join", probe_strategy=probe_strategy,
+                predicate=conjoin(new_preds) if new_preds else None,
+            )
+            # Subset schemas are canonicalized to ascending input index
+            # (a free reorder projection) so pairs for the same subset
+            # are interchangeable however the DP reached them.
+            ordered = sorted(subset | {j})
+            canonical = inputs[ordered[0]].schema
+            for i in ordered[1:]:
+                canonical = canonical.concat(inputs[i].schema)
+            if tuple(joined.schema.names) == tuple(canonical.names):
+                return joined
+            return joined.chained(
+                None, canonical, out_span, density, costs,
+                (ChainStep("project", names=tuple(canonical.names)),),
             )
 
-        singleton_entries = [singleton(j) for j in range(n)]
-        level: dict[frozenset[int], JoinEntry] = {
-            entry.indices: entry for entry in singleton_entries
-        }
-        singletons = dict(level)
-        peak_before_block = max(peak_before_block, len(level))
-
+        singletons = [singleton(j) for j in range(n)]
+        # What Join-Strategy-A probes per input; a lone input is never joined.
+        probers = [self._prober(entry) for entry in singletons] if n > 1 else []
+        level = {frozenset((j,)): entry for j, entry in enumerate(singletons)}
+        peak = len(level)
         for _size in range(2, n + 1):
-            next_level: dict[frozenset[int], JoinEntry] = {}
+            next_level: dict[frozenset[int], PlannedOutput] = {}
             for subset, entry in level.items():
                 for j in range(n):
-                    if j in subset:
-                        continue
-                    candidate = join(entry, j)
-                    best = next_level.get(candidate.indices)
-                    if best is None:
-                        next_level[candidate.indices] = candidate
-                    else:
-                        merged = best
-                        if candidate.costs.stream_total < best.costs.stream_total:
-                            merged = JoinEntry(
-                                indices=best.indices,
-                                schema=best.schema,
-                                span=best.span,
-                                density=best.density,
-                                costs=AccessCosts(
-                                    stream_total=candidate.costs.stream_total,
-                                    probe_unit=merged.costs.probe_unit,
-                                    setup=merged.costs.setup,
-                                ),
-                                stream_plan=candidate.stream_plan,
-                                probe_plan=best.probe_plan,
-                            )
-                        if candidate.costs.probe_unit < merged.costs.probe_unit:
-                            merged = JoinEntry(
-                                indices=merged.indices,
-                                schema=merged.schema,
-                                span=merged.span,
-                                density=merged.density,
-                                costs=AccessCosts(
-                                    stream_total=merged.costs.stream_total,
-                                    probe_unit=candidate.costs.probe_unit,
-                                    setup=candidate.costs.setup,
-                                ),
-                                stream_plan=merged.stream_plan,
-                                probe_plan=candidate.probe_plan,
-                            )
-                        next_level[candidate.indices] = merged
+                    if j not in subset:
+                        _retain(next_level, subset | {j}, join(subset, entry, j))
             level = next_level
-            peak_before_block = max(peak_before_block, len(level))
+            peak = max(peak, len(level))
 
-        final = level[frozenset(range(n))] if n > 1 else singletons[frozenset((0,))]
+        self.stats.peak_plans_stored = max(self.stats.peak_plans_stored, peak)
+        return self._finish_join_block(block, level[frozenset(range(n))])
 
-        considered = self.stats.plans_considered - considered_before
-        self.stats.peak_plans_stored = max(
-            self.stats.peak_plans_stored, peak_before_block
-        )
-        self.stats.per_block.append((n, considered, peak_before_block))
-
-        return self._finish_join_block(block, final)
-
-    def _finish_join_block(self, block: JoinBlock, final: JoinEntry) -> PlannedOutput:
+    def _finish_join_block(
+        self, block: JoinBlock, final: PlannedOutput
+    ) -> PlannedOutput:
         """Apply the post-shift and the final projection to the root schema."""
-        annotation = self.annotated.of(block.root)
         root_schema = block.root.schema
         steps: list[ChainStep] = []
         if block.post_shift:
@@ -490,36 +442,14 @@ class BlockPlanner:
         if tuple(root_schema.names) != tuple(final.schema.names):
             steps.append(ChainStep("project", names=tuple(root_schema.names)))
         if not steps:
-            return PlannedOutput(
-                schema=final.schema,
-                span=final.span,
-                density=final.density,
-                costs=final.costs,
-                stream_plan=final.stream_plan,
-                probe_plan=final.probe_plan,
-            )
+            return final
         costs = self.model.chain_costs(
             final.costs, final.density * _span_length(final.span), 0
         )
-        common = dict(
-            node=block.root,
-            schema=root_schema,
-            span=annotation.restricted_span,
-            density=final.density,
-            costs=costs,
-            steps=tuple(steps),
-        )
-        return PlannedOutput(
-            schema=root_schema,
-            span=annotation.restricted_span,
-            density=final.density,
-            costs=costs,
-            stream_plan=PhysicalPlan(
-                kind="chain", mode=STREAM, children=(final.stream_plan,), **common
-            ),
-            probe_plan=PhysicalPlan(
-                kind="chain", mode=PROBE, children=(final.probe_plan,), **common
-            ),
+        return final.chained(
+            block.root, root_schema,
+            self.annotated.of(block.root).restricted_span, final.density, costs,
+            tuple(steps),
         )
 
     # -- non-unit-scope blocks (Section 4.1.2) ----------------------------------------
@@ -528,83 +458,21 @@ class BlockPlanner:
         self.stats.blocks_planned += 1
         child = self.plan(block.child)
         op = block.root
+        rule = UNARY_RULES.get(type(op))
+        if rule is None:  # pragma: no cover - blocks.py only emits the above
+            raise OptimizerError(f"unknown unary block operator {op.describe()!r}")
         annotation = self.annotated.of(op)
         out_span = annotation.restricted_span
-        length = _span_length(out_span)
-
-        if isinstance(op, WindowAggregate):
-            costs, naive_stream = self.model.window_agg_costs(
-                child.costs, op.width, length, child.density
-            )
-            cache_a_cost = (
-                child.costs.stream_total
-                + length * (2 * self.model.params.cache_op_cost + self.model.params.record_cost)
-            )
-            if cache_a_cost <= naive_stream:
-                strategy, stream_child, cache = "cache-a", child.stream_plan, op.width
-            else:
-                strategy, stream_child, cache = "naive", child.probe_plan, None
-            stream_plan = PhysicalPlan(
-                kind="window-agg", mode=STREAM, node=op, children=(stream_child,),
-                schema=op.schema, span=out_span, density=annotation.density,
-                costs=costs, strategy=strategy, cache_size=cache,
-            )
-            probe_plan = PhysicalPlan(
-                kind="window-agg", mode=PROBE, node=op, children=(child.probe_plan,),
-                schema=op.schema, span=out_span, density=annotation.density,
-                costs=costs, strategy="naive",
-            )
-        elif isinstance(op, ValueOffset):
-            costs = self.model.value_offset_costs(
-                child.costs, op.reach, length, max(child.density, 1e-9)
-            )
-            naive_stream = length * costs.probe_unit
-            if costs.stream_total <= naive_stream:
-                strategy, stream_child, cache = "incremental", child.stream_plan, op.reach
-            else:
-                strategy, stream_child, cache = "naive", child.probe_plan, None
-            stream_plan = PhysicalPlan(
-                kind="value-offset", mode=STREAM, node=op, children=(stream_child,),
-                schema=op.schema, span=out_span, density=annotation.density,
-                costs=costs, strategy=strategy, cache_size=cache,
-            )
-            probe_plan = PhysicalPlan(
-                kind="value-offset", mode=PROBE, node=op, children=(child.probe_plan,),
-                schema=op.schema, span=out_span, density=annotation.density,
-                costs=costs, strategy="naive",
-            )
-        elif isinstance(op, CumulativeAggregate):
-            costs = self.model.cumulative_costs(child.costs, length)
-            stream_plan = PhysicalPlan(
-                kind="cumulative-agg", mode=STREAM, node=op,
-                children=(child.stream_plan,), schema=op.schema, span=out_span,
-                density=annotation.density, costs=costs, strategy="running",
-            )
-            probe_plan = PhysicalPlan(
-                kind="cumulative-agg", mode=PROBE, node=op,
-                children=(child.probe_plan,), schema=op.schema, span=out_span,
-                density=annotation.density, costs=costs, strategy="naive",
-            )
-        elif isinstance(op, GlobalAggregate):
-            costs = self.model.global_agg_costs(child.costs, length)
-            stream_plan = PhysicalPlan(
-                kind="global-agg", mode=STREAM, node=op,
-                children=(child.stream_plan,), schema=op.schema, span=out_span,
-                density=annotation.density, costs=costs, strategy="compute-once",
-            )
-            probe_plan = PhysicalPlan(
-                kind="global-agg", mode=PROBE, node=op,
-                children=(child.stream_plan,), schema=op.schema, span=out_span,
-                density=annotation.density, costs=costs, strategy="compute-once",
-            )
-        else:  # pragma: no cover - blocks.py only emits the above
-            raise OptimizerError(f"unknown unary block operator {op.describe()!r}")
-
-        return PlannedOutput(
-            schema=op.schema,
-            span=out_span,
-            density=annotation.density,
-            costs=costs,
-            stream_plan=stream_plan,
-            probe_plan=probe_plan,
+        costs, strategy = rule.choose(
+            self.model, child.costs, op, _span_length(out_span), child.density
+        )
+        naive = strategy == "naive"
+        replays = rule.probe_child == STREAM
+        return PlannedOutput.of(
+            rule.kind, op, op.schema, out_span, annotation.density, costs,
+            (child.probe_plan if naive else child.stream_plan,),
+            (child.stream_plan if replays else child.probe_plan,),
+            strategy=strategy,
+            probe_strategy=strategy if replays else "naive",
+            cache_size=None if naive or rule.cache_size is None else rule.cache_size(op),
         )

@@ -30,7 +30,7 @@ from repro.obs.tracer import CATEGORY_ANALYSIS, CATEGORY_OPTIMIZER, Tracer, mayb
 from repro.optimizer.annotate import AnnotatedQuery, annotate
 from repro.optimizer.blocks import block_tree, count_blocks
 from repro.optimizer.costmodel import CostModel, CostParams
-from repro.optimizer.joinenum import BlockPlanner, PlanStats
+from repro.optimizer.joinenum import BlockPlanner, PlannedOutput, PlanStats
 from repro.optimizer.plans import OptimizedPlan
 from repro.optimizer.rewrite import RewriteTrace, apply_rewrites
 
@@ -41,6 +41,9 @@ class OptimizationResult:
 
     Attributes:
         plan: the selected plan and its headline numbers.
+        planned: what Step 5 retained for the query's root block — the
+            cheapest stream-mode plan (the one Step 6 selects) and the
+            cheapest probed-mode plan, with their shared estimates.
         rewritten: the transformed query actually planned.
         annotated: per-node metadata of the rewritten query.
         stats: enumeration instrumentation (Property 4.1 counters).
@@ -48,6 +51,7 @@ class OptimizationResult:
     """
 
     plan: OptimizedPlan
+    planned: PlannedOutput
     rewritten: Query
     annotated: AnnotatedQuery
     stats: PlanStats
@@ -175,6 +179,7 @@ def optimize(
                 )
     return OptimizationResult(
         plan=plan,
+        planned=output,
         rewritten=rewritten,
         annotated=annotated,
         stats=planner.stats,

@@ -60,12 +60,3 @@ class SimulatedDisk:
             return self._pages[page_id]
         except KeyError:
             raise StorageError(f"no such page {page_id}") from None
-
-    @property
-    def page_count(self) -> int:
-        """Total pages allocated."""
-        return len(self._pages)
-
-    def page_ids(self) -> list[int]:
-        """All allocated page ids."""
-        return sorted(self._pages)

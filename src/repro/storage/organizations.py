@@ -47,10 +47,6 @@ class AccessProfile:
     stream_total: float
     probe_unit: float
 
-    def scaled_stream(self, fraction: float) -> float:
-        """Stream cost when only ``fraction`` of the span is scanned."""
-        return self.stream_total * max(0.0, min(1.0, fraction))
-
 
 class PhysicalOrganization(abc.ABC):
     """A placement + access-path strategy over the simulated disk."""

@@ -110,25 +110,28 @@ class TestJoinFormulas:
 class TestUnaryCosts:
     def test_window_agg_cache_a_beats_naive_for_wide_windows(self, model):
         child = costs(10, 1.0)
-        cache_a, naive = model.window_agg_costs(child, 16, 1000, 0.9)
-        assert cache_a.stream_total < naive
+        cache_a, strategy = model.window_agg_costs(child, 16, 1000, 0.9)
+        assert strategy == "cache-a"
+        assert cache_a.stream_total < 1000 * cache_a.probe_unit
         assert cache_a.probe_unit == pytest.approx(
             16 * (1.0 + model.params.record_cost)
         )
 
     def test_window_agg_naive_wins_for_tiny_outputs(self, model):
         child = costs(1000, 0.1)
-        result, naive = model.window_agg_costs(child, 2, 3, 0.9)
-        assert result.stream_total == pytest.approx(naive)
+        result, strategy = model.window_agg_costs(child, 2, 3, 0.9)
+        assert strategy == "naive"
+        assert result.stream_total == pytest.approx(3 * result.probe_unit)
 
     def test_value_offset_probe_scales_inverse_density(self, model):
-        sparse = model.value_offset_costs(costs(10, 1.0), 1, 100, 0.01)
-        dense = model.value_offset_costs(costs(10, 1.0), 1, 100, 1.0)
+        sparse, _ = model.value_offset_costs(costs(10, 1.0), 1, 100, 0.01)
+        dense, _ = model.value_offset_costs(costs(10, 1.0), 1, 100, 1.0)
         assert sparse.probe_unit > dense.probe_unit * 50
 
     def test_value_offset_stream_is_cache_b(self, model):
-        result = model.value_offset_costs(costs(10, 1.0), 1, 100, 0.5)
+        result, strategy = model.value_offset_costs(costs(10, 1.0), 1, 100, 0.5)
         expected = 10 + 100 * 2 * model.params.cache_op_cost
+        assert strategy == "incremental"
         assert result.stream_total == pytest.approx(expected)
 
     def test_cumulative(self, model):

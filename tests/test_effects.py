@@ -42,7 +42,6 @@ from repro.algebra.expressions import (
     Not,
     Or,
     col,
-    compile_columnwise,
     compile_filter,
     compile_rowwise,
     lit,
@@ -530,33 +529,18 @@ class TestDenseCodegen:
         ]
         assert dense(columns, valid) == guarded(columns, valid) == oracle
 
-    @pytest.mark.parametrize("mask_all", [True, False])
-    def test_columnwise_agrees_with_guarded_and_oracle(self, mask_all):
-        expr = col("close") * lit(2.0) + lit(1.0)
-        spec = analyze_expr(expr, SCHEMA)
-        assert spec.vectorization_safe
-        rows = list(self.ROWS) if mask_all else [None, self.ROWS[1], None]
-        columns, valid = batch_of(rows)
-        dense = compile_columnwise(expr, SCHEMA, spec=spec)
-        guarded = compile_columnwise(expr, SCHEMA)
-        oracle = [
-            expr.eval(Record(SCHEMA, row)) if ok else None
-            for ok, row in zip(valid, (r or (0.0, 0, "") for r in rows))
-        ]
-        assert dense(columns, valid) == guarded(columns, valid) == oracle
-
     def test_unsafe_spec_keeps_the_guarded_loop(self):
         """A non-total spec must not select the dense template: on a
         fully-valid batch the dense loop would be observationally equal,
         so the test drives a division by zero and relies on the guarded
         loop's per-row masking semantics being preserved exactly."""
-        expr = col("close") / col("volume")
+        expr = col("close") / col("volume") > 1.0
         spec = analyze_expr(expr, SCHEMA)
         assert not spec.vectorization_safe
-        compiled = compile_columnwise(expr, SCHEMA, spec=spec)
+        compiled = compile_filter(expr, SCHEMA, spec=spec)
         columns, valid = batch_of([(10.0, 0, "x"), (10.0, 2, "y")])
         valid[0] = False
-        assert compiled(columns, valid) == [None, 5.0]
+        assert compiled(columns, valid) == [False, True]
 
     def test_dense_filter_emits_actual_bools(self):
         """The dense comprehension must coerce like the guarded loop's
@@ -622,15 +606,6 @@ class TestDifferential:
         assert outcome(lambda: compiled((a, b))) == outcome(
             lambda: expr.eval(record)
         )
-
-    @given(expr=numeric_exprs(), a=st.floats(-3, 3), b=st.integers(-3, 3))
-    @settings(max_examples=100, deadline=None)
-    def test_columnwise_matches_interpreter(self, expr, a, b):
-        spec = analyze_expr(expr, NUMERIC_SCHEMA)
-        compiled = compile_columnwise(expr, NUMERIC_SCHEMA, spec=spec)
-        got = outcome(lambda: compiled([[a], [b]], [True]))
-        want = outcome(lambda: [expr.eval(Record(NUMERIC_SCHEMA, (a, b)))])
-        assert got == want
 
     @given(expr=predicate_exprs(), a=st.floats(-3, 3), b=st.integers(-3, 3))
     @settings(max_examples=100, deadline=None)

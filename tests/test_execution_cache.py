@@ -1,73 +1,14 @@
-"""Tests for operator caches and sliding aggregators."""
+"""Tests for the sliding aggregators behind Cache-Strategy-A."""
 
 import pytest
 
 from repro.errors import ExecutionError
-from repro.model import AtomType, Record, RecordSchema
 from repro.execution import (
     CumulativeAggregator,
-    ExecutionCounters,
-    FifoCache,
     MonotonicAggregator,
     RunningSumAggregator,
     make_sliding,
 )
-
-SCHEMA = RecordSchema.of(v=AtomType.INT)
-
-
-def rec(v):
-    return Record(SCHEMA, (v,))
-
-
-class TestFifoCache:
-    def test_push_and_get(self):
-        cache = FifoCache(capacity=3)
-        cache.push(1, rec(10))
-        cache.push(2, rec(20))
-        assert cache.get(1).get("v") == 10
-        assert cache.get(5) is None
-        assert len(cache) == 2
-
-    def test_capacity_evicts_fifo(self):
-        cache = FifoCache(capacity=2)
-        for position in (1, 2, 3):
-            cache.push(position, rec(position))
-        assert cache.get(1) is None
-        assert cache.get(2) is not None and cache.get(3) is not None
-
-    def test_evict_below(self):
-        cache = FifoCache()
-        for position in (1, 2, 3, 4):
-            cache.push(position, rec(position))
-        cache.evict_below(3)
-        assert len(cache) == 2
-        assert cache.oldest()[0] == 3
-        assert cache.newest()[0] == 4
-
-    def test_unbounded(self):
-        cache = FifoCache(capacity=None)
-        for position in range(100):
-            cache.push(position, rec(position))
-        assert len(cache) == 100
-
-    def test_counters_charged(self):
-        counters = ExecutionCounters()
-        cache = FifoCache(capacity=4, counters=counters)
-        cache.push(1, rec(1))
-        cache.get(1)
-        assert counters.cache_ops == 2
-        assert counters.max_cache_occupancy == 1
-
-    def test_entries(self):
-        cache = FifoCache()
-        cache.push(1, rec(1))
-        cache.push(2, rec(2))
-        assert [p for p, _ in cache.entries()] == [1, 2]
-
-    def test_bad_capacity(self):
-        with pytest.raises(ExecutionError):
-            FifoCache(capacity=0)
 
 
 class TestRunningSumAggregator:

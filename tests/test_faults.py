@@ -12,6 +12,7 @@ import pytest
 from repro.errors import (
     CorruptPageError,
     ExecutionError,
+    OptimizerError,
     PermanentStorageError,
     QueryCancelledError,
     QueryTimeoutError,
@@ -35,7 +36,7 @@ from repro.execution import (
 )
 from repro.execution.context import ExecContext
 from repro.model import Span
-from repro.optimizer import optimize
+from repro.optimizer import CostParams, optimize
 from repro.storage import (
     BufferPool,
     FaultPlan,
@@ -473,6 +474,18 @@ BAD_KNOBS = (
     [(bad, None) for bad in BAD_MODE_OR_BATCH_SIZE + BAD_PARALLEL_KNOBS]
     + [({}, budgets) for budgets in BAD_GUARD_BUDGETS]
 )
+# Cost-model constants are checked where they are built; the last row is
+# a ``params=`` that is no ``CostParams`` at all.  Built inside the test,
+# because the typed error comes out of the constructor.
+BAD_COST_PARAMS = {
+    "page_cost='x'": lambda: CostParams(page_cost="x"),
+    "predicate_cost=nan": lambda: CostParams(predicate_cost=float("nan")),
+    "cache_op_cost=inf": lambda: CostParams(cache_op_cost=float("inf")),
+    "record_cost=-0.001": lambda: CostParams(record_cost=-0.001),
+    "page_cost=True": lambda: CostParams(page_cost=True),
+    "page_cost=10**400": lambda: CostParams(page_cost=10**400),
+    "params='x'": lambda: "x",
+}
 
 
 def _knob_id(case):
@@ -507,6 +520,23 @@ ENTRY_POINTS = {
         t[3], t[4], counters=counters, **kw
     ),
 }
+# The entry points that plan, and so take ``params=``.
+PLANNING_ENTRY_POINTS = {
+    "optimize": lambda t, counters, guard=None, **kw: optimize(
+        t[2], catalog=t[1], **kw
+    ),
+    "run_query": ENTRY_POINTS["run_query"],
+    "run_query_detailed": ENTRY_POINTS["run_query_detailed"],
+}
+CLOSURE = [
+    pytest.param(call, case, None, id=f"{entry}-{_knob_id(case)}")
+    for entry, call in sorted(ENTRY_POINTS.items())
+    for case in BAD_KNOBS
+] + [
+    pytest.param(call, ({}, None), make_params, id=f"{entry}-params.{name}")
+    for entry, call in PLANNING_ENTRY_POINTS.items()
+    for name, make_params in BAD_COST_PARAMS.items()
+]
 
 
 class TestBoundaryValidation:
@@ -522,17 +552,19 @@ class TestBoundaryValidation:
         with pytest.raises(ExecutionError):
             ExecOptions.of({}, QueryGuard(**guard_kwargs))
 
-    @pytest.mark.parametrize("case", BAD_KNOBS, ids=_knob_id)
-    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-    def test_typed_error_closure(self, knob_target, entry, case):
-        """Every entry point × every bad knob: typed, and before any work."""
+    @pytest.mark.parametrize("call, case, make_params", CLOSURE)
+    def test_typed_error_closure(self, knob_target, call, case, make_params):
+        """Every entry point × every bad knob (and every planning entry
+        point × every bad cost constant): typed, and before any work."""
         options, budgets = case
         stored = knob_target[0]
         counters = ExecutionCounters()
         guard = QueryGuard(**budgets) if budgets else None
         pages_before = stored.counters.page_reads
-        with pytest.raises(ExecutionError):
-            ENTRY_POINTS[entry](knob_target, counters, guard=guard, **options)
+        with pytest.raises(OptimizerError if make_params else ExecutionError):
+            if make_params:
+                options = dict(params=make_params())
+            call(knob_target, counters, guard=guard, **options)
         assert stored.counters.page_reads == pages_before
         assert counters.as_dict() == ExecutionCounters().as_dict()
 

@@ -231,7 +231,6 @@ class TestAnnotations:
         assert result.ok and result.root is not None
         assert result.schema.names == ("ma",)
         assert result.span is not None and not result.span.is_empty
-        assert result.spans  # every operator annotated
         assert result.sequential is True
 
     def test_span_matches_query_inference(self, table1):

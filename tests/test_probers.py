@@ -7,18 +7,8 @@ from repro.model import NULL, AtomType, BaseSequence, Record, RecordSchema, Span
 from repro.algebra import base, col
 from repro.execution import ExecutionCounters, ProberSequence, build_prober
 from repro.optimizer import optimize
-from repro.optimizer.blocks import block_tree
-from repro.optimizer.joinenum import BlockPlanner
 
 SCHEMA = RecordSchema.of(v=AtomType.FLOAT)
-
-
-def probe_plan_for(query, catalog=None):
-    """The best probe-mode plan for a query's block tree."""
-    result = optimize(query, catalog=catalog)
-    blocks = block_tree(result.rewritten.root)
-    planner = BlockPlanner(result.annotated, catalog=catalog)
-    return planner.plan(blocks).probe_plan, result
 
 
 @pytest.fixture
@@ -31,7 +21,7 @@ def data():
 class TestSourceAndChainProbers:
     def test_source_prober(self, data):
         query = base(data, "s").query()
-        plan, _ = probe_plan_for(query)
+        plan = optimize(query).planned.probe_plan
         counters = ExecutionCounters()
         prober = build_prober(plan, counters)
         assert prober.get(4).get("v") == 40.0
@@ -40,14 +30,14 @@ class TestSourceAndChainProbers:
 
     def test_chain_prober_applies_steps(self, data):
         query = base(data, "s").select(col("v") > 15.0).project("v").query()
-        plan, _ = probe_plan_for(query)
+        plan = optimize(query).planned.probe_plan
         prober = build_prober(plan, ExecutionCounters())
         assert prober.get(1) is NULL  # filtered (10 <= 15)
         assert prober.get(2).get("v") == 20.0
 
     def test_chain_prober_shift_math(self, data):
         query = base(data, "s").shift(3).query()  # out(i) = in(i+3)
-        plan, _ = probe_plan_for(query)
+        plan = optimize(query).planned.probe_plan
         prober = build_prober(plan, ExecutionCounters())
         assert prober.get(1).get("v") == 40.0  # in(4)
         assert prober.get(6).get("v") == 90.0  # in(9)
@@ -55,7 +45,7 @@ class TestSourceAndChainProbers:
 
     def test_counters_track_predicates(self, data):
         query = base(data, "s").select(col("v") > 0.0).query()
-        plan, _ = probe_plan_for(query)
+        plan = optimize(query).planned.probe_plan
         counters = ExecutionCounters()
         prober = build_prober(plan, counters)
         prober.get(1)
@@ -68,7 +58,7 @@ class TestJoinProber:
             RecordSchema.of(w=AtomType.FLOAT), [(2, (1.0,)), (4, (2.0,))]
         )
         query = base(data, "s").compose(base(other, "o")).query()
-        plan, _ = probe_plan_for(query)
+        plan = optimize(query).planned.probe_plan
         prober = build_prober(plan, ExecutionCounters())
         assert prober.get(2).as_dict() == {"v": 20.0, "w": 1.0}
         assert prober.get(1) is NULL  # right side missing
@@ -81,7 +71,7 @@ class TestJoinProber:
         query = base(data, "s").compose(
             base(other, "o"), predicate=col("w") > col("v")
         ).query()
-        plan, _ = probe_plan_for(query)
+        plan = optimize(query).planned.probe_plan
         prober = build_prober(plan, ExecutionCounters())
         assert prober.get(2) is not NULL
         assert prober.get(4) is NULL  # 2.0 < 40.0
@@ -90,7 +80,7 @@ class TestJoinProber:
 class TestNaiveUnaryProbers:
     def test_window_agg_probe(self, data):
         query = base(data, "s").window("sum", "v", 3).query()
-        plan, _ = probe_plan_for(query)
+        plan = optimize(query).planned.probe_plan
         prober = build_prober(plan, ExecutionCounters())
         view = query.run_naive()
         for position in Span(1, 11).positions():
@@ -98,14 +88,14 @@ class TestNaiveUnaryProbers:
 
     def test_value_offset_probe(self, data):
         query = base(data, "s").previous().query()
-        plan, _ = probe_plan_for(query)
+        plan = optimize(query).planned.probe_plan
         prober = build_prober(plan, ExecutionCounters())
         assert prober.get(3).get("v") == 20.0
         assert prober.get(1) is NULL
 
     def test_global_probe_computes_once(self, data):
         query = base(data, "s").global_agg("max", "v").query()
-        plan, _ = probe_plan_for(query)
+        plan = optimize(query).planned.probe_plan
         counters = ExecutionCounters()
         prober = build_prober(plan, counters)
         first = prober.get(5)
@@ -116,7 +106,7 @@ class TestNaiveUnaryProbers:
 
     def test_global_probe_outside_span_null(self, data):
         query = base(data, "s").global_agg("max", "v").query()
-        plan, _ = probe_plan_for(query)
+        plan = optimize(query).planned.probe_plan
         prober = build_prober(plan, ExecutionCounters())
         assert prober.get(100) is NULL
 
@@ -149,7 +139,7 @@ class TestMaterializeProber:
 class TestProberSequence:
     def test_wraps_prober_as_sequence(self, data):
         query = base(data, "s").query()
-        plan, _ = probe_plan_for(query)
+        plan = optimize(query).planned.probe_plan
         prober = build_prober(plan, ExecutionCounters())
         view = ProberSequence(prober)
         assert view.schema == data.schema
@@ -158,7 +148,7 @@ class TestProberSequence:
 
     def test_stream_mode_rejected_for_probe_only_kinds(self, data):
         query = base(data, "s").query()
-        plan, _ = probe_plan_for(query)
+        plan = optimize(query).planned.probe_plan
         from repro.execution import build_stream
 
         with pytest.raises(ExecutionError, match="stream mode"):

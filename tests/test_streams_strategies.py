@@ -9,18 +9,9 @@ from repro.model import AtomType, BaseSequence, RecordSchema, Span
 from repro.algebra import base, col
 from repro.execution import ExecutionCounters, build_stream, execute_plan
 from repro.optimizer import optimize
-from repro.optimizer.blocks import block_tree
-from repro.optimizer.joinenum import BlockPlanner
 from repro.workloads import bernoulli_sequence
 
 SCHEMA = RecordSchema.of(value=AtomType.FLOAT)
-
-
-def plans_for(query, catalog=None):
-    result = optimize(query, catalog=catalog)
-    blocks = block_tree(result.rewritten.root)
-    planner = BlockPlanner(result.annotated, catalog=catalog)
-    return planner.plan(blocks), result
 
 
 @pytest.fixture
@@ -33,7 +24,8 @@ class TestForcedNaiveStreams:
 
     def test_window_agg_naive_stream(self, data):
         query = base(data, "s").window("avg", "value", 5).query()
-        planned, result = plans_for(query)
+        result = optimize(query)
+        planned = result.planned
         plan = planned.stream_plan
         assert plan.kind == "window-agg"
         naive = replace(
@@ -45,7 +37,8 @@ class TestForcedNaiveStreams:
 
     def test_value_offset_naive_stream(self, data):
         query = base(data, "s").value_offset(-2).query()
-        planned, result = plans_for(query)
+        result = optimize(query)
+        planned = result.planned
         plan = planned.stream_plan
         assert plan.kind == "value-offset"
         naive = replace(
@@ -57,7 +50,8 @@ class TestForcedNaiveStreams:
 
     def test_cumulative_naive_stream(self, data):
         query = base(data, "s").cumulative("sum", "value").query()
-        planned, result = plans_for(query)
+        result = optimize(query)
+        planned = result.planned
         plan = planned.stream_plan
         assert plan.kind == "cumulative-agg"
         naive = replace(
@@ -69,7 +63,8 @@ class TestForcedNaiveStreams:
 
     def test_naive_costs_more_probes(self, data):
         query = base(data, "s").window("sum", "value", 8).query()
-        planned, result = plans_for(query)
+        result = optimize(query)
+        planned = result.planned
         cached_counters = ExecutionCounters()
         execute_plan(planned.stream_plan, result.plan.output_span, cached_counters)
         naive = replace(
