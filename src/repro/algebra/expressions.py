@@ -604,10 +604,10 @@ def compile_filter(
     numpy kernel (when the backend and dtypes allow) and, failing that,
     the unguarded dense loop on fully valid batches.  ``on_fallback``
     observes the interpreted fallback, as in :func:`compile_rowwise`;
-    ``on_kernel_fallback`` observes — once, at compile time — that no
-    vector kernel could be built.  A built kernel can still decline
-    individual batches at runtime (non-vector buffers, int-magnitude
-    guard); those batches run the scalar path with identical answers.
+    ``on_kernel_fallback`` observes — once per filter — that no vector
+    kernel could be built or, at the first such batch, that the built
+    kernel declined a batch (non-vector buffers, int-magnitude guard);
+    declined batches run the scalar path with identical answers.
     """
     vector = None
     if _vectorization_safe(spec):
@@ -641,11 +641,15 @@ def compile_filter(
         scalar = interpreted
 
     def refine(columns: list[ColumnArg], valid: Mask) -> Mask:
+        nonlocal on_kernel_fallback
         if isinstance(valid, Bitmask):
             if vector is not None:
                 mask = vector(columns, valid)
                 if mask is not None:
                     return mask
+                if on_kernel_fallback is not None:
+                    on_kernel_fallback(expr)
+                    on_kernel_fallback = None
             return Bitmask.from_bools(scalar(columns, valid.tolist()))
         return scalar(columns, valid)
 

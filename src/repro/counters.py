@@ -15,6 +15,9 @@ share.
 from __future__ import annotations
 
 from dataclasses import fields
+from typing import TypeVar
+
+_Self = TypeVar("_Self", bound="CounterSet")
 
 
 class CounterSet:
@@ -29,7 +32,7 @@ class CounterSet:
         """All counters as a plain dictionary, in declaration order."""
         return {spec.name: getattr(self, spec.name) for spec in fields(self)}  # type: ignore[arg-type]
 
-    def snapshot(self):
+    def snapshot(self: _Self) -> _Self:
         """An independent copy of the current counts.
 
         Rolling an object *back* to a snapshot goes through

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, cast
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence, cast
 
 from repro.errors import ExecutionError
 from repro.model.batch import (
@@ -265,63 +265,24 @@ def scan(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BatchStream:
         source = leaf.constant
     else:
         raise ExecutionError(f"scan plan without a leaf node: {plan.kind}")
-    counters = ctx.counters
-    batch_size = ctx.batch_size
-    guard = ctx.guard
-    counters.scans_opened += 1
-    schema = plan.schema
-    ncols = len(schema)
-    columnar = getattr(source, "nonnull_columns", None)
-    if columnar is not None:
-        # In-memory sequences expose cached typed column buffers; the
-        # scan answers every batch with O(columns) buffer slices (dense
-        # runs) or one vectorized scatter (sparse runs) — no per-record
-        # Python objects at all.
-        yield from _scan_columnar(columnar, schema, window, counters, batch_size, guard)
-        return
-    items = source.iter_nonnull(window)
-    item = next(items, None)
-    while item is not None:
-        # One batch covers at most batch_size positions, anchored at the
-        # next record: sparse regions produce no batches at all.
-        start = item[0]
-        limit = start + batch_size
-        positions: list[int] = []
-        rows: list[tuple] = []
-        while item is not None and item[0] < limit:
-            positions.append(item[0])
-            rows.append(item[1].values)
-            item = next(items, None)
-        n = positions[-1] - start + 1
-        if len(positions) == n:
-            # Dense run: transpose all value tuples in one C-level pass.
-            valid = [True] * n
-            columns = [
-                typed_column(list(column), attribute.atype)
-                for column, attribute in zip(zip(*rows), schema.attributes)
-            ]
-        else:
-            valid = [False] * n
-            columns = [[None] * n for _ in range(ncols)]
-            for position, values in zip(positions, rows):
-                index = position - start
-                valid[index] = True
-                for c in range(ncols):
-                    columns[c][index] = values[c]
-        yield _finish(counters, ColumnBatch(schema, start, columns, valid), guard)
+    ctx.counters.scans_opened += 1
+    # Every source answers in column runs — cached buffers, regrouped
+    # page chunks, a repeated constant — and a source that is read
+    # incrementally yields one run per batch, so the guard checkpoints
+    # after at most one batch of pages.
+    for positions, columns in source.column_runs(window, ctx.batch_size):
+        yield from _scan_columnar(ctx, plan.schema, positions, columns)
 
 
 def _scan_columnar(
-    columnar: Callable[[Span], tuple[list[int], tuple[Column, ...]]],
+    ctx: ExecContext,
     schema: RecordSchema,
-    window: Span,
-    counters: ExecutionCounters,
-    batch_size: int,
-    guard: Optional[QueryGuard],
+    positions: Sequence[int],
+    source_columns: tuple[Column, ...],
 ) -> BatchStream:
-    """Carve a sequence's cached column buffers into aligned batches."""
+    """Carve one column run into batches anchored at their first record."""
     np = vector_backend()
-    positions, source_columns = columnar(window)
+    counters, batch_size, guard = ctx.counters, ctx.batch_size, ctx.guard
     total = len(positions)
     i = 0
     while i < total:

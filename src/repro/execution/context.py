@@ -169,7 +169,8 @@ class ExecContext:
         their own (window aggregate) — whenever vector execution
         degrades to the fused-closure/aggregator path: the effect spec
         withheld vectorization safety, numpy is absent, a dtype is
-        non-numeric, or an exactness guard refused the lowering.  Bumps
+        non-numeric, an exactness guard refused the lowering, or a
+        built kernel declined a batch (its first, per filter).  Bumps
         ``kernels_fallback`` and, when tracing, attaches a
         ``kernel:fallback`` event to the innermost open span.
         """

@@ -8,7 +8,6 @@ disk-resident variant lives in :mod:`repro.storage`.
 
 from __future__ import annotations
 
-import bisect
 from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Optional, Sequence as PySequence
@@ -17,7 +16,7 @@ from repro.errors import SchemaError, SpanError
 from repro.model.batch import column_to_list, typed_column
 from repro.model.record import NULL, Record, RecordOrNull
 from repro.model.schema import RecordSchema
-from repro.model.sequence import Sequence
+from repro.model.sequence import ColumnRun, Sequence
 from repro.model.span import Span
 
 
@@ -150,15 +149,7 @@ class BaseSequence(Sequence):
     def _index_range(self, within: Optional[Span]) -> tuple[int, int]:
         """The slice of ``_positions`` lying inside ``within`` (and the span)."""
         window = self._span if within is None else self._span.intersect(within)
-        if window.is_empty:
-            return 0, 0
-        lo = 0 if window.start is None else bisect.bisect_left(self._positions, window.start)
-        hi = (
-            len(self._positions)
-            if window.end is None
-            else bisect.bisect_right(self._positions, window.end)
-        )
-        return lo, hi
+        return window.index_range(self._positions)
 
     def iter_nonnull(self, within: Optional[Span] = None) -> Iterator[tuple[int, Record]]:
         lo, hi = self._index_range(within)
@@ -204,6 +195,10 @@ class BaseSequence(Sequence):
         if lo == 0 and hi == len(self._positions):
             return self._positions, cache
         return self._positions[lo:hi], tuple(column[lo:hi] for column in cache)
+
+    def column_runs(self, within: Optional[Span], width: int) -> Iterator[ColumnRun]:
+        """The cached buffers of :meth:`nonnull_columns`, as the one run."""
+        yield self.nonnull_columns(within)
 
     # -- extras ---------------------------------------------------------------
 

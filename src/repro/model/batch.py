@@ -111,6 +111,8 @@ def _float64_exact(values: list[Any]) -> bool:
     silently round during buffer conversion, so such columns stay lists.
     ``None`` holes (sparse columns) also refuse conversion here.
     """
+    if set(map(type, values)) <= {float}:
+        return True  # the common case, decided at C speed
     for value in values:
         if type(value) is float:
             continue

@@ -8,12 +8,14 @@ stream iteration therefore requires a bounded window.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, Optional
 
 from repro.errors import SchemaError
 from repro.model.record import NULL, Record, RecordOrNull
 from repro.model.schema import RecordSchema
-from repro.model.sequence import Sequence
+from repro.model.batch import typed_column
+from repro.model.sequence import ColumnRun, Sequence
 from repro.model.span import Span
 
 
@@ -64,6 +66,15 @@ class ConstantSequence(Sequence):
         window = self.effective_window(within)
         for position in window.positions():
             yield position, self._record
+
+    def column_runs(self, within: Optional[Span], width: int) -> Iterator[ColumnRun]:
+        """One run per ``width`` positions, each column the value repeated."""
+        positions = self.effective_window(within).positions()
+        while run := list(islice(positions, width)):
+            yield run, tuple(
+                typed_column([value] * len(run), attribute.atype)
+                for value, attribute in zip(self._record.values, self.schema.attributes)
+            )
 
     def count_nonnull(self, within: Optional[Span] = None) -> int:
         """Every position of the (bounded) window holds the record."""

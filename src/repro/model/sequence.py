@@ -9,12 +9,51 @@ both random (*probed*) access via :meth:`Sequence.at` and ordered
 from __future__ import annotations
 
 import abc
-from typing import Iterator, Optional
+from bisect import bisect_left
+from typing import Iterable, Iterator, Optional, Sequence as PySequence
 
 from repro.errors import SpanError
+from repro.model.batch import Column, typed_column
 from repro.model.record import NULL, Record, RecordOrNull
 from repro.model.schema import RecordSchema
 from repro.model.span import Span
+
+#: Ascending positions plus one typed column buffer per schema
+#: attribute, parallel to them (see :meth:`Sequence.column_runs`).
+ColumnRun = tuple[PySequence[int], tuple[Column, ...]]
+
+
+def column_runs_of(
+    chunks: Iterable[tuple[PySequence[int], PySequence[tuple]]],
+    schema: RecordSchema,
+    width: int,
+) -> Iterator[ColumnRun]:
+    """Regroup ascending ``(positions, value rows)`` chunks into batch runs.
+
+    A run holds every record fewer than ``width`` positions past its
+    first, transposed once and typed exact-or-refused by
+    :func:`~repro.model.batch.typed_column`; it is cut when a record
+    beyond it arrives, so the source is read one chunk ahead, never more.
+    """
+    attributes = schema.attributes
+    positions: list[int] = []
+    rows: list[tuple] = []
+
+    def run(count: int) -> ColumnRun:
+        columns = zip(zip(*rows[:count]), attributes)
+        return positions[:count], tuple(
+            typed_column(list(values), attribute.atype) for values, attribute in columns
+        )
+
+    for chunk_positions, chunk_rows in chunks:
+        positions.extend(chunk_positions)
+        rows.extend(chunk_rows)
+        while positions[-1] - positions[0] >= width:
+            count = bisect_left(positions, positions[0] + width)
+            yield run(count)
+            del positions[:count], rows[:count]
+    if positions:
+        yield run(len(positions))
 
 
 class Sequence(abc.ABC):
@@ -43,6 +82,19 @@ class Sequence(abc.ABC):
                 sequence's own span).  Required to be bounded if the
                 sequence's span is unbounded.
         """
+
+    def column_runs(self, within: Optional[Span], width: int) -> Iterator[ColumnRun]:
+        """The columnar counterpart of :meth:`iter_nonnull` for batch scans.
+
+        Yields the non-Null records of ``within`` as ascending runs
+        that cut into ``width``-position batches, each anchored at its
+        first record, exactly as their concatenation would: a run is
+        either everything (cached column buffers, served zero-copy) or
+        one batch's worth (anything read incrementally, like this
+        default over the record stream).
+        """
+        chunks = (((p,), (r.values,)) for p, r in self.iter_nonnull(within))
+        return column_runs_of(chunks, self.schema, width)
 
     # -- convenience ------------------------------------------------------
 

@@ -9,8 +9,9 @@ are propagated bottom-up through operators and then restricted top-down.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro.errors import SpanError
 
@@ -125,6 +126,19 @@ class Span:
         if self.end is not None and (other.end is None or other.end > self.end):
             return False
         return True
+
+    def index_range(
+        self, items: Sequence[Any], key: Optional[Callable[[Any], int]] = None
+    ) -> tuple[int, int]:
+        """The slice ``[lo, hi)`` of position-ordered ``items`` within the span.
+
+        ``key`` extracts an item's position (default: the item itself).
+        """
+        if self.empty:
+            return 0, 0
+        lo = 0 if self.start is None else bisect_left(items, self.start, key=key)
+        hi = len(items) if self.end is None else bisect_right(items, self.end, key=key)
+        return lo, hi
 
     # -- algebra ----------------------------------------------------------
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional, TypeVar
 
 from repro.errors import (
     PermanentStorageError,
@@ -32,6 +32,8 @@ from repro.storage.page import Page
 
 #: Fault kinds a plan can inject, in decision precedence order.
 FAULT_KINDS = ("corrupt", "permanent", "transient", "latency")
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -169,7 +171,7 @@ class FaultPlan:
         Raises:
             StorageError: for an unknown key or a malformed value.
         """
-        kwargs: dict = {}
+        kwargs: dict[str, Any] = {}
         for part in spec.split(","):
             part = part.strip()
             if not part:
@@ -328,7 +330,7 @@ class RetryPolicy:
             delay *= self.backoff_multiplier
         return delays
 
-    def run(self, fn: Callable[[], object], counters: Optional[StorageCounters] = None):
+    def run(self, fn: Callable[[], _T], counters: Optional[StorageCounters] = None) -> _T:
         """Call ``fn``, retrying transient faults up to the bound.
 
         Each retry increments ``counters.retries_attempted``; if the

@@ -21,16 +21,26 @@ from __future__ import annotations
 
 import abc
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import CorruptPageError, StorageError
 from repro.model.span import Span
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
-from repro.storage.page import Page
+from repro.storage.page import Page, Values
 
 ORGANIZATION_KINDS = ("clustered", "indexed", "log")
+
+#: What one data-page read delivers to a stream: the positions and the
+#: value tuples of the page's in-window records, in position order.
+PageChunk = tuple[Sequence[int], Sequence[Values]]
+
+#: Data and index-leaf entries alike lead with their position.
+_POSITION = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -64,15 +74,20 @@ class PhysicalOrganization(abc.ABC):
         return self._count
 
     @abc.abstractmethod
-    def load(self, items: Iterable[tuple[int, tuple]]) -> None:
+    def load(self, items: Iterable[tuple[int, Values]]) -> None:
         """Bulk-load ``(position, values)`` pairs sorted by position."""
 
     @abc.abstractmethod
-    def scan(self, window: Span) -> Iterator[tuple[int, tuple]]:
-        """Yield stored pairs within ``window`` in increasing position order."""
+    def scan_pages(self, window: Span) -> Iterator[PageChunk]:
+        """Yield the records within ``window`` a data-page read at a time.
+
+        Chunks are non-empty and ascending in position, and no data page
+        is read ahead of the chunk being yielded: a consumer that stops
+        early (a guard trip, a finished join) has read no page in vain.
+        """
 
     @abc.abstractmethod
-    def probe(self, position: int) -> Optional[tuple]:
+    def probe(self, position: int) -> Optional[Values]:
         """The values stored at ``position``, or None."""
 
     @abc.abstractmethod
@@ -90,7 +105,7 @@ class ClusteredOrganization(PhysicalOrganization):
         # directory entries: (first_position, last_position, page_id)
         self._directory: list[tuple[int, int, int]] = []
 
-    def load(self, items: Iterable[tuple[int, tuple]]) -> None:
+    def load(self, items: Iterable[tuple[int, Values]]) -> None:
         page: Page | None = None
         for position, values in items:
             if page is None or page.is_full:
@@ -115,45 +130,31 @@ class ClusteredOrganization(PhysicalOrganization):
                 return mid
         return None
 
-    def scan(self, window: Span) -> Iterator[tuple[int, tuple]]:
-        if window.is_empty or not self._directory:
+    def scan_pages(self, window: Span) -> Iterator[PageChunk]:
+        if window.is_empty:
             return
         start_idx = 0
-        if window.start is not None:
-            lo, hi = 0, len(self._directory) - 1
-            while lo <= hi:
-                mid = (lo + hi) // 2
-                if self._directory[mid][1] < window.start:
-                    lo = mid + 1
-                else:
-                    hi = mid - 1
-            start_idx = lo
+        if window.start is not None:  # the first page whose last position reaches it
+            start_idx = bisect_left(self._directory, window.start, key=itemgetter(1))
         for first, _last, page_id in self._directory[start_idx:]:
             if window.end is not None and first > window.end:
                 return
-            page = self._pool.get(page_id)
-            for position, values in page.slots:
-                if window.end is not None and position > window.end:
-                    return
-                if position in window:
-                    yield position, values
+            slots = self._pool.get(page_id).slots
+            lo, hi = window.index_range(slots, key=_POSITION)
+            if lo < hi:
+                positions, rows = zip(*slots[lo:hi])
+                yield positions, rows
 
-    def probe(self, position: int) -> Optional[tuple]:
+    def probe(self, position: int) -> Optional[Values]:
         idx = self._page_index_for(position)
         if idx is None:
             return None
-        page = self._pool.get(self._directory[idx][2])
-        lo, hi = 0, len(page.slots) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            slot_position, values = page.slots[mid]
-            if slot_position < position:
-                lo = mid + 1
-            elif slot_position > position:
-                hi = mid - 1
-            else:
-                return values
-        return None
+        slots = self._pool.get(self._directory[idx][2]).slots
+        at = bisect_left(slots, position, key=_POSITION)
+        if at == len(slots) or slots[at][0] != position:
+            return None
+        values: Values = slots[at][1]
+        return values
 
     def profile(self) -> AccessProfile:
         pages = max(1, len(self._directory))
@@ -182,7 +183,7 @@ class IndexedOrganization(PhysicalOrganization):
         self._leaf_ids: list[int] = []
         self._data_page_count = 0
 
-    def load(self, items: Iterable[tuple[int, tuple]]) -> None:
+    def load(self, items: Iterable[tuple[int, Values]]) -> None:
         ordered = list(items)
         # Scatter records across data pages in a shuffled "arrival" order
         # so a positional-order scan hops across pages (unclustered).
@@ -247,34 +248,34 @@ class IndexedOrganization(PhysicalOrganization):
                 return None
         return None
 
-    def scan(self, window: Span) -> Iterator[tuple[int, tuple]]:
+    def scan_pages(self, window: Span) -> Iterator[PageChunk]:
         if window.is_empty:
             return
         for leaf_id in self._leaf_ids:
             leaf = self._pool.get(leaf_id)
-            if not leaf.slots:
-                continue
-            last_key = leaf.slots[-1][0]
-            if window.start is not None and last_key < window.start:
-                continue
-            for position, data_page, slot in leaf.slots:
-                if window.end is not None and position > window.end:
-                    return
-                if position not in window:
-                    continue
-                page = self._pool.get(data_page)
-                entry = page.get(slot)
-                if entry is None or entry[0] != position:
-                    # The index points at a slot that no longer holds
-                    # this position: damage the checksum cannot see.
-                    raise CorruptPageError(
-                        f"index entry for position {position} does not match "
-                        f"page {data_page} slot {slot}",
-                        page_id=data_page,
-                    )
-                yield position, entry[1]
+            lo, hi = window.index_range(leaf.slots, key=_POSITION)
+            # One chunk per run of entries on one data page (in practice
+            # one record: placement is shuffled), each fetched by the pool.
+            for data_page, run in groupby(leaf.slots[lo:hi], key=itemgetter(1)):
+                positions: list[int] = []
+                rows: list[Values] = []
+                for position, _page, slot in run:
+                    entry = self._pool.get(data_page).get(slot)
+                    if entry is None or entry[0] != position:
+                        # The index points at a slot that no longer holds
+                        # this position: damage the checksum cannot see.
+                        raise CorruptPageError(
+                            f"index entry for position {position} does not match "
+                            f"page {data_page} slot {slot}",
+                            page_id=data_page,
+                        )
+                    positions.append(position)
+                    rows.append(entry[1])
+                yield positions, rows
+            if hi < len(leaf.slots):
+                return
 
-    def probe(self, position: int) -> Optional[tuple]:
+    def probe(self, position: int) -> Optional[Values]:
         location = self._descend(position)
         if location is None:
             return None
@@ -282,7 +283,8 @@ class IndexedOrganization(PhysicalOrganization):
         entry = self._pool.get(data_page).get(slot)
         if entry is None or entry[0] != position:
             return None
-        return entry[1]
+        values: Values = entry[1]
+        return values
 
     def profile(self) -> AccessProfile:
         leaf_pages = max(1, len(self._leaf_ids))
@@ -306,7 +308,7 @@ class AppendLogOrganization(PhysicalOrganization):
         super().__init__(disk, pool)
         self._page_ids: list[int] = []
 
-    def load(self, items: Iterable[tuple[int, tuple]]) -> None:
+    def load(self, items: Iterable[tuple[int, Values]]) -> None:
         page: Page | None = None
         for position, values in items:
             if page is None or page.is_full:
@@ -315,22 +317,20 @@ class AppendLogOrganization(PhysicalOrganization):
             page.append((position, values))
             self._count += 1
 
-    def scan(self, window: Span) -> Iterator[tuple[int, tuple]]:
+    def scan_pages(self, window: Span) -> Iterator[PageChunk]:
         if window.is_empty:
             return
         for page_id in self._page_ids:
-            page = self._pool.get(page_id)
-            if not page.slots:
-                continue
-            if window.start is not None and page.slots[-1][0] < window.start:
-                continue
-            for position, values in page.slots:
-                if window.end is not None and position > window.end:
-                    return
-                if position in window:
-                    yield position, values
+            slots = self._pool.get(page_id).slots
+            lo, hi = window.index_range(slots, key=_POSITION)
+            if lo < hi:
+                positions, rows = zip(*slots[lo:hi])
+                yield positions, rows
+            if hi < len(slots):
+                return
 
-    def probe(self, position: int) -> Optional[tuple]:
+    def probe(self, position: int) -> Optional[Values]:
+        values: Values
         for page_id in self._page_ids:
             page = self._pool.get(page_id)
             for slot_position, values in page.slots:

@@ -9,20 +9,34 @@ Every page carries a running CRC-32 checksum, maintained on append and
 re-validated by the disk on every read (:meth:`Page.verify`), so page
 corruption — e.g. injected by :class:`repro.storage.faults.FaultyDisk`
 — is *detected* and raised as a typed
-:class:`~repro.errors.CorruptPageError`, never silently returned.
+:class:`~repro.errors.CorruptPageError`, never silently returned.  The
+checksummed bytes are each entry's :mod:`marshal` encoding: determined
+by the values alone (format version 2 writes no reference flags), exact
+(``1``/``1.0``/``True`` and ``0.0``/``-0.0`` differ, floats bit for
+bit), and made total by the fallback in :func:`_entry_bytes`.
 """
 
 from __future__ import annotations
 
+import marshal
 import zlib
-from typing import Optional
+from typing import Any, Optional
 
 from repro.errors import StorageError
 
+#: A slot entry (``(position, values)`` on a data page, ``(key, ...)`` on
+#: an index page) and the value tuple of a record inside a data entry.
+Entry = Values = tuple[Any, ...]
 
-def _entry_crc(entry: tuple, crc: int) -> int:
-    """Fold one slot entry into a running CRC-32."""
-    return zlib.crc32(repr(entry).encode(), crc)
+
+def _entry_bytes(entry: object) -> bytes:
+    """The bytes one slot entry contributes to the page checksum."""
+    try:
+        return marshal.dumps(entry, 2)
+    except ValueError:
+        # Refused (a float subclass, an object left by tampering): the
+        # repr bytes, behind a ``?`` that opens no marshal encoding.
+        return b"?" + repr(entry).encode()
 
 
 class Page:
@@ -39,7 +53,7 @@ class Page:
         self.page_id = page_id
         self.capacity = capacity
         self.kind = kind
-        self.slots: list[tuple] = []
+        self.slots: list[Entry] = []
         #: Running CRC-32 of the appended entries, in order.
         self.checksum = 0
 
@@ -48,7 +62,7 @@ class Page:
         """Whether the page has no free slots."""
         return len(self.slots) >= self.capacity
 
-    def append(self, entry: tuple) -> int:
+    def append(self, entry: Entry) -> int:
         """Add an entry, returning its slot number.
 
         Raises:
@@ -57,21 +71,18 @@ class Page:
         if self.is_full:
             raise StorageError(f"page {self.page_id} is full")
         self.slots.append(entry)
-        self.checksum = _entry_crc(entry, self.checksum)
+        self.checksum = zlib.crc32(_entry_bytes(entry), self.checksum)
         return len(self.slots) - 1
 
     def compute_checksum(self) -> int:
         """Recompute the CRC-32 of the current slot contents."""
-        crc = 0
-        for entry in self.slots:
-            crc = _entry_crc(entry, crc)
-        return crc
+        return zlib.crc32(b"".join(map(_entry_bytes, self.slots)))
 
     def verify(self) -> bool:
         """Whether the slot contents still match the stored checksum."""
         return self.compute_checksum() == self.checksum
 
-    def get(self, slot: int) -> Optional[tuple]:
+    def get(self, slot: int) -> Optional[Entry]:
         """The entry at ``slot``, or None if the slot is out of range."""
         if 0 <= slot < len(self.slots):
             return self.slots[slot]

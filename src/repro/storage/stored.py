@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional
 from repro.errors import StorageError
 from repro.model.record import NULL, Record, RecordOrNull
 from repro.model.schema import RecordSchema
-from repro.model.sequence import Sequence
+from repro.model.sequence import ColumnRun, Sequence, column_runs_of
 from repro.model.span import Span
 from repro.storage.buffer import BufferPool
 from repro.storage.counters import StorageCounters
@@ -85,16 +85,27 @@ class StoredSequence(Sequence):
             retry_policy: transient-fault retry policy for the buffer
                 pool (defaults to the pool's bounded-backoff default).
         """
-        pairs = sorted(((pos, rec) for pos, rec in items), key=lambda p: p[0])
-        seen: set[int] = set()
-        for position, record in pairs:
-            if position in seen:
-                raise StorageError(f"duplicate position {position} in load")
-            seen.add(position)
-            if record.schema != schema:
+        for knob, size, least in (
+            ("page_capacity", page_capacity, 1),
+            ("buffer_pages", buffer_pages, 1),
+            ("index_fanout", index_fanout, 2),
+        ):
+            if not isinstance(size, int) or isinstance(size, bool) or size < least:
+                raise StorageError(f"{knob} must be an int >= {least}, got {size!r}")
+        records: dict[int, Record] = {}
+        for position, record in items:
+            if not isinstance(position, int) or isinstance(position, bool):
+                raise StorageError(f"position must be an int, got {position!r}")
+            if record is NULL:
+                continue  # explicit Nulls are simply empty positions
+            if not isinstance(record, Record) or record.schema != schema:
                 raise StorageError(
                     f"record at {position} does not match schema {schema!r}"
                 )
+            if position in records:
+                raise StorageError(f"duplicate position {position} in load")
+            records[position] = record
+        pairs = sorted(records.items())
         if span is None:
             span = Span(pairs[0][0], pairs[-1][0]) if pairs else Span.EMPTY
         else:
@@ -198,9 +209,18 @@ class StoredSequence(Sequence):
 
     def iter_nonnull(self, within: Optional[Span] = None) -> Iterator[tuple[int, Record]]:
         window = self._span if within is None else self._span.intersect(within)
-        for position, values in self._organization.scan(window):
-            self._counters.records_streamed += 1
-            yield position, Record(self._schema, values)
+        for positions, rows in self._organization.scan_pages(window):
+            for position, values in zip(positions, rows):
+                self._counters.records_streamed += 1
+                yield position, Record(self._schema, values)
+
+    def column_runs(self, within: Optional[Span], width: int) -> Iterator[ColumnRun]:
+        """Page chunks regrouped into one run per batch: the read streams,
+        holding at most one batch (plus one page) of the window at a time."""
+        window = self._span if within is None else self._span.intersect(within)
+        for run in column_runs_of(self._organization.scan_pages(window), self._schema, width):
+            self._counters.records_streamed += len(run[0])
+            yield run
 
     def count_nonnull(self, within: Optional[Span] = None) -> int:
         """The load-time record count when no window is given (no page

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ExecutionError, OptimizerError
 
-from repro.algebra import base, col, lit
+from repro.algebra import base, col, constant, lit
 from repro.lang import compile_query
 from repro.model import AtomType, BaseSequence, ColumnBatch, Record, RecordSchema, Span
 from repro.catalog import Catalog
@@ -35,6 +35,7 @@ from repro.execution import (
 from repro.optimizer import optimize
 from repro.optimizer.plans import PROBE
 from repro.relational.example11 import sequence_query
+from repro.storage import ORGANIZATION_KINDS, StoredSequence
 from repro.workloads import (
     STOCK_EXAMPLE_QUERIES,
     WEATHER_EXAMPLE_QUERIES,
@@ -63,13 +64,25 @@ def assert_modes_agree(query, catalog=None, span=None):
     return row
 
 
-def sequence_from(positions_values: dict[int, float], end: int) -> BaseSequence:
-    """A value sequence over ``Span(0, end)`` from a position->value map."""
-    return BaseSequence(
+def sequence_from(positions_values: dict[int, float], end: int, leaf: str = "memory"):
+    """A value sequence over ``Span(0, end)`` from a position->value map.
+
+    ``leaf`` names where it lives: in ``memory``, or stored under one of
+    the three physical organizations (small pages, a pool that thrashes).
+    """
+    sequence = BaseSequence(
         VALUE_SCHEMA,
         ((p, Record(VALUE_SCHEMA, (v,))) for p, v in sorted(positions_values.items())),
         span=Span(0, end),
     )
+    if leaf == "memory":
+        return sequence
+    return StoredSequence.from_sequence(
+        "s", sequence, organization=leaf, page_capacity=4, buffer_pages=2, index_fanout=4
+    )
+
+
+_leaves = st.sampled_from(("memory",) + ORGANIZATION_KINDS)
 
 
 # -- hypothesis: pipelines of unary operators --------------------------------
@@ -124,9 +137,9 @@ class TestHypothesisEquivalence:
     """Property: batch ≡ row over generated plans and batch sizes."""
 
     @settings(max_examples=40, deadline=None)
-    @given(data=_datasets, ops=_unary_ops)
-    def test_unary_pipelines(self, data, ops):
-        sequence = sequence_from(data, end=59)
+    @given(data=_datasets, ops=_unary_ops, leaf=_leaves)
+    def test_unary_pipelines(self, data, ops, leaf):
+        sequence = sequence_from(data, end=59, leaf=leaf)
         query = _apply_ops(base(sequence, "s"), ops).query()
         try:
             assert_modes_agree(query)
@@ -141,14 +154,27 @@ class TestHypothesisEquivalence:
         right=_datasets,
         threshold=_values,
         shift=st.integers(min_value=-4, max_value=4),
+        leaves=st.tuples(_leaves, _leaves),
     )
-    def test_join_pipelines(self, left, right, threshold, shift):
-        a = sequence_from(left, end=59)
-        b = sequence_from(right, end=59)
+    def test_join_pipelines(self, left, right, threshold, shift, leaves):
+        a = sequence_from(left, end=59, leaf=leaves[0])
+        b = sequence_from(right, end=59, leaf=leaves[1])
         query = (
             base(a, "a")
             .compose(base(b, "b").shift(shift), prefixes=("a", "b"))
             .select(col("a_value") > lit(threshold))
+            .query()
+        )
+        assert_modes_agree(query)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=_datasets, threshold=_values, leaf=_leaves)
+    def test_constant_leaf_pipelines(self, data, threshold, leaf):
+        """A ConstantLeaf scanned beside a sequence: its runs are batches too."""
+        query = (
+            base(sequence_from(data, end=59, leaf=leaf), "s")
+            .compose(constant("threshold", threshold))
+            .select(col("value") > col("threshold"))
             .query()
         )
         assert_modes_agree(query)
@@ -224,6 +250,44 @@ class TestWorkloadQueries:
             "records_emitted",
         ):
             assert batch.counters.as_dict()[key] == row.counters.as_dict()[key], key
+
+
+# -- records only at the edge ---------------------------------------------------
+
+
+class TestRecordsOnlyAtTheEdge:
+    """A batch plan over a stored leaf boxes nothing until its answer is read."""
+
+    SHAPES = {
+        "scan-select-project": lambda leaf: leaf.select(col("value") > lit(0.5)).project("value"),
+        "window-aggregate": lambda leaf: leaf.window("avg", "value", 5, "mean"),
+    }
+
+    @pytest.mark.parametrize("organization", ORGANIZATION_KINDS)
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_no_record_before_the_drain(self, shape, organization, data, monkeypatch):
+        stored = StoredSequence.from_sequence(
+            "s", data, organization=organization, page_capacity=8, buffer_pages=2
+        )
+        plan = optimize(self.SHAPES[shape](base(stored, "s")).query()).plan.plan
+        expected = execute_plan(plan, mode="row").to_pairs()
+        built = []
+        checked, unchecked = Record.__init__, Record.unchecked.__func__
+
+        def counting_init(self, *args):
+            built.append("checked")
+            checked(self, *args)
+
+        def counting_unchecked(cls, *args):
+            built.append("unchecked")
+            return unchecked(cls, *args)
+
+        monkeypatch.setattr(Record, "__init__", counting_init)
+        monkeypatch.setattr(Record, "unchecked", classmethod(counting_unchecked))
+        answer = execute_plan(plan, mode="batch", batch_size=16)
+        assert built == []
+        assert answer.to_pairs() == expected
+        assert built == ["unchecked"] * len(expected) != []
 
 
 # -- forced strategies the optimizer rarely picks ----------------------------

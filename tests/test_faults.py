@@ -7,7 +7,11 @@ never hangs and never returns a wrong answer.
 
 from __future__ import annotations
 
+import itertools
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import (
     CorruptPageError,
@@ -38,6 +42,7 @@ from repro.execution.context import ExecContext
 from repro.model import Span
 from repro.optimizer import CostParams, optimize
 from repro.storage import (
+    ORGANIZATION_KINDS,
     BufferPool,
     FaultPlan,
     FaultyDisk,
@@ -47,6 +52,7 @@ from repro.storage import (
     StoredSequence,
 )
 from repro.workloads import StockSpec, generate_stock
+from tests.test_property_storage import BACKENDS
 
 SPAN = Span(0, 399)
 
@@ -117,6 +123,101 @@ class TestPageChecksum:
     def test_missing_page_is_permanent(self):
         with pytest.raises(PermanentStorageError):
             SimulatedDisk().read(404)
+
+    @staticmethod
+    def _entries(kind, leaf):
+        """Three data- or index-shaped entries; the first one ends in ``leaf``."""
+        if kind == Page.DATA:
+            return [(1, (2.5, leaf)), (4, (0.5, 7)), (9, (1.5, 3))]
+        return [(1, 10, leaf), (4, 11, 7), (9, 10, 3)]
+
+    @staticmethod
+    def _with_leaf(entry, leaf):
+        if isinstance(entry[-1], tuple):
+            return entry[:-1] + (entry[-1][:-1] + (leaf,),)
+        return entry[:-1] + (leaf,)
+
+    #: name -> (the first entry's last value, what happens to the slots).
+    #: A pair of values is "that value rewritten in place as this one".
+    TAMPERS = {
+        "value-changed": (5, 6),
+        "int-to-float": (1, 1.0),
+        "float-to-bool": (1.0, True),
+        "int-to-bool": (1, True),
+        "zero-sign": (0.0, -0.0),
+        "float-last-bit": (0.1 + 0.2, 0.3),
+        "wrong-type": (5, "5"),
+        "arbitrary-object": (5, object()),
+        "position-changed": (5, lambda slots: slots.__setitem__(0, (2,) + slots[0][1:])),
+        "slots-swapped": (5, lambda slots: slots.__setitem__(slice(0, 2), slots[1::-1])),
+        "last-slot-dropped": (5, lambda slots: slots.pop()),
+        "slot-appended": (5, lambda slots: slots.append(slots[0])),
+        "entry-replaced-by-object": (5, lambda slots: slots.__setitem__(2, object())),
+        # What FaultyDisk._corrupt does to the slot it picks.
+        "faulty-disk-rewrite": (
+            5, lambda slots: slots.__setitem__(1, ("__corrupt__",) + slots[1][1:])
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", [Page.DATA, Page.INDEX])
+    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
+    def test_tamper_matrix(self, tamper, kind):
+        leaf, change = self.TAMPERS[tamper]
+        disk = SimulatedDisk(page_capacity=4)
+        page = disk.allocate(kind)
+        for entry in self._entries(kind, leaf):
+            page.append(entry)
+        assert page.verify() and disk.read(page.page_id) is page
+        if callable(change):
+            change(page.slots)
+        else:
+            page.slots[0] = self._with_leaf(page.slots[0], change)
+        assert not page.verify()
+        with pytest.raises(CorruptPageError) as info:
+            disk.read(page.page_id)
+        assert info.value.page_id == page.page_id
+        assert disk.counters.corrupt_pages_detected == 1
+
+    def test_append_and_verify_are_total(self):
+        """Whatever ``append`` is handed, neither it nor ``verify`` raises."""
+
+        class Celsius(float):
+            pass
+
+        page = Page(0, 8)
+        for values in [
+            (2**64 + 1, -(2**200)),
+            (Celsius(21.5),),
+            ((1, (2.0, ("x", None))),),
+            (float("nan"), float("inf"), ""),
+            (object(),),
+        ]:
+            page.append((len(page), values))
+            assert page.checksum == page.compute_checksum()
+        assert page.verify()
+        # The refusal fallback still tells values apart.
+        page.slots[1] = (1, (Celsius(21.75),))
+        assert not page.verify()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.integers(),
+                st.lists(
+                    st.one_of(st.integers(), st.floats(), st.booleans(), st.text(max_size=4)),
+                    max_size=3,
+                ).map(tuple),
+            ),
+            max_size=8,
+        )
+    )
+    def test_running_checksum_is_the_recomputed_checksum(self, entries):
+        page = Page(0, 8)
+        for entry in entries:
+            page.append(entry)
+            assert page.checksum == page.compute_checksum()
+        assert page.verify()
 
 
 class TestRetryPolicy:
@@ -373,15 +474,33 @@ class TestDeterminism:
             )
         assert outcomes[0] == outcomes[1]
 
+    #: All four fault kinds at once; per organization, seeds whose runs end
+    #: in an answer and in each typed error the schedule can produce.
+    ALL_KINDS = dict(
+        transient_rate=0.1, permanent_rate=0.004, corrupt_rate=0.004, latency_rate=0.1
+    )
+
     def test_modes_see_identical_traces_on_scans(self):
-        """Row and batch scans issue the same page reads, so the same faults."""
-        results = {}
-        for mode in ("batch", "row"):
-            plan = FaultPlan(11, transient_rate=0.15, latency_rate=0.1)
-            stored = make_stored(fault_plan=plan)
-            pairs = run_on(stored, mode=mode).to_pairs()
-            results[mode] = (pairs, self._trace(plan))
-        assert results["batch"] == results["row"]
+        """Row and batch scans issue the same page reads, so the same faults:
+        the same trace, and the same answer or the same typed error."""
+        cases = [(dict(transient_rate=0.15, latency_rate=0.1), 11, None)]
+        cases += [(self.ALL_KINDS, seed, Span(37, 311)) for seed in range(12)]
+        for organization, backend in itertools.product(ORGANIZATION_KINDS, BACKENDS):
+            outcomes = set()
+            for rates, seed, window in cases:
+                results = {}
+                for mode in ("batch", "row"):
+                    plan = FaultPlan(seed, **rates)
+                    stored = make_stored(fault_plan=plan, organization=organization)
+                    try:
+                        with backend():
+                            outcome = run_on(stored, mode=mode, span=window).to_pairs()
+                    except StorageError as error:
+                        outcome = type(error).__name__
+                    results[mode] = (outcome, self._trace(plan))
+                assert results["batch"] == results["row"], (organization, rates, seed)
+                outcomes.add(outcome if isinstance(outcome, str) else "answer")
+            assert {"answer", "PermanentStorageError", "CorruptPageError"} <= outcomes
 
 
 class TestQueryGuard:
@@ -413,6 +532,25 @@ class TestQueryGuard:
         with pytest.raises(ResourceBudgetExceededError) as info:
             run_on(make_stored(), mode=mode, guard=guard)
         assert info.value.budget == "pages_read"
+
+    #: Pages read when a 2-page budget trips over 4-record pages, as
+    #: measured before the page-granular read: a row scan stops on its
+    #: third page; a batch of 8 is two pages plus the one holding the
+    #: record that closes it (an indexed stream reads a page per record).
+    PAGES_AT_TRIP = {
+        ("row", "clustered"): 3, ("row", "log"): 3, ("row", "indexed"): 3,
+        ("batch", "clustered"): 3, ("batch", "log"): 3, ("batch", "indexed"): 9,
+    }
+
+    @pytest.mark.parametrize("mode, organization", sorted(PAGES_AT_TRIP))
+    def test_page_budget_trips_within_a_batch(self, mode, organization):
+        """Neither a whole-window read nor a read-ahead slips past the guard."""
+        stored = make_stored(page_capacity=4, buffer_pages=4, organization=organization)
+        guard = QueryGuard(max_pages=2, check_stride=1)
+        with pytest.raises(ResourceBudgetExceededError) as info:
+            run_on(stored, mode=mode, batch_size=8, guard=guard)
+        assert info.value.budget == "pages_read"
+        assert 2 < info.value.used <= self.PAGES_AT_TRIP[mode, organization]
 
     @pytest.mark.parametrize("mode", ["batch", "row"])
     def test_cache_budget(self, mode):

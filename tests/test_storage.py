@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import StorageError
-from repro.model import AtomType, Record, RecordSchema, Span
+from repro.model import NULL, AtomType, Record, RecordSchema, Span
 from repro.storage import (
+    ORGANIZATION_KINDS,
     BufferPool,
     Page,
     SimulatedDisk,
@@ -192,6 +193,43 @@ class TestStoredSequence:
     def test_span_violation_rejected(self):
         with pytest.raises(StorageError, match="outside"):
             StoredSequence.create("s", SCHEMA, items([9]), span=Span(0, 5))
+
+    # What BaseSequence refuses, create refuses too — typed, and before a
+    # page is allocated (the parent stored position 1.5 and answered it).
+    BAD_LOADS = {
+        "float-position": dict(items=[(1.5, Record(SCHEMA, (1,)))]),
+        "bool-position": dict(items=[(True, Record(SCHEMA, (1,)))]),
+        "str-position": dict(items=[("3", Record(SCHEMA, (1,)))] + items([4])),
+        "not-a-record": dict(items=[(1, (10,))]),
+        "other-schema": dict(items=[(1, Record(RecordSchema.of(w=AtomType.INT), (1,)))]),
+        "str-capacity": dict(items=items([1]), page_capacity="4"),
+        "float-capacity": dict(items=items([1]), page_capacity=2.5),
+        "zero-capacity": dict(items=items([1]), page_capacity=0),
+        "float-buffer": dict(items=items([1]), buffer_pages=1.5),
+        "bool-buffer": dict(items=items([1]), buffer_pages=True),
+        "zero-buffer": dict(items=items([1]), buffer_pages=0),
+        "float-fanout": dict(items=items([1]), index_fanout=2.5),
+        "small-fanout": dict(items=items([1]), index_fanout=1),
+    }
+
+    @pytest.mark.parametrize("organization", ORGANIZATION_KINDS)
+    @pytest.mark.parametrize("case", sorted(BAD_LOADS))
+    def test_bad_load_is_a_typed_error(self, case, organization, monkeypatch):
+        allocated = []
+        monkeypatch.setattr(
+            SimulatedDisk, "allocate", lambda self, *a, **k: allocated.append(1)
+        )
+        kwargs = dict(self.BAD_LOADS[case], span=Span(0, 10))
+        with pytest.raises(StorageError):
+            StoredSequence.create("b", SCHEMA, kwargs.pop("items"),
+                                  organization=organization, **kwargs)
+        assert not allocated
+
+    def test_explicit_null_is_an_empty_position(self):
+        loaded = items([1]) + [(2, NULL)] + items([3])
+        stored = StoredSequence.create("b", SCHEMA, loaded, span=Span(0, 10))
+        assert stored.to_pairs() == items([1, 3])
+        assert stored.at(2) is NULL and stored.record_count() == 2
 
     def test_counters_track_access(self):
         stored = StoredSequence.create(

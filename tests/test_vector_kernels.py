@@ -31,7 +31,8 @@ from hypothesis import HealthCheck, given, settings
 
 import repro.model.batch as batch_module
 from repro.algebra import base, col, lit
-from repro.algebra.expressions import And, Not, Or
+from repro.algebra.expressions import And, Not, Or, compile_filter
+from repro.analysis.effects import analyze_expr
 from repro.execution import ExecutionCounters, run_query, run_query_detailed
 from repro.execution.context import ExecContext
 from repro.model import AtomType, BaseSequence, Record, RecordSchema, Span
@@ -353,6 +354,30 @@ class TestKernelFallbackObservability:
                 for event in span.events
             ]
             assert "kernel:fallback" in events
+
+    @pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
+    def test_declined_batch_counts_once_per_filter(self):
+        # A built kernel that declines a batch (list-backed column) is a
+        # degradation too: reported at the first such batch, once.
+        schema = RecordSchema.of(i=AtomType.INT)
+        expr = col("i") > lit(4)
+        counters = ExecutionCounters()
+        tracer = Tracer()
+        ctx = ExecContext(counters, tracer=tracer)
+        refine = compile_filter(
+            expr, schema, spec=analyze_expr(expr, schema),
+            on_kernel_fallback=ctx.kernel_fallback,
+        )
+        values = [3, 9, 4, 5]
+        valid = Bitmask.from_bools([True, True, True, False])
+        with tracer.span("op:chain") as span:
+            typed = refine([typed_column(values, AtomType.INT)], valid)
+            assert counters.kernels_fallback == 0
+            declined = [refine([list(values)], valid) for _ in range(3)]
+        assert counters.kernels_fallback == 1
+        assert [e.name for e in span.events] == ["kernel:fallback"]
+        assert typed.tolist() == [False, True, False, False]
+        assert all(mask == typed for mask in declined)
 
     @pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
     def test_window_sum_uses_vector_kernel(self):
