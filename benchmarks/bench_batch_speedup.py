@@ -1,10 +1,12 @@
 """E-batch — batched columnar execution vs the row-at-a-time oracle.
 
-Three plan shapes bracket where batching pays: scan-select-project
+Four plan shapes bracket where batching pays: scan-select-project
 (pure per-record interpreter overhead — the best case for compiled
 fused predicates over columns), window-agg (per-position aggregator
-work shared by both modes), and a lockstep join (merge alignment done
-per batch instead of per record).  Both modes produce identical
+work shared by both modes), previous-select (Cache-Strategy-B as a
+rank-gather over typed buffers instead of a per-position cache), and
+a lockstep join (merge alignment done per batch instead of per
+record).  Both modes produce identical
 answers; only the wall clock differs.
 
 Run as a script to (re)generate the committed perf baseline::
@@ -45,12 +47,34 @@ DENSITY = 0.95
 #: silently falling back).
 FLOORS = {
     "vector": {
-        "full": {"scan-select-project": 10.0, "window-agg": 3.0, "lockstep-join": 3.0},
-        "smoke": {"scan-select-project": 8.0, "window-agg": 6.0, "lockstep-join": 2.5},
+        "full": {
+            "scan-select-project": 10.0,
+            "window-agg": 3.0,
+            "previous-select": 2.5,
+            "lockstep-join": 3.0,
+        },
+        "smoke": {
+            "scan-select-project": 8.0,
+            "window-agg": 6.0,
+            "previous-select": 1.5,
+            "lockstep-join": 2.5,
+        },
     },
+    # Without numpy the value offset gathers per position over lists:
+    # about the row executor's speed, so its floor only catches a cliff.
     "python": {
-        "full": {"scan-select-project": 4.0, "window-agg": 1.2, "lockstep-join": 1.2},
-        "smoke": {"scan-select-project": 2.0, "window-agg": 1.1, "lockstep-join": 1.1},
+        "full": {
+            "scan-select-project": 4.0,
+            "window-agg": 1.2,
+            "previous-select": 0.5,
+            "lockstep-join": 1.2,
+        },
+        "smoke": {
+            "scan-select-project": 2.0,
+            "window-agg": 1.1,
+            "previous-select": 0.5,
+            "lockstep-join": 1.1,
+        },
     },
 }
 
@@ -63,7 +87,7 @@ def _backend_name() -> str:
 
 
 def _shapes(positions: int) -> dict[str, object]:
-    """The three benchmark queries over freshly generated walks."""
+    """The benchmark queries over freshly generated walks."""
     span = Span(0, positions - 1)
     stock = generate_stock(StockSpec("s", span, DENSITY, seed=5))
     other = generate_stock(StockSpec("t", span, DENSITY, seed=6))
@@ -75,6 +99,9 @@ def _shapes(positions: int) -> dict[str, object]:
             .query()
         ),
         "window-agg": base(stock, "s").window("avg", "close", 16, "ma16").query(),
+        "previous-select": (
+            base(stock, "s").select(col("volume") > lit(3000)).previous().query()
+        ),
         "lockstep-join": (
             base(stock, "s")
             .compose(
@@ -186,7 +213,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 @pytest.fixture(scope="module")
 def planned():
-    """Optimized plans for the three shapes at smoke size."""
+    """Optimized plans for every shape at smoke size."""
     plans = {}
     for name, query in _shapes(SMOKE_POSITIONS).items():
         result = optimize(query)
@@ -194,7 +221,7 @@ def planned():
     return plans
 
 
-@pytest.mark.parametrize("shape", ["scan-select-project", "window-agg", "lockstep-join"])
+@pytest.mark.parametrize("shape", list(FLOORS["vector"]["smoke"]))
 @pytest.mark.parametrize("mode", ["row", "batch"])
 def test_execution_mode(benchmark, planned, shape, mode):
     plan, window = planned[shape]

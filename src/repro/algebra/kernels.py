@@ -43,7 +43,7 @@ from repro.model.bitmask import Bitmask
 from repro.model.schema import RecordSchema
 from repro.model.types import AtomType
 
-__all__ = ["VectorFilter", "lower_vector_filter"]
+__all__ = ["VectorFilter", "cumulative_scan", "lower_vector_filter"]
 
 #: Runtime magnitude guard on INT columns feeding arithmetic.  2**31
 #: keeps one int64 product of two columns below 2**62 (no wraparound)
@@ -283,3 +283,83 @@ def lower_vector_filter(expr: Expr, schema: RecordSchema) -> Optional[VectorFilt
 
     return kernel
 
+
+
+# -- operator kernels ----------------------------------------------------------
+
+#: ``np.minimum``/``np.maximum`` by aggregate name.
+_EXTREMA = {"min": "minimum", "max": "maximum"}
+
+
+def cumulative_scan(
+    np: Any,
+    func: str,
+    column: Column,
+    flags: Any,
+    count: int,
+    state: Any,
+    as_float: bool,
+) -> Optional[tuple[Any, Any, Any]]:
+    """One tile of a running aggregate as a prefix scan, exact or refused.
+
+    ``flags`` marks the tile's valid cells of ``column``; ``count`` and
+    ``state`` are the values absorbed before the tile and their running
+    sum (``sum``/``avg``) or extremum (``min``/``max``).  Returns
+    ``(out, counts, state)`` — the aggregate and the running count at
+    every cell, holes forward-filled, and the state after the tile — or
+    ``None`` when the scan could differ from the row oracle's Python
+    arithmetic in a single bit:
+
+    * ``count`` is a ``cumsum`` of validity and always runs;
+    * an int ``sum``/``avg`` is an int64 ``cumsum`` under the magnitude
+      bound the window kernel uses (running ``|sum| < 2**61``, ``2**52``
+      for ``avg`` so the division's operands convert exactly);
+    * a float ``sum``/``avg`` is a sequential ``cumsum`` seeded with the
+      float state, the same additions in the same order as the oracle
+      (its int ``0`` start maps ``-0.0`` to ``0.0`` — so does the
+      seed), refused when the state is an int it would have to round;
+    * ``min``/``max`` is ``minimum``/``maximum.accumulate`` with the
+      identity at holes, refused for NaN (Python keeps the earlier
+      operand, numpy propagates) and ``-0.0`` (equal to ``0.0`` yet
+      distinguishable, and the two tie-break differently).
+    """
+    counts = count + np.cumsum(flags, dtype=np.int64)
+    if func == "count":
+        return counts, counts, None
+    if not isinstance(column, np.ndarray) or column.dtype.kind not in "if":
+        return None
+    is_int = column.dtype.kind == "i"
+    if count and (type(state) is int) != is_int:
+        return None
+    with np.errstate(all="ignore"):
+        if func in _EXTREMA:
+            if is_int:
+                info = np.iinfo(column.dtype)
+                identity = info.max if func == "min" else info.min
+                if count and not info.min <= state <= info.max:
+                    return None
+            else:
+                identity = math.inf if func == "min" else -math.inf
+                cells = np.append(column[flags], state if count else identity)
+                if np.isnan(cells).any() or (np.signbit(cells) & (cells == 0)).any():
+                    return None
+            seed = state if count else identity
+            cells = np.concatenate(([seed], np.where(flags, column, identity)))
+            out = getattr(np, _EXTREMA[func]).accumulate(cells)[1:]
+        else:
+            x = np.where(flags, column, 0)
+            seed = state if count else 0
+            if is_int:
+                magnitude = abs(seed) + float(np.sum(np.abs(x, dtype=np.float64)))
+                if magnitude >= (2.0**52 if func == "avg" else 2.0**61):
+                    return None
+                out = seed + np.cumsum(x)
+            else:
+                out = np.cumsum(np.concatenate(([float(seed)], x)))[1:]
+        if counts[-1]:
+            state = out[-1].item()
+        if func == "avg":
+            out = out / np.maximum(counts, 1)
+    if as_float and out.dtype.kind != "f":
+        out = out.astype(np.float64)
+    return out, counts, state

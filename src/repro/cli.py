@@ -56,10 +56,11 @@ from repro.analysis.partition import (
     derive_contract,
 )
 from repro.catalog import Catalog
-from repro.execution import ExecOptions, QueryGuard, run_query_detailed
+from repro.execution import DEFAULT_BATCH_SIZE, ExecOptions, QueryGuard, run_query_detailed
 from repro.io import read_csv
 from repro.lang import analyze, compile_query, render_diagnostics
 from repro.model import Span
+from repro.model.batch import column_to_list
 from repro.obs import (
     PROFILE_FORMAT_VERSION,
     TRACE_FORMATS,
@@ -424,13 +425,23 @@ def _run_main(args: argparse.Namespace, out) -> int:
 
     names = front.query.schema.names
     print(f"\n{'position':>10}  " + "  ".join(names), file=out)
-    for shown, (position, record) in enumerate(result.output.iter_nonnull()):
-        if args.limit and shown >= args.limit:
-            print(f"... ({len(result.output) - shown} more rows)", file=out)
+    # Read the answer's column runs, cut to --limit before any cell is
+    # boxed: printing ten rows builds no Record and converts ten cells
+    # per column.
+    total = len(result.output)
+    limit = min(args.limit or total, total)
+    shown = 0
+    for positions, columns in result.output.column_runs(None, DEFAULT_BATCH_SIZE):
+        take = min(len(positions), limit - shown)
+        cells = [column_to_list(column[:take]) for column in columns]
+        for position, *values in zip(positions[:take], *cells):
+            print(f"{position:>10}  " + "  ".join(map(str, values)), file=out)
+        shown += take
+        if shown >= limit:  # before the source is asked for another run
             break
-        values = "  ".join(str(value) for value in record.values)
-        print(f"{position:>10}  {values}", file=out)
-    print(f"\n{len(result.output)} records over {result.output.span}", file=out)
+    if shown < total:
+        print(f"... ({total - shown} more rows)", file=out)
+    print(f"\n{total} records over {result.output.span}", file=out)
     return 0
 
 

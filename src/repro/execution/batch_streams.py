@@ -14,21 +14,26 @@ Semantics are identical to row mode by construction: the same join
 strategies of Section 3.3 and caching strategies of Section 3.5 are
 expressed per batch.  A chain's unit operations become mask refinement
 (select), column-list selection (project) and a range shift; the
-scope-sized window cache of Cache-Strategy-A and the reach-``k``
-deques of Cache-Strategy-B slide over flattened column values instead
-of records.  The paper-accounting counters (``predicate_evals``,
+scope-sized window cache of Cache-Strategy-A slides over one fetched
+column, and the reach-``k`` cache of Cache-Strategy-B is the ``reach``
+compacted rows a rank-gather carries from tile to tile.  The
+paper-accounting counters (``predicate_evals``,
 ``operator_records``, ``cache_ops``) are still charged per logical
 record wherever the work is per record; counts that depend on how far
 child streams are read (e.g. join inputs outside the requested window)
 may differ from row mode — see DESIGN §8.
 
-With typed column buffers (:mod:`repro.model.batch`) three shapes run
+With typed column buffers (:mod:`repro.model.batch`) five shapes run
 as whole-column kernels instead of per-row Python loops: certified
 selects/join predicates evaluate as numpy expressions over the buffers
 (see :mod:`repro.algebra.kernels`), the lockstep join combines packed
-validity bitmasks instead of probing per row, and sum/avg/count window
+validity bitmasks instead of probing per row, sum/avg/count window
 aggregates run as prefix-sum/shifted-add passes over the aggregated
-column (min/max keep the monotone deque, walking a fetched buffer).
+column (min/max keep the monotone deque, walking a fetched buffer),
+value offsets are one gather by validity rank per tile
+(:class:`_RankPool` — a copy, so typed columns stay typed and nothing
+needs an exactness guard), and cumulative aggregates are one prefix
+scan per tile (:func:`repro.algebra.kernels.cumulative_scan`).
 Every kernel that cannot run — no numpy, unsafe effect spec, untyped
 dtype, or an exactness guard refusing the batch — degrades to the
 existing scalar path with identical answers, observably: the
@@ -49,8 +54,7 @@ span discipline as row mode applies: child streams are opened over the
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import deque
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence, cast
 
 from repro.errors import ExecutionError
@@ -59,6 +63,7 @@ from repro.model.batch import (
     ColumnBatch,
     NP_DTYPES,
     column_to_list,
+    concat_columns,
     typed_column,
     vector_backend,
 )
@@ -74,6 +79,7 @@ from repro.algebra.aggregate import (
     apply_aggregate,
 )
 from repro.algebra.expressions import compile_filter
+from repro.algebra.kernels import cumulative_scan
 from repro.algebra.leaves import ConstantLeaf, SequenceLeaf
 from repro.algebra.offsets import ValueOffset
 from repro.analysis.effects import node_effect_specs
@@ -107,8 +113,8 @@ def _finish(
     return batch
 
 
-def _tiles(window: Span, batch_size: int) -> Iterator[tuple[int, int]]:
-    """Split a bounded window into ``[lo, hi]`` ranges of ``batch_size``.
+def _bounds(window: Span) -> Optional[tuple[int, int]]:
+    """``(start, end)`` of a bounded window; ``None`` for an empty one.
 
     Raises:
         ExecutionError: if the window is unbounded (row mode raises the
@@ -116,13 +122,25 @@ def _tiles(window: Span, batch_size: int) -> Iterator[tuple[int, int]]:
             iterate the window's positions).
     """
     if window.is_empty:
-        return
+        return None
     if not window.is_bounded:
         raise ExecutionError(f"cannot batch-iterate unbounded window {window}")
     assert window.start is not None and window.end is not None
-    lo = window.start
-    while lo <= window.end:
-        hi = min(lo + batch_size - 1, window.end)
+    return window.start, window.end
+
+
+def _tiles(window: Span, batch_size: int) -> Iterator[tuple[int, int]]:
+    """Split a bounded window into ``[lo, hi]`` ranges of ``batch_size``.
+
+    Raises:
+        ExecutionError: if the window is unbounded.
+    """
+    bounds = _bounds(window)
+    if bounds is None:
+        return
+    lo, end = bounds
+    while lo <= end:
+        hi = min(lo + batch_size - 1, end)
         yield lo, hi
         lo = hi + 1
 
@@ -149,12 +167,6 @@ def _clip(batch: ColumnBatch, window: Span) -> Optional[ColumnBatch]:
     return batch.sliced(lo, hi)
 
 
-def _iter_values(stream: BatchStream) -> Iterator[tuple[int, tuple]]:
-    """Flatten a batch stream into ``(position, values_tuple)`` items."""
-    for batch in stream:
-        yield from batch.iter_values()
-
-
 def _iter_column(stream: BatchStream, index: int) -> Iterator[tuple[int, object]]:
     """Flatten one column of a batch stream into ``(position, value)`` items."""
     for batch in stream:
@@ -173,10 +185,11 @@ class _BatchCursor:
     non-overlapping, which lets the cursor walk the stream once.
 
     Assembly is backend-preserving: when every contributing segment of
-    a column is a numpy buffer, the aligned column is a numpy buffer
-    too (zero fill at uncovered positions), so downstream vector
-    kernels keep running even when the two sides' batches are not
-    range-aligned.  Validity is assembled by shifting the segments'
+    a typed column is a numpy buffer — vacuously so when the range has
+    no segment at all — the aligned column is a numpy buffer too (zero
+    fill at uncovered positions), so downstream vector kernels keep
+    running even when the two sides' batches are not range-aligned or
+    a tile of the child is empty.  Validity is assembled by shifting the segments'
     packed bitmasks into place — no per-position Python work.
     """
 
@@ -234,10 +247,8 @@ class _BatchCursor:
                 for dst, batch, src_lo, src_hi in segments
             ]
             dtype = None if np is None else NP_DTYPES.get(self._schema.attributes[index].atype)
-            if (
-                dtype is not None
-                and parts
-                and all(isinstance(part[1], np.ndarray) for part in parts)
+            if dtype is not None and all(
+                isinstance(part[1], np.ndarray) for part in parts
             ):
                 dest: Column = np.zeros(n, dtype=dtype)
                 for dst, column, src_lo, src_hi in parts:
@@ -758,117 +769,302 @@ def _charge_window_counters(
     counters.note_occupancy(int(counts.max()))
 
 
+def _input_tiles(
+    child_start: Optional[int], first: int, last: int, batch_size: int
+) -> Iterator[tuple[int, int, bool]]:
+    """Ranges ``(lo, hi, emits)`` an operator that absorbs its input in order reads.
+
+    The input positions before ``first`` come in ``batch_size`` chunks
+    that only feed the operator's state; ``[first, last]`` comes in the
+    tiles of :func:`_tiles`, each of which also yields an output batch.
+    State therefore stays O(batch) however far into its input a window
+    starts (Theorem 3.1: no whole-input buffer).
+
+    Raises:
+        ExecutionError: if the input is unbounded below (the operator's
+            ``value_at`` refuses it too).
+    """
+    if child_start is None:
+        raise ExecutionError("a running operator needs a bounded-below input span")
+    if child_start < first:
+        for lo, hi in _tiles(Span(child_start, first - 1), batch_size):
+            yield lo, hi, False
+    for lo, hi in _tiles(Span(first, last), batch_size):
+        yield lo, hi, True
+
+
+def _take_rows(np: Any, columns: Sequence[Column], rows: Any) -> list[Column]:
+    """Every column at ``rows`` — an index array, or an index list without numpy.
+
+    Numpy buffers gather by fancy index and stay typed; list columns
+    gather by comprehension through the same indices.
+    """
+    picked = None
+    taken: list[Column] = []
+    for column in columns:
+        if np is not None and isinstance(column, np.ndarray):
+            taken.append(column[rows])
+        else:
+            if picked is None:
+                picked = rows if np is None else rows.tolist()
+            taken.append([column[row] for row in picked])
+    return taken
+
+
+class _RankPool:
+    """The compacted valid rows of a child stream, for rank-gathers.
+
+    Cache-Strategy-B as a kernel: the output of a value offset at
+    position ``p`` is the child's valid row number ``rank(p) - k``
+    (offset ``-k``; ``rank`` counts the valid rows before ``p``) or
+    ``rank(p) + k - 1`` (offset ``+k``; ``rank`` counts those up to and
+    including ``p``).  The pool holds the rows the current tile can
+    reach — their positions and their columns, compacted — so the ranks
+    are one ``searchsorted`` and the output one gather through them.  A
+    gather copies cells and computes nothing, so it needs no exactness
+    guard: numpy columns stay typed, list columns (STR, ints past
+    int64) gather by comprehension through the same indices.  Without
+    numpy the same steps run per position over lists.
+    """
+
+    def __init__(self, np: Any, cursor: _BatchCursor):
+        self._np = np
+        self._cursor = cursor
+        self.positions: Any = [] if np is None else np.empty(0, dtype="int64")
+        self.columns: list[Column] = []
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def absorb(self, lo: int, hi: int) -> int:
+        """Append the child's valid rows at ``[lo, hi]``; returns how many."""
+        columns, valid = self._cursor.fetch(lo, hi)
+        count = valid.count()
+        if count == 0:
+            return 0
+        np = self._np
+        if np is None:
+            rows: Any = valid.indices()
+            positions: Any = [lo + row for row in rows]
+            pieces = _take_rows(None, columns, rows)
+        elif count == len(valid):
+            positions = np.arange(lo, hi + 1)
+            pieces = columns
+        else:
+            rows = np.flatnonzero(valid.to_numpy(np))
+            positions = rows + lo
+            pieces = _take_rows(np, columns, rows)
+        if len(self.positions) == 0:
+            self.positions, self.columns = positions, pieces
+        else:
+            self.positions = concat_columns((self.positions, positions))
+            self.columns = [
+                concat_columns(pair) for pair in zip(self.columns, pieces)
+            ]
+        return count
+
+    def drop(self, count: int) -> None:
+        """Forget the ``count`` earliest rows."""
+        if count > 0:
+            self.positions = self.positions[count:]
+            self.columns = [column[count:] for column in self.columns]
+
+    def rank(self, position: int) -> int:
+        """How many pooled rows lie at or before ``position``."""
+        if self._np is None:
+            return bisect_right(self.positions, position)
+        return int(self._np.searchsorted(self.positions, position, side="right"))
+
+    def gather(
+        self, lo: int, hi: int, offset: int
+    ) -> Optional[tuple[list[Column], Bitmask]]:
+        """The value offset ``offset`` at output positions ``[lo, hi]``.
+
+        ``None`` when no position has its row in the pool.  Cells at
+        invalid output positions repeat the pool's first row.
+        """
+        size = len(self.positions)
+        if size == 0:
+            return None
+        np = self._np
+        if np is None:
+            cut, shift = (bisect_left, offset) if offset < 0 else (bisect_right, offset - 1)
+            rows = [cut(self.positions, p) + shift for p in range(lo, hi + 1)]
+            flags = [0 <= row < size for row in rows]
+            if not any(flags):
+                return None
+            take: Any = [row if ok else 0 for row, ok in zip(rows, flags)]
+            valid = Bitmask.from_bools(flags)
+        else:
+            outputs = np.arange(lo, hi + 1)
+            if offset < 0:
+                rows = np.searchsorted(self.positions, outputs, side="left") + offset
+                ok = rows >= 0
+            else:
+                rows = np.searchsorted(self.positions, outputs, side="right") + (offset - 1)
+                ok = rows < size
+            if not ok.any():
+                return None
+            take = np.where(ok, rows, 0)
+            valid = Bitmask.from_numpy(np, ok)
+        return _take_rows(np, self.columns, take), valid
+
+
 def value_offset(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BatchStream:
-    """Previous/Next/±k value offset: Cache-Strategy-B per tile, or forced naive."""
+    """Previous/Next/±k value offset: Cache-Strategy-B as a rank-gather, or forced naive.
+
+    The child is read through one range-aligned cursor, a tile at a
+    time, into a :class:`_RankPool` that never holds more than the rows
+    of one tile plus ``reach``.  Looking back, tile ``[lo, hi]`` needs
+    the rows before ``hi`` and afterwards keeps the last ``reach`` of
+    them; looking forward it needs ``reach`` rows past ``hi`` and asks
+    for them in steps no longer than the rows still missing, so the
+    child is read no further than a one-row-at-a-time lookahead reads
+    it.  ``cache_ops`` and the occupancy peak are the row executor's,
+    in closed form: looking back every absorbed row is one cache
+    insertion and the cache holds ``min(seen, reach)``; looking forward
+    every row read past the window's first position is inserted once
+    and removed once the output position passes it.
+    """
     op = plan.node
     if not isinstance(op, ValueOffset):
         raise ExecutionError("value-offset plan without a ValueOffset node")
     if plan.strategy == "naive":
         yield from _naive_unary(ctx, plan, window)
         return
+    bounds = _bounds(window)
+    if bounds is None:
+        return
+    first, last = bounds
     counters = ctx.counters
     guard = ctx.guard
-    # Cache-Strategy-B per batch: the reach-sized deque slides over
-    # flattened value tuples instead of records.
     child_plan = plan.children[0]
     schema = plan.schema
-    ncols = len(schema)
     reach = op.reach
+    np = vector_backend()
+    if np is None:
+        ctx.kernel_fallback(op)
+    pool = _RankPool(
+        np, _BatchCursor(ctx.batches(child_plan, child_plan.span), child_plan.schema)
+    )
 
     if op.looks_back:
-        items = _iter_values(ctx.batches(child_plan, child_plan.span))
-        pending = next(items, None)
-        buffer: deque[tuple[int, tuple]] = deque()
-        for lo, hi in _tiles(window, ctx.batch_size):
+        seen = 0
+        # The rows a tile of outputs reaches lie strictly before it:
+        # read the child one position behind the output tiles.
+        for lo, hi, emits in _input_tiles(
+            child_plan.span.start, first - 1, last - 1, ctx.batch_size
+        ):
             if guard is not None:
                 guard.checkpoint()
-            n = hi - lo + 1
-            columns: list[list] = [[None] * n for _ in range(ncols)]
-            valid = [False] * n
-            for position in range(lo, hi + 1):
-                while pending is not None and pending[0] < position:
-                    buffer.append(pending)
-                    if len(buffer) > reach:
-                        buffer.popleft()
-                    counters.cache_ops += 1
-                    counters.note_occupancy(len(buffer))
-                    pending = next(items, None)
-                if len(buffer) == reach:
-                    index = position - lo
-                    valid[index] = True
-                    values = buffer[0][1]
-                    for c in range(ncols):
-                        columns[c][index] = values[c]
-            if any(valid):
-                yield _finish(counters, ColumnBatch(schema, lo, columns, valid), guard)
+            absorbed = pool.absorb(lo, hi)
+            if absorbed:
+                seen += absorbed
+                counters.cache_ops += absorbed
+                counters.note_occupancy(min(seen, reach))
+            gathered = pool.gather(lo + 1, hi + 1, -reach) if emits else None
+            pool.drop(len(pool) - reach)
+            if gathered is not None:
+                yield _finish(
+                    counters, ColumnBatch(schema, lo + 1, *gathered), guard
+                )
         return
 
-    # Looking forward (Next and +k offsets): a reach-sized lookahead.
-    items = _iter_values(ctx.batches(child_plan, child_plan.span))
-    buffer = deque()
-    exhausted = False
+    child_end = child_plan.span.end
+    if child_end is None:
+        raise ExecutionError(
+            "value offset into the future needs a bounded-above input span"
+        )
+    # Rows at or before the window's first position are never reached.
+    read_to = first
     for lo, hi in _tiles(window, ctx.batch_size):
         if guard is not None:
             guard.checkpoint()
-        n = hi - lo + 1
-        columns = [[None] * n for _ in range(ncols)]
-        valid = [False] * n
-        for position in range(lo, hi + 1):
-            while buffer and buffer[0][0] <= position:
-                buffer.popleft()
-                counters.cache_ops += 1
-            while not exhausted and len(buffer) < reach:
-                item = next(items, None)
-                if item is None:
-                    exhausted = True
-                    break
-                if item[0] > position:
-                    buffer.append(item)
-                    counters.cache_ops += 1
-                    counters.note_occupancy(len(buffer))
-            if len(buffer) >= reach:
-                index = position - lo
-                valid[index] = True
-                values = buffer[reach - 1][1]
-                for c in range(ncols):
-                    columns[c][index] = values[c]
-        if any(valid):
-            yield _finish(counters, ColumnBatch(schema, lo, columns, valid), guard)
+        absorbed = 0
+        if read_to < (tile_end := min(hi, child_end)):
+            absorbed = pool.absorb(read_to + 1, tile_end)
+            read_to = tile_end
+        passed = pool.rank(hi)
+        while read_to < child_end and (missing := reach - (len(pool) - passed)) > 0:
+            step = min(missing, child_end - read_to)
+            absorbed += pool.absorb(read_to + 1, read_to + step)
+            read_to += step
+        counters.cache_ops += absorbed + passed
+        if absorbed:
+            counters.note_occupancy(min(reach, len(pool)))
+        gathered = pool.gather(lo, hi, reach)
+        pool.drop(passed)
+        if gathered is not None:
+            yield _finish(counters, ColumnBatch(schema, lo, *gathered), guard)
 
 
 def cumulative(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BatchStream:
-    """Running aggregate over everything up to each position, per tile."""
+    """Running aggregate over everything up to each position: a prefix scan per tile.
+
+    Each tile of the aggregated column is fetched range-aligned and
+    scanned by :func:`repro.algebra.kernels.cumulative_scan`, which
+    carries the running state in and out; a tile the kernel refuses
+    (no numpy, an untyped column, an exactness guard) runs the
+    per-position loop from the same state, observably
+    (``kernels_fallback``, once per operator).
+    """
     op = plan.node
     if not isinstance(op, CumulativeAggregate):
         raise ExecutionError("cumulative-agg plan without a CumulativeAggregate node")
     if plan.strategy == "naive":
         yield from _naive_unary(ctx, plan, window)
         return
+    bounds = _bounds(window)
+    if bounds is None:
+        return
     counters = ctx.counters
     guard = ctx.guard
     child_plan = plan.children[0]
-    attr_index = child_plan.schema.index_of(op.attr)
-    items = _iter_column(ctx.batches(child_plan, child_plan.span), attr_index)
-    pending = next(items, None)
+    cursor = _BatchCursor(
+        ctx.batches(child_plan, child_plan.span),
+        child_plan.schema,
+        pick=(child_plan.schema.index_of(op.attr),),
+    )
     running = CumulativeAggregator(op.func)
     as_float = plan.schema.attributes[0].atype is AtomType.FLOAT
-    for lo, hi in _tiles(window, ctx.batch_size):
+    np = vector_backend()
+    declined = False
+    for lo, hi, emits in _input_tiles(child_plan.span.start, *bounds, ctx.batch_size):
         if guard is not None:
             guard.checkpoint()
-        n = hi - lo + 1
-        out: list = [None] * n
-        valid = [False] * n
-        for position in range(lo, hi + 1):
-            while pending is not None and pending[0] <= position:
-                running.add(pending[1])
-                counters.cache_ops += 1
-                pending = next(items, None)
-            if running.count > 0:
-                value = running.result()
-                index = position - lo
-                out[index] = float(value) if as_float else value
-                valid[index] = True
-        if any(valid):
+        (column,), mask = cursor.fetch(lo, hi)
+        counters.cache_ops += mask.count()
+        scanned = None
+        if np is not None:
+            scanned = cumulative_scan(
+                np, op.func, column, mask.to_numpy(np), running.count, running.state, as_float
+            )
+        if scanned is not None:
+            out, counts, state = scanned
+            running.advance(int(counts[-1]), state)
+            if not emits:
+                continue
+            valid = Bitmask.from_numpy(np, counts > 0)
+        else:
+            if not declined:
+                declined = True
+                ctx.kernel_fallback(op)
+            values = column_to_list(column)
+            if not emits:
+                for index in mask.indices():
+                    running.add(values[index])
+                continue
+            out = [None] * len(mask)
+            flags = mask.tolist()
+            for index, present in enumerate(flags):
+                if present:
+                    running.add(values[index])
+                if running.count > 0:
+                    value = running.result()
+                    out[index] = float(value) if as_float else value
+                    flags[index] = True
+            valid = Bitmask.from_bools(flags)
+        if valid.any():
             yield _finish(counters, ColumnBatch(plan.schema, lo, [out], valid), guard)
 
 

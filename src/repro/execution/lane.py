@@ -25,7 +25,7 @@ from repro.execution.counters import ExecutionCounters
 from repro.execution.guard import QueryGuard
 from repro.execution.options import ExecOptions
 from repro.model.base import BaseSequence, ColumnarAnswer
-from repro.model.batch import column_to_list, vector_backend
+from repro.model.batch import concat_columns, vector_backend
 from repro.model.span import Span
 from repro.obs.instrument import stored_leaf_counters
 from repro.obs.tracer import CATEGORY_ENGINE, Tracer, TraceSpan
@@ -141,22 +141,10 @@ def _run_batch(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> ColumnarAn
         start = batch.start
         positions.extend(start + i for i in selected)
         parts.append(compacted)
-    columns = [_concat_column(pieces, np) for pieces in zip(*parts)] if parts else [
+    columns = [concat_columns(pieces) for pieces in zip(*parts)] if parts else [
         [] for _ in schema.attributes
     ]
     return ColumnarAnswer(schema, window, positions, columns)
-
-
-def _concat_column(pieces: tuple, np) -> object:
-    """Concatenate per-batch column pieces into one answer buffer."""
-    if len(pieces) == 1:
-        return pieces[0]
-    if np is not None and all(isinstance(piece, np.ndarray) for piece in pieces):
-        return np.concatenate(pieces)
-    merged: list = []
-    for piece in pieces:
-        merged.extend(column_to_list(piece))
-    return merged
 
 
 def _run_row(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BaseSequence:

@@ -152,6 +152,21 @@ class CumulativeAggregator:
         """Number of values aggregated so far."""
         return self._count
 
+    @property
+    def state(self) -> object:
+        """The running sum (sum/avg) or extremum (min/max); None for count."""
+        if self._func in ("sum", "avg"):
+            return self._total
+        return self._best
+
+    def advance(self, count: int, state: object) -> None:
+        """Jump to the ``count`` and :attr:`state` a prefix-scan kernel reached."""
+        self._count = count
+        if self._func in ("sum", "avg"):
+            self._total = state  # type: ignore[assignment]
+        else:
+            self._best = state
+
     def result(self) -> object:
         """The running aggregate.
 

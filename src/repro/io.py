@@ -14,11 +14,16 @@ from typing import Optional, Union
 
 from repro.errors import ReproError, SchemaError
 from repro.model.base import BaseSequence
+from repro.model.batch import column_to_list
 from repro.model.record import Record
 from repro.model.schema import RecordSchema
 from repro.model.sequence import Sequence
 from repro.model.span import Span
 from repro.model.types import AtomType
+
+
+#: Positions per column run asked of a sequence that is read incrementally.
+_RUN_WIDTH = 1024
 
 
 def _parse_cell(text: str, atype: AtomType) -> object:
@@ -133,7 +138,9 @@ def write_csv(
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle, delimiter=delimiter)
         writer.writerow([position_column, *names])
-        for position, record in sequence.iter_nonnull():
-            writer.writerow([position, *record.values])
-            count += 1
+        # A column run at a time: cells go from the typed buffers to
+        # the writer as plain scalars, and no Record is built.
+        for positions, columns in sequence.column_runs(None, _RUN_WIDTH):
+            writer.writerows(zip(positions, *map(column_to_list, columns)))
+            count += len(positions)
     return count

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import os
 from array import array
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import SchemaError, SpanError
 from repro.model.bitmask import Bitmask, MaskLike
@@ -167,6 +167,19 @@ def column_to_list(column: Column) -> list[Any]:
         result: list[Any] = column.tolist()
         return result
     return list(column)
+
+
+def concat_columns(pieces: Sequence[Column]) -> Column:
+    """``pieces`` end to end as one buffer: numpy if every piece is, else a list."""
+    if len(pieces) == 1:
+        return pieces[0]
+    np = vector_backend()
+    if np is not None and all(isinstance(piece, np.ndarray) for piece in pieces):
+        return np.concatenate(pieces)
+    merged: list[Any] = []
+    for piece in pieces:
+        merged.extend(column_to_list(piece))
+    return merged
 
 
 class ColumnBatch:
@@ -314,13 +327,6 @@ class ColumnBatch:
                 start + index,
                 unchecked(schema, tuple(column[index] for column in columns)),
             )
-
-    def iter_values(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
-        """Yield ``(position, values_tuple)`` for valid positions, in order."""
-        start = self.start
-        columns = [self.column_values(i) for i in range(len(self.columns))]
-        for index in self.valid.indices():
-            yield start + index, tuple(column[index] for column in columns)
 
     # -- derivation --------------------------------------------------------
 

@@ -89,6 +89,26 @@ class TestCli:
         assert code == 0
         assert "more rows" in text
 
+    def test_limit_prints_the_first_rows_and_boxes_none(self, prices_csv, monkeypatch):
+        from repro.model import Record
+
+        path, sequence = prices_csv
+        _code, full = run_cli("--load", f"prices={path}", "--limit", "0", "prices")
+        monkeypatch.setattr(
+            Record, "unchecked", classmethod(lambda cls, *args: pytest.fail("boxed a record"))
+        )
+        code, text = run_cli("--load", f"prices={path}", "--limit", "3", "prices")
+        assert code == 0
+        header = next(i for i, line in enumerate(full.splitlines()) if "position" in line)
+        assert text.splitlines()[header : header + 4] == full.splitlines()[header : header + 4]
+        assert f"... ({len(sequence) - 3} more rows)" in text
+        assert text.splitlines()[-1] == full.splitlines()[-1]
+        rows = [
+            f"{position:>10}  " + "  ".join(str(value) for value in record.values)
+            for position, record in sequence.iter_nonnull()
+        ]
+        assert full.splitlines()[header + 1 : header + 1 + len(rows)] == rows
+
     def test_bad_load_spec(self, prices_csv):
         code, text = run_cli("--load", "nonsense", "prices")
         assert code == 1

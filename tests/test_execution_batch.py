@@ -12,21 +12,32 @@ probe-stream, naive unaries, stream-mode materialize).
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ExecutionError, OptimizerError
+from repro.errors import (
+    ExecutionError,
+    OptimizerError,
+    QueryCancelledError,
+    QueryTimeoutError,
+    ResourceBudgetExceededError,
+)
 
 from repro.algebra import base, col, constant, lit
 from repro.lang import compile_query
 from repro.model import AtomType, BaseSequence, ColumnBatch, Record, RecordSchema, Span
+from repro.model.batch import vector_backend
 from repro.catalog import Catalog
 from repro.execution import (
     DEFAULT_BATCH_SIZE,
+    CancellationToken,
     ExecutionCounters,
+    QueryGuard,
     build_batch_stream,
     build_stream,
     execute_plan,
@@ -45,6 +56,8 @@ from repro.workloads import (
 )
 
 BATCH_SIZES = (1, 7, DEFAULT_BATCH_SIZE)
+
+needs_vector = pytest.mark.skipif(vector_backend() is None, reason="requires the numpy backend")
 
 VALUE_SCHEMA = RecordSchema.of(value=AtomType.FLOAT)
 
@@ -410,3 +423,266 @@ class TestColumnBatch:
         plan = optimize(base(data, "s").query()).plan.plan
         with pytest.raises(ExecutionError, match="batch size must be >= 1"):
             build_batch_stream(plan, plan.span, ExecutionCounters(), 0)
+
+
+# -- value offsets as a rank-gather, cumulative as a prefix scan --------------
+
+MIXED_SCHEMA = RecordSchema.of(
+    f=AtomType.FLOAT, i=AtomType.INT, s=AtomType.STR, b=AtomType.BOOL
+)
+
+#: Ints a typed buffer must refuse (past int64) or a float kernel must
+#: not round (past 2**53), and floats whose sign or size trips a guard.
+ODD_INTS = (2**53 + 1, 2**63 + 5, -(2**62))
+ODD_FLOATS = (-0.0, 0.0, math.inf, -math.inf, 1e308)
+
+OFFSETS = (-9, -4, -3, -2, -1, 1, 2, 3, 4, 9)
+
+
+def mixed_sequence(seed, length, density, start=0, leaf="memory", odd=False):
+    """A seeded four-column sequence; ``odd`` mixes in the guard-tripping values."""
+    rng = random.Random(seed)
+    items = []
+    for position in range(start, start + length):
+        if rng.random() >= density:
+            continue
+        number = rng.choice(ODD_INTS) if odd and rng.random() < 0.2 else rng.randint(-50, 50)
+        real = rng.choice(ODD_FLOATS) if odd and rng.random() < 0.2 else rng.uniform(-5, 5)
+        items.append(
+            (position, Record(MIXED_SCHEMA, (real, number, rng.choice("abc"), rng.random() < 0.5)))
+        )
+    sequence = BaseSequence(MIXED_SCHEMA, items, span=Span(start, start + length - 1))
+    if leaf == "memory":
+        return sequence
+    return StoredSequence.from_sequence(
+        "s", sequence, organization=leaf, page_capacity=4, buffer_pages=2, index_fanout=4
+    )
+
+
+def typed_pairs(sequence):
+    """Pairs with each value's type and repr, so ``-0.0``/``1`` vs ``1.0`` show."""
+    return [
+        (position, tuple((type(value), repr(value)) for value in record.values))
+        for position, record in sequence.to_pairs()
+    ]
+
+
+def assert_batch_is_row_is_naive(make_query, span, whole_child=False):
+    """batch ≡ row ≡ ``run_naive``, and the cache accounting is row mode's."""
+    row = run_query_detailed(make_query(), span=span, mode="row")
+    naive = make_query().run_naive(row.output.span)
+    assert typed_pairs(row.output) == typed_pairs(naive)
+    for size in (1, 7, DEFAULT_BATCH_SIZE):
+        batch = run_query_detailed(make_query(), span=span, mode="batch", batch_size=size)
+        assert typed_pairs(batch.output) == typed_pairs(row.output), f"batch_size={size}"
+        assert batch.counters.cache_ops == row.counters.cache_ops
+        assert batch.counters.max_cache_occupancy == row.counters.max_cache_occupancy
+        if whole_child:
+            # Both executors read the whole child, so every record that
+            # flowed between operators is counted the same.
+            assert batch.counters.operator_records == row.counters.operator_records
+
+
+#: Windows relative to a child over [0, 59]: all of it, starting before
+#: it, ending past it, inside it, and disjoint from it on either side.
+WINDOWS = (None, Span(-8, 30), Span(40, 75), Span(17, 23), Span(-20, -5), Span(80, 90))
+
+
+class TestValueOffsetRankGather:
+    @pytest.mark.parametrize("offset", OFFSETS)
+    @pytest.mark.parametrize("density", (0.02, 0.3, 1.0))
+    def test_offsets_densities_windows(self, offset, density):
+        # reach 9 is larger than batch size 7: the carried rows span tiles.
+        for index, window in enumerate(WINDOWS):
+            sequence = mixed_sequence(offset * 31 + index, 60, density)
+            assert_batch_is_row_is_naive(
+                lambda: base(sequence, "s0").value_offset(offset).query(),
+                window,
+                whole_child=window is None,
+            )
+
+    @pytest.mark.parametrize("leaf", ("memory",) + ORGANIZATION_KINDS)
+    @pytest.mark.parametrize("offset", (-9, -1, 1, 4))
+    def test_every_leaf_kind(self, leaf, offset):
+        for window in (None, Span(13, 41)):
+            sequence = mixed_sequence(7, 60, 0.5, start=-7, leaf=leaf)
+            assert_batch_is_row_is_naive(
+                lambda: base(sequence, "s0").value_offset(offset).query(), window
+            )
+
+    @pytest.mark.parametrize("offset", (-3, -1, 2))
+    def test_list_columns_gather_through_the_same_indices(self, offset):
+        # STR, ints past 2**53 and past int64: a gather copies cells, so
+        # nothing is refused and nothing is rounded.
+        sequence = mixed_sequence(11, 80, 0.6, odd=True)
+        assert_batch_is_row_is_naive(
+            lambda: base(sequence, "s0").value_offset(offset).query(), None, whole_child=True
+        )
+
+    @needs_vector
+    def test_typed_columns_out(self):
+        np = vector_backend()
+        sequence = mixed_sequence(3, 40, 0.7)
+        plan = optimize(base(sequence, "s0").previous().query()).plan.plan
+        batches = list(
+            build_batch_stream(plan, plan.span.intersect(Span(0, 45)), ExecutionCounters())
+        )
+        assert batches
+        for batch in batches:
+            kinds = [
+                column.dtype.kind if isinstance(column, np.ndarray) else "list"
+                for column in batch.columns
+            ]
+            assert kinds == ["f", "i", "list", "b"]
+
+    @pytest.mark.parametrize(
+        "text", ("select(previous(s), f > 1.0)", "window(previous(s), avg, f, 4)")
+    )
+    def test_operators_above_stop_declining(self, text, monkeypatch):
+        from repro.model import batch as batch_module
+
+        sequence = mixed_sequence(5, 120, 0.7)
+        query = compile_query(text, {"s": sequence})
+        vector = run_query_detailed(query, mode="batch")
+        if vector_backend() is not None:
+            assert vector.counters.kernels_fallback == 0
+        expected = typed_pairs(query.run_naive(vector.output.span))
+        assert typed_pairs(vector.output) == expected
+        # REPRO_NO_VECTOR=1: the probe resolves to None; answers identical.
+        monkeypatch.setattr(batch_module, "_backend", None)
+        fresh = mixed_sequence(5, 120, 0.7)  # its column cache is built untyped
+        plain = run_query_detailed(compile_query(text, {"s": fresh}), mode="batch")
+        assert plain.counters.kernels_fallback > 0
+        assert typed_pairs(plain.output) == expected
+
+    def test_state_is_batch_plus_reach(self):
+        # Theorem 3.1: a window far into a long child absorbs the prefix
+        # in batch-size chunks and keeps `reach` rows of it.
+        from repro.execution import batch_streams
+
+        sequence = mixed_sequence(9, 2000, 0.9)
+        plan = optimize(base(sequence, "s0").value_offset(-3).query()).plan.plan
+        widest = 0
+        fetch = batch_streams._BatchCursor.fetch
+
+        def spy(self, lo, hi):
+            nonlocal widest
+            widest = max(widest, hi - lo + 1)
+            return fetch(self, lo, hi)
+
+        batch_streams._BatchCursor.fetch = spy
+        try:
+            answer = execute_plan(
+                plan, Span(1900, 1910), ExecutionCounters(), mode="batch", batch_size=16
+            )
+        finally:
+            batch_streams._BatchCursor.fetch = fetch
+        assert widest <= 16
+        assert answer.to_pairs() == execute_plan(
+            plan, Span(1900, 1910), ExecutionCounters(), mode="row"
+        ).to_pairs()
+
+    def test_empty_window_reads_nothing(self):
+        sequence = mixed_sequence(2, 30, 0.8, leaf="clustered")
+        result = run_query_detailed(
+            base(sequence, "s0").previous().query(), span=Span(-9, -3), mode="batch"
+        )
+        assert len(result.output) == 0
+        assert result.counters.scans_opened == 0
+        assert sequence.counters.page_reads == 0
+
+
+class TestCumulativeScan:
+    @pytest.mark.parametrize("func", ("sum", "avg", "count", "min", "max"))
+    @pytest.mark.parametrize("attr", ("f", "i"))
+    def test_functions_densities_windows(self, func, attr):
+        for density in (0.02, 0.3, 1.0):
+            for index, window in enumerate((None, Span(-8, 30), Span(17, 75), Span(80, 90))):
+                sequence = mixed_sequence(index + 17, 60, density)
+                assert_batch_is_row_is_naive(
+                    lambda: base(sequence, "s0").cumulative(func, attr, "c").query(),
+                    window,
+                    whole_child=window is None,
+                )
+
+    @pytest.mark.parametrize("func", ("sum", "avg", "count", "min", "max"))
+    @pytest.mark.parametrize("attr", ("f", "i"))
+    def test_signed_zero_infinities_and_big_ints(self, func, attr):
+        # -0.0 and inf in the float column, ints past 2**53 / int64 in the
+        # int column: exact through the kernel or through its refusal.
+        for seed in range(4):
+            sequence = mixed_sequence(seed, 70, 0.7, odd=True)
+            assert_batch_is_row_is_naive(
+                lambda: base(sequence, "s0").cumulative(func, attr, "c").query(),
+                None,
+                whole_child=True,
+            )
+
+    @pytest.mark.parametrize("leaf", ORGANIZATION_KINDS)
+    def test_stored_leaves(self, leaf):
+        sequence = mixed_sequence(23, 60, 0.5, start=5, leaf=leaf)
+        for func in ("sum", "min", "count"):
+            assert_batch_is_row_is_naive(
+                lambda: base(sequence, "s0").cumulative(func, "f", "c").query(), Span(20, 50)
+            )
+
+    @needs_vector
+    def test_clean_numeric_column_runs_the_kernel(self):
+        sequence = mixed_sequence(1, 200, 0.6)
+        for func in ("sum", "avg", "count", "min", "max"):
+            query = base(sequence, "s0").cumulative(func, "f", "c").query()
+            result = run_query_detailed(query, mode="batch", batch_size=16)
+            assert result.counters.kernels_fallback == 0
+
+    @needs_vector
+    def test_int_magnitude_refusal_is_observable_and_exact(self):
+        items = [(p, Record(MIXED_SCHEMA, (1.0, 2**60, "a", True))) for p in range(40)]
+        sequence = BaseSequence(MIXED_SCHEMA, items, span=Span(0, 39))
+        query = base(sequence, "s0").cumulative("sum", "i", "c").query()
+        result = run_query_detailed(query, mode="batch", batch_size=7)
+        # One charge for the operator, however many tiles it declines.
+        assert result.counters.kernels_fallback == 1
+        assert result.output.to_pairs()[-1][1].values == (40 * 2**60,)
+        assert typed_pairs(result.output) == typed_pairs(query.run_naive(result.output.span))
+
+
+class TestGuardInBatchKernels:
+    """The kernels checkpoint per tile: every typed verdict still arrives."""
+
+    @staticmethod
+    def _queries():
+        sequence = mixed_sequence(4, 400, 0.9)
+        return (
+            base(sequence, "s0").value_offset(-5).query(),
+            base(sequence, "s0").value_offset(5).query(),
+            base(sequence, "s0").cumulative("sum", "f", "c").query(),
+        )
+
+    def test_cache_budget_below_reach(self):
+        for query in self._queries()[:2]:
+            with pytest.raises(ResourceBudgetExceededError) as info:
+                run_query_detailed(
+                    query, mode="batch", batch_size=16, guard=QueryGuard(max_cache_entries=4)
+                )
+            assert info.value.budget == "cache_entries"
+        # reach 5 fits a budget of 5.
+        run_query_detailed(
+            self._queries()[0], mode="batch", batch_size=16,
+            guard=QueryGuard(max_cache_entries=5),
+        )
+
+    def test_deadline(self):
+        ticks = iter(range(10**6))
+        for query in self._queries():
+            guard = QueryGuard(timeout=3.0, clock=lambda: float(next(ticks)))
+            with pytest.raises(QueryTimeoutError):
+                run_query_detailed(query, mode="batch", batch_size=16, guard=guard)
+
+    def test_cancellation(self):
+        for query in self._queries():
+            token = CancellationToken()
+            token.cancel()
+            with pytest.raises(QueryCancelledError):
+                run_query_detailed(
+                    query, mode="batch", batch_size=16, guard=QueryGuard(cancellation=token)
+                )

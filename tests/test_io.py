@@ -105,3 +105,62 @@ class TestWriteCsv:
         write_csv(sequence, out, delimiter="\t")
         again = read_csv(out, delimiter="\t")
         assert again.to_pairs() == sequence.to_pairs()
+
+
+class TestWriteCsvReadsColumnRuns:
+    """The export reads typed column runs; the file is the record walk's, byte for byte."""
+
+    @staticmethod
+    def _record_walk(sequence, path):
+        import csv
+
+        with path.open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["position", *sequence.schema.names])
+            for position, record in sequence.iter_nonnull():
+                writer.writerow([position, *record.values])
+        return path.read_bytes()
+
+    @staticmethod
+    def _mixed():
+        from repro.model import BaseSequence, Record
+
+        schema = RecordSchema.of(
+            f=AtomType.FLOAT, i=AtomType.INT, s=AtomType.STR, b=AtomType.BOOL
+        )
+        rows = {
+            1: (1.5, 7, "a,b", True),
+            2: (-0.0, 2**63 + 1, 'q"uote', False),
+            5: (1e-7, -3, "", True),
+            9: (float("inf"), 2**53 + 1, "z", False),
+        }
+        items = [(p, Record(schema, values)) for p, values in rows.items()]
+        return BaseSequence(schema, items, span=Span(0, 12))
+
+    def test_in_memory_stored_and_columnar_answers(self, tmp_path):
+        from repro.algebra import base
+        from repro.execution import run_query
+        from repro.storage import ORGANIZATION_KINDS, StoredSequence
+
+        memory = self._mixed()
+        sources = [memory, run_query(base(memory, "m").previous().query(), mode="batch")]
+        sources += [
+            StoredSequence.from_sequence("m", memory, organization=kind, page_capacity=2)
+            for kind in ORGANIZATION_KINDS
+        ]
+        for index, sequence in enumerate(sources):
+            expected = self._record_walk(sequence, tmp_path / f"walk{index}.csv")
+            out = tmp_path / f"runs{index}.csv"
+            assert write_csv(sequence, out) == sequence.count_nonnull()
+            assert out.read_bytes() == expected
+
+    def test_builds_no_record(self, tmp_path, monkeypatch):
+        from repro.algebra import base
+        from repro.execution import run_query
+        from repro.model import Record
+
+        answer = run_query(base(self._mixed(), "m").next().query(), mode="batch")
+        monkeypatch.setattr(
+            Record, "unchecked", classmethod(lambda cls, *args: pytest.fail("boxed a record"))
+        )
+        assert write_csv(answer, tmp_path / "out.csv") == answer.count_nonnull() == 9

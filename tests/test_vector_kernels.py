@@ -5,7 +5,8 @@ This suite pins the contract that makes that safe to ship:
 
 * **Three-way equivalence** (hypothesis): for random data and every
   kernel shape — select, computed comparisons, window aggregates,
-  lockstep join — the row-mode oracle, the vector-backed batch path
+  lockstep join, value offsets, cumulative aggregates — the row-mode
+  oracle, the vector-backed batch path
   (numpy buffers + kernels), and the pure-Python batch path (the
   ``_backend = None`` forced fallback: list/array buffers, fused
   closures) produce *identical* answers, across dtypes (INT, FLOAT,
@@ -32,9 +33,11 @@ from hypothesis import HealthCheck, given, settings
 import repro.model.batch as batch_module
 from repro.algebra import base, col, lit
 from repro.algebra.expressions import And, Not, Or, compile_filter
+from repro.algebra.kernels import cumulative_scan
 from repro.analysis.effects import analyze_expr
 from repro.execution import ExecutionCounters, run_query, run_query_detailed
 from repro.execution.context import ExecContext
+from repro.execution.sliding import CumulativeAggregator
 from repro.model import AtomType, BaseSequence, Record, RecordSchema, Span
 from repro.model.batch import typed_column, vector_backend
 from repro.model.bitmask import Bitmask
@@ -209,6 +212,142 @@ def test_cumulative_and_global_equivalence(data, batch_size):
 
     _three_way(make_cumulative, batch_size)
     _three_way(make_global, batch_size)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=dataset(),
+    batch_size=st.sampled_from(BATCH_SIZES),
+    offset=st.integers(min_value=-9, max_value=9).filter(lambda k: k != 0),
+)
+def test_value_offset_equivalence(data, batch_size, offset):
+    span, rows = data
+
+    def make_query():
+        return base(build_sequence(span, rows), "s0").value_offset(offset).query()
+
+    _three_way(make_query, batch_size)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=dataset(),
+    batch_size=st.sampled_from(BATCH_SIZES),
+    func=st.sampled_from(["sum", "avg", "min", "max", "count"]),
+    attr=st.sampled_from(["f", "i"]),
+)
+def test_cumulative_every_function_equivalence(data, batch_size, func, attr):
+    span, rows = data
+
+    def make_query():
+        return base(build_sequence(span, rows), "s0").cumulative(func, attr, "c").query()
+
+    _three_way(make_query, batch_size)
+
+
+# -- the cumulative prefix scan, tile by tile ---------------------------------
+
+_scan_floats = st.one_of(
+    st.floats(allow_nan=False, width=64),
+    st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), 1e308, -1e308]),
+)
+_scan_ints = st.one_of(
+    st.integers(min_value=-(2**20), max_value=2**20),
+    st.integers(min_value=2**59, max_value=2**62),
+)
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
+@settings(max_examples=150, deadline=None)
+@given(
+    func=st.sampled_from(["sum", "avg", "min", "max", "count"]),
+    cells=st.one_of(
+        st.lists(st.tuples(st.booleans(), _scan_floats), max_size=30),
+        st.lists(st.tuples(st.booleans(), _scan_ints), max_size=30),
+    ),
+    tile=st.integers(min_value=1, max_value=8),
+)
+def test_cumulative_scan_matches_the_row_aggregator(func, cells, tile):
+    """Exact or refused: a scanned tile equals the per-value loop, bit for bit,
+    and a refused tile leaves the carried state to the loop untouched."""
+    np = vector_backend()
+    is_float = not cells or isinstance(cells[0][1], float)
+    oracle = CumulativeAggregator(func)
+    carried = CumulativeAggregator(func)
+    for lo in range(0, len(cells), tile):
+        chunk = cells[lo : lo + tile]
+        flags = np.array([present for present, _ in chunk], dtype=bool)
+        column = np.array(
+            [value for _, value in chunk], dtype="float64" if is_float else "int64"
+        )
+        expected = []
+        for present, value in chunk:
+            if present:
+                oracle.add(value)
+            expected.append(oracle.result() if oracle.count else None)
+        scanned = cumulative_scan(
+            np, func, column, flags, carried.count, carried.state, False
+        )
+        if scanned is None:
+            for present, value in chunk:
+                if present:
+                    carried.add(value)
+            continue
+        out, counts, state = scanned
+        carried.advance(int(counts[-1]), state)
+        got = [
+            value if count else None for value, count in zip(out.tolist(), counts.tolist())
+        ]
+        assert [(type(v), repr(v)) for v in got] == [(type(v), repr(v)) for v in expected]
+    assert carried.count == oracle.count
+    assert repr(carried.state) == repr(oracle.state)
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
+class TestCumulativeScanRefusals:
+    def _scan(self, func, values, dtype, count=0, state=None):
+        np = vector_backend()
+        column = np.array(values, dtype=dtype)
+        return cumulative_scan(
+            np, func, column, np.ones(len(values), dtype=bool), count, state, False
+        )
+
+    def test_int_magnitude_bound(self):
+        assert self._scan("sum", [2**60, 2**60], "int64") is None
+        assert self._scan("sum", [2**59, 2**59], "int64") is not None
+        assert self._scan("avg", [2**51, 2**51], "int64") is None
+        # The bound is on the running sum: the carried state counts.
+        assert self._scan("sum", [1], "int64", count=3, state=2**61) is None
+
+    def test_nan_and_negative_zero_extrema(self):
+        assert self._scan("min", [1.0, float("nan")], "float64") is None
+        assert self._scan("max", [0.0, -0.0], "float64") is None
+        assert self._scan("min", [1.0], "float64", count=1, state=-0.0) is None
+        out, _counts, state = self._scan("min", [0.0, float("-inf"), 2.0], "float64")
+        assert out.tolist() == [0.0, float("-inf"), float("-inf")]
+        assert state == float("-inf")
+
+    def test_negative_zero_sum_follows_the_int_zero_start(self):
+        out, _counts, state = self._scan("sum", [-0.0, -0.0], "float64")
+        assert [repr(v) for v in out.tolist()] == ["0.0", "0.0"]
+        assert repr(state) == "0.0"
+
+    def test_untyped_or_mismatched_state(self):
+        np = vector_backend()
+        flags = np.ones(2, dtype=bool)
+        assert cumulative_scan(np, "sum", [1, 2], flags, 0, 0, False) is None
+        assert cumulative_scan(np, "count", ["a", "b"], flags, 0, None, False) is not None
+        # An int state (from a refused list tile) is not rounded into a float scan.
+        assert self._scan("sum", [1.0], "float64", count=1, state=2**60) is None
+
+    def test_holes_forward_fill(self):
+        np = vector_backend()
+        column = np.array([5, 0, 7, 0], dtype="int64")
+        flags = np.array([True, False, True, False])
+        out, counts, state = cumulative_scan(np, "sum", column, flags, 0, 0, False)
+        assert out.tolist() == [5, 5, 12, 12]
+        assert counts.tolist() == [1, 1, 2, 2]
+        assert state == 12
 
 
 # -- typed-buffer exactness ---------------------------------------------------
