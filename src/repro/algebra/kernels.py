@@ -43,7 +43,7 @@ from repro.model.bitmask import Bitmask
 from repro.model.schema import RecordSchema
 from repro.model.types import AtomType
 
-__all__ = ["VectorFilter", "cumulative_scan", "lower_vector_filter"]
+__all__ = ["VectorFilter", "cumulative_scan", "lower_vector_filter", "window_scan"]
 
 #: Runtime magnitude guard on INT columns feeding arithmetic.  2**31
 #: keeps one int64 product of two columns below 2**62 (no wraparound)
@@ -363,3 +363,72 @@ def cumulative_scan(
     if as_float and out.dtype.kind != "f":
         out = out.astype(np.float64)
     return out, counts, state
+
+
+def window_scan(
+    np: Any,
+    func: str,
+    column: Column,
+    flags: Any,
+    outputs: int,
+    width: int,
+    as_float: bool,
+) -> Optional[tuple[Any, Any]]:
+    """One tile of a sliding ``sum``/``avg``/``count``, exact or refused.
+
+    ``column`` and ``flags`` hold the carried input cells followed by
+    the tile's; the outputs are the last ``outputs`` cells, each
+    aggregating the ``width`` cells ending at it (fewer where the
+    buffer starts later — the caller's input starts at the window's
+    scope, so nothing older exists).  Returns ``(out, counts)`` — the
+    aggregate and the windowed valid count at every output cell — or
+    ``None`` when the values could differ from the row oracle's Python
+    arithmetic in a single bit:
+
+    * ``count`` is a difference of validity prefix counts and always
+      runs; the same counts are the validity (``counts > 0``), the
+      ``avg`` divisor and the cache occupancy the caller charges;
+    * an int ``sum``/``avg`` is a difference of int64 prefix sums under
+      the magnitude bound :func:`cumulative_scan` uses, refused past it;
+    * a float ``sum``/``avg`` is accumulated by shifted adds, oldest
+      window slot first — element for element the oracle's sequential
+      ``sum()`` over its cache (starting from ``0.0`` maps ``-0.0`` to
+      ``0.0`` as its int ``0`` start does, and the ``0`` added at a
+      hole is exact) — NOT by prefix differences, which round
+      differently; ``width > 4096`` would make that quadratic and is
+      refused.
+    """
+
+    def windowed(cells: Any) -> Any:
+        # Differences of prefix sums led by ``width`` zeros, so a window
+        # that starts before the buffer reads an empty prefix.
+        prefix = np.concatenate(
+            (np.zeros(width + 1, dtype=np.int64), np.cumsum(cells, dtype=np.int64))
+        )
+        return prefix[-outputs:] - prefix[-outputs - width : -width]
+
+    counts = windowed(flags)
+    if func == "count":
+        return counts, counts
+    if not isinstance(column, np.ndarray) or column.dtype.kind not in "if":
+        return None
+    x = np.where(flags, column, 0)
+    with np.errstate(all="ignore"):
+        if x.dtype.kind == "i":
+            magnitude = float(np.sum(np.abs(x, dtype=np.float64)))
+            if magnitude >= (2.0**52 if func == "avg" else 2.0**61):
+                return None
+            out = windowed(x)
+        else:
+            if width > 4096:
+                return None
+            x = np.concatenate((np.zeros(width, dtype=x.dtype), x))
+            oldest = len(x) - outputs - width + 1
+            out = np.zeros(outputs, dtype=x.dtype)
+            for slot in range(oldest, oldest + width):
+                out += x[slot : slot + outputs]
+        if func == "avg":
+            out = out / np.maximum(counts, 1)
+    if as_float and out.dtype.kind != "f":
+        out = out.astype(np.float64)
+    return out, counts

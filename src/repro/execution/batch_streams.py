@@ -13,11 +13,17 @@ over the column lists.
 Semantics are identical to row mode by construction: the same join
 strategies of Section 3.3 and caching strategies of Section 3.5 are
 expressed per batch.  A chain's unit operations become mask refinement
-(select), column-list selection (project) and a range shift; the
-scope-sized window cache of Cache-Strategy-A slides over one fetched
-column, and the reach-``k`` cache of Cache-Strategy-B is the ``reach``
-compacted rows a rank-gather carries from tile to tile.  The
-paper-accounting counters (``predicate_evals``,
+(select), column-list selection (project) and a range shift.  The
+three running operators share one frame — the child read through one
+range-aligned :class:`_BatchCursor`, a tile at a time
+(:func:`_input_tiles`), with only the operator's cache carried from
+tile to tile, so state is O(batch + cache) however long the input
+(Theorem 3.1): the scope-sized cache of Cache-Strategy-A is the
+aggregated column at the last ``width`` input positions, the
+reach-``k`` cache of Cache-Strategy-B the ``reach`` compacted rows a
+rank-gather keeps, and a cumulative aggregate carries its running
+value.  A global aggregate folds its input batch by batch and carries
+one value.  The paper-accounting counters (``predicate_evals``,
 ``operator_records``, ``cache_ops``) are still charged per logical
 record wherever the work is per record; counts that depend on how far
 child streams are read (e.g. join inputs outside the requested window)
@@ -28,9 +34,10 @@ as whole-column kernels instead of per-row Python loops: certified
 selects/join predicates evaluate as numpy expressions over the buffers
 (see :mod:`repro.algebra.kernels`), the lockstep join combines packed
 validity bitmasks instead of probing per row, sum/avg/count window
-aggregates run as prefix-sum/shifted-add passes over the aggregated
-column (min/max keep the monotone deque, walking a fetched buffer),
-value offsets are one gather by validity rank per tile
+aggregates are one prefix-difference/shifted-add scan per tile
+(:func:`repro.algebra.kernels.window_scan`; min/max run the one
+Cache-Strategy-A loop, :func:`repro.execution.sliding.slide`, from the
+same carry), value offsets are one gather by validity rank per tile
 (:class:`_RankPool` — a copy, so typed columns stay typed and nothing
 needs an exactness guard), and cumulative aggregates are one prefix
 scan per tile (:func:`repro.algebra.kernels.cumulative_scan`).
@@ -49,7 +56,8 @@ span.  Positions not covered by any batch are Null.  All-Null batches
 may be skipped entirely.  The guard is checked at every batch boundary
 (and per tile in the position-looping operators).  The same top-down
 span discipline as row mode applies: child streams are opened over the
-*children's plan spans*, and the window bounds emission at each node.
+*children's plan spans* (the window aggregate's over the scope of its
+window), and the window bounds emission at each node.
 """
 
 from __future__ import annotations
@@ -72,21 +80,16 @@ from repro.model.record import NULL
 from repro.model.schema import RecordSchema
 from repro.model.span import Span
 from repro.model.types import AtomType
-from repro.algebra.aggregate import (
-    CumulativeAggregate,
-    GlobalAggregate,
-    WindowAggregate,
-    apply_aggregate,
-)
+from repro.algebra.aggregate import CumulativeAggregate, GlobalAggregate, WindowAggregate
 from repro.algebra.expressions import compile_filter
-from repro.algebra.kernels import cumulative_scan
+from repro.algebra.kernels import cumulative_scan, window_scan
 from repro.algebra.leaves import ConstantLeaf, SequenceLeaf
 from repro.algebra.offsets import ValueOffset
 from repro.analysis.effects import node_effect_specs
 from repro.execution.counters import ExecutionCounters
 from repro.execution.guard import QueryGuard
 from repro.execution.probers import ProberSequence
-from repro.execution.sliding import CumulativeAggregator, make_sliding
+from repro.execution.sliding import CumulativeAggregator, make_sliding, slide
 from repro.optimizer.plans import PhysicalPlan
 
 if TYPE_CHECKING:
@@ -165,15 +168,6 @@ def _clip(batch: ColumnBatch, window: Span) -> Optional[ColumnBatch]:
     if lo == batch.start and hi == batch.end:
         return batch
     return batch.sliced(lo, hi)
-
-
-def _iter_column(stream: BatchStream, index: int) -> Iterator[tuple[int, object]]:
-    """Flatten one column of a batch stream into ``(position, value)`` items."""
-    for batch in stream:
-        column = batch.column_values(index)
-        start = batch.start
-        for i in batch.valid.indices():
-            yield start + i, column[i]
 
 
 class _BatchCursor:
@@ -523,250 +517,89 @@ def _naive_unary(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BatchStr
 
 
 def window_agg(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BatchStream:
-    """Sliding-window aggregate: vector kernel, Cache-Strategy-A, or forced naive."""
+    """Sliding-window aggregate: Cache-Strategy-A a tile at a time, or forced naive.
+
+    The child is opened over the Prop. 2.1 scope of ``window`` and read
+    through one range-aligned cursor; what is carried from tile to tile
+    is the scope-sized cache itself — the aggregated column and its
+    validity at the last ``width`` input positions.  A sum/avg/count
+    tile is one :func:`repro.algebra.kernels.window_scan` over carry
+    plus tile; min/max, and a tile the kernel refuses (no numpy, an
+    untyped column, an exactness guard — observably, once per
+    operator), run :func:`repro.execution.sliding.slide` from the same
+    carry.  ``cache_ops`` and the occupancy peak are the row
+    executor's: every fetched record is one insertion, every record
+    that leaves the carry one eviction, and the cache holds the
+    windowed valid count.
+    """
     op = plan.node
     if not isinstance(op, WindowAggregate):
         raise ExecutionError("window-agg plan without a WindowAggregate node")
     if plan.strategy == "naive":
         yield from _naive_unary(ctx, plan, window)
         return
+    bounds = _bounds(window)
+    if bounds is None:
+        return
     counters = ctx.counters
     guard = ctx.guard
     child_plan = plan.children[0]
-    attr_index = child_plan.schema.index_of(op.attr)
-    as_float = plan.schema.attributes[0].atype is AtomType.FLOAT
+    (scope,) = op.required_input_spans(window, [child_plan.span])
+    cursor = _BatchCursor(
+        ctx.batches(child_plan, scope),
+        child_plan.schema,
+        pick=(child_plan.schema.index_of(op.attr),),
+    )
     width = op.width
-    if window.is_empty:
-        return
-    child_start = child_plan.span.start
-    if window.is_bounded and child_start is not None:
-        # Batch-native path: fetch the aggregated column once, aligned
-        # over everything the window can see, then aggregate over the
-        # buffer — vectorized (prefix-sum/shifted-add) for
-        # sum/avg/count, monotone deque for min/max.
-        assert window.start is not None and window.end is not None
-        first, last = window.start, window.end
-        fetch_lo = min(child_start, first)
-        cursor = _BatchCursor(
-            ctx.batches(child_plan, child_plan.span),
-            child_plan.schema,
-            pick=(attr_index,),
-        )
-        fetched, mask = cursor.fetch(fetch_lo, last)
-        column = fetched[0]
-        np = vector_backend()
-        vectorized = None
-        if np is not None and op.func in ("sum", "avg", "count"):
-            vectorized = _vector_window(
-                np, op.func, column, mask, fetch_lo, first, last, width, as_float
-            )
-        if vectorized is not None:
-            out, out_valid = vectorized
-            _charge_window_counters(np, counters, mask, fetch_lo, first, last, width)
-            for lo, hi in _tiles(window, ctx.batch_size):
-                if guard is not None:
-                    guard.checkpoint()
-                a, b = lo - first, hi - first + 1
-                tile_valid = out_valid[a:b]
-                if tile_valid.any():
-                    yield _finish(
-                        counters,
-                        ColumnBatch(plan.schema, lo, [out[a:b]], tile_valid),
-                        guard,
-                    )
-            return
-        # The buffer is fetched either way: min/max run their monotone
-        # deque over it; sum/avg/count land here only when the vector
-        # kernel is unavailable (no numpy, untyped buffer, exactness
-        # guard) — an observable degradation.
-        if op.func in ("sum", "avg", "count"):
-            ctx.kernel_fallback(op)
-        values = column if isinstance(column, list) else column_to_list(column)
-        items = iter(
-            [(fetch_lo + i, values[i]) for i in mask.indices()]
-        )
-    else:
-        # Unbounded window or child span: the original streaming loop
-        # (an unbounded window still raises in _tiles, as in row mode).
-        ctx.kernel_fallback(op)
-        items = _iter_column(ctx.batches(child_plan, child_plan.span), attr_index)
-    # Cache-Strategy-A per batch: one pass over the input column with a
-    # scope-sized cache; only the aggregated attribute is flattened.
-    pending = next(items, None)
-    aggregator = make_sliding(op.func, counters)
-    for lo, hi in _tiles(window, ctx.batch_size):
+    as_float = plan.schema.attributes[0].atype is AtomType.FLOAT
+    scans = op.func in ("sum", "avg", "count")
+    np = vector_backend() if scans else None
+    declined = False
+    carry: Optional[Column] = None
+    held = Bitmask.none(0)
+    for lo, hi, emits in _input_tiles(scope.start, *bounds, ctx.batch_size):
         if guard is not None:
             guard.checkpoint()
-        n = hi - lo + 1
-        out_cells: list = [None] * n
-        valid = [False] * n
-        for position in range(lo, hi + 1):
-            aggregator.evict_below(position - width + 1)
-            while pending is not None and pending[0] <= position:
-                aggregator.add(pending[0], pending[1])
-                pending = next(items, None)
-            if aggregator.count > 0:
-                value = aggregator.result()
-                index = position - lo
-                out_cells[index] = float(value) if as_float else value
-                valid[index] = True
-        if any(valid):
-            yield _finish(counters, ColumnBatch(plan.schema, lo, [out_cells], valid), guard)
-
-
-def _vector_window(
-    np: Any,
-    func: str,
-    column: Column,
-    mask: Bitmask,
-    fetch_lo: int,
-    first: int,
-    last: int,
-    width: int,
-    as_float: bool,
-) -> Optional[tuple[Any, Bitmask]]:
-    """Whole-column sliding sum/avg/count over a fetched buffer.
-
-    Returns ``(values, validity)`` for output positions
-    ``first .. last``, or ``None`` when the buffer cannot be handled
-    exactly (untyped column, or int magnitudes that could overflow the
-    int64 prefix sums / round in float conversion).
-
-    Exactness: float windows are accumulated by left-associated
-    shifted adds in ascending position order — element for element the
-    same additions, in the same order, as the row oracle's sequential
-    ``sum()`` over its deque — NOT by prefix-sum differences, which
-    round differently.  Int windows use exact int64 prefix-sum
-    differences under a magnitude bound.  The first output position
-    aggregates everything the row aggregator has absorbed by then
-    (no eviction has happened yet), i.e. a plain prefix.
-    """
-    outputs = last - first + 1
-    offset = first - fetch_lo
-    flags = mask.to_numpy(np)
-    with np.errstate(all="ignore"):
-        return _vector_window_body(
-            np, func, column, flags, offset, outputs, width, as_float
-        )
-
-
-def _vector_window_body(
-    np: Any,
-    func: str,
-    column: Column,
-    flags: Any,
-    offset: int,
-    outputs: int,
-    width: int,
-    as_float: bool,
-) -> Optional[tuple[Any, Bitmask]]:
-    """The arithmetic of :func:`_vector_window` (errstate-suppressed).
-
-    Float windows may legitimately overflow to ``inf`` exactly like the
-    row oracle's Python additions do; the caller's ``errstate`` keeps
-    numpy from warning about it.
-    """
-    counts_prefix = np.cumsum(flags.astype(np.int64))
-    # Windowed valid counts per output position (post-add deque sizes).
-    high = counts_prefix[offset : offset + outputs]
-    low = np.zeros(outputs, dtype=np.int64)
-    j0 = max(0, width - offset)
-    if j0 < outputs:
-        low[j0:] = counts_prefix[offset + j0 - width : offset + outputs - width]
-    counts = high - low
-    # First output: the aggregator has absorbed *all* records <= first
-    # (eviction only starts at the next position).
-    counts[0] = counts_prefix[offset]
-    out_valid = Bitmask.from_numpy(np, counts > 0)
-    if func == "count":
-        out: Any = counts
-    else:
-        if not isinstance(column, np.ndarray):
-            return None
-        x = np.where(flags, column, 0)
-        if x.dtype.kind == "i":
-            # Bound the absolute prefix sum so int64 cumsums cannot
-            # wrap and (for avg) results convert to float64 exactly;
-            # under the bound, prefix-sum differences are exact.
-            magnitude = float(np.sum(np.abs(x, dtype=np.float64)))
-            limit = 2.0**52 if func == "avg" else 2.0**61
-            if magnitude >= limit:
-                return None
-            prefix = np.cumsum(x)
-            low_sums = np.zeros(outputs, dtype=x.dtype)
-            if j0 < outputs:
-                low_sums[j0:] = prefix[offset + j0 - width : offset + outputs - width]
-            sums = prefix[offset : offset + outputs] - low_sums
+        (column,), mask = cursor.fetch(lo, hi)
+        cells = column if carry is None else concat_columns((carry, column))
+        flags = Bitmask(held.bits | mask.bits << len(held), len(held) + len(mask))
+        leaving = max(0, len(flags) - width)
+        scanned = None
+        if emits and np is not None:
+            scanned = window_scan(
+                np, op.func, cells, flags.to_numpy(np), len(mask), width, as_float
+            )
+        if scanned is not None:
+            out, counts = scanned
+            valid = Bitmask.from_numpy(np, counts > 0)
+            counters.cache_ops += mask.count() + flags[:leaving].count()
+            counters.note_occupancy(int(counts.max()))
+        elif emits:
+            if scans and not declined:
+                declined = True
+                ctx.kernel_fallback(op)
+            values = column_to_list(cells)
+            aggregator = make_sliding(op.func)
+            for index in held.indices():
+                aggregator.add(lo - len(held) + index, values[index])
+            entered = iter(
+                [(lo + index, values[len(held) + index]) for index in mask.indices()]
+            )
+            out = [None] * len(mask)
+            present = [False] * len(mask)
+            for position, value in slide(
+                aggregator, width, entered, range(lo, hi + 1), counters
+            ):
+                out[position - lo] = float(value) if as_float else value  # type: ignore[arg-type]
+                present[position - lo] = True
+            valid = Bitmask.from_bools(present)
         else:
-            # Float sums must replicate the row oracle's sequential
-            # left-to-right additions bit for bit, so windows are
-            # accumulated by shifted adds (one pass per window slot) —
-            # prefix differences round differently.  Very wide windows
-            # would make that quadratic; the deque path takes over.
-            if width > 4096:
-                return None
-            padded = np.concatenate([np.zeros(width - 1, dtype=x.dtype), x])
-            sums = padded[offset : offset + outputs] + _zero_of(x.dtype)
-            for k in range(1, width):
-                sums += padded[offset + k : offset + k + outputs]
-            prefix = np.cumsum(x)
-        # First output: a plain prefix, like the counts above.
-        sums[0] = prefix[offset]
-        out = sums / counts if func == "avg" else sums
-    if as_float and out.dtype.kind != "f":
-        out = out.astype(np.float64)
-    return out, out_valid
-
-
-def _zero_of(dtype: Any) -> Any:
-    """The additive identity matching the row oracle's ``sum()`` start.
-
-    Python's ``sum`` starts from int 0, so the first addition maps
-    ``-0.0`` to ``+0.0``; adding ``0.0`` to the seed element replicates
-    that (and is exact for every other float).
-    """
-    return dtype.type(0)
-
-
-def _charge_window_counters(
-    np: Any,
-    counters: ExecutionCounters,
-    mask: Bitmask,
-    fetch_lo: int,
-    first: int,
-    last: int,
-    width: int,
-) -> None:
-    """Closed-form Cache-Strategy-A accounting for the vector kernel.
-
-    Replicates the row aggregator's charges exactly: one cache op per
-    add (every valid fetched record is absorbed by some position
-    <= ``last``), one per eviction (a record at position ``p`` is
-    evicted once some later output position exceeds ``p + width - 1``),
-    and the occupancy peak is the largest post-add deque size — the
-    max windowed valid count, with the first output seeing everything
-    absorbed so far.
-    """
-    adds = mask.count()
-    if adds == 0:
-        return
-    flags = mask.to_numpy(np)
-    counts_prefix = np.cumsum(flags.astype(np.int64))
-    offset = first - fetch_lo
-    outputs = last - first + 1
-    evictions = 0
-    evict_index = offset + outputs - 1 - width
-    if outputs >= 2 and evict_index >= 0:
-        evictions = int(counts_prefix[evict_index])
-    counters.cache_ops += adds + evictions
-    high = counts_prefix[offset : offset + outputs]
-    low = np.zeros(outputs, dtype=np.int64)
-    j0 = max(0, width - offset)
-    if j0 < outputs:
-        low[j0:] = counts_prefix[offset + j0 - width : offset + outputs - width]
-    counts = high - low
-    counts[0] = counts_prefix[offset]
-    counters.note_occupancy(int(counts.max()))
+            # Input ahead of the first output only fills the cache.
+            counters.cache_ops += mask.count()
+            counters.note_occupancy(flags.count())
+        carry, held = cells[leaving:], flags[leaving:]
+        if emits and valid.any():
+            yield _finish(counters, ColumnBatch(plan.schema, lo, [out], valid), guard)
 
 
 def _input_tiles(
@@ -1077,20 +910,21 @@ def global_agg(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BatchStrea
     guard = ctx.guard
     child_plan = plan.children[0]
     attr_index = child_plan.schema.index_of(op.attr)
-    values: list = []
-    for batch in ctx.batches(child_plan, child_plan.span):
-        column = batch.column_values(attr_index)
-        if batch.valid.all():
-            values.extend(column)
-        else:
-            for i in batch.valid.indices():
-                values.append(column[i])
-    if not values:
-        return
-    result = apply_aggregate(op.func, values)
-    if plan.schema.attributes[0].atype is AtomType.FLOAT:
-        result = float(result)
     out_atype = plan.schema.attributes[0].atype
+
+    def valid_cells() -> Iterator[list]:
+        for batch in ctx.batches(child_plan, child_plan.span):
+            column = batch.column_values(attr_index)
+            if batch.valid.all():
+                yield column
+            else:
+                yield [column[i] for i in batch.valid.indices()]
+
+    result = CumulativeAggregator.fold(
+        op.func, valid_cells(), out_atype is AtomType.FLOAT
+    )
+    if result is None:
+        return
     for lo, hi in _tiles(window, ctx.batch_size):
         if guard is not None:
             guard.checkpoint()

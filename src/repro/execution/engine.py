@@ -33,11 +33,12 @@ from repro.errors import (
 from repro.model.base import BaseSequence
 from repro.model.span import Span
 from repro.algebra.graph import Query
+from repro.analysis.base import root_plan
 from repro.analysis.partition import certify
 from repro.catalog.catalog import Catalog
 from repro.optimizer.costmodel import CostParams
 from repro.optimizer.optimizer import OptimizationResult, optimize
-from repro.optimizer.plans import PhysicalPlan
+from repro.optimizer.plans import OptimizedPlan, PhysicalPlan
 from repro.execution.counters import ExecutionCounters
 from repro.execution.guard import QueryGuard
 from repro.execution.lane import materialize, started
@@ -172,7 +173,7 @@ def _start(
 
 
 def execute_plan(
-    plan: PhysicalPlan,
+    plan: PhysicalPlan | OptimizedPlan,
     span: Optional[Span] = None,
     counters: Optional[ExecutionCounters] = None,
     *,
@@ -184,7 +185,8 @@ def execute_plan(
     """Run a stream-mode plan and materialize its output.
 
     Args:
-        plan: the root physical plan (stream mode).
+        plan: the root physical plan (stream mode), or the
+            :class:`~repro.optimizer.plans.OptimizedPlan` around it.
         span: output window; defaults to the plan's own span.
         counters: counters to charge (a fresh set if omitted).
         guard: per-query governor (deadline, cancellation, budgets);
@@ -214,7 +216,13 @@ def execute_plan(
             storage access — or for an unbounded window.
     """
     return _start(
-        plan, span, counters, ExecOptions.of(options, guard), guard, tracer, hists
+        root_plan(plan),
+        span,
+        counters,
+        ExecOptions.of(options, guard),
+        guard,
+        tracer,
+        hists,
     )
 
 

@@ -26,7 +26,10 @@ from repro.model.record import NULL, Record, RecordOrNull
 from repro.model.schema import RecordSchema
 from repro.model.sequence import Sequence
 from repro.model.span import Span
+from repro.model.types import AtomType
+from repro.algebra.aggregate import GlobalAggregate
 from repro.algebra.leaves import ConstantLeaf, SequenceLeaf
+from repro.execution.sliding import CumulativeAggregator
 from repro.optimizer.plans import PhysicalPlan
 
 if TYPE_CHECKING:
@@ -188,13 +191,19 @@ class GlobalAggProber(Prober):
 
     def _compute(self) -> None:
         node = self._plan.node
-        if node is None:
-            raise ExecutionError("global-agg plan missing its logical node")
+        if not isinstance(node, GlobalAggregate):
+            raise ExecutionError("global-agg plan without a GlobalAggregate node")
         child_plan = self._plan.children[0]
-        records = [
-            record for _pos, record in self._ctx.stream(child_plan, child_plan.span)
-        ]
-        self._value = node._aggregate(records)  # noqa: SLF001 - engine-internal
+        value = CumulativeAggregator.fold(
+            node.func,
+            (
+                (record.get(node.attr),)
+                for _pos, record in self._ctx.stream(child_plan, child_plan.span)
+            ),
+            self.schema.attributes[0].atype is AtomType.FLOAT,
+        )
+        if value is not None:
+            self._value = Record(self.schema, (value,))
         self._computed = True
 
     def get(self, position: int) -> RecordOrNull:

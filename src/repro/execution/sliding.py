@@ -1,18 +1,20 @@
-"""Sliding-window aggregate state (Cache-Strategy-A machinery).
+"""Sliding-window aggregate state and the Cache-Strategy-A loop.
 
 Each aggregator maintains the trailing window incrementally, so a
 moving aggregate reads each input record once (one cache insertion and
 one eviction per position): sum/avg/count keep the window's records in
 a FIFO and recompute the aggregate from them — O(window) arithmetic per
 position, what Cache-Strategy-A saves is input *accesses* — and min/max
-keep a monotonic deque, O(1) amortized.
+keep a monotonic deque, O(1) amortized.  :func:`slide` is the one
+evict / absorb / emit loop over such a cache; both executors' window
+aggregates run it, and it does the paper's accounting.
 """
 
 from __future__ import annotations
 
 import abc
 from collections import deque
-from typing import Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import ExecutionError
 from repro.execution.counters import ExecutionCounters
@@ -21,21 +23,13 @@ from repro.execution.counters import ExecutionCounters
 class SlidingAggregator(abc.ABC):
     """Incremental state of an aggregate over a sliding position window."""
 
-    def __init__(self, counters: Optional[ExecutionCounters] = None):
-        self._counters = counters
-
-    def _charge(self, occupancy: int) -> None:
-        if self._counters is not None:
-            self._counters.cache_ops += 1
-            self._counters.note_occupancy(occupancy)
-
     @abc.abstractmethod
     def add(self, position: int, value: object) -> None:
         """Enter a value observed at ``position`` (positions ascending)."""
 
     @abc.abstractmethod
-    def evict_below(self, position: int) -> None:
-        """Drop values at positions strictly below ``position``."""
+    def evict_below(self, position: int) -> int:
+        """Drop values at positions strictly below ``position``; how many left."""
 
     @property
     @abc.abstractmethod
@@ -60,8 +54,7 @@ class RunningSumAggregator(SlidingAggregator):
     the reference semantics under floating point.)
     """
 
-    def __init__(self, func: str, counters: Optional[ExecutionCounters] = None):
-        super().__init__(counters)
+    def __init__(self, func: str):
         if func not in ("sum", "avg", "count"):
             raise ExecutionError(f"RunningSumAggregator cannot compute {func!r}")
         self._func = func
@@ -69,12 +62,13 @@ class RunningSumAggregator(SlidingAggregator):
 
     def add(self, position: int, value: object) -> None:
         self._entries.append((position, value))
-        self._charge(len(self._entries))
 
-    def evict_below(self, position: int) -> None:
+    def evict_below(self, position: int) -> int:
+        evicted = 0
         while self._entries and self._entries[0][0] < position:
             self._entries.popleft()
-            self._charge(len(self._entries))
+            evicted += 1
+        return evicted
 
     @property
     def count(self) -> int:
@@ -94,8 +88,7 @@ class RunningSumAggregator(SlidingAggregator):
 class MonotonicAggregator(SlidingAggregator):
     """min / max via a monotonic deque (O(1) amortized per position)."""
 
-    def __init__(self, func: str, counters: Optional[ExecutionCounters] = None):
-        super().__init__(counters)
+    def __init__(self, func: str):
         if func not in ("min", "max"):
             raise ExecutionError(f"MonotonicAggregator cannot compute {func!r}")
         self._keep = (lambda new, old: new <= old) if func == "min" else (
@@ -109,14 +102,15 @@ class MonotonicAggregator(SlidingAggregator):
         while self._mono and self._keep(value, self._mono[-1][1]):
             self._mono.pop()
         self._mono.append((position, value))
-        self._charge(len(self._window))
 
-    def evict_below(self, position: int) -> None:
+    def evict_below(self, position: int) -> int:
+        evicted = 0
         while self._window and self._window[0][0] < position:
             self._window.popleft()
-            self._charge(len(self._window))
+            evicted += 1
         while self._mono and self._mono[0][0] < position:
             self._mono.popleft()
+        return evicted
 
     @property
     def count(self) -> int:
@@ -146,6 +140,42 @@ class CumulativeAggregator:
             self._best = value if self._best is None else min(self._best, value)
         elif self._func == "max":
             self._best = value if self._best is None else max(self._best, value)
+
+    def extend(self, values: Sequence[object]) -> None:
+        """Enter ``values`` in order — one :meth:`add` each, done at once.
+
+        ``sum(values, total)`` continues the same left-to-right additions
+        and the extrema keep the earlier operand on ties, so the state is
+        the one the per-value fold reaches, bit for bit.
+        """
+        if not values:
+            return
+        self._count += len(values)
+        if self._func in ("sum", "avg"):
+            self._total = sum(values, self._total)  # type: ignore[call-overload]
+        elif self._func in ("min", "max"):
+            pick = min if self._func == "min" else max
+            self._best = (
+                pick(values) if self._best is None else pick(self._best, *values)
+            )
+
+    @classmethod
+    def fold(
+        cls, func: str, chunks: Iterable[Sequence[object]], as_float: bool
+    ) -> Optional[object]:
+        """The aggregate of every value in ``chunks``; None when there is none.
+
+        The whole-input aggregate in O(chunk) state: what the row
+        executor, the prober and the batch executor compute for a
+        global aggregate, one record or one batch per chunk.
+        """
+        running = cls(func)
+        for values in chunks:
+            running.extend(values)
+        if running.count == 0:
+            return None
+        value = running.result()
+        return float(value) if as_float else value  # type: ignore[arg-type]
 
     @property
     def count(self) -> int:
@@ -184,8 +214,44 @@ class CumulativeAggregator:
         return self._best
 
 
-def make_sliding(func: str, counters: Optional[ExecutionCounters] = None) -> SlidingAggregator:
+def make_sliding(func: str) -> SlidingAggregator:
     """The right sliding aggregator for ``func``."""
     if func in ("sum", "avg", "count"):
-        return RunningSumAggregator(func, counters)
-    return MonotonicAggregator(func, counters)
+        return RunningSumAggregator(func)
+    return MonotonicAggregator(func)
+
+
+def slide(
+    aggregator: SlidingAggregator,
+    width: int,
+    items: Iterator[tuple[int, object]],
+    positions: Iterable[int],
+    counters: ExecutionCounters,
+    tick: Optional[Callable[[], None]] = None,
+) -> Iterator[tuple[int, object]]:
+    """Cache-Strategy-A: one pass over the input with a scope-sized cache.
+
+    For each of the ascending ``positions``: evict what left the
+    trailing ``width``-position window, absorb the ``(position, value)``
+    ``items`` that entered it, and emit ``(position, aggregate)`` when
+    the window holds a record.  ``items`` must hold nothing older than
+    the first position's window beyond what ``aggregator`` already
+    caches — the caller opens its input over the operator's scope — so
+    the cache never exceeds ``width`` records (Theorem 3.1).  Every
+    insertion and eviction is one cache op; the occupancy is observed
+    after each fill.  ``tick`` is called once per position.
+    """
+    pending = next(items, None)
+    for position in positions:
+        if tick is not None:
+            tick()
+        moved = aggregator.evict_below(position - width + 1)
+        while pending is not None and pending[0] <= position:
+            aggregator.add(pending[0], pending[1])
+            moved += 1
+            pending = next(items, None)
+        if moved:
+            counters.cache_ops += moved
+            counters.note_occupancy(aggregator.count)
+        if aggregator.count > 0:
+            yield position, aggregator.result()

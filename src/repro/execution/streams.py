@@ -13,11 +13,13 @@ execution context (``ctx.stream`` / ``ctx.prober``), which owns the
 operator table and the tracing adapter
 (:mod:`repro.execution.context`).  Child streams are opened over the
 *children's plan spans* — the optimizer's top-down span restriction
-(Step 2.b) is the only mechanism that narrows what lower operators
-read, exactly as in the paper's architecture.  The window bounds
-emission at each node, so executing a plan over a narrower window than
-it was optimized for stays correct (the extra records are dropped
-here).
+(Step 2.b) is what narrows what lower operators read, exactly as in
+the paper's architecture — and the window bounds emission at each
+node, so executing a plan over a narrower window than it was optimized
+for stays correct (the extra records are dropped here).  The window
+aggregate alone narrows its child itself, to the Prop. 2.1 scope of
+its window: its cache must never see a record older than the first
+position's window, whatever span the plan was made for.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.algebra.leaves import ConstantLeaf, SequenceLeaf
 from repro.algebra.offsets import ValueOffset
 from repro.execution.counters import ExecutionCounters
 from repro.execution.probers import ProberSequence
-from repro.execution.sliding import CumulativeAggregator, make_sliding
+from repro.execution.sliding import CumulativeAggregator, make_sliding, slide
 from repro.optimizer.plans import PhysicalPlan
 
 if TYPE_CHECKING:
@@ -208,25 +210,21 @@ def window_agg(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[S
         yield from _naive_unary(ctx, plan, window)
         return
 
-    # Cache-Strategy-A: one pass over the input with a scope-sized cache.
+    # Cache-Strategy-A over the Prop. 2.1 scope of the window: nothing
+    # older than the first position's window ever arrives.
     counters = ctx.counters
-    guard = ctx.guard
     child_plan = plan.children[0]
-    child_iter = ctx.stream(child_plan, child_plan.span)
-    pending = next(child_iter, None)
-    aggregator = make_sliding(op.func, counters)
-    for position in window.positions():
-        if guard is not None:
-            guard.tick()
-        # Evict before filling so the cache never holds more than the
-        # scope size (Theorem 3.1's scope-sized cache).
-        aggregator.evict_below(position - op.width + 1)
-        while pending is not None and pending[0] <= position:
-            aggregator.add(pending[0], pending[1].get(op.attr))
-            pending = next(child_iter, None)
-        if aggregator.count > 0:
-            counters.operator_records += 1
-            yield position, Record(plan.schema, (_cast(plan, aggregator.result()),))
+    (scope,) = op.required_input_spans(window, [child_plan.span])
+    values = (
+        (position, record.get(op.attr))
+        for position, record in ctx.stream(child_plan, scope)
+    )
+    tick = ctx.guard.tick if ctx.guard is not None else None
+    for position, value in slide(
+        make_sliding(op.func), op.width, values, window.positions(), counters, tick
+    ):
+        counters.operator_records += 1
+        yield position, Record(plan.schema, (_cast(plan, value),))
 
 
 def value_offset(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[StreamItem]:
@@ -318,17 +316,21 @@ def global_agg(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[S
     if not isinstance(op, GlobalAggregate):
         raise ExecutionError("global-agg plan without a GlobalAggregate node")
     child_plan = plan.children[0]
-    records = [record for _pos, record in ctx.stream(child_plan, child_plan.span)]
-    value = op._aggregate(records)  # noqa: SLF001 - engine-internal
-    if value is NULL:
+    value = CumulativeAggregator.fold(
+        op.func,
+        ((record.get(op.attr),) for _pos, record in ctx.stream(child_plan, child_plan.span)),
+        plan.schema.attributes[0].atype is AtomType.FLOAT,
+    )
+    if value is None:
         return
+    answer = Record(plan.schema, (value,))
     counters = ctx.counters
     guard = ctx.guard
     for position in window.positions():
         if guard is not None:
             guard.tick()
         counters.operator_records += 1
-        yield position, value
+        yield position, answer
 
 
 def materialize(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[StreamItem]:

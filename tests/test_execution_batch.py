@@ -146,6 +146,52 @@ def _apply_ops(seq, ops):
     return seq
 
 
+_FUNCS = ("sum", "avg", "min", "max", "count")
+
+#: Sub-span shapes: every window function over both numeric types at
+#: widths 1, 2, 5 and 12 (wider than batch size 7), the other running
+#: operators, and a select under / a select over / a shift over a window.
+_subspan_shapes = st.one_of(
+    st.tuples(
+        st.just("window"),
+        st.sampled_from(_FUNCS),
+        st.sampled_from(("f", "i")),
+        st.sampled_from((1, 2, 5, 12)),
+    ),
+    st.tuples(st.just("cumulative"), st.sampled_from(_FUNCS), st.sampled_from(("f", "i"))),
+    st.tuples(st.just("global"), st.sampled_from(_FUNCS), st.sampled_from(("f", "i"))),
+    st.tuples(st.just("voffset"), st.sampled_from((-9, -2, -1, 1, 2, 9))),
+    st.tuples(st.just("select-under"), st.sampled_from((2, 5, 12))),
+    st.tuples(st.just("select-over"), st.sampled_from((2, 5, 12))),
+    st.tuples(
+        st.just("shift-over"),
+        st.sampled_from((2, 5, 12)),
+        st.integers(min_value=-5, max_value=5),
+    ),
+)
+
+
+def _subspan_query(seq, shape):
+    """``(query, window width or None)`` for one of ``_subspan_shapes``."""
+    kind = shape[0]
+    if kind == "window":
+        return seq.window(shape[1], shape[2], shape[3], "w").query(), shape[3]
+    if kind == "cumulative":
+        return seq.cumulative(shape[1], shape[2], "c").query(), None
+    if kind == "global":
+        return seq.global_agg(shape[1], shape[2], "g").query(), None
+    if kind == "voffset":
+        return seq.value_offset(shape[1]).query(), None
+    width = shape[1]
+    if kind == "select-under":
+        seq = seq.select(col("i") > lit(0)).window("sum", "i", width, "w")
+    elif kind == "select-over":
+        seq = seq.window("avg", "f", width, "w").select(col("w") > lit(0.0))
+    else:
+        seq = seq.window("max", "f", width, "w").shift(shape[2])
+    return seq.query(), width
+
+
 class TestHypothesisEquivalence:
     """Property: batch ≡ row over generated plans and batch sizes."""
 
@@ -192,24 +238,47 @@ class TestHypothesisEquivalence:
         )
         assert_modes_agree(query)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
-        data=_datasets,
-        lo=st.integers(min_value=0, max_value=59),
-        width=st.integers(min_value=0, max_value=30),
-        size=st.sampled_from(BATCH_SIZES),
+        seed=st.integers(min_value=0, max_value=10**6),
+        density=st.sampled_from((0.3, 0.8, 1.0)),
+        shape=_subspan_shapes,
+        lo=st.integers(min_value=-10, max_value=75),
+        length=st.integers(min_value=0, max_value=40),
     )
-    def test_narrow_windows(self, data, lo, width, size):
-        """Executing over a sub-window agrees between the two modes."""
-        sequence = sequence_from(data, end=59)
-        query = base(sequence, "s").window("sum", "value", 4, "value").query()
+    def test_narrow_windows(self, seed, density, shape, lo, length):
+        """Executing over a sub-window — one starting before, inside or past
+        the child's span — agrees between the two modes *and* with the oracle
+        restricted to it, whether the plan was made for the window or not."""
+        sequence = mixed_sequence(seed, 60, density)
+        query, width = _subspan_query(base(sequence, "s"), shape)
         plan = optimize(query).plan.plan
-        window = Span(lo, min(59, lo + width))
-        row = execute_plan(plan, window, ExecutionCounters(), mode="row")
-        batch = execute_plan(
-            plan, window, ExecutionCounters(), mode="batch", batch_size=size
-        )
-        assert batch.to_pairs() == row.to_pairs()
+        window = Span(lo, lo + length)
+
+        def oracle(within):
+            inside = window.intersect(within)
+            return [] if inside.is_empty else typed_pairs(query.run_naive(inside))
+
+        row = None
+        for mode, size in (("row", DEFAULT_BATCH_SIZE), ("batch", 7), ("batch", 1024)):
+            counters = ExecutionCounters()
+            direct = typed_pairs(
+                execute_plan(plan, window, counters, mode=mode, batch_size=size)
+            )
+            planned = run_query_detailed(
+                query, span=window, restrict_spans=False, mode=mode, batch_size=size
+            )
+            cache = (counters.cache_ops, counters.max_cache_occupancy)
+            row = (direct, cache) if row is None else row
+            assert (direct, cache) == row, (mode, size)
+            assert direct == oracle(plan.span), (mode, size)
+            assert typed_pairs(planned.output) == oracle(
+                planned.optimization.plan.plan.span
+            ), (mode, size)
+            if width is not None:
+                # Theorem 3.1: the cache never exceeds the scope.
+                assert counters.max_cache_occupancy <= width
+                assert planned.counters.max_cache_occupancy <= width
 
 
 # -- shipped workload queries ------------------------------------------------
@@ -555,32 +624,50 @@ class TestValueOffsetRankGather:
         assert plain.counters.kernels_fallback > 0
         assert typed_pairs(plain.output) == expected
 
-    def test_state_is_batch_plus_reach(self):
-        # Theorem 3.1: a window far into a long child absorbs the prefix
-        # in batch-size chunks and keeps `reach` rows of it.
+    @pytest.mark.parametrize(
+        "shape",
+        (
+            lambda s: s.value_offset(-3),
+            lambda s: s.window("avg", "f", 40, "w"),
+            lambda s: s.cumulative("sum", "i", "c"),
+        ),
+        ids=("value-offset", "window-agg", "cumulative"),
+    )
+    def test_state_is_batch_plus_reach(self, shape, monkeypatch):
+        # Theorem 3.1: a window far into a long child absorbs what it
+        # needs of the prefix in batch-size chunks and keeps `reach` rows
+        # (the scope, for a window aggregate) of it.
         from repro.execution import batch_streams
+        from repro.execution.context import ExecContext
 
         sequence = mixed_sequence(9, 2000, 0.9)
-        plan = optimize(base(sequence, "s0").value_offset(-3).query()).plan.plan
+        query = shape(base(sequence, "s0")).query()
+        plan = optimize(query).plan.plan
         widest = 0
+        opened = []
         fetch = batch_streams._BatchCursor.fetch
+        batches = ExecContext.batches
 
-        def spy(self, lo, hi):
+        def fetch_spy(self, lo, hi):
             nonlocal widest
             widest = max(widest, hi - lo + 1)
             return fetch(self, lo, hi)
 
-        batch_streams._BatchCursor.fetch = spy
-        try:
-            answer = execute_plan(
-                plan, Span(1900, 1910), ExecutionCounters(), mode="batch", batch_size=16
-            )
-        finally:
-            batch_streams._BatchCursor.fetch = fetch
-        assert widest <= 16
-        assert answer.to_pairs() == execute_plan(
-            plan, Span(1900, 1910), ExecutionCounters(), mode="row"
-        ).to_pairs()
+        def batches_spy(self, child, window):
+            opened.append((child.kind, window))
+            return batches(self, child, window)
+
+        monkeypatch.setattr(batch_streams._BatchCursor, "fetch", fetch_spy)
+        monkeypatch.setattr(ExecContext, "batches", batches_spy)
+        answer = execute_plan(
+            plan, Span(1900, 1910), ExecutionCounters(), mode="batch", batch_size=16
+        )
+        monkeypatch.undo()
+        assert 0 < widest <= 16
+        if plan.kind == "window-agg":
+            # The child is opened over the Prop. 2.1 scope, not its span.
+            assert opened[1:] == [("scan", Span(1900 - 40 + 1, 1910))]
+        assert typed_pairs(answer) == typed_pairs(query.run_naive(Span(1900, 1910)))
 
     def test_empty_window_reads_nothing(self):
         sequence = mixed_sequence(2, 30, 0.8, leaf="clustered")

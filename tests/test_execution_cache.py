@@ -5,10 +5,12 @@ import pytest
 from repro.errors import ExecutionError
 from repro.execution import (
     CumulativeAggregator,
+    ExecutionCounters,
     MonotonicAggregator,
     RunningSumAggregator,
     make_sliding,
 )
+from repro.execution.sliding import slide
 
 
 class TestRunningSumAggregator:
@@ -108,6 +110,54 @@ class TestCumulativeAggregator:
     def test_empty_raises(self):
         with pytest.raises(ExecutionError):
             CumulativeAggregator("sum").result()
+
+    @pytest.mark.parametrize("func", ("sum", "avg", "count", "min", "max"))
+    def test_extend_is_one_add_each(self, func):
+        # nan and -0.0 make the fold order observable.
+        values = [0.1, -0.0, 0.2, float("nan"), 0.3, 1e16, -1e16, 0.0, 7.5]
+        for cut in range(len(values) + 1):
+            one_by_one = CumulativeAggregator(func)
+            for value in values:
+                one_by_one.add(value)
+            chunked = CumulativeAggregator(func)
+            chunked.extend(values[:cut])
+            chunked.extend(values[cut:])
+            assert chunked.count == one_by_one.count
+            assert repr(chunked.result()) == repr(one_by_one.result())
+
+    def test_fold(self):
+        assert CumulativeAggregator.fold("sum", [[1, 2], [], [3]], False) == 6
+        assert repr(CumulativeAggregator.fold("sum", [[1, 2], [3]], True)) == "6.0"
+        assert CumulativeAggregator.fold("max", iter([(1,), (5,), (2,)]), False) == 5
+        assert CumulativeAggregator.fold("count", [[], []], False) is None
+
+
+class TestSlide:
+    def test_evicts_absorbs_emits_and_charges(self):
+        counters = ExecutionCounters()
+        items = iter([(0, 1), (1, 2), (3, 4), (4, 8)])
+        ticks = []
+        out = list(
+            slide(
+                make_sliding("sum"), 2, items, range(0, 8), counters, lambda: ticks.append(1)
+            )
+        )
+        assert out == [(0, 1), (1, 3), (2, 2), (3, 4), (4, 12), (5, 8)]
+        assert len(ticks) == 8
+        # four insertions, four evictions; never more than the scope.
+        assert counters.cache_ops == 8
+        assert counters.max_cache_occupancy == 2
+
+    def test_resumes_from_a_seeded_cache(self):
+        # The batch scalar path: the carry is entered uncharged, then
+        # the tile's own records slide through and are charged.
+        counters = ExecutionCounters()
+        aggregator = make_sliding("max")
+        aggregator.add(3, 9)
+        aggregator.add(4, 1)
+        out = list(slide(aggregator, 2, iter([(6, 5)]), range(5, 8), counters))
+        assert out == [(5, 1), (6, 5), (7, 5)]
+        assert counters.cache_ops == 3  # two evictions, one insertion
 
 
 class TestFactory:

@@ -647,6 +647,10 @@ ENTRY_POINTS = {
     "execute_plan": lambda t, counters, **kw: execute_plan(
         t[3].plan, t[3].output_span, counters, **kw
     ),
+    # The optimizer's own wrapper is a plan too (as execute_parallel takes it).
+    "execute_plan(OptimizedPlan)": lambda t, counters, **kw: execute_plan(
+        t[3], t[3].output_span, counters, **kw
+    ),
     "run_query": lambda t, counters, **kw: run_query(t[2], catalog=t[1], **kw),
     "run_query_detailed": lambda t, counters, **kw: run_query_detailed(
         t[2], catalog=t[1], **kw
@@ -705,6 +709,13 @@ class TestBoundaryValidation:
             call(knob_target, counters, guard=guard, **options)
         assert stored.counters.page_reads == pages_before
         assert counters.as_dict() == ExecutionCounters().as_dict()
+
+    def test_every_entry_point_accepts_good_knobs(self, knob_target, reference_answers):
+        """The closure's other half: nothing is refused that should run."""
+        for entry, call in sorted(ENTRY_POINTS.items()):
+            output = call(knob_target, ExecutionCounters(), mode="row")
+            output = getattr(output, "output", output)
+            assert output.to_pairs() == reference_answers["window"], entry
 
     def test_run_query_rejects_before_any_work(self):
         stored = make_stored()

@@ -33,11 +33,11 @@ from hypothesis import HealthCheck, given, settings
 import repro.model.batch as batch_module
 from repro.algebra import base, col, lit
 from repro.algebra.expressions import And, Not, Or, compile_filter
-from repro.algebra.kernels import cumulative_scan
+from repro.algebra.kernels import cumulative_scan, window_scan
 from repro.analysis.effects import analyze_expr
 from repro.execution import ExecutionCounters, run_query, run_query_detailed
 from repro.execution.context import ExecContext
-from repro.execution.sliding import CumulativeAggregator
+from repro.execution.sliding import CumulativeAggregator, make_sliding, slide
 from repro.model import AtomType, BaseSequence, Record, RecordSchema, Span
 from repro.model.batch import typed_column, vector_backend
 from repro.model.bitmask import Bitmask
@@ -348,6 +348,90 @@ class TestCumulativeScanRefusals:
         assert out.tolist() == [5, 5, 12, 12]
         assert counts.tolist() == [1, 1, 2, 2]
         assert state == 12
+
+
+# -- the sliding-window scan, tile by tile -------------------------------------
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
+@settings(max_examples=150, deadline=None)
+@given(
+    func=st.sampled_from(["sum", "avg", "count"]),
+    cells=st.one_of(
+        st.lists(st.tuples(st.booleans(), _scan_floats), max_size=30),
+        st.lists(st.tuples(st.booleans(), _scan_ints), max_size=30),
+    ),
+    tile=st.integers(min_value=1, max_value=8),
+    width=st.integers(min_value=1, max_value=12),
+)
+def test_window_scan_matches_the_sliding_loop(func, cells, tile, width):
+    """Exact or refused: a scanned tile over carry + tile equals Cache-Strategy-A
+    run over the whole input, bit for bit, and its counts are the cache's size."""
+    np = vector_backend()
+    is_float = not cells or isinstance(cells[0][1], float)
+    dtype = "float64" if is_float else "int64"
+    counters = ExecutionCounters()
+    items = iter([(p, value) for p, (present, value) in enumerate(cells) if present])
+    expected = dict(slide(make_sliding(func), width, items, range(len(cells)), counters))
+    column = np.array([value for _, value in cells], dtype=dtype)
+    flags = np.array([present for present, _ in cells], dtype=bool)
+    peak = 0
+    for lo in range(0, len(cells), tile):
+        hi = min(lo + tile, len(cells))
+        carried = max(0, lo - width)  # the scope-sized carry: the last `width` cells
+        scanned = window_scan(
+            np, func, column[carried:hi], flags[carried:hi], hi - lo, width, False
+        )
+        if scanned is None:
+            continue
+        out, counts = scanned
+        peak = max(peak, int(counts.max()))
+        got = {
+            lo + index: value
+            for index, (value, count) in enumerate(zip(out.tolist(), counts.tolist()))
+            if count
+        }
+        want = {p: v for p, v in expected.items() if lo <= p < hi}
+        assert {p: (type(v), repr(v)) for p, v in got.items()} == {
+            p: (type(v), repr(v)) for p, v in want.items()
+        }
+    assert peak <= min(width, counters.max_cache_occupancy)
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="requires numpy")
+class TestWindowScanRefusals:
+    def _scan(self, func, values, dtype, width=2):
+        np = vector_backend()
+        column = np.array(values, dtype=dtype)
+        flags = np.ones(len(values), dtype=bool)
+        return window_scan(np, func, column, flags, len(values), width, False)
+
+    def test_int_magnitude_bound(self):
+        assert self._scan("sum", [2**60, 2**60], "int64") is None
+        assert self._scan("sum", [2**59, 2**59], "int64") is not None
+        assert self._scan("avg", [2**51, 2**51], "int64") is None
+
+    def test_wide_float_windows_and_untyped_columns(self):
+        assert self._scan("sum", [1.0, 2.0], "float64", width=4097) is None
+        assert self._scan("sum", [1, 2], "int64", width=4097) is not None
+        np = vector_backend()
+        flags = np.ones(2, dtype=bool)
+        assert window_scan(np, "sum", [1, 2], flags, 2, 2, False) is None
+        out, counts = window_scan(np, "count", ["a", "b"], flags, 2, 2, False)
+        assert out.tolist() == counts.tolist() == [1, 2]
+
+    def test_negative_zero_sum_follows_the_int_zero_start(self):
+        out, _counts = self._scan("sum", [-0.0, -0.0, 1.5], "float64")
+        assert [repr(v) for v in out.tolist()] == ["0.0", "0.0", "1.5"]
+
+    def test_the_carry_is_input_only(self):
+        # Four carried cells, two outputs: each aggregates the 3 cells ending at it.
+        np = vector_backend()
+        column = np.array([1, 2, 0, 4, 5, 6], dtype="int64")
+        flags = np.array([True, True, False, True, True, True])
+        out, counts = window_scan(np, "sum", column, flags, 2, 3, False)
+        assert out.tolist() == [9, 15]
+        assert counts.tolist() == [2, 3]
 
 
 # -- typed-buffer exactness ---------------------------------------------------
