@@ -12,9 +12,10 @@ partition-friendly shapes:
   pure-Python workers anyway), where a literal 4-thread wall clock
   measures scheduler noise, not the runtime.  The floor applies to the
   row-path rows: per-record interpreter work is what partitioning
-  parallelizes.  Batch-mode rows are reported for visibility — the
-  vectorized kernels are so fast that serial slicing dominates, which
-  is exactly why ``parallel="auto"`` is not the batch default.
+  parallelizes.  Batch-mode rows are reported for visibility — a
+  vectorized lane runs in 1–2 ms, so the serial merge and the
+  dispatch are a large share of so little work (prepare is a window
+  over the leaf's buffers and costs well under a millisecond).
 * **supervisor overhead at ``workers=1``** — wall-clock of
   :func:`~repro.execution.parallel.execute_parallel` on a 1-partition
   certificate over plain :func:`~repro.execution.engine.execute_plan`.

@@ -226,7 +226,7 @@ class _Supervisor:
         self.lane_options = dataclasses.replace(options, parallel="off", fallback=False)
         self.lanes = min(options.lanes, len(self.partitions))
         # Process lanes share no object with the supervisor: they get
-        # physically sliced leaves, no guard and no tracer.
+        # leaf slices pickled as their own windows, no guard, no tracer.
         self.in_process = options.pool == "process" and self.lanes > 1
         self.counters = counters
         self.guard = guard
@@ -310,9 +310,7 @@ class _Supervisor:
         that is what makes seeded fault traces identical across worker
         counts — and a transient fault that survived the buffer pool's
         own retries earns this partition a bounded rebuild before the
-        typed error escapes to the query.  A single-partition run keeps
-        the original leaf sequences: the slice would be a full copy of
-        the input for no isolation gain.
+        typed error escapes to the query.
 
         Raises:
             TransientStorageError: the retry budget was exhausted.
@@ -331,12 +329,7 @@ class _Supervisor:
                     phase="prepare",
                 )
             try:
-                subplan = partition_plan(
-                    self.root,
-                    partition,
-                    self.paths,
-                    copy_leaves=len(self.partitions) > 1,
-                )
+                subplan = partition_plan(self.root, partition, self.paths)
                 self.subplans[index] = subplan
                 return subplan
             except TransientStorageError as error:
@@ -735,8 +728,8 @@ def execute_partitioned(
     sequence on the calling thread.  It is deliberately hostile to
     unsound certificates — the certificate is re-verified before
     anything opens, every subplan node is narrowed to its certified
-    span and every stored leaf of a multi-partition run is physically
-    sliced (:func:`~repro.execution.partition.partition_plan`), so an
+    span and every leaf is sliced to its certified window
+    (:func:`~repro.execution.partition.partition_plan`), so an
     understated halo shows up as a wrong boundary answer instead of
     silently reading the neighbour partition's data.
     """

@@ -13,12 +13,15 @@ certificates:
   exactly the certificate's recorded input span for that node (the
   stream builders open children over the children's plan spans, so the
   narrowing bounds what is actually read); and
-* every stored leaf sequence is **physically sliced** to the certified
-  leaf span — positions outside it are gone, not merely out of a
-  declared span.  Probe-mode access paths read the underlying sequence
-  directly, so without the slice an understated halo could silently
-  read its neighbour partition's data and mask the analysis bug the
-  harness exists to catch.
+* every leaf sequence is replaced by a **slice** holding the certified
+  leaf span and nothing else (:func:`slice_sequence`): a window over
+  an in-memory leaf's own buffers and records, or a stored leaf's
+  window drained once into columns.  No accessor of a slice — ``at``,
+  ``iter_nonnull``, ``count_nonnull``, ``nonnull_columns``,
+  ``column_runs`` — can reach a position outside it.  Probe-mode access
+  paths read the leaf sequence directly, so without the slice an
+  understated halo could silently read its neighbour partition's data
+  and mask the analysis bug the harness exists to catch.
 
 If the certificate's halos are exact, the merged answer equals the
 unpartitioned answer; if they are understated, boundary outputs see
@@ -32,57 +35,59 @@ certificate through the independent checker before opening anything.
 from __future__ import annotations
 
 import dataclasses
+from itertools import islice
+from operator import lt
 from typing import Optional
 
 from repro.algebra.leaves import SequenceLeaf
 from repro.analysis.base import plan_paths
 from repro.analysis.partition import PartitionCertificate, PartitionRange
 from repro.errors import ExecutionError
-from repro.model.base import BaseSequence
-from repro.model.record import Record
+from repro.model.base import BaseSequence, ColumnarAnswer
 from repro.model.span import Span
-from repro.model.sequence import Sequence
+from repro.model.sequence import ColumnRun, Sequence
 from repro.optimizer.plans import PhysicalPlan
 
 
 def slice_sequence(sequence: Sequence, span: Span) -> BaseSequence:
-    """A physical copy of ``sequence`` holding only positions in ``span``.
+    """``sequence`` as a partition may see it: only the positions in ``span``.
 
     The slice's span is the intersection — a position outside it maps
     to Null exactly as if the rest of the sequence never existed, which
-    is the contract a partition's shard of a stored sequence must have.
+    is the contract a partition's shard of a leaf must have.  An
+    in-memory leaf hands out a window over what it already holds
+    (:meth:`BaseSequence.restricted`: no record is copied, no column
+    re-transposed); any other leaf is read here, on the calling thread,
+    as the one column run covering the window — the page reads,
+    checksums, ``records_streamed`` and seeded faults of a stream scan
+    — and boxes lazily in whichever lane asks for records.
     """
-    window = sequence.span.intersect(span)
-    pairs: list[tuple[int, Record]] = list(sequence.iter_nonnull(window))
-    return BaseSequence.unchecked(sequence.schema, pairs, span=window)
+    if isinstance(sequence, BaseSequence):
+        return sequence.restricted(span)
+    window = sequence.effective_window(span)
+    # A run as wide as the window is never cut: the first is all of them.
+    empty: ColumnRun = ([], tuple([] for _ in sequence.schema.attributes))
+    positions, columns = next(sequence.column_runs(window, max(window.length(), 1)), empty)
+    return ColumnarAnswer(sequence.schema, window, list(positions), columns)
 
 
 def partition_plan(
     plan: PhysicalPlan,
     partition: PartitionRange,
     paths: Optional[dict[int, str]] = None,
-    *,
-    copy_leaves: bool = True,
 ) -> PhysicalPlan:
     """Clone ``plan`` narrowed to one certified partition's input spans.
 
     Every node's span becomes the certificate's recorded span for that
-    node; every base-sequence leaf is rebuilt over a physical slice of
-    its stored sequence (see the module docstring for why slicing, not
-    just span narrowing, is required).
+    node; every base-sequence leaf is rebuilt over a slice of its
+    sequence (see the module docstring for why slicing, not just span
+    narrowing, is required).
 
     Args:
         plan: the full physical plan the certificate covers.
         partition: the certified partition to narrow to.
         paths: precomputed :func:`plan_paths` of ``plan`` (recomputed
             when omitted).
-        copy_leaves: physically slice leaf sequences (the default, and
-            the only sound choice when partitions execute
-            concurrently).  ``False`` keeps the original leaf
-            sequences and only narrows spans — valid solely for a
-            single-partition plan executed in one thread, where the
-            slice would be a full copy of the input for no isolation
-            gain.
 
     Raises:
         ExecutionError: when the certificate records no span for some
@@ -100,7 +105,7 @@ def partition_plan(
             )
         children = tuple(clone(child) for child in node.children)
         operator = node.node
-        if not node.children and isinstance(operator, SequenceLeaf) and copy_leaves:
+        if not node.children and isinstance(operator, SequenceLeaf):
             leaf_span = partition.leaf_spans.get(path, narrowed)
             operator = SequenceLeaf(
                 slice_sequence(operator.sequence, leaf_span),
@@ -125,26 +130,23 @@ def merge_partitions(
 
     The certificate's merge proof guarantees the partition windows are
     ascending, disjoint and contiguous, so concatenation *is* the
-    position-ordered merge; this function still re-checks ascending
-    positions as a cheap runtime tripwire.
+    position-ordered merge — of column buffers when every lane answered
+    in columns, of record mappings otherwise; every adjacent pair of the
+    merged positions is still re-checked as a cheap runtime tripwire.
     """
     if len(outputs) != len(certificate.partitions):
         raise ExecutionError(
             f"expected {len(certificate.partitions)} partition outputs, "
             f"got {len(outputs)}"
         )
-    pairs: list[tuple[int, Record]] = []
-    last: Optional[int] = None
-    schema = outputs[0].schema if outputs else None
-    for output in outputs:
-        for position, record in output.iter_nonnull():
-            if last is not None and position <= last:
-                raise ExecutionError(
-                    f"partition outputs are not position-ordered: {position} "
-                    f"after {last}"
-                )
-            pairs.append((position, record))
-            last = position
-    if schema is None:
+    if not outputs:
         raise ExecutionError("cannot merge zero partition outputs")
-    return BaseSequence.unchecked(schema, pairs, span=certificate.root_span)
+    merged = BaseSequence.concatenated(outputs, certificate.root_span)
+    positions = merged.positions
+    if not all(map(lt, positions, islice(positions, 1, None))):
+        at = list(map(lt, positions, islice(positions, 1, None))).index(False)
+        raise ExecutionError(
+            f"partition outputs are not position-ordered: {positions[at + 1]} "
+            f"after {positions[at]}"
+        )
+    return merged

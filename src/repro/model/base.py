@@ -9,11 +9,11 @@ disk-resident variant lives in :mod:`repro.storage`.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping, Optional, Sequence as PySequence
 
 from repro.errors import SchemaError, SpanError
-from repro.model.batch import column_to_list, typed_column
+from repro.model.batch import column_to_list, concat_columns, typed_column
 from repro.model.record import NULL, Record, RecordOrNull
 from repro.model.schema import RecordSchema
 from repro.model.sequence import ColumnRun, Sequence
@@ -133,6 +133,29 @@ class BaseSequence(Sequence):
         sequence._records = dict(pairs)
         return sequence
 
+    @classmethod
+    def concatenated(cls, pieces: PySequence["BaseSequence"], span: Span) -> "BaseSequence":
+        """``pieces`` (one schema, at least one) end to end over ``span``.
+
+        As trusted as :meth:`unchecked`: the caller vouches that the
+        joined :attr:`positions` ascend strictly inside ``span``.
+        All-columnar pieces stay columnar (one buffer concatenation per
+        attribute); anything else joins the position→record mappings.
+        """
+        schema = pieces[0].schema
+        positions = list(chain.from_iterable(piece._positions for piece in pieces))
+        if all(isinstance(piece, ColumnarAnswer) for piece in pieces):
+            columns = zip(*(piece._columns for piece in pieces))
+            return ColumnarAnswer(schema, span, positions, map(concat_columns, columns))
+        sequence = object.__new__(cls)
+        sequence._schema = schema
+        sequence._span = span
+        sequence._positions = positions
+        sequence._records = {}
+        for piece in pieces:
+            sequence._records.update(piece._records)
+        return sequence
+
     # -- Sequence interface --------------------------------------------------
 
     @property
@@ -206,6 +229,11 @@ class BaseSequence(Sequence):
         """Number of non-Null positions."""
         return len(self._positions)
 
+    @property
+    def positions(self) -> PySequence[int]:
+        """The non-Null positions, ascending (shared: read, never mutate)."""
+        return self._positions
+
     def first_position(self) -> Optional[int]:
         """The smallest non-Null position, or None."""
         return self._positions[0] if self._positions else None
@@ -215,9 +243,8 @@ class BaseSequence(Sequence):
         return self._positions[-1] if self._positions else None
 
     def restricted(self, span: Span) -> "BaseSequence":
-        """A copy whose span (and contents) are clipped to ``span``."""
-        window = self._span.intersect(span)
-        return BaseSequence(self._schema, self.iter_nonnull(window), span=window)
+        """This sequence clipped to ``span``: a window, not a copy."""
+        return SequenceWindow(self, self._span.intersect(span))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BaseSequence):
@@ -294,3 +321,58 @@ class ColumnarAnswer(BaseSequence):
         if lo == 0 and hi == len(records):
             return zip(self._positions, records)
         return zip(self._positions[lo:hi], records[lo:hi])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ColumnarAnswer):
+            return super().__eq__(other)
+        # The record-wise verdict, without building a record on either side.
+        return (
+            self._schema == other._schema
+            and self._positions == other._positions
+            and all(
+                column_to_list(mine) == column_to_list(theirs)
+                for mine, theirs in zip(self._columns, other._columns)
+            )
+        )
+
+    __hash__ = BaseSequence.__hash__
+
+
+class SequenceWindow(BaseSequence):
+    """What an in-memory sequence holds inside one window, and nothing else.
+
+    What :meth:`BaseSequence.restricted` hands out, and so every leaf of
+    a certified partition.  The positions are the bisected slice of the
+    parent's; the two representations the inherited accessors read come
+    from the parent on first use — column buffers as slices of its
+    cached ones (numpy views), the position→record mapping over its own
+    :class:`Record` objects (``at`` and ``==`` only; a stream scan
+    needs neither) — so a batch lane never builds a mapping, a row lane
+    never a column, and no accessor reaches outside the window.
+    """
+
+    def __init__(self, parent: BaseSequence, window: Span):
+        lo, hi = parent._index_range(window)
+        self._schema = parent._schema
+        self._span = window
+        self._positions = parent._positions[lo:hi]
+        self._parent = parent
+
+    @cached_property
+    def _column_cache(self) -> tuple[object, ...]:
+        return self._parent.nonnull_columns(self._span)[1]
+
+    @cached_property
+    def _records(self) -> dict[int, Record]:
+        records = self._parent._records
+        return dict(zip(self._positions, map(records.__getitem__, self._positions)))
+
+    def iter_nonnull(self, within: Optional[Span] = None) -> Iterator[tuple[int, Record]]:
+        """A stream scan reads the parent's records as it goes: no mapping."""
+        lo, hi = self._index_range(within)
+        positions = self._positions[lo:hi]
+        return zip(positions, map(self._parent._records.__getitem__, positions))
+
+    def __reduce__(self) -> tuple:
+        """Pickle as the window's own columns, never as the parent."""
+        return ColumnarAnswer, (self._schema, self._span, *self.nonnull_columns())

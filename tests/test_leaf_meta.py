@@ -257,6 +257,47 @@ def test_columnar_answer_materializes_each_record_once():
     assert type(first[0].values[0]) is int
 
 
+def _columnar_of(schema, positions, *columns) -> ColumnarAnswer:
+    typed = [typed_column(list(c), a.atype) for c, a in zip(columns, schema.attributes)]
+    return ColumnarAnswer(schema, Span(0, 99), list(positions), typed)
+
+
+def test_columnar_answers_compare_as_columns_without_boxing(monkeypatch):
+    both = RecordSchema.of(v=AtomType.INT, w=AtomType.FLOAT)
+    renamed = RecordSchema.of(v=AtomType.INT, x=AtomType.FLOAT)
+    left = _columnar_of(both, [1, 4, 9], [10, 40, 90], [1.0, 4.0, 9.0])
+    cases = {
+        "equal": _columnar_of(both, [1, 4, 9], [10, 40, 90], [1.0, 4.0, 9.0]),
+        "unequal value": _columnar_of(both, [1, 4, 9], [10, 41, 90], [1.0, 4.0, 9.0]),
+        "unequal position": _columnar_of(both, [1, 5, 9], [10, 40, 90], [1.0, 4.0, 9.0]),
+        "shorter": _columnar_of(both, [1, 4], [10, 40], [1.0, 4.0]),
+        # FLOAT accepts ints: a list column of ints beside a float64 buffer.
+        "int in a float column": _columnar_of(both, [1, 4, 9], [10, 40, 90], [1, 4, 2**60]),
+        "int equal to the float": ColumnarAnswer(
+            both, Span(0, 99), [1, 4, 9], [[10, 40, 90], [1, 4, 9]]
+        ),
+        "other schema": _columnar_of(renamed, [1, 4, 9], [10, 40, 90], [1.0, 4.0, 9.0]),
+    }
+    built = []
+    unchecked = Record.unchecked.__func__
+
+    def counting_unchecked(cls, *args):
+        built.append(args)
+        return unchecked(cls, *args)
+
+    monkeypatch.setattr(Record, "unchecked", classmethod(counting_unchecked))
+    verdicts = {name: left == other for name, other in cases.items()}
+    assert built == []
+    assert {name for name, equal in verdicts.items() if equal} == {
+        "equal",
+        "int equal to the float",
+    }
+    for name, other in cases.items():  # the record-wise comparison agrees
+        record_wise = BaseSequence.unchecked(other.schema, other.to_pairs(), other.span)
+        assert (left == record_wise) == verdicts[name] == (record_wise == left), name
+        assert (left != other) != verdicts[name]
+
+
 def test_columnar_answer_without_attributes():
     empty_schema = RecordSchema.of()
     columnar = ColumnarAnswer(empty_schema, Span(0, 9), [1, 4], [])

@@ -28,12 +28,14 @@ Five halves:
 
 from __future__ import annotations
 
+import hashlib
 import threading
 
 import pytest
 
 import repro.execution.parallel as par
 from repro.algebra import base
+from repro.analysis.base import plan_paths
 from repro.analysis.partition import PartitionSoundnessError, certify
 from repro.catalog import Catalog
 from repro.errors import (
@@ -406,6 +408,41 @@ class TestChaosParallel:
         # Serial preparation makes the fault trace — not just the
         # outcome — identical no matter how many workers execute.
         assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+    #: organization -> (page_reads, records_streamed, faults, trace digest)
+    #: of preparing both partitions, recorded while a slice was still a
+    #: record-by-record copy of ``iter_nonnull``.
+    PREPARE_PINS = {
+        "clustered": (19, 306, 7, "a58ee0a0f3f59a3f"),
+        "indexed": (194, 306, 67, "6e79faddf33e5583"),
+        "log": (29, 306, 7, "a58ee0a0f3f59a3f"),
+    }
+
+    @pytest.mark.parametrize("organization", sorted(PREPARE_PINS))
+    def test_prepare_reads_what_the_record_scan_read(self, organization):
+        fault_plan = FaultPlan(3, transient_rate=0.15, latency_rate=0.1)
+        source = generate_stock(StockSpec("s", SPAN, 1.0, seed=5))
+        stored = StoredSequence.from_sequence(
+            "s",
+            source,
+            organization=organization,
+            fault_plan=fault_plan,
+            page_capacity=16,
+            buffer_pages=8,
+        )
+        plan = optimize(base(stored, "s").window("avg", "close", 7).query()).plan
+        certificate = certify(plan, 2)
+        paths = plan_paths(plan.plan)
+        for partition in certificate.partitions:
+            par.partition_plan(plan.plan, partition, paths)
+        digest = hashlib.sha256(repr(fault_plan.trace).encode()).hexdigest()[:16]
+        assert (
+            stored.counters.page_reads,
+            stored.counters.records_streamed,
+            len(fault_plan.trace),
+            digest,
+        ) == self.PREPARE_PINS[organization]
 
 
 class TestLadder:

@@ -11,7 +11,7 @@ Four halves:
   every tampering a hostile producer could attempt;
 * **the differential harness** — for every shipped workload query and
   partition counts {2, 3, 8}, executing each certified partition over
-  *physically sliced* inputs (sequentially, in both row and batch
+  *sliced* inputs (sequentially, in both row and batch
   mode) and merging in position order reproduces the unpartitioned
   row-oracle answer exactly; uncertifiable plans raise a typed error
   and are never silently partitioned;
