@@ -9,7 +9,8 @@ a lockstep join (merge alignment done per batch instead of per
 record).  Both modes produce identical
 answers; only the wall clock differs.
 
-Run as a script to (re)generate the committed perf baseline::
+Run as a script to (re)generate the committed perf baseline (rows of
+``benchmarks/baseline.py``'s one shape, at both sizes)::
 
     PYTHONPATH=src python benchmarks/bench_batch_speedup.py --out BENCH_exec.json
     PYTHONPATH=src python benchmarks/bench_batch_speedup.py --smoke   # CI-sized
@@ -20,33 +21,42 @@ or under pytest-benchmark like the other files here.
 from __future__ import annotations
 
 import argparse
-import json
+import sys
 import time
+from pathlib import Path
 from typing import Callable, Optional
 
 import pytest
 
-from repro.bench import print_table, speedup
-from repro.algebra import base, col, lit
-from repro.execution import ExecutionCounters, execute_plan
-from repro.model import Span
-from repro.optimizer import optimize
-from repro.workloads import StockSpec, generate_stock
+sys.path[:0] = [str(Path(__file__).resolve().parents[1])]  # `benchmarks.*` when run as a script
 
-#: Positions in the generated stock walks (full vs --smoke runs).
-FULL_POSITIONS = 40_000
-SMOKE_POSITIONS = 4_000
+from benchmarks import baseline  # noqa: E402
+
+from repro.bench import print_table, speedup  # noqa: E402
+from repro.algebra import base, col, lit  # noqa: E402
+from repro.execution import ExecutionCounters, execute_plan  # noqa: E402
+from repro.model import Span  # noqa: E402
+from repro.optimizer import optimize  # noqa: E402
+from repro.workloads import StockSpec, generate_stock  # noqa: E402
+
+#: Positions in the generated stock walks, by size.
+POSITIONS = {"full": 40_000, "smoke": 4_000}
 DENSITY = 0.95
+#: Speedups per row, each the ratio of two best-of-``REPETITIONS`` times.
+SAMPLES = 5
+REPETITIONS = 3
+#: Share by which a replayed speedup may fall below the committed one.
+REPLAY_BOUND = 0.5
 
 #: Minimum acceptable batch-over-row speedups — the committed-baseline
-#: gate.  Keyed by backend ("vector" when numpy is importable, "python"
-#: for the pure fallback path) then run size.  The vector full-size
+#: gate.  Keyed by backend ("numpy" when it is importable, "python"
+#: for the pure fallback path) then run size.  The numpy full-size
 #: floors are the headline numbers BENCH_exec.json tracks; the others
 #: are set well under current measurements so CI noise cannot trip
 #: them, while still catching a real regression (e.g. a kernel
 #: silently falling back).
 FLOORS = {
-    "vector": {
+    "numpy": {
         "full": {
             "scan-select-project": 10.0,
             "window-agg": 3.0,
@@ -78,12 +88,8 @@ FLOORS = {
     },
 }
 
-
-def _backend_name() -> str:
-    """Which execution backend this process runs under."""
-    from repro.model.batch import vector_backend
-
-    return "vector" if vector_backend() is not None else "python"
+#: The rows the perf gate expects of ``BENCH_exec.json``, per size.
+KEYS = [(shape, "batch_speedup") for shape in FLOORS["numpy"]["full"]]
 
 
 def _shapes(positions: int) -> dict[str, object]:
@@ -114,7 +120,7 @@ def _shapes(positions: int) -> dict[str, object]:
     }
 
 
-def _best_of(fn: Callable[[], object], repetitions: int) -> float:
+def _best_of(fn: Callable[[], object], repetitions: int = REPETITIONS) -> float:
     """Minimum wall-clock seconds over ``repetitions`` runs."""
     best = float("inf")
     for _ in range(repetitions):
@@ -124,10 +130,11 @@ def _best_of(fn: Callable[[], object], repetitions: int) -> float:
     return best
 
 
-def compare_modes(positions: int, repetitions: int = 3) -> dict:
-    """Time every shape in both modes; returns the BENCH_exec payload."""
+def compare_modes(size: str) -> list:
+    """Time every shape in both modes; returns the BENCH_exec rows."""
+    floors = FLOORS[baseline.backend_name()][size]
     rows = []
-    for name, query in _shapes(positions).items():
+    for name, query in _shapes(POSITIONS[size]).items():
         result = optimize(query)
         plan = result.plan.plan
         window = result.plan.output_span
@@ -138,29 +145,31 @@ def compare_modes(positions: int, repetitions: int = 3) -> dict:
         row_output = run("row")
         batch_output = run("batch")
         assert batch_output.to_pairs() == row_output.to_pairs(), name
-        row_seconds = _best_of(lambda: run("row"), repetitions)
-        batch_seconds = _best_of(lambda: run("batch"), repetitions)
+        timed = [
+            (_best_of(lambda: run("row")), _best_of(lambda: run("batch")))
+            for _ in range(SAMPLES)
+        ]
         rows.append(
-            {
-                "shape": name,
-                "records": len(batch_output),
-                "row_seconds": round(row_seconds, 6),
-                "batch_seconds": round(batch_seconds, 6),
-                "row_records_per_s": round(len(row_output) / row_seconds, 1),
-                "batch_records_per_s": round(len(batch_output) / batch_seconds, 1),
-                "speedup": round(speedup(row_seconds, batch_seconds), 2),
-            }
+            baseline.row(
+                name,
+                "batch_speedup",
+                size,
+                "higher",
+                [speedup(row_s, batch_s) for row_s, batch_s in timed],
+                REPLAY_BOUND,
+                unit="row s / batch s",
+                limit=floors[name],
+                records=len(batch_output),
+                row_seconds=round(min(row_s for row_s, _ in timed), 6),
+                batch_seconds=round(min(batch_s for _, batch_s in timed), 6),
+            )
         )
-    return {
-        "benchmark": "bench_batch_speedup",
-        "config": {
-            "positions": positions,
-            "density": DENSITY,
-            "repetitions": repetitions,
-            "backend": _backend_name(),
-        },
-        "shapes": rows,
-    }
+    return rows
+
+
+def replay() -> list:
+    """What ``scripts/check_perf.py`` re-measures."""
+    return compare_modes("smoke")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -169,43 +178,34 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help=f"CI-sized run ({SMOKE_POSITIONS} positions instead of "
-        f"{FULL_POSITIONS})",
+        help=f"CI-sized run only ({POSITIONS['smoke']} positions instead of "
+        f"{POSITIONS['full']})",
     )
     parser.add_argument(
         "--out",
         metavar="FILE",
-        help="write the measurements as JSON (e.g. BENCH_exec.json)",
+        help="write both sizes as JSON (e.g. BENCH_exec.json)",
     )
     args = parser.parse_args(argv)
-    positions = SMOKE_POSITIONS if args.smoke else FULL_POSITIONS
-    payload = compare_modes(positions)
+    sizes = ("smoke",) if args.smoke else baseline.SIZES
+    rows = [row for size in sizes for row in compare_modes(size)]
     print_table(
-        ["shape", "records", "row s", "batch s", "speedup"],
+        ["shape", "size", "records", "row s", "batch s", "speedup", "spread", "floor"],
         [
-            [s["shape"], s["records"], s["row_seconds"], s["batch_seconds"],
-             f'{s["speedup"]}x']
-            for s in payload["shapes"]
+            [r["workload"], r["size"], r["records"], r["row_seconds"], r["batch_seconds"],
+             f'{r["median"]}x', f'{r["spread"]:.1%}', f'{r["limit"]}x']
+            for r in rows
         ],
-        title=f"Batch vs row execution, {positions} positions "
-        f"(identical answers asserted)",
+        title=f"Batch vs row execution, {baseline.backend_name()} backend "
+        "(identical answers asserted)",
     )
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.out}")
-    # Gate every shape against the committed-baseline floor for the
-    # active backend; a vector kernel silently degrading to the scalar
-    # path shows up here as a hard failure, not a quiet slowdown.
-    floors = FLOORS[_backend_name()]["smoke" if args.smoke else "full"]
-    failed = False
-    for shape in payload["shapes"]:
-        floor = floors[shape["shape"]]
-        if shape["speedup"] < floor:
-            print(f"FAIL: {shape['shape']} speedup {shape['speedup']}x < {floor}x")
-            failed = True
-    return 1 if failed else 0
+    # Every shape is held to the floor for the active backend; a
+    # vector kernel silently degrading to the scalar path shows up here
+    # as a hard failure, not a quiet slowdown.
+    return baseline.finish(
+        args.out, "bench_batch_speedup", rows,
+        positions=POSITIONS, density=DENSITY, samples=SAMPLES,
+    )
 
 
 # -- pytest-benchmark entry points -------------------------------------------
@@ -215,13 +215,13 @@ def main(argv: Optional[list[str]] = None) -> int:
 def planned():
     """Optimized plans for every shape at smoke size."""
     plans = {}
-    for name, query in _shapes(SMOKE_POSITIONS).items():
+    for name, query in _shapes(POSITIONS["smoke"]).items():
         result = optimize(query)
         plans[name] = (result.plan.plan, result.plan.output_span)
     return plans
 
 
-@pytest.mark.parametrize("shape", list(FLOORS["vector"]["smoke"]))
+@pytest.mark.parametrize("shape", list(FLOORS["numpy"]["smoke"]))
 @pytest.mark.parametrize("mode", ["row", "batch"])
 def test_execution_mode(benchmark, planned, shape, mode):
     plan, window = planned[shape]
@@ -232,11 +232,7 @@ def test_execution_mode(benchmark, planned, shape, mode):
 
 
 def test_batch_speedup_report(benchmark):
-    payload = compare_modes(SMOKE_POSITIONS, repetitions=2)
-    by_shape = {s["shape"]: s for s in payload["shapes"]}
-    floors = FLOORS[_backend_name()]["smoke"]
-    for name, floor in floors.items():
-        assert by_shape[name]["speedup"] >= floor, name
+    assert not baseline.breaches(replay())
     benchmark(lambda: None)
 
 

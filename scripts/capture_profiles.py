@@ -22,12 +22,12 @@ import argparse
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from bench_profile_overhead import SMOKE_POSITIONS, _shapes  # noqa: E402
+from benchmarks.bench_batch_speedup import POSITIONS, _shapes  # noqa: E402
 
-from repro.execution import run_query_detailed
-from repro.obs import FlightRecorder, parse_profiles, profiles_to_jsonl
+from repro.execution import run_query_detailed  # noqa: E402
+from repro.obs import FlightRecorder, parse_profiles, profiles_to_jsonl  # noqa: E402
 
 #: Runs per shape/mode: enough for percentiles to mean something and
 #: for the every-4th operator sample to fire a few times.
@@ -37,7 +37,7 @@ REPEATS = 8
 def capture(repeats: int = REPEATS) -> FlightRecorder:
     """Run every bench shape in both modes under one recorder."""
     recorder = FlightRecorder(256, op_sample=4)
-    for query in _shapes(SMOKE_POSITIONS).values():
+    for query in _shapes(POSITIONS["smoke"]).values():
         for mode in ("batch", "row"):
             for _ in range(repeats):
                 run_query_detailed(query, mode=mode, recorder=recorder)

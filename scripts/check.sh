@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository check script: static checks + tier-1 tests.
 #
-# Runs, in order (17 steps; 1-2 are skipped when the tool is absent):
+# Runs, in order (12 steps; 1-2 are skipped when the tool is absent):
 #   1. ruff  (if installed — `pip install .[lint]`)
 #   2. mypy  (if installed)
 #   3. a byte-compilation pass over src/ (always; catches syntax errors
@@ -14,44 +14,32 @@
 #   5. the tier-1 test suite (with per-test timeouts when the
 #      pytest-timeout plugin is installed; a SIGALRM watchdog in
 #      tests/conftest.py covers minimal containers without it)
-#   6. a smoke-sized run of the batch-vs-row execution benchmark
-#      (asserts identical answers and a minimum batch speedup)
-#   7-8. the chaos smoke job: every storage fault class x both
+#   6-7. the chaos smoke job: every storage fault class x both
 #      executors (plus the parallel supervisor) must yield the exact
 #      answer or a typed error, never a wrong one — run at the default
 #      2 workers and again at 4 to exercise the DESIGN §14 contract
-#   9. a smoke-sized run of the guard-overhead benchmark (an attached
-#      but idle QueryGuard must cost <5% mean wall clock)
-#  10. a smoke-sized run of the tracer-overhead benchmark (a disabled
-#      tracer must cost <2% mean wall clock, an active one <10%)
-#  11. a smoke-sized run of the partition-analysis benchmark (the
+#   8. a smoke-sized run of the partition-analysis benchmark (the
 #      contract derivation embedded in optimize() must cost <=50 us
 #      per plan, mean over the shapes)
-#  12. a smoke-sized run of the effect-analysis benchmark (the effects
+#   9. a smoke-sized run of the effect-analysis benchmark (the effects
 #      phase embedded in optimize() must cost <=20 us per plan, mean
 #      over the shapes; dense codegen must not regress the guarded loop)
-#  13. a smoke-sized run of the parallel-speedup benchmark (modeled
-#      critical-path speedup >=1.5x at 4 workers on the row-path
-#      shapes; supervisor overhead <=5% at workers=1)
-#  14. the trace round-trip check: traced runs exported as JSON Lines
+#  10. the trace round-trip check: traced runs exported as JSON Lines
 #      and Chrome trace_event must re-parse and validate against the
 #      pinned schemas in src/repro/obs/schema.py — with and without an
 #      embedded metrics block
-#  15. a smoke-sized run of the profile-overhead benchmark (the
-#      always-on flight recorder must stay within its overhead budget;
-#      the full-size contract is <=2% recorder, <=10% with tracing)
-#  16. the perf-regression gate: every committed BENCH_*.json baseline
-#      must still satisfy its pinned ratio contract, and smoke replays
-#      of the exec/parallel/profile workloads must land inside the
-#      tolerance bands around the committed ratios
-#  17. the end-to-end benchmark's own smoke (benchmarks/e2e, outside
+#  11. the perf-regression gate (scripts/check_perf.py): every row of
+#      BENCH_exec.json, BENCH_parallel.json and BENCH_overhead.json
+#      must keep its limit, and a smoke replay of each benchmark —
+#      batch-vs-row speedups (identical answers asserted), modeled
+#      parallel speedup and workers=1 ratio, and every feature of
+#      benchmarks/bench_overhead.py on vs off over the e2e dense
+#      workloads — must read no worse than the committed smoke rows;
+#      a difference below the noise is printed as unresolved, not failed
+#  12. the end-to-end benchmark's own smoke (benchmarks/e2e, outside
 #      tier-1): a change to the entry surface that breaks the
 #      benchmark's pinned call syntax, counter names or span names
 #      (execute, parallel, partition) fails here, not in a benchmark run
-#
-# Steps 9, 10 and 13 are wall-clock ratio gates and flake under machine
-# load, on an unchanged tree too (ROADMAP item 3 owns them); re-run one
-# alone on a quiet machine before reading its failure as a regression.
 #
 # Missing optional tools are skipped with a notice, not an error, so
 # the script works in minimal containers.
@@ -101,19 +89,10 @@ fi
 run_step "tier-1 tests" env PYTHONPATH=src \
     python -m pytest -x -q "${timeout_args[@]}"
 
-run_step "batch speedup smoke" env PYTHONPATH=src \
-    python benchmarks/bench_batch_speedup.py --smoke
-
 run_step "chaos smoke" env PYTHONPATH=src python scripts/chaos_smoke.py
 
 run_step "chaos smoke (workers=4)" env PYTHONPATH=src \
     python scripts/chaos_smoke.py --workers 4
-
-run_step "guard overhead smoke" env PYTHONPATH=src \
-    python benchmarks/bench_guard_overhead.py --smoke
-
-run_step "tracer overhead smoke" env PYTHONPATH=src \
-    python benchmarks/bench_obs_overhead.py --smoke
 
 run_step "partition analysis smoke" env PYTHONPATH=src \
     python benchmarks/bench_partition_analysis.py --smoke
@@ -121,14 +100,8 @@ run_step "partition analysis smoke" env PYTHONPATH=src \
 run_step "effects analysis smoke" env PYTHONPATH=src \
     python benchmarks/bench_effects.py --smoke
 
-run_step "parallel speedup smoke" env PYTHONPATH=src \
-    python benchmarks/bench_parallel_speedup.py --smoke
-
 run_step "trace round-trip" env PYTHONPATH=src \
     python scripts/trace_roundtrip.py
-
-run_step "profile overhead smoke" env PYTHONPATH=src \
-    python benchmarks/bench_profile_overhead.py --smoke
 
 run_step "perf gate" env PYTHONPATH=src \
     python scripts/check_perf.py

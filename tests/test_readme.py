@@ -47,6 +47,16 @@ def test_readme_commands_reference_real_paths():
     assert (README.parent / "EXPERIMENTS.md").exists()
 
 
+@pytest.mark.parametrize("document", ["README.md", "DESIGN.md"])
+def test_docs_name_only_benchmark_and_script_files_that_exist(document):
+    text = (README.parent / document).read_text()
+    named = set(
+        re.findall(r"\bBENCH_\w+\.json|\bbenchmarks/[\w/]+\.py|\bscripts/\w+\.\w+", text)
+    )
+    assert named, document
+    assert not sorted(path for path in named if not (README.parent / path).exists())
+
+
 def test_readme_knob_table_matches_exec_options():
     text = README.read_text()
     for spec in fields(ExecOptions):
