@@ -88,7 +88,7 @@ from repro.algebra.offsets import ValueOffset
 from repro.analysis.effects import node_effect_specs
 from repro.execution.counters import ExecutionCounters
 from repro.execution.guard import QueryGuard
-from repro.execution.probers import ProberSequence
+from repro.execution.probers import ProberSequence, chain_steps
 from repro.execution.sliding import CumulativeAggregator, make_sliding, slide
 from repro.optimizer.plans import PhysicalPlan
 
@@ -331,50 +331,36 @@ def chain(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BatchStream:
     """Apply a run of unit-scope steps as mask refinement and column selection."""
     counters = ctx.counters
     guard = ctx.guard
-    shift = sum(step.offset for step in plan.steps if step.kind == "shift")
+    specs = node_effect_specs(plan)
+    # The steps compile as in row mode (one schema flow), except that a
+    # select becomes a mask refiner: a whole-column vector kernel under
+    # a vectorization-safe effect spec, a fused scalar loop otherwise.
+    shift, _reshaped, ops = chain_steps(
+        ctx,
+        plan,
+        lambda index, predicate, schema: compile_filter(
+            predicate,
+            schema,
+            spec=specs.get(f"step{index}"),
+            on_fallback=ctx.interpreted,
+            on_kernel_fallback=ctx.kernel_fallback,
+        ),
+    )
     child_plan = plan.children[0]
     child_window = window.shift(shift).intersect(child_plan.span)
-    # Pre-compile the unit operations against the schema flowing at
-    # each step: selects become mask refiners (a whole-column vector
-    # kernel under a vectorization-safe effect spec, a fused scalar
-    # loop otherwise), projects become column index tuples, renames are
-    # purely a schema swap.
-    ops: list[tuple[str, Any]] = []
-    schema = child_plan.schema
-    specs = node_effect_specs(plan)
-    for index, step in enumerate(plan.steps):
-        if step.kind == "select":
-            ops.append(
-                (
-                    "select",
-                    compile_filter(
-                        step.predicate,
-                        schema,
-                        spec=specs.get(f"step{index}"),
-                        on_fallback=ctx.interpreted,
-                        on_kernel_fallback=ctx.kernel_fallback,
-                    ),
-                )
-            )
-        elif step.kind == "project":
-            ops.append(("project", tuple(schema.index_of(n) for n in step.names)))
-            schema = schema.project(step.names)
-        elif step.kind == "rename":
-            schema = step.schema
-    out_schema = plan.schema
     for batch in ctx.batches(child_plan, child_window):
         columns = batch.columns
         valid = batch.valid
-        for kind, payload in ops:
-            if kind == "select":
+        for refine, gather in ops:
+            if gather is None:
                 counters.predicate_evals += valid.count()
-                valid = cast(Bitmask, payload(columns, valid))
+                valid = cast(Bitmask, refine(columns, valid))
             else:
-                columns = [columns[i] for i in payload]
+                columns = list(gather(columns))
         if valid.any():
             yield _finish(
                 counters,
-                ColumnBatch(out_schema, batch.start - shift, columns, valid),
+                ColumnBatch(plan.schema, batch.start - shift, columns, valid),
                 guard,
             )
 

@@ -88,9 +88,10 @@ class ExecContext:
 
     Args:
         counters: execution counters charged as work happens.
-        guard: optional per-query resource governor; operators tick it
-            at loop checkpoints and batch boundaries so a guarded query
-            observes its deadline, cancellation, and budgets mid-stream.
+        guard: optional per-query resource governor; operators check
+            it every ``check_stride`` loop iterations and at batch
+            boundaries, so a guarded query observes its deadline,
+            cancellation, and budgets mid-stream.
         tracer: optional span tracer, normalized here to
             active-or-``None``; when active every operator the context
             opens is wrapped in an operator span that attributes rows,

@@ -4,10 +4,10 @@ A :class:`QueryGuard` carries everything the engine needs to stop a
 query that misbehaves: a wall-clock deadline, a cooperative
 :class:`CancellationToken`, and hard budgets on cache entries, pages
 read, and records emitted.  The executors call back into the guard at
-natural pause points — batch boundaries in batch mode, stride-counted
-record ticks in row mode, cache operations in the operator caches — and
-the guard raises a typed error naming the violated limit and the work
-completed so far.
+natural pause points — batch boundaries in batch mode, every
+``check_stride`` iterations of a row-mode loop, cache operations in the
+operator caches — and the guard raises a typed error naming the
+violated limit and the work completed so far.
 
 The guard complements the static cache-finiteness verifier (Theorem
 3.1): the verifier proves a plan's caches are bounded *before* running
@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Optional
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from repro.errors import (
     ExecutionError,
@@ -31,9 +32,12 @@ from repro.errors import (
 from repro.execution.counters import ExecutionCounters
 from repro.storage.counters import StorageCounters
 
-#: Row-mode records between two full guard checkpoints (amortizes the
-#: checkpoint cost to well under the <5% overhead budget).
+#: Row-mode loop iterations between two full guard checkpoints, and
+#: root records per record-budget charge (amortizes both to well under
+#: the <5% overhead budget).
 DEFAULT_CHECK_STRIDE = 256
+
+T = TypeVar("T")
 
 
 class CancellationToken:
@@ -108,7 +112,9 @@ class QueryGuard:
         max_pages: ceiling on pages read from the simulated disks of
             the base sequences the plan scans or probes.
         max_records: ceiling on records the root may emit.
-        check_stride: row-mode ticks between full checkpoints.
+        check_stride: iterations of a row-mode loop between two full
+            checkpoints, and row-mode root records per
+            :meth:`note_records` charge.
         clock: time source (injectable for deterministic tests).
 
     A guard is single-query state: create a fresh one per run (reusing
@@ -120,11 +126,10 @@ class QueryGuard:
     watched-counter registries — serialize on an internal lock; the
     budget check happens inside the same critical section as the
     increment, so concurrent partitions cannot interleave
-    check-then-increment and overdraw ``max_records``.  The row-mode
-    :meth:`tick` stride counter is deliberately left unlocked: a lost
-    increment only shifts *when* the next full checkpoint runs, never
-    how much budget is charged, and locking it would put a mutex
-    acquisition on the per-record hot path.
+    check-then-increment and overdraw ``max_records``.  Nothing is
+    locked per record: each row-mode loop checkpoints after every
+    ``check_stride`` of its own iterations (:func:`checkpointed`), and
+    the row drain charges its records once per ``check_stride``.
     """
 
     def __init__(
@@ -147,7 +152,6 @@ class QueryGuard:
         self._clock = clock
         self._started_at: Optional[float] = None
         self._deadline: Optional[float] = None
-        self._ticks = 0
         self._records = 0
         self._watched_storage: list[tuple[StorageCounters, int]] = []
         self._watched_execution: Optional[ExecutionCounters] = None
@@ -300,15 +304,12 @@ class QueryGuard:
             if occupancy > self.max_cache_entries:
                 self._cache_budget_error(occupancy)
 
-    def tick(self) -> None:
-        """Cheap per-record checkpoint: full check every ``check_stride``."""
-        self._ticks += 1
-        if self._ticks >= self.check_stride:
-            self._ticks = 0
-            self.checkpoint()
-
-    def note_records(self, count: int) -> None:
+    def note_records(self, count: int, *, check: bool = True) -> None:
         """Charge ``count`` root emissions against ``max_records``.
+
+        ``check=False`` only counts them: what a failing row stream
+        emitted since its last charge is recorded without a second
+        verdict over the error already in flight.
 
         Raises:
             ResourceBudgetExceededError: the record budget is exceeded.
@@ -318,7 +319,7 @@ class QueryGuard:
         with self._lock:
             self._records += count
             total = self._records
-        if self.max_records is not None and total > self.max_records:
+        if check and self.max_records is not None and total > self.max_records:
             raise self._issue(
                 ResourceBudgetExceededError(
                     f"query emitted {total} records, over its budget "
@@ -364,3 +365,25 @@ class QueryGuard:
         if self.max_records is not None:
             parts.append(f"max_records={self.max_records}")
         return f"QueryGuard({', '.join(parts) or 'unlimited'})"
+
+
+def checkpointed(items: Iterable[T], guard: Optional[QueryGuard]) -> Iterator[T]:
+    """``items``, checkpointing ``guard`` after every ``check_stride`` of them.
+
+    A row-mode loop iterates this instead of ``items``, so each loop
+    counts only its own iterations and nothing is locked per item.
+    Without a guard it is ``items``' own iterator; with one, the items
+    pass in runs of ``check_stride`` — ``islice`` over the one iterator,
+    flattened by ``chain.from_iterable`` — so no Python frame runs per
+    item either.  The checkpoint runs when the item after a run is asked
+    for (and once more when a drained loop asks past its end).
+    """
+    if guard is None:
+        return iter(items)
+    return chain.from_iterable(_runs(iter(items), guard))
+
+
+def _runs(items: Iterator[T], guard: QueryGuard) -> Iterator[Iterator[T]]:
+    for first in items:
+        yield chain((first,), islice(items, guard.check_stride - 1))
+        guard.checkpoint()

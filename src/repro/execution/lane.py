@@ -16,6 +16,7 @@ import cycle.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import islice
 from typing import Iterator, Optional
 
 from repro.analysis import hooks
@@ -151,14 +152,25 @@ def _run_row(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BaseSequence
     """Materialize the row-mode answer.
 
     Stream evaluations emit unique ascending positions with records of
-    the plan's schema, so the output skips per-item revalidation.
+    the plan's schema, so the output skips per-item revalidation.  The
+    guard is charged once per ``check_stride`` records, and exactly for
+    what a failing stream emitted.
     """
-    counters = ctx.counters
     guard = ctx.guard
+    stream = ctx.stream(plan, window)
     pairs: list = []
-    for position, record in ctx.stream(plan, window):
-        counters.records_emitted += 1
-        if guard is not None:
-            guard.note_records(1)
-        pairs.append((position, record))
+    charged = 0
+    try:
+        if guard is None:
+            pairs.extend(stream)
+        else:
+            stride = emitted = guard.check_stride
+            while emitted == stride:
+                pairs.extend(islice(stream, stride))
+                emitted, charged = len(pairs) - charged, len(pairs)
+                guard.note_records(emitted)
+    finally:
+        ctx.counters.records_emitted += len(pairs)
+        if guard is not None and len(pairs) > charged:
+            guard.note_records(len(pairs) - charged, check=False)
     return BaseSequence.unchecked(plan.schema, pairs, span=window)

@@ -11,15 +11,16 @@ Every prober is constructed as ``Prober(ctx, plan)`` and opens its
 children through the execution context (``ctx.prober`` for probed
 inputs, ``ctx.stream`` for the inputs global-agg and materialize
 consume whole) — see :mod:`repro.execution.context`.  The guard (when
-the context has one) is observed at the probe sites: source probes
-tick it, and the materialize prober charges its table against the
-cache-entries budget.
+the context has one) is observed at the probe sites: a source prober
+checkpoints it every ``check_stride`` probes, and the materialize
+prober charges its table against the cache-entries budget.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Iterator, Optional
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 from repro.errors import ExecutionError
 from repro.model.record import NULL, Record, RecordOrNull
@@ -28,6 +29,7 @@ from repro.model.sequence import Sequence
 from repro.model.span import Span
 from repro.model.types import AtomType
 from repro.algebra.aggregate import GlobalAggregate
+from repro.algebra.expressions import Expr, compile_rowwise
 from repro.algebra.leaves import ConstantLeaf, SequenceLeaf
 from repro.execution.sliding import CumulativeAggregator
 from repro.optimizer.plans import PhysicalPlan
@@ -91,12 +93,62 @@ class SourceProber(Prober):
             raise ExecutionError(f"probe-source plan without a leaf node: {plan.kind}")
         self._counters = ctx.counters
         self._guard = ctx.guard
+        self._unchecked = 0  # probes since the last guard checkpoint
 
     def get(self, position: int) -> RecordOrNull:
         if self._guard is not None:
-            self._guard.tick()
+            self._unchecked = (self._unchecked + 1) % self._guard.check_stride
+            if not self._unchecked:
+                self._guard.checkpoint()
         self._counters.probes_issued += 1
         return self._sequence.get(position)
+
+
+def row_predicate(
+    ctx: ExecContext, predicate: Optional[Expr], schema: RecordSchema
+) -> Optional[Callable[[tuple], object]]:
+    """``predicate`` as one fused closure over a values tuple (None stays None)."""
+    if predicate is None:
+        return None
+    return compile_rowwise(predicate, schema, on_fallback=ctx.interpreted)
+
+
+def _gather(pick: tuple[int, ...]) -> Callable[[Any], tuple]:
+    """``values -> tuple(values[i] for i in pick)`` for a non-empty ``pick``."""
+    if len(pick) > 1:
+        return itemgetter(*pick)
+    (index,) = pick
+    return lambda values: (values[index],)
+
+
+def chain_steps(
+    ctx: ExecContext, plan: PhysicalPlan, select: Optional[Callable[..., Any]] = None
+) -> tuple[int, bool, list]:
+    """Compile a chain's steps once: ``(shift, reshaped, ops)``.
+
+    The schema flows through ``plan.steps`` once.  A select becomes
+    ``(select(index, predicate, schema), None)`` against the schema at
+    its step (a :func:`row_predicate` by default), a project ``(None,
+    gather)`` over a values tuple or a column list; a rename only swaps
+    the schema and the shifts sum to ``shift``.  ``reshaped``: a project
+    or rename ran, so the chain's rows need ``plan.schema``.
+    """
+    shift, reshaped, ops = 0, False, []
+    schema = plan.children[0].schema
+    for index, step in enumerate(plan.steps):
+        if step.kind == "select" and select is not None:
+            ops.append((select(index, step.predicate, schema), None))
+        elif step.kind == "select":
+            ops.append((row_predicate(ctx, step.predicate, schema), None))
+        elif step.kind == "project":
+            ops.append((None, _gather(tuple(schema.index_of(n) for n in step.names))))
+            schema = schema.project(step.names)
+        elif step.kind == "rename":
+            schema = step.schema
+        else:
+            shift += step.offset
+        reshaped = reshaped or step.kind in ("project", "rename")
+    return shift, reshaped, ops
 
 
 class ChainProber(Prober):
@@ -105,25 +157,22 @@ class ChainProber(Prober):
     def __init__(self, ctx: ExecContext, plan: PhysicalPlan):
         super().__init__(plan.schema, plan.span)
         self._child = ctx.prober(plan.children[0])
-        self._steps = plan.steps
-        self._shift = sum(step.offset for step in plan.steps if step.kind == "shift")
+        self._shift, self._reshaped, self._ops = chain_steps(ctx, plan)
         self._counters = ctx.counters
 
     def get(self, position: int) -> RecordOrNull:
         record = self._child.get(position + self._shift)
         if record is NULL:
             return NULL
-        for step in self._steps:
-            if step.kind == "select":
+        values = record.values
+        for predicate, gather in self._ops:
+            if gather is None:
                 self._counters.predicate_evals += 1
-                if not step.predicate.eval(record):
+                if not predicate(values):
                     return NULL
-            elif step.kind == "project":
-                record = record.project(step.names)
-            elif step.kind == "rename":
-                record = Record(step.schema, record.values)
-            # shifts were folded into the probe position
-        return record
+            else:
+                values = gather(values)
+        return Record.unchecked(self.schema, values) if self._reshaped else record
 
 
 class JoinProber(Prober):
@@ -131,33 +180,28 @@ class JoinProber(Prober):
 
     def __init__(self, ctx: ExecContext, plan: PhysicalPlan):
         super().__init__(plan.schema, plan.span)
-        self._left = ctx.prober(plan.children[0])
-        self._right = ctx.prober(plan.children[1])
-        self._predicate = plan.predicate
+        left, right = ctx.prober(plan.children[0]), ctx.prober(plan.children[1])
         self._right_first = plan.strategy == "probe-right-first"
+        self._order = (right, left) if self._right_first else (left, right)
+        self._predicate = row_predicate(ctx, plan.predicate, plan.schema)
         self._counters = ctx.counters
 
     def get(self, position: int) -> RecordOrNull:
-        if self._right_first:
-            right = self._right.get(position)
-            if right is NULL:
-                return NULL
-            left = self._left.get(position)
-            if left is NULL:
-                return NULL
-        else:
-            left = self._left.get(position)
-            if left is NULL:
-                return NULL
-            right = self._right.get(position)
-            if right is NULL:
-                return NULL
-        combined = Record(self.schema, left.values + right.values)
+        first, second = self._order
+        one = first.get(position)
+        if one is NULL:
+            return NULL
+        other = second.get(position)
+        if other is NULL:
+            return NULL
+        left, right = (other, one) if self._right_first else (one, other)
+        # Both halves come from validated records: no re-validation.
+        values = left.values + right.values
         if self._predicate is not None:
             self._counters.predicate_evals += 1
-            if not self._predicate.eval(combined):
+            if not self._predicate(values):
                 return NULL
-        return combined
+        return Record.unchecked(self.schema, values)
 
 
 class NaiveUnaryProber(Prober):
@@ -179,6 +223,20 @@ class NaiveUnaryProber(Prober):
         return self._node.value_at([self._source], position)
 
 
+def global_record(ctx: ExecContext, plan: PhysicalPlan) -> RecordOrNull:
+    """A global-agg plan's one answer record, folded over its whole input."""
+    node = plan.node
+    if not isinstance(node, GlobalAggregate):
+        raise ExecutionError("global-agg plan without a GlobalAggregate node")
+    child_plan = plan.children[0]
+    value = CumulativeAggregator.fold(
+        node.func,
+        ((record.get(node.attr),) for _pos, record in ctx.stream(child_plan, child_plan.span)),
+        plan.schema.attributes[0].atype is AtomType.FLOAT,
+    )
+    return NULL if value is None else Record(plan.schema, (value,))
+
+
 class GlobalAggProber(Prober):
     """Whole-sequence aggregate: computed once on first probe."""
 
@@ -186,32 +244,12 @@ class GlobalAggProber(Prober):
         super().__init__(plan.schema, plan.span)
         self._ctx = ctx
         self._plan = plan
-        self._computed = False
-        self._value: RecordOrNull = NULL
-
-    def _compute(self) -> None:
-        node = self._plan.node
-        if not isinstance(node, GlobalAggregate):
-            raise ExecutionError("global-agg plan without a GlobalAggregate node")
-        child_plan = self._plan.children[0]
-        value = CumulativeAggregator.fold(
-            node.func,
-            (
-                (record.get(node.attr),)
-                for _pos, record in self._ctx.stream(child_plan, child_plan.span)
-            ),
-            self.schema.attributes[0].atype is AtomType.FLOAT,
-        )
-        if value is not None:
-            self._value = Record(self.schema, (value,))
-        self._computed = True
+        self._value: Optional[RecordOrNull] = None
 
     def get(self, position: int) -> RecordOrNull:
-        if not self._computed:
-            self._compute()
-        if position not in self.span:
-            return NULL
-        return self._value
+        if self._value is None:
+            self._value = global_record(self._ctx, self._plan)
+        return self._value if position in self.span else NULL
 
 
 class MaterializeProber(Prober):
@@ -228,22 +266,21 @@ class MaterializeProber(Prober):
         self._counters = ctx.counters
         self._table: Optional[dict[int, Record]] = None
 
-    def _build(self) -> None:
+    def _build(self) -> dict[int, Record]:
         child_plan = self._plan.children[0]
-        self._table = {}
+        table: dict[int, Record] = {}
         guard = self._ctx.guard
         for position, record in self._ctx.stream(child_plan, child_plan.span):
-            self._table[position] = record
+            table[position] = record
             self._counters.cache_ops += 1
             if guard is not None:
                 # The materialization table is an operator cache: its
                 # growth is charged against the cache-entries budget.
-                guard.note_cache(len(self._table))
+                guard.note_cache(len(table))
+        return table
 
     def get(self, position: int) -> RecordOrNull:
         if self._table is None:
-            self._build()
+            self._table = self._build()
         self._counters.cache_ops += 1
-        if self._table is None:
-            raise ExecutionError("materialize prober failed to build its table")
         return self._table.get(position, NULL)

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import ExecutionError
 from repro.execution.counters import ExecutionCounters
+from repro.execution.guard import QueryGuard, checkpointed
 
 
 class SlidingAggregator(abc.ABC):
@@ -227,7 +228,7 @@ def slide(
     items: Iterator[tuple[int, object]],
     positions: Iterable[int],
     counters: ExecutionCounters,
-    tick: Optional[Callable[[], None]] = None,
+    guard: Optional[QueryGuard] = None,
 ) -> Iterator[tuple[int, object]]:
     """Cache-Strategy-A: one pass over the input with a scope-sized cache.
 
@@ -239,12 +240,11 @@ def slide(
     caches — the caller opens its input over the operator's scope — so
     the cache never exceeds ``width`` records (Theorem 3.1).  Every
     insertion and eviction is one cache op; the occupancy is observed
-    after each fill.  ``tick`` is called once per position.
+    after each fill.  ``guard`` is checkpointed every ``check_stride``
+    positions.
     """
     pending = next(items, None)
-    for position in positions:
-        if tick is not None:
-            tick()
+    for position in checkpointed(positions, guard):
         moved = aggregator.evict_below(position - width + 1)
         while pending is not None and pending[0] <= position:
             aggregator.add(pending[0], pending[1])

@@ -25,18 +25,19 @@ position's window, whatever span the plan was made for.
 from __future__ import annotations
 
 from collections import deque
+from math import inf
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import ExecutionError
 from repro.model.record import NULL, Record
 from repro.model.span import Span
 from repro.model.types import AtomType
-from repro.algebra.aggregate import CumulativeAggregate, GlobalAggregate, WindowAggregate
-from repro.algebra.expressions import compile_rowwise
+from repro.algebra.aggregate import CumulativeAggregate, WindowAggregate
 from repro.algebra.leaves import ConstantLeaf, SequenceLeaf
 from repro.algebra.offsets import ValueOffset
 from repro.execution.counters import ExecutionCounters
-from repro.execution.probers import ProberSequence
+from repro.execution.guard import checkpointed
+from repro.execution.probers import ProberSequence, chain_steps, global_record, row_predicate
 from repro.execution.sliding import CumulativeAggregator, make_sliding, slide
 from repro.optimizer.plans import PhysicalPlan
 
@@ -57,64 +58,40 @@ def scan(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[StreamI
         raise ExecutionError(f"scan plan without a leaf node: {plan.kind}")
     counters = ctx.counters
     counters.scans_opened += 1
-    tick = ctx.guard.tick if ctx.guard is not None else None
-    for position, record in source.iter_nonnull(window):
-        if tick is not None:
-            tick()
+    for position, record in checkpointed(source.iter_nonnull(window), ctx.guard):
         counters.operator_records += 1
         yield position, record
 
 
 def chain(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[StreamItem]:
-    """Apply a run of unit-scope steps (select/project/rename/shift) per record."""
+    """Apply a run of unit-scope steps (select/project/rename/shift) per record.
+
+    The steps compile once (:func:`~repro.execution.probers.chain_steps`):
+    a record costs a window test, the compiled steps on its values and,
+    if emitted, one trusted record — none when the chain only selects.
+    """
     counters = ctx.counters
-    shift = sum(step.offset for step in plan.steps if step.kind == "shift")
+    shift, reshaped, ops = chain_steps(ctx, plan)
     child_plan = plan.children[0]
     child_window = window.shift(shift).intersect(child_plan.span)
-    # Pre-compile the unit operations once per chain: selects become
-    # fused closures over the value tuple (tracking the schema flowing
-    # at each step), renames a trusted re-type of already-valid values.
-    ops: list[tuple[str, object]] = []
-    schema = child_plan.schema
-    for step in plan.steps:
-        if step.kind == "select":
-            ops.append(
-                (
-                    "select",
-                    compile_rowwise(step.predicate, schema, on_fallback=ctx.interpreted),
-                )
-            )
-        elif step.kind == "project":
-            ops.append(("project", step.names))
-            schema = schema.project(step.names)
-        elif step.kind == "rename":
-            ops.append(("rename", step.schema))
-            schema = step.schema
+    schema = plan.schema
+    lo = -inf if window.start is None else window.start
+    hi = inf if window.end is None else window.end
     for position, record in ctx.stream(child_plan, child_window):
-        out_position = position - shift
-        if out_position not in window:
+        position -= shift
+        if not lo <= position <= hi:
             continue
-        keep = True
-        for kind, payload in ops:
-            if kind == "select":
+        values = record.values
+        for predicate, gather in ops:
+            if gather is None:
                 counters.predicate_evals += 1
-                if not payload(record.values):
-                    keep = False
+                if not predicate(values):
                     break
-            elif kind == "project":
-                record = record.project(payload)
             else:
-                record = Record.unchecked(payload, record.values)
-        if keep:
+                values = gather(values)
+        else:
             counters.operator_records += 1
-            yield out_position, record
-
-
-def _join_predicate(ctx: ExecContext, plan: PhysicalPlan):
-    """Compile a join's predicate to a closure over the combined values."""
-    if plan.predicate is None:
-        return None
-    return compile_rowwise(plan.predicate, plan.schema, on_fallback=ctx.interpreted)
+            yield position, Record.unchecked(schema, values) if reshaped else record
 
 
 def _combine(
@@ -139,7 +116,7 @@ def _combine(
 def lockstep(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[StreamItem]:
     """Join-Strategy-B: merge both input streams in lock step."""
     counters = ctx.counters
-    predicate = _join_predicate(ctx, plan)
+    predicate = row_predicate(ctx, plan.predicate, plan.schema)
     left_iter = ctx.stream(plan.children[0], plan.children[0].span)
     right_iter = ctx.stream(plan.children[1], plan.children[1].span)
     left = next(left_iter, None)
@@ -165,7 +142,7 @@ def probed_join(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[
     """
     driver_index = 0 if plan.kind == "stream-probe" else 1
     counters = ctx.counters
-    predicate = _join_predicate(ctx, plan)
+    predicate = row_predicate(ctx, plan.predicate, plan.schema)
     prober = ctx.prober(plan.children[1 - driver_index])
     driver = plan.children[driver_index]
     for position, streamed in ctx.stream(driver, driver.span):
@@ -174,10 +151,8 @@ def probed_join(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[
         probed = prober.get(position)
         if probed is NULL:
             continue
-        if driver_index == 0:
-            yield from _combine(plan, position, streamed, probed, predicate, counters)
-        else:
-            yield from _combine(plan, position, probed, streamed, predicate, counters)
+        left, right = (streamed, probed) if driver_index == 0 else (probed, streamed)
+        yield from _combine(plan, position, left, right, predicate, counters)
 
 
 def _cast(plan: PhysicalPlan, value: object) -> object:
@@ -191,10 +166,7 @@ def _naive_unary(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator
     op = plan.node
     source = ProberSequence(ctx.prober(plan.children[0]))
     counters = ctx.counters
-    guard = ctx.guard
-    for position in window.positions():
-        if guard is not None:
-            guard.tick()
+    for position in checkpointed(window.positions(), ctx.guard):
         record = op.value_at([source], position)
         if record is not NULL:
             counters.operator_records += 1
@@ -219,9 +191,8 @@ def window_agg(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[S
         (position, record.get(op.attr))
         for position, record in ctx.stream(child_plan, scope)
     )
-    tick = ctx.guard.tick if ctx.guard is not None else None
     for position, value in slide(
-        make_sliding(op.func), op.width, values, window.positions(), counters, tick
+        make_sliding(op.func), op.width, values, window.positions(), counters, ctx.guard
     ):
         counters.operator_records += 1
         yield position, Record(plan.schema, (_cast(plan, value),))
@@ -238,16 +209,13 @@ def value_offset(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator
 
     # Cache-Strategy-B: incremental caches of reach-many records.
     counters = ctx.counters
-    guard = ctx.guard
     child_plan = plan.children[0]
     reach = op.reach
     if op.looks_back:
         child_iter = ctx.stream(child_plan, child_plan.span)
         pending = next(child_iter, None)
         buffer: deque[StreamItem] = deque()
-        for position in window.positions():
-            if guard is not None:
-                guard.tick()
+        for position in checkpointed(window.positions(), ctx.guard):
             while pending is not None and pending[0] < position:
                 buffer.append(pending)
                 if len(buffer) > reach:
@@ -264,9 +232,7 @@ def value_offset(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator
     child_iter = ctx.stream(child_plan, child_plan.span)
     buffer = deque()
     exhausted = False
-    for position in window.positions():
-        if guard is not None:
-            guard.tick()
+    for position in checkpointed(window.positions(), ctx.guard):
         while buffer and buffer[0][0] <= position:
             buffer.popleft()
             counters.cache_ops += 1
@@ -293,14 +259,11 @@ def cumulative(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[S
         yield from _naive_unary(ctx, plan, window)
         return
     counters = ctx.counters
-    guard = ctx.guard
     child_plan = plan.children[0]
     child_iter = ctx.stream(child_plan, child_plan.span)
     pending = next(child_iter, None)
     running = CumulativeAggregator(op.func)
-    for position in window.positions():
-        if guard is not None:
-            guard.tick()
+    for position in checkpointed(window.positions(), ctx.guard):
         while pending is not None and pending[0] <= position:
             running.add(pending[1].get(op.attr))
             counters.cache_ops += 1
@@ -312,23 +275,11 @@ def cumulative(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[S
 
 def global_agg(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[StreamItem]:
     """Whole-sequence aggregate, emitted at every position of ``window``."""
-    op = plan.node
-    if not isinstance(op, GlobalAggregate):
-        raise ExecutionError("global-agg plan without a GlobalAggregate node")
-    child_plan = plan.children[0]
-    value = CumulativeAggregator.fold(
-        op.func,
-        ((record.get(op.attr),) for _pos, record in ctx.stream(child_plan, child_plan.span)),
-        plan.schema.attributes[0].atype is AtomType.FLOAT,
-    )
-    if value is None:
+    answer = global_record(ctx, plan)
+    if answer is NULL:
         return
-    answer = Record(plan.schema, (value,))
     counters = ctx.counters
-    guard = ctx.guard
-    for position in window.positions():
-        if guard is not None:
-            guard.tick()
+    for position in checkpointed(window.positions(), ctx.guard):
         counters.operator_records += 1
         yield position, answer
 

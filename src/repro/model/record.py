@@ -62,7 +62,8 @@ class Record:
                 f"has {len(schema)} attributes"
             )
         for attr, value in zip(schema.attributes, values):
-            check_value(attr.atype, value, context=f"attribute {attr.name!r}")
+            if not attr.atype.accepts(value):
+                check_value(attr.atype, value, context=f"attribute {attr.name!r}")
         self._schema = schema
         self._values = values
 

@@ -79,10 +79,10 @@ from repro.errors import (
     ReproError,
     UnknownEffectError,
 )
-from repro.execution import ExecutionCounters, execute_plan
+from repro.execution import ExecutionCounters, build_prober, execute_plan
 from repro.execution.context import ExecContext
 from repro.lang import compile_query
-from repro.model import AtomType, Record, RecordSchema
+from repro.model import NULL, AtomType, Record, RecordSchema
 from repro.obs.tracer import Tracer
 from repro.optimizer import optimize
 
@@ -665,6 +665,28 @@ class TestFallbackObservability:
         root = plan.plan
         execute_plan(root, root.span, counters, mode=mode).to_pairs()
         assert counters.exprs_interpreted >= 1
+
+    @pytest.mark.parametrize(
+        "source", ["select(ibm, close > 115.0)", "select(compose(ibm as i, hp as h), i_close > h_close)"]
+    )
+    def test_probers_count_interpreted_predicates(self, table1, source):
+        """The chain and join probers compile their predicates the way the
+        streams do, so a predicate that cannot be lowered is counted there too."""
+        catalog, _sequences = table1
+        probe = optimize(compile_query(source, catalog), catalog=catalog).planned.probe_plan
+        for node in probe.walk():
+            if node.predicate is not None:
+                node.predicate = OpaquePredicate()
+            node.steps = tuple(
+                dataclasses.replace(step, predicate=OpaquePredicate()) if step.predicate else step
+                for step in node.steps
+            )
+        counters = ExecutionCounters()
+        prober = build_prober(probe, counters)
+        assert counters.exprs_interpreted == 1
+        probed = [prober.get(p) for p in probe.span.positions()]
+        assert any(record is not NULL for record in probed)
+        assert counters.predicate_evals > 0
 
     @pytest.mark.parametrize("mode", ["row", "batch"])
     def test_builtin_predicates_never_fall_back(self, table1, mode):

@@ -10,6 +10,7 @@ from repro.execution import (
     RunningSumAggregator,
     make_sliding,
 )
+from repro.execution.guard import QueryGuard
 from repro.execution.sliding import slide
 
 
@@ -136,14 +137,16 @@ class TestSlide:
     def test_evicts_absorbs_emits_and_charges(self):
         counters = ExecutionCounters()
         items = iter([(0, 1), (1, 2), (3, 4), (4, 8)])
-        ticks = []
-        out = list(
-            slide(
-                make_sliding("sum"), 2, items, range(0, 8), counters, lambda: ticks.append(1)
-            )
-        )
-        assert out == [(0, 1), (1, 3), (2, 2), (3, 4), (4, 12), (5, 8)]
-        assert len(ticks) == 8
+        guard = QueryGuard(check_stride=3)
+        emitted = []
+        checkpoints = []
+        guard.checkpoint = lambda: checkpoints.append(len(emitted))
+        for item in slide(make_sliding("sum"), 2, items, range(0, 8), counters, guard):
+            emitted.append(item)
+        assert emitted == [(0, 1), (1, 3), (2, 2), (3, 4), (4, 12), (5, 8)]
+        # A checkpoint after every third position (positions 2 and 5 were
+        # emitted by then), and one when the drained loop runs past its end.
+        assert checkpoints == [3, 6, 6]
         # four insertions, four evictions; never more than the scope.
         assert counters.cache_ops == 8
         assert counters.max_cache_occupancy == 2

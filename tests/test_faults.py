@@ -32,6 +32,8 @@ from repro.execution import (
     ExecOptions,
     ExecutionCounters,
     QueryGuard,
+    build_prober,
+    build_stream,
     execute_parallel,
     execute_partitioned,
     execute_plan,
@@ -575,6 +577,58 @@ class TestQueryGuard:
         with pytest.raises(ResourceBudgetExceededError) as info:
             run_on(make_stored(), guard=guard)
         assert info.value.records_emitted == guard.records_emitted > 0
+
+    def test_row_record_budget_trips_within_one_stride(self):
+        plan = optimize(select_query(make_stored())).plan.plan
+        guard = QueryGuard(max_records=10, check_stride=4)
+        counters = ExecutionCounters()
+        with pytest.raises(ResourceBudgetExceededError) as info:
+            execute_plan(plan, None, counters, mode="row", guard=guard)
+        assert info.value.budget == "records_emitted"
+        assert 10 < info.value.used <= 10 + 4
+        assert guard.records_emitted == counters.records_emitted == info.value.used
+
+    def test_row_drain_counts_a_failing_stream_exactly(self, monkeypatch):
+        """Records a stream emitted since its last charge are still counted,
+        and the stream's own error, not a budget verdict, is what escapes."""
+        plan = optimize(select_query(make_stored())).plan.plan
+        opened = ExecContext.stream
+
+        def broken(stream):
+            yield from itertools.islice(stream, 7)
+            raise ExecutionError("lane broke")
+
+        def stream(ctx, node, window):
+            return broken(opened(ctx, node, window)) if node is plan else opened(ctx, node, window)
+
+        monkeypatch.setattr(ExecContext, "stream", stream)
+        guard = QueryGuard(max_records=6, check_stride=5)
+        counters = ExecutionCounters()
+        with pytest.raises(ExecutionError, match="lane broke"):
+            execute_plan(plan, None, counters, mode="row", guard=guard)
+        assert guard.records_emitted == counters.records_emitted == 7
+        assert guard.verdict is None
+
+    def test_row_loops_checkpoint_every_stride(self):
+        """A scan and a source prober each check the guard after every
+        ``check_stride`` of their own records (read off an injected clock)."""
+        stored = make_stored()
+        planned = optimize(base(stored, stored.name).query()).planned
+        assert (planned.stream_plan.kind, planned.probe_plan.kind) == ("scan", "probe-source")
+        done = 0
+        seen: list[int] = []
+        guard = QueryGuard(timeout=1e9, check_stride=16, clock=lambda: seen.append(done) or 0.0)
+        guard.start()
+        for _item in build_stream(planned.stream_plan, SPAN, ExecutionCounters(), guard):
+            done += 1
+        prober = build_prober(planned.probe_plan, ExecutionCounters(), guard)
+        for position in range(100):
+            prober.get(position)
+            done += 1
+        assert done == SPAN.length() + 100
+        checks = seen[1:]  # seen[0] is the clock start
+        assert len(checks) >= done // 16
+        assert max(b - a for a, b in zip([0, *checks], [*checks, done])) <= 16
 
 
 # The one table of bad knobs (DESIGN §9): the ``ExecOptions``
