@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository check script: static checks + tier-1 tests.
 #
-# Runs, in order (12 steps; 1-2 are skipped when the tool is absent):
+# Runs, in order (10 steps; 1-2 are skipped when the tool is absent):
 #   1. ruff  (if installed — `pip install .[lint]`)
 #   2. mypy  (if installed)
 #   3. a byte-compilation pass over src/ (always; catches syntax errors
@@ -18,17 +18,11 @@
 #      executors (plus the parallel supervisor) must yield the exact
 #      answer or a typed error, never a wrong one — run at the default
 #      2 workers and again at 4 to exercise the DESIGN §14 contract
-#   8. a smoke-sized run of the partition-analysis benchmark (the
-#      contract derivation embedded in optimize() must cost <=50 us
-#      per plan, mean over the shapes)
-#   9. a smoke-sized run of the effect-analysis benchmark (the effects
-#      phase embedded in optimize() must cost <=20 us per plan, mean
-#      over the shapes; dense codegen must not regress the guarded loop)
-#  10. the trace round-trip check: traced runs exported as JSON Lines
+#   8. the trace round-trip check: traced runs exported as JSON Lines
 #      and Chrome trace_event must re-parse and validate against the
 #      pinned schemas in src/repro/obs/schema.py — with and without an
 #      embedded metrics block
-#  11. the perf-regression gate (scripts/check_perf.py): every row of
+#   9. the perf-regression gate (scripts/check_perf.py): every row of
 #      BENCH_exec.json, BENCH_parallel.json and BENCH_overhead.json
 #      must keep its limit, and a smoke replay of each benchmark —
 #      batch-vs-row speedups (identical answers asserted), modeled
@@ -36,7 +30,7 @@
 #      benchmarks/bench_overhead.py on vs off over the e2e dense
 #      workloads — must read no worse than the committed smoke rows;
 #      a difference below the noise is printed as unresolved, not failed
-#  12. the end-to-end benchmark's own smoke (benchmarks/e2e, outside
+#  10. the end-to-end benchmark's own smoke (benchmarks/e2e, outside
 #      tier-1): a change to the entry surface that breaks the
 #      benchmark's pinned call syntax, counter names or span names
 #      (execute, parallel, partition) fails here, not in a benchmark run
@@ -93,12 +87,6 @@ run_step "chaos smoke" env PYTHONPATH=src python scripts/chaos_smoke.py
 
 run_step "chaos smoke (workers=4)" env PYTHONPATH=src \
     python scripts/chaos_smoke.py --workers 4
-
-run_step "partition analysis smoke" env PYTHONPATH=src \
-    python benchmarks/bench_partition_analysis.py --smoke
-
-run_step "effects analysis smoke" env PYTHONPATH=src \
-    python benchmarks/bench_effects.py --smoke
 
 run_step "trace round-trip" env PYTHONPATH=src \
     python scripts/trace_roundtrip.py

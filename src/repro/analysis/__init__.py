@@ -22,45 +22,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-__all__ = [
-    "Diagnostic",
-    "EffectCertificate",
-    "EffectCounters",
-    "EffectSpec",
-    "Interval",
-    "PLAN_RULES",
-    "PartitionCertificate",
-    "PartitionContract",
-    "PartitionCounters",
-    "PlanContext",
-    "QUERY_RULES",
-    "QueryContext",
-    "RuleInfo",
-    "Severity",
-    "SourceDiagnostic",
-    "VerificationReport",
-    "analyze_effects",
-    "analyze_expr",
-    "analyze_partition",
-    "annotate_effects",
-    "audit_rewrites",
-    "certify",
-    "certify_effects",
-    "check_certificate",
-    "check_effect_certificate",
-    "derive_contract",
-    "plan_fingerprint",
-    "plan_rule",
-    "query_rule",
-    "require_certificate",
-    "require_effect_certificate",
-    "require_spec",
-    "verify_optimization",
-    "verify_plan",
-    "verify_query",
-    "verify_rewrites",
-]
-
 _EXPORTS = {
     "Diagnostic": "repro.analysis.diagnostics",
     "Severity": "repro.analysis.diagnostics",
@@ -71,6 +32,7 @@ _EXPORTS = {
     "PlanContext": "repro.analysis.base",
     "QueryContext": "repro.analysis.base",
     "RuleInfo": "repro.analysis.base",
+    "plan_fingerprint": "repro.analysis.base",
     "plan_rule": "repro.analysis.base",
     "query_rule": "repro.analysis.base",
     "EffectCertificate": "repro.analysis.effects",
@@ -91,7 +53,6 @@ _EXPORTS = {
     "certify": "repro.analysis.partition",
     "check_certificate": "repro.analysis.partition",
     "derive_contract": "repro.analysis.partition",
-    "plan_fingerprint": "repro.analysis.partition",
     "require_certificate": "repro.analysis.partition",
     "audit_rewrites": "repro.analysis.rewrite_audit",
     "verify_optimization": "repro.analysis.verifier",
@@ -100,6 +61,8 @@ _EXPORTS = {
     "verify_rewrites": "repro.analysis.verifier",
 }
 
+__all__ = sorted(_EXPORTS)
+
 if TYPE_CHECKING:  # pragma: no cover - static import surface for type checkers
     from repro.analysis.base import (
         PLAN_RULES,
@@ -107,6 +70,7 @@ if TYPE_CHECKING:  # pragma: no cover - static import surface for type checkers
         PlanContext,
         QueryContext,
         RuleInfo,
+        plan_fingerprint,
         plan_rule,
         query_rule,
     )
@@ -137,7 +101,6 @@ if TYPE_CHECKING:  # pragma: no cover - static import surface for type checkers
         certify,
         check_certificate,
         derive_contract,
-        plan_fingerprint,
         require_certificate,
     )
     from repro.analysis.rewrite_audit import audit_rewrites

@@ -33,26 +33,28 @@ every per-site spec from the plan alone.  Plans containing unknown
 expressions are refused with typed ``EFX*`` findings
 (:class:`~repro.errors.EffectSoundnessError` /
 :class:`~repro.errors.UnknownEffectError`), never silently assumed
-safe.
+safe.  The checker's comparison, :func:`effect_findings`, is also the
+``EFX*`` lint: ``verify_plan`` applies it to the :class:`EffectSpec`
+objects the optimizer stores in each node's ``extras["effects"]``.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional, Union
+import operator
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, ClassVar, Iterator, Mapping, Optional, Union
 
 from repro.algebra.expressions import And, Arith, Cmp, Col, Expr, Lit, Not, Or
 from repro.analysis.base import (
-    json_object,
+    Certificate,
+    CertificateAnalysis,
+    CertificateCounters,
     object_entries,
+    plan_fingerprint,
     plan_paths,
-    raise_unsound,
     root_plan,
 )
 from repro.analysis.diagnostics import Diagnostic, Severity, VerificationReport
-from repro.analysis.partition import plan_fingerprint
-from repro.counters import CounterSet
 from repro.errors import EffectSoundnessError, ReproError, UnknownEffectError
 from repro.model.schema import RecordSchema
 from repro.model.types import AtomType
@@ -93,25 +95,16 @@ EXCEPTION_TAGS = (EXC_DIV_ZERO, EXC_TYPE, EXC_UNKNOWN)
 
 
 @dataclass
-class EffectCounters(CounterSet):
+class EffectCounters(CertificateCounters):
     """Counters of effect-analysis work.
 
     Attributes:
         specs_derived: per-expression specs computed bottom-up.
         unknown_exprs: expressions that hit the lattice top element.
-        certificates_issued: certificates the prover produced.
-        certificates_rejected: prover runs refused with ``EFX*``
-            findings instead of a certificate.
-        checks_run: independent certificate re-verifications.
-        checks_failed: re-verifications that produced error findings.
     """
 
     specs_derived: int = 0
     unknown_exprs: int = 0
-    certificates_issued: int = 0
-    certificates_rejected: int = 0
-    checks_run: int = 0
-    checks_failed: int = 0
 
 
 #: Module-level default counters; read them out with
@@ -212,32 +205,20 @@ def interval_arith(op: str, left: Interval, right: Interval) -> Interval:
         low = _add_bound(left.low, -right.high if right.high is not None else None)
         high = _add_bound(left.high, -right.low if right.low is not None else None)
         return Interval(low, high)
-    if op == "*":
-        if None in (left.low, left.high, right.low, right.high):
-            return Interval.top()
-        assert left.low is not None and left.high is not None
-        assert right.low is not None and right.high is not None
-        products = [
-            left.low * right.low,
-            left.low * right.high,
-            left.high * right.low,
-            left.high * right.high,
-        ]
-        return Interval(min(products), max(products))
-    if op == "/":
-        if None in (left.low, left.high, right.low, right.high) or (
-            right.contains_zero()
+    if op in ("*", "/"):
+        if (
+            left.low is None
+            or left.high is None
+            or right.low is None
+            or right.high is None
+            or (op == "/" and right.contains_zero())
         ):
             return Interval.top()
-        assert left.low is not None and left.high is not None
-        assert right.low is not None and right.high is not None
-        quotients = [
-            left.low / right.low,
-            left.low / right.high,
-            left.high / right.low,
-            left.high / right.high,
+        apply = operator.mul if op == "*" else operator.truediv
+        corners = [
+            apply(a, b) for a in (left.low, left.high) for b in (right.low, right.high)
         ]
-        return Interval(min(quotients), max(quotients))
+        return Interval(min(corners), max(corners))
     raise ReproError(f"unknown arithmetic operator {op!r}")
 
 
@@ -328,11 +309,12 @@ class EffectSpec:
 
     def describe(self) -> str:
         """One-line rendering: ``pure total null-strict domain=[...]``."""
-        bits = []
-        bits.append("pure" if self.pure else "impure")
-        bits.append("deterministic" if self.deterministic else "nondeterministic")
-        bits.append("total" if self.total else f"raises({','.join(sorted(self.exceptions))})")
-        bits.append("null-strict" if self.null_strict else "non-strict")
+        bits = [
+            "pure" if self.pure else "impure",
+            "deterministic" if self.deterministic else "nondeterministic",
+            "total" if self.total else f"raises({','.join(sorted(self.exceptions))})",
+            "null-strict" if self.null_strict else "non-strict",
+        ]
         if self.domain is not None:
             bits.append(f"domain={self.domain!r}")
         return " ".join(bits)
@@ -347,13 +329,6 @@ _UNKNOWN_SPEC = EffectSpec(
 )
 
 
-def _domain_of_type(atype: Optional[AtomType]) -> Optional[Interval]:
-    """The starting domain for a value of one static type."""
-    if atype is AtomType.INT or atype is AtomType.FLOAT:
-        return Interval.top()
-    return None
-
-
 def _analyze(
     expr: Expr, schema: RecordSchema
 ) -> tuple[EffectSpec, Optional[AtomType]]:
@@ -364,16 +339,14 @@ def _analyze(
     ``None`` means the type is already confused (or unknowable) below.
     """
     if type(expr) is Col:
-        if expr.name in schema:
-            atype = schema.type_of(expr.name)
-            return (
-                EffectSpec(True, True, frozenset(), True, _domain_of_type(atype)),
-                atype,
-            )
-        return EffectSpec(True, True, frozenset((EXC_TYPE,)), True, None), None
+        if expr.name not in schema:
+            return EffectSpec(True, True, frozenset((EXC_TYPE,)), True, None), None
+        atype = schema.type_of(expr.name)
+        domain = Interval.top() if atype in (AtomType.INT, AtomType.FLOAT) else None
+        return EffectSpec(True, True, frozenset(), True, domain), atype
     if type(expr) is Lit:
         atype = expr.infer_type(schema)
-        domain: Optional[Interval] = None
+        domain = None
         if atype is AtomType.INT or atype is AtomType.FLOAT:
             assert isinstance(expr.value, (int, float))
             domain = Interval.point(float(expr.value))
@@ -398,18 +371,11 @@ def _analyze(
         elif expr.op == "/":
             # No divisor domain to exclude zero with: assume the worst.
             exceptions |= {EXC_DIV_ZERO}
-        return (
-            EffectSpec(
-                pure=left_spec.pure and right_spec.pure,
-                deterministic=left_spec.deterministic and right_spec.deterministic,
-                exceptions=exceptions,
-                null_strict=left_spec.null_strict and right_spec.null_strict,
-                domain=domain if numeric else None,
-            ),
-            AtomType.FLOAT
-            if expr.op == "/" and numeric
-            else (_common(left_type, right_type) if numeric else None),
-        )
+        # Numeric widening: true division and any float operand give float.
+        widened = expr.op == "/" or AtomType.FLOAT in (left_type, right_type)
+        result_type = (AtomType.FLOAT if widened else left_type) if numeric else None
+        spec = _both(left_spec, right_spec, exceptions, domain if numeric else None)
+        return spec, result_type
     if type(expr) is Cmp:
         left_spec, left_type = _analyze(expr.left, schema)
         right_spec, right_type = _analyze(expr.right, schema)
@@ -421,53 +387,34 @@ def _analyze(
             orderable = expr.op in ("==", "!=") or left_type is not AtomType.BOOL
             if not (comparable and orderable):
                 exceptions |= {EXC_TYPE}
-        return (
-            EffectSpec(
-                pure=left_spec.pure and right_spec.pure,
-                deterministic=left_spec.deterministic and right_spec.deterministic,
-                exceptions=exceptions,
-                null_strict=left_spec.null_strict and right_spec.null_strict,
-                domain=None,
-            ),
-            AtomType.BOOL,
-        )
+        return _both(left_spec, right_spec, exceptions), AtomType.BOOL
     if type(expr) is And or type(expr) is Or:
         left_spec, _ = _analyze(expr.left, schema)
         right_spec, _ = _analyze(expr.right, schema)
         # bool() coercion is total on every atom type, so the
         # connectives add no exceptions of their own.
-        return (
-            EffectSpec(
-                pure=left_spec.pure and right_spec.pure,
-                deterministic=left_spec.deterministic and right_spec.deterministic,
-                exceptions=left_spec.exceptions | right_spec.exceptions,
-                null_strict=left_spec.null_strict and right_spec.null_strict,
-                domain=None,
-            ),
-            AtomType.BOOL,
-        )
+        exceptions = left_spec.exceptions | right_spec.exceptions
+        return _both(left_spec, right_spec, exceptions), AtomType.BOOL
     if type(expr) is Not:
         operand_spec, _ = _analyze(expr.operand, schema)
-        return (
-            EffectSpec(
-                pure=operand_spec.pure,
-                deterministic=operand_spec.deterministic,
-                exceptions=operand_spec.exceptions,
-                null_strict=operand_spec.null_strict,
-                domain=None,
-            ),
-            AtomType.BOOL,
-        )
+        return replace(operand_spec, domain=None), AtomType.BOOL
     return EffectSpec.unknown(), None
 
 
-def _common(left: Optional[AtomType], right: Optional[AtomType]) -> Optional[AtomType]:
-    """Numeric widening without raising (both inputs already numeric)."""
-    if left is None or right is None:
-        return None
-    if left is AtomType.FLOAT or right is AtomType.FLOAT:
-        return AtomType.FLOAT
-    return left
+def _both(
+    left: EffectSpec,
+    right: EffectSpec,
+    exceptions: frozenset[str],
+    domain: Optional[Interval] = None,
+) -> EffectSpec:
+    """The spec of a node over two operands: a guarantee holds if both have it."""
+    return EffectSpec(
+        pure=left.pure and right.pure,
+        deterministic=left.deterministic and right.deterministic,
+        exceptions=exceptions,
+        null_strict=left.null_strict and right.null_strict,
+        domain=domain,
+    )
 
 
 def analyze_expr(
@@ -563,27 +510,28 @@ def node_expression_sites(
 
 def plan_expression_sites(
     plan: "Union[PhysicalPlan, OptimizedPlan]",
-    paths: Optional[Mapping[int, str]] = None,
 ) -> list[tuple[str, Expr, RecordSchema]]:
     """Every expression site of a plan tree, keyed ``<path>#<local>``."""
     root = root_plan(plan)
-    resolved = plan_paths(root) if paths is None else paths
-    sites: list[tuple[str, Expr, RecordSchema]] = []
-    for node in root.walk():
-        for local, expr, schema in node_expression_sites(node):
-            sites.append((f"{resolved[id(node)]}#{local}", expr, schema))
-    return sites
+    paths = plan_paths(root)
+    return [
+        (f"{paths[id(node)]}#{local}", expr, schema)
+        for node in root.walk()
+        for local, expr, schema in node_expression_sites(node)
+    ]
 
 
 def annotate_effects(plan: "Union[PhysicalPlan, OptimizedPlan]") -> dict[str, int]:
     """Derive and attach per-node effect metadata (the optimizer phase).
 
     Every node with expression sites gets
-    ``extras["effects"] = {"sites": {local_key: spec_dict}}`` recording
-    the *derived* spec truthfully — including the top element for
-    unknown expressions, so the metadata never over-claims and the
-    ``EFX*`` lint rules stay quiet on optimizer output.  Returns
-    summary counts for span attribution.
+    ``extras["effects"] = {local_key: EffectSpec}`` recording the
+    *derived* spec truthfully — including the top element for unknown
+    expressions, so the metadata never over-claims and the ``EFX*``
+    lint stays quiet on optimizer output.  The specs stay objects: the
+    batch codegen reads them on every operator open, and a subplan
+    pickles them as they are.  Returns summary counts for span
+    attribution.
     """
     root = root_plan(plan)
     total = unknown = safe = 0
@@ -591,41 +539,26 @@ def annotate_effects(plan: "Union[PhysicalPlan, OptimizedPlan]") -> dict[str, in
         sites = node_expression_sites(node)
         if not sites:
             continue
-        claimed: dict[str, dict[str, object]] = {}
-        for local, expr, schema in sites:
-            spec = analyze_expr(expr, schema)
-            claimed[local] = spec.to_dict()
+        specs = {local: analyze_expr(expr, schema) for local, expr, schema in sites}
+        node.extras["effects"] = specs
+        for spec in specs.values():
             total += 1
-            if spec.is_unknown:
-                unknown += 1
-            if spec.vectorization_safe:
-                safe += 1
-        node.extras["effects"] = {"sites": claimed}
+            unknown += spec.is_unknown
+            safe += spec.vectorization_safe
     return {"sites": total, "unknown": unknown, "vector_safe": safe}
 
 
 def node_effect_specs(node: "PhysicalPlan") -> dict[str, EffectSpec]:
-    """The certified specs one node's metadata claims, by local key.
+    """The specs one node's metadata claims, by local key.
 
-    The executor-side accessor: malformed or absent metadata yields an
-    empty mapping (the codegen then keeps its guarded loops, and the
-    ``EFX*`` lint rules report the malformation separately).
+    The executor-side accessor: anything in the metadata that is not an
+    :class:`EffectSpec` is ignored (the codegen then keeps its guarded
+    loops, and the ``EFX*`` lint reports the malformation).
     """
     meta = node.extras.get("effects")
     if not isinstance(meta, dict):
         return {}
-    sites = meta.get("sites")
-    if not isinstance(sites, dict):
-        return {}
-    specs: dict[str, EffectSpec] = {}
-    for key, data in sites.items():
-        if not isinstance(data, Mapping):
-            continue
-        try:
-            specs[str(key)] = EffectSpec.from_dict(data)
-        except ReproError:
-            continue
-    return specs
+    return {key: spec for key, spec in meta.items() if isinstance(spec, EffectSpec)}
 
 
 # -- certificates -------------------------------------------------------------
@@ -668,14 +601,16 @@ class EffectSite:
 
 
 @dataclass(frozen=True)
-class EffectCertificate:
+class EffectCertificate(Certificate):
     """A machine-checkable claim that a plan's expressions are modeled.
 
     Attributes:
         fingerprint: structural hash binding the certificate to one
-            plan (:func:`repro.analysis.partition.plan_fingerprint`).
+            plan (:func:`repro.analysis.base.plan_fingerprint`).
         sites: the per-expression specs, in plan pre-order.
     """
+
+    KIND: ClassVar[str] = "effect certificate"
 
     fingerprint: str
     sites: tuple[EffectSite, ...]
@@ -713,17 +648,143 @@ class EffectCertificate:
             version=version if isinstance(version, int) else 1,
         )
 
-    def to_json(self) -> str:
-        """The certificate as pretty-printed JSON text."""
-        return json.dumps(self.to_dict(), indent=2)
 
-    @staticmethod
-    def from_json(text: str) -> "EffectCertificate":
-        """Parse a certificate from :meth:`to_json` output."""
-        return EffectCertificate.from_dict(json_object(text, "effect certificate"))
+# -- the shared comparison ----------------------------------------------------
 
 
-# -- the prover ---------------------------------------------------------------
+def effect_findings(
+    claims: list[tuple[str, EffectSpec]],
+    derived: Mapping[str, EffectSpec],
+    source: str,
+) -> Iterator[Diagnostic]:
+    """Claimed specs against the independently derived ones, by site key.
+
+    The one comparison behind both surfaces:
+    :func:`check_effect_certificate` passes a certificate's sites, the
+    ``EFX*`` lint each node's ``extras["effects"]`` (``source`` names
+    which one the messages blame).  Claims are judged in the *sound*
+    direction: a claim may understate what is derivable — fewer
+    guarantees, more escaping exceptions, a wider domain, or the top
+    element itself — but never overstate it, and coverage must be total
+    both ways.
+    """
+    for key in sorted(derived.keys() - {key for key, _spec in claims}):
+        yield _finding(
+            EFX_FALLBACK, key,
+            f"plan expression site is missing from the {source}: coverage "
+            "must be total for the claims to mean anything",
+        )
+    for key, claimed in claims:
+        truth = derived.get(key)
+        if truth is None:
+            yield _finding(
+                EFX_FALLBACK, key,
+                f"{source} claims a spec for a site the plan does not have",
+            )
+            continue
+        if truth.is_unknown:
+            if not claimed.is_unknown:
+                yield _finding(
+                    EFX_FALLBACK, key,
+                    f"{source} claims {claimed.describe()} for an expression "
+                    "the analysis cannot model (interpreted fallback only)",
+                )
+            continue
+        if (claimed.pure and not truth.pure) or (
+            claimed.deterministic and not truth.deterministic
+        ):
+            yield _finding(
+                EFX_PURE, key,
+                f"{source} claims purity/determinism ({claimed.describe()}) "
+                f"the analysis cannot derive ({truth.describe()})",
+            )
+        if not claimed.exceptions >= truth.exceptions:
+            missing = sorted(truth.exceptions - claimed.exceptions)
+            yield _finding(
+                EFX_TOTAL, key,
+                f"{source} understates the escaping exceptions: derived "
+                f"{sorted(truth.exceptions)} but claimed "
+                f"{sorted(claimed.exceptions)} (missing {missing}) — an "
+                "unguarded loop could abort mid-batch",
+            )
+        if claimed.null_strict and not truth.null_strict:
+            yield _finding(
+                EFX_NULL, key,
+                f"{source} claims null-strictness the analysis cannot "
+                "derive: masked-out positions could influence surviving "
+                "outputs",
+            )
+        if claimed.domain is not None and (
+            truth.domain is None or not claimed.domain.covers(truth.domain)
+        ):
+            yield _finding(
+                EFX_DOMAIN, key,
+                f"{source} claims value domain {claimed.domain!r} but the "
+                "derived domain is "
+                f"{repr(truth.domain) if truth.domain else 'non-numeric'} — "
+                "the claim does not cover every producible value",
+            )
+
+
+def _finding(rule: str, key: str, message: str) -> Diagnostic:
+    """One effect error finding at site ``key``; every one cites Sec 3.1."""
+    return Diagnostic(rule, Severity.ERROR, key, message, "Sec 3.1")
+
+
+# -- the prover and the checker -----------------------------------------------
+
+
+def _prove(
+    root: "PhysicalPlan", report: VerificationReport, counters: EffectCounters
+) -> Optional[EffectCertificate]:
+    """The certificate of every site's spec, or None on an unknown site."""
+    sites: list[EffectSite] = []
+    for key, expr, schema in plan_expression_sites(root):
+        spec = analyze_expr(expr, schema, counters=counters)
+        if spec.is_unknown:
+            culprit = _first_unknown(expr)
+            name = type(culprit if culprit is not None else expr).__name__
+            report.add(
+                _finding(
+                    EFX_FALLBACK, key,
+                    f"expression {expr!r} contains the unmodeled node "
+                    f"{name!r}: its effects are the lattice top element, "
+                    "so the plan cannot be effect-certified",
+                )
+            )
+            continue
+        sites.append(EffectSite(path=key, expression=repr(expr), spec=spec))
+    if not report.ok:
+        return None
+    return EffectCertificate(fingerprint=plan_fingerprint(root), sites=tuple(sites))
+
+
+def _compare(
+    root: "PhysicalPlan",
+    cert: EffectCertificate,
+    report: VerificationReport,
+    counters: EffectCounters,
+) -> None:
+    """The certificate's sites against specs re-derived from the plan."""
+    derived = {
+        key: analyze_expr(expr, schema, counters=counters)
+        for key, expr, schema in plan_expression_sites(root)
+    }
+    claims = [(site.path, site.spec) for site in cert.sites]
+    report.diagnostics.extend(effect_findings(claims, derived, "certificate"))
+
+
+#: The prover/checker frame: spans, reports, counters, typed errors.
+_FRAME = CertificateAnalysis(
+    name="effects",
+    noun="effect",
+    rules=EFX_RULES,
+    refusal="plan is not effect-certifiable",
+    error=EffectSoundnessError,
+    fingerprint_rule=EFX_PURE,
+    citation="Sec 3.1",
+    counters=EFFECT_COUNTERS,
+)
 
 
 def analyze_effects(
@@ -746,42 +807,7 @@ def analyze_effects(
         ``(certificate, report)`` — the certificate is ``None`` exactly
         when the report carries error findings.
     """
-    from repro.obs.tracer import CATEGORY_ANALYSIS, maybe_span
-
-    counters = counters if counters is not None else EFFECT_COUNTERS
-    root = root_plan(plan)
-    report = VerificationReport(subject="effects", rules_run=list(EFX_RULES))
-    with maybe_span(tracer, "effects-certify", CATEGORY_ANALYSIS):
-        paths = plan_paths(root)
-        sites: list[EffectSite] = []
-        for key, expr, schema in plan_expression_sites(root, paths):
-            spec = analyze_expr(expr, schema, counters=counters)
-            if spec.is_unknown:
-                culprit = _first_unknown(expr)
-                name = (
-                    type(culprit).__name__
-                    if culprit is not None
-                    else type(expr).__name__
-                )
-                report.add(
-                    Diagnostic(
-                        EFX_FALLBACK, Severity.ERROR, key,
-                        f"expression {expr!r} contains the unmodeled node "
-                        f"{name!r}: its effects are the lattice top element, "
-                        "so the plan cannot be effect-certified",
-                        "Sec 3.1",
-                    )
-                )
-                continue
-            sites.append(EffectSite(path=key, expression=repr(expr), spec=spec))
-        if not report.ok:
-            counters.certificates_rejected += 1
-            return None, report
-        certificate = EffectCertificate(
-            fingerprint=plan_fingerprint(root), sites=tuple(sites)
-        )
-        counters.certificates_issued += 1
-    return certificate, report
+    return _FRAME.prove(plan, _prove, counters, tracer)
 
 
 def certify_effects(
@@ -796,13 +822,7 @@ def certify_effects(
         EffectSoundnessError: when the plan cannot be certified; the
             error's report carries the typed ``EFX*`` findings.
     """
-    certificate, report = analyze_effects(plan, counters=counters, tracer=tracer)
-    if certificate is None:
-        raise_unsound(EffectSoundnessError, "plan is not effect-certifiable", report)
-    return certificate
-
-
-# -- the independent checker --------------------------------------------------
+    return _FRAME.certify(analyze_effects(plan, counters=counters, tracer=tracer))
 
 
 def check_effect_certificate(
@@ -815,124 +835,11 @@ def check_effect_certificate(
     """Independently re-verify every certified spec against the plan.
 
     Recomputes the per-site specs from ``plan`` alone — sharing no
-    prover state — and checks each certificate claim in the *sound*
-    direction: a certificate may understate capabilities (claim fewer
-    guarantees than derivable) but never overstate them.  Fingerprint
-    mismatch rejects immediately, exactly like the partition checker.
+    prover state — and judges each certificate claim with
+    :func:`effect_findings`.  Fingerprint mismatch rejects immediately,
+    exactly like the partition checker.
     """
-    from repro.obs.tracer import CATEGORY_ANALYSIS, maybe_span
-
-    counters = counters if counters is not None else EFFECT_COUNTERS
-    root = root_plan(plan)
-    report = VerificationReport(
-        subject="effect-certificate", rules_run=list(EFX_RULES)
-    )
-    with maybe_span(tracer, "effects-check", CATEGORY_ANALYSIS):
-        counters.checks_run += 1
-        expected = plan_fingerprint(root)
-        if cert.fingerprint != expected:
-            report.add(
-                Diagnostic(
-                    EFX_PURE, Severity.ERROR, "root",
-                    f"certificate fingerprint {cert.fingerprint[:23]}... was "
-                    "issued for a different plan (structural hash mismatch)",
-                    "Sec 3.1",
-                )
-            )
-            counters.checks_failed += 1
-            return report
-        derived: dict[str, EffectSpec] = {}
-        for key, expr, schema in plan_expression_sites(root):
-            derived[key] = analyze_expr(expr, schema, counters=counters)
-        claimed_keys = {site.path for site in cert.sites}
-        for key in sorted(set(derived) - claimed_keys):
-            report.add(
-                Diagnostic(
-                    EFX_FALLBACK, Severity.ERROR, key,
-                    "plan expression site is missing from the certificate: "
-                    "coverage must be total for the certificate to mean "
-                    "anything",
-                    "Sec 3.1",
-                )
-            )
-        for site in cert.sites:
-            truth = derived.get(site.path)
-            if truth is None:
-                report.add(
-                    Diagnostic(
-                        EFX_FALLBACK, Severity.ERROR, site.path,
-                        "certificate claims a spec for a site the plan does "
-                        "not have",
-                        "Sec 3.1",
-                    )
-                )
-                continue
-            _check_site(site, truth, report)
-        if not report.ok:
-            counters.checks_failed += 1
-    return report
-
-
-def _check_site(
-    site: EffectSite, truth: EffectSpec, report: VerificationReport
-) -> None:
-    """One site's claims against the independently derived spec."""
-    claimed = site.spec
-    if truth.is_unknown:
-        report.add(
-            Diagnostic(
-                EFX_FALLBACK, Severity.ERROR, site.path,
-                f"certificate claims {claimed.describe()} for an expression "
-                "the analysis cannot model (interpreted fallback only)",
-                "Sec 3.1",
-            )
-        )
-        return
-    if (claimed.pure and not truth.pure) or (
-        claimed.deterministic and not truth.deterministic
-    ):
-        report.add(
-            Diagnostic(
-                EFX_PURE, Severity.ERROR, site.path,
-                f"certificate claims purity/determinism ({claimed.describe()})"
-                f" the analysis cannot derive ({truth.describe()})",
-                "Sec 3.1",
-            )
-        )
-    if not claimed.exceptions >= truth.exceptions:
-        missing = sorted(truth.exceptions - claimed.exceptions)
-        report.add(
-            Diagnostic(
-                EFX_TOTAL, Severity.ERROR, site.path,
-                f"certificate understates the escaping exceptions: derived "
-                f"{sorted(truth.exceptions)} but claimed "
-                f"{sorted(claimed.exceptions)} (missing {missing}) — an "
-                "unguarded loop could abort mid-batch",
-                "Sec 3.1",
-            )
-        )
-    if claimed.null_strict and not truth.null_strict:
-        report.add(
-            Diagnostic(
-                EFX_NULL, Severity.ERROR, site.path,
-                "certificate claims null-strictness the analysis cannot "
-                "derive: masked-out positions could influence surviving "
-                "outputs",
-                "Sec 3.1",
-            )
-        )
-    if claimed.domain is not None:
-        if truth.domain is None or not claimed.domain.covers(truth.domain):
-            report.add(
-                Diagnostic(
-                    EFX_DOMAIN, Severity.ERROR, site.path,
-                    f"certificate claims value domain {claimed.domain!r} but "
-                    f"the derived domain is "
-                    f"{repr(truth.domain) if truth.domain else 'non-numeric'} "
-                    "— the claim does not cover every producible value",
-                    "Sec 3.1",
-                )
-            )
+    return _FRAME.check(plan, cert, _compare, counters, tracer)
 
 
 def require_effect_certificate(
@@ -947,8 +854,6 @@ def require_effect_certificate(
     Raises:
         EffectSoundnessError: when re-verification fails.
     """
-    report = check_effect_certificate(plan, cert, counters=counters, tracer=tracer)
-    if not report.ok:
-        raise_unsound(EffectSoundnessError, "effect certificate rejected", report)
-    return cert
-
+    return _FRAME.require(
+        check_effect_certificate(plan, cert, counters=counters, tracer=tracer), cert
+    )

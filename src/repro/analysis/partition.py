@@ -28,26 +28,28 @@ every obligation from the plan alone — no prover state is reused — so
 a parallel engine can trust certificates it did not produce.  Plans
 that cannot be certified are rejected with typed ``PART*`` diagnostics
 (:class:`~repro.errors.PartitionSoundnessError`), never silently
-partitioned.
+partitioned.  The checker's contract comparison,
+:func:`contract_findings`, is also the ``PART*`` lint: ``verify_plan``
+applies it to the contract a plan's own ``extras["partition"]`` claims.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Union
 
 from repro.algebra.scope import ScopeSpec
 from repro.analysis.base import (
-    json_object,
+    Certificate,
+    CertificateAnalysis,
+    CertificateCounters,
     object_entries,
+    plan_fingerprint,
     plan_paths,
-    raise_unsound,
     root_plan,
 )
 from repro.analysis.diagnostics import Diagnostic, Severity, VerificationReport
-from repro.counters import CounterSet
+from repro.analysis.effects import analyze_expr, node_expression_sites
 from repro.errors import PartitionSoundnessError, ReproError
 from repro.model.span import Span
 
@@ -71,6 +73,9 @@ PART_COVER = "PART-COVER"
 #: All partition rule identifiers, in severity-triage order.
 PART_RULES = (PART_CONTRACT, PART_HALO, PART_ORDER, PART_BLOCKING, PART_COVER)
 
+#: What every PART-HALO finding cites.
+_HALO_CITATION = "Def 3.3 / Lem 3.2"
+
 # -- contract kinds -----------------------------------------------------------
 
 POINTWISE = "pointwise"
@@ -83,24 +88,15 @@ CONTRACT_KINDS = (POINTWISE, WINDOWED, ORDER_SENSITIVE, BLOCKING)
 
 
 @dataclass
-class PartitionCounters(CounterSet):
+class PartitionCounters(CertificateCounters):
     """Counters of partition-analysis work.
 
     Attributes:
-        certificates_issued: certificates the prover produced.
-        certificates_rejected: prover runs that ended in ``PART*``
-            error findings instead of a certificate.
         partitions_certified: partition ranges covered by issued
             certificates (sum of partition counts).
-        checks_run: independent certificate re-verifications.
-        checks_failed: re-verifications that produced error findings.
     """
 
-    certificates_issued: int = 0
-    certificates_rejected: int = 0
     partitions_certified: int = 0
-    checks_run: int = 0
-    checks_failed: int = 0
 
 
 #: Module-level default counters; read them out with
@@ -172,6 +168,8 @@ class PartitionContract:
     @staticmethod
     def from_dict(data: Mapping[str, object]) -> "PartitionContract":
         """Rebuild a contract from :meth:`to_dict` output."""
+        if not isinstance(data, Mapping):
+            raise ReproError(f"contract must be an object, got {data!r}")
         kind = data.get("kind")
         if not isinstance(kind, str):
             raise ReproError(f"contract kind must be a string, got {kind!r}")
@@ -265,7 +263,7 @@ _UNIT_SCOPE = ScopeSpec.unit()
 _EdgeScopes = dict[int, tuple[Optional[ScopeSpec], ...]]
 
 
-def _edge_scopes(root: "PhysicalPlan") -> _EdgeScopes:
+def edge_scopes(root: "PhysicalPlan") -> _EdgeScopes:
     """Every node's per-child scope, computed once per analysis.
 
     The abstract interpretation walks the tree several times (contract
@@ -282,9 +280,7 @@ def _edge_scopes(root: "PhysicalPlan") -> _EdgeScopes:
 
 
 def leaf_scopes(
-    plan: "PhysicalPlan",
-    paths: Mapping[int, str],
-    edges: Optional[_EdgeScopes] = None,
+    plan: "PhysicalPlan", paths: Mapping[int, str], edges: _EdgeScopes
 ) -> dict[str, ScopeSpec]:
     """The composed scope of ``plan``'s subtree on each leaf, by path.
 
@@ -299,13 +295,7 @@ def leaf_scopes(
     if not plan.children:
         return {paths[id(plan)]: _UNIT_SCOPE}
     composed: dict[str, ScopeSpec] = {}
-    node_edges = edges[id(plan)] if edges is not None else None
-    for index, child in enumerate(plan.children):
-        outer = (
-            node_edges[index]
-            if node_edges is not None
-            else plan_scope_on(plan, index)
-        )
+    for child, outer in zip(plan.children, edges[id(plan)]):
         if outer is None:
             raise ReproError(
                 f"plan kind {plan.kind!r} is unknown to the partition "
@@ -346,8 +336,12 @@ def derive_contract(plan: "Union[PhysicalPlan, OptimizedPlan]") -> PartitionCont
     certifies what it cannot model.
     """
     root = root_plan(plan)
+    return _derive(root, edge_scopes(root))
+
+
+def _derive(root: "PhysicalPlan", edges: _EdgeScopes) -> PartitionContract:
     try:
-        scopes = _leaf_scope_values(root, _edge_scopes(root))
+        scopes = _leaf_scope_values(root, edges)
     except ReproError:
         return PartitionContract(BLOCKING, None, None)
     return PartitionContract.of_scopes(scopes)
@@ -507,7 +501,7 @@ class MergeProof:
 
 
 @dataclass(frozen=True)
-class PartitionCertificate:
+class PartitionCertificate(Certificate):
     """A machine-checkable proof that a plan is parallel-decomposable.
 
     Attributes:
@@ -589,140 +583,148 @@ class PartitionCertificate:
             version=version if isinstance(version, int) else 1,
         )
 
-    def to_json(self) -> str:
-        """The certificate as pretty-printed JSON text."""
-        return json.dumps(self.to_dict(), indent=2)
 
-    @staticmethod
-    def from_json(text: str) -> "PartitionCertificate":
-        """Parse a certificate from :meth:`to_json` output."""
-        return PartitionCertificate.from_dict(json_object(text, "certificate"))
+# -- the shared comparisons ---------------------------------------------------
 
 
-def plan_fingerprint(plan: "Union[PhysicalPlan, OptimizedPlan]") -> str:
-    """A structural hash binding a certificate to one plan.
-
-    Covers everything partition soundness depends on: tree shape, plan
-    kinds, access modes, strategies, spans, chain steps, cache sizes
-    and output schemas.  Cost estimates and free-form extras are
-    deliberately excluded — re-costing a plan does not invalidate its
-    certificate.
-    """
-    root = root_plan(plan)
-    paths = plan_paths(root)
-    lines: list[str] = []
-    for node in root.walk():
-        steps = ";".join(step.describe() for step in node.steps)
-        lines.append(
-            "|".join(
-                (
-                    paths[id(node)],
-                    node.kind,
-                    node.mode,
-                    node.strategy,
-                    repr(node.span),
-                    repr(node.cache_size),
-                    steps,
-                    ",".join(node.schema.names),
-                    repr(node.predicate),
-                )
-            )
-        )
-    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    return f"sha256:{digest}"
-
-
-# -- the prover ---------------------------------------------------------------
-
-
-def _classify_nodes(
-    root: "PhysicalPlan",
-    paths: Mapping[int, str],
+def _error(
     report: VerificationReport,
-    edges: _EdgeScopes,
-) -> bool:
-    """Flag order-sensitive / blocking / unknown nodes; True when clean.
+    message: str,
+    path: str = "root",
+    rule: str = PART_COVER,
+    citation: str = "Sec 3.2",
+) -> None:
+    """Add one error finding (a PART-COVER tiling finding by default)."""
+    report.add(Diagnostic(rule, Severity.ERROR, path, message, citation))
 
-    Every interior node sits above every cut (the cuts tile the whole
-    root output), so one variable-scope or unbounded-scope operator
-    anywhere already makes every positional cut unsound.
 
-    Also cross-checks the effect analysis to discharge the certifier's
-    determinism assumption: re-running a partition's subplan must
-    recompute the same answer, so every predicate must be provably pure
-    and deterministic.  An expression outside the modeled effect
-    language (a custom ``Expr`` subclass) refuses the whole plan.
+def _expression_findings(
+    root: "PhysicalPlan", paths: Mapping[int, str]
+) -> Iterator[Diagnostic]:
+    """Predicates whose re-evaluation per partition is not provably sound.
+
+    Discharges the certifier's determinism assumption: re-running a
+    partition's subplan must recompute the same answer, so every
+    predicate must be provably pure and deterministic.  An expression
+    outside the modeled effect language (a custom ``Expr`` subclass)
+    refuses the whole plan.
     """
-    # Local import: repro.analysis.effects imports this module for the
-    # shared plan fingerprint, so the dependency cannot be module-level.
-    from repro.analysis.effects import analyze_expr, node_expression_sites
-
-    clean = True
     for node in root.walk():
         for key, expr, schema in node_expression_sites(node):
             spec = analyze_expr(expr, schema)
             if spec.is_unknown:
-                clean = False
-                report.add(
-                    Diagnostic(
-                        PART_CONTRACT, Severity.ERROR,
-                        f"{paths[id(node)]}#{key}",
-                        f"expression {expr!r} is outside the modeled effect "
-                        "language: its purity and determinism cannot be "
-                        "certified, so re-evaluating it per partition is "
-                        "not provably sound",
-                        "Sec 3.1",
-                    )
+                why = (
+                    "is outside the modeled effect language: its purity and "
+                    "determinism cannot be certified, so re-evaluating it per "
+                    "partition is not provably sound"
                 )
             elif not (spec.pure and spec.deterministic):
-                clean = False
-                report.add(
-                    Diagnostic(
-                        PART_CONTRACT, Severity.ERROR,
-                        f"{paths[id(node)]}#{key}",
-                        f"expression {expr!r} is not certified pure and "
-                        "deterministic; partitions re-evaluating it could "
-                        "disagree with the sequential answer",
-                        "Sec 3.1",
-                    )
+                why = (
+                    "is not certified pure and deterministic; partitions "
+                    "re-evaluating it could disagree with the sequential answer"
                 )
+            else:
+                continue
+            yield Diagnostic(
+                PART_CONTRACT, Severity.ERROR, f"{paths[id(node)]}#{key}",
+                f"expression {expr!r} {why}", "Sec 3.1",
+            )
+
+
+def _node_findings(
+    root: "PhysicalPlan", paths: Mapping[int, str], edges: _EdgeScopes
+) -> Iterator[Diagnostic]:
+    """Unknown, order-sensitive and blocking nodes.
+
+    Every interior node sits above every cut (the cuts tile the whole
+    root output), so one such operator anywhere already makes every
+    positional cut unsound.
+    """
     for node in root.walk():
-        for index, scope in enumerate(edges[id(node)]):
-            path = paths[id(node)]
+        path = paths[id(node)]
+        for scope in edges[id(node)]:
             if scope is None:
-                clean = False
-                report.add(
-                    Diagnostic(
-                        PART_CONTRACT, Severity.ERROR, path,
-                        f"plan kind {node.kind!r} is unknown to the partition "
-                        "analysis; conservatively blocking",
-                        "Sec 2.3",
-                    )
+                yield Diagnostic(
+                    PART_CONTRACT, Severity.ERROR, path,
+                    f"plan kind {node.kind!r} is unknown to the partition "
+                    "analysis; conservatively blocking",
+                    "Sec 2.3",
                 )
             elif scope.kind in ("all", "all_past"):
-                clean = False
-                report.add(
-                    Diagnostic(
-                        PART_BLOCKING, Severity.ERROR, path,
-                        f"blocking {node.kind} ({scope.kind} scope) above a "
-                        "partition cut: every output needs an unbounded input "
-                        "prefix, so no finite halo makes a positional cut sound",
-                        "Sec 2.3 / Sec 4.1.3",
-                    )
+                yield Diagnostic(
+                    PART_BLOCKING, Severity.ERROR, path,
+                    f"blocking {node.kind} ({scope.kind} scope) above a "
+                    "partition cut: every output needs an unbounded input "
+                    "prefix, so no finite halo makes a positional cut sound",
+                    "Sec 2.3 / Sec 4.1.3",
                 )
             elif scope.kind in ("variable_past", "variable_future"):
-                clean = False
-                report.add(
-                    Diagnostic(
-                        PART_ORDER, Severity.ERROR, path,
-                        f"order-sensitive {node.kind} ({scope.kind} scope, "
-                        f"reach {scope.reach}) above a partition cut: the "
-                        "positions it reads depend on the data's null "
-                        "pattern, so no static halo bounds a cut",
-                        "Sec 2.3",
-                    )
+                yield Diagnostic(
+                    PART_ORDER, Severity.ERROR, path,
+                    f"order-sensitive {node.kind} ({scope.kind} scope, "
+                    f"reach {scope.reach}) above a partition cut: the "
+                    "positions it reads depend on the data's null "
+                    "pattern, so no static halo bounds a cut",
+                    "Sec 2.3",
                 )
-    return clean
+
+
+def contract_findings(
+    root: "PhysicalPlan",
+    claimed: PartitionContract,
+    paths: Mapping[int, str],
+    edges: _EdgeScopes,
+) -> Iterator[Diagnostic]:
+    """A claimed contract against the one scope composition derives.
+
+    The one comparison behind both surfaces: :func:`check_certificate`
+    passes a certificate's contract, the ``PART*`` lint the contract a
+    plan's ``extras["partition"]`` claims.  A decomposable claim over a
+    plan with an unknown, order-sensitive or blocking node is refuted
+    by that node (PART-CONTRACT / PART-ORDER / PART-BLOCKING); otherwise
+    the claimed kind must be the derived kind (PART-CONTRACT) and the
+    claimed halo must cover the derived one (PART-HALO) — an understated
+    halo is the quiet failure of partitioning: a window crossing a cut
+    reads nulls where its neighbours should be, and every partition
+    still runs.
+    """
+    path = paths[id(root)]
+    if claimed.is_decomposable:
+        refuted = list(_node_findings(root, paths, edges))
+        if refuted:
+            yield from refuted
+            return
+    derived = _derive(root, edges)
+    if claimed.kind != derived.kind:
+        yield Diagnostic(
+            PART_CONTRACT, Severity.ERROR, path,
+            f"plan claims a {claimed.kind!r} partitioning contract but scope "
+            f"composition derives {derived.kind!r}",
+            "Prop 2.1 / Sec 2.3",
+        )
+    if derived.is_decomposable and (
+        _halo_understated(claimed.halo_below, derived.halo_below)
+        or _halo_understated(claimed.halo_above, derived.halo_above)
+    ):
+        yield Diagnostic(
+            PART_HALO, Severity.ERROR, path,
+            f"claimed halo (below={claimed.halo_below}, "
+            f"above={claimed.halo_above}) understates the derived halo "
+            f"(below={derived.halo_below}, above={derived.halo_above})",
+            _HALO_CITATION,
+        )
+
+
+def _halo_understated(claimed: Optional[int], derived: Optional[int]) -> bool:
+    """Whether a claimed halo width is below the derived requirement."""
+    if derived is None:
+        return claimed is not None
+    if claimed is None:
+        return False  # unbounded claim covers any finite requirement
+    return claimed < derived
+
+
+# -- the prover ---------------------------------------------------------------
 
 
 def _tile_windows(root_span: Span, parts: int) -> list[Span]:
@@ -765,6 +767,92 @@ def _assign_spans(
         _assign_spans(child, required, paths, node_spans, leaf_spans, edges)
 
 
+def _prove(
+    root: "PhysicalPlan",
+    report: VerificationReport,
+    counters: PartitionCounters,
+    parts: int,
+    span: Optional[Span],
+) -> Optional[PartitionCertificate]:
+    """The certificate for ``parts`` ranges of ``span``, or None on findings."""
+    paths = plan_paths(root)
+    root_path = paths[id(root)]
+    root_span = root.span if span is None else span.intersect(root.span)
+    if not root_span.is_bounded or root_span.is_empty:
+        _error(
+            report,
+            f"cannot partition output span {root_span}: cut points need a "
+            "bounded, non-empty position range",
+            root_path,
+        )
+    length = root_span.length()
+    if not isinstance(parts, int) or isinstance(parts, bool) or parts < 1:
+        _error(
+            report, f"partition count must be a positive integer, got {parts!r}", root_path
+        )
+    elif length is not None and length > 0 and parts > length:
+        _error(
+            report,
+            f"cannot cut {length} output position(s) into {parts} non-empty partitions",
+            root_path,
+        )
+    edges = edge_scopes(root)
+    report.diagnostics.extend(_expression_findings(root, paths))
+    report.diagnostics.extend(_node_findings(root, paths, edges))
+    if not report.ok:
+        return None
+
+    composed = leaf_scopes(root, paths, edges)
+    windows = _tile_windows(root_span, parts)
+    partitions: list[PartitionRange] = []
+    for index, window in enumerate(windows):
+        node_spans: dict[str, Span] = {}
+        leaf_span_map: dict[str, Span] = {}
+        _assign_spans(root, window, paths, node_spans, leaf_span_map, edges)
+        partitions.append(PartitionRange(index, window, node_spans, leaf_span_map))
+
+    obligations: list[HaloObligation] = []
+    leaf_plan_spans = {
+        paths[id(node)]: node.span for node in root.walk() if not node.children
+    }
+    for window in windows[1:]:
+        assert window.start is not None
+        cut = window.start
+        for path, scope in sorted(composed.items()):
+            lo, hi = min(scope.offsets), max(scope.offsets)
+            overlap = Span(cut + lo, cut - 1 + hi).intersect(
+                leaf_plan_spans.get(path, Span.ALL)
+            )
+            obligations.append(HaloObligation(cut, path, max(0, -lo), max(0, hi), overlap))
+
+    counters.partitions_certified += parts
+    return PartitionCertificate(
+        fingerprint=plan_fingerprint(root),
+        parts=parts,
+        root_span=root_span,
+        cut_points=tuple(
+            window.start for window in windows[1:] if window.start is not None
+        ),
+        contract=PartitionContract.of_scopes(list(composed.values())),
+        partitions=tuple(partitions),
+        halo_obligations=tuple(obligations),
+        merge=MergeProof(tuple(windows), True, True, True, root_span),
+    )
+
+
+#: The prover/checker frame: spans, reports, counters, typed errors.
+_FRAME = CertificateAnalysis(
+    name="partition",
+    noun="partition",
+    rules=PART_RULES,
+    refusal="plan is not parallel-decomposable",
+    error=PartitionSoundnessError,
+    fingerprint_rule=PART_CONTRACT,
+    citation="Prop 2.1",
+    counters=PARTITION_COUNTERS,
+)
+
+
 def analyze_partition(
     plan: "Union[PhysicalPlan, OptimizedPlan]",
     parts: int,
@@ -788,110 +876,13 @@ def analyze_partition(
         ``(certificate, report)`` — the certificate is ``None`` exactly
         when the report carries error findings.
     """
-    from repro.obs.tracer import CATEGORY_ANALYSIS, maybe_span
-
-    counters = counters if counters is not None else PARTITION_COUNTERS
-    root = root_plan(plan)
-    report = VerificationReport(subject="partition", rules_run=list(PART_RULES))
-    with maybe_span(tracer, "partition-certify", CATEGORY_ANALYSIS, parts=parts):
-        paths = plan_paths(root)
-        root_span = root.span if span is None else span.intersect(root.span)
-        if not root_span.is_bounded or root_span.is_empty:
-            report.add(
-                Diagnostic(
-                    PART_COVER, Severity.ERROR, paths[id(root)],
-                    f"cannot partition output span {root_span}: cut points "
-                    "need a bounded, non-empty position range",
-                    "Sec 3.2",
-                )
-            )
-        length = root_span.length()
-        if not isinstance(parts, int) or isinstance(parts, bool) or parts < 1:
-            report.add(
-                Diagnostic(
-                    PART_COVER, Severity.ERROR, paths[id(root)],
-                    f"partition count must be a positive integer, got {parts!r}",
-                    "Sec 3.2",
-                )
-            )
-        elif length is not None and length > 0 and parts > length:
-            report.add(
-                Diagnostic(
-                    PART_COVER, Severity.ERROR, paths[id(root)],
-                    f"cannot cut {length} output position(s) into {parts} "
-                    "non-empty partitions",
-                    "Sec 3.2",
-                )
-            )
-        edges = _edge_scopes(root)
-        clean = _classify_nodes(root, paths, report, edges)
-        if not report.ok or not clean:
-            counters.certificates_rejected += 1
-            return None, report
-
-        composed = leaf_scopes(root, paths, edges)
-        contract = PartitionContract.of_scopes(list(composed.values()))
-        windows = _tile_windows(root_span, parts)
-        partitions: list[PartitionRange] = []
-        for index, window in enumerate(windows):
-            node_spans: dict[str, Span] = {}
-            leaf_span_map: dict[str, Span] = {}
-            _assign_spans(root, window, paths, node_spans, leaf_span_map, edges)
-            partitions.append(
-                PartitionRange(
-                    index=index,
-                    window=window,
-                    node_spans=node_spans,
-                    leaf_spans=leaf_span_map,
-                )
-            )
-
-        obligations: list[HaloObligation] = []
-        leaf_plan_spans = {
-            paths[id(node)]: node.span for node in root.walk() if not node.children
-        }
-        for window in windows[1:]:
-            assert window.start is not None
-            cut = window.start
-            for path, scope in sorted(composed.items()):
-                offsets = scope.offsets
-                lo = min(offsets)
-                hi = max(offsets)
-                overlap = Span(cut + lo, cut - 1 + hi).intersect(
-                    leaf_plan_spans.get(path, Span.ALL)
-                )
-                obligations.append(
-                    HaloObligation(
-                        cut=cut,
-                        path=path,
-                        below=max(0, -lo),
-                        above=max(0, hi),
-                        span=overlap,
-                    )
-                )
-
-        merge = MergeProof(
-            windows=tuple(windows),
-            ascending=True,
-            disjoint=True,
-            contiguous=True,
-            covers=root_span,
-        )
-        certificate = PartitionCertificate(
-            fingerprint=plan_fingerprint(root),
-            parts=parts,
-            root_span=root_span,
-            cut_points=tuple(
-                window.start for window in windows[1:] if window.start is not None
-            ),
-            contract=contract,
-            partitions=tuple(partitions),
-            halo_obligations=tuple(obligations),
-            merge=merge,
-        )
-        counters.certificates_issued += 1
-        counters.partitions_certified += parts
-    return certificate, report
+    return _FRAME.prove(
+        plan,
+        lambda root, report, charged: _prove(root, report, charged, parts, span),
+        counters,
+        tracer,
+        parts=parts,
+    )
 
 
 def certify(
@@ -908,14 +899,9 @@ def certify(
         PartitionSoundnessError: when the plan cannot be certified; the
             error's report carries the typed ``PART*`` findings.
     """
-    certificate, report = analyze_partition(
-        plan, parts, span, counters=counters, tracer=tracer
+    return _FRAME.certify(
+        analyze_partition(plan, parts, span, counters=counters, tracer=tracer)
     )
-    if certificate is None:
-        raise_unsound(
-            PartitionSoundnessError, "plan is not parallel-decomposable", report
-        )
-    return certificate
 
 
 # -- the independent checker --------------------------------------------------
@@ -926,22 +912,16 @@ def _check_cover(
 ) -> None:
     """Re-verify the tiling and the merge proof (PART-COVER)."""
     if not root.span.covers(cert.root_span):
-        report.add(
-            Diagnostic(
-                PART_COVER, Severity.ERROR, "root",
-                f"certificate root span {cert.root_span} is not contained "
-                f"in the plan span {root.span}",
-                "Sec 3.2",
-            )
+        _error(
+            report,
+            f"certificate root span {cert.root_span} is not contained in the "
+            f"plan span {root.span}",
         )
     if cert.parts != len(cert.partitions) or cert.parts < 1:
-        report.add(
-            Diagnostic(
-                PART_COVER, Severity.ERROR, "root",
-                f"certificate declares {cert.parts} partition(s) but lists "
-                f"{len(cert.partitions)}",
-                "Sec 3.2",
-            )
+        _error(
+            report,
+            f"certificate declares {cert.parts} partition(s) but lists "
+            f"{len(cert.partitions)}",
         )
         return
     windows = [partition.window for partition in cert.partitions]
@@ -949,67 +929,42 @@ def _check_cover(
     tiled = True
     for index, window in enumerate(windows):
         if window.is_empty or window.start is None or window.end is None:
-            report.add(
-                Diagnostic(
-                    PART_COVER, Severity.ERROR, "root",
-                    f"partition {index} window {window} is empty or unbounded",
-                    "Sec 3.2",
-                )
-            )
+            _error(report, f"partition {index} window {window} is empty or unbounded")
             tiled = False
             continue
         if previous_end is not None and window.start != previous_end + 1:
-            report.add(
-                Diagnostic(
-                    PART_COVER, Severity.ERROR, "root",
-                    f"partition {index} starts at {window.start}, expected "
-                    f"{previous_end + 1}: windows must be ascending, disjoint "
-                    "and contiguous",
-                    "Sec 3.2",
-                )
+            _error(
+                report,
+                f"partition {index} starts at {window.start}, expected "
+                f"{previous_end + 1}: windows must be ascending, disjoint and "
+                "contiguous",
             )
             tiled = False
         previous_end = window.end
     if tiled and windows:
         first, last = windows[0], windows[-1]
         if first.start != cert.root_span.start or last.end != cert.root_span.end:
-            report.add(
-                Diagnostic(
-                    PART_COVER, Severity.ERROR, "root",
-                    f"partition windows cover [{first.start}, {last.end}] but "
-                    f"the certificate claims {cert.root_span}",
-                    "Sec 3.2",
-                )
+            _error(
+                report,
+                f"partition windows cover [{first.start}, {last.end}] but the "
+                f"certificate claims {cert.root_span}",
             )
     expected_cuts = tuple(
         window.start for window in windows[1:] if window.start is not None
     )
     if cert.cut_points != expected_cuts:
-        report.add(
-            Diagnostic(
-                PART_COVER, Severity.ERROR, "root",
-                f"cut points {list(cert.cut_points)} disagree with the "
-                f"partition windows (expected {list(expected_cuts)})",
-                "Sec 3.2",
-            )
+        _error(
+            report,
+            f"cut points {list(cert.cut_points)} disagree with the partition "
+            f"windows (expected {list(expected_cuts)})",
         )
     if not (cert.merge.ascending and cert.merge.disjoint and cert.merge.contiguous):
-        report.add(
-            Diagnostic(
-                PART_COVER, Severity.ERROR, "root",
-                "merge proof does not assert ascending + disjoint + "
-                "contiguous windows",
-                "Sec 3.2",
-            )
+        _error(
+            report,
+            "merge proof does not assert ascending + disjoint + contiguous windows",
         )
     if cert.merge.covers != cert.root_span or cert.merge.windows != tuple(windows):
-        report.add(
-            Diagnostic(
-                PART_COVER, Severity.ERROR, "root",
-                "merge proof windows/coverage disagree with the partition list",
-                "Sec 3.2",
-            )
-        )
+        _error(report, "merge proof windows/coverage disagree with the partition list")
 
 
 def _check_node_spans(
@@ -1031,13 +986,11 @@ def _check_node_spans(
         child_path = paths[id(child)]
         recorded = partition.node_spans.get(child_path)
         if recorded is None:
-            report.add(
-                Diagnostic(
-                    PART_COVER, Severity.ERROR, child_path,
-                    f"partition {partition.index}: certificate records no "
-                    "input span for this node",
-                    "Sec 3.2",
-                )
+            _error(
+                report,
+                f"partition {partition.index}: certificate records no input "
+                "span for this node",
+                child_path,
             )
             continue
         scope = edges[id(node)][index]
@@ -1045,15 +998,12 @@ def _check_node_spans(
             continue  # already reported by the classification pass
         required = scope.required_window(granted).intersect(child.span)
         if not recorded.covers(required):
-            report.add(
-                Diagnostic(
-                    PART_HALO, Severity.ERROR, path,
-                    f"partition {partition.index}: producing {granted} needs "
-                    f"input span {required} from child {index}, but the "
-                    f"certificate grants only {recorded} — the halo at the "
-                    "cut is understated",
-                    "Def 3.3 / Lem 3.2",
-                )
+            _error(
+                report,
+                f"partition {partition.index}: producing {granted} needs input "
+                f"span {required} from child {index}, but the certificate "
+                f"grants only {recorded} — the halo at the cut is understated",
+                path, PART_HALO, _HALO_CITATION,
             )
         _check_node_spans(child, recorded, partition, paths, report, edges)
 
@@ -1079,13 +1029,10 @@ def _check_halo_obligations(
             above = scope.lookahead()
             obligation = recorded.get((cut, path))
             if obligation is None:
-                report.add(
-                    Diagnostic(
-                        PART_HALO, Severity.ERROR, path,
-                        f"certificate records no halo obligation for leaf at "
-                        f"cut {cut}",
-                        "Def 3.3 / Lem 3.2",
-                    )
+                _error(
+                    report,
+                    f"certificate records no halo obligation for leaf at cut {cut}",
+                    path, PART_HALO, _HALO_CITATION,
                 )
                 continue
             if (
@@ -1094,15 +1041,12 @@ def _check_halo_obligations(
                 or obligation.below < below
                 or obligation.above < above
             ):
-                report.add(
-                    Diagnostic(
-                        PART_HALO, Severity.ERROR, path,
-                        f"halo obligation at cut {cut} grants "
-                        f"(below={obligation.below}, above={obligation.above}) "
-                        f"but the composed scope needs (below={below}, "
-                        f"above={above}) — understated halo",
-                        "Def 3.3 / Lem 3.2",
-                    )
+                _error(
+                    report,
+                    f"halo obligation at cut {cut} grants (below={obligation.below}, "
+                    f"above={obligation.above}) but the composed scope needs "
+                    f"(below={below}, above={above}) — understated halo",
+                    path, PART_HALO, _HALO_CITATION,
                 )
             elif obligation.below > below or obligation.above > above:
                 report.add(
@@ -1112,9 +1056,47 @@ def _check_halo_obligations(
                         f"composed requirement (below={below}, above={above}):"
                         " sound, but the partitions read more overlap than "
                         "the exact halo",
-                        "Def 3.3 / Lem 3.2",
+                        _HALO_CITATION,
                     )
                 )
+
+
+def _compare(
+    root: "PhysicalPlan",
+    cert: PartitionCertificate,
+    report: VerificationReport,
+    _counters: PartitionCounters,
+) -> None:
+    """Every certificate obligation against the plan (fingerprint matched)."""
+    paths = plan_paths(root)
+    edges = edge_scopes(root)
+    report.diagnostics.extend(_expression_findings(root, paths))
+    root_path = paths[id(root)]
+    if cert.contract.is_decomposable:
+        report.diagnostics.extend(contract_findings(root, cert.contract, paths, edges))
+    else:
+        _error(
+            report,
+            f"certificate claims a {cert.contract.kind!r} contract, under which "
+            "no positional cut is sound",
+            root_path, PART_CONTRACT, "Sec 2.3",
+        )
+    if not report.ok:
+        return
+    _check_cover(cert, root, report)
+    for partition in cert.partitions:
+        granted_root = partition.node_spans.get(root_path)
+        required_root = partition.window.intersect(root.span)
+        if granted_root is None or not granted_root.covers(required_root):
+            _error(
+                report,
+                f"partition {partition.index}: the root must produce "
+                f"{required_root} but the certificate records {granted_root}",
+                root_path,
+            )
+            continue
+        _check_node_spans(root, granted_root, partition, paths, report, edges)
+    _check_halo_obligations(cert, root, paths, report, edges)
 
 
 def check_certificate(
@@ -1131,88 +1113,7 @@ def check_certificate(
     merge proof — sharing no state with the prover, so certificates
     from untrusted producers are safe to check before use.
     """
-    from repro.obs.tracer import CATEGORY_ANALYSIS, maybe_span
-
-    counters = counters if counters is not None else PARTITION_COUNTERS
-    root = root_plan(plan)
-    report = VerificationReport(
-        subject="partition-certificate", rules_run=list(PART_RULES)
-    )
-    with maybe_span(tracer, "partition-check", CATEGORY_ANALYSIS, parts=cert.parts):
-        counters.checks_run += 1
-        expected = plan_fingerprint(root)
-        if cert.fingerprint != expected:
-            report.add(
-                Diagnostic(
-                    PART_CONTRACT, Severity.ERROR, "root",
-                    f"certificate fingerprint {cert.fingerprint[:23]}... was "
-                    "issued for a different plan (structural hash mismatch)",
-                    "Prop 2.1",
-                )
-            )
-            counters.checks_failed += 1
-            return report
-        paths = plan_paths(root)
-        edges = _edge_scopes(root)
-        clean = _classify_nodes(root, paths, report, edges)
-        if clean:
-            derived = PartitionContract.of_scopes(
-                list(leaf_scopes(root, paths, edges).values())
-            )
-            if cert.contract.kind != derived.kind:
-                report.add(
-                    Diagnostic(
-                        PART_CONTRACT, Severity.ERROR, "root",
-                        f"certificate claims a {cert.contract.kind!r} contract "
-                        f"but the plan derives {derived.kind!r}",
-                        "Prop 2.1",
-                    )
-                )
-            if _halo_understated(cert.contract.halo_below, derived.halo_below) or (
-                _halo_understated(cert.contract.halo_above, derived.halo_above)
-            ):
-                report.add(
-                    Diagnostic(
-                        PART_HALO, Severity.ERROR, "root",
-                        f"certificate contract halo (below="
-                        f"{cert.contract.halo_below}, above="
-                        f"{cert.contract.halo_above}) understates the derived "
-                        f"halo (below={derived.halo_below}, above="
-                        f"{derived.halo_above})",
-                        "Def 3.3 / Lem 3.2",
-                    )
-                )
-            _check_cover(cert, root, report)
-            for partition in cert.partitions:
-                granted_root = partition.node_spans.get(paths[id(root)])
-                required_root = partition.window.intersect(root.span)
-                if granted_root is None or not granted_root.covers(required_root):
-                    report.add(
-                        Diagnostic(
-                            PART_COVER, Severity.ERROR, paths[id(root)],
-                            f"partition {partition.index}: the root must "
-                            f"produce {required_root} but the certificate "
-                            f"records {granted_root}",
-                            "Sec 3.2",
-                        )
-                    )
-                    continue
-                _check_node_spans(
-                    root, granted_root, partition, paths, report, edges
-                )
-            _check_halo_obligations(cert, root, paths, report, edges)
-        if not report.ok:
-            counters.checks_failed += 1
-    return report
-
-
-def _halo_understated(claimed: Optional[int], derived: Optional[int]) -> bool:
-    """Whether a claimed halo width is below the derived requirement."""
-    if derived is None:
-        return claimed is not None
-    if claimed is None:
-        return False  # unbounded claim covers any finite requirement
-    return claimed < derived
+    return _FRAME.check(plan, cert, _compare, counters, tracer, parts=cert.parts)
 
 
 def require_certificate(
@@ -1227,10 +1128,6 @@ def require_certificate(
     Raises:
         PartitionSoundnessError: when re-verification fails.
     """
-    report = check_certificate(plan, cert, counters=counters, tracer=tracer)
-    if not report.ok:
-        raise_unsound(
-            PartitionSoundnessError, "partition certificate rejected", report
-        )
-    return cert
-
+    return _FRAME.require(
+        check_certificate(plan, cert, counters=counters, tracer=tracer), cert
+    )

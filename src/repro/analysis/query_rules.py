@@ -32,7 +32,7 @@ from repro.algebra.offsets import PositionalOffset, ValueOffset
 from repro.algebra.project import Project
 from repro.algebra.scope import ScopeSpec
 from repro.algebra.select import Select
-from repro.analysis.base import QueryContext, query_rule
+from repro.analysis.base import CORRUPTION_ERRORS, QueryContext, query_rule
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.errors import QueryError
 
@@ -75,7 +75,7 @@ def check_scope_closure(ctx: QueryContext) -> Iterator[Diagnostic]:
         for k in range(node.arity):
             try:
                 declared = node.scope_on(k)
-            except Exception as exc:  # noqa: BLE001 - report, don't crash
+            except CORRUPTION_ERRORS as exc:
                 yield Diagnostic(
                     "scope-closure", Severity.ERROR, ctx.path(node),
                     f"scope_on({k}) raised: {exc}", "Prop 2.1",
@@ -110,7 +110,7 @@ def check_scope_closure(ctx: QueryContext) -> Iterator[Diagnostic]:
             try:
                 edge = node.scope_on(k)
                 combined = so_far.compose(edge)
-            except Exception as exc:  # noqa: BLE001
+            except CORRUPTION_ERRORS as exc:
                 yield Diagnostic(
                     "scope-closure", Severity.ERROR, ctx.path(child),
                     f"scope composition failed on the path from the root: {exc}",
@@ -197,7 +197,7 @@ def check_span_containment(ctx: QueryContext) -> Iterator[Diagnostic]:
         if all(a is not None for a in child_annotations):
             try:
                 inferred = node.infer_span([a.span for a in child_annotations])
-            except Exception as exc:  # noqa: BLE001
+            except CORRUPTION_ERRORS as exc:
                 yield Diagnostic(
                     "span-containment", Severity.ERROR, ctx.path(node),
                     f"span inference raised: {exc}", "Sec 3.2 Step 2.a",
@@ -228,7 +228,7 @@ def check_span_containment(ctx: QueryContext) -> Iterator[Diagnostic]:
             needed = node.required_input_spans(
                 annotation.restricted_span, [a.span for a in child_annotations]
             )
-        except Exception as exc:  # noqa: BLE001
+        except CORRUPTION_ERRORS as exc:
             yield Diagnostic(
                 "span-containment", Severity.ERROR, ctx.path(node),
                 f"required_input_spans raised: {exc}", "Sec 3.2 Step 2.b",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.analysis.base import CORRUPTION_ERRORS
 from repro.analysis.diagnostics import Diagnostic, Severity, VerificationReport
 from repro.optimizer.rewrite import RewriteStep, RewriteTrace, is_legal_push
 
@@ -77,7 +78,7 @@ def audit_step(step: RewriteStep, path: str) -> Iterator[Diagnostic]:
     try:
         before_schema = step.before.schema
         after_schema = step.after.schema
-    except Exception as exc:  # noqa: BLE001 - report, don't crash
+    except CORRUPTION_ERRORS as exc:
         yield Diagnostic(
             RULE_ID, Severity.ERROR, path,
             f"schema comparison failed while replaying the step: {exc}",
@@ -96,7 +97,7 @@ def audit_step(step: RewriteStep, path: str) -> Iterator[Diagnostic]:
     try:
         before_scopes = step.before.query_scope_on_leaves()
         after_scopes = step.after.query_scope_on_leaves()
-    except Exception as exc:  # noqa: BLE001
+    except CORRUPTION_ERRORS as exc:
         yield Diagnostic(
             RULE_ID, Severity.ERROR, path,
             f"scope comparison failed while replaying the step: {exc}",

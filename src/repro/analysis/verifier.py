@@ -17,8 +17,6 @@ from __future__ import annotations
 from typing import Optional, Union
 
 # Importing the rule modules populates the registries.
-import repro.analysis.effect_rules  # noqa: F401 - registration side effect
-import repro.analysis.partition_rules  # noqa: F401 - registration side effect
 import repro.analysis.plan_rules  # noqa: F401 - registration side effect
 import repro.analysis.query_rules  # noqa: F401 - registration side effect
 from repro.algebra.graph import Query
@@ -90,7 +88,7 @@ def verify_plan(plan: Union[PhysicalPlan, OptimizedPlan]) -> VerificationReport:
     report = VerificationReport(subject="plan")
     context = PlanContext(plan=root)
     for info in PLAN_RULES:
-        report.rules_run.append(info.rule_id)
+        report.rules_run.extend(info.rule_ids)
         report.diagnostics.extend(run_rule(info, context))
     return report
 

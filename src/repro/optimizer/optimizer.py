@@ -137,11 +137,11 @@ def optimize(
 
         with maybe_span(tracer, "partition-contract", CATEGORY_ANALYSIS) as part_span:
             # Derive and attach the partitioning contract so the PART*
-            # lint rules and plan readers see the plan's decomposability
+            # lint and plan readers see the plan's decomposability
             # claim.  (The parallel engine does not read it: `certify`
             # re-derives the contract before any partitioned run.)
             # Derived, not asserted: the metadata is correct by
-            # construction, so the lint rules stay quiet on our plans.
+            # construction, so the lint stays quiet on our plans.
             contract = derive_contract(output.stream_plan)
             output.stream_plan.extras["partition"] = {
                 "contract": contract.to_dict()
@@ -150,12 +150,12 @@ def optimize(
                 part_span.attrs["contract"] = contract.kind
 
         with maybe_span(tracer, "effects", CATEGORY_ANALYSIS) as effects_span:
-            # Derive and attach per-node effect specs for every select
-            # and compose predicate, so the batch codegen can gate its
-            # unguarded dense loops and the EFX* lint rules have claims
-            # to audit.  Like the partition contract, the metadata is
-            # derived — never asserted — so it records unknown specs
-            # truthfully instead of over-claiming.
+            # Derive and attach per-node EffectSpec objects for every
+            # select and compose predicate, so the batch codegen can gate
+            # its unguarded dense loops without parsing anything and the
+            # EFX* lint has claims to audit.  Like the partition contract,
+            # the metadata is derived — never asserted — so it records
+            # unknown specs truthfully instead of over-claiming.
             effect_summary = annotate_effects(output.stream_plan)
             if effects_span is not None:
                 effects_span.attrs.update(effect_summary)

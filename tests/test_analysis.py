@@ -42,6 +42,8 @@ from repro.optimizer import AccessCosts, optimize
 from repro.optimizer.plans import STREAM
 from repro.optimizer.rewrite import RewriteStep, RewriteTrace
 
+from tests.tampers import tamper_test
+
 SCHEMA = RecordSchema.of(close=AtomType.FLOAT, volume=AtomType.INT)
 
 
@@ -238,79 +240,22 @@ class TestCorruptedGraphs:
 
 
 class TestPartitionCorruptions:
-    """Partition-unsound plans trip exactly the PART* rule that owns them.
+    """Partition-unsound claims trip the PART* rule that owns them.
 
     The optimizer attaches derived (hence self-consistent) partition
-    metadata to every plan; these fixtures corrupt that metadata the
-    way a buggy parallel scheduler would — claiming a cheaper contract
-    than scope composition supports — and the linter must refuse.
+    metadata to every plan; the tamper table (``tests/tampers.py``)
+    corrupts it the way a buggy parallel scheduler would, and both the
+    linter and the certificate checker must refuse.
     """
 
     def optimized_plan(self, operator):
         catalog, _ = make_catalog()
         return optimize(Query(operator), catalog=catalog).plan
 
-    def test_window_with_understated_halo(self):
-        _, sequence = make_catalog()
-        plan = self.optimized_plan(
-            WindowAggregate(SequenceLeaf(sequence, "prices"), "avg", "close", 5)
-        )
-        meta = plan.plan.extras["partition"]
-        assert meta["contract"]["kind"] == "windowed"
-        assert meta["contract"]["halo_below"] == 4
-        # Understate the halo: a window crossing a cut would read nulls
-        # where its left neighbours should be.
-        meta["contract"]["halo_below"] = 1
-        report = verify_plan(plan)
-        assert not report.ok
-        findings = rule_errors(report, "PART-HALO")
-        assert any("understates" in d.message for d in findings)
-
-    def test_order_sensitive_claimed_pointwise(self):
-        _, sequence = make_catalog()
-        plan = self.optimized_plan(ValueOffset(SequenceLeaf(sequence, "prices"), -2))
-        meta = plan.plan.extras["partition"]
-        assert meta["contract"]["kind"] == "order-sensitive"
-        meta["contract"] = {"kind": "pointwise", "halo_below": 0, "halo_above": 0}
-        report = verify_plan(plan)
-        assert not report.ok
-        findings = rule_errors(report, "PART-ORDER")
-        assert any("order-sensitive" in d.message for d in findings)
-
-    def test_blocking_aggregate_claimed_pointwise(self):
-        from repro.algebra.aggregate import CumulativeAggregate
-
-        _, sequence = make_catalog()
-        plan = self.optimized_plan(
-            CumulativeAggregate(SequenceLeaf(sequence, "prices"), "max", "close")
-        )
-        meta = plan.plan.extras["partition"]
-        assert meta["contract"]["kind"] == "blocking"
-        meta["contract"] = {"kind": "pointwise", "halo_below": 0, "halo_above": 0}
-        report = verify_plan(plan)
-        assert not report.ok
-        findings = rule_errors(report, "PART-BLOCKING")
-        assert any("blocking" in d.message for d in findings)
-
-    def test_malformed_partition_metadata(self):
-        _, sequence = make_catalog()
-        plan = self.optimized_plan(
-            Select(SequenceLeaf(sequence, "prices"), Cmp(">", col("close"), lit(1.0)))
-        )
-        plan.plan.extras["partition"] = {"contract": {"kind": "sideways"}}
-        report = verify_plan(plan)
-        assert rule_errors(report, "PART-CONTRACT")
-
-    def test_cut_points_outside_span(self):
-        _, sequence = make_catalog()
-        plan = self.optimized_plan(
-            Select(SequenceLeaf(sequence, "prices"), Cmp(">", col("close"), lit(1.0)))
-        )
-        plan.plan.extras["partition"]["cut_points"] = [30, 10, 999]
-        report = verify_plan(plan)
-        findings = rule_errors(report, "PART-COVER")
-        assert any("ascending" in d.message for d in findings)
-        assert any("999" in d.message for d in findings)
+    test_window_with_understated_halo = tamper_test("understated-halo")
+    test_order_sensitive_claimed_pointwise = tamper_test("order-sensitive-claimed-pointwise")
+    test_blocking_aggregate_claimed_pointwise = tamper_test("blocking-claimed-pointwise")
+    test_malformed_partition_metadata = tamper_test("malformed-contract")
 
     def test_optimizer_metadata_is_lint_clean(self):
         _, sequence = make_catalog()
@@ -388,7 +333,6 @@ class TestCleanPass:
                 "PART-HALO",
                 "PART-ORDER",
                 "PART-BLOCKING",
-                "PART-COVER",
                 "EFX-PURE",
                 "EFX-TOTAL",
                 "EFX-NULL",

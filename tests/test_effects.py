@@ -36,9 +36,6 @@ from repro.algebra.expressions import (
     And,
     Arith,
     Cmp,
-    Col,
-    Expr,
-    Lit,
     Not,
     Or,
     col,
@@ -48,17 +45,15 @@ from repro.algebra.expressions import (
 )
 from repro.analysis import verify_plan
 from repro.analysis.effects import (
-    EFX_DOMAIN,
+    EFFECT_COUNTERS,
     EFX_FALLBACK,
     EFX_PURE,
     EFX_RULES,
-    EFX_TOTAL,
     EXC_DIV_ZERO,
     EXC_TYPE,
     EXC_UNKNOWN,
     EffectCertificate,
     EffectCounters,
-    EffectSite,
     EffectSpec,
     Interval,
     analyze_effects,
@@ -86,56 +81,13 @@ from repro.model import NULL, AtomType, Record, RecordSchema
 from repro.obs.tracer import Tracer
 from repro.optimizer import optimize
 
+from tests.tampers import Opaque, OpaquePredicate, replace_chain_predicate, tamper_test
+
 SCHEMA = RecordSchema.of(close=AtomType.FLOAT, volume=AtomType.INT, sym=AtomType.STR)
-
-
-class Opaque(Expr):
-    """A custom expression node outside the modeled effect language."""
-
-    def eval(self, record):
-        return record.values[0]
-
-    def columns(self):
-        return frozenset({"close"})
-
-    def infer_type(self, schema):
-        return AtomType.FLOAT
-
-    def rename(self, mapping):
-        return self
-
-    def __repr__(self):
-        return "Opaque()"
-
-
-class OpaquePredicate(Opaque):
-    """A custom boolean node, for select predicates."""
-
-    def eval(self, record):
-        return True
-
-    def infer_type(self, schema):
-        return AtomType.BOOL
-
-    def __repr__(self):
-        return "OpaquePredicate()"
 
 
 def optimized(source: str, catalog):
     return optimize(compile_query(source, catalog), catalog=catalog).plan
-
-
-def replace_chain_predicate(plan, predicate):
-    """Swap the first chain select predicate of an optimized plan."""
-    for node in plan.plan.walk():
-        if node.kind == "chain":
-            for index, step in enumerate(node.steps):
-                if step.predicate is not None:
-                    steps = list(node.steps)
-                    steps[index] = dataclasses.replace(step, predicate=predicate)
-                    node.steps = tuple(steps)
-                    return node
-    raise AssertionError("no chain select step in plan")
 
 
 # -- the lattice --------------------------------------------------------------
@@ -366,44 +318,12 @@ class TestCertificates:
         hedged = dataclasses.replace(certificate, sites=(weaker,))
         assert check_effect_certificate(divided, hedged).ok
 
-    def test_checker_catches_understated_exceptions(self, divided):
-        certificate = certify_effects(divided)
-        (site,) = certificate.sites
-        lying = dataclasses.replace(
-            site, spec=dataclasses.replace(site.spec, exceptions=frozenset())
-        )
-        tampered = dataclasses.replace(certificate, sites=(lying,))
-        report = check_effect_certificate(divided, tampered)
-        assert EFX_TOTAL in [d.rule for d in report.errors]
-
-    def test_checker_catches_overclaimed_domain(self, divided):
-        certificate = certify_effects(divided)
-        (site,) = certificate.sites
-        lying = dataclasses.replace(
-            site,
-            spec=dataclasses.replace(site.spec, domain=Interval(0.0, 1.0)),
-        )
-        tampered = dataclasses.replace(certificate, sites=(lying,))
-        report = check_effect_certificate(divided, tampered)
-        assert EFX_DOMAIN in [d.rule for d in report.errors]
-
-    def test_checker_catches_phantom_site(self, divided):
-        certificate = certify_effects(divided)
-        phantom = EffectSite(
-            "root:chain#step9", "Lit(1)", analyze_expr(lit(1), SCHEMA)
-        )
-        tampered = dataclasses.replace(
-            certificate, sites=certificate.sites + (phantom,)
-        )
-        report = check_effect_certificate(divided, tampered)
-        assert EFX_FALLBACK in [d.rule for d in report.errors]
-
-    def test_checker_catches_missing_site(self, divided):
-        certificate = certify_effects(divided)
-        gutted = dataclasses.replace(certificate, sites=())
-        report = check_effect_certificate(divided, gutted)
-        assert EFX_FALLBACK in [d.rule for d in report.errors]
-        assert "missing from the certificate" in report.errors[0].message
+    # Tampered claims are rows of the tamper table (tests/tampers.py),
+    # each run through the checker and the lint.
+    test_checker_catches_understated_exceptions = tamper_test("understated-exceptions")
+    test_checker_catches_overclaimed_domain = tamper_test("overclaimed-domain")
+    test_checker_catches_phantom_site = tamper_test("phantom-site")
+    test_checker_catches_missing_site = tamper_test("missing-site")
 
     def test_require_raises_typed_error(self, divided):
         certificate = certify_effects(divided)
@@ -434,11 +354,15 @@ class TestCertificates:
         assert counters.checks_failed == 1
 
 
-# -- the EFX lint rules -------------------------------------------------------
+# -- the EFX lint -------------------------------------------------------------
 
 
 class TestLintRules:
-    """verify_plan audits the optimizer-attached effect metadata."""
+    """verify_plan audits the optimizer-attached effect metadata.
+
+    Each tamper row (``tests/tampers.py``) is refuted by the same rule
+    through the lint and through the certificate checker.
+    """
 
     @pytest.fixture
     def annotated(self, table1):
@@ -461,33 +385,31 @@ class TestLintRules:
         report = verify_plan(annotated)
         assert EFX_PURE in [d.rule for d in report.errors]
 
-    def test_overclaimed_totality_is_efx_total(self, annotated):
-        sites = self.chain_node(annotated).extras["effects"]["sites"]
-        sites["step0"]["exceptions"] = []
-        report = verify_plan(annotated)
-        assert EFX_TOTAL in [d.rule for d in report.errors]
+    test_overclaimed_totality_is_efx_total = tamper_test("understated-exceptions")
+    test_overclaimed_domain_is_efx_domain = tamper_test("overclaimed-domain")
+    test_phantom_site_is_efx_fallback = tamper_test("phantom-site")
+    test_coverage_gap_is_efx_fallback = tamper_test("missing-site")
+    test_stale_claim_over_unknown_truth_is_efx_fallback = tamper_test("stale-claim-over-unknown")
 
-    def test_overclaimed_domain_is_efx_domain(self, annotated):
-        sites = self.chain_node(annotated).extras["effects"]["sites"]
-        sites["step0"]["domain"] = {"low": 0.0, "high": 1.0}
-        report = verify_plan(annotated)
-        assert EFX_DOMAIN in [d.rule for d in report.errors]
+    def test_one_derivation_per_site(self, annotated):
+        """The five EFX comparisons share one derived spec per site."""
+        before = EFFECT_COUNTERS.specs_derived
+        assert verify_plan(annotated).ok
+        assert EFFECT_COUNTERS.specs_derived - before == 1
 
-    def test_phantom_site_is_efx_fallback(self, annotated):
-        sites = self.chain_node(annotated).extras["effects"]["sites"]
-        sites["step9"] = sites["step0"]
-        report = verify_plan(annotated)
-        assert EFX_FALLBACK in [d.rule for d in report.errors]
+    @pytest.mark.parametrize(
+        "source",
+        ["select(ibm, close > 115.0)", "select(compose(ibm as i, hp as h), i_close > h_close)"],
+    )
+    def test_batch_operators_never_parse_specs(self, table1, source, monkeypatch):
+        catalog, _sequences = table1
+        root = optimized(source, catalog).plan
 
-    def test_coverage_gap_is_efx_fallback(self, annotated):
-        self.chain_node(annotated).extras["effects"]["sites"].pop("step0")
-        report = verify_plan(annotated)
-        assert EFX_FALLBACK in [d.rule for d in report.errors]
+        def parse(data):
+            raise AssertionError("an operator open parsed effect metadata")
 
-    def test_stale_claim_over_unknown_truth_is_efx_fallback(self, annotated):
-        replace_chain_predicate(annotated, OpaquePredicate())
-        report = verify_plan(annotated)
-        assert EFX_FALLBACK in [d.rule for d in report.errors]
+        monkeypatch.setattr(EffectSpec, "from_dict", staticmethod(parse))
+        execute_plan(root, root.span, ExecutionCounters(), mode="batch").to_pairs()
 
     def test_annotate_reports_summary(self, annotated):
         summary = annotate_effects(annotated)

@@ -67,6 +67,8 @@ from repro.workloads import (
     generate_stock,
 )
 
+from tests.tampers import tamper_test
+
 PARTS = (2, 3, 8)
 
 
@@ -229,13 +231,7 @@ class TestCertificates:
         report = check_certificate(plan, tampered)
         assert any(d.rule == "PART-HALO" for d in report.errors)
 
-    def test_checker_catches_understated_contract(self, windowed):
-        plan, cert = windowed
-        payload = cert.to_dict()
-        payload["contract"]["halo_below"] = 0
-        tampered = PartitionCertificate.from_dict(payload)
-        report = check_certificate(plan, tampered)
-        assert any(d.rule == "PART-HALO" for d in report.errors)
+    test_checker_catches_understated_contract = tamper_test("understated-halo")
 
     def test_checker_catches_narrowed_node_span(self, windowed):
         plan, cert = windowed
