@@ -15,9 +15,10 @@
 #      pytest-timeout plugin is installed; a SIGALRM watchdog in
 #      tests/conftest.py covers minimal containers without it)
 #   6-7. the chaos smoke job: every storage fault class x both
-#      executors (plus the parallel supervisor) must yield the exact
-#      answer or a typed error, never a wrong one — run at the default
-#      2 workers and again at 4 to exercise the DESIGN §14 contract
+#      executors (plus the parallel supervisor's thread lanes) must
+#      yield the exact answer or a typed error, never a wrong one — run
+#      at the default 2 workers and again at 4 to exercise the DESIGN
+#      §14 contract
 #   8. the trace round-trip check: traced runs exported as JSON Lines
 #      and Chrome trace_event must re-parse and validate against the
 #      pinned schemas in src/repro/obs/schema.py — with and without an

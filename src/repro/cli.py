@@ -401,7 +401,7 @@ def _run_main(args: argparse.Namespace, out) -> int:
         if args.parallel != "off":
             lanes = ExecOptions(workers=args.workers).lanes
             print(
-                f"parallel: {args.parallel} ({lanes} {args.pool} worker(s), "
+                f"parallel: {args.parallel} ({lanes} worker(s), "
                 f"{result.counters.partitions_executed} partition(s) "
                 f"executed, {result.counters.parallel_fallbacks} "
                 f"fallback(s))",

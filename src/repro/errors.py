@@ -109,9 +109,9 @@ class ParallelExecutionError(ExecutionError):
     """The parallel partitioned runtime itself failed.
 
     Raised by :mod:`repro.execution.parallel` for *infrastructure*
-    failures — the worker pool could not be spawned, a worker died with
-    an exception outside the typed hierarchy, or a process worker's
-    pool broke mid-flight.  Deliberately distinct from the query-level
+    failures — the thread pool could not be spawned or refused a
+    partition, or a worker died with an exception outside the typed
+    hierarchy.  Deliberately distinct from the query-level
     verdicts that pass through untouched (guard verdicts, typed storage
     faults): the engine's degradation ladder catches exactly this class
     (plus certification refusals) and re-runs the query on the proven

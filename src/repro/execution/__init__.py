@@ -22,11 +22,7 @@ from repro.execution.options import (
     POOL_KINDS,
     ExecOptions,
 )
-from repro.execution.parallel import (
-    DEFAULT_PARTITION_RETRY,
-    execute_parallel,
-    execute_partitioned,
-)
+from repro.execution.parallel import execute_parallel, execute_partitioned
 from repro.execution.partition import (
     merge_partitions,
     partition_plan,
@@ -46,7 +42,6 @@ __all__ = [
     "CumulativeAggregator",
     "DEFAULT_BATCH_SIZE",
     "DEFAULT_CHECK_STRIDE",
-    "DEFAULT_PARTITION_RETRY",
     "DEFAULT_WORKERS",
     "EXECUTION_MODES",
     "PARALLEL_MODES",

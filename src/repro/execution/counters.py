@@ -49,13 +49,13 @@ class ExecutionCounters(CounterSet):
             ``kernel:fallback`` trace event) makes the degradation
             observable.
         partitions_executed: certified partitions the parallel
-            supervisor completed (winning attempts only — a discarded
-            straggler duplicate is not an executed partition).
-        partition_retries: whole-partition re-dispatches after a
+            supervisor completed.
+        partition_retries: partition rebuilds during prepare after a
             :class:`~repro.errors.TransientStorageError` escaped the
             buffer pool's own read-level retries.
-        stragglers_redispatched: speculative duplicates dispatched for
-            partitions that exceeded their soft straggler timeout.
+        stragglers_redispatched: always 0 (the supervisor has no
+            straggler re-dispatch); kept because the end-to-end
+            benchmark harness still reads it.
         parallel_fallbacks: steps down from the parallel supervisor to
             the requested mode on the calling thread — the first rung
             of the degradation ladder (parallel → requested mode → row

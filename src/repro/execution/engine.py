@@ -11,8 +11,8 @@ Robustness hooks (DESIGN §9): both entry points build one validated
 any work or counter mutation happens, accept a
 :class:`~repro.execution.guard.QueryGuard` for per-query deadlines,
 cancellation, and resource budgets, and walk one degradation ladder —
-parallel supervisor → requested mode on the calling thread → row-path
-oracle — whose every step down is counted
+parallel supervisor (thread lanes) → requested mode on the calling
+thread → row-path oracle — whose every step down is counted
 (``parallel_fallbacks`` / ``fallbacks_taken``) and traced.
 """
 
@@ -206,8 +206,7 @@ def execute_plan(
             degradation ladder forgets a failed rung's counters.
         **options: the execution knobs —
             ``mode``, ``batch_size``, ``fallback``, ``parallel``,
-            ``workers``, ``pool``, ``straggler_timeout`` — declared,
-            defaulted and documented on
+            ``workers``, ``pool`` — declared, defaulted and documented on
             :class:`~repro.execution.options.ExecOptions`.
 
     Raises:
@@ -272,11 +271,6 @@ def _build_profile(
     error: Optional[BaseException],
 ) -> QueryProfile:
     """Assemble the flight-recorder record for one finished run."""
-    verdict = guard.verdict if guard is not None else None
-    if verdict is None and isinstance(error, QueryGuardError):
-        # A guard-class verdict the shared guard did not stamp itself
-        # (e.g. the parallel supervisor's straggler timeout).
-        verdict = type(error).__name__
     traced = active(tracer)
     top_operators: list = []
     if traced:
@@ -294,11 +288,10 @@ def _build_profile(
         pages_read=pages_read,
         cache_ops=counters.cache_ops,
         partition_retries=counters.partition_retries,
-        stragglers_redispatched=counters.stragglers_redispatched,
         fallbacks_taken=counters.fallbacks_taken,
         parallel_fallbacks=counters.parallel_fallbacks,
         kernels_fallback=counters.kernels_fallback,
-        guard_verdict=verdict,
+        guard_verdict=guard.verdict if guard is not None else None,
         error=type(error).__name__ if error is not None else None,
         top_operators=top_operators,
         traced=traced,
@@ -324,8 +317,8 @@ def run_query_detailed(
 
     ``**options`` are the execution knobs of
     :class:`~repro.execution.options.ExecOptions` (``mode``,
-    ``batch_size``, ``fallback``, ``parallel``, ``workers``, ``pool``,
-    ``straggler_timeout``; see :func:`execute_plan`); a bad one raises
+    ``batch_size``, ``fallback``, ``parallel``, ``workers``, ``pool``;
+    see :func:`execute_plan`); a bad one raises
     :class:`~repro.errors.ExecutionError` before the optimizer runs, so
     no plan, no counters and no storage access happen for a query that
     could never execute.

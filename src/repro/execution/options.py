@@ -9,7 +9,8 @@ the degradation ladder, the parallel supervisor, the per-partition
 lanes and the flight recorder never see loose knobs and never
 re-validate.  The CLI flags and the README knob table are derived from
 the same field declarations, so a knob's name, default and validity
-rule exist once.
+rule exist once; an API-only knob (``pool``, whose one value is
+``"thread"``) has a table row but no flag.
 """
 
 from __future__ import annotations
@@ -33,20 +34,25 @@ EXECUTION_MODES = ("batch", "row")
 PARALLEL_MODES = ("off", "auto", "force")
 
 #: Worker-pool kinds the parallel supervisor can spawn.
-POOL_KINDS = ("thread", "process")
+POOL_KINDS = ("thread",)
 
 #: Default worker count when ``parallel`` is requested without
-#: ``workers``: one lane per visible CPU.
-DEFAULT_WORKERS = max(1, os.cpu_count() or 1)
+#: ``workers``: one lane per visible CPU — the process's affinity mask
+#: where the platform has one, so a pinned process or a cpuset-limited
+#: container is not over-subscribed.
+DEFAULT_WORKERS = max(
+    1,
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+)
 
 
 def _knob(default: Any, *, choices: tuple = (), kind: type = str, help: Optional[str]) -> Any:
     """Declare one knob: its default, its validity rule, its CLI help.
 
     ``choices`` makes it an enumeration; otherwise ``kind`` is ``bool``
-    (a flag), ``int`` or ``float`` (a positive number; None is allowed
-    exactly when it is the default).  ``help=None`` marks an API-only
-    knob that has no command-line flag.
+    (a flag) or ``int`` (a positive integer; None is allowed exactly
+    when it is the default).  ``help=None`` marks an API-only knob that
+    has no command-line flag.
     """
     return field(default=default, metadata={"choices": choices, "kind": kind, "help": help})
 
@@ -68,10 +74,8 @@ class ExecOptions:
             infrastructure failure; ``"force"`` raises the typed
             refusal or failure instead of degrading.
         workers: parallel worker lanes (None: one per visible CPU).
-        pool: ``"thread"`` or ``"process"`` worker pool.
-        straggler_timeout: soft per-partition seconds before the
-            supervisor speculatively re-dispatches a straggler (None
-            disables the watch).
+        pool: the worker-pool kind; ``"thread"`` is the only one.
+            API-only: accepted so callers that name it keep working.
 
     Raises:
         ExecutionError: when any field violates its rule.
@@ -101,8 +105,7 @@ class ExecOptions:
     workers: Optional[int] = _knob(
         None, kind=int, help=f"parallel worker lanes (default {DEFAULT_WORKERS}: one per CPU)"
     )
-    pool: str = _knob("thread", choices=POOL_KINDS, help="parallel worker pool kind")
-    straggler_timeout: Optional[float] = _knob(None, kind=float, help=None)
+    pool: str = _knob("thread", choices=POOL_KINDS, help=None)
 
     def __post_init__(self) -> None:
         for spec in _KNOBS:
@@ -153,8 +156,7 @@ def _satisfies(spec: Any, value: Any) -> bool:
         return isinstance(value, bool)
     if value is None:
         return spec.default is None
-    accepted = (int, float) if kind is float else (int,)
-    return isinstance(value, accepted) and not isinstance(value, bool) and value > 0
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
 
 
 def valid_values(spec: Any) -> str:
@@ -162,8 +164,9 @@ def valid_values(spec: Any) -> str:
     choices, kind = spec.metadata["choices"], spec.metadata["kind"]
     if choices:
         quoted = [f'"{choice}"' for choice in choices]
+        if len(quoted) == 1:
+            return quoted[0]
         return f"{', '.join(quoted[:-1])} or {quoted[-1]}"
     if kind is bool:
         return "True or False"
-    rule = "a number > 0" if kind is float else "an integer >= 1"
-    return f"{rule}, or None" if spec.default is None else rule
+    return "an integer >= 1, or None" if spec.default is None else "an integer >= 1"

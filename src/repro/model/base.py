@@ -372,7 +372,3 @@ class SequenceWindow(BaseSequence):
         lo, hi = self._index_range(within)
         positions = self._positions[lo:hi]
         return zip(positions, map(self._parent._records.__getitem__, positions))
-
-    def __reduce__(self) -> tuple:
-        """Pickle as the window's own columns, never as the parent."""
-        return ColumnarAnswer, (self._schema, self._span, *self.nonnull_columns())

@@ -88,7 +88,6 @@ class QueryProfile:
     pages_read: int = 0
     cache_ops: int = 0
     partition_retries: int = 0
-    stragglers_redispatched: int = 0
     fallbacks_taken: int = 0
     parallel_fallbacks: int = 0
     kernels_fallback: int = 0
@@ -118,7 +117,6 @@ class QueryProfile:
             "pages_read": self.pages_read,
             "cache_ops": self.cache_ops,
             "partition_retries": self.partition_retries,
-            "stragglers_redispatched": self.stragglers_redispatched,
             "fallbacks_taken": self.fallbacks_taken,
             "parallel_fallbacks": self.parallel_fallbacks,
             "kernels_fallback": self.kernels_fallback,
@@ -145,9 +143,6 @@ class QueryProfile:
             pages_read=int(payload.get("pages_read", 0)),
             cache_ops=int(payload.get("cache_ops", 0)),
             partition_retries=int(payload.get("partition_retries", 0)),
-            stragglers_redispatched=int(
-                payload.get("stragglers_redispatched", 0)
-            ),
             fallbacks_taken=int(payload.get("fallbacks_taken", 0)),
             parallel_fallbacks=int(payload.get("parallel_fallbacks", 0)),
             kernels_fallback=int(payload.get("kernels_fallback", 0)),

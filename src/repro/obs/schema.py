@@ -129,7 +129,6 @@ PROFILE_SCHEMA: dict = {
                 "pages_read": {"type": "integer", "minimum": 0},
                 "cache_ops": {"type": "integer", "minimum": 0},
                 "partition_retries": {"type": "integer", "minimum": 0},
-                "stragglers_redispatched": {"type": "integer", "minimum": 0},
                 "fallbacks_taken": {"type": "integer", "minimum": 0},
                 "parallel_fallbacks": {"type": "integer", "minimum": 0},
                 "kernels_fallback": {"type": "integer", "minimum": 0},

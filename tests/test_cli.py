@@ -167,6 +167,21 @@ class TestExecutionFlagParity:
         assert code == 0, text
         assert "traced" in text
 
+    def test_explain_prints_the_parallel_line(self, prices_csv):
+        path, _sequence = prices_csv
+        code, text = run_cli(
+            "--load", f"prices={path}", "--explain",
+            "--parallel", "force", "--workers", "2",
+            "window(prices, avg, close, 6)",
+        )
+        assert code == 0, text
+        assert (
+            "parallel: force (2 worker(s), 2 partition(s) executed, 0 fallback(s))"
+            in text.splitlines()
+        )
+        # pool is API-only: there is one kind, so no flag chooses it.
+        assert "--pool" not in self.flags_of(build_parser("run"))
+
 
 class TestCheckCli:
     """`repro check`: the front-end semantic analyzer subcommand."""

@@ -7,12 +7,16 @@ never hangs and never returns a wrong answer.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import os
+import sys
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import repro.execution.options as options_module
 from repro.errors import (
     CorruptPageError,
     ExecutionError,
@@ -644,14 +648,17 @@ BAD_MODE_OR_BATCH_SIZE = [
 BAD_PARALLEL_KNOBS = [
     dict(parallel="sideways"),
     dict(pool="fiber"),
+    dict(pool="process"),  # the process pool is gone
     dict(workers=0),
     dict(workers=-1),
     dict(workers=True),
     dict(workers=1.0),
+    # straggler_timeout is gone: every value is an unknown option name.
     dict(straggler_timeout="1"),
     dict(straggler_timeout=True),
     dict(straggler_timeout=-1.0),
     dict(straggler_timeout=0),
+    dict(straggler_timeout=0.05),
     dict(turbo=True),  # an unknown option name
 ]
 BAD_GUARD_BUDGETS = [
@@ -781,6 +788,18 @@ class TestBoundaryValidation:
             run_query(query, catalog=catalog, batch_size=0)
         # nothing touched the disk: validation beat the optimizer
         assert stored.counters.as_dict() == before.as_dict()
+
+    def test_default_workers_follow_the_affinity_mask(self, monkeypatch):
+        # A process pinned to one of two CPUs gets one default lane.  A
+        # fresh copy of the module is imported, so ExecOptions stays the
+        # one class everything else already holds.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        spec = importlib.util.spec_from_file_location("options_copy", options_module.__file__)
+        fresh = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, fresh)
+        spec.loader.exec_module(fresh)
+        assert fresh.DEFAULT_WORKERS == 1
 
 
 class TestFallback:

@@ -3,21 +3,20 @@
 Five halves:
 
 * **equivalence** — the parallel supervisor reproduces the row-oracle
-  answer across worker counts {1, 2, 4}, both execution modes, and
-  both pool kinds, with counters merged and per-partition spans
-  adopted into the caller's tracer;
-* **containment** — transient faults earn one bounded per-partition
-  retry (``partition_retries`` accounts for every one), permanent
-  faults fail fast, and untyped worker death surfaces as the typed
+  answer across worker counts {1, 2, 4} and both execution modes, with
+  counters merged and per-partition spans adopted into the caller's
+  tracer;
+* **containment** — a lane's typed storage error passes through
+  unretried, and untyped worker death surfaces as the typed
   :class:`~repro.errors.ParallelExecutionError`;
-* **supervision** — stragglers get exactly one speculative re-dispatch
-  before a typed timeout, a failing partition cancels its siblings
-  without ever marking the caller's cancellation token, and a shared
-  guard bounds the whole query across workers;
-* **chaos** — the PR 4 fault matrix holds under parallel execution
-  (exact answer or typed error, never a wrong answer), and seeded
-  fault traces are identical across worker counts because partition
-  preparation is serial;
+* **supervision** — a failing partition cancels its siblings without
+  ever marking the caller's cancellation token, a shared guard bounds
+  the whole query across workers, and a lane's recorded time is its
+  own, never its wait for a free lane;
+* **chaos** — the fault matrix holds under parallel execution (exact
+  answer or typed error, never a wrong answer), and seeded fault
+  traces are identical across worker counts because partition
+  preparation is serial and reads every page before any lane starts;
 * **the ladder** — ``parallel="auto"`` degrades parallel → the
   requested mode on the calling thread → (with ``fallback``) the row
   oracle, charging ``parallel_fallbacks`` / ``fallbacks_taken`` and
@@ -30,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import time
 
 import pytest
 
@@ -44,7 +44,6 @@ from repro.errors import (
     PermanentStorageError,
     QueryCancelledError,
     QueryGuardError,
-    QueryTimeoutError,
     TransientStorageError,
 )
 from repro.execution import (
@@ -58,9 +57,11 @@ from repro.execution import (
 from repro.execution.context import ExecContext
 from repro.lang import compile_query
 from repro.model import Span
+from repro.obs.hist import HistogramSet
 from repro.obs.tracer import Tracer
 from repro.optimizer import optimize
 from repro.storage import FaultPlan, StoredSequence
+from repro.storage.faults import FaultyDisk
 from repro.workloads import StockSpec, generate_stock
 
 WORKERS = (1, 2, 4)
@@ -108,11 +109,6 @@ class TestEquivalence:
         assert counters.partition_retries == 0
         assert counters.stragglers_redispatched == 0
 
-    def test_process_pool_matches_row_oracle(self, certified):
-        answer, counters = run_parallel(certified, workers=2, pool="process")
-        assert list(answer.iter_nonnull()) == certified[2]
-        assert counters.partitions_executed == PARTS
-
     @pytest.mark.parametrize("workers", (1, 2))
     def test_partition_spans_adopted(self, certified, workers):
         tracer = Tracer()
@@ -146,53 +142,23 @@ class TestEquivalence:
 
 
 class TestContainment:
-    """Per-partition fault containment and the retry accounting."""
+    """A lane's typed error is the query's; untyped death is typed."""
 
     @pytest.mark.parametrize("workers", (1, 2))
-    def test_transient_execution_fault_retried(self, certified, workers, monkeypatch):
-        real = par._execute_partition
-        lock = threading.Lock()
-        failed: list[int] = []
-
-        def flaky(subplan, window, options, guard, tracer):
-            with lock:
-                inject = not failed and window.start not in failed
-                if inject:
-                    failed.append(window.start)
-            if inject:
-                raise TransientStorageError("injected transient worker fault")
-            return real(subplan, window, options, guard, tracer)
-
-        monkeypatch.setattr(par, "_execute_partition", flaky)
-        answer, counters = run_parallel(certified, workers=workers)
-        assert list(answer.iter_nonnull()) == certified[2]
-        assert counters.partitions_executed == PARTS
-        assert counters.partition_retries == 1
-
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_transient_budget_exhausted_raises(self, certified, workers, monkeypatch):
-        def always(subplan, window, options, guard, tracer):
-            raise TransientStorageError("injected persistent transient fault")
-
-        monkeypatch.setattr(par, "_execute_partition", always)
-        counters = ExecutionCounters()
-        with pytest.raises(TransientStorageError):
-            run_parallel(certified, workers=workers, counters=counters)
-        # One retry per partition that reached its second attempt; at
-        # least the first-failing partition exhausted its budget.
-        assert counters.partition_retries >= 1
-        assert counters.partitions_executed == 0
-
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_permanent_fault_fails_fast(self, certified, workers, monkeypatch):
+    @pytest.mark.parametrize("error", (TransientStorageError, PermanentStorageError))
+    def test_permanent_fault_fails_fast(self, certified, error, workers, monkeypatch):
+        # A lane's typed storage error passes through unretried: lanes
+        # read no page (see test_lanes_read_no_page), so only prepare
+        # rebuilds a partition.
         def doomed(subplan, window, options, guard, tracer):
-            raise PermanentStorageError("injected lost page")
+            raise error("injected storage fault")
 
         monkeypatch.setattr(par, "_execute_partition", doomed)
         counters = ExecutionCounters()
-        with pytest.raises(PermanentStorageError):
+        with pytest.raises(error):
             run_parallel(certified, workers=workers, counters=counters)
         assert counters.partition_retries == 0
+        assert counters.partitions_executed == 0
 
     def test_untyped_worker_death_is_typed(self, certified, monkeypatch):
         real = par._execute_partition
@@ -218,60 +184,26 @@ class TestContainment:
 
 
 class TestSupervision:
-    """Stragglers, cancellation fan-out, and the shared budget."""
+    """Cancellation fan-out, the shared budget, and lane timing."""
 
-    def test_straggler_speculation_rescues(self, certified, monkeypatch):
-        slow_start = certified[1].partitions[0].window.start
-        gate = threading.Event()
-        real = par._execute_partition
-        lock = threading.Lock()
-        attempts: list[int] = []
+    def test_lane_time_excludes_the_wait_for_a_lane(self, certified, monkeypatch):
+        # Four partitions on two lanes: two queue for a free lane while
+        # the first two sleep, and their wait must not count as theirs.
+        sleep = 0.02
+        real = par.materialize
 
-        def stub(subplan, window, options, guard, tracer):
-            if window.start == slow_start:
-                with lock:
-                    attempts.append(window.start)
-                    first = len(attempts) == 1
-                if first:
-                    gate.wait(10.0)
-            return real(subplan, window, options, guard, tracer)
+        def slow(ctx, plan, window, mode):
+            time.sleep(sleep)
+            return real(ctx, plan, window, mode)
 
-        monkeypatch.setattr(par, "_execute_partition", stub)
-        try:
-            answer, counters = run_parallel(
-                certified, workers=2, straggler_timeout=0.05
-            )
-        finally:
-            gate.set()
+        monkeypatch.setattr(par, "materialize", slow)
+        hists = HistogramSet()
+        answer, _counters = run_parallel(certified, workers=2, hists=hists)
         assert list(answer.iter_nonnull()) == certified[2]
-        assert counters.stragglers_redispatched == 1
-        assert counters.partitions_executed == PARTS
-        assert len(attempts) == 2
-
-    def test_straggler_twice_times_out(self, certified, monkeypatch):
-        slow_start = certified[1].partitions[0].window.start
-        gate = threading.Event()
-        real = par._execute_partition
-
-        def stub(subplan, window, options, guard, tracer):
-            if window.start == slow_start:
-                gate.wait(10.0)
-            return real(subplan, window, options, guard, tracer)
-
-        monkeypatch.setattr(par, "_execute_partition", stub)
-        counters = ExecutionCounters()
-        try:
-            with pytest.raises(QueryTimeoutError) as excinfo:
-                run_parallel(
-                    certified,
-                    workers=2,
-                    counters=counters,
-                    straggler_timeout=0.05,
-                )
-        finally:
-            gate.set()
-        assert counters.stragglers_redispatched == 1
-        assert excinfo.value.timeout_seconds == 0.05
+        lanes = hists.get("partition.duration_us")
+        assert lanes.count == PARTS
+        assert sleep * 1e6 <= lanes.minimum
+        assert lanes.maximum < 1.5 * sleep * 1e6
 
     def test_failure_cancels_siblings_not_caller(self, certified, monkeypatch):
         real = par._execute_partition
@@ -408,6 +340,43 @@ class TestChaosParallel:
         # Serial preparation makes the fault trace — not just the
         # outcome — identical no matter how many workers execute.
         assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    def test_lanes_read_no_page(self, monkeypatch):
+        # The invariant a lane's one attempt rests on: prepare drains
+        # every stored leaf on the calling thread before the first lane
+        # starts, so no lane can meet a storage fault to retry.
+        fault_plan = FaultPlan(3, transient_rate=0.15)
+        source = generate_stock(StockSpec("s", SPAN, 1.0, seed=5))
+        stored = StoredSequence.from_sequence(
+            "s",
+            source,
+            organization="clustered",
+            fault_plan=fault_plan,
+            page_capacity=16,
+            buffer_pages=8,
+        )
+        plan = optimize(base(stored, "s").window("avg", "close", 7).query()).plan
+        log: list[tuple[str, str]] = []
+        read, lane = FaultyDisk.read, par._execute_partition
+
+        def logged_read(disk, page_id):
+            log.append(("read", threading.current_thread().name))
+            return read(disk, page_id)
+
+        def logged_lane(*args):
+            log.append(("lane", threading.current_thread().name))
+            return lane(*args)
+
+        monkeypatch.setattr(FaultyDisk, "read", logged_read)
+        monkeypatch.setattr(par, "_execute_partition", logged_lane)
+        execute_parallel(plan, certify(plan, PARTS), workers=2)
+        caller = threading.current_thread().name
+        events = [event for event, _thread in log]
+        assert events.count("lane") == PARTS
+        assert "read" not in events[events.index("lane"):]
+        reads = [thread for event, thread in log if event == "read"]
+        assert reads and reads.count(caller) == len(reads)
+        assert stored.counters.faults_injected > 0
 
 
     #: organization -> (page_reads, records_streamed, faults, trace digest)

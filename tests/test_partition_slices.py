@@ -8,8 +8,8 @@ Four halves:
   answers every accessor exactly as the copying slice it replaced
   (kept here as the oracle) and reads Null outside its window;
 * **sharing without writing** — slices of an in-memory leaf are views
-  of its cached buffers, nothing writes through them, two lanes may
-  first-scan a cold leaf at once, and a slice pickles as its window;
+  of its cached buffers, nothing writes through them, and two lanes may
+  first-scan a cold leaf at once;
 * **the merge tripwire** — overlapping, duplicated-boundary and
   internally descending outputs raise the typed error naming the
   pair, whatever mix of columnar and row outputs carries them;
@@ -20,7 +20,6 @@ Four halves:
 
 from __future__ import annotations
 
-import pickle
 import sys
 import threading
 from types import SimpleNamespace
@@ -207,25 +206,6 @@ class TestSharing:
         query = compile_query(SHAPES["join"], env)
         answer = run_query(query, mode="batch", parallel="force", workers=2)
         assert answer.to_pairs() == run_query(query, mode="row", parallel="off").to_pairs()
-
-    @pytest.mark.parametrize("warm", ["cold", "columns", "records"])
-    def test_a_slice_pickles_as_its_window(self, warm):
-        parent = dense_walks()["s"]
-        tenth = slice_sequence(parent, Span(600, 719))
-        if warm == "columns":
-            tenth.nonnull_columns()
-        elif warm == "records":
-            tenth.at(600)
-        payload = pickle.dumps(tenth)
-        assert len(payload) < len(pickle.dumps(parent)) / 5
-        shipped = pickle.loads(payload)
-        assert shipped.span == tenth.span and shipped.schema == tenth.schema
-        assert list(shipped.iter_nonnull()) == list(tenth.iter_nonnull())
-        assert columns_as_lists(shipped.nonnull_columns()) == columns_as_lists(
-            tenth.nonnull_columns()
-        )
-        for position in range(590, 730):
-            assert shipped.at(position) == tenth.at(position)
 
 
 # -- merge -----------------------------------------------------------------------

@@ -257,6 +257,13 @@ class TestFlightRecorder:
         ]
         parsed = parse_profiles(profiles_to_jsonl(profiles))
         assert [p.to_dict() for p in parsed] == [p.to_dict() for p in profiles]
+        # A version-1 record written while profiles still carried the
+        # since-dropped stragglers_redispatched key reads the same.
+        legacy = json.loads(profiles_to_jsonl(profiles[:1]).splitlines()[1])
+        legacy["stragglers_redispatched"] = 0
+        header = json.dumps({"type": "profiles", "version": 1, "count": 1})
+        (read,) = parse_profiles(f"{header}\n{json.dumps(legacy)}\n")
+        assert read.to_dict() == profiles[0].to_dict()
 
     def test_parse_rejects_bad_artifacts(self):
         with pytest.raises(TraceFormatError):
