@@ -11,20 +11,15 @@ job closes by checking the observability side of the contract
 (DESIGN §15): each successful run left exactly one clean profile, and
 every failure profile names a *typed* error class.
 
-The default run includes one parallel scenario (the batch executor
-under the parallel partitioned supervisor); ``--workers`` widens the
-whole matrix to that worker count, which is how CI exercises the
-DESIGN §14 contract at ``workers=4``.
+Both executors also run forced into certified partitions, at 2 and 4
+partitions each (DESIGN §14).
 
 Usage::
 
     PYTHONPATH=src python scripts/chaos_smoke.py
-    PYTHONPATH=src python scripts/chaos_smoke.py --workers 4
 """
 
 from __future__ import annotations
-
-import argparse
 
 from repro.errors import (
     CorruptPageError,
@@ -73,51 +68,29 @@ def make_query(fault_plan=None):
     return query, catalog, stored
 
 
-def scenarios(workers: int):
-    """The (label, run_query kwargs) matrix for one smoke run.
-
-    Both sequential executors always run; parallel scenarios ride along
-    — one by default, every mode when ``--workers`` asks for a wider
-    sweep.
-    """
-    matrix = [
-        ("batch", dict(mode="batch")),
-        ("row", dict(mode="row")),
-        (
-            f"par/batch/w{workers}",
-            dict(mode="batch", parallel="force", workers=workers),
-        ),
-    ]
-    if workers > 1:
-        matrix.append(
-            (
-                f"par/row/w{workers}",
-                dict(mode="row", parallel="force", workers=workers),
-            )
-        )
-    return matrix
+#: The (label, run_query kwargs) matrix: both executors whole, then
+#: forced into 2 and 4 certified partitions.
+SCENARIOS = [
+    ("batch", dict(mode="batch")),
+    ("row", dict(mode="row")),
+    *(
+        (f"par/{mode}/p{parts}", dict(mode=mode, parallel="force", workers=parts))
+        for parts in (2, 4)
+        for mode in ("batch", "row")
+    ),
+]
 
 
-def main(argv=None) -> int:
+def main() -> int:
     """Run the chaos matrix; exit 1 on any contract violation."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="worker lanes for the parallel scenarios (default 2)",
-    )
-    args = parser.parse_args(argv)
     query, catalog, _ = make_query()
     reference = run_query(query, catalog=catalog).to_pairs()
     violations = 0
     engine_successes = 0
     recorder = FlightRecorder(1024)
-    matrix = scenarios(args.workers)
     print(f"{'fault class':<12} {'scenario':<16} {'exact':>6} {'typed-fail':>10}")
     for name, rates in FAULT_CLASSES.items():
-        for label, kwargs in matrix:
+        for label, kwargs in SCENARIOS:
             exact = failed = 0
             for seed in SEEDS:
                 plan = FaultPlan(seed, **rates) if rates else None
@@ -135,7 +108,7 @@ def main(argv=None) -> int:
                 except QueryGuardError:
                     # Typed guard verdicts are contract-clean too, but
                     # nothing in this matrix sets budgets, so count one
-                    # as a violation rather than hiding a supervisor bug.
+                    # as a violation rather than hiding an engine bug.
                     print(
                         f"CONTRACT VIOLATION: {name}/{label} seed {seed} "
                         "raised a guard verdict with no guard configured"

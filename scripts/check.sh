@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository check script: static checks + tier-1 tests.
 #
-# Runs, in order (10 steps; 1-2 are skipped when the tool is absent):
+# Runs, in order (9 steps; 1-2 are skipped when the tool is absent):
 #   1. ruff  (if installed — `pip install .[lint]`)
 #   2. mypy  (if installed)
 #   3. a byte-compilation pass over src/ (always; catches syntax errors
@@ -14,24 +14,21 @@
 #   5. the tier-1 test suite (with per-test timeouts when the
 #      pytest-timeout plugin is installed; a SIGALRM watchdog in
 #      tests/conftest.py covers minimal containers without it)
-#   6-7. the chaos smoke job: every storage fault class x both
-#      executors (plus the parallel supervisor's thread lanes) must
-#      yield the exact answer or a typed error, never a wrong one — run
-#      at the default 2 workers and again at 4 to exercise the DESIGN
-#      §14 contract
-#   8. the trace round-trip check: traced runs exported as JSON Lines
+#   6. the chaos smoke job: every storage fault class x both executors,
+#      whole and forced into 2 and 4 certified partitions (DESIGN §14),
+#      must yield the exact answer or a typed error, never a wrong one
+#   7. the trace round-trip check: traced runs exported as JSON Lines
 #      and Chrome trace_event must re-parse and validate against the
 #      pinned schemas in src/repro/obs/schema.py — with and without an
 #      embedded metrics block
-#   9. the perf-regression gate (scripts/check_perf.py): every row of
-#      BENCH_exec.json, BENCH_parallel.json and BENCH_overhead.json
-#      must keep its limit, and a smoke replay of each benchmark —
-#      batch-vs-row speedups (identical answers asserted), modeled
-#      parallel speedup and workers=1 ratio, and every feature of
+#   8. the perf-regression gate (scripts/check_perf.py): every row of
+#      BENCH_exec.json and BENCH_overhead.json must keep its limit, and
+#      a smoke replay of each benchmark — batch-vs-row speedups
+#      (identical answers asserted) and every feature of
 #      benchmarks/bench_overhead.py on vs off over the e2e dense
 #      workloads — must read no worse than the committed smoke rows;
 #      a difference below the noise is printed as unresolved, not failed
-#  10. the end-to-end benchmark's own smoke (benchmarks/e2e, outside
+#   9. the end-to-end benchmark's own smoke (benchmarks/e2e, outside
 #      tier-1): a change to the entry surface that breaks the
 #      benchmark's pinned call syntax, counter names or span names
 #      (execute, parallel, partition) fails here, not in a benchmark run
@@ -85,9 +82,6 @@ run_step "tier-1 tests" env PYTHONPATH=src \
     python -m pytest -x -q "${timeout_args[@]}"
 
 run_step "chaos smoke" env PYTHONPATH=src python scripts/chaos_smoke.py
-
-run_step "chaos smoke (workers=4)" env PYTHONPATH=src \
-    python scripts/chaos_smoke.py --workers 4
 
 run_step "trace round-trip" env PYTHONPATH=src \
     python scripts/trace_roundtrip.py

@@ -10,8 +10,7 @@ same three rules:
   and every row its benchmark declares (``KEYS``, at both sizes) is
   there;
 * **a committed row keeps its contract** — a row with a ``limit`` (the
-  batch speedup floors, the parallel modeled-speedup floor and
-  workers=1 ceiling) has its median on the right side of it, so a
+  batch speedup floors) has its median on the right side of it, so a
   regressed baseline cannot be committed quietly.  An overhead row has
   a ``budget`` and a ``verdict`` instead: one that reads ``worse`` is
   printed as over budget, not failed — it reads so on an unchanged
@@ -48,13 +47,11 @@ from benchmarks import (  # noqa: E402
     baseline,
     bench_batch_speedup,
     bench_overhead,
-    bench_parallel_speedup,
 )
 
 #: Committed file -> the benchmark that writes it (``KEYS``, ``replay``).
 BASELINES = (
     ("BENCH_exec.json", bench_batch_speedup),
-    ("BENCH_parallel.json", bench_parallel_speedup),
     ("BENCH_overhead.json", bench_overhead),
 )
 

@@ -399,10 +399,10 @@ def _run_main(args: argparse.Namespace, out) -> int:
             mode_line = "execution mode: row (record-at-a-time)"
         print(mode_line, file=out)
         if args.parallel != "off":
-            lanes = ExecOptions(workers=args.workers).lanes
+            partitions = ExecOptions(workers=args.workers).partitions
             print(
-                f"parallel: {args.parallel} ({lanes} worker(s), "
-                f"{result.counters.partitions_executed} partition(s) "
+                f"parallel: {args.parallel} ({partitions} partition(s) "
+                f"certified, {result.counters.partitions_executed} "
                 f"executed, {result.counters.parallel_fallbacks} "
                 f"fallback(s))",
                 file=out,
@@ -566,8 +566,8 @@ def _partition_check_main(args: argparse.Namespace, out) -> int:
         _merge_report(report, part_report)
         if certificate is not None:
             # The prover's output is only trusted after the independent
-            # checker re-verifies it — the same discipline the parallel
-            # engine follows before it runs a partitioned plan.
+            # checker re-verifies it — the same discipline
+            # execute_partitioned follows before it runs a partitioned plan.
             _merge_report(
                 report, check_certificate(optimized, certificate, counters=counters)
             )
@@ -908,7 +908,7 @@ SUBCOMMANDS: dict[str, Subcommand] = {
         "Run a query repeatedly and render the full metrics block: "
         "execution counters plus the flight recorder's log-scale "
         "histograms (count/mean/min/max and p50/p90/p99) for query "
-        "durations, rows, pages, and per-partition lane times.",
+        "durations, rows, pages, and per-partition times.",
         _add_repeat,
         _stats_main,
         epilog=_REPEAT_EXIT_HELP,

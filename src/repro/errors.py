@@ -105,29 +105,6 @@ class ResourceBudgetExceededError(QueryGuardError):
         self.used = used
 
 
-class ParallelExecutionError(ExecutionError):
-    """The parallel partitioned runtime itself failed.
-
-    Raised by :mod:`repro.execution.parallel` for *infrastructure*
-    failures — the thread pool could not be spawned or refused a
-    partition, or a worker died with an exception outside the typed
-    hierarchy.  Deliberately distinct from the query-level
-    verdicts that pass through untouched (guard verdicts, typed storage
-    faults): the engine's degradation ladder catches exactly this class
-    (plus certification refusals) and re-runs the query on the proven
-    sequential paths, while a typed fault or budget verdict is the
-    final answer no matter how many runtimes could retry it.
-
-    Attributes:
-        partition_index: the partition whose worker failed, or -1 when
-            the failure was not attributable to one partition.
-    """
-
-    def __init__(self, message: str, partition_index: int = -1):
-        super().__init__(message)
-        self.partition_index = partition_index
-
-
 class StorageError(ReproError):
     """A failure in the paged storage substrate."""
 

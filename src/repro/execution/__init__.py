@@ -22,8 +22,8 @@ from repro.execution.options import (
     POOL_KINDS,
     ExecOptions,
 )
-from repro.execution.parallel import execute_parallel, execute_partitioned
 from repro.execution.partition import (
+    execute_partitioned,
     merge_partitions,
     partition_plan,
     slice_sequence,
@@ -61,7 +61,6 @@ __all__ = [
     "build_stream",
     "build_views",
     "evaluate_naive",
-    "execute_parallel",
     "execute_partitioned",
     "execute_plan",
     "make_sliding",

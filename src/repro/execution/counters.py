@@ -9,7 +9,7 @@ stream-access property's "single scan").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.counters import CounterSet
 
@@ -48,19 +48,20 @@ class ExecutionCounters(CounterSet):
             The vector kernels are the fast path; this counter (and the
             ``kernel:fallback`` trace event) makes the degradation
             observable.
-        partitions_executed: certified partitions the parallel
-            supervisor completed.
+        partitions_executed: certified partitions the partitioned run
+            (the ladder's ``parallel`` rung, or ``execute_partitioned``)
+            completed.
         partition_retries: partition rebuilds during prepare after a
             :class:`~repro.errors.TransientStorageError` escaped the
             buffer pool's own read-level retries.
-        stragglers_redispatched: always 0 (the supervisor has no
-            straggler re-dispatch); kept because the end-to-end
-            benchmark harness still reads it.
-        parallel_fallbacks: steps down from the parallel supervisor to
-            the requested mode on the calling thread — the first rung
-            of the degradation ladder (parallel → requested mode → row
-            oracle; the last step is ``fallbacks_taken``) — mirrored by
-            ``parallel:fallback`` trace events.
+        stragglers_redispatched: always 0 (nothing re-dispatches a
+            partition); kept because the end-to-end benchmark harness
+            still reads it.
+        parallel_fallbacks: steps down from the certified partitions to
+            the unpartitioned plan in the requested mode — the first
+            rung of the degradation ladder (parallel → requested mode →
+            row oracle; the last step is ``fallbacks_taken``) —
+            mirrored by ``parallel:fallback`` trace events.
     """
 
     scans_opened: int = 0
@@ -84,20 +85,3 @@ class ExecutionCounters(CounterSet):
         """Record a cache occupancy observation."""
         if occupancy > self.max_cache_occupancy:
             self.max_cache_occupancy = occupancy
-
-    def merge_from(self, other: "ExecutionCounters") -> None:
-        """Fold another counter set into this one (parallel workers).
-
-        Every worker of a parallel partitioned run charges its own
-        private counters — sharing one set across threads would race on
-        the unsynchronized ``+=`` hot paths — and the supervisor merges
-        them here when the partition completes.  All counters add,
-        except ``max_cache_occupancy``, which is a peak: the partitions
-        run disjoint operator caches, so the query-wide peak is the max
-        over partitions, not their sum.
-        """
-        for f in fields(self):
-            if f.name == "max_cache_occupancy":
-                self.note_occupancy(other.max_cache_occupancy)
-            else:
-                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))

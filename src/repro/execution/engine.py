@@ -11,9 +11,11 @@ Robustness hooks (DESIGN §9): both entry points build one validated
 any work or counter mutation happens, accept a
 :class:`~repro.execution.guard.QueryGuard` for per-query deadlines,
 cancellation, and resource budgets, and walk one degradation ladder —
-parallel supervisor (thread lanes) → requested mode on the calling
-thread → row-path oracle — whose every step down is counted
-(``parallel_fallbacks`` / ``fallbacks_taken``) and traced.
+certified partitions (:mod:`repro.execution.partition`) → the
+unpartitioned plan in the requested mode → row-path oracle — whose
+every step down is counted (``parallel_fallbacks`` /
+``fallbacks_taken``) and traced.  Every rung runs on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import Any, Callable, NamedTuple, Optional
 
 from repro.errors import (
     ExecutionError,
-    ParallelExecutionError,
     PartitionSoundnessError,
     QueryGuardError,
     ReproError,
@@ -43,7 +44,7 @@ from repro.execution.counters import ExecutionCounters
 from repro.execution.guard import QueryGuard
 from repro.execution.lane import materialize, started
 from repro.execution.options import ExecOptions
-from repro.execution.parallel import supervise
+from repro.execution.partition import run_partitions
 from repro.obs.analyze import render_analyze
 from repro.obs.hist import HistogramSet
 from repro.obs.instrument import stored_leaf_counters
@@ -68,10 +69,10 @@ class _Rung(NamedTuple):
     event: str = ""
 
 
-#: Failures the parallel rung degrades on: infrastructure failures, a
-#: refused or rejected certificate, internal execution errors — never a
-#: typed storage fault, which is an answer.
-_PARALLEL_RECOVERABLE = (ParallelExecutionError, PartitionSoundnessError, ExecutionError)
+#: Failures the parallel rung degrades on: a refused or rejected
+#: certificate, internal execution errors — never a typed storage
+#: fault, which is an answer.
+_PARALLEL_RECOVERABLE = (PartitionSoundnessError, ExecutionError)
 
 #: Failures a batch-mode run degrades to the row oracle on.
 _BATCH_RECOVERABLE = (ExecutionError, StorageError)
@@ -90,9 +91,11 @@ def _start(
 
     Builds the ordered rung list the options ask for —
 
-    * ``parallel`` (iff ``parallel != "off"``): certify the plan for
-      the lane count and run it under the supervisor; ``force`` makes
-      nothing recoverable, so the typed refusal or failure escapes;
+    * ``parallel`` (iff ``parallel != "off"``): certify the plan into
+      ``options.partitions`` ranges and run them one after another
+      (:func:`~repro.execution.partition.run_partitions`); ``force``
+      makes nothing recoverable, so the typed refusal or failure
+      escapes;
     * ``single-thread``: the requested ``mode`` on the calling thread;
     * ``row-oracle`` (iff batch mode with ``fallback``)
 
@@ -119,9 +122,9 @@ def _start(
             rungs.append(
                 _Rung(
                     "parallel",
-                    lambda: supervise(
+                    lambda: run_partitions(
                         plan,
-                        certify(plan, options.lanes, window, tracer=tracer),
+                        certify(plan, options.partitions, window, tracer=tracer),
                         options,
                         counters,
                         guard,
@@ -199,11 +202,12 @@ def execute_plan(
             is recorded as a ``parallel:fallback`` / ``fallback``
             event, and the tracer is finalized when the run ends so
             probe-side spans close.
-        hists: optional :class:`~repro.obs.hist.HistogramSet` the
-            parallel supervisor folds per-partition lane observations
-            into.  Histograms are observational — they record work
-            actually performed and are *not* rewound when the
-            degradation ladder forgets a failed rung's counters.
+        hists: optional :class:`~repro.obs.hist.HistogramSet` that
+            receives one ``partition.*`` observation per partition the
+            parallel rung executes.  Histograms are observational —
+            they record work actually performed and are *not* rewound
+            when the degradation ladder forgets a failed rung's
+            counters.
         **options: the execution knobs —
             ``mode``, ``batch_size``, ``fallback``, ``parallel``,
             ``workers``, ``pool`` — declared, defaulted and documented on
@@ -281,7 +285,7 @@ def _build_profile(
         query=repr(query)[:200],
         mode=options.mode,
         parallel=options.parallel,
-        workers=options.workers,
+        workers=options.partitions if options.parallel != "off" else None,
         batch_size=options.batch_size,
         duration_us=duration_us,
         records_emitted=counters.records_emitted,

@@ -47,53 +47,30 @@ class CancellationToken:
     executing query observes it at its next guard checkpoint and stops
     with a :class:`~repro.errors.QueryCancelledError`.
 
-    Tokens form a tree: a token built with ``parent=`` reports
-    :attr:`cancelled` when *either* itself or any ancestor is
-    cancelled, while cancelling the child never marks the parent.  The
-    parallel supervisor uses this to fan out cancellation — each worker
-    observes a child of the caller's token, so one failed partition can
-    cancel its siblings without faking a caller-initiated cancel.
-
     Memory model / propagation safety:
 
     * :meth:`cancel` and :attr:`cancelled` delegate to a
       :class:`threading.Event`, whose ``set``/``is_set`` pair is backed
       by a lock-protected flag — under CPython this gives the
       release/acquire ordering needed for a flag set in one thread to
-      become visible in every other thread at its next check, with no
-      external locking.  There is no platform on which a worker can
-      keep observing ``cancelled == False`` forever after ``cancel()``
-      returned.
-    * The ``parent`` link is immutable after construction, so the
-      ancestor walk in :attr:`cancelled` reads only frozen references
-      plus each ancestor's own Event — safe from any thread.
+      become visible in the executing thread at its next check, with
+      no external locking.
     * Cancellation is *sticky* and idempotent: there is no "uncancel",
-      which is what makes check-then-act races harmless (a worker that
+      which is what makes check-then-act races harmless (a query that
       misses the flag at one checkpoint sees it at the next).
     """
 
-    def __init__(self, parent: Optional["CancellationToken"] = None) -> None:
+    def __init__(self) -> None:
         self._event = threading.Event()
-        self._parent = parent
 
     def cancel(self) -> None:
         """Request cancellation (idempotent, safe from any thread)."""
         self._event.set()
 
     @property
-    def parent(self) -> Optional["CancellationToken"]:
-        """The linked parent token, if this token is a child."""
-        return self._parent
-
-    @property
     def cancelled(self) -> bool:
-        """Whether this token or any ancestor has been cancelled."""
-        token: Optional[CancellationToken] = self
-        while token is not None:
-            if token._event.is_set():
-                return True
-            token = token._parent
-        return False
+        """Whether the token has been cancelled."""
+        return self._event.is_set()
 
 
 class QueryGuard:
@@ -120,12 +97,12 @@ class QueryGuard:
     A guard is single-query state: create a fresh one per run (reusing
     one across queries keeps the first query's clock and record count).
 
-    Thread safety: one guard may be shared by every worker of a
-    parallel partitioned run, so the mutating paths — record
+    Thread safety: a query runs on one thread, but a caller may share
+    one guard across threads, so the mutating paths — record
     accounting (:meth:`note_records`/:meth:`rewind_records`) and the
     watched-counter registries — serialize on an internal lock; the
     budget check happens inside the same critical section as the
-    increment, so concurrent partitions cannot interleave
+    increment, so concurrent chargers cannot interleave
     check-then-increment and overdraw ``max_records``.  Nothing is
     locked per record: each row-mode loop checkpoints after every
     ``check_stride`` of its own iterations (:func:`checkpointed`), and
@@ -158,11 +135,11 @@ class QueryGuard:
         #: The typed verdict this guard issued, if any — the error class
         #: name, stamped just before the raise so the flight recorder
         #: can attribute "why did this query stop" without re-deriving
-        #: it from the exception that may have crossed thread or rung
-        #: boundaries on its way out.
+        #: it from the exception that may have crossed rung boundaries
+        #: on its way out.
         self.verdict: Optional[str] = None
         # Serializes record accounting and the watch registries when
-        # the guard is shared across parallel partition workers.
+        # the guard is shared across threads.
         self._lock = threading.Lock()
 
     # -- validation (the execute_plan/run_query boundary) --------------------
@@ -314,7 +291,7 @@ class QueryGuard:
         Raises:
             ResourceBudgetExceededError: the record budget is exceeded.
         """
-        # Increment and check under one lock: two partitions charging
+        # Increment and check under one lock: two threads charging
         # concurrently must not both pass a check the sum violates.
         with self._lock:
             self._records += count

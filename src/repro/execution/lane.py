@@ -5,11 +5,11 @@ and materializes the answer.  :func:`started` is its frame — window,
 self-check hook, guard arming, the lane's
 :class:`~repro.execution.context.ExecContext`, the ``execute`` span —
 and :func:`materialize` is the one-mode drain inside that frame.  The
-engine's degradation ladder runs its single-thread rungs in one such
-frame; the parallel supervisor opens one per partition.  Keeping both
-below :mod:`repro.execution.engine` and
-:mod:`repro.execution.parallel` is what lets the engine call the
-supervisor and the supervisor's lanes execute subplans without an
+engine's degradation ladder runs its rungs in one such frame; a
+partitioned run opens one more per partition, nested inside it.
+Keeping both below :mod:`repro.execution.engine` and
+:mod:`repro.execution.partition` is what lets the engine call the
+partitioned run and the partitioned run execute subplans without an
 import cycle.
 """
 
@@ -45,13 +45,14 @@ def started(
     """Frame one execution of ``plan``; yields ``(window, ctx, root_span)``.
 
     The window is ``span`` clipped to the plan's own span.  The guard's
-    clock is started (idempotently — reruns and lanes share it) and
-    every stored leaf's disk counters are registered with it.  ``ctx``
-    is the lane's execution context over ``counters``, the guard, the
-    tracer (``ctx.tracer`` is None when it is inactive) and the
-    validated batch size.  When the tracer is active the run is wrapped
-    in an ``execute`` span that is closed, and the tracer finalized so
-    probe-side spans close, however the body ends.
+    clock is started (idempotently — reruns and partitions share it)
+    and every stored leaf's disk counters are registered with it.
+    ``ctx`` is the frame's execution context over ``counters``, the
+    guard, the tracer (``ctx.tracer`` is None when it is inactive) and
+    the validated batch size.  When the tracer is active the run is
+    wrapped in an ``execute`` span carrying the records this frame
+    emitted; the span is closed, and the spans opened inside it are
+    finalized so probe-side spans close, however the body ends.
 
     Raises:
         ExecutionError: when the window is unbounded.
@@ -72,6 +73,7 @@ def started(
     if tracer is None:
         yield window, ctx, None
         return
+    opened, records = len(tracer.spans), counters.records_emitted
     root_span = tracer.begin(
         "execute",
         CATEGORY_ENGINE,
@@ -87,10 +89,10 @@ def started(
     try:
         yield window, ctx, root_span
     finally:
-        root_span.attrs["records_emitted"] = counters.records_emitted
+        root_span.attrs["records_emitted"] = counters.records_emitted - records
         tracer.pop()
         tracer.end(root_span)
-        tracer.finalize()
+        tracer.finalize(since=opened)
 
 
 def materialize(

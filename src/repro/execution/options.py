@@ -1,13 +1,12 @@
 """Execution knobs: declared, defaulted and validated in exactly one place.
 
 Every entry point that executes a plan (``execute_plan``, ``run_query``,
-``run_query_detailed``, ``execute_parallel``, ``execute_partitioned``)
-accepts the knobs below as keywords, builds one frozen
-:class:`ExecOptions` from them *before any work or counter mutation
-happens* (DESIGN §9), and hands that object to everything underneath —
-the degradation ladder, the parallel supervisor, the per-partition
-lanes and the flight recorder never see loose knobs and never
-re-validate.  The CLI flags and the README knob table are derived from
+``run_query_detailed``, ``execute_partitioned``) accepts the knobs below
+as keywords, builds one frozen :class:`ExecOptions` from them *before
+any work or counter mutation happens* (DESIGN §9), and hands that object
+to everything underneath — the degradation ladder, the partitioned run
+and the flight recorder never see loose knobs and never re-validate.
+The CLI flags and the README knob table are derived from
 the same field declarations, so a knob's name, default and validity
 rule exist once; an API-only knob (``pool``, whose one value is
 ``"thread"``) has a table row but no flag.
@@ -28,18 +27,19 @@ if TYPE_CHECKING:
 #: Execution modes: columnar batches, or the record-at-a-time oracle.
 EXECUTION_MODES = ("batch", "row")
 
-#: Parallel-execution modes: ``"off"`` (default), ``"auto"`` (parallel
-#: when certifiable, degrading down the ladder on refusal or runtime
-#: failure), and ``"force"`` (parallel or a typed refusal/failure).
+#: Partitioned-execution modes: ``"off"`` (default), ``"auto"``
+#: (partitioned when certifiable, degrading down the ladder on refusal
+#: or runtime failure), and ``"force"`` (partitioned or a typed
+#: refusal/failure).
 PARALLEL_MODES = ("off", "auto", "force")
 
-#: Worker-pool kinds the parallel supervisor can spawn.
+#: Accepted ``pool`` values; partitions run on the calling thread
+#: whatever it names.
 POOL_KINDS = ("thread",)
 
-#: Default worker count when ``parallel`` is requested without
-#: ``workers``: one lane per visible CPU — the process's affinity mask
-#: where the platform has one, so a pinned process or a cpuset-limited
-#: container is not over-subscribed.
+#: Default partition count when ``parallel`` is requested without
+#: ``workers``: one per visible CPU — the process's affinity mask where
+#: the platform has one.
 DEFAULT_WORKERS = max(
     1,
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
@@ -68,14 +68,15 @@ class ExecOptions:
         batch_size: positions covered per batch in batch mode.
         fallback: opt-in graceful degradation — a batch-mode run that
             fails with an internal error is re-run on the row oracle.
-        parallel: ``"off"`` executes single-threaded; ``"auto"`` runs
-            partition-certified plans on the parallel supervisor and
-            degrades to the single-thread path on refusal or
-            infrastructure failure; ``"force"`` raises the typed
-            refusal or failure instead of degrading.
-        workers: parallel worker lanes (None: one per visible CPU).
-        pool: the worker-pool kind; ``"thread"`` is the only one.
-            API-only: accepted so callers that name it keep working.
+        parallel: ``"off"`` executes the plan whole; ``"auto"`` runs a
+            partition-certified plan range by range on the calling
+            thread and degrades to the whole plan on refusal or an
+            internal failure; ``"force"`` raises the typed refusal or
+            failure instead of degrading.
+        workers: partitions the certified plan is cut into (None: one
+            per visible CPU).
+        pool: ``"thread"`` is the only value.  API-only: accepted so
+            callers that name it keep working.
 
     Raises:
         ExecutionError: when any field violates its rule.
@@ -98,12 +99,14 @@ class ExecOptions:
     parallel: str = _knob(
         "off",
         choices=PARALLEL_MODES,
-        help="run partition-certified plans on the parallel supervisor: "
-        "'auto' degrades to single-thread execution on refusal or "
-        "infrastructure failure, 'force' raises the typed error instead",
+        help="run partition-certified plans range by range: 'auto' "
+        "degrades to the unpartitioned plan on refusal or internal "
+        "failure, 'force' raises the typed error instead",
     )
     workers: Optional[int] = _knob(
-        None, kind=int, help=f"parallel worker lanes (default {DEFAULT_WORKERS}: one per CPU)"
+        None,
+        kind=int,
+        help=f"partitions to certify the plan into (default {DEFAULT_WORKERS}: one per CPU)",
     )
     pool: str = _knob("thread", choices=POOL_KINDS, help=None)
 
@@ -138,8 +141,8 @@ class ExecOptions:
         return built
 
     @property
-    def lanes(self) -> int:
-        """The worker-lane count parallel execution uses."""
+    def partitions(self) -> int:
+        """The partition count the parallel rung certifies the plan for."""
         return self.workers if self.workers is not None else DEFAULT_WORKERS
 
 

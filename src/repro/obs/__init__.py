@@ -9,7 +9,7 @@ The subsystem has six layers, each usable on its own:
   ``metrics.render``; use it as a module), and the generic counter
   snapshot/restore/delta helpers;
 * :mod:`repro.obs.hist` — fixed-bucket log-scale histograms with
-  p50/p90/p99 estimation, mergeable across parallel lanes;
+  p50/p90/p99 estimation, mergeable by bucket-wise addition;
 * :mod:`repro.obs.profile` — the flight recorder: a bounded ring of
   per-query profiles with slow-query promotion to full tracing;
 * :mod:`repro.obs.analyze` — EXPLAIN ANALYZE: the plan tree joined

@@ -9,11 +9,9 @@ module adds the distribution half of the telemetry story:
   boundaries (:data:`BUCKET_BOUNDS`).  Fixed boundaries are the whole
   design: every histogram in the process shares the same buckets, so
   two histograms merge by adding bucket counts — the property the
-  parallel supervisor relies on when it folds per-lane histograms into
-  the query totals exactly the way
-  :meth:`~repro.execution.counters.ExecutionCounters.merge_from` folds
-  counters.  Memory is a few hundred integers per histogram no matter
-  how many observations arrive.
+  flight recorder relies on when it folds each query's histograms into
+  its process-lifetime totals.  Memory is a few hundred integers per
+  histogram no matter how many observations arrive.
 * Quantile estimation (:meth:`LogHistogram.quantile`) interpolates
   inside the bucket containing the target rank and clamps to the
   exact observed min/max, so p50/p90/p99 carry at most one bucket's
@@ -22,7 +20,7 @@ module adds the distribution half of the telemetry story:
   is deterministic given the observations.
 * :class:`HistogramSet` — a named family of histograms with the same
   observe/merge discipline, the unit the flight recorder
-  (:mod:`repro.obs.profile`) and the parallel lanes pass around.
+  (:mod:`repro.obs.profile`) and the engine pass around.
 
 Values are unitless; the conventions used by the built-in telemetry
 are microseconds for durations (1 µs .. ~16 min fits the bucket range)
@@ -102,7 +100,7 @@ class LogHistogram:
         return self.total / self.count if self.count else 0.0
 
     def merge_from(self, other: "LogHistogram") -> None:
-        """Fold another histogram into this one (parallel lanes).
+        """Fold another histogram into this one.
 
         Sound because every histogram shares the fixed boundaries; the
         merged histogram is exactly what one histogram observing both
@@ -219,12 +217,9 @@ class LogHistogram:
 class HistogramSet:
     """A named family of :class:`LogHistogram` with one merge discipline.
 
-    The unit of histogram state the engine threads around: each
-    parallel lane observes into a private set, the supervisor merges
-    winning lanes into the query's set, and the flight recorder merges
-    query sets into its process-lifetime set — the exact shape of the
-    existing counter merge, so telemetry follows the same ownership
-    rules as the counters it summarizes.
+    The unit of histogram state the engine threads around: a query's
+    partitions observe into the query's set, and the flight recorder
+    merges query sets into its process-lifetime set.
     """
 
     __slots__ = ("_histograms",)

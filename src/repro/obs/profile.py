@@ -237,7 +237,7 @@ class FlightRecorder:
         Marks the profile ``slow`` against the threshold, promotes its
         fingerprint for next-run tracing when slow and not already
         traced, observes the query-level histograms, folds any
-        per-query histogram set (e.g. the parallel supervisor's
+        per-query histogram set (e.g. the partitioned run's
         per-partition observations), and appends to the ring —
         evicting FIFO when full.
         """

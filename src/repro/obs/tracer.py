@@ -133,7 +133,7 @@ class Tracer:
         self._epoch = clock() if enabled else 0.0
         self._next_id = 1
         self._stack: list[TraceSpan] = []
-        self._finalizers: list[Callable[[], None]] = []
+        self._finalizers: list[tuple[int, Callable[[], None]]] = []
 
     # -- time ----------------------------------------------------------------
 
@@ -208,63 +208,31 @@ class Tracer:
         span.events.append(event)
         return event
 
-    # -- parallel workers ----------------------------------------------------
-
-    def fork(self) -> "Tracer":
-        """A child tracer sharing this tracer's clock and epoch.
-
-        A tracer is single-threaded state (span ids, the parent stack,
-        the span list), so the parallel supervisor gives every worker a
-        fork instead of sharing itself: the worker records into its
-        private fork, and the supervisor — single-threaded again —
-        grafts the result back with :meth:`adopt` when the partition
-        completes.  Sharing the epoch keeps child timestamps on the
-        parent's timeline, so adopted spans land at their true offsets.
-        """
-        child = Tracer(
-            enabled=self.enabled, clock=self.clock, row_stride=self.row_stride
-        )
-        child._epoch = self._epoch
-        return child
-
-    def adopt(self, child: "Tracer", under: Optional[TraceSpan] = None) -> None:
-        """Graft a forked tracer's spans into this tracer.
-
-        Span ids are remapped into this tracer's id space (preserving
-        the child's internal parent/child structure); the child's root
-        spans are re-parented under ``under`` when given.  Call only
-        from the thread that owns this tracer, after the child's worker
-        has finished recording.
-        """
-        id_map: dict[int, int] = {}
-        for span in child.spans:
-            id_map[span.span_id] = self._next_id
-            span.span_id = self._next_id
-            self._next_id += 1
-            if span.parent_id is not None:
-                span.parent_id = id_map[span.parent_id]
-            elif under is not None:
-                span.parent_id = under.span_id
-            self.spans.append(span)
-        child.spans = []
-
     # -- finalization --------------------------------------------------------
 
     def add_finalizer(self, fn: Callable[[], None]) -> None:
-        """Run ``fn`` at :meth:`finalize` (probe-side spans close here)."""
-        self._finalizers.append(fn)
+        """Run ``fn`` at :meth:`finalize` (probe-side spans close here).
 
-    def finalize(self) -> None:
-        """Flush finalizers and close any spans still open.
-
-        The engine calls this when the execution root span closes, so
-        probe-side operators — which have no natural stream end — still
-        get end timestamps and attributed counters.
+        ``fn`` belongs to the newest span, so a :meth:`finalize` scoped
+        past that span leaves it for the enclosing one.
         """
-        finalizers, self._finalizers = self._finalizers, []
-        for fn in finalizers:
+        self._finalizers.append((max(len(self.spans) - 1, 0), fn))
+
+    def finalize(self, since: int = 0) -> None:
+        """Flush finalizers and close spans still open, from ``spans[since]`` on.
+
+        The engine calls this when an ``execute`` span closes, so
+        probe-side operators — which have no natural stream end — still
+        get end timestamps and attributed counters.  ``since`` scopes it
+        to the spans (and the finalizers registered) after that index:
+        a partition's ``execute`` frame finalizes its own operators
+        without closing the enclosing ``execute`` and ``parallel`` spans.
+        """
+        due = [fn for at, fn in self._finalizers if at >= since]
+        self._finalizers = [(at, fn) for at, fn in self._finalizers if at < since]
+        for fn in due:
             fn()
-        for span in self.spans:
+        for span in self.spans[since:]:
             if span.end_us is None:
                 self.end(span, busy_us=span.busy_us)
 
@@ -304,12 +272,11 @@ def trace_summary(tracer: Tracer) -> dict:
     tree along.
 
     ``top_operators`` aggregates spans *by operator name* before
-    ranking.  That matters for parallel runs: the supervisor adopts
-    one operator span per partition attempt
-    (:meth:`Tracer.fork`/:meth:`Tracer.adopt`), so ranking individual
-    spans would fragment an operator's time across its partitions and
-    under-report it — a scan split over 8 partitions must compete for
-    the top-5 with its *summed* time, not an eighth of it.
+    ranking.  That matters for partitioned runs: every partition opens
+    its own span per operator, so ranking individual spans would
+    fragment an operator's time across its partitions and under-report
+    it — a scan split over 8 partitions must compete for the top-5 with
+    its *summed* time, not an eighth of it.
     """
     busy_by_category: dict[str, float] = {}
     for span in tracer.spans:

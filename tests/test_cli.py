@@ -176,7 +176,7 @@ class TestExecutionFlagParity:
         )
         assert code == 0, text
         assert (
-            "parallel: force (2 worker(s), 2 partition(s) executed, 0 fallback(s))"
+            "parallel: force (2 partition(s) certified, 2 executed, 0 fallback(s))"
             in text.splitlines()
         )
         # pool is API-only: there is one kind, so no flag chooses it.

@@ -38,7 +38,6 @@ from repro.execution import (
     QueryGuard,
     build_prober,
     build_stream,
-    execute_parallel,
     execute_partitioned,
     execute_plan,
     run_query,
@@ -708,7 +707,7 @@ ENTRY_POINTS = {
     "execute_plan": lambda t, counters, **kw: execute_plan(
         t[3].plan, t[3].output_span, counters, **kw
     ),
-    # The optimizer's own wrapper is a plan too (as execute_parallel takes it).
+    # The optimizer's own wrapper is a plan too (as execute_partitioned takes it).
     "execute_plan(OptimizedPlan)": lambda t, counters, **kw: execute_plan(
         t[3], t[3].output_span, counters, **kw
     ),
@@ -716,8 +715,10 @@ ENTRY_POINTS = {
     "run_query_detailed": lambda t, counters, **kw: run_query_detailed(
         t[2], catalog=t[1], **kw
     ),
-    "execute_parallel": lambda t, counters, **kw: execute_parallel(
-        t[3], t[4], counters=counters, **kw
+    # ``execute_parallel``: execute_plan with its parallel rung forced, so
+    # a bad knob is refused before the plan is certified or cut.
+    "execute_parallel": lambda t, counters, **kw: execute_plan(
+        t[3], t[3].output_span, counters, **{"parallel": "force", "workers": 2, **kw}
     ),
     "execute_partitioned": lambda t, counters, **kw: execute_partitioned(
         t[3], t[4], counters=counters, **kw

@@ -147,6 +147,21 @@ class TestTracer:
         tracer.finalize()  # idempotent: finalizers ran once
         assert ran == [True]
 
+    def test_finalize_since_spares_what_came_before(self):
+        tracer = Tracer(clock=FakeClock())
+        outer = tracer.begin("outer")
+        ran = []
+        tracer.add_finalizer(lambda: ran.append("outer"))
+        since = len(tracer.spans)
+        inner = tracer.begin("inner")
+        tracer.add_finalizer(lambda: ran.append("inner"))
+        tracer.finalize(since=since)
+        assert ran == ["inner"]
+        assert inner.end_us is not None and outer.end_us is None
+        tracer.finalize()
+        assert ran == ["inner", "outer"]
+        assert outer.end_us is not None
+
     def test_active_gate(self):
         assert not active(None)
         assert not active(Tracer(enabled=False))

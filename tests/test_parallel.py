@@ -1,46 +1,41 @@
-"""Tests for the fault-tolerant parallel partitioned runtime (DESIGN §14).
+"""Tests for certified partitioned execution (DESIGN §14).
 
 Five halves:
 
-* **equivalence** — the parallel supervisor reproduces the row-oracle
-  answer across worker counts {1, 2, 4} and both execution modes, with
-  counters merged and per-partition spans adopted into the caller's
-  tracer;
-* **containment** — a lane's typed storage error passes through
-  unretried, and untyped worker death surfaces as the typed
-  :class:`~repro.errors.ParallelExecutionError`;
-* **supervision** — a failing partition cancels its siblings without
-  ever marking the caller's cancellation token, a shared guard bounds
-  the whole query across workers, and a lane's recorded time is its
-  own, never its wait for a free lane;
-* **chaos** — the fault matrix holds under parallel execution (exact
-  answer or typed error, never a wrong answer), and seeded fault
-  traces are identical across worker counts because partition
-  preparation is serial and reads every page before any lane starts;
-* **the ladder** — ``parallel="auto"`` degrades parallel → the
-  requested mode on the calling thread → (with ``fallback``) the row
-  oracle, charging ``parallel_fallbacks`` / ``fallbacks_taken`` and
-  tracing ``parallel:fallback`` / ``fallback``, while ``force`` raises
-  the typed refusal instead.  (Bad knobs: the closure table in
-  ``tests/test_faults.py``.)
+* **equivalence** — the partitioned run reproduces the row-oracle
+  answer across partition counts {1, 2, 4} and both execution modes,
+  with every partition's ``execute`` frame and operator spans recorded
+  under its own ``partition`` span in the caller's tracer;
+* **containment** — a partition's typed storage error passes through
+  unretried;
+* **supervision** — the caller's cancel stops the run at a checkpoint,
+  and one guard bounds the whole query across partitions;
+* **chaos** — the fault matrix holds under partitioned execution (exact
+  answer or typed error, never a wrong answer), seeded fault traces are
+  reproducible at every partition count, and every page is read while
+  the partitions are prepared, before the first one executes;
+* **the ladder** — ``parallel="auto"`` degrades the certified
+  partitions → the requested mode on the whole plan → (with
+  ``fallback``) the row oracle, charging ``parallel_fallbacks`` /
+  ``fallbacks_taken`` and tracing ``parallel:fallback`` / ``fallback``,
+  while ``force`` raises the typed refusal instead.  (Bad knobs: the
+  closure table in ``tests/test_faults.py``.)
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-import time
 
 import pytest
 
-import repro.execution.parallel as par
+import repro.execution.partition as part
 from repro.algebra import base
 from repro.analysis.base import plan_paths
 from repro.analysis.partition import PartitionSoundnessError, certify
 from repro.catalog import Catalog
 from repro.errors import (
     ExecutionError,
-    ParallelExecutionError,
     PermanentStorageError,
     QueryCancelledError,
     QueryGuardError,
@@ -50,21 +45,20 @@ from repro.execution import (
     CancellationToken,
     ExecutionCounters,
     QueryGuard,
-    execute_parallel,
+    execute_partitioned,
     execute_plan,
     run_query,
 )
 from repro.execution.context import ExecContext
 from repro.lang import compile_query
 from repro.model import Span
-from repro.obs.hist import HistogramSet
 from repro.obs.tracer import Tracer
 from repro.optimizer import optimize
 from repro.storage import FaultPlan, StoredSequence
 from repro.storage.faults import FaultyDisk
 from repro.workloads import StockSpec, generate_stock
 
-WORKERS = (1, 2, 4)
+PARTITIONS = (1, 2, 4)
 PARTS = 4
 
 
@@ -89,157 +83,122 @@ def certified(table1):
     return plan, certify(plan, PARTS), row_oracle(plan)
 
 
-def run_parallel(certified, **kwargs):
-    """Run the certified fixture plan under the supervisor."""
+def run_partitioned(certified, parts=PARTS, **kwargs):
+    """Run the fixture plan cut into ``parts`` certified partitions."""
     plan, certificate, _oracle = certified
+    if parts != PARTS:
+        certificate = certify(plan, parts)
     counters = kwargs.pop("counters", ExecutionCounters())
-    answer = execute_parallel(plan, certificate, counters=counters, **kwargs)
+    answer = execute_partitioned(plan, certificate, counters=counters, **kwargs)
     return answer, counters
 
 
 class TestEquivalence:
-    """Parallel answers equal the row oracle, counters and all."""
+    """Partitioned answers equal the row oracle, counters and all."""
 
-    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("parts", PARTITIONS)
     @pytest.mark.parametrize("mode", ("row", "batch"))
-    def test_matches_row_oracle(self, certified, workers, mode):
-        answer, counters = run_parallel(certified, workers=workers, mode=mode)
+    def test_matches_row_oracle(self, certified, parts, mode):
+        answer, counters = run_partitioned(certified, parts, mode=mode)
         assert list(answer.iter_nonnull()) == certified[2]
-        assert counters.partitions_executed == PARTS
+        assert counters.partitions_executed == parts
         assert counters.partition_retries == 0
         assert counters.stragglers_redispatched == 0
 
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_partition_spans_adopted(self, certified, workers):
+    @pytest.mark.parametrize("parts", (1, 2))
+    def test_partition_spans_parent_their_frames(self, certified, parts):
         tracer = Tracer()
-        answer, _counters = run_parallel(certified, workers=workers, tracer=tracer)
+        answer, _counters = run_partitioned(certified, parts, tracer=tracer)
         assert list(answer.iter_nonnull()) == certified[2]
         (parallel_span,) = tracer.find("parallel")
-        assert parallel_span.attrs["partitions_executed"] == PARTS
+        assert parallel_span.attrs["partitions_executed"] == parts
         partition_spans = tracer.find("partition")
-        assert len(partition_spans) == PARTS
-        assert {s.attrs["index"] for s in partition_spans} == set(range(PARTS))
-        # Worker-side operator spans were grafted under partition spans.
-        partition_ids = {s.span_id for s in partition_spans}
-        adopted = [s for s in tracer.spans if s.parent_id in partition_ids]
-        assert adopted
+        assert len(partition_spans) == parts
+        assert {s.attrs["index"] for s in partition_spans} == set(range(parts))
+        assert all(s.parent_id == parallel_span.span_id for s in partition_spans)
+        children = {s.span_id: [] for s in tracer.spans}
+        for span in tracer.spans:
+            if span.parent_id is not None:
+                children[span.parent_id].append(span)
+        for span in partition_spans:
+            # Each partition span parents exactly its own execute frame,
+            # and that frame parents the partition's operators.
+            (frame,) = children[span.span_id]
+            assert frame.name == "execute"
+            assert frame.attrs["records_emitted"] == span.attrs["records"]
+            assert [s.category for s in children[frame.span_id]] == ["operator"]
+            assert span.start_us <= frame.start_us <= frame.end_us <= span.end_us
+        assert sum(s.attrs["records"] for s in partition_spans) == len(certified[2])
 
-    def test_more_partitions_than_workers_queue(self, table1):
+    def test_enclosing_spans_end_after_the_last_partition(self, table1):
         catalog, _sequences = table1
-        plan = optimized("select(ibm, close > 115.0)", catalog)
-        certificate = certify(plan, 8)
-        counters = ExecutionCounters()
-        answer = execute_parallel(plan, certificate, workers=2, counters=counters)
-        assert list(answer.iter_nonnull()) == row_oracle(plan)
-        assert counters.partitions_executed == 8
+        plan = optimized("window(ibm, avg, close, 6, ma6)", catalog)
+        tracer = Tracer()
+        execute_plan(plan, tracer=tracer, parallel="force", workers=2)
+        (root,) = [s for s in tracer.find("execute") if s.parent_id is None]
+        (parallel_span,) = tracer.find("parallel")
+        assert parallel_span.parent_id == root.span_id
+        partition_spans = tracer.find("partition")
+        assert len(partition_spans) == 2
+        last = max(s.end_us for s in partition_spans)
+        assert last <= parallel_span.end_us <= root.end_us
+        assert all(s.end_us is not None for s in tracer.spans)
 
     def test_verify_rejects_foreign_certificate(self, certified, table1):
         catalog, _sequences = table1
         _plan, certificate, _oracle = certified
         other = optimized("select(ibm, close > 115.0)", catalog)
         with pytest.raises(PartitionSoundnessError):
-            execute_parallel(other, certificate, workers=2)
+            execute_partitioned(other, certificate)
 
 
 class TestContainment:
-    """A lane's typed error is the query's; untyped death is typed."""
+    """A partition's typed error is the query's."""
 
-    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("parts", (1, 2))
     @pytest.mark.parametrize("error", (TransientStorageError, PermanentStorageError))
-    def test_permanent_fault_fails_fast(self, certified, error, workers, monkeypatch):
-        # A lane's typed storage error passes through unretried: lanes
-        # read no page (see test_lanes_read_no_page), so only prepare
-        # rebuilds a partition.
-        def doomed(subplan, window, options, guard, tracer):
+    def test_permanent_fault_fails_fast(self, certified, error, parts, monkeypatch):
+        # A partition's typed storage error passes through unretried:
+        # partitions read no page (see test_lanes_read_no_page), so only
+        # prepare rebuilds a partition.
+        def doomed(subplan, window, options, counters, guard, tracer):
             raise error("injected storage fault")
 
-        monkeypatch.setattr(par, "_execute_partition", doomed)
+        monkeypatch.setattr(part, "_execute_partition", doomed)
         counters = ExecutionCounters()
         with pytest.raises(error):
-            run_parallel(certified, workers=workers, counters=counters)
+            run_partitioned(certified, parts, counters=counters)
         assert counters.partition_retries == 0
         assert counters.partitions_executed == 0
 
-    def test_untyped_worker_death_is_typed(self, certified, monkeypatch):
-        real = par._execute_partition
-
-        def dying(subplan, window, options, guard, tracer):
-            if window.start == certified[1].partitions[1].window.start:
-                raise ValueError("worker bug, not a typed fault")
-            return real(subplan, window, options, guard, tracer)
-
-        monkeypatch.setattr(par, "_execute_partition", dying)
-        with pytest.raises(ParallelExecutionError) as excinfo:
-            run_parallel(certified, workers=2)
-        assert excinfo.value.partition_index == 1
-        assert "ValueError" in str(excinfo.value)
-
-    def test_pool_spawn_failure_is_typed(self, certified, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise OSError("cannot allocate thread")
-
-        monkeypatch.setattr(par, "ThreadPoolExecutor", refuse)
-        with pytest.raises(ParallelExecutionError):
-            run_parallel(certified, workers=2)
-
 
 class TestSupervision:
-    """Cancellation fan-out, the shared budget, and lane timing."""
-
-    def test_lane_time_excludes_the_wait_for_a_lane(self, certified, monkeypatch):
-        # Four partitions on two lanes: two queue for a free lane while
-        # the first two sleep, and their wait must not count as theirs.
-        sleep = 0.02
-        real = par.materialize
-
-        def slow(ctx, plan, window, mode):
-            time.sleep(sleep)
-            return real(ctx, plan, window, mode)
-
-        monkeypatch.setattr(par, "materialize", slow)
-        hists = HistogramSet()
-        answer, _counters = run_parallel(certified, workers=2, hists=hists)
-        assert list(answer.iter_nonnull()) == certified[2]
-        lanes = hists.get("partition.duration_us")
-        assert lanes.count == PARTS
-        assert sleep * 1e6 <= lanes.minimum
-        assert lanes.maximum < 1.5 * sleep * 1e6
-
-    def test_failure_cancels_siblings_not_caller(self, certified, monkeypatch):
-        real = par._execute_partition
-        bad_start = certified[1].partitions[1].window.start
-
-        def dying(subplan, window, options, guard, tracer):
-            if window.start == bad_start:
-                raise ValueError("boom")
-            return real(subplan, window, options, guard, tracer)
-
-        monkeypatch.setattr(par, "_execute_partition", dying)
-        token = CancellationToken()
-        guard = QueryGuard(cancellation=token)
-        with pytest.raises(ParallelExecutionError):
-            run_parallel(certified, workers=2, guard=guard)
-        assert not token.cancelled
-        assert guard.cancellation is token
+    """The caller's cancel and the shared budget."""
 
     def test_caller_cancel_reaches_workers(self, certified):
         token = CancellationToken()
         token.cancel()
         guard = QueryGuard(cancellation=token)
+        counters = ExecutionCounters()
         with pytest.raises(QueryCancelledError):
-            run_parallel(certified, workers=2, guard=guard)
+            run_partitioned(certified, guard=guard, counters=counters)
         assert guard.cancellation is token
+        assert guard.verdict == "QueryCancelledError"
+        assert counters.partitions_executed == 0
 
     def test_shared_record_budget_bounds_the_query(self, certified):
         total = len(certified[2])
         guard = QueryGuard(max_records=total // 2)
+        counters = ExecutionCounters()
         with pytest.raises(QueryGuardError):
-            run_parallel(certified, workers=2, guard=guard)
-        # The full budget admits the query across the same workers.
-        answer, _counters = run_parallel(
-            certified, workers=2, guard=QueryGuard(max_records=total)
-        )
+            run_partitioned(certified, guard=guard, counters=counters)
+        # Every partition is within budget alone; their sum is not.
+        assert 0 < counters.partitions_executed < PARTS
+        # The full budget admits the query across the same partitions.
+        guard = QueryGuard(max_records=total)
+        answer, _counters = run_partitioned(certified, guard=guard)
         assert list(answer.iter_nonnull()) == certified[2]
+        assert guard.records_emitted == total
 
     def test_guard_record_accounting_is_thread_safe(self):
         guard = QueryGuard()
@@ -283,7 +242,7 @@ def stored_query(fault_plan=None):
 
 
 class TestChaosParallel:
-    """The PR 4 chaos contract holds under parallel execution."""
+    """The DESIGN §9 chaos contract holds under partitioned execution."""
 
     @pytest.fixture(scope="class")
     def reference(self):
@@ -306,45 +265,42 @@ class TestChaosParallel:
 
     @pytest.mark.parametrize("fault_class", sorted(FAULT_CLASSES))
     def test_seeded_faults_deterministic_across_workers(self, fault_class):
-        outcomes = []
-        for workers in WORKERS:
-            # Fresh disk per run, same seed, same fixed 4-way
-            # certificate: only the worker count varies.
+        def outcome(parts):
+            # Fresh disk per run, same seed, same certificate.
             fault_plan = FaultPlan(3, **FAULT_CLASSES[fault_class])
             source = generate_stock(StockSpec("s", SPAN, 1.0, seed=5))
             stored = StoredSequence.from_sequence(
                 "s", source, fault_plan=fault_plan, page_capacity=16, buffer_pages=8
             )
-            plan = optimize(
-                base(stored, "s").window("avg", "close", 7).query()
-            ).plan
-            certificate = certify(plan, PARTS)
+            plan = optimize(base(stored, "s").window("avg", "close", 7).query()).plan
             counters = ExecutionCounters()
             try:
-                answer = execute_parallel(
-                    plan, certificate, workers=workers, counters=counters
+                answer = execute_partitioned(
+                    plan, certify(plan, parts), counters=counters
                 ).to_pairs()
                 verdict = ("answer", answer)
             except (TransientStorageError, PermanentStorageError) as error:
                 verdict = ("error", type(error).__name__)
             storage = stored.counters
-            outcomes.append(
-                (
-                    verdict,
-                    storage.faults_injected,
-                    storage.retries_attempted,
-                    storage.retries_exhausted,
-                    counters.partition_retries,
-                )
+            return (
+                verdict,
+                repr(fault_plan.trace),
+                storage.faults_injected,
+                storage.retries_attempted,
+                storage.retries_exhausted,
+                counters.partition_retries,
             )
-        # Serial preparation makes the fault trace — not just the
-        # outcome — identical no matter how many workers execute.
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+        # The partitions are prepared in order on the calling thread, so
+        # a seed fixes the fault trace — not just the outcome — at every
+        # partition count.
+        for parts in PARTITIONS:
+            assert outcome(parts) == outcome(parts), parts
 
     def test_lanes_read_no_page(self, monkeypatch):
-        # The invariant a lane's one attempt rests on: prepare drains
-        # every stored leaf on the calling thread before the first lane
-        # starts, so no lane can meet a storage fault to retry.
+        # What a partition's one attempt rests on: prepare drains every
+        # stored leaf before the first partition executes, so no
+        # partition can meet a storage fault to retry.
         fault_plan = FaultPlan(3, transient_rate=0.15)
         source = generate_stock(StockSpec("s", SPAN, 1.0, seed=5))
         stored = StoredSequence.from_sequence(
@@ -356,28 +312,24 @@ class TestChaosParallel:
             buffer_pages=8,
         )
         plan = optimize(base(stored, "s").window("avg", "close", 7).query()).plan
-        log: list[tuple[str, str]] = []
-        read, lane = FaultyDisk.read, par._execute_partition
+        log: list[str] = []
+        read, execute = FaultyDisk.read, part._execute_partition
 
         def logged_read(disk, page_id):
-            log.append(("read", threading.current_thread().name))
+            log.append("read")
             return read(disk, page_id)
 
-        def logged_lane(*args):
-            log.append(("lane", threading.current_thread().name))
-            return lane(*args)
+        def logged_execute(*args):
+            log.append("execute")
+            return execute(*args)
 
         monkeypatch.setattr(FaultyDisk, "read", logged_read)
-        monkeypatch.setattr(par, "_execute_partition", logged_lane)
-        execute_parallel(plan, certify(plan, PARTS), workers=2)
-        caller = threading.current_thread().name
-        events = [event for event, _thread in log]
-        assert events.count("lane") == PARTS
-        assert "read" not in events[events.index("lane"):]
-        reads = [thread for event, thread in log if event == "read"]
-        assert reads and reads.count(caller) == len(reads)
+        monkeypatch.setattr(part, "_execute_partition", logged_execute)
+        execute_partitioned(plan, certify(plan, PARTS))
+        assert log.count("execute") == PARTS
+        assert "read" in log
+        assert "read" not in log[log.index("execute"):]
         assert stored.counters.faults_injected > 0
-
 
     #: organization -> (page_reads, records_streamed, faults, trace digest)
     #: of preparing both partitions, recorded while a slice was still a
@@ -404,7 +356,7 @@ class TestChaosParallel:
         certificate = certify(plan, 2)
         paths = plan_paths(plan.plan)
         for partition in certificate.partitions:
-            par.partition_plan(plan.plan, partition, paths)
+            part.partition_plan(plan.plan, partition, paths)
         digest = hashlib.sha256(repr(fault_plan.trace).encode()).hexdigest()[:16]
         assert (
             stored.counters.page_reads,
@@ -444,18 +396,25 @@ class TestLadder:
         return counters, guard.records_emitted
 
     def events(self, tracer, name="parallel:fallback"):
-        # Partition lanes open nested "execute" spans; the ladder's
-        # events land on the parentless root.
+        # Partitions open nested "execute" spans; the ladder's events
+        # land on the parentless root.
         root = next(s for s in tracer.find("execute") if s.parent_id is None)
         return [e for e in root.events if e.name == name]
 
-    def break_pool(self, monkeypatch):
-        """Make the parallel rung fail with an infrastructure error."""
+    def break_partitions(self, monkeypatch):
+        """Make the second partition fail with an internal error.
 
-        def refuse(*args, **kwargs):
-            raise OSError("cannot allocate thread")
+        The first one has run by then, so the ladder must rewind its
+        counters and guard records.
+        """
+        real = part._execute_partition
 
-        monkeypatch.setattr(par, "ThreadPoolExecutor", refuse)
+        def failing(subplan, window, options, counters, guard, tracer):
+            if counters.partitions_executed:
+                raise ExecutionError("synthetic partition bug")
+            return real(subplan, window, options, counters, guard, tracer)
+
+        monkeypatch.setattr(part, "_execute_partition", failing)
 
     def break_batch(self, monkeypatch):
         """Make every batch-mode drain fail after charging some work."""
@@ -493,7 +452,7 @@ class TestLadder:
         assert "not parallel-decomposable" in str(excinfo.value)
 
     def test_infrastructure_failure_degrades_sequential(self, table1, monkeypatch):
-        self.break_pool(monkeypatch)
+        self.break_partitions(monkeypatch)
         for mode in ("batch", "row"):
             guard = QueryGuard()
             plan, answer, counters, tracer = self.ladder_run(
@@ -502,7 +461,7 @@ class TestLadder:
             assert list(answer.iter_nonnull()) == row_oracle(plan)
             events = self.events(tracer)
             assert [e.attrs["rung"] for e in events] == ["single-thread"]
-            assert events[0].attrs["error"] == "ParallelExecutionError"
+            assert events[0].attrs["error"] == "ExecutionError"
             # The degraded run's accounting is a clean run of the rung
             # that answered plus exactly one fallback charge.
             clean, clean_records = self.clean_run(table1, mode)
@@ -511,7 +470,7 @@ class TestLadder:
             assert guard.records_emitted == clean_records
 
     def test_double_failure_degrades_to_row_oracle(self, table1, monkeypatch):
-        self.break_pool(monkeypatch)
+        self.break_partitions(monkeypatch)
         self.break_batch(monkeypatch)
         guard = QueryGuard()
         plan, answer, counters, tracer = self.ladder_run(
@@ -530,7 +489,7 @@ class TestLadder:
         assert guard.records_emitted == clean_records
 
     def test_double_failure_without_fallback_raises_typed(self, table1, monkeypatch):
-        self.break_pool(monkeypatch)
+        self.break_partitions(monkeypatch)
         self.break_batch(monkeypatch)
         catalog, _sequences = table1
         plan = optimized(self.SOURCE, catalog)
@@ -543,15 +502,15 @@ class TestLadder:
         assert counters.fallbacks_taken == 0
 
     def test_force_infrastructure_failure_raises(self, table1, monkeypatch):
-        self.break_pool(monkeypatch)
-        with pytest.raises(ParallelExecutionError):
-            self.ladder_run(table1, self.SOURCE, parallel="force")
+        self.break_partitions(monkeypatch)
+        with pytest.raises(ExecutionError, match="synthetic partition bug"):
+            self.ladder_run(table1, self.SOURCE, parallel="force", mode="row")
 
     def test_ladder_never_swallows_guard_verdicts(self, table1, monkeypatch):
         def verdict(*args, **kwargs):
             raise QueryCancelledError("cancelled mid-flight")
 
-        monkeypatch.setattr(par, "_execute_partition", verdict)
+        monkeypatch.setattr(part, "_execute_partition", verdict)
         for parallel in ("auto", "force"):
             with pytest.raises(QueryCancelledError):
                 self.ladder_run(table1, self.SOURCE, parallel=parallel, fallback=True)
@@ -560,6 +519,6 @@ class TestLadder:
         def lost(*args, **kwargs):
             raise PermanentStorageError("injected lost page")
 
-        monkeypatch.setattr(par, "_execute_partition", lost)
+        monkeypatch.setattr(part, "_execute_partition", lost)
         with pytest.raises(PermanentStorageError):
             self.ladder_run(table1, self.SOURCE, parallel="auto", fallback=True)

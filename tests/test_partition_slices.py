@@ -8,14 +8,14 @@ Four halves:
   answers every accessor exactly as the copying slice it replaced
   (kept here as the oracle) and reads Null outside its window;
 * **sharing without writing** — slices of an in-memory leaf are views
-  of its cached buffers, nothing writes through them, and two lanes may
-  first-scan a cold leaf at once;
+  of its cached buffers, nothing writes through them, and two threads
+  may first-scan a cold leaf at once;
 * **the merge tripwire** — overlapping, duplicated-boundary and
   internally descending outputs raise the typed error naming the
   pair, whatever mix of columnar and row outputs carries them;
-* **nobody boxes** — a parallel batch run over in-memory leaves builds
-  no :class:`Record` before the caller drains, and a parallel row run
-  none beyond what the same plan builds on one thread.
+* **nobody boxes** — a partitioned batch run over in-memory leaves
+  builds no :class:`Record` before the caller drains, and in a
+  partitioned row run only the partitions' operators build any.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import repro.execution.partition as part
 from repro.errors import ExecutionError
 from repro.execution import (
     execute_plan,
@@ -202,7 +203,7 @@ class TestSharing:
             sys.setswitchinterval(switch)
 
     def test_cold_leaves_under_the_supervisor(self):
-        env = dense_walks()  # cold: the lanes' first scans build the caches
+        env = dense_walks()  # cold: the partitions' first scans build the caches
         query = compile_query(SHAPES["join"], env)
         answer = run_query(query, mode="batch", parallel="force", workers=2)
         assert answer.to_pairs() == run_query(query, mode="row", parallel="off").to_pairs()
@@ -212,7 +213,7 @@ class TestSharing:
 
 
 def output(form: str, positions: list[int]) -> BaseSequence:
-    """One lane's answer over ``positions``, columnar or row."""
+    """One partition's answer over ``positions``, columnar or row."""
     values = [float(position) for position in positions]
     schema = RecordSchema.of(close=AtomType.FLOAT)
     span = Span(min(positions), max(positions))
@@ -243,7 +244,7 @@ class TestMergeTripwire:
         [
             ([1, 5, 9], [7, 12], "7 after 9"),  # overlapping
             ([1, 5, 9], [9, 12], "9 after 9"),  # duplicated boundary
-            ([1, 5, 9], [12, 11, 14], "11 after 12"),  # descending inside a lane
+            ([1, 5, 9], [12, 11, 14], "11 after 12"),  # descending inside a partition
             ([1, 9, 5], [12, 14], "5 after 9"),
         ],
     )
@@ -309,15 +310,26 @@ class TestNobodyBoxes:
         assert len(answer.to_pairs()) == len(records_built) != 0
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_row_lanes_box_only_their_own_records(self, shape, records_built):
+    def test_row_lanes_box_only_their_own_records(self, shape, records_built, monkeypatch):
         env = dense_walks()
         plan = optimize(compile_query(SHAPES[shape], env)).plan
+        inside = []
+        execute = part._execute_partition
+
+        def counted(*args):
+            before = len(records_built)
+            try:
+                return execute(*args)
+            finally:
+                inside.append(len(records_built) - before)
+
+        monkeypatch.setattr(part, "_execute_partition", counted)
         del records_built[:]  # the walks' own records
         answer = execute_plan(plan, mode="row", parallel="auto", workers=2)
-        # Prepare and merge run on the supervising thread and build
-        # nothing; what the lanes build is their operators' own.
+        # Prepare and merge build nothing; what the partitions build is
+        # their operators' own.
         assert records_built != []
-        assert all(name.startswith("repro-partition") for name in records_built)
+        assert len(inside) == 2 and sum(inside) == len(records_built)
         if shape != "join":  # its renames box both inputs, on any thread
             assert len(records_built) == len(answer)
         assert answer == execute_plan(plan, mode="row", parallel="off")

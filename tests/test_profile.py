@@ -1,6 +1,6 @@
 """Tests for the continuous-profiling layer (DESIGN §15).
 
-Five halves:
+Four halves:
 
 * **histograms** — the fixed log-scale buckets give deterministic,
   bounded-error quantiles; merge is exactly "one histogram saw both
@@ -11,9 +11,6 @@ Five halves:
 * **engine integration** — ``run_query_detailed(recorder=...)``
   profiles successes and typed failures alike, stamps guard verdicts,
   and attaches top operator self-times on traced runs;
-* **parallel determinism** — counter and histogram merges produce an
-  identical metrics collection across worker counts {2, 4} for a fixed
-  partition certificate (the satellite contract);
 * **the CLI** — ``repro profile`` / ``repro stats`` /
   ``repro trace --with-metrics`` surface all of the above.
 """
@@ -26,7 +23,6 @@ import json
 import pytest
 
 from repro.algebra import base
-from repro.analysis.partition import certify
 from repro.catalog import Catalog
 from repro.errors import (
     ReproError,
@@ -34,9 +30,7 @@ from repro.errors import (
     TraceFormatError,
 )
 from repro.execution import (
-    ExecutionCounters,
     QueryGuard,
-    execute_parallel,
     run_query_detailed,
 )
 from repro.model import Span
@@ -45,7 +39,6 @@ from repro.obs import (
     FlightRecorder,
     HistogramSet,
     LogHistogram,
-    metrics,
     QueryProfile,
     Tracer,
     bucket_index,
@@ -55,7 +48,6 @@ from repro.obs import (
     validate_profile_record,
 )
 from repro.obs.hist import NUM_BUCKETS
-from repro.optimizer import optimize
 from repro.lang import compile_query
 from repro.workloads import StockSpec, generate_stock
 
@@ -373,61 +365,17 @@ class TestEngineIntegration:
         assert partitions.count == result.counters.partitions_executed
         assert recorder.hists.get("partition.duration_us").count == partitions.count
 
-
-class TestParallelDeterminism:
-    """Counter + histogram merges are worker-count invariant (satellite)."""
-
-    #: Histograms whose values are wall-clock durations: compared by
-    #: observation count only — the values legitimately vary run to run.
-    DURATION_PREFIXES = ("flight.partition.duration_us", "flight.operator.")
-
-    def collect(self, plan, certificate, workers):
-        counters = ExecutionCounters()
-        hists = HistogramSet()
-        answer = execute_parallel(
-            plan, certificate, workers=workers, counters=counters, hists=hists
-        )
-        return list(answer.iter_nonnull()), metrics.collect(
-            execution=counters, flight=hists
-        )
-
-    @pytest.mark.parametrize(
-        "source",
-        (
-            "window(ibm, avg, close, 6, ma6)",
-            "select(ibm, close > 115.0)",
-        ),
-    )
-    def test_identical_collect_across_worker_counts(self, table1, source):
-        catalog, _sequences = table1
-        plan = optimize(
-            compile_query(source, catalog), catalog=catalog
-        ).plan
-        certificate = certify(plan, 4)
-        answer2, collected2 = self.collect(plan, certificate, workers=2)
-        answer4, collected4 = self.collect(plan, certificate, workers=4)
-        assert answer2 == answer4
-        assert set(collected2) == set(collected4)
-
-        def is_duration(name: str) -> bool:
-            return any(name.startswith(p) for p in self.DURATION_PREFIXES)
-
-        stable2 = {k: v for k, v in collected2.items() if not is_duration(k)}
-        stable4 = {k: v for k, v in collected4.items() if not is_duration(k)}
-        assert stable2 == stable4
-        counts2 = {
-            k: v
-            for k, v in collected2.items()
-            if is_duration(k) and k.endswith(".count")
-        }
-        counts4 = {
-            k: v
-            for k, v in collected4.items()
-            if is_duration(k) and k.endswith(".count")
-        }
-        assert counts2 == counts4
-        # The invariant is non-vacuous: partition histograms were kept.
-        assert collected2["flight.partition.records.count"] == 4
+    def test_profile_records_the_partition_count(self, stock_catalog):
+        # With no ``workers`` the plan is still cut into the default
+        # count; the profile records what ran, and None when nothing was
+        # partitioned (even with ``workers`` given).
+        recorder = FlightRecorder(8)
+        result = self.run(stock_catalog, recorder, parallel="auto")
+        self.run(stock_catalog, recorder, parallel="off", workers=2)
+        partitioned, whole = recorder.profiles()
+        assert result.counters.partitions_executed > 0
+        assert partitioned.workers == result.counters.partitions_executed
+        assert whole.workers is None
 
 
 def run_cli(*argv):
