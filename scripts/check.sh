@@ -27,7 +27,10 @@
 #      (identical answers asserted) and every feature of
 #      benchmarks/bench_overhead.py on vs off over the e2e dense
 #      workloads — must read no worse than the committed smoke rows;
-#      a difference below the noise is printed as unresolved, not failed
+#      a difference below the noise is printed as unresolved, not failed.
+#      With numpy installed the gate runs a second time under
+#      REPRO_NO_VECTOR=1, so the pure-Python backend's speedup floors
+#      are held here too, not only by CI's no-numpy leg
 #   9. the end-to-end benchmark's own smoke (benchmarks/e2e, outside
 #      tier-1): a change to the entry surface that breaks the
 #      benchmark's pinned call syntax, counter names or span names
@@ -88,6 +91,11 @@ run_step "trace round-trip" env PYTHONPATH=src \
 
 run_step "perf gate" env PYTHONPATH=src \
     python scripts/check_perf.py
+
+if python -c "import numpy" >/dev/null 2>&1; then
+    run_step "perf gate (REPRO_NO_VECTOR=1)" env PYTHONPATH=src REPRO_NO_VECTOR=1 \
+        python scripts/check_perf.py
+fi
 
 run_step "e2e benchmark smoke" env PYTHONPATH=src \
     python -m pytest -q benchmarks/e2e

@@ -35,9 +35,9 @@ selects/join predicates evaluate as numpy expressions over the buffers
 (see :mod:`repro.algebra.kernels`), the lockstep join combines packed
 validity bitmasks instead of probing per row, sum/avg/count window
 aggregates are one prefix-difference/shifted-add scan per tile
-(:func:`repro.algebra.kernels.window_scan`; min/max run the one
-Cache-Strategy-A loop, :func:`repro.execution.sliding.slide`, from the
-same carry), value offsets are one gather by validity rank per tile
+(:func:`repro.algebra.kernels.window_scan`; min/max run the
+Cache-Strategy-A loop, :meth:`repro.execution.sliding.SlidingAggregator.slide`,
+from the same carry), value offsets are one gather by validity rank per tile
 (:class:`_RankPool` — a copy, so typed columns stay typed and nothing
 needs an exactness guard), and cumulative aggregates are one prefix
 scan per tile (:func:`repro.algebra.kernels.cumulative_scan`).
@@ -80,7 +80,12 @@ from repro.model.record import NULL
 from repro.model.schema import RecordSchema
 from repro.model.span import Span
 from repro.model.types import AtomType
-from repro.algebra.aggregate import CumulativeAggregate, GlobalAggregate, WindowAggregate
+from repro.algebra.aggregate import (
+    CumulativeAggregate,
+    GlobalAggregate,
+    WindowAggregate,
+    apply_aggregate,
+)
 from repro.algebra.expressions import compile_filter
 from repro.algebra.kernels import cumulative_scan, window_scan
 from repro.algebra.leaves import ConstantLeaf, SequenceLeaf
@@ -89,7 +94,7 @@ from repro.analysis.effects import node_effect_specs
 from repro.execution.counters import ExecutionCounters
 from repro.execution.guard import QueryGuard
 from repro.execution.probers import ProberSequence, chain_steps
-from repro.execution.sliding import CumulativeAggregator, make_sliding, slide
+from repro.execution.sliding import CumulativeAggregator, make_sliding
 from repro.optimizer.plans import PhysicalPlan
 
 if TYPE_CHECKING:
@@ -510,10 +515,11 @@ def window_agg(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BatchStrea
     is the scope-sized cache itself — the aggregated column and its
     validity at the last ``width`` input positions.  A sum/avg/count
     tile is one :func:`repro.algebra.kernels.window_scan` over carry
-    plus tile; min/max, and a tile the kernel refuses (no numpy, an
-    untyped column, an exactness guard — observably, once per
-    operator), run :func:`repro.execution.sliding.slide` from the same
-    carry.  ``cache_ops`` and the occupancy peak are the row
+    plus tile; a tile the kernel refuses (no numpy, an untyped column,
+    an exactness guard — observably, once per operator) runs
+    :func:`_sliding_sums` over the same cells, and min/max run
+    :meth:`repro.execution.sliding.SlidingAggregator.slide` from the
+    same carry.  ``cache_ops`` and the occupancy peak are the row
     executor's: every fetched record is one insertion, every record
     that leaves the carry one eviction, and the cache holds the
     windowed valid count.
@@ -550,20 +556,39 @@ def window_agg(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BatchStrea
         cells = column if carry is None else concat_columns((carry, column))
         flags = Bitmask(held.bits | mask.bits << len(held), len(held) + len(mask))
         leaving = max(0, len(flags) - width)
-        scanned = None
-        if emits and np is not None:
-            scanned = window_scan(
-                np, op.func, cells, flags.to_numpy(np), len(mask), width, as_float
-            )
-        if scanned is not None:
-            out, counts = scanned
-            valid = Bitmask.from_numpy(np, counts > 0)
+        if not emits:
+            # Input ahead of the first output only fills the cache.
+            counters.cache_ops += mask.count()
+            counters.note_occupancy(flags.count())
+        elif scans:
+            scanned = None
+            if np is not None:
+                scanned = window_scan(
+                    np, op.func, cells, flags.to_numpy(np), len(mask), width, as_float
+                )
+            if scanned is not None:
+                out, counts = scanned
+                valid = Bitmask.from_numpy(np, counts > 0)
+                peak = int(counts.max())
+            else:
+                if not declined:
+                    declined = True
+                    ctx.kernel_fallback(op)
+                values = column_to_list(cells)
+                indices = flags.indices()
+                out, present, peak = _sliding_sums(
+                    op.func,
+                    [lo - len(held) + index for index in indices],
+                    [values[index] for index in indices],
+                    lo,
+                    hi,
+                    width,
+                    as_float,
+                )
+                valid = Bitmask.from_bools(present)
             counters.cache_ops += mask.count() + flags[:leaving].count()
-            counters.note_occupancy(int(counts.max()))
-        elif emits:
-            if scans and not declined:
-                declined = True
-                ctx.kernel_fallback(op)
+            counters.note_occupancy(peak)
+        else:
             values = column_to_list(cells)
             aggregator = make_sliding(op.func)
             for index in held.indices():
@@ -573,19 +598,58 @@ def window_agg(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BatchStrea
             )
             out = [None] * len(mask)
             present = [False] * len(mask)
-            for position, value in slide(
-                aggregator, width, entered, range(lo, hi + 1), counters
+            for position, value in aggregator.slide(
+                width, entered, range(lo, hi + 1), counters
             ):
                 out[position - lo] = float(value) if as_float else value  # type: ignore[arg-type]
                 present[position - lo] = True
             valid = Bitmask.from_bools(present)
-        else:
-            # Input ahead of the first output only fills the cache.
-            counters.cache_ops += mask.count()
-            counters.note_occupancy(flags.count())
         carry, held = cells[leaving:], flags[leaving:]
         if emits and valid.any():
             yield _finish(counters, ColumnBatch(plan.schema, lo, [out], valid), guard)
+
+
+def _sliding_sums(
+    func: str,
+    at: list[int],
+    cached: list[Any],
+    lo: int,
+    hi: int,
+    width: int,
+    as_float: bool,
+) -> tuple[list[Any], list[bool], int]:
+    """A sum/avg/count tile :func:`~repro.algebra.kernels.window_scan` refused.
+
+    ``at`` and ``cached`` are the positions and values of the carried
+    and the tile's valid cells, oldest first.  Each output position in
+    ``[lo, hi]`` aggregates the slice of them in its ``width``-position
+    window, found by two pointers, with
+    :func:`~repro.algebra.aggregate.apply_aggregate` — the same
+    ``sum()``, oldest first, as the row executor's over its cache.
+    Returns the outputs, their validity and the largest window count
+    (the cache occupancy peak the kernel reports too).
+    """
+    out: list[Any] = []
+    present: list[bool] = []
+    peak = start = end = 0
+    size = len(at)
+    for position in range(lo, hi + 1):
+        oldest = position - width + 1
+        while start < size and at[start] < oldest:
+            start += 1
+        while end < size and at[end] <= position:
+            end += 1
+        count = end - start
+        if not count:
+            out.append(None)
+            present.append(False)
+            continue
+        if count > peak:
+            peak = count
+        value = apply_aggregate(func, cached[start:end])
+        out.append(float(value) if as_float else value)  # type: ignore[arg-type]
+        present.append(True)
+    return out, present, peak
 
 
 def _input_tiles(

@@ -2,12 +2,14 @@
 
 Each aggregator maintains the trailing window incrementally, so a
 moving aggregate reads each input record once (one cache insertion and
-one eviction per position): sum/avg/count keep the window's records in
-a FIFO and recompute the aggregate from them — O(window) arithmetic per
-position, what Cache-Strategy-A saves is input *accesses* — and min/max
-keep a monotonic deque, O(1) amortized.  :func:`slide` is the one
-evict / absorb / emit loop over such a cache; both executors' window
-aggregates run it, and it does the paper's accounting.
+one eviction per position): sum/avg/count keep the window's cached
+values in a deque and recompute the aggregate from them — O(window)
+arithmetic per position, what Cache-Strategy-A saves is input
+*accesses* — and min/max keep a monotonic deque, O(1) amortized.
+:meth:`SlidingAggregator.slide` is the evict / absorb / emit loop over
+such a cache and does the paper's accounting; the running sum fuses it
+over its own deques.  The row executor's window aggregate runs it, and
+so does the batch one wherever its kernel does not.
 """
 
 from __future__ import annotations
@@ -45,45 +47,126 @@ class SlidingAggregator(abc.ABC):
             ExecutionError: if the window is empty.
         """
 
+    def slide(
+        self,
+        width: int,
+        items: Iterator[tuple[int, object]],
+        positions: Iterable[int],
+        counters: ExecutionCounters,
+        guard: Optional[QueryGuard] = None,
+    ) -> Iterator[tuple[int, object]]:
+        """Cache-Strategy-A: one pass over the input with a scope-sized cache.
+
+        For each of the ascending ``positions``: evict what left the
+        trailing ``width``-position window, absorb the ``(position,
+        value)`` ``items`` that entered it, and emit ``(position,
+        aggregate)`` when the window holds a record.  ``items`` must
+        hold nothing older than the first position's window beyond what
+        this aggregator already caches — the caller opens its input
+        over the operator's scope — so the cache never exceeds
+        ``width`` records (Theorem 3.1).  Every insertion and eviction
+        is one cache op; the occupancy is observed after each fill.
+        ``guard`` is checkpointed every ``check_stride`` positions.
+        """
+        pending = next(items, None)
+        for position in checkpointed(positions, guard):
+            moved = self.evict_below(position - width + 1)
+            while pending is not None and pending[0] <= position:
+                self.add(pending[0], pending[1])
+                moved += 1
+                pending = next(items, None)
+            if moved:
+                counters.cache_ops += moved
+                counters.note_occupancy(self.count)
+            if self.count > 0:
+                yield position, self.result()
+
 
 class RunningSumAggregator(SlidingAggregator):
-    """sum / avg / count over a FIFO of cached window entries.
+    """sum / avg / count over a deque of the cached window values.
 
-    The aggregate is recomputed from the cached records — exactly the
+    The aggregate is recomputed from the cached values — exactly the
     paper's Cache-Strategy-A, which saves input *accesses*, not
     arithmetic.  (A subtract-on-evict running total would drift from
-    the reference semantics under floating point.)
+    the reference semantics under floating point.)  The values'
+    positions sit in a parallel deque, so the recomputation is one
+    ``sum()`` over the values, oldest first.
     """
 
     def __init__(self, func: str):
         if func not in ("sum", "avg", "count"):
             raise ExecutionError(f"RunningSumAggregator cannot compute {func!r}")
         self._func = func
-        self._entries: deque[tuple[int, object]] = deque()
+        self._positions: deque[int] = deque()
+        self._values: deque[object] = deque()
 
     def add(self, position: int, value: object) -> None:
-        self._entries.append((position, value))
+        self._positions.append(position)
+        self._values.append(value)
 
     def evict_below(self, position: int) -> int:
+        positions = self._positions
         evicted = 0
-        while self._entries and self._entries[0][0] < position:
-            self._entries.popleft()
+        while positions and positions[0] < position:
+            positions.popleft()
+            self._values.popleft()
             evicted += 1
         return evicted
 
     @property
     def count(self) -> int:
-        return len(self._entries)
+        return len(self._values)
 
     def result(self) -> object:
-        if not self._entries:
+        values = self._values
+        if not values:
             raise ExecutionError("aggregate of an empty window")
         if self._func == "count":
-            return len(self._entries)
-        total = sum(value for _pos, value in self._entries)
+            return len(values)
         if self._func == "avg":
-            return total / len(self._entries)
-        return total
+            return sum(values) / len(values)
+        return sum(values)
+
+    def slide(
+        self,
+        width: int,
+        items: Iterator[tuple[int, object]],
+        positions: Iterable[int],
+        counters: ExecutionCounters,
+        guard: Optional[QueryGuard] = None,
+    ) -> Iterator[tuple[int, object]]:
+        """:meth:`SlidingAggregator.slide`, fused over the two deques.
+
+        The same evictions, insertions, charges and occupancy
+        observations at the same points, and the same answers bit for
+        bit — with no method call per position.
+        """
+        cached_at = self._positions
+        cached = self._values
+        func = self._func
+        pending = next(items, None)
+        for position in checkpointed(positions, guard):
+            oldest = position - width + 1
+            moved = 0
+            while cached_at and cached_at[0] < oldest:
+                cached_at.popleft()
+                cached.popleft()
+                moved += 1
+            while pending is not None and pending[0] <= position:
+                cached_at.append(pending[0])
+                cached.append(pending[1])
+                moved += 1
+                pending = next(items, None)
+            if moved:
+                counters.cache_ops += moved
+                counters.note_occupancy(len(cached))
+            if cached:
+                if func == "sum":
+                    yield position, sum(cached)
+                elif func == "avg":
+                    yield position, sum(cached) / len(cached)
+                else:
+                    yield position, len(cached)
 
 
 class MonotonicAggregator(SlidingAggregator):
@@ -221,37 +304,3 @@ def make_sliding(func: str) -> SlidingAggregator:
         return RunningSumAggregator(func)
     return MonotonicAggregator(func)
 
-
-def slide(
-    aggregator: SlidingAggregator,
-    width: int,
-    items: Iterator[tuple[int, object]],
-    positions: Iterable[int],
-    counters: ExecutionCounters,
-    guard: Optional[QueryGuard] = None,
-) -> Iterator[tuple[int, object]]:
-    """Cache-Strategy-A: one pass over the input with a scope-sized cache.
-
-    For each of the ascending ``positions``: evict what left the
-    trailing ``width``-position window, absorb the ``(position, value)``
-    ``items`` that entered it, and emit ``(position, aggregate)`` when
-    the window holds a record.  ``items`` must hold nothing older than
-    the first position's window beyond what ``aggregator`` already
-    caches — the caller opens its input over the operator's scope — so
-    the cache never exceeds ``width`` records (Theorem 3.1).  Every
-    insertion and eviction is one cache op; the occupancy is observed
-    after each fill.  ``guard`` is checkpointed every ``check_stride``
-    positions.
-    """
-    pending = next(items, None)
-    for position in checkpointed(positions, guard):
-        moved = aggregator.evict_below(position - width + 1)
-        while pending is not None and pending[0] <= position:
-            aggregator.add(pending[0], pending[1])
-            moved += 1
-            pending = next(items, None)
-        if moved:
-            counters.cache_ops += moved
-            counters.note_occupancy(aggregator.count)
-        if aggregator.count > 0:
-            yield position, aggregator.result()

@@ -31,14 +31,14 @@ from typing import TYPE_CHECKING, Iterator
 from repro.errors import ExecutionError
 from repro.model.record import NULL, Record
 from repro.model.span import Span
-from repro.model.types import AtomType
+from repro.model.types import AtomType, check_value
 from repro.algebra.aggregate import CumulativeAggregate, WindowAggregate
 from repro.algebra.leaves import ConstantLeaf, SequenceLeaf
 from repro.algebra.offsets import ValueOffset
 from repro.execution.counters import ExecutionCounters
 from repro.execution.guard import checkpointed
 from repro.execution.probers import ProberSequence, chain_steps, global_record, row_predicate
-from repro.execution.sliding import CumulativeAggregator, make_sliding, slide
+from repro.execution.sliding import CumulativeAggregator, make_sliding
 from repro.optimizer.plans import PhysicalPlan
 
 if TYPE_CHECKING:
@@ -58,9 +58,9 @@ def scan(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[StreamI
         raise ExecutionError(f"scan plan without a leaf node: {plan.kind}")
     counters = ctx.counters
     counters.scans_opened += 1
-    for position, record in checkpointed(source.iter_nonnull(window), ctx.guard):
+    for item in checkpointed(source.iter_nonnull(window), ctx.guard):
         counters.operator_records += 1
-        yield position, record
+        yield item
 
 
 def chain(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[StreamItem]:
@@ -114,21 +114,38 @@ def _combine(
 
 
 def lockstep(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[StreamItem]:
-    """Join-Strategy-B: merge both input streams in lock step."""
+    """Join-Strategy-B: merge both input streams in lock step.
+
+    A matched pair is combined in place — one values concatenation, the
+    predicate, one trusted record — as :func:`probed_join` does through
+    ``_combine``, with no generator per pair.
+    """
     counters = ctx.counters
-    predicate = row_predicate(ctx, plan.predicate, plan.schema)
+    schema = plan.schema
+    predicate = row_predicate(ctx, plan.predicate, schema)
+    lo = -inf if window.start is None else window.start
+    hi = inf if window.end is None else window.end
     left_iter = ctx.stream(plan.children[0], plan.children[0].span)
     right_iter = ctx.stream(plan.children[1], plan.children[1].span)
     left = next(left_iter, None)
     right = next(right_iter, None)
     while left is not None and right is not None:
-        if left[0] < right[0]:
+        position = left[0]
+        if position < right[0]:
             left = next(left_iter, None)
-        elif right[0] < left[0]:
+        elif right[0] < position:
             right = next(right_iter, None)
         else:
-            if left[0] in window:
-                yield from _combine(plan, left[0], left[1], right[1], predicate, counters)
+            if lo <= position <= hi:
+                values = left[1].values + right[1].values
+                if predicate is not None:
+                    counters.predicate_evals += 1
+                    matched = predicate(values)
+                else:
+                    matched = True
+                if matched:
+                    counters.operator_records += 1
+                    yield position, Record.unchecked(schema, values)
             left = next(left_iter, None)
             right = next(right_iter, None)
 
@@ -155,10 +172,31 @@ def probed_join(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[
         yield from _combine(plan, position, left, right, predicate, counters)
 
 
-def _cast(plan: PhysicalPlan, value: object) -> object:
-    if plan.schema.attributes[0].atype is AtomType.FLOAT:
-        return float(value)  # type: ignore[arg-type]
-    return value
+def _aggregate_record(plan: PhysicalPlan):
+    """The output record of an aggregate value, its check resolved once per operator.
+
+    The value is cast to float for a FLOAT output and type-checked as
+    :class:`~repro.model.record.Record` would — a wrong value raises
+    ``SchemaError`` through the same
+    :func:`~repro.model.types.check_value` — and the one-value record
+    is then built trusted.
+    """
+    schema = plan.schema
+    (attribute,) = schema.attributes
+    atype = attribute.atype
+    accepts = atype.accepts
+    as_float = atype is AtomType.FLOAT
+    context = f"attribute {attribute.name!r}"
+    unchecked = Record.unchecked
+
+    def record(value: object) -> Record:
+        if as_float:
+            value = float(value)  # type: ignore[arg-type]
+        if not accepts(value):
+            check_value(atype, value, context=context)
+        return unchecked(schema, (value,))
+
+    return record
 
 
 def _naive_unary(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[StreamItem]:
@@ -187,15 +225,17 @@ def window_agg(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[S
     counters = ctx.counters
     child_plan = plan.children[0]
     (scope,) = op.required_input_spans(window, [child_plan.span])
+    index = child_plan.schema.index_of(op.attr)
     values = (
-        (position, record.get(op.attr))
+        (position, record.values[index])
         for position, record in ctx.stream(child_plan, scope)
     )
-    for position, value in slide(
-        make_sliding(op.func), op.width, values, window.positions(), counters, ctx.guard
+    output = _aggregate_record(plan)
+    for position, value in make_sliding(op.func).slide(
+        op.width, values, window.positions(), counters, ctx.guard
     ):
         counters.operator_records += 1
-        yield position, Record(plan.schema, (_cast(plan, value),))
+        yield position, output(value)
 
 
 def value_offset(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[StreamItem]:
@@ -263,14 +303,16 @@ def cumulative(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[S
     child_iter = ctx.stream(child_plan, child_plan.span)
     pending = next(child_iter, None)
     running = CumulativeAggregator(op.func)
+    index = child_plan.schema.index_of(op.attr)
+    output = _aggregate_record(plan)
     for position in checkpointed(window.positions(), ctx.guard):
         while pending is not None and pending[0] <= position:
-            running.add(pending[1].get(op.attr))
+            running.add(pending[1].values[index])
             counters.cache_ops += 1
             pending = next(child_iter, None)
         if running.count > 0:
             counters.operator_records += 1
-            yield position, Record(plan.schema, (_cast(plan, running.result()),))
+            yield position, output(running.result())
 
 
 def global_agg(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[StreamItem]:

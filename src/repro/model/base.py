@@ -175,9 +175,10 @@ class BaseSequence(Sequence):
         return window.index_range(self._positions)
 
     def iter_nonnull(self, within: Optional[Span] = None) -> Iterator[tuple[int, Record]]:
+        """The pairs in ``within``, zipped in C: no Python frame per record."""
         lo, hi = self._index_range(within)
-        for position in self._positions[lo:hi]:
-            yield position, self._records[position]
+        positions = self._positions[lo:hi]
+        return zip(positions, map(self._records.__getitem__, positions))
 
     def count_nonnull(self, within: Optional[Span] = None) -> int:
         """Number of non-Null positions, by bisection: no record is touched."""

@@ -25,6 +25,7 @@ so full measurement is already cheap.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Iterator, Optional
 
 from repro.errors import QueryGuardError
@@ -239,29 +240,45 @@ def traced_stream(
     counters,
     inner: Iterator,
 ) -> Iterator:
-    """Wrap a row-mode operator stream in its span (sampled timing)."""
+    """Wrap a row-mode operator stream in its span (sampled timing).
+
+    The pulls go in runs of ``stride``: the first of each run is
+    measured and the rest pass through ``islice``, numbered by
+    ``enumerate``, so an unmeasured pull costs the loop step and the
+    ``yield`` alone.  The measured pulls are the 1st, the
+    ``stride + 1``-th and so on, and a run cut short ended the input,
+    so ``pulls``, ``rows_emitted`` and ``sampled_pulls`` are exact,
+    however the stream ends.
+    """
     op: Optional[OperatorSpan] = None
-    calls = rows = 0
+    rows = taken = 0  # rows before the current run; its unmeasured rows
+    ended = False
     try:
         op = OperatorSpan(tracer, plan, counters)
-        stride = op.stride
+        tail = op.stride - 1
         while True:
-            calls += 1
-            if stride == 1 or calls % stride == 1:
-                item = op.measured(next, inner, _SENTINEL)
-            else:
-                item = next(inner, _SENTINEL)
+            item = op.measured(next, inner, _SENTINEL)
             if item is _SENTINEL:
+                ended = True
                 break
-            rows += 1
+            rows += 1 + taken
+            taken = 0
             yield item
+            for taken, item in enumerate(islice(inner, tail), 1):
+                yield item
+            if taken < tail:
+                ended = True
+                break
     except Exception as error:
+        ended = True
         if op is not None:
             op.failed(error)
         raise
     finally:
         if op is not None:
-            op.close(calls, rows_emitted=rows, pulls=calls, sampled_pulls=op.sampled)
+            rows += taken
+            pulls = rows + int(ended)
+            op.close(pulls, rows_emitted=rows, pulls=pulls, sampled_pulls=op.sampled)
 
 
 def traced_batches(

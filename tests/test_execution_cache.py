@@ -1,17 +1,23 @@
 """Tests for the sliding aggregators behind Cache-Strategy-A."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.algebra import base
+from repro.algebra.aggregate import apply_aggregate
 from repro.errors import ExecutionError
 from repro.execution import (
     CumulativeAggregator,
     ExecutionCounters,
     MonotonicAggregator,
     RunningSumAggregator,
+    SlidingAggregator,
+    execute_plan,
     make_sliding,
 )
 from repro.execution.guard import QueryGuard
-from repro.execution.sliding import slide
+from repro.model import AtomType, BaseSequence, RecordSchema, Span
+from repro.optimizer import optimize
 
 
 class TestRunningSumAggregator:
@@ -141,7 +147,7 @@ class TestSlide:
         emitted = []
         checkpoints = []
         guard.checkpoint = lambda: checkpoints.append(len(emitted))
-        for item in slide(make_sliding("sum"), 2, items, range(0, 8), counters, guard):
+        for item in make_sliding("sum").slide(2, items, range(0, 8), counters, guard):
             emitted.append(item)
         assert emitted == [(0, 1), (1, 3), (2, 2), (3, 4), (4, 12), (5, 8)]
         # A checkpoint after every third position (positions 2 and 5 were
@@ -158,9 +164,61 @@ class TestSlide:
         aggregator = make_sliding("max")
         aggregator.add(3, 9)
         aggregator.add(4, 1)
-        out = list(slide(aggregator, 2, iter([(6, 5)]), range(5, 8), counters))
+        out = list(aggregator.slide(2, iter([(6, 5)]), range(5, 8), counters))
         assert out == [(5, 1), (6, 5), (7, 5)]
         assert counters.cache_ops == 3  # two evictions, one insertion
+
+
+#: Values whose sums cancel or round: the order of the additions shows.
+_CANCELLING = st.one_of(
+    st.sampled_from([1e16, -1e16, 1.0, -0.0, 0.0, 0.1, -2.5]),
+    # ints past 2**53 in a FLOAT column: exact as ints, rounded once mixed
+    st.integers(min_value=2**53, max_value=2**55),
+    st.integers(min_value=-(2**55), max_value=-(2**53)),
+)
+
+
+def _bits(pairs):
+    return [(position, type(value), repr(value)) for position, value in pairs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cells=st.dictionaries(st.integers(min_value=0, max_value=90), _CANCELLING, max_size=50),
+    width=st.sampled_from([1, 2, 16, 64]),
+    func=st.sampled_from(["sum", "avg", "count"]),
+)
+def test_fused_running_sum_is_the_recomputed_window(cells, width, func):
+    """The fused loop over the values deque, the generic loop over the
+    aggregator's methods, ``sum()`` of each recomputed window and the
+    naive evaluator agree bit for bit; the two loops charge alike."""
+    items = sorted(cells.items())
+    positions = range(0, 100)
+    fused_counters, generic_counters = ExecutionCounters(), ExecutionCounters()
+    fused = list(make_sliding(func).slide(width, iter(items), positions, fused_counters))
+    generic = list(
+        SlidingAggregator.slide(
+            make_sliding(func), width, iter(items), positions, generic_counters
+        )
+    )
+    recomputed = []
+    for position in positions:
+        window = [value for at, value in items if position - width < at <= position]
+        if window:
+            recomputed.append((position, apply_aggregate(func, window)))
+    assert _bits(fused) == _bits(generic) == _bits(recomputed)
+    assert fused_counters.as_dict() == generic_counters.as_dict()
+    assert fused_counters.max_cache_occupancy <= width
+
+    schema = RecordSchema.of(v=AtomType.FLOAT)
+    sequence = BaseSequence.from_values(schema, [(p, (v,)) for p, v in items], Span(0, 99))
+    query = base(sequence, "s").window(func, "v", width, "w").query()
+    window = Span(0, 99)
+    naive = [(p, r.values[0]) for p, r in query.run_naive(window).iter_nonnull()]
+    row = execute_plan(optimize(query).plan.plan, window, ExecutionCounters(), mode="row")
+    cast = int if func == "count" else float
+    assert _bits(naive) == _bits((p, cast(v)) for p, v in fused)
+    assert _bits((p, r.values[0]) for p, r in row.iter_nonnull()) == _bits(naive)
 
 
 class TestFactory:

@@ -30,6 +30,7 @@ from repro.execution import (
     run_query_detailed,
 )
 from repro.execution.context import ExecContext
+from repro.obs.instrument import traced_stream
 from repro.model import Span
 from repro.obs import (
     CATEGORY_ENGINE,
@@ -446,6 +447,46 @@ class TestTracedExecution:
         for span in tracer.operator_spans():
             if "pulls" in span.attrs:
                 assert span.attrs["sampled_pulls"] == span.attrs["pulls"]
+
+    @pytest.mark.parametrize("stride", (1, 3, 8))
+    def test_row_pull_counts_are_exact_however_the_stream_ends(self, stride):
+        """``pulls`` counts every pull (the one that ended the input
+        too), ``rows_emitted`` every record and ``sampled_pulls`` the
+        pulls numbered 1, stride + 1, 2 * stride + 1, ..."""
+        plan = optimize(make_query(positions=20)).plan.plan
+
+        def source(length, fail_at):
+            for index in range(length):
+                if index == fail_at:
+                    raise ExecutionError("boom")
+                yield index
+
+        for length in range(0, 19):
+            for take in (1, 2, stride, stride + 1, 2 * stride + 1, None):
+                for fail_at in (None, 0, stride, stride + 1):
+                    tracer = Tracer(row_stride=stride)
+                    stream = traced_stream(
+                        tracer, plan, ExecutionCounters(), source(length, fail_at)
+                    )
+                    got = []
+                    try:
+                        for item in stream:
+                            got.append(item)
+                            if len(got) == take:
+                                break
+                    except ExecutionError:
+                        pass
+                    stream.close()
+                    available = length if fail_at is None else min(length, fail_at)
+                    rows = available if take is None else min(take, available)
+                    assert got == list(range(rows))
+                    pulls = rows + (take is None or rows < take)
+                    (span,) = tracer.operator_spans()
+                    assert span.attrs["rows_emitted"] == rows
+                    assert span.attrs["pulls"] == pulls
+                    assert span.attrs["sampled_pulls"] == len(
+                        range(1, pulls + 1, stride)
+                    )
 
     def test_disabled_tracer_records_nothing(self):
         tracer = Tracer(enabled=False)

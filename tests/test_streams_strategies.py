@@ -3,11 +3,20 @@ variants the optimizer normally avoids."""
 
 from dataclasses import replace
 
+from bisect import bisect_right
+
 import pytest
 
+from repro.errors import SchemaError
 from repro.model import AtomType, BaseSequence, RecordSchema, Span
 from repro.algebra import base, col
-from repro.execution import ExecutionCounters, build_stream, execute_plan
+from repro.execution import (
+    CumulativeAggregator,
+    ExecutionCounters,
+    RunningSumAggregator,
+    build_stream,
+    execute_plan,
+)
 from repro.optimizer import optimize
 from repro.workloads import bernoulli_sequence
 
@@ -118,3 +127,53 @@ class TestStreamWindows:
         query = base(empty, "e").global_agg("max", "value").query()
         output = query.run(span=Span(0, 10))
         assert len(output) == 0
+
+
+class TestRowHotPaths:
+    """What the row executor's per-record loops still check and count."""
+
+    @pytest.fixture
+    def ints(self):
+        schema = RecordSchema.of(n=AtomType.INT)
+        return BaseSequence.from_values(schema, [(p, (p,)) for p in range(40)])
+
+    def test_window_agg_type_checks_each_value(self, ints, monkeypatch):
+        plan = optimize(base(ints, "s").window("sum", "n", 3).query()).plan.plan
+        assert (plan.kind, plan.strategy) == ("window-agg", "cache-a")
+        monkeypatch.setattr(
+            RunningSumAggregator, "slide", lambda self, *args: iter([(0, 1.5)])
+        )
+        with pytest.raises(SchemaError, match="not a valid INT value"):
+            execute_plan(plan, mode="row")
+
+    def test_cumulative_type_checks_each_value(self, ints, monkeypatch):
+        plan = optimize(base(ints, "s").cumulative("sum", "n").query()).plan.plan
+        assert (plan.kind, plan.strategy) == ("cumulative-agg", "running")
+        monkeypatch.setattr(CumulativeAggregator, "result", lambda self: "7")
+        with pytest.raises(SchemaError, match="not a valid INT value"):
+            execute_plan(plan, mode="row")
+
+    def test_lockstep_counters_when_the_predicate_rejects_half(self, data):
+        other = bernoulli_sequence(
+            Span(0, 179), 0.6, seed=34, schema=RecordSchema.of(w=AtomType.FLOAT)
+        )
+        query = base(data, "s").compose(base(other, "o"), col("value") > col("w")).query()
+        plan = optimize(query).plan.plan
+        assert plan.kind == "lockstep"
+        assert [child.kind for child in plan.children] == ["scan", "scan"]
+        window = Span(20, 160)
+        counters = ExecutionCounters()
+        output = execute_plan(plan, window, counters, mode="row")
+
+        left = dict(data.iter_nonnull())
+        right = dict(other.iter_nonnull())
+        paired = [p for p in sorted(left.keys() & right.keys()) if p in window]
+        kept = [p for p in paired if left[p].get("value") > right[p].get("w")]
+        assert 0.3 < len(kept) / len(paired) < 0.7
+        assert [p for p, _record in output.iter_nonnull()] == kept
+        assert counters.predicate_evals == len(paired)
+        # The merge stops when the shorter input ends: it has read all of
+        # that one and, of the other, up to the first position beyond.
+        last = max(right)
+        streamed = len(right) + bisect_right(sorted(left), last) + 1
+        assert counters.operator_records == streamed + len(kept)

@@ -28,7 +28,7 @@ from contextlib import contextmanager
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 import repro.model.batch as batch_module
 from repro.algebra import base, col, lit
@@ -37,7 +37,7 @@ from repro.algebra.kernels import cumulative_scan, window_scan
 from repro.analysis.effects import analyze_expr
 from repro.execution import ExecutionCounters, run_query, run_query_detailed
 from repro.execution.context import ExecContext
-from repro.execution.sliding import CumulativeAggregator, make_sliding, slide
+from repro.execution.sliding import CumulativeAggregator, SlidingAggregator, make_sliding
 from repro.model import AtomType, BaseSequence, Record, RecordSchema, Span
 from repro.model.batch import typed_column, vector_backend
 from repro.model.bitmask import Bitmask
@@ -171,6 +171,58 @@ def test_window_aggregate_equivalence(data, batch_size, func, width, attr):
         return base(sequence, "s0").window(func, attr, width, "out").query()
 
     _three_way(make_query, batch_size)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=dataset(),
+    batch_size=st.sampled_from(BATCH_SIZES),
+    func=st.sampled_from(["sum", "avg", "count"]),
+    width=st.sampled_from([1, 2, 5, 16]),
+    attr=st.sampled_from(["f", "i"]),
+)
+# 1.0 vanishes into 1e16 when added first, and survives when added last.
+@example(
+    data=(Span(0, 3), {0: (1.0, 1, True, "a"), 1: (1e16, 2, False, "b"), 2: (-1e16, 3, True, "")}),
+    batch_size=7,
+    func="sum",
+    width=5,
+    attr="f",
+)
+def test_window_fallback_is_the_sliding_loop(data, batch_size, func, width, attr):
+    """Without numpy a sum/avg/count tile runs the list loop: its answers
+    are the row executor's and the generic sliding loop's bit for bit,
+    so are ``cache_ops`` and the occupancy peak, and the refusal is
+    observed once per operator."""
+    span, rows = data
+
+    def make_query():
+        sequence = build_sequence(span, rows)
+        return base(sequence, "s0").window(func, attr, width, "out").query()
+
+    def typed(pairs):
+        return [(p, [(type(v), repr(v)) for v in values]) for p, values in pairs]
+
+    row = run_query_detailed(make_query(), mode="row")
+    with forced_backend(None):
+        batch = run_query_detailed(make_query(), mode="batch", batch_size=batch_size)
+    answer = typed((p, r.values) for p, r in row.output.iter_nonnull())
+    assert typed((p, r.values) for p, r in batch.output.iter_nonnull()) == answer
+    for key in ("cache_ops", "max_cache_occupancy"):
+        assert getattr(batch.counters, key) == getattr(row.counters, key), key
+    if row.optimization.plan.plan.strategy == "naive":
+        return  # a tiny input probes instead: no cache, no kernel
+    index = SCHEMA.index_of(attr)
+    items = iter([(p, values[index]) for p, values in sorted(rows.items())])
+    counters = ExecutionCounters()
+    looped = SlidingAggregator.slide(
+        make_sliding(func), width, items, row.output.span.positions(), counters
+    )
+    as_float = func == "avg" or (func == "sum" and attr == "f")
+    assert answer == typed((p, (float(v) if as_float else v,)) for p, v in looped)
+    for key in ("cache_ops", "max_cache_occupancy"):
+        assert getattr(batch.counters, key) == getattr(counters, key), key
+    assert batch.counters.kernels_fallback == 1
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -372,7 +424,7 @@ def test_window_scan_matches_the_sliding_loop(func, cells, tile, width):
     dtype = "float64" if is_float else "int64"
     counters = ExecutionCounters()
     items = iter([(p, value) for p, (present, value) in enumerate(cells) if present])
-    expected = dict(slide(make_sliding(func), width, items, range(len(cells)), counters))
+    expected = dict(make_sliding(func).slide(width, items, range(len(cells)), counters))
     column = np.array([value for _, value in cells], dtype=dtype)
     flags = np.array([present for present, _ in cells], dtype=bool)
     peak = 0
