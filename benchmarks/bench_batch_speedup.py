@@ -59,7 +59,16 @@ REPLAY_BOUND = 0.5
 #: time from 0.255 to 0.074 s at full size and from 0.019 to 0.0036 s at
 #: smoke size, while batch read 0.0063 -> 0.0065 s and 0.0009 -> 0.0007 s
 #: (2-core x86-64 container, CPython 3.11, numpy 2.4), so the speedups
-#: went 41x -> 11x and 22x -> 5x.
+#: went 41x -> 11x and 22x -> 5x.  window-agg's and lockstep-join's
+#: ratios fell the same way: the fused running-sum loop, the in-place
+#: lock-step combine and zipped in-memory scans took window-agg's row
+#: time from 0.208-0.220 to 0.116-0.144 s at full size and from 0.014-0.015
+#: to 0.007-0.013 s at smoke size, lockstep-join's from 0.139-0.163 to
+#: 0.111-0.141 s at full size, while batch read 0.0062-0.0065 against
+#: 0.0061-0.0066 s on window-agg at full size (two parent and three
+#: change runs alternated on the same host), so the committed speedups
+#: went 29.6x -> 18.1x and 24.9x -> 13.6x on window-agg and 11.2x -> 9.2x
+#: and 7.0x -> 5.5x on lockstep-join; no floor moved.
 FLOORS = {
     "numpy": {
         "full": {
