@@ -12,7 +12,12 @@ job closes by checking the observability side of the contract
 every failure profile names a *typed* error class.
 
 Both executors also run forced into certified partitions, at 2 and 4
-partitions each (DESIGN §14).
+partitions each (DESIGN §14), and whole over the ``indexed`` and ``log``
+organizations as well as ``clustered``.  The ``stats/<organization>``
+rows run ANALYZE itself under each fault class: register the stored
+walk and a sparse companion and correlate the pair, which probes the
+walk (``clustered``, ``indexed``) or streams it (``log``); the
+statistics and correlation must equal the fault-free ones, or fail typed.
 
 Usage::
 
@@ -30,8 +35,9 @@ from repro.errors import (
 )
 from repro.algebra import base
 from repro.catalog import Catalog
+from repro.catalog.catalog import correlation_strategy
 from repro.execution import QueryGuard, run_query
-from repro.model import Span
+from repro.model import BaseSequence, Span
 from repro.obs import FlightRecorder
 from repro.storage import FaultPlan, StoredSequence
 from repro.workloads import StockSpec, generate_stock
@@ -56,11 +62,21 @@ FAULT_CLASSES = {
 TYPED_FAILURES = (TransientStorageError, PermanentStorageError, CorruptPageError)
 
 
-def make_query(fault_plan=None):
+#: Every ``SPARSE_EVERY``-th position of the walk: the sparse companion
+#: ANALYZE correlates with it.
+SPARSE_EVERY = 25
+
+
+def make_query(fault_plan=None, organization="clustered"):
     """Build the smoke workload over a (possibly fault-injecting) disk."""
     source = generate_stock(StockSpec("s", SPAN, 1.0, seed=5))
     stored = StoredSequence.from_sequence(
-        "s", source, fault_plan=fault_plan, page_capacity=16, buffer_pages=8
+        "s",
+        source,
+        organization=organization,
+        fault_plan=fault_plan,
+        page_capacity=16,
+        buffer_pages=8,
     )
     catalog = Catalog()
     catalog.register("s", stored)
@@ -68,40 +84,88 @@ def make_query(fault_plan=None):
     return query, catalog, stored
 
 
-#: The (label, run_query kwargs) matrix: both executors whole, then
-#: forced into 2 and 4 certified partitions.
+def analyze(fault_plan=None, organization="clustered"):
+    """ANALYZE the stored walk and its sparse companion, correlating the pair.
+
+    Returns the walk's statistics, the correlation and the strategy the
+    correlation took (``probe`` or ``stream``).
+    """
+    _query, catalog, stored = make_query(fault_plan, organization)
+    source = generate_stock(StockSpec("s", SPAN, 1.0, seed=5))
+    sparse = BaseSequence(
+        source.schema,
+        [(p, r) for p, r in source.iter_nonnull() if p % SPARSE_EVERY == 0],
+        span=SPAN,
+    )
+    catalog.register("sparse", sparse)
+    strategy = correlation_strategy(sparse, stored, sparse.count_nonnull())
+    correlation = catalog.analyze_correlation("s", "sparse")
+    return (catalog.get("s").stats, correlation), strategy
+
+
+#: The (label, run_query kwargs, organization) matrix: both executors
+#: whole, then forced into 2 and 4 certified partitions, then whole over
+#: the other two organizations.
 SCENARIOS = [
-    ("batch", dict(mode="batch")),
-    ("row", dict(mode="row")),
+    ("batch", dict(mode="batch"), "clustered"),
+    ("row", dict(mode="row"), "clustered"),
     *(
-        (f"par/{mode}/p{parts}", dict(mode=mode, parallel="force", workers=parts))
+        (f"par/{mode}/p{parts}", dict(mode=mode, parallel="force", workers=parts), "clustered")
         for parts in (2, 4)
+        for mode in ("batch", "row")
+    ),
+    *(
+        (f"{mode}/{organization}", dict(mode=mode), organization)
+        for organization in ("indexed", "log")
         for mode in ("batch", "row")
     ),
 ]
 
+#: The organizations ANALYZE runs over, one ``stats/...`` row each.
+ANALYZE_ORGANIZATIONS = ("clustered", "indexed", "log")
+
+
+def matrix_rows(recorder):
+    """Each row of the matrix: ``(label, run, reference, reaches_engine)``.
+
+    ``run`` takes a seed's fault plan (None for a fault-free run) and
+    returns what must equal ``reference``: a query's answer pairs, or
+    ANALYZE's statistics and correlation.
+    """
+    query, catalog, _ = make_query()
+    answer = run_query(query, catalog=catalog).to_pairs()
+    for label, kwargs, organization in SCENARIOS:
+
+        def run(plan, kwargs=kwargs, organization=organization):
+            query, catalog, _ = make_query(plan, organization)
+            return run_query(query, catalog=catalog, recorder=recorder, **kwargs).to_pairs()
+
+        yield label, run, answer, True
+    for organization in ANALYZE_ORGANIZATIONS:
+
+        def run(plan, organization=organization):
+            return analyze(plan, organization)[0]
+
+        yield f"stats/{organization}", run, run(None), False
+
 
 def main() -> int:
     """Run the chaos matrix; exit 1 on any contract violation."""
-    query, catalog, _ = make_query()
-    reference = run_query(query, catalog=catalog).to_pairs()
     violations = 0
     engine_successes = 0
     recorder = FlightRecorder(1024)
+    rows = list(matrix_rows(recorder))
     print(f"{'fault class':<12} {'scenario':<16} {'exact':>6} {'typed-fail':>10}")
     for name, rates in FAULT_CLASSES.items():
-        for label, kwargs in SCENARIOS:
+        for label, run, reference, reaches_engine in rows:
             exact = failed = 0
             for seed in SEEDS:
                 plan = FaultPlan(seed, **rates) if rates else None
                 try:
                     # Registration scans the stored sequence for stats,
                     # so the faulty disk is live from this point on.
-                    query, catalog, stored = make_query(plan)
-                    answer = run_query(
-                        query, catalog=catalog, recorder=recorder, **kwargs
-                    )
-                    engine_successes += 1
+                    result = run(plan)
+                    engine_successes += reaches_engine
                 except TYPED_FAILURES:
                     failed += 1
                     continue
@@ -122,7 +186,7 @@ def main() -> int:
                     )
                     violations += 1
                     continue
-                if answer.to_pairs() == reference:
+                if result == reference:
                     exact += 1
                 else:
                     print(
@@ -137,6 +201,11 @@ def main() -> int:
                     "produce the exact answer"
                 )
                 violations += 1
+    strategies = {o: analyze(None, o)[1] for o in ANALYZE_ORGANIZATIONS}
+    print("analyze strategies: " + " ".join(f"{o}={s}" for o, s in strategies.items()))
+    if set(strategies.values()) != {"probe", "stream"}:
+        print("CONTRACT VIOLATION: ANALYZE did not run both correlation strategies")
+        violations += 1
     # The fault matrix usually kills a run during catalog registration
     # (the stats scan reads the whole faulty disk first), which never
     # reaches the engine — so force one *in-engine* typed failure to

@@ -15,8 +15,10 @@
 #      pytest-timeout plugin is installed; a SIGALRM watchdog in
 #      tests/conftest.py covers minimal containers without it)
 #   6. the chaos smoke job: every storage fault class x both executors,
-#      whole and forced into 2 and 4 certified partitions (DESIGN §14),
-#      must yield the exact answer or a typed error, never a wrong one
+#      whole over all three organizations and forced into 2 and 4
+#      certified partitions (DESIGN §14), plus ANALYZE (statistics and a
+#      probed or streamed correlation) over each organization, must yield
+#      the exact answer or a typed error, never a wrong one
 #   7. the trace round-trip check: traced runs exported as JSON Lines
 #      and Chrome trace_event must re-parse and validate against the
 #      pinned schemas in src/repro/obs/schema.py — with and without an

@@ -6,13 +6,13 @@ from repro.catalog.catalog import (
     DEFAULT_PAGE_CAPACITY,
     LeafMeta,
     leaf_meta,
+    null_correlation,
 )
 from repro.catalog.histogram import EquiWidthHistogram
 from repro.catalog.stats import (
     ColumnStats,
     SequenceStats,
     collect_stats,
-    null_correlation,
 )
 
 __all__ = [

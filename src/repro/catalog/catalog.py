@@ -10,15 +10,16 @@ estimates from here.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from repro.errors import CatalogError
 from repro.model.info import SequenceInfo
+from repro.model.record import NULL
 from repro.model.sequence import Sequence
 from repro.model.span import Span
 from repro.storage.organizations import AccessProfile
 from repro.storage.stored import StoredSequence
-from repro.catalog.stats import SequenceStats, collect_stats, null_correlation
+from repro.catalog.stats import SequenceStats, collect_stats
 
 #: Default records-per-page assumed for in-memory sequences that have no
 #: physical organization (they behave like a clustered store).
@@ -66,6 +67,63 @@ def leaf_meta(sequence: Sequence) -> LeafMeta:
         pages = max(1, -(-count // DEFAULT_PAGE_CAPACITY))
         profile = AccessProfile(stream_total=float(pages), probe_unit=1.0)
     return LeafMeta(span, count, density, profile)
+
+
+def _nonnull_positions(sequence: Sequence, window: Span, length: int) -> Iterator[int]:
+    """The non-Null positions of ``window`` (``length`` long), ascending."""
+    for positions, _columns in sequence.column_runs(window, length):
+        yield from positions
+
+
+def correlation_strategy(sparse: Sequence, dense: Sequence, sparse_count: int) -> str:
+    """The paper's join strategy for counting the positions both hold.
+
+    ``"probe"`` (Join-Strategy-A) probes ``dense`` at each of the
+    ``sparse_count`` positions of ``sparse`` when that many probes of
+    cost a cost less than one stream of ``dense`` (A); ``"stream"``
+    (Join-Strategy-B) intersects both position streams.
+    """
+    profile = leaf_meta(dense).profile
+    if sparse_count * profile.probe_unit < profile.stream_total:
+        return "probe"
+    return "stream"
+
+
+def null_correlation(first: Sequence, second: Sequence) -> float:
+    """Correlation of non-Null positions between two sequences.
+
+    Returns ``P(both non-null) / (d1 * d2)`` over the intersection of
+    the two spans: 1.0 for independent placement, > 1 when the
+    sequences tend to be non-null at the same positions, < 1 when they
+    avoid each other.  Returns 1.0 when the intersection is empty or a
+    density is zero (no evidence either way).
+
+    The counts are exact integers whichever strategy
+    :func:`correlation_strategy` picks, so the ratio is too: the two
+    densities come from ``count_nonnull`` (no read when the window
+    covers the span), the joint count from probes or position streams.
+    """
+    window = first.span.intersect(second.span)
+    length = window.length()
+    if length is None:
+        raise CatalogError("cannot correlate over an unbounded span")
+    if length == 0:
+        return 1.0
+    first_count = first.count_nonnull(window)
+    second_count = second.count_nonnull(window)
+    d1 = first_count / length
+    d2 = second_count / length
+    if d1 == 0.0 or d2 == 0.0:
+        return 1.0
+    sparse, dense = (first, second) if first_count <= second_count else (second, first)
+    if correlation_strategy(sparse, dense, min(first_count, second_count)) == "probe":
+        joint = sum(dense.at(p) is not NULL for p in _nonnull_positions(sparse, window, length))
+    else:
+        joint = len(set(_nonnull_positions(first, window, length)).intersection(
+            _nonnull_positions(second, window, length)
+        ))
+    both = joint / length
+    return both / (d1 * d2)
 
 
 class CatalogEntry:

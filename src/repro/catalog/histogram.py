@@ -9,7 +9,11 @@ fallback for non-numeric columns.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from math import isfinite
+from operator import sub, truediv
 from typing import Sequence as PySequence
 
 from repro.errors import CatalogError
@@ -35,22 +39,37 @@ class EquiWidthHistogram:
     def build(cls, values: PySequence[float], buckets: int = 16) -> "EquiWidthHistogram":
         """Build a histogram from observed values.
 
+        The tally is one chain of C-level maps over the values, taking
+        ``int((float(value) - low) / width)`` per value exactly as a
+        per-value loop would; a key past the last bucket (``high``
+        itself) is folded into it.
+
         Raises:
-            CatalogError: if ``values`` is empty or ``buckets`` < 1.
+            CatalogError: if ``values`` is empty, ``buckets`` < 1, a
+                value does not convert to a finite float (NaN, ±inf, an
+                int too large for a float), or the range overflows a
+                float or underflows to a zero bucket width.
         """
         if buckets < 1:
             raise CatalogError(f"histogram needs >= 1 bucket, got {buckets}")
         if not values:
             raise CatalogError("cannot build a histogram from no values")
-        low = float(min(values))
-        high = float(max(values))
+        try:
+            floats = list(map(float, values))
+        except (TypeError, ValueError, OverflowError) as error:
+            raise CatalogError(f"histogram values must be finite numbers: {error}") from None
+        if not all(map(isfinite, floats)):
+            raise CatalogError("histogram values must be finite numbers, not NaN or ±inf")
+        low = min(floats)
+        high = max(floats)
         if low == high:
             return cls(low, high, (len(values),), len(values))
         width = (high - low) / buckets
-        counts = [0] * buckets
-        for value in values:
-            index = min(int((float(value) - low) / width), buckets - 1)
-            counts[index] += 1
+        if not isfinite(width) or width == 0.0:
+            raise CatalogError(f"histogram range {low!r}..{high!r} has no finite bucket width")
+        tally = Counter(map(int, map(truediv, map(sub, floats, repeat(low)), repeat(width))))
+        counts = [tally[index] for index in range(buckets)]
+        counts[-1] += sum(count for index, count in tally.items() if index >= buckets)
         return cls(low, high, tuple(counts), len(values))
 
     @property

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import CatalogError
-from repro.model.record import NULL
+from repro.model.batch import column_to_list
 from repro.model.sequence import Sequence
 from repro.model.span import Span
 from repro.model.types import AtomType
@@ -68,27 +68,39 @@ class SequenceStats:
 def collect_stats(sequence: Sequence, buckets: int = 16) -> SequenceStats:
     """Scan a sequence once and collect full statistics.
 
+    The scan reads the sequence's column runs, the batch executor's
+    access path, so no record is built: a stored sequence reads the
+    same pages in the same order as a record scan would.  Typed buffers
+    are exact, so each statistic is what the record values give.  A
+    numeric column whose values are not all finite floats gets no
+    histogram, and its selectivity falls back to the distinct count.
+
     Raises:
-        CatalogError: if the sequence's span is unbounded.
+        CatalogError: if the sequence's span is unbounded, or
+            ``buckets`` < 1.
     """
     span = sequence.span
     length = span.length()
     if length is None:
         raise CatalogError("cannot collect statistics over an unbounded span")
+    if buckets < 1:
+        raise CatalogError(f"histogram needs >= 1 bucket, got {buckets}")
 
-    per_column: dict[str, list] = {name: [] for name in sequence.schema.names}
+    per_column: list[list] = [[] for _ in sequence.schema.names]
     count = 0
-    for _position, record in sequence.iter_nonnull():
-        count += 1
-        for name in per_column:
-            per_column[name].append(record.get(name))
+    for positions, run in sequence.column_runs(None, max(1, length)):
+        count += len(positions)
+        for values, column in zip(per_column, run):
+            values.extend(column_to_list(column))
 
     columns: dict[str, ColumnStats] = {}
-    for attr in sequence.schema:
-        values = per_column[attr.name]
+    for attr, values in zip(sequence.schema, per_column):
         histogram = None
         if attr.atype.is_numeric and values:
-            histogram = EquiWidthHistogram.build(values, buckets=buckets)
+            try:
+                histogram = EquiWidthHistogram.build(values, buckets=buckets)
+            except CatalogError:  # a value that is not a finite float
+                pass
         columns[attr.name] = ColumnStats(
             atype=attr.atype,
             count=len(values),
@@ -97,28 +109,3 @@ def collect_stats(sequence: Sequence, buckets: int = 16) -> SequenceStats:
         )
     density = count / length if length else 0.0
     return SequenceStats(span=span, count=count, density=density, columns=columns)
-
-
-def null_correlation(first: Sequence, second: Sequence) -> float:
-    """Correlation of non-Null positions between two sequences.
-
-    Returns ``P(both non-null) / (d1 * d2)`` over the intersection of
-    the two spans: 1.0 for independent placement, > 1 when the
-    sequences tend to be non-null at the same positions, < 1 when they
-    avoid each other.  Returns 1.0 when the intersection is empty or a
-    density is zero (no evidence either way).
-    """
-    window = first.span.intersect(second.span)
-    length = window.length()
-    if length is None:
-        raise CatalogError("cannot correlate over an unbounded span")
-    if length == 0:
-        return 1.0
-    first_positions = {pos for pos, _ in first.iter_nonnull(window)}
-    second_positions = {pos for pos, _ in second.iter_nonnull(window)}
-    d1 = len(first_positions) / length
-    d2 = len(second_positions) / length
-    if d1 == 0.0 or d2 == 0.0:
-        return 1.0
-    both = len(first_positions & second_positions) / length
-    return both / (d1 * d2)

@@ -223,9 +223,9 @@ class StoredSequence(Sequence):
             yield run
 
     def count_nonnull(self, within: Optional[Span] = None) -> int:
-        """The load-time record count when no window is given (no page
-        is read); a windowed count scans, like any stream access."""
-        if within is None:
+        """The load-time record count when the window covers the span
+        (no page is read); a narrower window scans, like any stream access."""
+        if within is None or within.covers(self._span):
             return self.record_count()
         return super().count_nonnull(within)
 

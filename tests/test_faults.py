@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
+import marshal
 import os
 import sys
+import zlib
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 import repro.execution.options as options_module
+import repro.storage.page as page_module
 from repro.errors import (
     CorruptPageError,
     ExecutionError,
@@ -222,6 +225,59 @@ class TestPageChecksum:
         for entry in entries:
             page.append(entry)
             assert page.checksum == page.compute_checksum()
+        assert page.verify()
+
+    #: Every kind of leaf a stored entry can hold, edge values included.
+    LEAVES = st.one_of(
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf")]),
+        st.booleans(),
+        st.none(),
+        st.text(max_size=4),
+    )
+    ENTRIES = st.lists(
+        st.tuples(
+            st.integers(),
+            st.lists(
+                st.one_of(LEAVES, st.tuples(LEAVES, LEAVES)), max_size=4
+            ).map(tuple),
+        ),
+        max_size=12,
+    )
+
+    @staticmethod
+    def _refused_leaves():
+        """Leaves the one-call encoder refuses: a float subclass, numpy's float."""
+
+        class Celsius(float):
+            pass
+
+        leaves = [Celsius(-0.5)]
+        if importlib.util.find_spec("numpy") is not None:
+            import numpy
+
+            leaves.append(numpy.float64(2.25))
+        return leaves
+
+    @settings(max_examples=200, deadline=None)
+    @given(entries=ENTRIES, refused=st.booleans(), at=st.integers(min_value=0))
+    def test_one_call_checksum_is_the_per_entry_join(self, entries, refused, at):
+        """The one encoder call gives the running CRC and the per-entry
+        join's CRC; a slot list it refuses takes the join and agrees too."""
+        if refused:
+            for index, leaf in enumerate(self._refused_leaves()):
+                entries.insert((at + index) % (len(entries) + 1), (index, (leaf,)))
+        page = Page(0, len(entries) + 1)
+        for entry in entries:
+            page.append(entry)
+        joined = zlib.crc32(b"".join(map(page_module._entry_bytes, page.slots)))
+        if refused:
+            with pytest.raises(ValueError):
+                marshal.dumps(page.slots, 2)
+        else:
+            marshal.dumps(page.slots, 2)  # the list the one call encodes
+        assert page.compute_checksum() == page.checksum == joined
         assert page.verify()
 
 
