@@ -32,7 +32,9 @@
 #      a difference below the noise is printed as unresolved, not failed.
 #      With numpy installed the gate runs a second time under
 #      REPRO_NO_VECTOR=1, so the pure-Python backend's speedup floors
-#      are held here too, not only by CI's no-numpy leg
+#      are held here too, not only by CI's no-numpy leg; so do the
+#      sequence, partition-slice and batch tests, so the array.array/list
+#      buffers behind a sequence's columns view are checked here as well
 #   9. the end-to-end benchmark's own smoke (benchmarks/e2e, outside
 #      tier-1): a change to the entry surface that breaks the
 #      benchmark's pinned call syntax, counter names or span names
@@ -97,6 +99,10 @@ run_step "perf gate" env PYTHONPATH=src \
 if python -c "import numpy" >/dev/null 2>&1; then
     run_step "perf gate (REPRO_NO_VECTOR=1)" env PYTHONPATH=src REPRO_NO_VECTOR=1 \
         python scripts/check_perf.py
+    run_step "sequence views (REPRO_NO_VECTOR=1)" env PYTHONPATH=src REPRO_NO_VECTOR=1 \
+        python -m pytest -q "${timeout_args[@]}" tests/test_leaf_meta.py \
+        tests/test_model_sequences.py tests/test_partition_slices.py \
+        tests/test_execution_batch.py
 fi
 
 run_step "e2e benchmark smoke" env PYTHONPATH=src \

@@ -528,7 +528,7 @@ def compile_rowwise(
 
 
 def _compile_batch(
-    expr: Expr, schema: RecordSchema, template: str
+    expr: Expr, schema: RecordSchema
 ) -> Optional[Callable[[list[list[object]], list[bool]], list[object]]]:
     """Column-wise filter codegen; None when ``expr`` cannot be lowered."""
     lowerer = _Lowerer(schema, lambda index: f"_c{index}[_i]")
@@ -539,7 +539,7 @@ def _compile_batch(
     preamble = "".join(
         f"    _c{index} = _columns[{index}]\n" for index in sorted(lowerer.used_columns)
     )
-    source = template.format(preamble=preamble, fragment=fragment)
+    source = _FILTER_TEMPLATE.format(preamble=preamble, fragment=fragment)
     namespace = dict(lowerer.env)
     exec(source, namespace)  # noqa: S102 - engine codegen
     return cast(
@@ -557,31 +557,6 @@ def _compiled(_columns, _valid):
             _out[_i] = True
     return _out
 """
-
-# Dense variant, emitted only under a certified vectorization-safe
-# EffectSpec (pure + deterministic + total + null-strict): on a fully
-# valid batch the per-row ``_ok`` guard is dropped entirely — one
-# branch-free comprehension instead of a test per row.  Safe exactly
-# because the certificate proves the expression cannot raise and masked
-# positions cannot influence outputs; sparse batches keep the guarded
-# loop (invalid cells hold None, which the expression must never see).
-
-_DENSE_FILTER_TEMPLATE = """\
-def _compiled(_columns, _valid):
-{preamble}\
-    if False not in _valid:
-        return [True if {fragment} else False for _i in range(len(_valid))]
-    _out = [False] * len(_valid)
-    for _i, _ok in enumerate(_valid):
-        if _ok and {fragment}:
-            _out[_i] = True
-    return _out
-"""
-
-
-def _vectorization_safe(spec: "Optional[EffectSpec]") -> bool:
-    """Whether ``spec`` certifies dropping the per-row validity guard."""
-    return spec is not None and spec.vectorization_safe
 
 
 def compile_filter(
@@ -601,27 +576,24 @@ def compile_filter(
     and the predicate is truthy there — the batch equivalent of a
     select step's per-record ``if not predicate.eval(record)`` test.
     A certified vectorization-safe ``spec`` licenses the whole-column
-    numpy kernel (when the backend and dtypes allow) and, failing that,
-    the unguarded dense loop on fully valid batches.  ``on_fallback``
-    observes the interpreted fallback, as in :func:`compile_rowwise`;
+    numpy kernel (when the backend and dtypes allow); otherwise every
+    batch runs the one guarded loop.  ``on_fallback`` observes the
+    interpreted fallback, as in :func:`compile_rowwise`;
     ``on_kernel_fallback`` observes — once per filter — that no vector
     kernel could be built or, at the first such batch, that the built
     kernel declined a batch (non-vector buffers, int-magnitude guard);
     declined batches run the scalar path with identical answers.
     """
     vector = None
-    if _vectorization_safe(spec):
+    if spec is not None and spec.vectorization_safe:
         from repro.algebra.kernels import lower_vector_filter
 
         vector = lower_vector_filter(expr, schema)
     if vector is None and on_kernel_fallback is not None:
         on_kernel_fallback(expr)
-    template = (
-        _DENSE_FILTER_TEMPLATE if _vectorization_safe(spec) else _FILTER_TEMPLATE
-    )
     compiled = cast(
         "Optional[Callable[[list[ColumnArg], list[bool]], list[bool]]]",
-        _compile_batch(expr, schema, template),
+        _compile_batch(expr, schema),
     )
     scalar: Callable[[list[ColumnArg], list[bool]], list[bool]]
     if compiled is not None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from itertools import islice
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from repro.analysis import hooks
@@ -25,7 +26,7 @@ from repro.execution.context import ExecContext
 from repro.execution.counters import ExecutionCounters
 from repro.execution.guard import QueryGuard
 from repro.execution.options import ExecOptions
-from repro.model.base import BaseSequence, ColumnarAnswer
+from repro.model.base import BaseSequence
 from repro.model.batch import concat_columns, vector_backend
 from repro.model.span import Span
 from repro.obs.instrument import stored_leaf_counters
@@ -104,14 +105,14 @@ def materialize(
     return _run_row(ctx, plan, window)
 
 
-def _run_batch(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> ColumnarAnswer:
+def _run_batch(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BaseSequence:
     """Materialize the batch-mode answer, keeping it columnar.
 
     Each batch's columns are compacted to the valid positions (a fancy
     index on vector buffers, ``compress`` on lists) and concatenated;
-    the answer never transposes to per-record objects here — the
-    returned :class:`~repro.model.base.ColumnarAnswer` materializes
-    records lazily if and when a consumer asks for them row-wise.
+    the answer never transposes to per-record objects here — it holds
+    its columns view, and boxes its records view only if and when a
+    consumer asks for records.
     """
     counters = ctx.counters
     guard = ctx.guard
@@ -147,16 +148,18 @@ def _run_batch(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> ColumnarAn
     columns = [concat_columns(pieces) for pieces in zip(*parts)] if parts else [
         [] for _ in schema.attributes
     ]
-    return ColumnarAnswer(schema, window, positions, columns)
+    return BaseSequence.unchecked(schema, window, positions, columns=columns)
 
 
 def _run_row(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BaseSequence:
     """Materialize the row-mode answer.
 
     Stream evaluations emit unique ascending positions with records of
-    the plan's schema, so the output skips per-item revalidation.  The
-    guard is charged once per ``check_stride`` records, and exactly for
-    what a failing stream emitted.
+    the plan's schema, so the output skips per-item revalidation and
+    holds its records view only: no position→record mapping, no column
+    is built unless a consumer asks.  The guard is charged once per
+    ``check_stride`` records, and exactly for what a failing stream
+    emitted.
     """
     guard = ctx.guard
     stream = ctx.stream(plan, window)
@@ -175,4 +178,6 @@ def _run_row(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BaseSequence
         ctx.counters.records_emitted += len(pairs)
         if guard is not None and len(pairs) > charged:
             guard.note_records(len(pairs) - charged, check=False)
-    return BaseSequence.unchecked(plan.schema, pairs, span=window)
+    positions = list(map(itemgetter(0), pairs))
+    records = list(map(itemgetter(1), pairs))
+    return BaseSequence.unchecked(plan.schema, window, positions, records=records)

@@ -19,11 +19,11 @@ certificates:
   leaf span and nothing else (:func:`slice_sequence`): a window over
   an in-memory leaf's own buffers and records, or a stored leaf's
   window drained once into columns.  No accessor of a slice — ``at``,
-  ``iter_nonnull``, ``count_nonnull``, ``nonnull_columns``,
-  ``column_runs`` — can reach a position outside it.  Probe-mode access
-  paths read the leaf sequence directly, so without the slice an
-  understated halo could silently read its neighbour partition's data
-  and mask the analysis bug the harness exists to catch.
+  ``iter_nonnull``, ``count_nonnull``, ``column_runs`` — can reach a
+  position outside it.  Probe-mode access paths read the leaf sequence
+  directly, so without the slice an understated halo could silently
+  read its neighbour partition's data and mask the analysis bug the
+  harness exists to catch.
 
 If the certificate's halos are exact, the merged answer equals the
 unpartitioned answer; if they are understated, boundary outputs see
@@ -66,7 +66,7 @@ from repro.execution.counters import ExecutionCounters
 from repro.execution.guard import QueryGuard
 from repro.execution.lane import materialize, started
 from repro.execution.options import ExecOptions
-from repro.model.base import BaseSequence, ColumnarAnswer
+from repro.model.base import BaseSequence
 from repro.model.span import Span
 from repro.model.sequence import ColumnRun, Sequence
 from repro.obs.hist import HistogramSet
@@ -99,7 +99,7 @@ def slice_sequence(sequence: Sequence, span: Span) -> BaseSequence:
     # A run as wide as the window is never cut: the first is all of them.
     empty: ColumnRun = ([], tuple([] for _ in sequence.schema.attributes))
     positions, columns = next(sequence.column_runs(window, max(window.length(), 1)), empty)
-    return ColumnarAnswer(sequence.schema, window, list(positions), columns)
+    return BaseSequence.unchecked(sequence.schema, window, list(positions), columns=columns)
 
 
 def partition_plan(
@@ -162,7 +162,7 @@ def merge_partitions(
     The certificate's merge proof guarantees the partition windows are
     ascending, disjoint and contiguous, so concatenation *is* the
     position-ordered merge — of column buffers when every partition
-    answered in columns, of record mappings otherwise; every adjacent
+    holds its columns, of record lists otherwise; every adjacent
     pair of the merged positions is still re-checked as a cheap runtime
     tripwire.
     """

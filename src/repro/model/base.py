@@ -4,6 +4,13 @@ A base sequence (paper Section 2) explicitly associates positions with
 records; all other positions map to the Null record.  This in-memory
 implementation backs tests, the naive evaluator, and query outputs; the
 disk-resident variant lives in :mod:`repro.storage`.
+
+One ascending position list carries two parallel views of the records
+at those positions: ``_record_list`` (one :class:`Record` each) and
+``_columns`` (one typed buffer per attribute).  Each view is derived
+from the other on first use and cached, and every constructor seeds the
+view it was handed, so a row-mode answer never builds a column and a
+batch-mode answer never boxes a record unless a consumer asks.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping, Optional, Sequence as PySequence
 
 from repro.errors import SchemaError, SpanError
-from repro.model.batch import column_to_list, concat_columns, typed_column
+from repro.model.batch import Column, column_to_list, concat_columns, typed_column
 from repro.model.record import NULL, Record, RecordOrNull
 from repro.model.schema import RecordSchema
 from repro.model.sequence import ColumnRun, Sequence
@@ -22,6 +29,9 @@ from repro.model.span import Span
 
 class BaseSequence(Sequence):
     """An explicit, immutable mapping from positions to records."""
+
+    #: The sequence a window view slices its views from; None otherwise.
+    _parent: Optional["BaseSequence"] = None
 
     def __init__(
         self,
@@ -72,6 +82,7 @@ class BaseSequence(Sequence):
         self._span = span
         self._positions = positions
         self._records = mapping
+        self._record_list = list(map(mapping.__getitem__, positions))
 
     # -- constructors ------------------------------------------------------
 
@@ -115,22 +126,28 @@ class BaseSequence(Sequence):
     def unchecked(
         cls,
         schema: RecordSchema,
-        pairs: PySequence[tuple[int, Record]],
         span: Span,
+        positions: list[int],
+        *,
+        records: Optional[list[Record]] = None,
+        columns: Optional[Iterable[Column]] = None,
     ) -> "BaseSequence":
-        """Build without re-validating items (trusted engine path).
+        """Build without re-validating anything (the trusted engine path).
 
-        ``pairs`` must hold unique, ascending positions inside ``span``
-        with records conforming to ``schema`` — exactly what a stream
-        evaluation produces.  The counterpart of
-        :meth:`~repro.model.record.Record.unchecked` at the sequence
-        level.
+        ``positions`` must be unique and ascending inside ``span``;
+        ``records`` (conforming to ``schema``) or ``columns`` (one
+        buffer per attribute) must run parallel to them — exactly what
+        a drain produces.  The view given is the one held; the other is
+        derived on first use.
         """
         sequence = object.__new__(cls)
         sequence._schema = schema
         sequence._span = span
-        sequence._positions = [position for position, _record in pairs]
-        sequence._records = dict(pairs)
+        sequence._positions = positions
+        if records is not None:
+            sequence._record_list = records
+        if columns is not None:
+            sequence._columns = tuple(columns)
         return sequence
 
     @classmethod
@@ -138,23 +155,52 @@ class BaseSequence(Sequence):
         """``pieces`` (one schema, at least one) end to end over ``span``.
 
         As trusted as :meth:`unchecked`: the caller vouches that the
-        joined :attr:`positions` ascend strictly inside ``span``.
-        All-columnar pieces stay columnar (one buffer concatenation per
-        attribute); anything else joins the position→record mappings.
+        joined :attr:`positions` ascend strictly inside ``span``.  When
+        every piece already holds its columns the buffers are joined,
+        one concatenation per attribute; otherwise the record lists are.
         """
-        schema = pieces[0].schema
+        schema = pieces[0]._schema
         positions = list(chain.from_iterable(piece._positions for piece in pieces))
-        if all(isinstance(piece, ColumnarAnswer) for piece in pieces):
-            columns = zip(*(piece._columns for piece in pieces))
-            return ColumnarAnswer(schema, span, positions, map(concat_columns, columns))
-        sequence = object.__new__(cls)
-        sequence._schema = schema
-        sequence._span = span
-        sequence._positions = positions
-        sequence._records = {}
-        for piece in pieces:
-            sequence._records.update(piece._records)
-        return sequence
+        if all(piece._holds_columns() for piece in pieces):
+            columns = map(concat_columns, zip(*(piece._columns for piece in pieces)))
+            return cls.unchecked(schema, span, positions, columns=columns)
+        records = list(chain.from_iterable(piece._record_list for piece in pieces))
+        return cls.unchecked(schema, span, positions, records=records)
+
+    # -- the two views -------------------------------------------------------
+
+    def _holds_columns(self) -> bool:
+        """Whether the columns view is built already (a window's, if its parent's is)."""
+        return "_columns" in vars(self) or (
+            self._parent is not None and self._parent._holds_columns()
+        )
+
+    @cached_property
+    def _record_list(self) -> list[Record]:
+        """One :class:`Record` per position, boxed from the columns."""
+        rows: Iterable[tuple]
+        if self._columns:
+            rows = zip(*map(column_to_list, self._columns))
+        else:
+            rows = repeat((), len(self._positions))
+        return list(map(Record.unchecked, repeat(self._schema), rows))
+
+    @cached_property
+    def _columns(self) -> tuple[Column, ...]:
+        """One typed buffer per attribute, transposed from the records."""
+        attributes = self._schema.attributes
+        raw = list(zip(*(record.values for record in self._record_list)))
+        if not raw:
+            raw = [() for _ in attributes]
+        return tuple(
+            typed_column(list(values), attribute.atype)
+            for values, attribute in zip(raw, attributes)
+        )
+
+    @cached_property
+    def _records(self) -> dict[int, Record]:
+        """The position → record mapping ``at`` reads."""
+        return dict(zip(self._positions, self._record_list))
 
     # -- Sequence interface --------------------------------------------------
 
@@ -177,52 +223,29 @@ class BaseSequence(Sequence):
     def iter_nonnull(self, within: Optional[Span] = None) -> Iterator[tuple[int, Record]]:
         """The pairs in ``within``, zipped in C: no Python frame per record."""
         lo, hi = self._index_range(within)
-        positions = self._positions[lo:hi]
-        return zip(positions, map(self._records.__getitem__, positions))
+        records = self._record_list
+        if lo == 0 and hi == len(records):
+            return zip(self._positions, records)
+        return zip(self._positions[lo:hi], records[lo:hi])
 
     def count_nonnull(self, within: Optional[Span] = None) -> int:
         """Number of non-Null positions, by bisection: no record is touched."""
         lo, hi = self._index_range(within)
         return hi - lo
 
-    def nonnull_columns(
-        self, within: Optional[Span] = None
-    ) -> tuple[list[int], tuple[object, ...]]:
-        """All items in ``within`` as positions plus per-attribute columns.
-
-        The columnar counterpart of :meth:`iter_nonnull` for batch
-        scans: the full sequence is transposed into typed column
-        buffers once (cached — the sequence is immutable) and window
-        requests are answered with O(columns) buffer slices, so a scan
-        never touches per-record Python objects.
-
-        Returns:
-            ``(positions, columns)`` where ``columns`` has one buffer
-            per schema attribute, parallel to ``positions``.
-        """
-        cache = getattr(self, "_column_cache", None)
-        if cache is None:
-            attributes = self._schema.attributes
-            positions = self._positions
-            records = self._records
-            if positions:
-                rows = [records[position].values for position in positions]
-                raw = list(zip(*rows))
-            else:
-                raw = [() for _ in attributes]
-            cache = tuple(
-                typed_column(list(values), attribute.atype)
-                for values, attribute in zip(raw, attributes)
-            )
-            self._column_cache = cache
-        lo, hi = self._index_range(within)
-        if lo == 0 and hi == len(self._positions):
-            return self._positions, cache
-        return self._positions[lo:hi], tuple(column[lo:hi] for column in cache)
-
     def column_runs(self, within: Optional[Span], width: int) -> Iterator[ColumnRun]:
-        """The cached buffers of :meth:`nonnull_columns`, as the one run."""
-        yield self.nonnull_columns(within)
+        """Everything in ``within`` as the one run: the columns view, sliced.
+
+        A full request is served the cached buffers themselves; a window
+        gets O(columns) slices of them (numpy views on the vector
+        backend), so a scan never touches a per-record Python object.
+        """
+        lo, hi = self._index_range(within)
+        columns = self._columns
+        if lo == 0 and hi == len(self._positions):
+            yield self._positions, columns
+        else:
+            yield self._positions[lo:hi], tuple(column[lo:hi] for column in columns)
 
     # -- extras ---------------------------------------------------------------
 
@@ -245,18 +268,20 @@ class BaseSequence(Sequence):
 
     def restricted(self, span: Span) -> "BaseSequence":
         """This sequence clipped to ``span``: a window, not a copy."""
-        return SequenceWindow(self, self._span.intersect(span))
+        return _Window(self, self._span.intersect(span))
 
     def __eq__(self, other: object) -> bool:
+        """The record-wise verdict; as columns when both hold them (no boxing)."""
         if not isinstance(other, BaseSequence):
             return NotImplemented
-        return (
-            self._schema == other._schema
-            and self._records == other._records
-        )
-
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict key
-        return hash((self._schema, tuple(sorted(self._records.items()))))
+        if self._schema != other._schema or self._positions != other._positions:
+            return False
+        if self._holds_columns() and other._holds_columns():
+            return all(
+                column_to_list(mine) == column_to_list(theirs)
+                for mine, theirs in zip(self._columns, other._columns)
+            )
+        return self._record_list == other._record_list
 
     def __repr__(self) -> str:
         return (
@@ -265,111 +290,27 @@ class BaseSequence(Sequence):
         )
 
 
-class ColumnarAnswer(BaseSequence):
-    """A batch-mode query answer kept in columnar form.
+class _Window(BaseSequence):
+    """``parent`` inside ``span``, and nothing else: what :meth:`restricted` returns.
 
-    The batch executor finishes with compacted per-attribute column
-    buffers; transposing them into one :class:`Record` per position
-    eagerly can cost more than the whole pipeline for large answers.
-    This subclass stores the columnar form instead: columnar consumers
-    (:meth:`BaseSequence.nonnull_columns` — and therefore a follow-up
-    batch query over the answer) are served O(columns) slices of the
-    stored buffers, while the records that row-wise access needs are
-    materialized lazily, once, on first use: a list parallel to the
-    positions, which ``iter_nonnull`` zips in one pass, and — only when
-    ``at`` or equality ask for it — the position→record mapping over
-    the same :class:`Record` objects.
-
-    Instances are built only by the engine; ``positions`` must be
-    unique and ascending inside ``span`` and ``columns`` must hold one
-    buffer per schema attribute, parallel to ``positions``.
+    The positions are the bisected slice of the parent's; each view is
+    sliced from the parent's own on first use (numpy views of its
+    buffers, the same :class:`Record` objects), so the parent keeps the
+    one cached copy and no accessor reaches outside the window.
     """
 
-    def __init__(
-        self,
-        schema: RecordSchema,
-        span: Span,
-        positions: list[int],
-        columns: PySequence[object],
-    ):
-        self._schema = schema
-        self._span = span
-        self._positions = positions
-        self._columns = tuple(columns)
-        # BaseSequence.nonnull_columns reads this cache attribute:
-        # pre-seeding it means follow-up scans reuse the answer's
-        # buffers without ever re-transposing records.
-        self._column_cache = self._columns
-
-    @cached_property
-    def _record_list(self) -> list[Record]:
-        """One :class:`Record` per position, parallel to ``_positions``."""
-        rows: Iterable[tuple]
-        if self._columns:
-            rows = zip(*(column_to_list(column) for column in self._columns))
-        else:
-            rows = repeat((), len(self._positions))
-        return list(map(Record.unchecked, repeat(self._schema), rows))
-
-    @cached_property
-    def _records(self) -> dict[int, Record]:
-        """The position → record mapping ``at`` and equality read."""
-        return dict(zip(self._positions, self._record_list))
-
-    def iter_nonnull(self, within: Optional[Span] = None) -> Iterator[tuple[int, Record]]:
-        lo, hi = self._index_range(within)
-        records = self._record_list
-        if lo == 0 and hi == len(records):
-            return zip(self._positions, records)
-        return zip(self._positions[lo:hi], records[lo:hi])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ColumnarAnswer):
-            return super().__eq__(other)
-        # The record-wise verdict, without building a record on either side.
-        return (
-            self._schema == other._schema
-            and self._positions == other._positions
-            and all(
-                column_to_list(mine) == column_to_list(theirs)
-                for mine, theirs in zip(self._columns, other._columns)
-            )
-        )
-
-    __hash__ = BaseSequence.__hash__
-
-
-class SequenceWindow(BaseSequence):
-    """What an in-memory sequence holds inside one window, and nothing else.
-
-    What :meth:`BaseSequence.restricted` hands out, and so every leaf of
-    a certified partition.  The positions are the bisected slice of the
-    parent's; the two representations the inherited accessors read come
-    from the parent on first use — column buffers as slices of its
-    cached ones (numpy views), the position→record mapping over its own
-    :class:`Record` objects (``at`` and ``==`` only; a stream scan
-    needs neither) — so a batch lane never builds a mapping, a row lane
-    never a column, and no accessor reaches outside the window.
-    """
-
-    def __init__(self, parent: BaseSequence, window: Span):
-        lo, hi = parent._index_range(window)
+    def __init__(self, parent: BaseSequence, span: Span):
+        self._lo, hi = parent._index_range(span)
         self._schema = parent._schema
-        self._span = window
-        self._positions = parent._positions[lo:hi]
+        self._span = span
+        self._positions = parent._positions[self._lo : hi]
         self._parent = parent
 
     @cached_property
-    def _column_cache(self) -> tuple[object, ...]:
-        return self._parent.nonnull_columns(self._span)[1]
+    def _record_list(self) -> list[Record]:
+        return self._parent._record_list[self._lo : self._lo + len(self._positions)]
 
     @cached_property
-    def _records(self) -> dict[int, Record]:
-        records = self._parent._records
-        return dict(zip(self._positions, map(records.__getitem__, self._positions)))
-
-    def iter_nonnull(self, within: Optional[Span] = None) -> Iterator[tuple[int, Record]]:
-        """A stream scan reads the parent's records as it goes: no mapping."""
-        lo, hi = self._index_range(within)
-        positions = self._positions[lo:hi]
-        return zip(positions, map(self._parent._records.__getitem__, positions))
+    def _columns(self) -> tuple[Column, ...]:
+        hi = self._lo + len(self._positions)
+        return tuple(column[self._lo : hi] for column in self._parent._columns)

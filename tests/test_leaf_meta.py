@@ -3,8 +3,8 @@
 Three claims, one per section: planning (``compile_query`` +
 ``optimize``) touches no record, column or page of any leaf; every
 sequence kind's constant-time ``count_nonnull`` equals a walk of
-``iter_nonnull``; and a ``ColumnarAnswer`` drained through its record
-list is indistinguishable from the ``BaseSequence`` of the same pairs.
+``iter_nonnull``; and every way of building the same pairs (records,
+columns, windows, concatenations) answers every accessor alike.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from repro.model import (
     RecordSchema,
     Span,
 )
-from repro.model.base import ColumnarAnswer
-from repro.model.batch import typed_column
+from repro.model.batch import column_to_list, typed_column
 from repro.optimizer import optimize
 from repro.storage import StoredSequence
 from repro.workloads import table1_catalog
@@ -60,9 +59,9 @@ class CountingSequence(BaseSequence):
         self.reads += 1
         return super().iter_nonnull(within)
 
-    def nonnull_columns(self, within=None):
+    def column_runs(self, within, width):
         self.reads += 1
-        return super().nonnull_columns(within)
+        return super().column_runs(within, width)
 
 
 def _counting_sources(group: str) -> dict[str, CountingSequence]:
@@ -178,7 +177,7 @@ def pairs_and_span(draw):
 def test_count_matches_walk_for_base_and_columnar(case, window):
     pairs, span = case
     base = BaseSequence(SCHEMA, pairs, span=span)
-    columnar = _columnar(pairs, base.span)
+    columnar = _from_columns(SCHEMA, base.span, base.positions, [3 * p for p in base.positions])
     assert base.count_nonnull(window) == _walked(base, window)
     assert columnar.count_nonnull(window) == _walked(columnar, window) == _walked(base, window)
 
@@ -219,89 +218,98 @@ def test_count_matches_walk_for_stored(case, organization, page_capacity, window
     assert stored.count_nonnull(window) == _walked(stored, window)
 
 
-# -- (c) ColumnarAnswer drains like the BaseSequence of the same pairs ----------
+# -- (c) every construction of the same pairs answers alike --------------------
 
 
-def _columnar(pairs, span: Span) -> ColumnarAnswer:
-    positions = [p for p, _ in pairs]
-    column = typed_column([r.values[0] for _, r in pairs], AtomType.INT)
-    return ColumnarAnswer(SCHEMA, span, positions, [column])
+def _from_columns(schema, span: Span, positions, *values) -> BaseSequence:
+    typed = [typed_column(list(c), a.atype) for c, a in zip(values, schema.attributes)]
+    return BaseSequence.unchecked(schema, span, list(positions), columns=typed)
+
+
+def _constructions(schema, pairs, span: Span, cut: int) -> dict[str, BaseSequence]:
+    """``pairs`` over ``span``, built every way the engine builds a sequence."""
+    outer = span.widen(3, 3)
+    extra = [(p, pairs[0][1]) for p in (outer.start, outer.end)] if pairs else []
+    values = [[r.values[i] for _, r in pairs] for i in range(len(schema.attributes))]
+
+    def columns() -> BaseSequence:
+        return _from_columns(schema, span, [p for p, _ in pairs], *values)
+
+    records = BaseSequence(schema, pairs, span=span)
+    wide = BaseSequence(schema, pairs + extra, span=outer)
+    wide_columns = BaseSequence.unchecked(schema, outer, wide.positions, columns=wide._columns)
+    inner, inner_columns = wide.restricted(span), wide_columns.restricted(span)
+    low, high = Span(None, cut), Span(cut + 1, None)
+    column_low, cat = columns().restricted(low), BaseSequence.concatenated
+    return {
+        "records": records,
+        "columns": columns(),
+        "record window": inner,
+        "column window": inner_columns,
+        "nested window": wide_columns.restricted(span.widen(1, 1)).restricted(span),
+        "records + records": cat([records.restricted(low), inner.restricted(high)], span),
+        "columns + columns": cat([column_low, inner_columns.restricted(high)], span),
+        "columns + records": cat([column_low, records.restricted(high)], span),
+    }
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=pairs_and_span(), window=WINDOW, probe=POSITION)
-def test_columnar_answer_agrees_with_base_sequence(case, window, probe):
+@given(case=pairs_and_span(), window=WINDOW, probe=POSITION, cut=POSITION, zero=st.booleans())
+def test_every_construction_agrees(case, window, probe, cut, zero):
     pairs, span = case
-    base = BaseSequence(SCHEMA, pairs, span=span)
-    columnar = _columnar(pairs, base.span)
-    assert list(columnar.iter_nonnull(window)) == list(base.iter_nonnull(window))
-    assert columnar.at(probe) == base.at(probe)
-    assert columnar == base and base == columnar
-    if pairs:
-        assert columnar != BaseSequence(SCHEMA, pairs[1:], span=base.span)
+    schema = RecordSchema.of() if zero else SCHEMA
+    pairs = [(p, Record(schema, ())) for p, _ in pairs] if zero else pairs
+    span = BaseSequence(schema, pairs, span=span).span
+    built = _constructions(schema, pairs, span, cut)
+    oracle = built["records"]
+    for name in ("columns", "column window", "nested window", "columns + columns"):
+        # Windows of columns count as columns: nothing so far boxed a record.
+        assert "_record_list" not in vars(built[name]) and built[name]._holds_columns(), name
 
+    # Each record is boxed once: every drain and probe hands out the same objects.
+    columnar = built["columns"]
+    first = list(columnar.iter_nonnull())
+    assert "_records" not in vars(columnar)  # a drain builds no mapping
+    for (position, record), (_p, again) in zip(first, columnar.iter_nonnull()):
+        assert record is again is columnar.at(position)
+    assert all(type(record.values[0]) is int for _p, record in first if record.values)
 
-def test_columnar_answer_materializes_each_record_once():
-    pairs = [(p, Record(SCHEMA, (p * 3,))) for p in range(0, 50, 2)]
-    columnar = _columnar(pairs, Span(0, 49))
-    first = [record for _p, record in columnar.iter_nonnull()]
-    # iter_nonnull alone does not build the position -> record mapping.
-    assert "_records" not in vars(columnar)
-    second = [record for _p, record in columnar.iter_nonnull()]
-    windowed = [record for _p, record in columnar.iter_nonnull(Span(10, 20))]
-    assert all(a is b for a, b in zip(first, second))
-    assert all(a is b for a, b in zip(windowed, first[5:11]))
-    # at() and equality read the same Record objects through the mapping.
-    assert columnar.at(10) is first[5]
-    assert columnar.at(11) is NULL
-    assert type(first[0].values[0]) is int
+    def answers(seq) -> tuple:
+        runs = [(list(p), list(map(column_to_list, c))) for p, c in seq.column_runs(window, 16)]
+        drained = list(seq.iter_nonnull(window))
+        assert sum((p for p, _c in runs), []) == [p for p, _r in drained]  # runs cover the drain
+        return drained, seq.count_nonnull(window), seq.at(probe), runs
 
+    for name, sequence in built.items():
+        assert sequence == oracle and oracle == sequence, name  # records, or mixed
+        assert sequence.span == span and answers(sequence) == answers(oracle), name
+        assert sequence == oracle and oracle == sequence, name  # both hold columns now
+        if pairs:
+            assert sequence != BaseSequence(schema, [(p + 1, r) for p, r in pairs]), name
 
-def _columnar_of(schema, positions, *columns) -> ColumnarAnswer:
-    typed = [typed_column(list(c), a.atype) for c, a in zip(columns, schema.attributes)]
-    return ColumnarAnswer(schema, Span(0, 99), list(positions), typed)
-
-
-def test_columnar_answers_compare_as_columns_without_boxing(monkeypatch):
+    # Columns compare as columns: deciding boxes no record.
     both = RecordSchema.of(v=AtomType.INT, w=AtomType.FLOAT)
     renamed = RecordSchema.of(v=AtomType.INT, x=AtomType.FLOAT)
-    left = _columnar_of(both, [1, 4, 9], [10, 40, 90], [1.0, 4.0, 9.0])
+    positions = oracle.positions
+    ints, floats = [3 * p for p in positions], [float(p) for p in positions]
+    shifted, raw = [p + 1 for p in positions], [ints, [int(f) for f in floats]]
+    left = _from_columns(both, Span.ALL, positions, ints, floats)
     cases = {
-        "equal": _columnar_of(both, [1, 4, 9], [10, 40, 90], [1.0, 4.0, 9.0]),
-        "unequal value": _columnar_of(both, [1, 4, 9], [10, 41, 90], [1.0, 4.0, 9.0]),
-        "unequal position": _columnar_of(both, [1, 5, 9], [10, 40, 90], [1.0, 4.0, 9.0]),
-        "shorter": _columnar_of(both, [1, 4], [10, 40], [1.0, 4.0]),
-        # FLOAT accepts ints: a list column of ints beside a float64 buffer.
-        "int in a float column": _columnar_of(both, [1, 4, 9], [10, 40, 90], [1, 4, 2**60]),
-        "int equal to the float": ColumnarAnswer(
-            both, Span(0, 99), [1, 4, 9], [[10, 40, 90], [1, 4, 9]]
-        ),
-        "other schema": _columnar_of(renamed, [1, 4, 9], [10, 40, 90], [1.0, 4.0, 9.0]),
+        "equal": _from_columns(both, Span.ALL, positions, ints, floats),
+        # FLOAT accepts ints: a list of ints beside a float64 buffer.
+        "int equal to the float": BaseSequence.unchecked(both, Span.ALL, positions, columns=raw),
+        "other schema": _from_columns(renamed, Span.ALL, positions, ints, floats),
     }
-    built = []
-    unchecked = Record.unchecked.__func__
-
-    def counting_unchecked(cls, *args):
-        built.append(args)
-        return unchecked(cls, *args)
-
-    monkeypatch.setattr(Record, "unchecked", classmethod(counting_unchecked))
-    verdicts = {name: left == other for name, other in cases.items()}
-    assert built == []
-    assert {name for name, equal in verdicts.items() if equal} == {
-        "equal",
-        "int equal to the float",
-    }
+    if pairs:
+        cases["unequal value"] = _from_columns(both, Span.ALL, positions, ints[:-1] + [1], floats)
+        cases["unequal position"] = _from_columns(both, Span.ALL, shifted, ints, floats)
+    boxed, unchecked = [], Record.unchecked.__func__
+    with pytest.MonkeyPatch.context() as patch:
+        counting = classmethod(lambda cls, *args: boxed.append(args) or unchecked(cls, *args))
+        patch.setattr(Record, "unchecked", counting)
+        verdicts = {name: left == other for name, other in cases.items()}
+    assert boxed == []
+    assert [name for name, same in verdicts.items() if same] == ["equal", "int equal to the float"]
     for name, other in cases.items():  # the record-wise comparison agrees
-        record_wise = BaseSequence.unchecked(other.schema, other.to_pairs(), other.span)
+        record_wise = BaseSequence(other.schema, other.to_pairs())
         assert (left == record_wise) == verdicts[name] == (record_wise == left), name
-        assert (left != other) != verdicts[name]
-
-
-def test_columnar_answer_without_attributes():
-    empty_schema = RecordSchema.of()
-    columnar = ColumnarAnswer(empty_schema, Span(0, 9), [1, 4], [])
-    assert [p for p, _r in columnar.iter_nonnull()] == [1, 4]
-    assert columnar == BaseSequence(
-        empty_schema, [(1, Record(empty_schema, ())), (4, Record(empty_schema, ()))]
-    )

@@ -36,7 +36,6 @@ from repro.execution import (
 )
 from repro.lang import compile_query
 from repro.model import NULL, AtomType, BaseSequence, Record, RecordSchema, Span
-from repro.model.base import ColumnarAnswer
 from repro.model.batch import column_to_list, vector_backend
 from repro.optimizer import optimize
 from repro.storage import StoredSequence
@@ -64,8 +63,7 @@ SHAPES = {
 def copying_slice(sequence, span: Span) -> BaseSequence:
     """``slice_sequence`` as it was while a slice was a copy: the oracle."""
     window = sequence.span.intersect(span)
-    pairs = list(sequence.iter_nonnull(window))
-    return BaseSequence.unchecked(sequence.schema, pairs, span=window)
+    return BaseSequence(sequence.schema, sequence.iter_nonnull(window), span=window)
 
 
 def make_leaf(kind: str):
@@ -73,27 +71,21 @@ def make_leaf(kind: str):
     if kind == "base":
         return walk
     if kind == "columnar":
-        positions, columns = walk.nonnull_columns()
-        return ColumnarAnswer(walk.schema, walk.span, positions, columns)
+        positions, columns = next(walk.column_runs(None, 1))
+        return BaseSequence.unchecked(walk.schema, walk.span, positions, columns=columns)
     return StoredSequence.from_sequence(
         "s", walk, organization=kind, page_capacity=16, buffer_pages=4
     )
-
-
-def columns_as_lists(run) -> tuple[list, list]:
-    positions, columns = run
-    return list(positions), [column_to_list(column) for column in columns]
 
 
 def runs_as_lists(sequence, within, width) -> tuple[list, list]:
     """Every ``column_runs`` run end to end, as plain lists."""
     positions: list = []
     columns = [[] for _ in sequence.schema.attributes]
-    for run in sequence.column_runs(within, width):
-        run_positions, run_columns = columns_as_lists(run)
+    for run_positions, run_columns in sequence.column_runs(within, width):
         positions.extend(run_positions)
         for merged, piece in zip(columns, run_columns):
-            merged.extend(piece)
+            merged.extend(column_to_list(piece))
     return positions, columns
 
 
@@ -110,9 +102,6 @@ class TestSliceContract:
         assert sliced.span == oracle.span == SPAN.intersect(WINDOWS[window])
         assert list(sliced.iter_nonnull(None)) == list(oracle.iter_nonnull())
         assert sliced.count_nonnull(None) == oracle.count_nonnull() == len(sliced)
-        assert columns_as_lists(sliced.nonnull_columns(None)) == columns_as_lists(
-            oracle.nonnull_columns()
-        )
         for width in (7, 1024):
             assert runs_as_lists(sliced, None, width) == runs_as_lists(oracle, None, width)
         assert sliced == oracle
@@ -128,7 +117,7 @@ class TestSliceContract:
         # A wider request than the window still answers the window only.
         assert list(sliced.iter_nonnull(SPAN)) == list(leaf.iter_nonnull(window))
         assert sliced.count_nonnull(SPAN) == leaf.count_nonnull(window)
-        assert columns_as_lists(sliced.nonnull_columns(SPAN))[0] == [
+        assert runs_as_lists(sliced, SPAN, 1)[0] == [
             position for position, _record in leaf.iter_nonnull(window)
         ]
         assert runs_as_lists(sliced, Span(60, 400), 16) == runs_as_lists(
@@ -142,8 +131,8 @@ class TestSliceContract:
             assert record is walk.at(position)
         np = vector_backend()
         if np is not None:
-            _positions, parent_columns = walk.nonnull_columns()
-            for mine, theirs in zip(sliced.nonnull_columns()[1], parent_columns):
+            _positions, parent_columns = next(walk.column_runs(None, 1))
+            for mine, theirs in zip(next(sliced.column_runs(None, 1))[1], parent_columns):
                 assert np.shares_memory(mine, theirs)
 
     def test_restricted_is_the_slice(self):
@@ -156,7 +145,7 @@ def buffer_bytes(sequence) -> list:
     np = vector_backend()
     return [
         column.tobytes() if np is not None and isinstance(column, np.ndarray) else list(column)
-        for column in sequence.nonnull_columns()[1]
+        for column in next(sequence.column_runs(None, 1))[1]
     ]
 
 
@@ -189,7 +178,7 @@ class TestSharing:
 
                 def scan(lane: int) -> None:
                     barrier.wait(timeout=10)
-                    results[lane] = columns_as_lists(slices[lane].nonnull_columns())
+                    results[lane] = runs_as_lists(slices[lane], None, 1)
 
                 threads = [threading.Thread(target=scan, args=(n,)) for n in range(lanes)]
                 for thread in threads:
@@ -198,7 +187,7 @@ class TestSharing:
                     thread.join(timeout=30)
                     assert not thread.is_alive()
                 for lane, bound in enumerate(bounds):
-                    assert results[lane] == columns_as_lists(expected.nonnull_columns(bound))
+                    assert results[lane] == runs_as_lists(expected, bound, 1)
         finally:
             sys.setswitchinterval(switch)
 
@@ -218,9 +207,9 @@ def output(form: str, positions: list[int]) -> BaseSequence:
     schema = RecordSchema.of(close=AtomType.FLOAT)
     span = Span(min(positions), max(positions))
     if form == "columnar":
-        return ColumnarAnswer(schema, span, list(positions), [values])
-    pairs = [(p, Record(schema, (v,))) for p, v in zip(positions, values)]
-    return BaseSequence.unchecked(schema, pairs, span=span)
+        return BaseSequence.unchecked(schema, span, list(positions), columns=[values])
+    records = [Record(schema, (value,)) for value in values]
+    return BaseSequence.unchecked(schema, span, list(positions), records=records)
 
 
 def certificate_of(parts: int):
@@ -255,12 +244,14 @@ class TestMergeTripwire:
             merge_partitions(outputs, certificate_of(2))
 
     @pytest.mark.parametrize("forms", sorted(FORMS))
-    def test_ordered_outputs_concatenate(self, forms):
+    def test_ordered_outputs_concatenate(self, forms, records_built):
         left, right = FORMS[forms]
         outputs = [output(left, [1, 5, 9]), output(right, [10, 14])]
+        del records_built[:]  # the row outputs' own records
         merged = merge_partitions(outputs, certificate_of(2))
         assert merged.span == Span(0, 99)
-        assert isinstance(merged, ColumnarAnswer) == (forms == "columnar")
+        # Like forms join as they are; a mixed merge boxes its columnar side.
+        assert (records_built == []) == (forms != "mixed")
         assert merged.to_pairs() == outputs[0].to_pairs() + outputs[1].to_pairs()
         assert merged.at(9) == outputs[0].at(9) and merged.at(10) == outputs[1].at(10)
         assert merged.at(11) is NULL
