@@ -313,3 +313,85 @@ def test_every_construction_agrees(case, window, probe, cut, zero):
     for name, other in cases.items():  # the record-wise comparison agrees
         record_wise = BaseSequence(other.schema, other.to_pairs())
         assert (left == record_wise) == verdicts[name] == (record_wise == left), name
+
+
+def _columnar(pairs, span: Span) -> BaseSequence:
+    return _from_columns(SCHEMA, span, [p for p, _ in pairs], [r.values[0] for _, r in pairs])
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=pairs_and_span(), window=WINDOW, probe=POSITION)
+def test_columnar_answer_agrees_with_base_sequence(case, window, probe):
+    pairs, span = case
+    base = BaseSequence(SCHEMA, pairs, span=span)
+    columnar = _columnar(pairs, base.span)
+    assert list(columnar.iter_nonnull(window)) == list(base.iter_nonnull(window))
+    assert columnar.at(probe) == base.at(probe)
+    assert columnar == base and base == columnar
+    if pairs:
+        assert columnar != BaseSequence(SCHEMA, pairs[1:], span=base.span)
+
+
+def test_columnar_answer_materializes_each_record_once():
+    pairs = [(p, Record(SCHEMA, (p * 3,))) for p in range(0, 50, 2)]
+    columnar = _columnar(pairs, Span(0, 49))
+    first = [record for _p, record in columnar.iter_nonnull()]
+    # iter_nonnull alone does not build the position -> record mapping.
+    assert "_records" not in vars(columnar)
+    second = [record for _p, record in columnar.iter_nonnull()]
+    windowed = [record for _p, record in columnar.iter_nonnull(Span(10, 20))]
+    assert all(a is b for a, b in zip(first, second))
+    assert all(a is b for a, b in zip(windowed, first[5:11]))
+    # at() and equality read the same Record objects through the mapping.
+    assert columnar.at(10) is first[5]
+    assert columnar.at(11) is NULL
+    assert type(first[0].values[0]) is int
+
+
+def _columnar_of(schema, positions, *columns) -> BaseSequence:
+    return _from_columns(schema, Span(0, 99), positions, *columns)
+
+
+def test_columnar_answers_compare_as_columns_without_boxing(monkeypatch):
+    both = RecordSchema.of(v=AtomType.INT, w=AtomType.FLOAT)
+    renamed = RecordSchema.of(v=AtomType.INT, x=AtomType.FLOAT)
+    left = _columnar_of(both, [1, 4, 9], [10, 40, 90], [1.0, 4.0, 9.0])
+    cases = {
+        "equal": _columnar_of(both, [1, 4, 9], [10, 40, 90], [1.0, 4.0, 9.0]),
+        "unequal value": _columnar_of(both, [1, 4, 9], [10, 41, 90], [1.0, 4.0, 9.0]),
+        "unequal position": _columnar_of(both, [1, 5, 9], [10, 40, 90], [1.0, 4.0, 9.0]),
+        "shorter": _columnar_of(both, [1, 4], [10, 40], [1.0, 4.0]),
+        # FLOAT accepts ints: a list column of ints beside a float64 buffer.
+        "int in a float column": _columnar_of(both, [1, 4, 9], [10, 40, 90], [1, 4, 2**60]),
+        "int equal to the float": BaseSequence.unchecked(
+            both, Span(0, 99), [1, 4, 9], columns=[[10, 40, 90], [1, 4, 9]]
+        ),
+        "other schema": _columnar_of(renamed, [1, 4, 9], [10, 40, 90], [1.0, 4.0, 9.0]),
+    }
+    built = []
+    unchecked = Record.unchecked.__func__
+
+    def counting_unchecked(cls, *args):
+        built.append(args)
+        return unchecked(cls, *args)
+
+    monkeypatch.setattr(Record, "unchecked", classmethod(counting_unchecked))
+    verdicts = {name: left == other for name, other in cases.items()}
+    assert built == []
+    assert {name for name, equal in verdicts.items() if equal} == {
+        "equal",
+        "int equal to the float",
+    }
+    for name, other in cases.items():  # the record-wise comparison agrees
+        record_wise = BaseSequence(other.schema, other.to_pairs(), span=other.span)
+        assert (left == record_wise) == verdicts[name] == (record_wise == left), name
+        assert (left != other) != verdicts[name]
+
+
+def test_columnar_answer_without_attributes():
+    empty_schema = RecordSchema.of()
+    columnar = BaseSequence.unchecked(empty_schema, Span(0, 9), [1, 4], columns=[])
+    assert [p for p, _r in columnar.iter_nonnull()] == [1, 4]
+    assert columnar == BaseSequence(
+        empty_schema, [(1, Record(empty_schema, ())), (4, Record(empty_schema, ()))]
+    )
