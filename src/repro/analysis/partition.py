@@ -251,8 +251,6 @@ def plan_scope_on(plan: "PhysicalPlan", index: int) -> Optional[ScopeSpec]:
         return ScopeSpec.all_past()
     if kind == "global-agg":
         return ScopeSpec.everything()
-    if kind == "materialize":
-        return _UNIT_SCOPE
     return None
 
 

@@ -57,8 +57,8 @@ STREAMABLE_KINDS = frozenset(kind for kind, op in OPERATORS.items() if op.stream
 PROBEABLE_KINDS = frozenset(kind for kind, op in OPERATORS.items() if op.probe is not None)
 
 #: Required child modes per plan kind, where they are fixed.  ``None``
-#: means "same as the parent"; global-agg and materialize always
-#: consume a stream regardless of their own mode.
+#: means "same as the parent"; global-agg always consumes a stream
+#: regardless of its own mode.
 _CHILD_MODES: dict[str, tuple[Optional[str], ...]] = {
     "scan": (),
     "probe-source": (),
@@ -68,7 +68,6 @@ _CHILD_MODES: dict[str, tuple[Optional[str], ...]] = {
     "probe-join": (PROBE, PROBE),
     "chain": (None,),
     "global-agg": (STREAM,),
-    "materialize": (STREAM,),
 }
 
 #: (strategy on a stream-mode node) -> required child mode, for the

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from repro.errors import CatalogError
+from repro.model.base import BaseSequence
 from repro.model.info import SequenceInfo
 from repro.model.record import NULL
 from repro.model.sequence import Sequence
@@ -70,7 +71,16 @@ def leaf_meta(sequence: Sequence) -> LeafMeta:
 
 
 def _nonnull_positions(sequence: Sequence, window: Span, length: int) -> Iterator[int]:
-    """The non-Null positions of ``window`` (``length`` long), ascending."""
+    """The non-Null positions of ``window`` (``length`` long), ascending.
+
+    An in-memory sequence serves them from its position list, bisected
+    to ``window``, so neither of its views is derived; any other
+    sequence reads its column runs.
+    """
+    if isinstance(sequence, BaseSequence):
+        lo, hi = window.index_range(sequence.positions)
+        yield from sequence.positions[lo:hi]
+        return
     for positions, _columns in sequence.column_runs(window, length):
         yield from positions
 

@@ -986,8 +986,3 @@ def global_agg(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BatchStrea
             ),
             guard,
         )
-
-
-def materialize(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BatchStream:
-    """A materialize node in a stream context simply forwards its child."""
-    yield from ctx.batches(plan.children[0], window)

@@ -69,9 +69,6 @@ OPERATORS: dict[str, Operator] = {
     "global-agg": Operator(
         streams.global_agg, batch_streams.global_agg, probers.GlobalAggProber
     ),
-    "materialize": Operator(
-        streams.materialize, batch_streams.materialize, probers.MaterializeProber
-    ),
 }
 
 

@@ -20,8 +20,7 @@ class ExecutionCounters(CounterSet):
 
     Attributes:
         scans_opened: stream scans opened on base sequences.
-        probes_issued: point probes issued to base sequences or
-            materialized/derived probers.
+        probes_issued: point probes issued to base sequences.
         cache_ops: insertions + evictions + lookups in operator caches.
         max_cache_occupancy: peak records resident in any single
             operator cache (constant for stream-access evaluations).

@@ -308,7 +308,6 @@ def run_query_detailed(
     catalog: Optional[Catalog] = None,
     params: Optional[CostParams] = None,
     rewrite: bool = True,
-    consider_materialize: bool = True,
     restrict_spans: bool = True,
     *,
     guard: Optional[QueryGuard] = None,
@@ -362,7 +361,6 @@ def run_query_detailed(
             span=span,
             params=params,
             rewrite=rewrite,
-            consider_materialize=consider_materialize,
             restrict_spans=restrict_spans,
             tracer=tracer,
         )

@@ -308,15 +308,6 @@ class QueryGuard:
                 )
             )
 
-    def note_cache(self, occupancy: int) -> None:
-        """Immediate cache-budget check (called by operator caches).
-
-        Raises:
-            ResourceBudgetExceededError: the cache budget is exceeded.
-        """
-        if self.max_cache_entries is not None and occupancy > self.max_cache_entries:
-            self._cache_budget_error(occupancy)
-
     def _cache_budget_error(self, occupancy: int) -> None:
         raise self._issue(
             ResourceBudgetExceededError(

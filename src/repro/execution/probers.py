@@ -9,11 +9,10 @@ construction.
 
 Every prober is constructed as ``Prober(ctx, plan)`` and opens its
 children through the execution context (``ctx.prober`` for probed
-inputs, ``ctx.stream`` for the inputs global-agg and materialize
-consume whole) — see :mod:`repro.execution.context`.  The guard (when
-the context has one) is observed at the probe sites: a source prober
-checkpoints it every ``check_stride`` probes, and the materialize
-prober charges its table against the cache-entries budget.
+inputs, ``ctx.stream`` for the input a global aggregate consumes
+whole) — see :mod:`repro.execution.context`.  The guard (when the
+context has one) is observed at the probe sites: a source prober
+checkpoints it every ``check_stride`` probes.
 """
 
 from __future__ import annotations
@@ -250,37 +249,3 @@ class GlobalAggProber(Prober):
         if self._value is None:
             self._value = global_record(self._ctx, self._plan)
         return self._value if position in self.span else NULL
-
-
-class MaterializeProber(Prober):
-    """Materialize a stream on first probe, then answer from memory.
-
-    The Section 5.3 extension: pays one child stream, then each probe
-    is a dictionary lookup (charged as a cache operation).
-    """
-
-    def __init__(self, ctx: ExecContext, plan: PhysicalPlan):
-        super().__init__(plan.schema, plan.span)
-        self._ctx = ctx
-        self._plan = plan
-        self._counters = ctx.counters
-        self._table: Optional[dict[int, Record]] = None
-
-    def _build(self) -> dict[int, Record]:
-        child_plan = self._plan.children[0]
-        table: dict[int, Record] = {}
-        guard = self._ctx.guard
-        for position, record in self._ctx.stream(child_plan, child_plan.span):
-            table[position] = record
-            self._counters.cache_ops += 1
-            if guard is not None:
-                # The materialization table is an operator cache: its
-                # growth is charged against the cache-entries budget.
-                guard.note_cache(len(table))
-        return table
-
-    def get(self, position: int) -> RecordOrNull:
-        if self._table is None:
-            self._table = self._build()
-        self._counters.cache_ops += 1
-        return self._table.get(position, NULL)

@@ -324,8 +324,3 @@ def global_agg(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[S
     for position in checkpointed(window.positions(), ctx.guard):
         counters.operator_records += 1
         yield position, answer
-
-
-def materialize(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> Iterator[StreamItem]:
-    """A materialize node in a stream context simply forwards its child."""
-    yield from ctx.stream(plan.children[0], window)

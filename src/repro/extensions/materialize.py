@@ -5,11 +5,13 @@ was not considered in this paper was materialization of derived
 sequences.  This is definitely an option to consider, especially when
 stream access is not possible."
 
-The optimizer already considers materialized probing internally
-(``consider_materialize``); this module provides the user-facing
-operation: evaluate a query once and register the result as a base
-sequence — in memory or on the storage substrate — so later queries
-treat it as a first-class catalog sequence with fresh statistics.
+This module provides it as a user-facing operation: evaluate a query
+once and register the result as a base sequence — in memory or on the
+storage substrate — so later queries treat it as a first-class catalog
+sequence with fresh statistics.  The optimizer itself never plans a
+materialized inner: probing one costs its build pass plus a cache
+operation per probe, which is never below Join-Strategy-B's two
+streams (DESIGN.md, Step 5).
 """
 
 from __future__ import annotations

@@ -24,10 +24,10 @@ record count.
 
 Every formula *and* every strategy choice of Step 5 lives here: a
 *chooser* (:meth:`CostModel.join_stream_cost`, :meth:`~CostModel.join_probe_cost`,
-:meth:`~CostModel.window_agg_costs`, :meth:`~CostModel.value_offset_costs`,
-:meth:`~CostModel.prober_costs`) returns ``(costs, strategy)``, so the
-enumerator never reads a :class:`CostParams` constant and compares two
-costs only when it retains the best plan per subset.
+:meth:`~CostModel.window_agg_costs`, :meth:`~CostModel.value_offset_costs`)
+returns ``(costs, strategy)``, so the enumerator never reads a
+:class:`CostParams` constant and compares two costs only when it
+retains the best plan per subset.
 """
 
 from __future__ import annotations
@@ -85,8 +85,7 @@ class AccessCosts:
             stream (the paper's A for this derived sequence).
         probe_unit: cost of producing the record at one given position
             (the paper's a).
-        setup: one-time cost paid before the first probe (e.g. the
-            build pass of a materialized derived sequence, or the single
+        setup: one-time cost paid before the first probe (the single
             computation of a whole-sequence aggregate).
     """
 
@@ -174,22 +173,18 @@ class CostModel:
         right_density: float,
         out_length: int,
         conjuncts: int,
-        right_probed: AccessCosts | None = None,
     ) -> tuple[float, str]:
         """Cheapest stream plan for one positional join; returns (cost, strategy).
 
         The three candidates are Join-Strategy-B (lock-step) and
         Join-Strategy-A in both directions (Section 3.3).  A tie goes to
         the earlier of lockstep, stream-probe, probe-stream.
-        ``right_probed`` is the cost of probing the inner when that is
-        not ``right`` itself (a materialized inner, :meth:`prober_costs`).
         """
-        probed = right if right_probed is None else right_probed
         n_left = left_density * out_length
         n_right = right_density * out_length
         candidates = {
             "lockstep": left.stream_total + right.stream_total,
-            "stream-probe": left.stream_total + probed.probes(n_left),
+            "stream-probe": left.stream_total + right.probes(n_left),
             "probe-stream": right.stream_total + left.probes(n_right),
         }
         strategy = min(candidates, key=lambda k: candidates[k])
@@ -217,21 +212,6 @@ class CostModel:
             left_density * right_density * max(1, conjuncts) * self.params.predicate_cost
         )
         return candidates[strategy] + predicate_cost, strategy
-
-    def prober_costs(
-        self,
-        native: AccessCosts,
-        expected_records: float,
-    ) -> tuple[AccessCosts, str]:
-        """The cheaper way to probe a join input: (costs, "materialize" | "native").
-
-        Compared at roughly one probe per output position, setup included.
-        """
-        materialized = self.materialize_costs(native.stream_total, expected_records)
-        probes = max(1.0, expected_records)
-        if materialized.probes(probes) < native.probes(probes):
-            return materialized, "materialize"
-        return native, "native"
 
     # -- non-unit-scope operators (Section 4.1.2) -------------------------------------
 
@@ -307,21 +287,4 @@ class CostModel:
             stream_total=stream,
             probe_unit=self.params.record_cost,
             setup=compute,
-        )
-
-    def materialize_costs(
-        self,
-        child_stream_total: float,
-        expected_records: float,
-    ) -> AccessCosts:
-        """Costs of materializing a stream and probing the result.
-
-        The Section 5.3 extension: pay the stream once plus a write per
-        record, then probes are in-memory lookups.
-        """
-        build = child_stream_total + expected_records * self.params.cache_op_cost
-        return AccessCosts(
-            stream_total=build,
-            probe_unit=self.params.cache_op_cost,
-            setup=build,
         )

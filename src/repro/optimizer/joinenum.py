@@ -5,7 +5,7 @@ cheapest **stream-mode** and **probed-mode** evaluation plan of the
 block's output — the sequence analogue of the Selinger algorithm's
 per-interesting-order retention.  Join blocks are enumerated bottom-up
 over left-deep join orders; each join considers Join-Strategy-A (both
-directions, optionally against a materialized inner) and
+directions, each probing the other input's own probed plan) and
 Join-Strategy-B (lock-step).  Non-unit-scope blocks choose between the
 naive algorithm and the applicable caching strategy (Cache-Strategy-A
 for fixed scopes, Cache-Strategy-B for value offsets).
@@ -211,12 +211,10 @@ class BlockPlanner:
         annotated: AnnotatedQuery,
         catalog: Optional[Catalog] = None,
         model: Optional[CostModel] = None,
-        consider_materialize: bool = True,
     ):
         self.annotated = annotated
         self.catalog = catalog
         self.model = model or CostModel()
-        self.consider_materialize = consider_materialize
         self.stats = PlanStats()
 
     # -- leaf and input planning -----------------------------------------------
@@ -275,21 +273,6 @@ class BlockPlanner:
         return source.chained(
             block_input.top, block_input.block_schema(),
             annotation.restricted_span, annotation.density, costs, steps,
-        )
-
-    def _prober(self, output: PlannedOutput) -> PhysicalPlan:
-        """What a Join-Strategy-A driver probes for ``output``: its own
-        probed plan, or its stream materialized (the Section 5.3
-        extension) where the cost model prefers that."""
-        if not self.consider_materialize:
-            return output.probe_plan
-        expected = output.density * _span_length(output.span)
-        costs, choice = self.model.prober_costs(output.costs, expected)
-        if choice == "native":
-            return output.probe_plan
-        return PhysicalPlan(
-            "materialize", PROBE, None, (output.stream_plan,),
-            output.schema, output.span, output.density, costs,
         )
 
     # -- join block enumeration ----------------------------------------------------
@@ -380,8 +363,7 @@ class BlockPlanner:
 
             # Section 4.1.3, both access modes, from the one cost model.
             stream_cost, strategy = self.model.join_stream_cost(
-                left.costs, right.costs, left.density, right.density, length,
-                len(new_preds), right_probed=probers[j].costs,
+                left.costs, right.costs, left.density, right.density, length, len(new_preds)
             )
             probe_unit, probe_strategy = self.model.join_probe_cost(
                 left.costs, right.costs, left.density, right.density, len(new_preds)
@@ -391,7 +373,7 @@ class BlockPlanner:
             )
             stream_children = {
                 "lockstep": (left.stream_plan, right.stream_plan),
-                "stream-probe": (left.stream_plan, probers[j]),
+                "stream-probe": (left.stream_plan, right.probe_plan),
                 "probe-stream": (left.probe_plan, right.stream_plan),
             }[strategy]
             joined = PlannedOutput.of(
@@ -415,8 +397,6 @@ class BlockPlanner:
             )
 
         singletons = [singleton(j) for j in range(n)]
-        # What Join-Strategy-A probes per input; a lone input is never joined.
-        probers = [self._prober(entry) for entry in singletons] if n > 1 else []
         level = {frozenset((j,)): entry for j, entry in enumerate(singletons)}
         peak = len(level)
         for _size in range(2, n + 1):

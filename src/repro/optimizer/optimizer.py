@@ -68,7 +68,6 @@ def optimize(
     span: Optional[Span] = None,
     params: Optional[CostParams] = None,
     rewrite: bool = True,
-    consider_materialize: bool = True,
     restrict_spans: bool = True,
     tracer: Optional[Tracer] = None,
 ) -> OptimizationResult:
@@ -83,8 +82,6 @@ def optimize(
         params: cost-model constants.
         rewrite: apply Step 3 transformations (disable to measure their
             benefit).
-        consider_materialize: allow materialized derived sequences as
-            probe targets (the Section 5.3 extension).
         restrict_spans: apply the top-down global span optimization
             (Section 3.2); disable only to measure its benefit.
         tracer: when active, the run records an ``optimize`` span with
@@ -120,12 +117,7 @@ def optimize(
                 blocks_span.attrs["block_count"] = count_blocks(blocks)
 
         with maybe_span(tracer, "plan-gen", CATEGORY_OPTIMIZER) as plangen_span:
-            planner = BlockPlanner(
-                annotated,
-                catalog=catalog,
-                model=CostModel(params),
-                consider_materialize=consider_materialize,
-            )
+            planner = BlockPlanner(annotated, catalog=catalog, model=CostModel(params))
             output = planner.plan(blocks)
             if plangen_span is not None:
                 plangen_span.attrs["plans_considered"] = (

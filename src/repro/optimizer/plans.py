@@ -64,7 +64,7 @@ class PhysicalPlan:
             3.3), ``probe-join`` (probed-mode positional join),
             ``window-agg`` (Cache-Strategy-A or naive), ``value-offset``
             (Cache-Strategy-B or naive), ``cumulative-agg``,
-            ``global-agg``, ``materialize``.
+            ``global-agg``.
         mode: the access mode this plan delivers (stream or probe).
         node: the logical operator this plan node implements (leaves:
             the leaf node; joins: the Compose anchor or None for

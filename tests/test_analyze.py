@@ -270,6 +270,23 @@ def test_correlation_is_the_same_float_either_strategy(data, first_kind, second_
             assert null_correlation(first, second) == expected
 
 
+@pytest.mark.parametrize("strategy", ("probe", "stream"))
+def test_correlating_record_built_sequences_derives_no_columns(strategy, monkeypatch):
+    """In-memory positions come from the position list, bisected to the
+    window: correlating two record-built sequences transposes neither."""
+    schema = RecordSchema.of(v=AtomType.INT)
+    first = BaseSequence.from_values(
+        schema, [(p, (p,)) for p in range(0, 300, 3)], span=Span(0, 299)
+    )
+    second = BaseSequence.from_values(
+        schema, [(p, (p,)) for p in range(50, 400, 2)], span=Span(0, 399)
+    )
+    expected = reference_correlation(first, second)
+    monkeypatch.setattr(catalog_module, "correlation_strategy", lambda *_: strategy)
+    assert null_correlation(first, second) == expected
+    assert not first._holds_columns() and not second._holds_columns()
+
+
 @pytest.mark.parametrize(
     "organization, expected",
     [("indexed", "probe"), ("clustered", "probe"), ("log", "stream")],

@@ -144,11 +144,6 @@ class TestUnaryCosts:
         assert result.setup == 10
         assert result.probe_unit == model.params.record_cost
 
-    def test_materialize(self, model):
-        result = model.materialize_costs(10.0, 100)
-        assert result.setup == result.stream_total
-        assert result.probe_unit == model.params.cache_op_cost
-
 
 class TestChainCosts:
     def test_adds_cpu_per_record(self, model):

@@ -510,11 +510,16 @@ def predicate_exprs():
 
 
 def outcome(fn):
-    """The value or the typed-error marker of one evaluation path."""
+    """The value or the typed-error marker of one evaluation path.
+
+    A NaN value becomes the marker ``"nan"``: it equals no value, itself
+    included, yet two paths that both yield it agree (``inf - inf``).
+    """
     try:
-        return ("ok", fn())
+        value = fn()
     except ExpressionError:
         return ("raises", ExpressionError.__name__)
+    return ("ok", "nan" if value != value else value)
 
 
 class TestDifferential:

@@ -7,7 +7,7 @@ every batch size, and every window.  These tests drive the equivalence
 three ways: hypothesis-generated query pipelines, the shipped
 stock/weather workload queries, and Example 1.1, plus forced coverage
 of the strategies the optimizer rarely picks (stream-probe,
-probe-stream, naive unaries, stream-mode materialize).
+probe-stream, naive unaries).
 """
 
 from __future__ import annotations
@@ -437,15 +437,6 @@ class TestForcedStrategies:
             plan, strategy="naive", cache_size=None, children=(probe_child,)
         )
         _run_plan_both(naive, result.plan.output_span)
-
-    def test_stream_materialize(self, data):
-        query = base(data, "s").select(col("value") > lit(0.0)).query()
-        result = optimize(query)
-        plan = result.plan.plan
-        wrapped = replace(
-            plan, kind="materialize", node=None, steps=(), children=(plan,)
-        )
-        _run_plan_both(wrapped, result.plan.output_span)
 
 
 # -- the batch value type ----------------------------------------------------

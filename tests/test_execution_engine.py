@@ -188,17 +188,6 @@ class TestEngineDetails:
         assert on.counters.operator_records < off.counters.operator_records
         assert on.optimization.plan.estimated_cost < off.optimization.plan.estimated_cost
 
-    def test_materialize_toggle_same_answer(self, table1):
-        catalog, sequences = table1
-        query = (
-            base(sequences["ibm"], "ibm")
-            .compose(base(sequences["dec"], "dec"), prefixes=("ibm", "dec"))
-            .query()
-        )
-        a = run_query(query, catalog=catalog, consider_materialize=True)
-        b = run_query(query, catalog=catalog, consider_materialize=False)
-        assert a.to_pairs() == b.to_pairs()
-
     def test_counters_populated(self, table1):
         catalog, sequences = table1
         query = base(sequences["ibm"], "ibm").window("sum", "close", 5).query()

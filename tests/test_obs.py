@@ -260,9 +260,9 @@ class TestMetricsReadOut:
 def forced_plans():
     """Plans the optimizer rarely picks, built by hand, keyed by shape.
 
-    Join-Strategy-A in both directions over a chain-over-scan driver,
-    the forced-naive strategy of every non-unit-scope operator, and a
-    streamed materialize — each as ``(plan, window)``.
+    Join-Strategy-A in both directions over a chain-over-scan driver
+    and the forced-naive strategy of every non-unit-scope operator —
+    each as ``(plan, window)``.
     """
     stock = generate_stock(StockSpec("s", SPAN, 0.9, seed=5))
     other = generate_stock(StockSpec("o", SPAN, 0.5, seed=6))
@@ -310,12 +310,6 @@ def forced_plans():
             ),
             result.plan.output_span,
         )
-    result = optimize(selected.query())
-    plan = result.plan.plan
-    plans["materialize"] = (
-        replace(plan, kind="materialize", node=None, steps=(), children=(plan,)),
-        result.plan.output_span,
-    )
     return plans
 
 

@@ -125,4 +125,4 @@ class TestExplain:
         )
         text = optimize(query, catalog=catalog).explain()
         assert "stream-probe" in text or "probe-stream" in text
-        assert "probe-source" in text or "materialize" in text
+        assert "probe-source" in text

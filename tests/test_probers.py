@@ -115,31 +115,6 @@ class TestNaiveUnaryProbers:
         assert prober.get(100) is NULL
 
 
-class TestMaterializeProber:
-    def test_build_once_then_lookup(self, data):
-        from repro.optimizer import AccessCosts, PhysicalPlan, PROBE
-
-        query = base(data, "s").query()
-        stream_plan = optimize(query).plan.plan
-        plan = PhysicalPlan(
-            kind="materialize",
-            mode=PROBE,
-            node=None,
-            children=(stream_plan,),
-            schema=data.schema,
-            span=data.span,
-            density=1.0,
-            costs=AccessCosts(stream_total=1.0, probe_unit=0.1, setup=1.0),
-        )
-        counters = ExecutionCounters()
-        prober = build_prober(plan, counters)
-        assert prober.get(4).get("v") == 40.0
-        scans_after_first = counters.scans_opened
-        assert prober.get(9).get("v") == 90.0
-        assert counters.scans_opened == scans_after_first  # no rebuild
-        assert prober.get(5) is NULL
-
-
 class TestProberSequence:
     def test_wraps_prober_as_sequence(self, data):
         query = base(data, "s").query()

@@ -139,26 +139,21 @@ def test_join_stream_cost_never_beats_best_candidate(left, right, d1, d2, length
 
 
 @given(left=costs_strategy, right=costs_strategy, d1=densities, d2=densities,
-       length=lengths, conjuncts=st.integers(min_value=0, max_value=4),
-       right_probed=st.none() | costs_strategy)
+       length=lengths, conjuncts=st.integers(min_value=0, max_value=4))
 def test_join_stream_cost_is_the_section_413_minimum(
-    left, right, d1, d2, length, conjuncts, right_probed
+    left, right, d1, d2, length, conjuncts
 ):
-    """min(A1 + A2, A1 + n1*a2, A2 + n2*a1) + d1*d2*L*K, ties in that order;
-    ``right_probed`` (a materialized inner) replaces only the a2 term."""
+    """min(A1 + A2, A1 + n1*a2, A2 + n2*a1) + d1*d2*L*K, ties in that order."""
     model = CostModel()
-    inner = right if right_probed is None else right_probed
     closed_forms = [
         ("lockstep", left.stream_total + right.stream_total),
-        ("stream-probe", left.stream_total + (inner.setup + d1 * length * inner.probe_unit)),
+        ("stream-probe", left.stream_total + (right.setup + d1 * length * right.probe_unit)),
         ("probe-stream", right.stream_total + (left.setup + d2 * length * left.probe_unit)),
     ]
     best = min(cost for _name, cost in closed_forms)
     first = next(name for name, cost in closed_forms if cost == best)
     predicate = d1 * d2 * length * max(1, conjuncts) * model.params.predicate_cost
-    cost, strategy = model.join_stream_cost(
-        left, right, d1, d2, length, conjuncts, right_probed=right_probed
-    )
+    cost, strategy = model.join_stream_cost(left, right, d1, d2, length, conjuncts)
     assert strategy == first
     assert cost == best + predicate
 

@@ -1,11 +1,11 @@
 """Step 5 has one seam: every Section 4.1 formula and every strategy
 choice the optimizer makes comes out of :class:`CostModel`.
 
-Two gates.  A spy over the plan-snapshot corpus: each join kind, each
-chooser-owned ``strategy`` tag and each ``materialize`` node of the
-retained plans must be an answer a ``CostModel`` chooser actually gave
-while that query was planned — so the formulas ``tests/test_costmodel.py``
-checks are the ones the optimizer runs.  And an AST walk: under
+Two gates.  A spy over the plan-snapshot corpus: each join kind and
+each chooser-owned ``strategy`` tag of the retained plans must be an
+answer a ``CostModel`` chooser actually gave while that query was
+planned — so the formulas ``tests/test_costmodel.py`` checks are the
+ones the optimizer runs.  And an AST walk: under
 ``repro/optimizer`` only ``costmodel.py`` reads a ``CostParams`` field.
 """
 
@@ -23,7 +23,6 @@ from tests.test_plan_stability import ROWS, _environments
 CHOOSERS = (
     "join_stream_cost",
     "join_probe_cost",
-    "prober_costs",
     "window_agg_costs",
     "value_offset_costs",
 )
@@ -73,8 +72,6 @@ def test_every_choice_in_the_retained_plans_is_a_chooser_answer(row, environment
         where = f"{node.describe()} in {row['text']!r}"
         if node.kind in STREAM_JOINS:
             assert node.kind in answers["join_stream_cost"], where
-        if node.kind == "materialize":
-            assert "materialize" in answers["prober_costs"], where
         owner = TAG_OWNER.get((node.kind, node.mode))
         if owner is not None:
             assert node.strategy in answers[owner], where
@@ -87,7 +84,7 @@ def test_the_corpus_reaches_every_chooser(environments, answers):
         env, catalog, span = environments[row["group"]]
         optimize(compile_query(row["text"], env), catalog=catalog, span=span)
     assert all(answers[name] for name in CHOOSERS), answers
-    assert answers["join_stream_cost"] <= STREAM_JOINS
+    assert {"lockstep", "stream-probe"} <= answers["join_stream_cost"] <= STREAM_JOINS
 
 
 # -- only the cost model reads the constants -----------------------------------
