@@ -313,16 +313,18 @@ class BlockPlanner:
         n = len(inputs)
         stats_lookup = self._block_colstats(block).get
 
-        def applied(cover: frozenset[str]) -> list[Expr]:
+        def applied(cover: frozenset[str], constant: bool = False) -> list[Expr]:
             return [
-                p for p in block.predicates if p.columns() and p.columns() <= cover
+                p for p in block.predicates
+                if p.columns() <= cover and (constant or p.columns())
             ]
 
         def singleton(j: int) -> PlannedOutput:
-            """Input ``j`` with the predicates over it alone applied."""
+            """Input ``j`` with the predicates over it alone applied
+            (input 0 also takes the column-free ones, exactly once)."""
             self.stats.plans_considered += 1
             planned = inputs[j]
-            preds = applied(names[j])
+            preds = applied(names[j], constant=j == 0)
             if not preds:
                 return planned
             predicate = conjoin(preds)

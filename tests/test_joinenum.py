@@ -153,3 +153,57 @@ class TestStrategySelection:
             query, catalog = self._stored_pair(*orgs)
             outputs.append(query.run(catalog=catalog).to_pairs())
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+class TestColumnFreeConjuncts:
+    """Step 5 applies a conjunct that names no column exactly once.
+
+    Rewrites and block formation carry such a conjunct into a join
+    block's predicates like any other; it must still be placed (on
+    input 0), so the engine answers — or raises — as the naive oracle
+    does, in both executors.
+    """
+
+    @staticmethod
+    def _answers(query):
+        from repro.errors import ExpressionError
+        from repro.execution import run_query
+
+        answers = []
+        for run in (
+            query.run_naive,
+            lambda: run_query(query, mode="row"),
+            lambda: run_query(query, mode="batch"),
+        ):
+            try:
+                answers.append(run().to_pairs())
+            except ExpressionError:
+                answers.append("ExpressionError")
+        return answers
+
+    def test_constant_false_select(self, table1):
+        from repro.algebra import Query, Select, SequenceLeaf, lit
+
+        _catalog, sequences = table1
+        leaf = SequenceLeaf(sequences["ibm"], "ibm")
+        query = Query(Select(leaf, lit(2) < lit(1)))
+        assert self._answers(query) == [[], [], []]
+
+    def test_constant_false_compose_predicate(self, table1):
+        from repro.algebra import Compose, Query, SequenceLeaf, lit
+
+        _catalog, sequences = table1
+        left = SequenceLeaf(sequences["ibm"], "ibm")
+        right = SequenceLeaf(sequences["hp"], "hp")
+        query = Query(Compose(left, right, lit(1).eq(lit(0)), ("a", "b")))
+        assert self._answers(query) == [[], [], []]
+
+    @pytest.mark.parametrize(
+        "text", ["select(ibm, 1/0 > 1)", "select(ibm, close > 0 and 1/0 > 1)"]
+    )
+    def test_raising_conjunct_raises(self, table1, text):
+        from repro.lang import compile_query
+
+        catalog, _sequences = table1
+        query = compile_query(text, catalog)
+        assert self._answers(query) == ["ExpressionError"] * 3

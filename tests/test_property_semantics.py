@@ -9,7 +9,7 @@ evaluator.  This is the library's master correctness property.
 from __future__ import annotations
 
 import hypothesis.strategies as st
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.model import AtomType, BaseSequence, Record, RecordSchema, Span
 from repro.algebra import (
@@ -25,6 +25,7 @@ from repro.algebra import (
     ValueOffset,
     WindowAggregate,
     col,
+    lit,
 )
 from repro.execution import run_query
 
@@ -89,7 +90,13 @@ class _TreeBuilder:
         if choice == 1:
             threshold = self.draw(st.floats(min_value=-100, max_value=100,
                                             allow_nan=False, allow_infinity=False))
-            return Select(child, col(attr) > threshold)
+            predicate = col(attr) > threshold
+            if self.draw(st.booleans()):
+                # A column-free conjunct, true or false: Step 5 must
+                # still apply it (once) although it names no input.
+                low, high = self.draw(st.integers(0, 2)), self.draw(st.integers(0, 2))
+                predicate = predicate & (lit(low) < high)
+            return Select(child, predicate)
         if choice == 2:
             keep = self.draw(
                 st.lists(st.sampled_from(attrs), min_size=1, max_size=len(attrs),
@@ -148,12 +155,21 @@ def evaluation_span(query: Query) -> Span:
     return Span(span.start - 3, span.end + 3)
 
 
+def _constant_false_conjunct() -> Query:
+    """The shrunk counterexample of a Step 5 that dropped column-free
+    conjuncts: the engine returned the record the predicate rejects."""
+    schema = RecordSchema.of(c1=AtomType.FLOAT)
+    sequence = BaseSequence(schema, [(0, Record(schema, (1.0,)))], span=Span(0, 0))
+    return Query(Select(SequenceLeaf(sequence, "c1"), (col("c1") > 0.0) & (lit(0) < 0)))
+
+
 @settings(
     max_examples=120,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(query=random_query())
+@example(query=_constant_false_conjunct())
 def test_engine_matches_naive_oracle(query: Query):
     span = evaluation_span(query)
     expected = query.run_naive(span)
