@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence as PySequence
 
-from repro.errors import QueryError, SchemaError
+from repro.errors import QueryError
 from repro.model.info import SequenceInfo
 from repro.model.record import NULL, Record, RecordOrNull
 from repro.model.schema import RecordSchema
@@ -52,18 +52,33 @@ class Compose(Operator):
     def _infer_schema(self, input_schemas: list[RecordSchema]) -> RecordSchema:
         left = self._side_schema(0, input_schemas[0])
         right = self._side_schema(1, input_schemas[1])
-        try:
-            combined = left.concat(right)
-        except SchemaError as exc:
+        collisions = left.collisions(right)
+        if collisions:
             raise QueryError(
-                f"{exc}; disambiguate with compose prefixes"
-            ) from exc
+                f"composing these inputs duplicates column name(s) "
+                f"{collisions}; add 'as' prefixes to disambiguate"
+            )
+        return self._typed(left.concat(right))
+
+    def _typed(self, combined: RecordSchema) -> RecordSchema:
+        """``combined``, once the predicate (if any) types BOOL over it."""
         if self.predicate is not None:
             if self.predicate.infer_type(combined) is not AtomType.BOOL:
                 raise QueryError(
                     f"compose predicate {self.predicate!r} is not boolean"
                 )
         return combined
+
+    def with_predicate(self, predicate: Expr) -> "Compose":
+        """This compose with ``predicate`` attached, over the same inputs.
+
+        The combined schema this node already derived is type-checked
+        against ``predicate`` and shared, not derived a second time.
+        """
+        combined = self.schema
+        op = Compose(self.inputs[0], self.inputs[1], predicate, self.prefixes)
+        op._schema_cache = op._typed(combined)
+        return op
 
     def scope_on(self, input_index: int) -> ScopeSpec:
         return ScopeSpec.unit()

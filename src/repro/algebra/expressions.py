@@ -83,6 +83,9 @@ class Expr(abc.ABC):
     def infer_type(self, schema: RecordSchema) -> AtomType:
         """Static type of the expression under ``schema``.
 
+        Each node applies its one-level rule (``result_type``,
+        :func:`boolean_operand`) to its operands' types.
+
         Raises:
             ExpressionError: on unknown columns or type mismatches.
         """
@@ -242,14 +245,33 @@ class Arith(Expr):
         return self.left.columns() | self.right.columns()
 
     def infer_type(self, schema: RecordSchema) -> AtomType:
-        left = self.left.infer_type(schema)
-        right = self.right.infer_type(schema)
+        return Arith.result_type(
+            self.op, self.left.infer_type(schema), self.right.infer_type(schema)
+        )
+
+    @staticmethod
+    def result_type(op: str, left: Optional[AtomType], right: AtomType) -> AtomType:
+        """The typing rule: ``left op right`` over numeric operands.
+
+        ``left`` is None for unary minus (``-right``, built as
+        ``0 - right``).  True division gives FLOAT; otherwise INT widens
+        to FLOAT.
+
+        Raises:
+            ExpressionError: on a non-numeric operand.
+        """
+        if left is None:
+            if not right.is_numeric:
+                raise ExpressionError(
+                    f"unary {op!r} needs a numeric operand, got {right.name}"
+                )
+            return right
         if not (left.is_numeric and right.is_numeric):
             raise ExpressionError(
-                f"arithmetic {self.op!r} needs numeric operands, "
+                f"arithmetic {op!r} needs numeric operands, "
                 f"got {left.name} and {right.name}"
             )
-        if self.op == "/":
+        if op == "/":
             return AtomType.FLOAT
         return common_type(left, right)
 
@@ -289,14 +311,24 @@ class Cmp(Expr):
         return self.left.columns() | self.right.columns()
 
     def infer_type(self, schema: RecordSchema) -> AtomType:
-        left = self.left.infer_type(schema)
-        right = self.right.infer_type(schema)
+        return Cmp.result_type(
+            self.op, self.left.infer_type(schema), self.right.infer_type(schema)
+        )
+
+    @staticmethod
+    def result_type(op: str, left: AtomType, right: AtomType) -> AtomType:
+        """The typing rule: same-typed or numeric operands, BOOL result.
+
+        An ordering (``<``, ``<=``, ``>``, ``>=``) additionally rules
+        out BOOL, which has no useful order.
+
+        Raises:
+            ExpressionError: on incomparable operand types.
+        """
+        if op not in ("==", "!=") and AtomType.BOOL in (left, right):
+            raise ExpressionError(f"ordering comparison {op!r} on BOOL")
         if left is not right and not (left.is_numeric and right.is_numeric):
-            raise ExpressionError(
-                f"cannot compare {left.name} with {right.name} in {self!r}"
-            )
-        if self.op not in ("==", "!=") and left is AtomType.BOOL:
-            raise ExpressionError(f"ordering comparison on BOOL in {self!r}")
+            raise ExpressionError(f"cannot compare {left.name} with {right.name}")
         return AtomType.BOOL
 
     def rename(self, mapping: Mapping[str, str]) -> "Expr":
@@ -331,6 +363,20 @@ class Cmp(Expr):
         return f"({self.left!r} {self.op} {self.right!r})"
 
 
+def boolean_operand(op: str, operand: AtomType) -> AtomType:
+    """The typing rule of ``and``, ``or`` and ``not``: one BOOL operand.
+
+    Returns the connective's (BOOL) result type.
+
+    Raises:
+        ExpressionError: on a non-BOOL operand.
+    """
+    if operand is not AtomType.BOOL:
+        noun = "a boolean operand" if op == "not" else "boolean operands"
+        raise ExpressionError(f"{op!r} needs {noun}, got {operand.name}")
+    return AtomType.BOOL
+
+
 class And(Expr):
     """Logical conjunction."""
 
@@ -347,10 +393,8 @@ class And(Expr):
         return self.left.columns() | self.right.columns()
 
     def infer_type(self, schema: RecordSchema) -> AtomType:
-        for side in (self.left, self.right):
-            if side.infer_type(schema) is not AtomType.BOOL:
-                raise ExpressionError(f"AND needs boolean operands in {self!r}")
-        return AtomType.BOOL
+        boolean_operand("and", self.left.infer_type(schema))
+        return boolean_operand("and", self.right.infer_type(schema))
 
     def rename(self, mapping: Mapping[str, str]) -> "Expr":
         return And(self.left.rename(mapping), self.right.rename(mapping))
@@ -378,10 +422,8 @@ class Or(Expr):
         return self.left.columns() | self.right.columns()
 
     def infer_type(self, schema: RecordSchema) -> AtomType:
-        for side in (self.left, self.right):
-            if side.infer_type(schema) is not AtomType.BOOL:
-                raise ExpressionError(f"OR needs boolean operands in {self!r}")
-        return AtomType.BOOL
+        boolean_operand("or", self.left.infer_type(schema))
+        return boolean_operand("or", self.right.infer_type(schema))
 
     def rename(self, mapping: Mapping[str, str]) -> "Expr":
         return Or(self.left.rename(mapping), self.right.rename(mapping))
@@ -410,9 +452,7 @@ class Not(Expr):
         return self.operand.columns()
 
     def infer_type(self, schema: RecordSchema) -> AtomType:
-        if self.operand.infer_type(schema) is not AtomType.BOOL:
-            raise ExpressionError(f"NOT needs a boolean operand in {self!r}")
-        return AtomType.BOOL
+        return boolean_operand("not", self.operand.infer_type(schema))
 
     def rename(self, mapping: Mapping[str, str]) -> "Expr":
         return Not(self.operand.rename(mapping))

@@ -3,7 +3,9 @@
 A :class:`Query` wraps the root operator of a tree whose leaves are
 base or constant sequences.  It provides validation (tree-ness and type
 checking), span inference, and evaluation entry points that defer to
-the naive reference evaluator or the optimizing engine.
+the naive reference evaluator or the optimizing engine.  Hand-built and
+text-compiled queries alike go through the one constructor, and so
+through :meth:`Query.validate`.
 """
 
 from __future__ import annotations
@@ -35,22 +37,6 @@ class Query:
         #: re-deriving.  None without the analyzer.
         self.annotations = None
         self.validate()
-
-    @classmethod
-    def _from_analysis(cls, root: Operator) -> "Query":
-        """Wrap an operator tree the front-end analyzer already validated.
-
-        The analyzer constructs each operator exactly once (tree-ness
-        holds by construction) and derives every schema bottom-up
-        (type-correctness), so :meth:`validate` would only re-derive
-        what is already known.  Internal: only
-        :func:`repro.lang.compile_query` should call this.
-        """
-        query = cls.__new__(cls)
-        query.root = root
-        query.analysis = None
-        query.annotations = None
-        return query
 
     # -- validation ------------------------------------------------------------
 

@@ -55,7 +55,12 @@ from repro.analysis.base import (
     root_plan,
 )
 from repro.analysis.diagnostics import Diagnostic, Severity, VerificationReport
-from repro.errors import EffectSoundnessError, ReproError, UnknownEffectError
+from repro.errors import (
+    EffectSoundnessError,
+    ExpressionError,
+    ReproError,
+    UnknownEffectError,
+)
 from repro.model.schema import RecordSchema
 from repro.model.types import AtomType
 
@@ -334,8 +339,9 @@ def _analyze(
 ) -> tuple[EffectSpec, Optional[AtomType]]:
     """One bottom-up composition step: ``(spec, static type)``.
 
-    The static type rides along so type-confusion detection mirrors
-    :meth:`~repro.algebra.expressions.Expr.infer_type` without raising;
+    The static type rides along so each Arith/Cmp node asks the
+    algebra's own typing rule (``result_type``) of its operands' types;
+    a rejection is type confusion (``EXC_TYPE``), not an exception.
     ``None`` means the type is already confused (or unknowable) below.
     """
     if type(expr) is Col:
@@ -355,37 +361,33 @@ def _analyze(
         left_spec, left_type = _analyze(expr.left, schema)
         right_spec, right_type = _analyze(expr.right, schema)
         exceptions = left_spec.exceptions | right_spec.exceptions
-        numeric = (
-            left_type is not None
-            and right_type is not None
-            and left_type.is_numeric
-            and right_type.is_numeric
-        )
-        if left_type is not None and right_type is not None and not numeric:
-            exceptions |= {EXC_TYPE}
+        result_type = None
+        if left_type is not None and right_type is not None:
+            try:
+                result_type = Arith.result_type(expr.op, left_type, right_type)
+            except ExpressionError:
+                exceptions |= {EXC_TYPE}
         domain = None
-        if numeric and left_spec.domain is not None and right_spec.domain is not None:
+        if (
+            result_type is not None
+            and left_spec.domain is not None
+            and right_spec.domain is not None
+        ):
             if expr.op == "/" and right_spec.domain.contains_zero():
                 exceptions |= {EXC_DIV_ZERO}
             domain = interval_arith(expr.op, left_spec.domain, right_spec.domain)
         elif expr.op == "/":
             # No divisor domain to exclude zero with: assume the worst.
             exceptions |= {EXC_DIV_ZERO}
-        # Numeric widening: true division and any float operand give float.
-        widened = expr.op == "/" or AtomType.FLOAT in (left_type, right_type)
-        result_type = (AtomType.FLOAT if widened else left_type) if numeric else None
-        spec = _both(left_spec, right_spec, exceptions, domain if numeric else None)
-        return spec, result_type
+        return _both(left_spec, right_spec, exceptions, domain), result_type
     if type(expr) is Cmp:
         left_spec, left_type = _analyze(expr.left, schema)
         right_spec, right_type = _analyze(expr.right, schema)
         exceptions = left_spec.exceptions | right_spec.exceptions
         if left_type is not None and right_type is not None:
-            comparable = left_type is right_type or (
-                left_type.is_numeric and right_type.is_numeric
-            )
-            orderable = expr.op in ("==", "!=") or left_type is not AtomType.BOOL
-            if not (comparable and orderable):
+            try:
+                Cmp.result_type(expr.op, left_type, right_type)
+            except ExpressionError:
                 exceptions |= {EXC_TYPE}
         return _both(left_spec, right_spec, exceptions), AtomType.BOOL
     if type(expr) is And or type(expr) is Or:

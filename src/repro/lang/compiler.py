@@ -37,9 +37,9 @@ def compile_query(source: str, env: Environment) -> Query:
     :class:`~repro.errors.ParseError` subclass) aggregating *all*
     findings with source positions and caret excerpts, and the
     resulting :class:`Query` carries the report on ``query.analysis``
-    (warnings on ``query.warnings``).  The analyzer's operator tree —
-    schema caches already warm — is wrapped directly, so compilation
-    does not re-derive schemas or spans.
+    (warnings on ``query.warnings``).  The analyzer's operator tree is
+    wrapped by the one :class:`Query` constructor; its validation reads
+    the schemas the algebra derived while the analyzer built the tree.
 
     Args:
         source: the query text.
@@ -51,7 +51,7 @@ def compile_query(source: str, env: Environment) -> Query:
     """
     result = analyze(source, env).raise_if_errors()
     assert result.root is not None  # no errors => tree was built
-    query = Query._from_analysis(result.root)
+    query = Query(result.root)
     query.analysis = result.report
     query.annotations = result
     return query

@@ -8,7 +8,7 @@ from repro.model.record import NULL, Record, RecordOrNull, is_null, record_from
 from repro.model.schema import Attribute, RecordSchema
 from repro.model.sequence import Sequence
 from repro.model.span import Span
-from repro.model.types import AtomType, check_value, common_type, comparable
+from repro.model.types import AtomType, check_value, common_type
 
 __all__ = [
     "AtomType",
@@ -25,7 +25,6 @@ __all__ = [
     "Span",
     "check_value",
     "common_type",
-    "comparable",
     "is_null",
     "record_from",
 ]

@@ -63,21 +63,6 @@ def common_type(left: AtomType, right: AtomType) -> AtomType:
     raise SchemaError(f"no common type for {left.name} and {right.name}")
 
 
-def comparable(left: AtomType, right: AtomType, ordered: bool = False) -> bool:
-    """Whether a comparison between the two types is well-typed.
-
-    Equality requires the same type or two numeric types; an *ordered*
-    comparison (``<``, ``<=``, ``>``, ``>=``) additionally rules out
-    BOOL, which has no useful ordering (mirrors
-    :meth:`repro.algebra.expressions.Cmp.infer_type`).
-    """
-    if left is not right and not (left.is_numeric and right.is_numeric):
-        return False
-    if ordered and left is AtomType.BOOL:
-        return False
-    return True
-
-
 def check_value(atype: AtomType, value: object, context: str = "value") -> None:
     """Validate that ``value`` conforms to ``atype``.
 

@@ -24,10 +24,13 @@ def pytest_configure(config) -> None:
     successfully validated graph is also run through the structural
     rules of :mod:`repro.analysis` (scope closure and schema flow;
     span rules need optimizer annotations and run in the REPRO_VERIFY
-    hooks instead).  Installed here rather than as an autouse fixture
-    so hypothesis-driven tests are covered without tripping the
-    function-scoped-fixture health check.  Disable with
-    ``REPRO_TEST_VERIFY=0``.
+    hooks instead).  Every query goes through the one ``Query``
+    constructor, so this covers text compiled by
+    :func:`repro.lang.compile_query` as well as hand-built graphs (a
+    text-only constructor used to bypass it).  Installed here rather
+    than as an autouse fixture so hypothesis-driven tests are covered
+    without tripping the function-scoped-fixture health check.  Disable
+    with ``REPRO_TEST_VERIFY=0``.
     """
     import functools
     import os
