@@ -74,6 +74,14 @@ class TestCompose:
         with pytest.raises(QueryError, match="boolean"):
             node.type_check()
 
+    def test_with_predicate_shares_the_derived_schema(self, left, right):
+        bare = Compose(SequenceLeaf(left, "l"), SequenceLeaf(right, "r"))
+        node = bare.with_predicate(col("a") < col("b"))
+        assert node.inputs == bare.inputs and node.schema is bare.schema
+        assert compose_at(node, left, right, 2).as_dict() == {"a": 2.0, "b": 20.0}
+        with pytest.raises(QueryError, match="boolean"):
+            bare.with_predicate(col("a") + col("b"))
+
     def test_non_expr_predicate_rejected(self, left, right):
         with pytest.raises(QueryError):
             Compose(SequenceLeaf(left, "l"), SequenceLeaf(right, "r"), "a > b")  # type: ignore[arg-type]
