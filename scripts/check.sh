@@ -34,7 +34,9 @@
 #      REPRO_NO_VECTOR=1, so the pure-Python backend's speedup floors
 #      are held here too, not only by CI's no-numpy leg; so do the
 #      sequence, partition-slice and batch tests, so the array.array/list
-#      buffers behind a sequence's columns view are checked here as well
+#      buffers behind a sequence's columns view are checked here as well,
+#      and the effect and kernel-cache tests, so the cached scalar
+#      kernels that backend runs on every batch meet the interpreter too
 #   9. the end-to-end benchmark's own smoke (benchmarks/e2e, outside
 #      tier-1): a change to the entry surface that breaks the
 #      benchmark's pinned call syntax, counter names or span names
@@ -102,7 +104,8 @@ if python -c "import numpy" >/dev/null 2>&1; then
     run_step "sequence views (REPRO_NO_VECTOR=1)" env PYTHONPATH=src REPRO_NO_VECTOR=1 \
         python -m pytest -q "${timeout_args[@]}" tests/test_leaf_meta.py \
         tests/test_model_sequences.py tests/test_partition_slices.py \
-        tests/test_execution_batch.py
+        tests/test_execution_batch.py tests/test_effects.py \
+        tests/test_kernel_cache.py
 fi
 
 run_step "e2e benchmark smoke" env PYTHONPATH=src \

@@ -16,6 +16,8 @@ Expressions compose with Python operators::
 from __future__ import annotations
 
 import abc
+import functools
+from types import CodeType
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Union, cast
 
 from repro.errors import ExpressionError
@@ -473,6 +475,20 @@ class Not(Expr):
 # interpreter's semantics exactly: evaluation order, bool() coercion and
 # short-circuiting in And/Or/Not, and the ExpressionError raised on
 # division by zero.
+#
+# Generated source names its constants (``_k0``, ...) rather than
+# inlining them, so predicates of one shape lower to one source text.
+# Each distinct text is compiled once per process, in a bounded cache;
+# every call runs the cached code in a fresh namespace that holds that
+# call's own constants.
+
+_CODE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _compile_source(source: str, mode: str) -> CodeType:
+    """The code object of generated ``source`` (``mode`` as in ``compile``)."""
+    return compile(source, "<kernel>", mode)
 
 
 class _CannotLower(Exception):
@@ -562,7 +578,7 @@ def compile_rowwise(
             on_fallback(expr)
         return lambda values: expr.eval(Record.unchecked(schema, tuple(values)))
     compiled = eval(  # noqa: S307 - engine codegen
-        f"lambda _v: {fragment}", lowerer.env
+        _compile_source(f"lambda _v: {fragment}", "eval"), lowerer.env
     )
     return cast(Callable[[tuple[object, ...]], object], compiled)
 
@@ -581,7 +597,7 @@ def _compile_batch(
     )
     source = _FILTER_TEMPLATE.format(preamble=preamble, fragment=fragment)
     namespace = dict(lowerer.env)
-    exec(source, namespace)  # noqa: S102 - engine codegen
+    exec(_compile_source(source, "exec"), namespace)  # noqa: S102 - engine codegen
     return cast(
         Callable[[list[list[object]], list[bool]], list[object]],
         namespace["_compiled"],

@@ -8,7 +8,7 @@ schemas.  Attribute names are unique within a schema.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence as PySequence
+from typing import Iterable, Iterator, Optional, Sequence as PySequence
 
 from repro.errors import SchemaError
 from repro.model.types import AtomType
@@ -35,7 +35,9 @@ class Attribute:
 class RecordSchema:
     """An immutable ordered collection of uniquely named attributes."""
 
-    __slots__ = ("_attrs", "_index", "_names")
+    # ``_hash`` is computed at the first ``__hash__``, not here: most
+    # schemas (the optimizer's intermediate ones) are never hashed.
+    __slots__ = ("_attrs", "_index", "_names", "_hash")
 
     def __init__(self, attrs: Iterable[Attribute]):
         attrs = tuple(attrs)
@@ -49,6 +51,7 @@ class RecordSchema:
         self._attrs = attrs
         self._index = index
         self._names = tuple(index)
+        self._hash: Optional[int] = None
 
     @classmethod
     def of(cls, **attrs: AtomType) -> "RecordSchema":
@@ -78,7 +81,14 @@ class RecordSchema:
         return isinstance(other, RecordSchema) and self._attrs == other._attrs
 
     def __hash__(self) -> int:
-        return hash(self._attrs)
+        if self._hash is None:
+            self._hash = hash(self._attrs)
+        return self._hash
+
+    def __reduce__(self) -> tuple[type["RecordSchema"], tuple[tuple[Attribute, ...]]]:
+        # Rebuilt from its attributes, so a cached hash never crosses
+        # into a process whose string hashes differ.
+        return (RecordSchema, (self._attrs,))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{a.name}:{a.atype.name}" for a in self._attrs)

@@ -1,5 +1,8 @@
 """Tests for record schemas."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import SchemaError
@@ -45,11 +48,48 @@ class TestConstruction:
         )
         assert schema == clone
         assert hash(schema) == hash(clone)
+        assert hash(schema) == hash(clone)  # the cached hashes agree too
+        assert {schema: 1}[clone] == 1
 
     def test_order_matters_for_equality(self):
         a = RecordSchema.of(x=AtomType.INT, y=AtomType.INT)
         b = RecordSchema.of(y=AtomType.INT, x=AtomType.INT)
         assert a != b
+
+
+class TestCachedHash:
+    """The hash is computed at the first ``hash()`` and kept."""
+
+    def build(self):
+        return RecordSchema.of(close=AtomType.FLOAT, volume=AtomType.INT, sym=AtomType.STR)
+
+    def test_hashed_schema_still_compares(self, schema):
+        hash(schema)
+        assert schema == self.build()
+        assert schema != RecordSchema.of(close=AtomType.FLOAT)
+        assert schema.project(["sym", "close"]) == RecordSchema.of(
+            sym=AtomType.STR, close=AtomType.FLOAT
+        )
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_hashed_schema_copies(self, schema, clone):
+        hash(schema)
+        twin = clone(schema)
+        assert twin == schema
+        assert hash(twin) == hash(schema)
+        assert twin.names == schema.names
+        assert twin.index_of("sym") == 2
+
+    def test_pickle_does_not_carry_the_hash(self, schema):
+        # A pickle may be loaded under other string hashes; it must
+        # read the same whether or not the schema was hashed first.
+        unhashed = pickle.dumps(self.build())
+        hash(schema)
+        assert pickle.dumps(schema) == unhashed
 
 
 class TestLookup:
