@@ -22,8 +22,8 @@ Each query goes through:
    checker) or *rejected* with at least one typed ``EFX*`` finding.
 
 A certificate the checker rejects, or a refusal without a typed
-finding, fails the gate; so does optimizer-attached partition/effect
-metadata that makes ``repro lint`` complain about the plan.
+finding, fails the gate; so does an optimized plan that fails the plan
+rules of ``repro verify-plan`` (cache finiteness, cost sanity).
 
 Exit status: 0 = corpus is clean on all three; 1 = violations.
 Invoked by ``scripts/check.sh`` as the "corpus gate" step.
@@ -160,7 +160,7 @@ def main() -> int:
             lint = verify_plan(optimized)
             if not lint.ok:
                 message = (
-                    "optimizer-attached partition/effect metadata fails lint:"
+                    "the optimized plan fails the plan rules:"
                     f"\n  {_errors(lint)}"
                 )
                 problems["partition"] = problems["effects"] = [message]

@@ -10,7 +10,7 @@ from typing import Optional, Sequence as PySequence
 
 from repro.errors import QueryError, SchemaError
 from repro.model.info import SequenceInfo
-from repro.model.record import NULL, RecordOrNull
+from repro.model.record import NULL, Record, RecordOrNull
 from repro.model.schema import RecordSchema
 from repro.model.sequence import Sequence
 from repro.model.span import Span
@@ -51,7 +51,7 @@ class Project(Operator):
         record = inputs[0].get(position)
         if record is NULL:
             return NULL
-        return record.project(self.names)
+        return Record(self.schema, tuple(record.get(name) for name in self.names))
 
     def infer_span(self, input_spans: list[Span]) -> Span:
         return input_spans[0]

@@ -10,6 +10,11 @@ Entry points: :func:`verify_query`, :func:`verify_plan`,
 :func:`verify_rewrites`, :func:`verify_optimization`; the ``repro
 lint`` and ``repro verify-plan`` CLI subcommands and the opt-in
 ``REPRO_VERIFY=1`` hooks (:mod:`repro.analysis.hooks`) build on them.
+Partition and effect soundness are certificates, not plan rules
+(:func:`certify` / :func:`check_certificate`, :func:`certify_effects` /
+:func:`check_effect_certificate`): each derives its claim from the plan
+when asked, so a plan carries no analysis claims for the verifier to
+audit.
 
 Attributes are loaded lazily (PEP 562) so that the optimizer and the
 executor can import :mod:`repro.analysis.hooks` without dragging in
@@ -41,7 +46,6 @@ _EXPORTS = {
     "Interval": "repro.analysis.effects",
     "analyze_effects": "repro.analysis.effects",
     "analyze_expr": "repro.analysis.effects",
-    "annotate_effects": "repro.analysis.effects",
     "certify_effects": "repro.analysis.effects",
     "check_effect_certificate": "repro.analysis.effects",
     "require_effect_certificate": "repro.analysis.effects",
@@ -87,7 +91,6 @@ if TYPE_CHECKING:  # pragma: no cover - static import surface for type checkers
         Interval,
         analyze_effects,
         analyze_expr,
-        annotate_effects,
         certify_effects,
         check_effect_certificate,
         require_effect_certificate,

@@ -133,9 +133,9 @@ def plan_fingerprint(plan: "Union[PhysicalPlan, OptimizedPlan]") -> str:
 
     Covers everything partition and effect soundness depend on: tree
     shape, plan kinds, access modes, strategies, spans, chain steps,
-    cache sizes, output schemas and predicates.  Cost estimates and
-    free-form extras are deliberately excluded — re-costing a plan does
-    not invalidate its certificates.
+    cache sizes, output schemas and predicates.  Cost estimates are
+    deliberately excluded — re-costing a plan does not invalidate its
+    certificates.
     """
     root = root_plan(plan)
     paths = plan_paths(root)
@@ -313,22 +313,12 @@ class CertificateAnalysis:
 
 @dataclass(frozen=True)
 class RuleInfo:
-    """Registration record of one rule.
+    """Registration record of one rule (its crash findings carry ``rule_id``)."""
 
-    ``rule_ids`` names every identifier the rule reports under: one for
-    most rules, a whole family for a certificate analysis's metadata
-    audit.  The first one names the rule itself.
-    """
-
-    rule_ids: tuple[str, ...]
+    rule_id: str
     citation: str
     check: Callable[..., Iterator[Diagnostic]]
     needs_annotations: bool = False
-
-    @property
-    def rule_id(self) -> str:
-        """The rule's own identifier (its crash findings carry it)."""
-        return self.rule_ids[0]
 
 
 #: Registered logical-graph rules, in registration order.
@@ -346,17 +336,17 @@ def query_rule(rule_id: str, citation: str = "", needs_annotations: bool = False
     """
 
     def decorate(func: Callable[[QueryContext], Iterable[Diagnostic]]):
-        QUERY_RULES.append(RuleInfo((rule_id,), citation, func, needs_annotations))
+        QUERY_RULES.append(RuleInfo(rule_id, citation, func, needs_annotations))
         return func
 
     return decorate
 
 
-def plan_rule(*rule_ids: str, citation: str = ""):
+def plan_rule(rule_id: str, citation: str = ""):
     """Register a physical-plan rule (receives a :class:`PlanContext`)."""
 
     def decorate(func: Callable[[PlanContext], Iterable[Diagnostic]]):
-        PLAN_RULES.append(RuleInfo(rule_ids, citation, func))
+        PLAN_RULES.append(RuleInfo(rule_id, citation, func))
         return func
 
     return decorate

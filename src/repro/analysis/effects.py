@@ -33,9 +33,9 @@ every per-site spec from the plan alone.  Plans containing unknown
 expressions are refused with typed ``EFX*`` findings
 (:class:`~repro.errors.EffectSoundnessError` /
 :class:`~repro.errors.UnknownEffectError`), never silently assumed
-safe.  The checker's comparison, :func:`effect_findings`, is also the
-``EFX*`` lint: ``verify_plan`` applies it to the :class:`EffectSpec`
-objects the optimizer stores in each node's ``extras["effects"]``.
+safe.  The batch operators derive their kernel gate the same way: they
+call :func:`analyze_expr` on each predicate when they open, so no plan
+carries effect claims.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # -- rule identifiers ---------------------------------------------------------
 
 #: Claimed purity/determinism disagrees with the derived spec (or the
-#: effect metadata is malformed).
+#: certificate is bound to a different plan).
 EFX_PURE = "EFX-PURE"
 #: Claimed totality understates the derived escaping-exception set.
 EFX_TOTAL = "EFX-TOTAL"
@@ -79,8 +79,8 @@ EFX_TOTAL = "EFX-TOTAL"
 EFX_NULL = "EFX-NULL"
 #: Claimed value domain does not cover the derived domain.
 EFX_DOMAIN = "EFX-DOMAIN"
-#: Certified metadata covers an expression the analysis cannot model
-#: (interpreted fallback), or misses a site entirely.
+#: A claim covers an expression the analysis cannot model (interpreted
+#: fallback), or misses a site entirely.
 EFX_FALLBACK = "EFX-FALLBACK"
 
 #: All effect rule identifiers, in severity-triage order.
@@ -523,46 +523,6 @@ def plan_expression_sites(
     ]
 
 
-def annotate_effects(plan: "Union[PhysicalPlan, OptimizedPlan]") -> dict[str, int]:
-    """Derive and attach per-node effect metadata (the optimizer phase).
-
-    Every node with expression sites gets
-    ``extras["effects"] = {local_key: EffectSpec}`` recording the
-    *derived* spec truthfully — including the top element for unknown
-    expressions, so the metadata never over-claims and the ``EFX*``
-    lint stays quiet on optimizer output.  The specs stay objects: the
-    batch codegen reads them on every operator open, and a subplan
-    pickles them as they are.  Returns summary counts for span
-    attribution.
-    """
-    root = root_plan(plan)
-    total = unknown = safe = 0
-    for node in root.walk():
-        sites = node_expression_sites(node)
-        if not sites:
-            continue
-        specs = {local: analyze_expr(expr, schema) for local, expr, schema in sites}
-        node.extras["effects"] = specs
-        for spec in specs.values():
-            total += 1
-            unknown += spec.is_unknown
-            safe += spec.vectorization_safe
-    return {"sites": total, "unknown": unknown, "vector_safe": safe}
-
-
-def node_effect_specs(node: "PhysicalPlan") -> dict[str, EffectSpec]:
-    """The specs one node's metadata claims, by local key.
-
-    The executor-side accessor: anything in the metadata that is not an
-    :class:`EffectSpec` is ignored (the codegen then keeps its guarded
-    loops, and the ``EFX*`` lint reports the malformation).
-    """
-    meta = node.extras.get("effects")
-    if not isinstance(meta, dict):
-        return {}
-    return {key: spec for key, spec in meta.items() if isinstance(spec, EffectSpec)}
-
-
 # -- certificates -------------------------------------------------------------
 
 
@@ -657,23 +617,18 @@ class EffectCertificate(Certificate):
 def effect_findings(
     claims: list[tuple[str, EffectSpec]],
     derived: Mapping[str, EffectSpec],
-    source: str,
 ) -> Iterator[Diagnostic]:
-    """Claimed specs against the independently derived ones, by site key.
+    """A certificate's claimed specs against the derived ones, by site key.
 
-    The one comparison behind both surfaces:
-    :func:`check_effect_certificate` passes a certificate's sites, the
-    ``EFX*`` lint each node's ``extras["effects"]`` (``source`` names
-    which one the messages blame).  Claims are judged in the *sound*
-    direction: a claim may understate what is derivable — fewer
-    guarantees, more escaping exceptions, a wider domain, or the top
-    element itself — but never overstate it, and coverage must be total
-    both ways.
+    Claims are judged in the *sound* direction: a claim may understate
+    what is derivable — fewer guarantees, more escaping exceptions, a
+    wider domain, or the top element itself — but never overstate it,
+    and coverage must be total both ways.
     """
     for key in sorted(derived.keys() - {key for key, _spec in claims}):
         yield _finding(
             EFX_FALLBACK, key,
-            f"plan expression site is missing from the {source}: coverage "
+            "plan expression site is missing from the certificate: coverage "
             "must be total for the claims to mean anything",
         )
     for key, claimed in claims:
@@ -681,14 +636,14 @@ def effect_findings(
         if truth is None:
             yield _finding(
                 EFX_FALLBACK, key,
-                f"{source} claims a spec for a site the plan does not have",
+                "certificate claims a spec for a site the plan does not have",
             )
             continue
         if truth.is_unknown:
             if not claimed.is_unknown:
                 yield _finding(
                     EFX_FALLBACK, key,
-                    f"{source} claims {claimed.describe()} for an expression "
+                    f"certificate claims {claimed.describe()} for an expression "
                     "the analysis cannot model (interpreted fallback only)",
                 )
             continue
@@ -697,14 +652,14 @@ def effect_findings(
         ):
             yield _finding(
                 EFX_PURE, key,
-                f"{source} claims purity/determinism ({claimed.describe()}) "
+                f"certificate claims purity/determinism ({claimed.describe()}) "
                 f"the analysis cannot derive ({truth.describe()})",
             )
         if not claimed.exceptions >= truth.exceptions:
             missing = sorted(truth.exceptions - claimed.exceptions)
             yield _finding(
                 EFX_TOTAL, key,
-                f"{source} understates the escaping exceptions: derived "
+                "certificate understates the escaping exceptions: derived "
                 f"{sorted(truth.exceptions)} but claimed "
                 f"{sorted(claimed.exceptions)} (missing {missing}) — an "
                 "unguarded loop could abort mid-batch",
@@ -712,7 +667,7 @@ def effect_findings(
         if claimed.null_strict and not truth.null_strict:
             yield _finding(
                 EFX_NULL, key,
-                f"{source} claims null-strictness the analysis cannot "
+                "certificate claims null-strictness the analysis cannot "
                 "derive: masked-out positions could influence surviving "
                 "outputs",
             )
@@ -721,7 +676,7 @@ def effect_findings(
         ):
             yield _finding(
                 EFX_DOMAIN, key,
-                f"{source} claims value domain {claimed.domain!r} but the "
+                f"certificate claims value domain {claimed.domain!r} but the "
                 "derived domain is "
                 f"{repr(truth.domain) if truth.domain else 'non-numeric'} — "
                 "the claim does not cover every producible value",
@@ -773,7 +728,7 @@ def _compare(
         for key, expr, schema in plan_expression_sites(root)
     }
     claims = [(site.path, site.spec) for site in cert.sites]
-    report.diagnostics.extend(effect_findings(claims, derived, "certificate"))
+    report.diagnostics.extend(effect_findings(claims, derived))
 
 
 #: The prover/checker frame: spans, reports, counters, typed errors.

@@ -3,7 +3,9 @@
 Setting ``REPRO_VERIFY=1`` in the environment makes the optimizer
 verify its own intermediate results (after annotation, after
 rewriting, after plan generation) and makes the executor verify a plan
-before running it; any error-severity finding raises
+before running it — the plan rules, cache finiteness and cost sanity;
+partition and effect soundness stay with their certificate checkers.
+Any error-severity finding raises
 :class:`~repro.errors.VerificationError`.  With the variable unset the
 hooks cost one dictionary lookup and import nothing.
 

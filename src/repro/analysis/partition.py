@@ -28,9 +28,8 @@ every obligation from the plan alone — no prover state is reused — so
 a parallel engine can trust certificates it did not produce.  Plans
 that cannot be certified are rejected with typed ``PART*`` diagnostics
 (:class:`~repro.errors.PartitionSoundnessError`), never silently
-partitioned.  The checker's contract comparison,
-:func:`contract_findings`, is also the ``PART*`` lint: ``verify_plan``
-applies it to the contract a plan's own ``extras["partition"]`` claims.
+partitioned.  Plans carry no contract of their own: the certifier, the
+checker and ``repro partition-check`` each derive it from the plan.
 """
 
 from __future__ import annotations
@@ -673,18 +672,15 @@ def contract_findings(
     paths: Mapping[int, str],
     edges: _EdgeScopes,
 ) -> Iterator[Diagnostic]:
-    """A claimed contract against the one scope composition derives.
+    """A certificate's claimed contract against the one scope composition derives.
 
-    The one comparison behind both surfaces: :func:`check_certificate`
-    passes a certificate's contract, the ``PART*`` lint the contract a
-    plan's ``extras["partition"]`` claims.  A decomposable claim over a
-    plan with an unknown, order-sensitive or blocking node is refuted
-    by that node (PART-CONTRACT / PART-ORDER / PART-BLOCKING); otherwise
-    the claimed kind must be the derived kind (PART-CONTRACT) and the
-    claimed halo must cover the derived one (PART-HALO) — an understated
-    halo is the quiet failure of partitioning: a window crossing a cut
-    reads nulls where its neighbours should be, and every partition
-    still runs.
+    A decomposable claim over a plan with an unknown, order-sensitive or
+    blocking node is refuted by that node (PART-CONTRACT / PART-ORDER /
+    PART-BLOCKING); otherwise the claimed kind must be the derived kind
+    (PART-CONTRACT) and the claimed halo must cover the derived one
+    (PART-HALO) — an understated halo is the quiet failure of
+    partitioning: a window crossing a cut reads nulls where its
+    neighbours should be, and every partition still runs.
     """
     path = paths[id(root)]
     if claimed.is_decomposable:

@@ -1,4 +1,4 @@
-"""Physical-plan rules: cache finiteness, cost sanity, certificate metadata.
+"""Physical-plan rules: cache finiteness and cost sanity.
 
 * ``cache-finiteness`` — Theorem 3.1 / Lemma 3.2: stream evaluation
   must terminate with bounded memory.  Every stream-mode node has a
@@ -12,41 +12,21 @@
   densities are probabilities, and a stream plan never claims to be
   cheaper than a stream input it must fully consume (the formulas of
   Sections 4.1.1-4.1.3 all add non-negative work to their inputs).
-* ``PART*`` / ``EFX*`` — the partition and effect certificate checkers'
-  own comparisons, applied to the claims a plan carries in
-  ``extras["partition"]`` and ``extras["effects"]``.  A plan without
-  such metadata claims nothing and produces no findings, so the
-  ``REPRO_VERIFY=1`` hooks stay quiet on plans that never went through
-  those optimizer phases.
+
+Partition and effect soundness are not plan rules: a plan claims
+neither, and their certificate checkers (:mod:`repro.analysis.partition`,
+:mod:`repro.analysis.effects`) derive both from the plan itself.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 from repro.algebra.offsets import ValueOffset
 from repro.algebra.aggregate import WindowAggregate
 from repro.analysis.base import PlanContext, plan_rule
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.effects import (
-    EFX_PURE,
-    EFX_RULES,
-    EffectSpec,
-    analyze_expr,
-    effect_findings,
-    node_expression_sites,
-)
-from repro.analysis.partition import (
-    PART_BLOCKING,
-    PART_CONTRACT,
-    PART_HALO,
-    PART_ORDER,
-    PartitionContract,
-    contract_findings,
-    edge_scopes,
-)
-from repro.errors import ReproError
 from repro.execution.context import OPERATORS
 from repro.optimizer.plans import PROBE, STREAM, PhysicalPlan
 
@@ -244,59 +224,3 @@ def check_cost_sanity(ctx: PlanContext) -> Iterator[Diagnostic]:
                     "costs must be monotone along consumed streams",
                     "Sec 4.1",
                 )
-
-
-@plan_rule(
-    PART_CONTRACT, PART_HALO, PART_ORDER, PART_BLOCKING,
-    citation="Prop 2.1 / Sec 2.3",
-)
-def check_partition_metadata(ctx: PlanContext) -> Iterator[Diagnostic]:
-    """The claimed partitioning contract, judged as a certificate's is.
-
-    PART-COVER stays with the certificate checker: plan metadata claims
-    a contract, not cut points.
-    """
-    meta = ctx.plan.extras.get("partition")
-    if meta is None:
-        return
-    try:
-        claimed = PartitionContract.from_dict(
-            meta.get("contract") if isinstance(meta, Mapping) else meta
-        )
-    except ReproError as exc:
-        yield Diagnostic(
-            PART_CONTRACT, Severity.ERROR, ctx.path(ctx.plan),
-            f"malformed partition metadata: {exc}",
-            "Prop 2.1 / Sec 2.3",
-        )
-        return
-    yield from contract_findings(ctx.plan, claimed, ctx.paths, edge_scopes(ctx.plan))
-
-
-@plan_rule(*EFX_RULES, citation="Sec 3.1")
-def check_effect_metadata(ctx: PlanContext) -> Iterator[Diagnostic]:
-    """Each node's claimed specs, judged as a certificate's sites are.
-
-    A node's specs are derived once, for all five ``EFX*`` comparisons.
-    """
-    for node in ctx.plan.walk():
-        meta = node.extras.get("effects")
-        if meta is None:
-            continue
-        path = ctx.path(node)
-        if not isinstance(meta, dict) or not all(
-            isinstance(spec, EffectSpec) for spec in meta.values()
-        ):
-            yield Diagnostic(
-                EFX_PURE, Severity.ERROR, path,
-                f"malformed effect metadata {meta!r}: it must map each site "
-                "key to an EffectSpec",
-                "Sec 3.1",
-            )
-            continue
-        derived = {
-            f"{path}#{key}": analyze_expr(expr, schema)
-            for key, expr, schema in node_expression_sites(node)
-        }
-        claims = [(f"{path}#{key}", spec) for key, spec in meta.items()]
-        yield from effect_findings(claims, derived, "effect metadata")

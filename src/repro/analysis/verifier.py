@@ -88,7 +88,7 @@ def verify_plan(plan: Union[PhysicalPlan, OptimizedPlan]) -> VerificationReport:
     report = VerificationReport(subject="plan")
     context = PlanContext(plan=root)
     for info in PLAN_RULES:
-        report.rules_run.extend(info.rule_ids)
+        report.rules_run.append(info.rule_id)
         report.diagnostics.extend(run_rule(info, context))
     return report
 

@@ -90,7 +90,7 @@ from repro.algebra.expressions import compile_filter
 from repro.algebra.kernels import cumulative_scan, window_scan
 from repro.algebra.leaves import ConstantLeaf, SequenceLeaf
 from repro.algebra.offsets import ValueOffset
-from repro.analysis.effects import node_effect_specs
+from repro.analysis.effects import analyze_expr
 from repro.execution.counters import ExecutionCounters
 from repro.execution.guard import QueryGuard
 from repro.execution.probers import ProberSequence, chain_steps
@@ -336,17 +336,16 @@ def chain(ctx: ExecContext, plan: PhysicalPlan, window: Span) -> BatchStream:
     """Apply a run of unit-scope steps as mask refinement and column selection."""
     counters = ctx.counters
     guard = ctx.guard
-    specs = node_effect_specs(plan)
     # The steps compile as in row mode (one schema flow), except that a
     # select becomes a mask refiner: a whole-column vector kernel under
     # a vectorization-safe effect spec, a fused scalar loop otherwise.
     shift, _reshaped, ops = chain_steps(
         ctx,
         plan,
-        lambda index, predicate, schema: compile_filter(
+        lambda predicate, schema: compile_filter(
             predicate,
             schema,
-            spec=specs.get(f"step{index}"),
+            spec=analyze_expr(predicate, schema),
             on_fallback=ctx.interpreted,
             on_kernel_fallback=ctx.kernel_fallback,
         ),
@@ -382,7 +381,7 @@ def _join_predicate(
     return compile_filter(
         plan.predicate,
         plan.schema,
-        spec=node_effect_specs(plan).get("predicate"),
+        spec=analyze_expr(plan.predicate, plan.schema),
         on_fallback=ctx.interpreted,
         on_kernel_fallback=ctx.kernel_fallback,
     )

@@ -147,7 +147,6 @@ def partition_plan(
             node=operator,
             children=children,
             span=narrowed,
-            extras=dict(node.extras),
         )
 
     return clone(plan)

@@ -126,7 +126,7 @@ def chain_steps(
     """Compile a chain's steps once: ``(shift, reshaped, ops)``.
 
     The schema flows through ``plan.steps`` once.  A select becomes
-    ``(select(index, predicate, schema), None)`` against the schema at
+    ``(select(predicate, schema), None)`` against the schema at
     its step (a :func:`row_predicate` by default), a project ``(None,
     gather)`` over a values tuple or a column list; a rename only swaps
     the schema and the shifts sum to ``shift``.  ``reshaped``: a project
@@ -134,9 +134,9 @@ def chain_steps(
     """
     shift, reshaped, ops = 0, False, []
     schema = plan.children[0].schema
-    for index, step in enumerate(plan.steps):
+    for step in plan.steps:
         if step.kind == "select" and select is not None:
-            ops.append((select(index, step.predicate, schema), None))
+            ops.append((select(step.predicate, schema), None))
         elif step.kind == "select":
             ops.append((row_predicate(ctx, step.predicate, schema), None))
         elif step.kind == "project":

@@ -101,6 +101,7 @@ class _ProjectProc(PushProcessor):
     def __init__(self, node: Project, input_kind: str):
         super().__init__()
         self._names = node.names
+        self._schema = node.schema
         self.output_kind = input_kind
 
     def push(self, emission: Emission) -> list[Emission]:
@@ -108,7 +109,8 @@ class _ProjectProc(PushProcessor):
         kind, position, record = emission
         if record is NULL:
             return [emission]
-        return [(kind, position, record.project(self._names))]
+        values = tuple(record.get(name) for name in self._names)
+        return [(kind, position, Record(self._schema, values))]
 
 
 class _ShiftProc(PushProcessor):

@@ -247,7 +247,7 @@ class BaseSequence(Sequence):
         else:
             yield self._positions[lo:hi], tuple(column[lo:hi] for column in columns)
 
-    # -- extras ---------------------------------------------------------------
+    # -- positions, windows, equality ----------------------------------------
 
     def __len__(self) -> int:
         """Number of non-Null positions."""

@@ -124,11 +124,6 @@ class Record:
         """A name→value mapping of this record."""
         return dict(zip(self._schema.names, self._values))
 
-    def project(self, names: PySequence[str]) -> "Record":
-        """A new record restricted (and reordered) to ``names``."""
-        schema = self._schema.project(names)
-        return Record(schema, tuple(self.get(n) for n in names))
-
     def concat(self, other: "Record") -> "Record":
         """Concatenate two records (the compose operator's ``r1.r2``)."""
         return Record(self._schema.concat(other.schema), self._values + other.values)

@@ -24,9 +24,7 @@ from repro.model.span import Span
 from repro.algebra.graph import Query
 from repro.analysis import hooks
 from repro.catalog.catalog import Catalog
-from repro.analysis.effects import annotate_effects
-from repro.analysis.partition import derive_contract
-from repro.obs.tracer import CATEGORY_ANALYSIS, CATEGORY_OPTIMIZER, Tracer, maybe_span
+from repro.obs.tracer import CATEGORY_OPTIMIZER, Tracer, maybe_span
 from repro.optimizer.annotate import AnnotatedQuery, annotate
 from repro.optimizer.blocks import block_tree, count_blocks
 from repro.optimizer.costmodel import CostModel, CostParams
@@ -126,31 +124,6 @@ def optimize(
                 plangen_span.attrs["peak_plans_stored"] = (
                     planner.stats.peak_plans_stored
                 )
-
-        with maybe_span(tracer, "partition-contract", CATEGORY_ANALYSIS) as part_span:
-            # Derive and attach the partitioning contract so the PART*
-            # lint and plan readers see the plan's decomposability
-            # claim.  (The parallel engine does not read it: `certify`
-            # re-derives the contract before any partitioned run.)
-            # Derived, not asserted: the metadata is correct by
-            # construction, so the lint stays quiet on our plans.
-            contract = derive_contract(output.stream_plan)
-            output.stream_plan.extras["partition"] = {
-                "contract": contract.to_dict()
-            }
-            if part_span is not None:
-                part_span.attrs["contract"] = contract.kind
-
-        with maybe_span(tracer, "effects", CATEGORY_ANALYSIS) as effects_span:
-            # Derive and attach per-node EffectSpec objects for every
-            # select and compose predicate, so the batch codegen can gate
-            # its unguarded dense loops without parsing anything and the
-            # EFX* lint has claims to audit.  Like the partition contract,
-            # the metadata is derived — never asserted — so it records
-            # unknown specs truthfully instead of over-claiming.
-            effect_summary = annotate_effects(output.stream_plan)
-            if effects_span is not None:
-                effects_span.attrs.update(effect_summary)
 
         with maybe_span(tracer, "selection", CATEGORY_OPTIMIZER) as select_span:
             # Opt-in self-check: cache finiteness and cost sanity of the

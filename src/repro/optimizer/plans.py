@@ -9,7 +9,7 @@ root plan in stream mode over the plan's span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.errors import OptimizerError
@@ -81,7 +81,6 @@ class PhysicalPlan:
             records (already conjoined).
         cache_size: declared cache size for caching strategies
             (Theorem 3.1's scope-sized caches), None if no cache.
-        extras: free-form annotations (prefixes, reorder columns, ...).
     """
 
     kind: str
@@ -96,7 +95,6 @@ class PhysicalPlan:
     steps: tuple[ChainStep, ...] = ()
     predicate: Optional[Expr] = None
     cache_size: Optional[int] = None
-    extras: dict = field(default_factory=dict)
 
     @property
     def est_cost(self) -> float:

@@ -242,17 +242,15 @@ class TestCorruptedGraphs:
 class TestPartitionCorruptions:
     """Partition-unsound claims trip the PART* rule that owns them.
 
-    The optimizer attaches derived (hence self-consistent) partition
-    metadata to every plan; the tamper table (``tests/tampers.py``)
-    corrupts it the way a buggy parallel scheduler would, and both the
-    linter and the certificate checker must refuse.
+    The tamper table (``tests/tampers.py``) puts a contract claim in a
+    partition certificate the way a buggy parallel scheduler would, and
+    the certificate checker must refuse it.
     """
 
     def optimized_plan(self, operator):
         catalog, _ = make_catalog()
         return optimize(Query(operator), catalog=catalog).plan
 
-    test_window_with_understated_halo = tamper_test("understated-halo")
     test_order_sensitive_claimed_pointwise = tamper_test("order-sensitive-claimed-pointwise")
     test_blocking_aggregate_claimed_pointwise = tamper_test("blocking-claimed-pointwise")
     test_malformed_partition_metadata = tamper_test("malformed-contract")
@@ -264,16 +262,6 @@ class TestPartitionCorruptions:
         )
         report = verify_plan(plan)
         assert report.ok, report.render_text()
-
-    def test_execute_hook_refuses_partition_unsound_plan(self, monkeypatch):
-        _, sequence = make_catalog()
-        plan = self.optimized_plan(
-            WindowAggregate(SequenceLeaf(sequence, "prices"), "avg", "close", 5)
-        )
-        plan.plan.extras["partition"]["contract"]["halo_below"] = 0
-        monkeypatch.setenv("REPRO_VERIFY", "1")
-        with pytest.raises(VerificationError):
-            execute_plan(plan.plan, plan.output_span)
 
 
 class TestHooks:
@@ -329,15 +317,6 @@ class TestCleanPass:
                 "rewrite-legality",
                 "cache-finiteness",
                 "cost-sanity",
-                "PART-CONTRACT",
-                "PART-HALO",
-                "PART-ORDER",
-                "PART-BLOCKING",
-                "EFX-PURE",
-                "EFX-TOTAL",
-                "EFX-NULL",
-                "EFX-DOMAIN",
-                "EFX-FALLBACK",
             }
 
     def test_weather_clean(self, weather):
@@ -460,20 +439,6 @@ class TestCliSubcommands:
             }
             assert finding["rule_id"] == finding["rule"]
             assert isinstance(finding["citation"], str)
-
-    def test_verify_plan_json_part_finding_cites_paper(self, table1):
-        """A PART* finding surfaces rule_id + citation through to_dict."""
-        catalog, _sequences = table1
-        from repro.lang import compile_query
-
-        query = compile_query("window(ibm, avg, close, 6, ma6)", catalog)
-        plan = optimize(query, catalog=catalog).plan
-        plan.plan.extras["partition"]["contract"]["halo_below"] = 0
-        report = verify_plan(plan)
-        payload = report.to_dict()
-        part = [d for d in payload["diagnostics"] if d["rule_id"] == "PART-HALO"]
-        assert part
-        assert all(d["citation"] == "Def 3.3 / Lem 3.2" for d in part)
 
     def test_lint_span_option(self, prices_csv):
         code, text = self.run_cli(

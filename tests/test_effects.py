@@ -43,9 +43,7 @@ from repro.algebra.expressions import (
     compile_rowwise,
     lit,
 )
-from repro.analysis import verify_plan
 from repro.analysis.effects import (
-    EFFECT_COUNTERS,
     EFX_FALLBACK,
     EFX_PURE,
     EFX_RULES,
@@ -58,11 +56,9 @@ from repro.analysis.effects import (
     Interval,
     analyze_effects,
     analyze_expr,
-    annotate_effects,
     certify_effects,
     check_effect_certificate,
     interval_arith,
-    node_effect_specs,
     require_effect_certificate,
     require_spec,
 )
@@ -318,12 +314,26 @@ class TestCertificates:
         hedged = dataclasses.replace(certificate, sites=(weaker,))
         assert check_effect_certificate(divided, hedged).ok
 
-    # Tampered claims are rows of the tamper table (tests/tampers.py),
-    # each run through the checker and the lint.
+    # Tampered claims are rows of the tamper table (tests/tampers.py).
     test_checker_catches_understated_exceptions = tamper_test("understated-exceptions")
     test_checker_catches_overclaimed_domain = tamper_test("overclaimed-domain")
     test_checker_catches_phantom_site = tamper_test("phantom-site")
     test_checker_catches_missing_site = tamper_test("missing-site")
+    test_checker_catches_stale_claim_over_unknown = tamper_test("stale-claim-over-unknown")
+
+    @pytest.mark.parametrize(
+        "source",
+        ["select(ibm, close > 115.0)", "select(compose(ibm as i, hp as h), i_close > h_close)"],
+    )
+    def test_batch_operators_never_parse_specs(self, table1, source, monkeypatch):
+        catalog, _sequences = table1
+        root = optimized(source, catalog).plan
+
+        def parse(data):
+            raise AssertionError("an operator open parsed an effect spec")
+
+        monkeypatch.setattr(EffectSpec, "from_dict", staticmethod(parse))
+        execute_plan(root, root.span, ExecutionCounters(), mode="batch").to_pairs()
 
     def test_require_raises_typed_error(self, divided):
         certificate = certify_effects(divided)
@@ -352,74 +362,6 @@ class TestCertificates:
         gutted = dataclasses.replace(certificate, sites=())
         check_effect_certificate(divided, gutted, counters=counters)
         assert counters.checks_failed == 1
-
-
-# -- the EFX lint -------------------------------------------------------------
-
-
-class TestLintRules:
-    """verify_plan audits the optimizer-attached effect metadata.
-
-    Each tamper row (``tests/tampers.py``) is refuted by the same rule
-    through the lint and through the certificate checker.
-    """
-
-    @pytest.fixture
-    def annotated(self, table1):
-        catalog, _sequences = table1
-        return optimized("select(ibm, close / volume > 0.01)", catalog)
-
-    def chain_node(self, plan):
-        for node in plan.plan.walk():
-            if node.kind == "chain":
-                return node
-        raise AssertionError("no chain node")
-
-    def test_optimizer_output_is_clean(self, annotated):
-        report = verify_plan(annotated)
-        assert report.ok, [d.render() for d in report.errors]
-        assert set(EFX_RULES) <= set(report.rules_run)
-
-    def test_malformed_metadata_is_efx_pure(self, annotated):
-        self.chain_node(annotated).extras["effects"] = {"sites": "garbage"}
-        report = verify_plan(annotated)
-        assert EFX_PURE in [d.rule for d in report.errors]
-
-    test_overclaimed_totality_is_efx_total = tamper_test("understated-exceptions")
-    test_overclaimed_domain_is_efx_domain = tamper_test("overclaimed-domain")
-    test_phantom_site_is_efx_fallback = tamper_test("phantom-site")
-    test_coverage_gap_is_efx_fallback = tamper_test("missing-site")
-    test_stale_claim_over_unknown_truth_is_efx_fallback = tamper_test("stale-claim-over-unknown")
-
-    def test_one_derivation_per_site(self, annotated):
-        """The five EFX comparisons share one derived spec per site."""
-        before = EFFECT_COUNTERS.specs_derived
-        assert verify_plan(annotated).ok
-        assert EFFECT_COUNTERS.specs_derived - before == 1
-
-    @pytest.mark.parametrize(
-        "source",
-        ["select(ibm, close > 115.0)", "select(compose(ibm as i, hp as h), i_close > h_close)"],
-    )
-    def test_batch_operators_never_parse_specs(self, table1, source, monkeypatch):
-        catalog, _sequences = table1
-        root = optimized(source, catalog).plan
-
-        def parse(data):
-            raise AssertionError("an operator open parsed effect metadata")
-
-        monkeypatch.setattr(EffectSpec, "from_dict", staticmethod(parse))
-        execute_plan(root, root.span, ExecutionCounters(), mode="batch").to_pairs()
-
-    def test_annotate_reports_summary(self, annotated):
-        summary = annotate_effects(annotated)
-        assert summary == {"sites": 1, "unknown": 0, "vector_safe": 0}
-
-    def test_node_effect_specs_survives_malformed_metadata(self, annotated):
-        node = self.chain_node(annotated)
-        assert set(node_effect_specs(node)) == {"step0"}
-        node.extras["effects"] = "garbage"
-        assert node_effect_specs(node) == {}
 
 
 # -- dense codegen ------------------------------------------------------------

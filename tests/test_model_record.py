@@ -80,11 +80,6 @@ class TestRecord:
     def test_as_dict(self, record):
         assert record.as_dict() == {"close": 101.5, "volume": 2000}
 
-    def test_project(self, record):
-        projected = record.project(["volume"])
-        assert projected.values == (2000,)
-        assert projected.schema.names == ("volume",)
-
     def test_concat(self, record):
         other = Record(RecordSchema.of(flag=AtomType.BOOL), (True,))
         combined = record.concat(other)

@@ -12,6 +12,8 @@ from repro.algebra import (
     ValueOffset,
     col,
 )
+from repro.algebra.graph import Query
+from repro.extensions import TriggerEngine
 
 
 @pytest.fixture
@@ -73,6 +75,21 @@ class TestProject:
     def test_null_in_null_out(self, leaf):
         node = Project(leaf, ["close"])
         assert value_at(node, 3) is NULL
+
+    def test_records_share_the_operator_schema(self, sparse_walk):
+        """Naive and trigger projections build no schema per record."""
+        query = Query(Project(SequenceLeaf(sparse_walk, "w"), ["volume", "close"]))
+        node = query.root
+        expected = [
+            (p, (r.get("volume"), r.get("close"))) for p, r in sparse_walk.iter_nonnull()
+        ]
+        naive = [(p, node.value_at([sparse_walk], p)) for p, _r in sparse_walk.iter_nonnull()]
+        engine = TriggerEngine(query)
+        pushed = [out for p, r in sparse_walk.iter_nonnull() for out in engine.push("w", p, r)]
+        for records in (naive, pushed):
+            assert [(p, r.values) for p, r in records] == expected
+            assert all(r.schema is node.schema for _p, r in records)
+        assert pushed == query.run_naive().to_pairs()
 
     def test_unknown_attr_rejected(self, leaf):
         with pytest.raises(QueryError):

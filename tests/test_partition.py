@@ -118,12 +118,6 @@ class TestContracts:
         # output position p reads input p-5: five positions of lookback.
         assert (contract.halo_below, contract.halo_above) == (5, 0)
 
-    def test_optimizer_attaches_contract_metadata(self, table1):
-        catalog, _sequences = table1
-        plan = optimized("window(ibm, avg, close, 6, ma6)", catalog)
-        meta = plan.plan.extras["partition"]
-        assert PartitionContract.from_dict(meta["contract"]) == derive_contract(plan)
-
 
 class TestHaloArithmetic:
     """Hypothesis: halo widths obey the composition arithmetic."""
